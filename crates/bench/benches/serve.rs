@@ -6,6 +6,7 @@
 //! modeled transmission sleeps.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use pbpair_netsim::FecSpec;
 use pbpair_serve::{run, ServeConfig, Session, SessionConfig};
 
 fn fleet_cfg(sessions: usize, workers: usize) -> ServeConfig {
@@ -41,7 +42,7 @@ fn bench_session_step(c: &mut Criterion) {
     group.bench_function("step_frame_fec", |b| {
         let mut cfg = SessionConfig::standard(0, 42);
         cfg.mtu = 300;
-        cfg.fec_group = Some(4);
+        cfg.fec = Some(FecSpec::Xor { k: 4 });
         let mut session = Session::new(cfg).expect("valid config");
         b.iter(|| black_box(session.step_frame()))
     });

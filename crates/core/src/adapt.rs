@@ -288,20 +288,25 @@ impl Default for DegradationConfig {
 ///   assumed hostile,
 /// * resumes tracking the moment a report arrives.
 ///
+/// The controller keeps no clock of its own: the caller owns the frame
+/// of the last applied report and passes the resulting darkness (frames
+/// since that report, `None` before the first) to every
+/// [`tick`](Self::tick), so one clock serves every consumer of it.
+///
 /// # Example
 ///
 /// ```rust
 /// use pbpair::adapt::{DegradationConfig, DegradationController};
 ///
 /// let mut c = DegradationController::new(DegradationConfig::default()).unwrap();
-/// c.on_feedback(0, 0.1);
-/// let tracking = c.tick(1);
+/// c.on_feedback(0.1); // a report lands at frame 0
+/// let tracking = c.tick(Some(1));
 /// // 200 frames of silence: well past the timeout, deep into backoff.
 /// let mut dark = tracking;
 /// for f in 2..200 {
-///     dark = c.tick(f);
+///     dark = c.tick(Some(f));
 /// }
-/// assert!(c.is_degraded(199));
+/// assert!(c.is_degraded(Some(199)));
 /// assert!(dark > tracking, "blackout must raise the threshold");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -310,7 +315,6 @@ pub struct DegradationController {
     intra_th: f64,
     /// Threshold the compensation asks for, from the freshest report.
     tracking_th: f64,
-    last_feedback_frame: Option<u64>,
 }
 
 impl DegradationController {
@@ -347,7 +351,6 @@ impl DegradationController {
             config,
             intra_th: config.base_th,
             tracking_th: config.base_th,
-            last_feedback_frame: None,
         })
     }
 
@@ -356,39 +359,27 @@ impl DegradationController {
         self.intra_th
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &DegradationConfig {
-        &self.config
+    /// Whether `dark` frames without a report are past the staleness
+    /// timeout (never before the first report, `dark == None` — silence
+    /// at startup is ignorance, not degradation, and the base point
+    /// already covers it).
+    pub fn is_degraded(&self, dark: Option<u64>) -> bool {
+        dark.is_some_and(|d| d > self.config.staleness_timeout)
     }
 
-    /// Frames since the last feedback report, or `None` before the first.
-    pub fn frames_dark(&self, now_frame: u64) -> Option<u64> {
-        self.last_feedback_frame
-            .map(|f| now_frame.saturating_sub(f))
-    }
-
-    /// Whether the controller is past the staleness timeout at
-    /// `now_frame` (never before the first report — silence at startup
-    /// is ignorance, not degradation, and the base point already covers
-    /// it).
-    pub fn is_degraded(&self, now_frame: u64) -> bool {
-        self.frames_dark(now_frame)
-            .is_some_and(|d| d > self.config.staleness_timeout)
-    }
-
-    /// Feeds in a PLR report received at `now_frame`; re-anchors the
-    /// tracking threshold via [`compensated_intra_th`]. The operating
-    /// threshold itself moves only in [`tick`](Self::tick), so a report
-    /// after a long blackout starts a glide, not a jump.
-    pub fn on_feedback(&mut self, now_frame: u64, plr: f64) {
+    /// Feeds in a PLR report; re-anchors the tracking threshold via
+    /// [`compensated_intra_th`]. The operating threshold itself moves
+    /// only in [`tick`](Self::tick), so a report after a long blackout
+    /// starts a glide, not a jump.
+    pub fn on_feedback(&mut self, plr: f64) {
         let plr = plr.clamp(0.0, 0.999_999);
         self.tracking_th = compensated_intra_th(self.config.base_th, self.config.base_plr, plr);
-        self.last_feedback_frame = Some(now_frame);
     }
 
-    /// Advances one frame and returns the threshold for it.
-    pub fn tick(&mut self, now_frame: u64) -> f64 {
-        let (target, rate) = if self.is_degraded(now_frame) {
+    /// Advances one frame, `dark` frames after the last applied report,
+    /// and returns the threshold for it.
+    pub fn tick(&mut self, dark: Option<u64>) -> f64 {
+        let (target, rate) = if self.is_degraded(dark) {
             (self.config.conservative_th, self.config.backoff_rate)
         } else {
             (self.tracking_th, self.config.recovery_rate)
@@ -579,11 +570,11 @@ mod tests {
     fn degradation_tracks_compensation_while_feedback_is_fresh() {
         let mut c = DegradationController::new(degradation_config()).unwrap();
         let target = compensated_intra_th(0.9, 0.1, 0.25);
-        for f in 0..200 {
-            c.on_feedback(f, 0.25); // report every frame — never stale
-            c.tick(f);
+        for _ in 0..200 {
+            c.on_feedback(0.25); // report every frame — never stale
+            c.tick(Some(0));
         }
-        assert!(!c.is_degraded(199));
+        assert!(!c.is_degraded(Some(0)));
         assert!(
             (c.intra_th() - target).abs() < 1e-6,
             "must settle on the compensated threshold: {} vs {target}",
@@ -595,15 +586,18 @@ mod tests {
     fn degradation_backs_off_toward_conservative_during_blackout() {
         let cfg = degradation_config();
         let mut c = DegradationController::new(cfg).unwrap();
-        c.on_feedback(0, 0.1);
-        let mut prev = c.tick(1);
-        assert!(!c.is_degraded(5), "within the timeout is not degraded");
+        c.on_feedback(0.1); // the only report, at frame 0
+        let mut prev = c.tick(Some(1));
+        assert!(
+            !c.is_degraded(Some(5)),
+            "within the timeout is not degraded"
+        );
         // Silence. Past the timeout the threshold must climb
         // monotonically toward (and never past) the conservative point.
         let mut climbed = false;
         for f in 2..150 {
-            let th = c.tick(f);
-            if c.is_degraded(f) {
+            let th = c.tick(Some(f));
+            if c.is_degraded(Some(f)) {
                 assert!(th >= prev, "backoff must be monotone: {th} < {prev}");
                 assert!(th <= cfg.conservative_th + 1e-12);
                 climbed = climbed || th > prev;
@@ -611,7 +605,6 @@ mod tests {
             prev = th;
         }
         assert!(climbed);
-        assert!(c.is_degraded(149));
         assert!(
             (c.intra_th() - cfg.conservative_th).abs() < 0.01,
             "long blackout must approach conservative: {}",
@@ -623,16 +616,16 @@ mod tests {
     fn degradation_recovers_smoothly_when_feedback_returns() {
         let cfg = degradation_config();
         let mut c = DegradationController::new(cfg).unwrap();
-        c.on_feedback(0, 0.1);
+        c.on_feedback(0.1);
         for f in 1..100 {
-            c.tick(f); // blackout
+            c.tick(Some(f)); // blackout
         }
         let dark_th = c.intra_th();
         // Reports resume: no jump — the threshold glides back down.
         let mut prev = dark_th;
-        for f in 100..160 {
-            c.on_feedback(f, 0.1);
-            let th = c.tick(f);
+        for _ in 100..160 {
+            c.on_feedback(0.1);
+            let th = c.tick(Some(0));
             let step = (prev - th).abs();
             assert!(
                 step <= (prev - 0.9).abs() * cfg.recovery_rate + 1e-12,
@@ -651,21 +644,21 @@ mod tests {
     #[test]
     fn degradation_never_degrades_before_first_report() {
         let mut c = DegradationController::new(degradation_config()).unwrap();
-        for f in 0..100 {
-            c.tick(f);
+        for _ in 0..100 {
+            c.tick(None);
         }
-        assert!(!c.is_degraded(99), "startup silence is not a blackout");
-        assert_eq!(c.frames_dark(99), None);
+        assert!(!c.is_degraded(None), "startup silence is not a blackout");
         assert!((c.intra_th() - 0.9).abs() < 1e-9, "holds the base point");
     }
 
     #[test]
     fn degradation_staleness_boundary_is_exclusive() {
-        let mut c = DegradationController::new(degradation_config()).unwrap();
-        c.on_feedback(0, 0.1);
-        assert!(!c.is_degraded(10), "exactly at the timeout is still live");
-        assert!(c.is_degraded(11));
-        assert_eq!(c.frames_dark(11), Some(11));
+        let c = DegradationController::new(degradation_config()).unwrap();
+        assert!(
+            !c.is_degraded(Some(10)),
+            "exactly at the timeout is still live"
+        );
+        assert!(c.is_degraded(Some(11)));
     }
 
     #[test]
@@ -690,8 +683,8 @@ mod tests {
     #[test]
     fn degradation_clamps_reported_plr() {
         let mut c = DegradationController::new(degradation_config()).unwrap();
-        c.on_feedback(0, 7.3); // garbage from a corrupted report
-        let th = c.tick(1);
+        c.on_feedback(7.3); // garbage from a corrupted report
+        let th = c.tick(Some(1));
         assert!((0.0..=1.0).contains(&th));
     }
 }

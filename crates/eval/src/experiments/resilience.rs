@@ -319,18 +319,22 @@ pub fn run_feedback_blackout_instrumented(
     let mut decode = DecodeReport::default();
     let mut th_trace = Vec::with_capacity(frames);
     let mut degraded_trace = Vec::with_capacity(frames);
+    // Frame of the last applied report: the loop's one darkness clock.
+    let mut last_report: Option<u64> = None;
 
     for f in 0..frames as u64 {
         // Encoder side: consume whatever feedback has arrived, then pick
         // the threshold for this frame.
         if let Some(report) = link.poll(f) {
-            controller.on_feedback(f, report.plr);
+            last_report = Some(f);
+            controller.on_feedback(report.plr);
             policy.set_plr(report.plr.clamp(0.01, 0.9));
         }
-        let th = controller.tick(f);
+        let dark = last_report.map(|r| f - r);
+        let th = controller.tick(dark);
         policy.set_intra_th(th);
         th_trace.push(th);
-        degraded_trace.push(controller.is_degraded(f));
+        degraded_trace.push(controller.is_degraded(dark));
 
         let original = seq.next_frame();
         let encoded = encoder.encode_frame(&original, &mut policy);

@@ -19,10 +19,9 @@
 //! longest member of its block; slots past the frame's last fragment are
 //! virtual all-zero shards that are never transmitted and never lost.
 //! Parity packets carry their shard verbatim, so the receiver learns the
-//! shard length from any surviving parity packet.
-//!
-//! The original single-group XOR parity lives on as the deprecated
-//! [`XorFec`] alias, now implemented behind the same trait.
+//! shard length from any surviving parity packet. A surviving parity
+//! packet of any other length (corruption can shorten or pad a payload)
+//! is treated as erased.
 
 use crate::packet::Packet;
 use bytes::Bytes;
@@ -132,8 +131,10 @@ impl FecProtector {
 
     /// Repairs one frame from whatever survived the channel. Decode
     /// work is charged to `ops`; blocks whose data all arrived cost
-    /// nothing. Returns `None` only on malformed input (foreign parity
-    /// indices, shards longer than their block's parity claims).
+    /// nothing. The block's first surviving parity packet fixes its
+    /// shard length; parity packets of another length count as erased.
+    /// Returns `None` only on malformed input (foreign parity indices,
+    /// data fragments longer than their block's shard).
     pub fn recover(&self, received: &[Packet], ops: &mut FecOps) -> Option<FecRecovery> {
         let k = self.k();
         let r = self.r();
@@ -193,7 +194,10 @@ impl FecProtector {
                 return None;
             }
             for p in block_parity {
-                shards.push(p.map(|p| p.payload.to_vec()));
+                shards.push(
+                    p.filter(|p| p.payload.len() == shard_len)
+                        .map(|p| p.payload.to_vec()),
+                );
             }
             if !self.codec.decode(&mut shards, ops) {
                 complete = false;
@@ -248,56 +252,6 @@ fn lower_shard(shard: &[u8]) -> Option<Bytes> {
     Some(Bytes::from(shard[2..2 + len].to_vec()))
 }
 
-/// Legacy single-parity XOR group FEC, now a thin wrapper over
-/// [`FecProtector`] with [`FecSpec::Xor`]. Kept so `fec_group` sessions
-/// and the original experiments keep compiling.
-pub struct GroupXorFec {
-    inner: FecProtector,
-}
-
-/// Deprecated name of [`GroupXorFec`].
-#[deprecated(note = "use FecProtector with FecSpec::Xor { k } (or another codec family) instead")]
-pub type XorFec = GroupXorFec;
-
-impl GroupXorFec {
-    /// Creates a protector with `group` data packets per parity packet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group == 0`.
-    pub fn new(group: usize) -> Self {
-        assert!(group > 0, "fec group size must be positive");
-        GroupXorFec {
-            inner: FecProtector::new(FecSpec::Xor { k: group })
-                .expect("positive group size is a valid spec"),
-        }
-    }
-
-    /// Data packets per parity packet.
-    pub fn group_size(&self) -> usize {
-        self.inner.k()
-    }
-
-    /// Protects one frame's fragments; see [`FecProtector::protect`].
-    /// Op accounting is discarded — use [`FecProtector`] to charge it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packets` is empty or contains non-data packets.
-    pub fn protect(&self, packets: &[Packet]) -> Vec<Packet> {
-        self.inner.protect(packets, &mut FecOps::default())
-    }
-
-    /// Attempts to restore the full data-packet set of one frame from
-    /// whatever survived the channel. Returns the data packets in
-    /// fragment order if every group is complete or single-loss
-    /// recoverable, `None` otherwise.
-    pub fn recover(&self, received: &[Packet]) -> Option<Vec<Packet>> {
-        let rec = self.inner.recover(received, &mut FecOps::default())?;
-        rec.complete.then_some(rec.data)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,83 +261,76 @@ mod tests {
         Packetizer::new(mtu).packetize(3, data)
     }
 
+    fn xor(k: usize) -> FecProtector {
+        FecProtector::new(FecSpec::Xor { k }).unwrap()
+    }
+
+    /// Recovers a frame, keeping it only when complete.
+    fn recover_whole(fec: &FecProtector, received: &[Packet]) -> Option<Vec<Packet>> {
+        let rec = fec.recover(received, &mut FecOps::default())?;
+        rec.complete.then_some(rec.data)
+    }
+
     #[test]
-    fn protect_appends_one_parity_per_group() {
+    fn xor_appends_one_parity_per_group() {
         let pkts = fragments(&[9u8; 500], 100); // 5 fragments
-        let fec = GroupXorFec::new(2);
-        let protected = fec.protect(&pkts);
+        let protected = xor(2).protect(&pkts, &mut FecOps::default());
         // Groups: [0,1] [2,3] [4] → 3 parity packets.
         assert_eq!(protected.len(), 5 + 3);
         assert_eq!(protected.iter().filter(|p| p.parity).count(), 3);
+        assert!(FecProtector::new(FecSpec::Xor { k: 0 }).is_err());
     }
 
     #[test]
-    fn no_loss_recovers_identity() {
-        let data: Vec<u8> = (0..450).map(|i| (i * 7) as u8).collect();
-        let pkts = fragments(&data, 100);
-        let fec = GroupXorFec::new(3);
-        let protected = fec.protect(&pkts);
-        let recovered = fec.recover(&protected).unwrap();
-        assert_eq!(reassemble_frame(&recovered).unwrap(), data);
-    }
-
-    #[test]
-    fn any_single_loss_per_group_is_recovered() {
+    fn xor_repairs_any_single_loss_per_group() {
         let data: Vec<u8> = (0..777).map(|i| (i * 13 + 5) as u8).collect();
         let pkts = fragments(&data, 100); // 8 fragments
-        let fec = GroupXorFec::new(4);
+        let fec = xor(4);
+        let protected = fec.protect(&pkts, &mut FecOps::default());
         for victim in 0..8usize {
-            let protected = fec.protect(&pkts);
             let survivors: Vec<Packet> = protected
-                .into_iter()
+                .iter()
                 .filter(|p| p.parity || p.fragment_index as usize != victim)
+                .cloned()
                 .collect();
-            let recovered = fec.recover(&survivors).expect("single loss recoverable");
+            let recovered = recover_whole(&fec, &survivors).expect("single loss recoverable");
             assert_eq!(
                 reassemble_frame(&recovered).unwrap(),
                 data,
                 "victim {victim}"
             );
         }
-    }
-
-    #[test]
-    fn lost_parity_with_intact_data_is_fine() {
-        let data = vec![42u8; 350];
-        let pkts = fragments(&data, 100);
-        let fec = GroupXorFec::new(2);
-        let survivors: Vec<Packet> = fec
-            .protect(&pkts)
-            .into_iter()
-            .filter(|p| !p.parity)
-            .collect();
+        // Lost parity with intact data needs no repair.
+        let data_only: Vec<Packet> = protected.into_iter().filter(|p| !p.parity).collect();
         assert_eq!(
-            reassemble_frame(&fec.recover(&survivors).unwrap()).unwrap(),
+            reassemble_frame(&recover_whole(&fec, &data_only).unwrap()).unwrap(),
             data
         );
     }
 
     #[test]
-    fn double_loss_in_a_group_fails() {
-        let data = vec![1u8; 400];
-        let pkts = fragments(&data, 100); // 4 fragments
-        let fec = GroupXorFec::new(4); // one group
+    fn xor_double_loss_in_a_group_fails() {
+        let pkts = fragments(&[1u8; 400], 100); // 4 fragments
+        let fec = xor(4); // one group
+        let mut ops = FecOps::default();
         let survivors: Vec<Packet> = fec
-            .protect(&pkts)
+            .protect(&pkts, &mut ops)
             .into_iter()
             .filter(|p| p.parity || p.fragment_index >= 2)
             .collect();
-        assert!(fec.recover(&survivors).is_none());
+        let rec = fec.recover(&survivors, &mut ops).unwrap();
+        assert!(!rec.complete);
+        assert_eq!(ops.blocks_failed, 1);
     }
 
     #[test]
-    fn loss_in_one_group_does_not_need_the_other_groups_parity() {
+    fn xor_groups_repair_independently() {
         let data = vec![5u8; 600];
         let pkts = fragments(&data, 100); // 6 fragments, groups of 3
-        let fec = GroupXorFec::new(3);
+        let fec = xor(3);
         // Drop data fragment 1 and the *second* group's parity.
         let survivors: Vec<Packet> = fec
-            .protect(&pkts)
+            .protect(&pkts, &mut FecOps::default())
             .into_iter()
             .filter(|p| {
                 let drop_parity_of_group_1 = p.parity && p.fragment_index == 7;
@@ -392,27 +339,31 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            reassemble_frame(&fec.recover(&survivors).unwrap()).unwrap(),
+            reassemble_frame(&recover_whole(&fec, &survivors).unwrap()).unwrap(),
             data
         );
     }
 
     #[test]
-    fn fec_reduces_effective_frame_loss_on_a_lossy_channel() {
+    fn xor_reduces_effective_frame_loss_on_a_lossy_channel() {
         use crate::channel::LossyChannel;
         use crate::loss::UniformLoss;
         let data = vec![7u8; 1000];
-        let fec = GroupXorFec::new(4);
+        let fec = xor(4);
         let trials = 3000;
         let run = |with_fec: bool, seed: u64| -> u32 {
             let mut chan = LossyChannel::new(Box::new(UniformLoss::new(0.05, seed)));
             let mut ok = 0u32;
             for f in 0..trials {
                 let pkts = Packetizer::new(100).packetize(f, &data); // 10 fragments
-                let sent = if with_fec { fec.protect(&pkts) } else { pkts };
+                let sent = if with_fec {
+                    fec.protect(&pkts, &mut FecOps::default())
+                } else {
+                    pkts
+                };
                 let survivors = chan.transmit(&sent);
                 let recovered = if with_fec {
-                    fec.recover(&survivors)
+                    recover_whole(&fec, &survivors)
                 } else {
                     (survivors.len() == 10).then_some(survivors)
                 };
@@ -430,19 +381,6 @@ mod tests {
             protected > plain + trials as u32 / 10,
             "fec must recover a large share: {protected} vs {plain}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_group_rejected() {
-        let _ = GroupXorFec::new(0);
-    }
-
-    #[test]
-    fn deprecated_alias_still_compiles() {
-        #[allow(deprecated)]
-        let fec: XorFec = XorFec::new(2);
-        assert_eq!(fec.group_size(), 2);
     }
 
     // ----- FecProtector over the full codec family -----

@@ -36,9 +36,7 @@ pub use corrupt::{
     Delivery,
 };
 pub use delay::{LinkStats, RealTimeLink};
-#[allow(deprecated)]
-pub use fec::XorFec;
-pub use fec::{FecProtector, FecRecovery, GroupXorFec};
+pub use fec::{FecProtector, FecRecovery};
 pub use feedback::{
     BurstEstimator, EwmaPlrEstimator, FeedbackLink, FeedbackLinkStats, FeedbackReport, RetryConfig,
     WindowPlrEstimator,

@@ -49,6 +49,9 @@ struct Inner {
     /// Jobs executed by a worker other than the submit hint — how often
     /// stealing (or injector pickup) actually rebalanced load.
     migrated: u64,
+    /// First panic of a [`WorkStealingPool::submit`]ted job since the
+    /// last [`WorkStealingPool::wait_idle`], which re-raises it.
+    panic: Option<Box<dyn std::any::Any + Send>>,
     shutdown: bool,
 }
 
@@ -121,6 +124,7 @@ impl WorkStealingPool {
                 in_flight: 0,
                 submitted: 0,
                 migrated: 0,
+                panic: None,
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -255,11 +259,18 @@ impl WorkStealingPool {
         }
     }
 
-    /// Blocks until every submitted job has finished.
+    /// Blocks until every submitted job has finished. If a job panicked
+    /// since the last call, the first panic is re-raised here (on the
+    /// caller's thread), as [`WorkStealingPool::run_scoped`] does; the
+    /// pool stays usable.
     pub fn wait_idle(&self) {
         let mut inner = self.shared.inner.lock().expect("pool lock");
         while inner.in_flight > 0 {
             inner = self.shared.idle.wait(inner).expect("pool lock");
+        }
+        if let Some(payload) = inner.panic.take() {
+            drop(inner);
+            resume_unwind(payload);
         }
     }
 
@@ -296,8 +307,13 @@ fn worker_loop(id: usize, shared: &Shared) {
         let job = find_job(id, shared);
         match job {
             Some((hint, job)) => {
-                job();
+                // A panicking job still leaves the in-flight count, so
+                // `wait_idle` returns (and re-raises) instead of hanging.
+                let result = catch_unwind(AssertUnwindSafe(job));
                 let mut inner = shared.inner.lock().expect("pool lock");
+                if let Err(payload) = result {
+                    inner.panic.get_or_insert(payload);
+                }
                 if hint != id {
                     inner.migrated += 1;
                     if let Some(t) = &shared.tel {
@@ -546,6 +562,28 @@ mod tests {
         let pool = WorkStealingPool::new(1, 2);
         pool.run_scoped(Vec::new());
         assert_eq!(pool.jobs_submitted(), 0);
+    }
+
+    #[test]
+    fn wait_idle_reraises_a_job_panic_instead_of_hanging() {
+        let pool = WorkStealingPool::new(2, 8);
+        let completed = Arc::new(AtomicUsize::new(0));
+        pool.submit_to(0, Box::new(|| panic!("session job failed")));
+        for i in 0..4 {
+            let c = Arc::clone(&completed);
+            pool.submit_to(
+                i,
+                Box::new(move || {
+                    c.fetch_add(1, Ordering::Relaxed);
+                }),
+            );
+        }
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| pool.wait_idle()));
+        assert!(result.is_err(), "the job's panic must reach the caller");
+        assert_eq!(completed.load(Ordering::Relaxed), 4);
+        // The panic is reported once, and the pool keeps working.
+        pool.submit(Box::new(|| {}));
+        pool.wait_idle();
     }
 
     #[test]

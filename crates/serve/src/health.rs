@@ -14,10 +14,11 @@
 //!   [`HealthState::Healthy`] → [`HealthState::Degraded`] →
 //!   [`HealthState::Quarantined`], and de-escalates to
 //!   [`HealthState::Recovered`] after a sustained fresh streak.
-//!   Quarantine is not just a label: it imposes an `Intra_Th` floor
-//!   (maximum resilience, minimum cost) on top of whatever the
-//!   degradation controller chose, exactly like the fleet's admission
-//!   floor.
+//!   Quarantine is not just a label: [`StalenessWatchdog::floor_th`]
+//!   reads it as an `Intra_Th` floor (maximum resilience, minimum cost),
+//!   one of the three inputs the session's `Intra_Th` arbiter
+//!   (`crate::session::arbitrate_intra_th`) takes beside the network
+//!   proposal and the fleet's admission floor.
 //! * [`HealthLedger`] — the append-only transition log
 //!   ([`HealthTransition`]: frame, from, to, reason), deterministic and
 //!   reported alongside the digest, so a chaos test can assert the
@@ -172,8 +173,8 @@ impl HealthLedger {
 }
 
 /// The per-session watchdog. Feed it one [`StalenessWatchdog::observe`]
-/// per frame slot; read the floor it returns into the session's
-/// `Intra_Th` max.
+/// per frame slot; read [`StalenessWatchdog::floor_th`] into the
+/// session's `Intra_Th` arbiter.
 #[derive(Debug, Clone)]
 pub struct StalenessWatchdog {
     cfg: WatchdogConfig,
@@ -198,11 +199,6 @@ impl StalenessWatchdog {
         })
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &WatchdogConfig {
-        &self.cfg
-    }
-
     /// Current state.
     pub fn state(&self) -> HealthState {
         self.state
@@ -213,25 +209,28 @@ impl StalenessWatchdog {
         &self.ledger
     }
 
+    /// The `Intra_Th` floor the current state imposes:
+    /// `quarantine_floor_th` while quarantined, `0.0` otherwise.
+    pub fn floor_th(&self) -> f64 {
+        if self.state == HealthState::Quarantined {
+            self.cfg.quarantine_floor_th
+        } else {
+            0.0
+        }
+    }
+
     /// Feeds one frame slot: `dark` is the session's feedback staleness
     /// (frames since the last applied report; `None` before the first
     /// report — startup silence is ignorance, not ill health), `stalled`
     /// whether the decoder failed to advance this slot, `lost_streak`
     /// the run of consecutive whole-frame losses ending at the previous
-    /// slot (display starvation). Returns the `Intra_Th` floor now in
-    /// force (`0.0` unless quarantined).
+    /// slot (display starvation).
     ///
     /// Escalation is strictly one step per observation (healthy →
     /// degraded → quarantined), so the ledger always shows the full
     /// path; recovery requires `recover_after_fresh` consecutive calm
     /// observations.
-    pub fn observe(
-        &mut self,
-        frame: u64,
-        dark: Option<u64>,
-        stalled: bool,
-        lost_streak: u64,
-    ) -> f64 {
+    pub fn observe(&mut self, frame: u64, dark: Option<u64>, stalled: bool, lost_streak: u64) {
         let dark_frames = dark.unwrap_or(0);
         let starved = lost_streak >= self.cfg.starve_after_lost;
         let degrade_signal = stalled || starved || dark_frames > self.cfg.degrade_after_dark;
@@ -264,12 +263,6 @@ impl StalenessWatchdog {
                 self.fresh_streak = 0;
             }
         }
-
-        if self.state == HealthState::Quarantined {
-            self.cfg.quarantine_floor_th
-        } else {
-            0.0
-        }
     }
 
     /// Records an externally detected SLO violation against this
@@ -278,9 +271,8 @@ impl StalenessWatchdog {
     /// rule as [`StalenessWatchdog::observe`] (healthy/recovered →
     /// degraded → quarantined) with reason `slo:<name>`, and the fresh
     /// streak resets: an SLO breach is evidence of ill health even when
-    /// the per-session signals look calm. Returns the `Intra_Th` floor
-    /// now in force.
-    pub fn alert(&mut self, frame: u64, slo: &str) -> f64 {
+    /// the per-session signals look calm.
+    pub fn alert(&mut self, frame: u64, slo: &str) {
         self.fresh_streak = 0;
         match self.state {
             HealthState::Healthy | HealthState::Recovered => {
@@ -290,11 +282,6 @@ impl StalenessWatchdog {
                 self.transition(frame, HealthState::Quarantined, format!("slo:{slo}"));
             }
             HealthState::Quarantined => {}
-        }
-        if self.state == HealthState::Quarantined {
-            self.cfg.quarantine_floor_th
-        } else {
-            0.0
         }
     }
 
@@ -323,7 +310,8 @@ mod tests {
     fn quiet_session_stays_healthy() {
         let mut w = StalenessWatchdog::new(cfg()).unwrap();
         for f in 0..50 {
-            assert_eq!(w.observe(f, Some(f.min(2)), false, 0), 0.0);
+            w.observe(f, Some(f.min(2)), false, 0);
+            assert_eq!(w.floor_th(), 0.0);
         }
         assert_eq!(w.state(), HealthState::Healthy);
         assert!(!w.ledger().ever_impaired());
@@ -341,12 +329,11 @@ mod tests {
     #[test]
     fn sustained_darkness_walks_the_full_escalation_path() {
         let mut w = StalenessWatchdog::new(cfg()).unwrap();
-        let mut floor = 0.0;
         for f in 0..20u64 {
-            floor = w.observe(f, Some(f), false, 0);
+            w.observe(f, Some(f), false, 0);
         }
         assert_eq!(w.state(), HealthState::Quarantined);
-        assert_eq!(floor, 0.95, "quarantine must impose the floor");
+        assert_eq!(w.floor_th(), 0.95, "quarantine must impose the floor");
         let log = w.ledger().transitions();
         assert_eq!(log.len(), 2, "one step per level: {log:?}");
         assert_eq!(
@@ -369,15 +356,13 @@ mod tests {
         assert_eq!(w.state(), HealthState::Quarantined);
         // Three calm frames: not yet recovered.
         for f in 12..15u64 {
-            assert_eq!(
-                w.observe(f, Some(1), false, 0),
-                0.95,
-                "floor holds until recovered"
-            );
+            w.observe(f, Some(1), false, 0);
+            assert_eq!(w.floor_th(), 0.95, "floor holds until recovered");
         }
         assert_eq!(w.state(), HealthState::Quarantined);
         // Fourth calm frame completes the streak.
-        assert_eq!(w.observe(15, Some(1), false, 0), 0.0);
+        w.observe(15, Some(1), false, 0);
+        assert_eq!(w.floor_th(), 0.0);
         assert_eq!(w.state(), HealthState::Recovered);
         let last = w.ledger().transitions().last().unwrap();
         assert_eq!(last.to, HealthState::Recovered);
@@ -407,9 +392,9 @@ mod tests {
         let mut w = StalenessWatchdog::new(cfg()).unwrap();
         w.observe(0, Some(0), true, 0);
         assert_eq!(w.state(), HealthState::Degraded);
-        let floor = w.observe(1, Some(0), true, 0);
+        w.observe(1, Some(0), true, 0);
         assert_eq!(w.state(), HealthState::Quarantined);
-        assert_eq!(floor, 0.95);
+        assert_eq!(w.floor_th(), 0.95);
     }
 
     #[test]
@@ -436,9 +421,9 @@ mod tests {
         assert_eq!(w.state(), HealthState::Healthy, "short runs are noise");
         w.observe(1, Some(1), false, 3);
         assert_eq!(w.state(), HealthState::Degraded);
-        let floor = w.observe(2, Some(1), false, 4);
+        w.observe(2, Some(1), false, 4);
         assert_eq!(w.state(), HealthState::Quarantined);
-        assert_eq!(floor, 0.95);
+        assert_eq!(w.floor_th(), 0.95);
         assert!(w.ledger().transitions()[0].reason.starts_with("starved="));
         // Frames start arriving again: full fresh streak → recovered.
         for f in 3..7u64 {

@@ -62,5 +62,7 @@ pub use observe::{standard_slos, Observability, ObservabilityConfig};
 pub use redundancy::{RedundancyConfig, RedundancyController, RedundancyDecision};
 pub use report::{FleetHealth, FleetTiming, ServeReport, SessionReport};
 pub use sched::WorkStealingPool;
-pub use session::{DeviceKind, FrameOutcome, Session, SessionConfig, SessionScheme, SessionStats};
+pub use session::{
+    DeviceKind, FrameOutcome, IntraThSource, Session, SessionConfig, SessionScheme, SessionStats,
+};
 pub use trace::{FleetTrace, SessionTrace, TraceDump, TRACE_RING_CAPACITY};

@@ -78,14 +78,10 @@ pub struct ServeConfig {
     pub plr: f64,
     /// Payload corruption intensity in `[0, 1]`.
     pub corruption: f64,
-    /// XOR-FEC group size applied to every session (`None` = off).
-    /// Legacy spelling of `fec: Some(FecSpec::Xor { k })`; exclusive
-    /// with [`ServeConfig::fec`].
-    pub fec_group: Option<usize>,
     /// FEC codec applied to every session's packet path (`None` = off).
     pub fec: Option<FecSpec>,
     /// Joint intra/FEC redundancy controller for every session. Carries
-    /// its own codec family, so `fec`/`fec_group` must be `None`.
+    /// its own codec family, so `fec` must be `None`.
     pub redundancy: Option<RedundancyConfig>,
     /// Payload MTU.
     pub mtu: usize,
@@ -140,7 +136,6 @@ impl Default for ServeConfig {
             seed: 2005,
             plr: 0.10,
             corruption: 0.2,
-            fec_group: None,
             fec: None,
             redundancy: None,
             mtu: pbpair_netsim::DEFAULT_MTU,
@@ -183,11 +178,8 @@ impl ServeConfig {
         if let Some(chan) = &self.channel {
             chan.validate()?;
         }
-        if self.fec.is_some() && self.fec_group.is_some() {
-            return Err("set fec or fec_group, not both".into());
-        }
-        if self.redundancy.is_some() && (self.fec.is_some() || self.fec_group.is_some()) {
-            return Err("redundancy carries its own fec family; leave fec/fec_group unset".into());
+        if self.redundancy.is_some() && self.fec.is_some() {
+            return Err("redundancy carries its own fec family; leave fec unset".into());
         }
         if let Some(spec) = &self.fec {
             spec.validate()?;
@@ -209,7 +201,6 @@ impl ServeConfig {
         );
         cfg.plr = self.plr;
         cfg.corruption = self.corruption;
-        cfg.fec_group = self.fec_group;
         cfg.fec = self.fec;
         cfg.redundancy = self.redundancy;
         cfg.mtu = self.mtu;
@@ -699,6 +690,21 @@ mod tests {
             per_frame(&degraded),
             per_frame(&healthy)
         );
+    }
+
+    #[test]
+    fn corrupted_fec_fleet_runs_to_completion() {
+        // Corruption resizes surviving parity packets; recovery must
+        // treat them as erasures, not trip the codec's length check.
+        let cfg = ServeConfig {
+            fec: Some(FecSpec::Rs { k: 8, r: 2 }),
+            mtu: 36,
+            corruption: 0.2,
+            pacing_us: 0,
+            ..small(4, 16, 2)
+        };
+        let r = run(&cfg).expect("a corrupted FEC fleet must complete");
+        assert_eq!(r.total_frames, 64);
     }
 
     #[test]

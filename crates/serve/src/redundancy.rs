@@ -171,11 +171,6 @@ impl RedundancyController {
         self.decision
     }
 
-    /// `Intra_Th` currently in force.
-    pub fn intra_th(&self) -> f64 {
-        self.decision.intra_th
-    }
-
     /// Updates the channel estimate from a receiver feedback report.
     pub fn on_feedback(&mut self, plr: f64, burst: f64) {
         self.plr = plr.clamp(0.0, 0.999);

@@ -2,20 +2,25 @@
 //!
 //! A [`Session`] owns every stage the single-clip eval pipeline runs —
 //! synthetic source → PBPAIR encoder → RTP packetization (with optional
-//! XOR FEC) → lossy + corrupting channel → resilient decoder → PLR
-//! feedback over its own lossy return link — plus the two controllers
-//! that steer `Intra_Th`:
+//! FEC) → lossy + corrupting channel → resilient decoder → PLR feedback
+//! over its own lossy return link — and one arbiter,
+//! [`arbitrate_intra_th`], that sets each frame's `Intra_Th` from three
+//! inputs:
 //!
-//! * a [`DegradationController`] tracking the session's *network*: PLR
-//!   compensation while feedback reports flow, conservative backoff
-//!   while the return channel is dark;
-//! * a *load floor* imposed from outside by the fleet's admission
-//!   controller: under overload the floor rises, forcing cheap
-//!   high-intra encodes (PBPAIR's energy lever doubles as a CPU lever —
-//!   intra decisions skip motion estimation entirely).
+//! | Source | Proposes | When |
+//! |---|---|---|
+//! | [`IntraThSource::Network`] | the session's one network proposer, fixed at construction: a [`DegradationController`] (PLR compensation, backoff while feedback is dark) or, for adaptive-FEC sessions, the [`RedundancyController`] (joint intra/parity split per GOP) | every frame |
+//! | [`IntraThSource::Load`] | the fleet admission controller's floor ([`Session::set_load_floor`]): under overload, cheap high-intra encodes (intra decisions skip motion estimation) | while the fleet is over budget; 0 otherwise |
+//! | [`IntraThSource::Quarantine`] | the staleness watchdog's `quarantine_floor_th` | while [`HealthState::Quarantined`]; 0 otherwise |
 //!
-//! The operating threshold is the max of the two — a session never
-//! undercuts either its network's needs or the fleet's.
+//! The rule is `th = max(network, load, quarantine)`; ties go to
+//! quarantine, then load, then network. The frame step, the reported
+//! [`Session::current_intra_th`] and the fleet report all read it, and
+//! every frame records its winner in [`FrameOutcome::intra_th_source`].
+//!
+//! Feedback darkness has one clock: the frame of the last applied
+//! report. The degradation backoff, the watchdog and
+//! [`Session::feedback_dark`] all read it.
 //!
 //! Everything inside a session is seeded from (master seed, session id),
 //! so a session's entire trajectory is deterministic no matter which
@@ -24,7 +29,7 @@
 
 use crate::chaos::{ChaosEvent, ChaosFault};
 use crate::health::{HealthLedger, HealthState, StalenessWatchdog, WatchdogConfig};
-use crate::redundancy::{RedundancyConfig, RedundancyController};
+use crate::redundancy::{RedundancyConfig, RedundancyController, RedundancyDecision};
 use pbpair::adapt::{DegradationConfig, DegradationController};
 use pbpair::{AirPolicy, GopPolicy, PbpairConfig, PbpairPolicy, PgopPolicy};
 use pbpair_codec::{
@@ -114,15 +119,10 @@ pub struct SessionConfig {
     pub plr: f64,
     /// Payload corruption intensity in `[0, 1]`.
     pub corruption: f64,
-    /// XOR-FEC group size; `None` disables FEC for this session.
-    /// Legacy spelling of `fec: Some(FecSpec::Xor { k: group })` — the
-    /// two are mutually exclusive.
-    pub fec_group: Option<usize>,
-    /// FEC codec applied to the packet path; `None` (with `fec_group`
-    /// also `None`) disables FEC.
+    /// FEC codec applied to the packet path; `None` disables FEC.
     pub fec: Option<FecSpec>,
     /// Joint intra/FEC redundancy controller. Carries its own codec
-    /// family, so `fec`/`fec_group` must be `None` when set.
+    /// family, so `fec` must be `None` when set.
     pub redundancy: Option<RedundancyConfig>,
     /// Payload MTU.
     pub mtu: usize,
@@ -174,7 +174,6 @@ impl SessionConfig {
             class: MotionClass::all()[id as usize % 3],
             plr: 0.10,
             corruption: 0.2,
-            fec_group: None,
             fec: None,
             redundancy: None,
             mtu: pbpair_netsim::DEFAULT_MTU,
@@ -218,6 +217,33 @@ pub struct FrameOutcome {
     pub stalled: bool,
     /// `Intra_Th` in force for this frame.
     pub intra_th: f64,
+    /// Which arbiter input set `intra_th`.
+    pub intra_th_source: IntraThSource,
+}
+
+/// The lever that set a frame's `Intra_Th` (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum IntraThSource {
+    /// The session's network proposer (degradation or redundancy
+    /// controller).
+    Network,
+    /// The fleet admission controller's load floor.
+    Load,
+    /// The staleness watchdog's quarantine floor.
+    Quarantine,
+}
+
+/// The session's one `Intra_Th` rule: `max(network, load, quarantine)`,
+/// ties going to quarantine, then load, then network. Returns the
+/// threshold and the input that set it.
+pub fn arbitrate_intra_th(network: f64, load: f64, quarantine: f64) -> (f64, IntraThSource) {
+    if quarantine >= load && quarantine >= network {
+        (quarantine, IntraThSource::Quarantine)
+    } else if load >= network {
+        (load, IntraThSource::Load)
+    } else {
+        (network, IntraThSource::Network)
+    }
 }
 
 /// Lifetime counters of one session (deterministic).
@@ -266,6 +292,41 @@ impl SchemeDriver {
             SchemeDriver::Fixed(b) => b.as_mut(),
         }
     }
+
+    /// See [`Session::expected_damage`].
+    fn expected_damage(&self) -> f64 {
+        match self {
+            SchemeDriver::Pbpair(policy) => 1.0 - policy.matrix().mean_sigma(),
+            SchemeDriver::Fixed(_) => 0.5,
+        }
+    }
+}
+
+/// The session's single network-side `Intra_Th` proposer, fixed at
+/// construction.
+enum NetworkProposer {
+    /// PLR compensation with staleness backoff (sessions without
+    /// adaptive FEC).
+    Degradation(DegradationController),
+    /// Joint intra/FEC controller (adaptive-FEC sessions): also owns the
+    /// parity depth of the session's protector.
+    Redundancy(RedundancyController),
+}
+
+impl NetworkProposer {
+    fn intra_th(&self) -> f64 {
+        match self {
+            NetworkProposer::Degradation(c) => c.intra_th(),
+            NetworkProposer::Redundancy(c) => c.decision().intra_th,
+        }
+    }
+
+    fn redundancy(&self) -> Option<&RedundancyController> {
+        match self {
+            NetworkProposer::Degradation(_) => None,
+            NetworkProposer::Redundancy(c) => Some(c),
+        }
+    }
 }
 
 /// One live streaming session. See the module docs for the loop.
@@ -277,9 +338,8 @@ pub struct Session {
     decoder: Decoder,
     packetizer: Packetizer,
     fec: Option<FecProtector>,
-    /// Joint intra/FEC controller; `None` leaves the codec (if any)
-    /// fixed and `Intra_Th` to the degradation controller alone.
-    redundancy: Option<RedundancyController>,
+    /// The network input of the `Intra_Th` arbiter.
+    network: NetworkProposer,
     channel: CorruptingChannel,
     feedback: FeedbackLink,
     plr_estimator: WindowPlrEstimator,
@@ -291,14 +351,15 @@ pub struct Session {
     /// Receiver-side erasure-burst-length estimator (PRNG-free; feeds
     /// the `burst` field of every feedback report).
     burst_estimator: BurstEstimator,
-    degradation: DegradationController,
+    /// Health state machine; its quarantine floor is an arbiter input.
     watchdog: StalenessWatchdog,
     energy: EnergyModel,
     ops_snapshot: OpCounts,
-    /// Fleet-imposed `Intra_Th` floor (admission control), 0 when idle.
-    load_floor_th: f64,
-    /// Watchdog-imposed floor (quarantine), 0 when healthy.
-    watchdog_floor_th: f64,
+    /// Admission-control floor, the arbiter's load input (0 when idle).
+    load_floor: f64,
+    /// Frame of the last applied feedback report — the session's one
+    /// darkness clock (`None` before the first report).
+    last_report: Option<u64>,
     /// Pending chaos events, in firing order.
     chaos: VecDeque<ChaosEvent>,
     /// Receiver feedback suppressed until this frame (chaos blackout).
@@ -333,6 +394,8 @@ struct SessionTelemetry {
     frames_lost: Counter,
     frames_damaged: Counter,
     fec_recovered: Counter,
+    /// `serve.intra_th_source.*`, in [`IntraThSource`] declaration order.
+    intra_th_source: [Counter; 3],
     /// `fec.*` counters; created only for FEC-enabled sessions so
     /// FEC-off telemetry dumps (and their goldens) are unchanged.
     fec: Option<FecTelemetry>,
@@ -356,6 +419,8 @@ impl SessionTelemetry {
             frames_lost: tel.counter("serve.frames_lost"),
             frames_damaged: tel.counter("serve.frames_damaged"),
             fec_recovered: tel.counter("serve.fec_recovered"),
+            intra_th_source: ["network", "load", "quarantine"]
+                .map(|s| tel.counter(&format!("serve.intra_th_source.{s}"))),
             fec: fec_enabled.then(|| FecTelemetry {
                 blocks_repaired: tel.counter("fec.blocks_repaired"),
                 blocks_failed: tel.counter("fec.blocks_failed"),
@@ -390,36 +455,27 @@ impl Session {
             SessionScheme::Air(n) => SchemeDriver::Fixed(Box::new(AirPolicy::new(format, n))),
             SessionScheme::Pgop(n) => SchemeDriver::Fixed(Box::new(PgopPolicy::new(format, n))),
         };
-        let degradation = DegradationController::new(DegradationConfig {
-            base_th: cfg.base_intra_th,
-            base_plr: cfg.plr,
-            ..DegradationConfig::default()
-        })?;
         let watchdog = StalenessWatchdog::new(cfg.watchdog)?;
         // One FEC source of truth: the redundancy controller carries its
-        // own family; otherwise an explicit spec; otherwise the legacy
-        // XOR group size.
-        if cfg.fec.is_some() && cfg.fec_group.is_some() {
-            return Err("set fec or fec_group, not both".to_string());
-        }
-        if cfg.redundancy.is_some() && (cfg.fec.is_some() || cfg.fec_group.is_some()) {
-            return Err("redundancy carries its own fec family; leave fec/fec_group unset".into());
-        }
-        if let Some(g) = cfg.fec_group {
-            if g == 0 {
-                return Err("fec group size must be positive".to_string());
-            }
-        }
-        let redundancy = cfg
-            .redundancy
-            .map(|rc| RedundancyController::new(rc, cfg.plr, cfg.base_intra_th))
-            .transpose()?;
-        let fec_spec = match &redundancy {
-            Some(ctl) => {
+        // own family and is then also the network proposer.
+        let (network, fec_spec) = match cfg.redundancy {
+            Some(rc) => {
+                if cfg.fec.is_some() {
+                    return Err("redundancy carries its own fec family; leave fec unset".into());
+                }
+                let ctl = RedundancyController::new(rc, cfg.plr, cfg.base_intra_th)?;
                 let d = ctl.decision();
-                (d.parity > 0).then(|| ctl.family().with_parity(d.parity))
+                let spec = (d.parity > 0).then(|| ctl.family().with_parity(d.parity));
+                (NetworkProposer::Redundancy(ctl), spec)
             }
-            None => cfg.fec.or(cfg.fec_group.map(|g| FecSpec::Xor { k: g })),
+            None => {
+                let ctl = DegradationController::new(DegradationConfig {
+                    base_th: cfg.base_intra_th,
+                    base_plr: cfg.plr,
+                    ..DegradationConfig::default()
+                })?;
+                (NetworkProposer::Degradation(ctl), cfg.fec)
+            }
         };
         let fec = fec_spec.map(FecProtector::new).transpose()?;
         let forward: Box<dyn LossModel> = match &cfg.channel {
@@ -441,7 +497,7 @@ impl Session {
             decoder: Decoder::new(format),
             packetizer: Packetizer::new(cfg.mtu),
             fec,
-            redundancy,
+            network,
             channel: CorruptingChannel::new(
                 forward,
                 CorruptionProfile::with_intensity(cfg.corruption),
@@ -451,12 +507,11 @@ impl Session {
             plr_estimator: WindowPlrEstimator::new(30),
             packet_plr_estimator: WindowPlrEstimator::new(240),
             burst_estimator: BurstEstimator::new(0.2),
-            degradation,
             watchdog,
             energy: EnergyModel::new(cfg.device.profile()),
             ops_snapshot: OpCounts::default(),
-            load_floor_th: 0.0,
-            watchdog_floor_th: 0.0,
+            load_floor: 0.0,
+            last_report: None,
             chaos: VecDeque::new(),
             blackout_until: 0,
             stall_until: 0,
@@ -488,7 +543,7 @@ impl Session {
         self.encoder.set_telemetry(tel);
         self.decoder.set_telemetry(tel);
         self.channel.set_telemetry(tel);
-        let fec_enabled = self.fec.is_some() || self.redundancy.is_some();
+        let fec_enabled = self.fec_enabled();
         self.tel = tel
             .is_enabled()
             .then(|| SessionTelemetry::new(tel, fec_enabled));
@@ -538,7 +593,7 @@ impl Session {
 
     /// Whether any FEC (fixed or adaptive) protects this session.
     pub fn fec_enabled(&self) -> bool {
-        self.fec.is_some() || self.redundancy.is_some()
+        self.fec.is_some() || self.network.redundancy().is_some()
     }
 
     /// The codec currently on the packet path (`None` when FEC is off —
@@ -551,23 +606,31 @@ impl Session {
     /// adaptive session currently at zero parity, the family at rate 0.
     pub fn fec_label(&self) -> Option<String> {
         self.fec_spec().map(|s| s.label()).or_else(|| {
-            self.redundancy
-                .as_ref()
+            self.network
+                .redundancy()
                 .map(|c| c.family().with_parity(c.decision().parity).label())
         })
     }
 
     /// The joint redundancy decision in force, if the controller runs.
-    pub fn redundancy_decision(&self) -> Option<crate::redundancy::RedundancyDecision> {
-        self.redundancy.as_ref().map(|c| c.decision())
+    pub fn redundancy_decision(&self) -> Option<RedundancyDecision> {
+        self.network.redundancy().map(|c| c.decision())
     }
 
-    /// The `Intra_Th` the next frame would use.
+    /// The arbitrated `Intra_Th` in force: what the last frame encoded
+    /// at, until the next frame step moves an input.
     pub fn current_intra_th(&self) -> f64 {
-        self.degradation
-            .intra_th()
-            .max(self.load_floor_th)
-            .max(self.watchdog_floor_th)
+        self.arbitrate().0
+    }
+
+    /// [`arbitrate_intra_th`] over the session's three inputs as they
+    /// stand.
+    fn arbitrate(&self) -> (f64, IntraThSource) {
+        arbitrate_intra_th(
+            self.network.intra_th(),
+            self.load_floor,
+            self.watchdog.floor_th(),
+        )
     }
 
     /// The session's current health classification.
@@ -589,7 +652,12 @@ impl Session {
     /// Feedback staleness (frames since the last applied report) as of
     /// the last processed frame slot; `None` before any report arrives.
     pub fn feedback_dark(&self) -> Option<u64> {
-        self.degradation.frames_dark(self.frame.saturating_sub(1))
+        self.dark_at(self.frame.saturating_sub(1))
+    }
+
+    /// Frames since the last applied report at frame `now`.
+    fn dark_at(&self, now: u64) -> Option<u64> {
+        self.last_report.map(|f| now.saturating_sub(f))
     }
 
     /// The encoder's `C^k` expected-damage forecast in `[0, 1]`: the
@@ -601,10 +669,7 @@ impl Session {
     /// with, and the quality discount the admission controller's
     /// Joules-per-quality-point ranking applies.
     pub fn expected_damage(&self) -> f64 {
-        match &self.driver {
-            SchemeDriver::Pbpair(policy) => 1.0 - policy.matrix().mean_sigma(),
-            SchemeDriver::Fixed(_) => 0.5,
-        }
+        self.driver.expected_damage()
     }
 
     /// Most recent displayed-frame PSNR in milli-dB, clamped to 120 dB
@@ -618,18 +683,17 @@ impl Session {
             .unwrap_or(0)
     }
 
-    /// Applies a fleet-level SLO alert to this session's watchdog. The
-    /// returned quarantine floor (if any) folds into the same threshold
-    /// floor the staleness path uses, so an alerting session encodes
-    /// conservatively until the ledger clears it.
+    /// Applies a fleet-level SLO alert to this session's watchdog. A
+    /// resulting quarantine reaches the arbiter through the watchdog
+    /// state, so an alerting session encodes conservatively until the
+    /// ledger clears it.
     pub fn on_slo_alert(&mut self, frame: u64, slo: &str) {
-        let floor = self.watchdog.alert(frame, slo);
-        self.watchdog_floor_th = self.watchdog_floor_th.max(floor);
+        self.watchdog.alert(frame, slo);
     }
 
     /// Sets the fleet-imposed threshold floor (admission control).
     pub fn set_load_floor(&mut self, th: f64) {
-        self.load_floor_th = th.clamp(0.0, 1.0);
+        self.load_floor = th.clamp(0.0, 1.0);
     }
 
     /// Marks the session shed; it will not be stepped again.
@@ -695,30 +759,27 @@ impl Session {
 
         // Encoder side: feedback in, threshold out.
         if let Some(report) = self.feedback.poll(now) {
-            self.degradation.on_feedback(now, report.plr);
+            self.last_report = Some(now);
+            match &mut self.network {
+                NetworkProposer::Degradation(c) => c.on_feedback(report.plr),
+                NetworkProposer::Redundancy(c) => c.on_feedback(report.packet_plr, report.burst),
+            }
             if let SchemeDriver::Pbpair(policy) = &mut self.driver {
                 policy.set_plr(report.plr.clamp(0.0, 0.999));
             }
-            if let Some(ctl) = &mut self.redundancy {
-                ctl.on_feedback(report.packet_plr, report.burst);
-            }
         }
         let stalled = now < self.stall_until;
-        self.watchdog_floor_th = self.watchdog.observe(
-            now,
-            self.degradation.frames_dark(now),
-            stalled,
-            self.lost_streak,
-        );
-        let degradation_th = self.degradation.tick(now);
-        // Joint controller: re-decide at GOP boundaries, re-rate the
-        // protector when parity moves, and take over the `Intra_Th`
-        // lever (the fleet and watchdog floors still outrank it).
-        if let Some(gop) = self.redundancy.as_ref().map(|c| c.gop()) {
-            if now.is_multiple_of(gop) {
-                let expected_damage = self.expected_damage();
-                let ctl = self.redundancy.as_mut().expect("presence checked above");
-                let d = ctl.decide(expected_damage);
+        let dark = self.dark_at(now);
+        self.watchdog.observe(now, dark, stalled, self.lost_streak);
+        // The network proposer moves: the degradation controller every
+        // frame; the joint controller at GOP boundaries, re-rating the
+        // protector when parity moves.
+        match &mut self.network {
+            NetworkProposer::Degradation(c) => {
+                c.tick(dark);
+            }
+            NetworkProposer::Redundancy(ctl) if now.is_multiple_of(ctl.gop()) => {
+                let d = ctl.decide(self.driver.expected_damage());
                 let want = (d.parity > 0).then(|| ctl.family().with_parity(d.parity));
                 if want != self.fec.as_ref().map(|p| p.spec()) {
                     self.fec = want.map(|spec| {
@@ -727,13 +788,9 @@ impl Session {
                     });
                 }
             }
+            NetworkProposer::Redundancy(_) => {}
         }
-        let th = match &self.redundancy {
-            Some(ctl) => ctl.intra_th(),
-            None => degradation_th,
-        }
-        .max(self.load_floor_th)
-        .max(self.watchdog_floor_th);
+        let (th, intra_th_source) = self.arbitrate();
         if let SchemeDriver::Pbpair(policy) = &mut self.driver {
             policy.set_intra_th(th);
         }
@@ -877,6 +934,7 @@ impl Session {
             t.frames_lost.inc(lost as u64);
             t.frames_damaged.inc(damaged as u64);
             t.fec_recovered.inc(fec_recovered as u64);
+            t.intra_th_source[intra_th_source as usize].inc(1);
             if let Some(f) = &t.fec {
                 f.blocks_repaired.inc(frame_fec.blocks_repaired);
                 f.blocks_failed.inc(frame_fec.blocks_failed);
@@ -896,6 +954,7 @@ impl Session {
             fec_recovered,
             stalled,
             intra_th: th,
+            intra_th_source,
         }
     }
 }
@@ -959,7 +1018,7 @@ mod tests {
         cfg.plr = 0.10;
         cfg.corruption = 0.0;
         cfg.mtu = 200; // force multi-fragment frames so FEC has groups
-        cfg.fec_group = Some(3);
+        cfg.fec = Some(FecSpec::Xor { k: 3 });
         let mut s = Session::new(cfg).unwrap();
         for _ in 0..60 {
             s.step_frame();
@@ -982,7 +1041,7 @@ mod tests {
             c
         };
         let mut with = base.clone();
-        with.fec_group = Some(3);
+        with.fec = Some(FecSpec::Xor { k: 3 });
         let (no_fec, _) = run(base, 80);
         let (fec, _) = run(with, 80);
         assert!(
@@ -1005,6 +1064,7 @@ mod tests {
             free_j += free.step_frame().encode_joules;
             let out = capped.step_frame();
             assert!(out.intra_th >= 0.999);
+            assert_eq!(out.intra_th_source, IntraThSource::Load);
             capped_j += out.encode_joules;
         }
         assert!(
@@ -1029,18 +1089,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_fec_group_rejected() {
-        let mut cfg = SessionConfig::standard(0, 1);
-        cfg.fec_group = Some(0);
-        assert!(Session::new(cfg).is_err());
-    }
-
-    #[test]
     fn conflicting_fec_sources_rejected() {
-        let mut cfg = SessionConfig::standard(0, 1);
-        cfg.fec_group = Some(3);
-        cfg.fec = Some(FecSpec::Rs { k: 4, r: 2 });
-        assert!(Session::new(cfg).is_err());
         let mut cfg = SessionConfig::standard(0, 1);
         cfg.fec = Some(FecSpec::Rs { k: 4, r: 2 });
         cfg.redundancy = Some(RedundancyConfig::new(FecSpec::Rs { k: 4, r: 1 }));
@@ -1102,38 +1151,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_session_decides_and_replays() {
-        let mut cfg = SessionConfig::standard(0, 41);
-        cfg.plr = 0.15;
-        cfg.corruption = 0.0;
-        cfg.mtu = 200;
-        cfg.redundancy = Some(RedundancyConfig {
-            budget_ratio: 1.5,
-            gop: 5,
-            ..RedundancyConfig::new(FecSpec::Rs { k: 4, r: 1 })
-        });
-        let run_once = || {
-            let mut s = Session::new(cfg.clone()).unwrap();
-            for _ in 0..40 {
-                s.step_frame();
-            }
-            assert!(s.fec_enabled());
-            let d = s.redundancy_decision().expect("controller runs");
-            (s.stats().clone(), s.quality().psnr_series().to_vec(), d)
-        };
-        let (a_stats, a_psnr, a_d) = run_once();
-        let (b_stats, b_psnr, b_d) = run_once();
-        assert_eq!(a_psnr, b_psnr, "adaptive FEC must replay");
-        assert_eq!(a_d, b_d);
-        assert_eq!(a_stats.fec, b_stats.fec);
-        assert!(
-            a_d.parity >= 1,
-            "15% loss must keep the controller protecting"
-        );
-        assert!(a_stats.fec.blocks_encoded > 0);
-    }
-
-    #[test]
     fn burst_estimate_reaches_the_controller() {
         let mut cfg = SessionConfig::standard(0, 51);
         cfg.plr = 0.20;
@@ -1147,5 +1164,66 @@ mod tests {
             s.burst_estimate() >= 1.0,
             "estimator must have a run-length estimate"
         );
+    }
+
+    #[test]
+    fn arbiter_takes_the_max_and_breaks_ties_toward_the_floors() {
+        use IntraThSource::{Load, Network, Quarantine};
+        let grid = [0.0f64, 0.5, 0.9, 0.99, 1.0];
+        for n in grid {
+            for l in grid {
+                for q in grid {
+                    let th = n.max(l).max(q);
+                    let want = [(q, Quarantine), (l, Load), (n, Network)]
+                        .into_iter()
+                        .find(|&(v, _)| v == th)
+                        .unwrap();
+                    assert_eq!(arbitrate_intra_th(n, l, q), want, "({n}, {l}, {q})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn adaptive_session_decides_replays_and_reports_its_threshold() {
+        // The benchmark's burst-fleet session. The joint controller is
+        // its only network proposer, so the reported threshold is the
+        // one every frame was encoded at.
+        let mut cfg = SessionConfig::standard(0, 2005);
+        cfg.channel = Some(ChannelSpec::BurstErasure {
+            burst_len: 4.0,
+            guard_len: 28.0,
+        });
+        cfg.redundancy = Some(RedundancyConfig {
+            family: FecSpec::Rs { k: 8, r: 2 },
+            max_parity: 2,
+            budget_ratio: 1.25,
+            gop: 8,
+        });
+        cfg.mtu = 36;
+        cfg.corruption = 0.0;
+        let run_once = || {
+            let mut s = Session::new(cfg.clone()).unwrap();
+            for _ in 0..43 {
+                let out = s.step_frame();
+                let d = s.redundancy_decision().expect("controller runs");
+                assert_eq!(s.current_intra_th(), out.intra_th);
+                assert_eq!(out.intra_th, d.intra_th);
+                assert_eq!(out.intra_th_source, IntraThSource::Network);
+            }
+            assert!(s.fec_enabled());
+            let d = s.redundancy_decision().expect("controller runs");
+            (s.stats().clone(), s.quality().psnr_series().to_vec(), d)
+        };
+        let (a_stats, a_psnr, a_d) = run_once();
+        let (b_stats, b_psnr, b_d) = run_once();
+        assert_eq!(a_psnr, b_psnr, "adaptive FEC must replay");
+        assert_eq!(a_d, b_d);
+        assert_eq!(a_stats.fec, b_stats.fec);
+        assert!(
+            a_d.parity >= 1,
+            "burst loss must keep the controller protecting"
+        );
+        assert!(a_stats.fec.blocks_encoded > 0);
     }
 }

@@ -5,8 +5,8 @@
 
 use pbpair_netsim::ChannelSpec;
 use pbpair_serve::{
-    run, ChaosEvent, ChaosFault, ChaosPlan, HealthState, ServeConfig, Session, SessionConfig,
-    WatchdogConfig,
+    run, ChaosEvent, ChaosFault, ChaosPlan, HealthState, IntraThSource, ServeConfig, Session,
+    SessionConfig, WatchdogConfig,
 };
 
 /// A session with a quiet baseline (near-lossless forward channel,
@@ -173,6 +173,7 @@ fn quarantine_imposes_the_intra_th_floor() {
                 "quarantine must force the Intra_Th floor, got {}",
                 out.intra_th
             );
+            assert_eq!(out.intra_th_source, IntraThSource::Quarantine);
             floor_seen = true;
         }
     }

@@ -47,6 +47,16 @@ fn telemetry_counters_identical_across_worker_counts() {
     // Sanity: the export carries real counts, not an empty registry.
     assert!(one.contains("\"enc.frames\":"));
     assert!(one.contains("\"serve.rounds\":12"));
+    // The overloaded fleet's admission floor shows as the lever that
+    // set `Intra_Th`.
+    let load = one
+        .split("\"serve.intra_th_source.load\":")
+        .nth(1)
+        .and_then(|rest| rest.split([',', '}']).next())
+        .and_then(|n| n.parse::<u64>().ok())
+        .expect("load counter exported");
+    assert!(load > 0, "overload must raise the load floor: {one}");
+    assert!(one.contains("\"serve.intra_th_source.network\":"));
 }
 
 #[test]
@@ -114,7 +124,7 @@ fn fec_fleet_replays_across_worker_counts() {
         frames: 10,
         seed: 9,
         plr: 0.15,
-        fec_group: Some(4),
+        fec: Some(FecSpec::Xor { k: 4 }),
         mtu: 300, // small MTU → many fragments → FEC actually exercised
         ..ServeConfig::default()
     };
