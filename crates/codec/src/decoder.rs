@@ -109,7 +109,7 @@ struct PictureHeader {
 /// Reports from successive calls add together with
 /// [`absorb`](DecodeReport::absorb), so a session-level tally is one
 /// running struct.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeReport {
     /// Pictures emitted in total (clean + recovered).
     pub frames_decoded: u64,

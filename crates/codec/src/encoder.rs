@@ -53,7 +53,6 @@ use pbpair_media::{Frame, MbGrid, MbIndex, VideoFormat};
 use pbpair_sched::WorkStealingPool;
 use pbpair_telemetry::{Counter, Histogram, Stage, Telemetry};
 use pbpair_trace::{event as trace_event, Event as TraceEvent, Tracer};
-use serde::{Deserialize, Serialize};
 
 /// The 17-bit picture start code (16 zeros and a one, H.263 style).
 pub const PICTURE_START_CODE: u32 = 1;
@@ -63,17 +62,15 @@ pub const PICTURE_START_CODE_LEN: u32 = 17;
 /// Hot-path optimization switches. Every combination produces the exact
 /// same bitstream; these only trade CPU time. The defaults enable the
 /// single-threaded optimizations and keep encoding serial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptConfig {
     /// Predicted-MV candidate seeding plus SAD early termination in the
     /// motion search ([`me::search_fast`]). Off = the naive exhaustive
     /// accounting path ([`me::search`]).
-    #[serde(default)]
     pub fast_me: bool,
     /// The fused `dct→quant→zigzag` block kernel
     /// ([`crate::fused::fdct_quant_scan`]). Off = the separate
     /// three-pass pipeline.
-    #[serde(default)]
     pub fused_transform: bool,
     /// Number of slice-encoding threads. `0` and `1` both mean serial.
     /// Values above 1 enable slice-parallel encoding *when the active
@@ -81,14 +78,12 @@ pub struct OptConfig {
     /// ([`crate::policy::RefreshPolicy::frame_frozen_bias`]); otherwise
     /// the encoder transparently falls back to serial. The assembled
     /// bitstream is deterministic and independent of the thread count.
-    #[serde(default)]
     pub slices: u8,
     /// Which SIMD pixel-kernel tier to dispatch through
     /// ([`crate::kernels`]). [`KernelChoice::Auto`] (the default) uses
     /// the process-wide active tier — the detected best, or the
     /// `PBPAIR_KERNELS` override; forcing a tier pins this encoder only.
     /// Every tier produces the exact same bitstream.
-    #[serde(default)]
     pub kernels: KernelChoice,
 }
 
@@ -120,7 +115,7 @@ impl OptConfig {
 }
 
 /// Encoder configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncoderConfig {
     /// Picture format of every input frame.
     pub format: VideoFormat,
@@ -142,12 +137,10 @@ pub struct EncoderConfig {
     /// picture header; off in all paper experiments.
     pub deblock: bool,
     /// Hot-path optimization switches (bitstream-neutral).
-    #[serde(default)]
     pub opt: OptConfig,
     /// Joint rate–distortion–energy controller ([`crate::rde`]). `None`
     /// — and `Some` with both λ weights zero — leave every decision to
     /// the plain policy path, bit-identically.
-    #[serde(default)]
     pub rde: Option<RdeConfig>,
 }
 
@@ -187,7 +180,7 @@ impl EncoderConfig {
 }
 
 /// One encoded frame: the bitstream plus side statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedFrame {
     /// 0-based frame index (also carried in the picture header mod 256).
     pub index: u64,

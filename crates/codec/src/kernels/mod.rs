@@ -44,7 +44,6 @@
 //! [`Kernels::coarse2_for_tests`] tier exists to prove that property.
 
 use crate::dct::{self, BLOCK_LEN, HALF, Q};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
@@ -54,7 +53,7 @@ mod x86;
 mod neon;
 
 /// One implementation tier of the kernel vtable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelTier {
     /// The scalar reference implementation (always available).
     Scalar,
@@ -101,7 +100,7 @@ impl std::fmt::Display for KernelTier {
 /// Which kernel tier an encoder (or decoder) should use — carried on
 /// [`crate::OptConfig`] so the dispatch point is configuration, not
 /// global state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelChoice {
     /// Use the process-wide active tier ([`Kernels::active`]): the
     /// detected best, or the `PBPAIR_KERNELS` override.

@@ -1,12 +1,11 @@
 //! Macroblock-level types shared by the encoder, decoder, and refresh
 //! policies.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An integer-pixel motion vector (luma units). Chroma prediction uses the
 /// arithmetic half of each component.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct MotionVector {
     /// Horizontal displacement in luma pixels (positive = rightward in the
     /// reference).
@@ -57,7 +56,7 @@ impl fmt::Display for MotionVector {
 /// half-sample offsets. Used when the encoder runs in half-pel mode
 /// (H.263's default precision); the bitstream carries the vector in
 /// half-pel units (`2·int + half`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct SubPelVector {
     /// Integer-pixel part.
     pub int: MotionVector,
@@ -122,7 +121,7 @@ impl fmt::Display for SubPelVector {
 }
 
 /// How a macroblock was coded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MbMode {
     /// Intra: coded from scratch, no temporal prediction. Serves as a
     /// refresh point for error propagation.
@@ -144,7 +143,7 @@ impl MbMode {
 /// Per-frame summary the encoder returns alongside the bitstream: the
 /// series behind Figures 5(c)/6(b) (sizes) and the mode mix behind the
 /// energy analysis.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameStats {
     /// Intra-coded macroblocks in the frame.
     pub intra_mbs: u32,

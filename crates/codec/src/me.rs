@@ -22,10 +22,9 @@ use crate::kernels::Kernels;
 use crate::mb::{MotionVector, SubPelVector};
 use crate::mc::{predict_luma_subpel_with, LUMA_BLOCK};
 use pbpair_media::{MbIndex, Plane};
-use serde::{Deserialize, Serialize};
 
 /// Which candidate pattern the searcher visits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SearchStrategy {
     /// Exhaustive integer search of `(2r+1)²` candidates.
     Full,
@@ -35,7 +34,7 @@ pub enum SearchStrategy {
 }
 
 /// Motion-search configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeConfig {
     /// Maximum displacement per axis in pixels (H.263 default window ±15).
     pub search_range: u8,

@@ -7,7 +7,6 @@
 //! scheme runs through the same codec, the *ratios* between schemes —
 //! the paper's headline result — are preserved by construction.
 
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -15,7 +14,7 @@ use std::ops::{Add, AddAssign, Sub};
 ///
 /// All counters are cumulative; [`OpCounts::add`] and the `+=` operator
 /// merge counters from multiple frames or runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// Frames encoded.
     pub frames: u64,

@@ -17,10 +17,9 @@
 use crate::mb::{FrameStats, MbMode, MotionVector};
 use crate::me::MeResult;
 use pbpair_media::{MbIndex, Plane, VideoFormat};
-use serde::{Deserialize, Serialize};
 
 /// Frame-level coding type requested by a policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameKind {
     /// All macroblocks intra (an I-frame).
     Intra,

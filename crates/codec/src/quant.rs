@@ -5,8 +5,6 @@
 //! `QP·(2|L|+1)` (odd QP) or `QP·(2|L|+1)−1` (even QP). Intra DC uses a
 //! fixed step of 8 and is carried as an 8-bit level.
 
-use serde::{Deserialize, Serialize};
-
 /// A quantization parameter in `1..=31`, H.263's QP range.
 ///
 /// # Example
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(Qp::new(0).is_none());
 /// assert!(Qp::new(32).is_none());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Qp(u8);
 
 impl Qp {

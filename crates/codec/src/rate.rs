@@ -16,7 +16,6 @@
 //! "further optimization" remark is about.
 
 use crate::quant::Qp;
-use serde::{Deserialize, Serialize};
 
 /// A frame-level rate controller with a virtual buffer.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// let qp_after_big = rc.frame_encoded(40_000);
 /// assert!(qp_after_big.get() > 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateController {
     target_bits_per_frame: f64,
     /// Virtual buffer fullness in bits; positive = over budget.

@@ -69,7 +69,6 @@ use crate::mb::{MbMode, SubPelVector};
 use crate::mbcode::{code_inter_mb, code_intra_mb, code_skip_mb, BlockCodeCfg};
 use crate::ops::OpCounts;
 use pbpair_media::{Frame, MbIndex};
-use serde::{Deserialize, Serialize};
 
 /// Picojoules per microjoule — the canonical fixed-point energy scale.
 /// Every crate that prices operations in integers must agree with this
@@ -108,7 +107,7 @@ pub fn mc_read_bytes(mv: SubPelVector) -> u64 {
 /// is the iPAQ H5555 profile ×[`PJ_PER_NJ`]; `pbpair-energy` provides
 /// exact conversions for every profile and a test pinning this default
 /// to the float constants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnergyPrice {
     /// One forward 8×8 DCT.
     pub dct_block_pj: u64,
@@ -171,17 +170,14 @@ impl EnergyPrice {
 }
 
 /// Configuration of the RDE controller. All-integer (`Eq`, `Copy`) so an
-/// [`crate::EncoderConfig`] carrying it stays hashable and serializable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// [`crate::EncoderConfig`] carrying it stays `Eq` and `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RdeConfig {
     /// Q16.16 weight on coded bits ([`LAMBDA_ONE`] = one SSE unit/bit).
-    #[serde(default)]
     pub lambda1_q16: u32,
     /// Q16.16 weight on picojoules of coding energy.
-    #[serde(default)]
     pub lambda2_q16: u32,
     /// Per-operation prices. Defaults to the iPAQ H5555 profile.
-    #[serde(default)]
     pub price: EnergyPrice,
 }
 
@@ -480,7 +476,7 @@ pub fn bisect_min_lambda(
 /// for the next frame, converging on a per-frame budget without ever
 /// re-encoding. Integer-only and sequential, so a fleet of sessions
 /// adapting independently stays deterministic at any worker count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameLambdaAdapter {
     /// Largest λ observed infeasible (measurement above budget).
     lo: u32,

@@ -20,8 +20,6 @@
 //!   off exponentially toward a conservative high-intra threshold, and
 //!   recovers smoothly when reports return.
 
-use serde::{Deserialize, Serialize};
-
 /// Compensates `Intra_Th` for a change in packet-loss rate so the number
 /// of generated intra macroblocks stays approximately constant.
 ///
@@ -116,7 +114,7 @@ pub fn intra_ratio_for(th: f64, plr: f64) -> f64 {
 /// let th1 = c.update(0.05);
 /// assert!(th1 > 0.9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntraRatioController {
     target_ratio: f64,
     intra_th: f64,
@@ -172,7 +170,7 @@ impl IntraRatioController {
 /// energy exceeds the budget, and relaxes back toward the preference when
 /// there is headroom. It is model-free: it just walks the threshold
 /// against the measured signal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyBudgetController {
     budget_joules_per_frame: f64,
     preferred_th: f64,
@@ -233,7 +231,7 @@ impl EnergyBudgetController {
 }
 
 /// Configuration of the [`DegradationController`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradationConfig {
     /// Threshold the encoder wants at `base_plr` (the operating point the
     /// PLR compensation is anchored to).
@@ -309,7 +307,7 @@ impl Default for DegradationConfig {
 /// assert!(c.is_degraded(Some(199)));
 /// assert!(dark > tracking, "blackout must raise the threshold");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradationController {
     config: DegradationConfig,
     intra_th: f64,

@@ -27,10 +27,9 @@
 //! [`SimilarityModel`] away, exactly as the paper promises.
 
 use pbpair_media::{MbGrid, MbIndex, VideoFormat};
-use serde::{Deserialize, Serialize};
 
 /// How the similarity factor is derived from the colocated SAD.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SimilarityModel {
     /// `sim = exp(−SAD / scale)` — the copy-concealment model. `scale` is
     /// in SAD units over a 16×16 block (65280 max).
@@ -92,7 +91,7 @@ impl SimilarityModel {
 /// c.commit_frame();
 /// assert!(c.sigma(mb) < 1.0 && c.sigma(mb) > 0.8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorrectnessMatrix {
     grid: MbGrid,
     /// `C^{k−1}`: what mode selection and ME biasing read.

@@ -26,10 +26,9 @@ use pbpair_codec::{
     PreMeDecision, RefreshPolicy,
 };
 use pbpair_media::VideoFormat;
-use serde::{Deserialize, Serialize};
 
 /// PBPAIR configuration knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PbpairConfig {
     /// `Intra_Th ∈ [0, 1]`: the user's error-resiliency expectation.
     /// 0 disables refresh entirely; 1 forces every macroblock intra.
@@ -70,7 +69,7 @@ pub struct PbpairConfig {
 }
 
 /// The SAD measurement the similarity factor is computed from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimilarityInput {
     /// SAD against the colocated macroblock of the previous frame — the
     /// quality of **copy** concealment ([`pbpair_codec::Concealment::CopyPrevious`]).

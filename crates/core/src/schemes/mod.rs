@@ -30,11 +30,10 @@ pub type NoPolicy = pbpair_codec::NaturalPolicy;
 use crate::{PbpairConfig, PbpairPolicy};
 use pbpair_codec::RefreshPolicy;
 use pbpair_media::VideoFormat;
-use serde::{Deserialize, Serialize};
 
-/// A serializable description of any scheme — what experiment configs
-/// store and what [`build_policy`] turns into a live policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// A plain-value description of any scheme — what experiment configs
+/// carry and what [`build_policy`] turns into a live policy.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchemeSpec {
     /// No error resilience.
     No,

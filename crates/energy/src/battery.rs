@@ -6,7 +6,6 @@
 //! residual budget the controller divides over the remaining workload.
 
 use crate::model::Joules;
-use serde::{Deserialize, Serialize};
 
 /// A finite energy reservoir.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(b.remaining(), Joules(6.0));
 /// assert!(!b.is_empty());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     capacity: Joules,
     remaining: Joules,

@@ -17,10 +17,9 @@
 
 use crate::model::Joules;
 use crate::profile::DeviceProfile;
-use serde::Serialize;
 
 /// One voltage/frequency operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DvfsLevel {
     /// Core frequency in MHz.
     pub freq_mhz: u32,
@@ -60,7 +59,7 @@ pub const XSCALE_LEVELS: [DvfsLevel; 4] = [
 /// The device's energy profile is defined at its maximum operating point;
 /// at a lower point the same cycles cost
 /// `E · (V / V_max)²` and take `cycles / f` seconds.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DvfsGovernor {
     profile: DeviceProfile,
     levels: Vec<DvfsLevel>,

@@ -3,13 +3,12 @@
 use crate::profile::DeviceProfile;
 use pbpair_codec::OpCounts;
 use pbpair_fec::FecOps;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, Sub};
 
 /// An energy quantity in Joules.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Joules(pub f64);
 
 impl Joules {
@@ -52,7 +51,7 @@ impl Sum for Joules {
 
 /// Itemized encoding-energy breakdown, for the "where does the energy go"
 /// reports and the ME-dominance sanity checks.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// Motion estimation (all SAD work).
     pub motion_estimation: Joules,
@@ -103,7 +102,7 @@ impl EnergyBreakdown {
 /// let e = model.encoding_energy(&ops);
 /// assert!(e.get() > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     profile: DeviceProfile,
 }

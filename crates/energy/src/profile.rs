@@ -18,12 +18,9 @@
 //! and it keeps ME dominant (≈60%) even under the fast three-step search.
 //! Absolute Joules are indicative; the scheme *ratios* are the result.
 
-use serde::Serialize;
-
-/// Per-operation energy costs of one device, in nanojoules.
-/// (`Serialize` only: profiles are compile-time constants with static
-/// names, not data to be read back.)
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+/// Per-operation energy costs of one device, in nanojoules. Profiles are
+/// compile-time constants with static names.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceProfile {
     /// Device name as it appears in reports.
     pub name: &'static str,

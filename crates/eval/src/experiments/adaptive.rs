@@ -17,10 +17,9 @@ use pbpair_energy::{EnergyModel, IPAQ_H5555};
 use pbpair_media::metrics::QualityStats;
 use pbpair_media::synth::{MotionClass, SyntheticSequence};
 use pbpair_netsim::{Packetizer, UniformLoss, WindowPlrEstimator};
-use serde::{Deserialize, Serialize};
 
 /// A piecewise-constant loss schedule: `(start_frame, rate)` segments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LossSchedule {
     segments: Vec<(u64, f64)>,
 }
@@ -65,7 +64,7 @@ impl LossSchedule {
 }
 
 /// Result of one (static or adaptive) run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdaptiveRun {
     /// "static" or "adaptive".
     pub mode: String,
@@ -83,7 +82,7 @@ pub struct AdaptiveRun {
 }
 
 /// Which feedback strategy a run uses — §3.2 names both goals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdaptMode {
     /// No adaptation: the paper's fixed operating point (α = 10%).
     Static,
@@ -111,7 +110,7 @@ impl AdaptMode {
 }
 
 /// The adaptive-vs-static comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdaptiveReport {
     /// The static baseline.
     pub fixed: AdaptiveRun,

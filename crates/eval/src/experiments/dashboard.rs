@@ -16,9 +16,9 @@ use pbpair_serve::{
     run_traced_observed, standard_slos, ChaosEvent, ChaosFault, ChaosPlan, DeviceMix,
     ObservabilityConfig, ServeConfig, SessionScheme,
 };
+use pbpair_telemetry::json;
 use pbpair_telemetry::slo::AlertState;
 use pbpair_telemetry::Telemetry;
-use pbpair_trace::json::{push_field, push_string_field};
 use std::collections::BTreeMap;
 
 use super::scenarios::{committed_scenarios, Scenario};
@@ -130,39 +130,25 @@ impl DashboardReport {
     /// worker count — the CI gate stands on it. The CSV (wall-clock
     /// columns included) deliberately stays out of this export.
     pub fn deterministic_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        let mut first = true;
-        push_field(&mut out, &mut first, "frames", self.frames);
-        push_field(&mut out, &mut first, "sessions", self.sessions);
-        out.push_str(",\"cells\":[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            let mut f = true;
-            push_string_field(&mut out, &mut f, "scenario", &c.scenario);
-            out.push_str(",\"alerts\":{");
-            for (j, (name, tally)) in c.alerts.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\"{name}\":{{\"fired\":{},\"cleared\":{}}}",
-                    tally.fired, tally.cleared
-                ));
-            }
-            out.push('}');
-            let mut f = false;
-            push_field(&mut out, &mut f, "slo_dumps", c.slo_dumps);
-            push_field(&mut out, &mut f, "slo_transitions", c.slo_transitions);
-            push_field(&mut out, &mut f, "impaired", c.impaired);
-            push_field(&mut out, &mut f, "recovered", c.recovered);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        json::object(|o| {
+            o.field("frames", self.frames)
+                .field("sessions", self.sessions)
+                .array("cells", |a| {
+                    for c in &self.cells {
+                        a.object(|o| {
+                            o.string("scenario", &c.scenario)
+                                .map("alerts", &c.alerts, |t, tally| {
+                                    t.field("fired", tally.fired)
+                                        .field("cleared", tally.cleared);
+                                })
+                                .field("slo_dumps", c.slo_dumps)
+                                .field("slo_transitions", c.slo_transitions)
+                                .field("impaired", c.impaired)
+                                .field("recovered", c.recovered);
+                        });
+                    }
+                });
+        })
     }
 
     /// The concatenated per-round CSV across every cell:
@@ -295,6 +281,33 @@ mod tests {
         let b = run_dashboard(12, 2, 4).unwrap().deterministic_json();
         assert_eq!(a, b);
         assert!(!a.contains('.'), "deterministic JSON must be integer-only");
+    }
+
+    #[test]
+    fn json_escapes_alert_names() {
+        let alerts = BTreeMap::from([(
+            "a\"b\\c".to_string(),
+            AlertTally {
+                fired: 1,
+                cleared: 0,
+            },
+        )]);
+        let r = DashboardReport {
+            frames: 1,
+            sessions: 1,
+            cells: vec![DashboardCell {
+                scenario: "s".into(),
+                alerts,
+                slo_dumps: 0,
+                slo_transitions: 0,
+                impaired: 0,
+                recovered: 0,
+                csv_rows: String::new(),
+            }],
+        };
+        assert!(r
+            .deterministic_json()
+            .contains("\"alerts\":{\"a\\\"b\\\\c\":{\"fired\":1,\"cleared\":0}}"));
     }
 
     #[test]

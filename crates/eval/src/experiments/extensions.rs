@@ -23,10 +23,9 @@ use pbpair_media::VideoFormat;
 use pbpair_netsim::{
     reassemble_frame, FecOps, FecProtector, FecSpec, LossyChannel, Packetizer, UniformLoss,
 };
-use serde::{Deserialize, Serialize};
 
 /// Result of one FEC configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FecRow {
     /// Configuration label.
     pub label: String,
@@ -119,7 +118,7 @@ pub fn fec_table(rows: &[FecRow], frames: usize, packet_loss: f64) -> Table {
 }
 
 /// Result of one concealment configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConcealmentRow {
     /// Configuration label.
     pub label: String,
@@ -209,7 +208,7 @@ pub fn concealment_table(rows: &[ConcealmentRow], frames: usize, plr: f64) -> Ta
 }
 
 /// Result of one DVS configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DvsRow {
     /// Scheme label.
     pub scheme: String,
@@ -280,7 +279,7 @@ pub fn dvs_table(rows: &[DvsRow], frames: usize, fps: f64) -> Table {
 }
 
 /// Result of one congestion configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CongestionRow {
     /// Scheme label.
     pub scheme: String,

@@ -22,8 +22,8 @@
 use crate::report::{fmt_f, Table};
 use pbpair_netsim::{ChannelSpec, FecSpec};
 use pbpair_serve::{run_instrumented, DeviceMix, RedundancyConfig, ServeConfig};
+use pbpair_telemetry::json;
 use pbpair_telemetry::Telemetry;
-use pbpair_trace::json::{push_field, push_string_field};
 
 /// FNV-1a, the same digest the scenario matrix commits.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -247,38 +247,32 @@ impl FecMatrix {
     /// Deterministic integer-only JSON export (fixed-point rates, hex
     /// digests); byte-identical at any worker count.
     pub fn deterministic_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        let mut first = true;
-        push_field(&mut out, &mut first, "frames", self.frames);
-        push_field(&mut out, &mut first, "sessions", self.sessions);
-        out.push_str(",\"cells\":[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            let mut f = true;
-            push_string_field(&mut out, &mut f, "channel", &c.channel);
-            push_string_field(&mut out, &mut f, "arm", &c.arm);
-            push_string_field(&mut out, &mut f, "codec", &c.codec);
-            push_string_field(&mut out, &mut f, "digest", &format!("{:016x}", c.digest));
-            push_field(&mut out, &mut f, "frames", c.frames);
-            push_field(&mut out, &mut f, "frames_lost", c.frames_lost);
-            push_field(&mut out, &mut f, "frames_damaged", c.frames_damaged);
-            push_field(&mut out, &mut f, "fec_recoveries", c.fec_recoveries);
-            push_field(&mut out, &mut f, "blocks_failed", c.blocks_failed);
-            push_field(&mut out, &mut f, "residual_ppm", c.residual_ppm());
-            push_field(&mut out, &mut f, "overhead_ppm", c.overhead_ppm());
-            push_field(&mut out, &mut f, "psnr_mdb", c.psnr_mdb);
-            push_field(&mut out, &mut f, "encode_uj", c.encode_uj);
-            push_field(&mut out, &mut f, "fec_uj", c.fec_uj);
-            push_field(&mut out, &mut f, "sent_bytes", c.sent_bytes);
-            push_field(&mut out, &mut f, "parity_bytes", c.parity_bytes);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        json::object(|o| {
+            o.field("frames", self.frames)
+                .field("sessions", self.sessions)
+                .array("cells", |a| {
+                    for c in &self.cells {
+                        a.object(|o| {
+                            o.string("channel", &c.channel)
+                                .string("arm", &c.arm)
+                                .string("codec", &c.codec)
+                                .string("digest", &format!("{:016x}", c.digest))
+                                .field("frames", c.frames)
+                                .field("frames_lost", c.frames_lost)
+                                .field("frames_damaged", c.frames_damaged)
+                                .field("fec_recoveries", c.fec_recoveries)
+                                .field("blocks_failed", c.blocks_failed)
+                                .field("residual_ppm", c.residual_ppm())
+                                .field("overhead_ppm", c.overhead_ppm())
+                                .field("psnr_mdb", c.psnr_mdb)
+                                .field("encode_uj", c.encode_uj)
+                                .field("fec_uj", c.fec_uj)
+                                .field("sent_bytes", c.sent_bytes)
+                                .field("parity_bytes", c.parity_bytes);
+                        });
+                    }
+                });
+        })
     }
 }
 

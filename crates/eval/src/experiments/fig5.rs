@@ -14,10 +14,9 @@ use pbpair::{PbpairConfig, SchemeSpec};
 use pbpair_codec::EncoderConfig;
 use pbpair_energy::{EnergyModel, IPAQ_H5555, ZAURUS_SL5600};
 use pbpair_netsim::DEFAULT_MTU;
-use serde::{Deserialize, Serialize};
 
 /// Options for the Figure 5 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig5Options {
     /// Frames per sequence (the paper uses 300).
     pub frames: usize,
@@ -62,7 +61,7 @@ impl Fig5Options {
 }
 
 /// One (scheme × sequence) measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Cell {
     /// Scheme name ("NO", "PBPAIR", "PGOP-3", "GOP-3", "AIR-24").
     pub scheme: String,
@@ -87,7 +86,7 @@ pub struct Fig5Cell {
 }
 
 /// The full Figure 5 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Report {
     /// All cells, scheme-major in the paper's legend order.
     pub cells: Vec<Fig5Cell>,

@@ -14,10 +14,9 @@ use pbpair::{PbpairConfig, SchemeSpec};
 use pbpair_codec::EncoderConfig;
 use pbpair_media::synth::MotionClass;
 use pbpair_netsim::DEFAULT_MTU;
-use serde::{Deserialize, Serialize};
 
 /// Options for the Figure 6 experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Options {
     /// Frames (the paper plots 50).
     pub frames: usize,
@@ -44,7 +43,7 @@ impl Default for Fig6Options {
 }
 
 /// One scheme's per-frame series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Series {
     /// Scheme name.
     pub scheme: String,
@@ -59,7 +58,7 @@ pub struct Fig6Series {
 }
 
 /// The full Figure 6 dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Report {
     /// One series per scheme, paper legend order: PBPAIR, PGOP-1, GOP-8,
     /// AIR-10.

@@ -8,10 +8,9 @@
 
 use crate::experiments::fig5::{run_fig5, Fig5Options, Fig5Report};
 use crate::report::{fmt_f, fmt_pct, Table};
-use serde::{Deserialize, Serialize};
 
 /// Energy-reduction summary for one device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HeadlineRow {
     /// Device name.
     pub device: String,
@@ -26,7 +25,7 @@ pub struct HeadlineRow {
 }
 
 /// The headline dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HeadlineReport {
     /// One row per device (iPAQ, Zaurus).
     pub rows: Vec<HeadlineRow>,

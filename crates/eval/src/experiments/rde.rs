@@ -26,8 +26,8 @@ use crate::report::{fmt_f, Table};
 use pbpair_codec::RdeConfig;
 use pbpair_netsim::ChannelSpec;
 use pbpair_serve::{run_instrumented, DeviceMix, ServeConfig};
+use pbpair_telemetry::json;
 use pbpair_telemetry::Telemetry;
-use pbpair_trace::json::{push_field, push_string_field};
 
 /// FNV-1a, the same digest the scenario and FEC matrices commit.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -198,33 +198,27 @@ impl RdeSweep {
     /// Deterministic integer-only JSON export (fixed-point metrics, hex
     /// digests, 0/1 front flags); byte-identical at any worker count.
     pub fn deterministic_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        let mut first = true;
-        push_field(&mut out, &mut first, "frames", self.frames);
-        push_field(&mut out, &mut first, "sessions", self.sessions);
-        out.push_str(",\"cells\":[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            let mut f = true;
-            push_string_field(&mut out, &mut f, "arm", &c.arm);
-            push_field(&mut out, &mut f, "lambda1_q16", c.lambda1_q16);
-            push_field(&mut out, &mut f, "lambda2_q16", c.lambda2_q16);
-            push_string_field(&mut out, &mut f, "digest", &format!("{:016x}", c.digest));
-            push_field(&mut out, &mut f, "frames", c.frames);
-            push_field(&mut out, &mut f, "frames_lost", c.frames_lost);
-            push_field(&mut out, &mut f, "frames_damaged", c.frames_damaged);
-            push_field(&mut out, &mut f, "psnr_mdb", c.psnr_mdb);
-            push_field(&mut out, &mut f, "encode_uj", c.encode_uj);
-            push_field(&mut out, &mut f, "sent_bytes", c.sent_bytes);
-            push_field(&mut out, &mut f, "on_front", u64::from(c.on_front));
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        json::object(|o| {
+            o.field("frames", self.frames)
+                .field("sessions", self.sessions)
+                .array("cells", |a| {
+                    for c in &self.cells {
+                        a.object(|o| {
+                            o.string("arm", &c.arm)
+                                .field("lambda1_q16", c.lambda1_q16)
+                                .field("lambda2_q16", c.lambda2_q16)
+                                .string("digest", &format!("{:016x}", c.digest))
+                                .field("frames", c.frames)
+                                .field("frames_lost", c.frames_lost)
+                                .field("frames_damaged", c.frames_damaged)
+                                .field("psnr_mdb", c.psnr_mdb)
+                                .field("encode_uj", c.encode_uj)
+                                .field("sent_bytes", c.sent_bytes)
+                                .field("on_front", u64::from(c.on_front));
+                        });
+                    }
+                });
+        })
     }
 }
 

@@ -31,10 +31,9 @@ use pbpair_netsim::{
     ScriptedLoss, UniformLoss, WindowPlrEstimator,
 };
 use pbpair_telemetry::Telemetry;
-use serde::{Deserialize, Serialize};
 
 /// One intensity point of the corruption sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// Corruption intensity in `[0, 1]` (see
     /// [`CorruptionProfile::with_intensity`]).
@@ -50,7 +49,7 @@ pub struct SweepPoint {
 }
 
 /// The corruption sweep: one [`SweepPoint`] per intensity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CorruptionSweep {
     /// Points in sweep order.
     pub points: Vec<SweepPoint>,
@@ -184,7 +183,7 @@ impl CorruptionSweep {
 
 /// The feedback-blackout run: every per-frame trajectory plus the
 /// summary statistics the report prints.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BlackoutReport {
     /// Frames simulated.
     pub frames: usize,

@@ -21,8 +21,8 @@ use pbpair_netsim::{ChannelSpec, ScheduleBuilder};
 use pbpair_serve::{
     run_traced, ChaosEvent, ChaosFault, ChaosPlan, DeviceMix, ServeConfig, SessionScheme,
 };
+use pbpair_telemetry::json;
 use pbpair_telemetry::Telemetry;
-use pbpair_trace::json::{push_field, push_string_field};
 
 /// FNV-1a, the same digest DESIGN.md uses for deterministic reports.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -201,35 +201,29 @@ impl ScenarioMatrix {
     /// digests). Byte-identical at any worker count — the property the
     /// CI gate and the golden digests stand on.
     pub fn deterministic_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        let mut first = true;
-        push_field(&mut out, &mut first, "frames", self.frames);
-        push_field(&mut out, &mut first, "sessions", self.sessions);
-        out.push_str(",\"cells\":[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            let mut f = true;
-            push_string_field(&mut out, &mut f, "scenario", &c.scenario);
-            push_string_field(&mut out, &mut f, "clip", &c.clip);
-            push_string_field(&mut out, &mut f, "scheme", &c.scheme);
-            push_string_field(&mut out, &mut f, "digest", &format!("{:016x}", c.digest));
-            push_field(&mut out, &mut f, "psnr_mdb", c.psnr_mdb);
-            push_field(&mut out, &mut f, "energy_uj", c.energy_uj);
-            push_field(&mut out, &mut f, "brier_e9", c.brier_e9);
-            push_field(&mut out, &mut f, "heal_events", c.heal_events);
-            push_field(&mut out, &mut f, "heal_sum", c.heal_sum);
-            push_field(&mut out, &mut f, "heal_max", c.heal_max);
-            push_field(&mut out, &mut f, "frames_lost", c.frames_lost);
-            push_field(&mut out, &mut f, "impaired", c.impaired);
-            push_field(&mut out, &mut f, "recovered", c.recovered);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        json::object(|o| {
+            o.field("frames", self.frames)
+                .field("sessions", self.sessions)
+                .array("cells", |a| {
+                    for c in &self.cells {
+                        a.object(|o| {
+                            o.string("scenario", &c.scenario)
+                                .string("clip", &c.clip)
+                                .string("scheme", &c.scheme)
+                                .string("digest", &format!("{:016x}", c.digest))
+                                .field("psnr_mdb", c.psnr_mdb)
+                                .field("energy_uj", c.energy_uj)
+                                .field("brier_e9", c.brier_e9)
+                                .field("heal_events", c.heal_events)
+                                .field("heal_sum", c.heal_sum)
+                                .field("heal_max", c.heal_max)
+                                .field("frames_lost", c.frames_lost)
+                                .field("impaired", c.impaired)
+                                .field("recovered", c.recovered);
+                        });
+                    }
+                });
+        })
     }
 }
 

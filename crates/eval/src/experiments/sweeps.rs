@@ -16,10 +16,9 @@ use pbpair_codec::EncoderConfig;
 use pbpair_energy::{EnergyModel, IPAQ_H5555};
 use pbpair_media::synth::MotionClass;
 use pbpair_netsim::DEFAULT_MTU;
-use serde::{Deserialize, Serialize};
 
 /// One point of the `Intra_Th` sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThSweepPoint {
     /// The threshold.
     pub intra_th: f64,
@@ -38,7 +37,7 @@ pub struct ThSweepPoint {
 }
 
 /// §4.3 sweep output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThSweepReport {
     /// The sweep points, ascending threshold.
     pub points: Vec<ThSweepPoint>,
@@ -134,7 +133,7 @@ impl ThSweepReport {
 }
 
 /// One point of the PLR × `Intra_Th` grid.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlrGridPoint {
     /// Channel loss rate.
     pub plr: f64,
@@ -149,7 +148,7 @@ pub struct PlrGridPoint {
 }
 
 /// §4.4 grid output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlrGridReport {
     /// Grid points, PLR-major.
     pub points: Vec<PlrGridPoint>,

@@ -16,8 +16,8 @@
 
 use crate::report::{fmt_f, Table};
 use pbpair_serve::{run_traced, ServeConfig};
+use pbpair_telemetry::json;
 use pbpair_telemetry::Telemetry;
-use pbpair_trace::json::push_field;
 use pbpair_trace::{Calibration, LossKind};
 
 /// One `(PLR, Intra_Th)` grid point of the sweep.
@@ -121,37 +121,24 @@ impl TraceExperiment {
     /// per-mille fixed point, scores through the calibration's own
     /// fixed-point encoding. Byte-identical for any worker count.
     pub fn deterministic_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        let mut first = true;
-        push_field(&mut out, &mut first, "frames", self.frames);
-        out.push_str(",\"points\":[");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            let mut f = true;
-            push_field(&mut out, &mut f, "plr_pm", (p.plr * 1000.0).round() as u64);
-            push_field(
-                &mut out,
-                &mut f,
-                "intra_th_pm",
-                (p.intra_th * 1000.0).round() as u64,
-            );
-            push_field(&mut out, &mut f, "loss_events", p.loss_events);
-            push_field(&mut out, &mut f, "corrupt_events", p.corrupt_events);
-            push_field(&mut out, &mut f, "mbs_touched", p.mbs_touched);
-            push_field(&mut out, &mut f, "frames_to_heal_sum", p.frames_to_heal_sum);
-            push_field(&mut out, &mut f, "max_frames_to_heal", p.max_frames_to_heal);
-            push_field(&mut out, &mut f, "sad_cost", p.sad_cost);
-            push_field(&mut out, &mut f, "dumps", p.dumps);
-            out.push_str(",\"calibration\":");
-            out.push_str(&p.calibration.deterministic_json());
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        json::object(|o| {
+            o.field("frames", self.frames).array("points", |a| {
+                for p in &self.points {
+                    a.object(|o| {
+                        o.field("plr_pm", (p.plr * 1000.0).round() as u64)
+                            .field("intra_th_pm", (p.intra_th * 1000.0).round() as u64)
+                            .field("loss_events", p.loss_events)
+                            .field("corrupt_events", p.corrupt_events)
+                            .field("mbs_touched", p.mbs_touched)
+                            .field("frames_to_heal_sum", p.frames_to_heal_sum)
+                            .field("max_frames_to_heal", p.max_frames_to_heal)
+                            .field("sad_cost", p.sad_cost)
+                            .field("dumps", p.dumps)
+                            .raw("calibration", &p.calibration.deterministic_json());
+                    });
+                }
+            });
+        })
     }
 
     /// Aggregate Brier score across the whole grid (observation-

@@ -14,10 +14,9 @@ use pbpair_media::synth::{FrameSource, MotionClass, SyntheticSequence};
 use pbpair_media::y4m::Y4mReader;
 use pbpair_netsim::loss::{GilbertElliott, LossModel, NoLoss, ScriptedLoss, UniformLoss};
 use pbpair_netsim::{ChannelStats, LossyChannel, Packetizer, DEFAULT_MTU};
-use serde::{Deserialize, Serialize};
 
 /// Which video sequence a run encodes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SequenceSpec {
     /// A seeded synthetic sequence of the given motion class.
     Synthetic {
@@ -75,7 +74,7 @@ impl SequenceSpec {
 
 /// Which loss process the channel applies (always at frame granularity,
 /// as in the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LossSpec {
     /// Loss-free channel.
     None,
@@ -181,7 +180,7 @@ impl LossSpec {
 }
 
 /// One experimental cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
     /// The error-resilience scheme under test.
     pub scheme: SchemeSpec,
@@ -217,7 +216,7 @@ impl RunConfig {
 }
 
 /// Every measurement one cell produces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// Scheme label as the policy reports it.
     pub scheme_label: String,
@@ -313,7 +312,7 @@ pub fn run(cfg: &RunConfig) -> Result<RunResult, String> {
 
 /// Result of a replicated run: the first replicate's full [`RunResult`]
 /// plus channel-realization statistics over all replicates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplicatedResult {
     /// The first replicate (carries sizes, ops, frame series — all of
     /// which are channel-independent).

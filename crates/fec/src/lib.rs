@@ -53,7 +53,6 @@ pub use lt::LtCodec;
 pub use rs::ReedSolomon;
 pub use xor::XorCodec;
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Sub};
 
 /// Arithmetic performed by FEC encode/decode, for energy charging.
@@ -62,7 +61,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// byte XOR (XOR, interleaved-XOR, LT) and GF(256) multiply-accumulate
 /// (Reed-Solomon). Everything else is bookkeeping the eval layer and
 /// telemetry surface.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FecOps {
     /// Blocks encoded.
     pub blocks_encoded: u64,
@@ -182,10 +181,10 @@ pub(crate) fn check_decode(shards: &[Option<Vec<u8>>], n: usize) -> Option<usize
     Some(len)
 }
 
-/// Serializable description of a codec configuration — what session and
+/// Plain-value description of a codec configuration — what session and
 /// fleet configs carry, and what the redundancy controller re-rates at
 /// GOP boundaries via [`FecSpec::with_parity`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FecSpec {
     /// Single-parity XOR over groups of `k` (recovers 1 erasure/block).
     Xor {

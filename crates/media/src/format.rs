@@ -1,16 +1,20 @@
 //! Picture formats and macroblock geometry.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Width and height of a luma macroblock in samples.
 pub const MB_SIZE: usize = 16;
 
+/// Largest macroblock grid side a custom format may have: the codec's
+/// custom-format picture header carries the column and row counts in
+/// 8-bit fields.
+const MAX_MBS_PER_SIDE: usize = 255;
+
 /// A picture format: luma dimensions plus the derived 16×16 macroblock grid.
 ///
 /// The paper evaluates on QCIF (176×144 → 11×9 macroblocks); CIF and SQCIF
 /// are provided for completeness, and [`VideoFormat::custom`] accepts any
-/// dimensions that are a multiple of 16.
+/// dimensions that are a multiple of 16, up to 255 macroblocks a side.
 ///
 /// # Example
 ///
@@ -22,7 +26,7 @@ pub const MB_SIZE: usize = 16;
 /// assert_eq!((f.mb_cols(), f.mb_rows()), (11, 9));
 /// assert_eq!(f.mb_count(), 99);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VideoFormat {
     width: usize,
     height: usize,
@@ -51,13 +55,12 @@ impl VideoFormat {
     /// # Errors
     ///
     /// Returns `None` unless both dimensions are non-zero multiples of 16
-    /// (the codec does not implement partial macroblocks).
+    /// (the codec does not implement partial macroblocks) spanning at
+    /// most 255 macroblocks (the picture header's 8-bit grid fields).
     pub fn custom(width: usize, height: usize) -> Option<VideoFormat> {
-        if width == 0
-            || height == 0
-            || !width.is_multiple_of(MB_SIZE)
-            || !height.is_multiple_of(MB_SIZE)
-        {
+        let side_ok =
+            |n: usize| n != 0 && n.is_multiple_of(MB_SIZE) && n / MB_SIZE <= MAX_MBS_PER_SIDE;
+        if !side_ok(width) || !side_ok(height) {
             return None;
         }
         Some(VideoFormat { width, height })
@@ -152,6 +155,14 @@ mod tests {
         assert!(VideoFormat::custom(176, 100).is_none());
         let f = VideoFormat::custom(64, 48).unwrap();
         assert_eq!(f.mb_count(), 4 * 3);
+    }
+
+    #[test]
+    fn custom_caps_the_grid_at_255_macroblocks() {
+        assert!(VideoFormat::custom(255 * 16, 255 * 16).is_some());
+        assert!(VideoFormat::custom(256 * 16, 144).is_none());
+        assert!(VideoFormat::custom(176, 256 * 16).is_none());
+        assert!(VideoFormat::custom(usize::MAX - 15, 16).is_none());
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::format::VideoFormat;
 use crate::plane::Plane;
-use serde::{Deserialize, Serialize};
 
 /// A planar YUV 4:2:0 frame: full-resolution luma plus half-resolution
 /// chroma, the layout used by QCIF video conferencing and by the paper's
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(f.y().width(), 176);
 /// assert_eq!(f.cb().width(), 88);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Frame {
     format: VideoFormat,
     y: Plane,

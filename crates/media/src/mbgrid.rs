@@ -4,11 +4,10 @@
 //! `0 <= j < 11` columns for QCIF; [`MbIndex`] mirrors that convention.
 
 use crate::format::{VideoFormat, MB_SIZE};
-use serde::{Deserialize, Serialize};
 
 /// Position of one macroblock within the frame grid: `(row, col)` in
 /// macroblock units, matching the paper's `m_{i,j}` subscripts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MbIndex {
     /// Macroblock row (the paper's `i`), `0..mb_rows`.
     pub row: usize,
@@ -50,7 +49,7 @@ impl MbIndex {
 /// assert_eq!(first, MbIndex::new(0, 0));
 /// assert_eq!(grid.flat_index(MbIndex::new(1, 0)), 11);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MbGrid {
     rows: usize,
     cols: usize,

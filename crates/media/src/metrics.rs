@@ -8,7 +8,6 @@
 
 use crate::frame::Frame;
 use crate::plane::Plane;
-use serde::{Deserialize, Serialize};
 
 /// Default absolute luma difference above which a pixel counts as "bad".
 ///
@@ -219,7 +218,7 @@ pub fn render_mb_heatmap(values: &[f64], cols: usize) -> String {
 /// assert_eq!(stats.frames(), 1);
 /// assert_eq!(stats.total_bad_pixels(), 0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QualityStats {
     psnr_series: Vec<f64>,
     bad_pixel_series: Vec<u64>,

@@ -1,6 +1,5 @@
 //! A single 8-bit sample plane (luma or chroma).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A rectangular plane of 8-bit samples stored in row-major order.
@@ -23,7 +22,7 @@ use std::fmt;
 /// assert_eq!(p.get(3, 4), 200);
 /// assert_eq!(p.get(0, 0), 128);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Plane {
     width: usize,
     height: usize,

@@ -22,7 +22,6 @@
 use crate::format::VideoFormat;
 use crate::frame::Frame;
 use crate::plane::Plane;
-use serde::{Deserialize, Serialize};
 
 /// A source of video frames: either a synthetic generator or a file reader.
 ///
@@ -38,7 +37,7 @@ pub trait FrameSource {
 }
 
 /// Motion/content class of a synthetic sequence, ordered by activity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MotionClass {
     /// AKIYO-like: static camera, static background, small slow head and
     /// mouth motion. Lowest SAD activity.
@@ -75,7 +74,7 @@ impl MotionClass {
 /// Tunable parameters of the synthetic world. Exposed so tests and ablation
 /// benches can construct pathological content (e.g. zero motion, or pure
 /// noise) without new generator code.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SynthParams {
     /// Horizontal camera pan in 1/16 pixel per frame (positive = rightward).
     pub pan_per_frame_q4: i32,

@@ -26,7 +26,8 @@ pub enum ParseY4mError {
     BadMagic,
     /// A required header parameter (`W`, `H`) was missing or malformed.
     BadHeader(String),
-    /// Declared dimensions are unusable (zero or not multiples of 16).
+    /// Declared dimensions are unusable (zero, not multiples of 16, or
+    /// wider or taller than 255 macroblocks).
     BadDimensions(usize, usize),
     /// Unsupported color space tag.
     UnsupportedColorSpace(String),
@@ -43,7 +44,7 @@ impl fmt::Display for ParseY4mError {
             ParseY4mError::BadDimensions(w, h) => {
                 write!(
                     f,
-                    "unsupported y4m dimensions {w}x{h} (need multiples of 16)"
+                    "unsupported y4m dimensions {w}x{h} (need multiples of 16, at most 4080)"
                 )
             }
             ParseY4mError::UnsupportedColorSpace(c) => {
@@ -107,7 +108,8 @@ impl<R: Read + Seek> Y4mReader<R> {
     /// # Errors
     ///
     /// Returns a [`ParseY4mError`] if the header is malformed, the color
-    /// space is not 4:2:0, or the dimensions are not multiples of 16.
+    /// space is not 4:2:0, or the dimensions are not multiples of 16 of
+    /// at most 255 macroblocks a side.
     pub fn new(mut inner: R) -> Result<Self, ParseY4mError> {
         let header = read_line(&mut inner)?;
         let mut parts = header.split(' ');
@@ -343,6 +345,17 @@ mod tests {
     fn rejects_unaligned_dimensions() {
         let err = Y4mReader::new(Cursor::new(b"YUV4MPEG2 W100 H100 C420\n".to_vec())).unwrap_err();
         assert!(matches!(err, ParseY4mError::BadDimensions(100, 100)));
+    }
+
+    #[test]
+    fn rejects_grids_the_picture_header_cannot_carry() {
+        let err = Y4mReader::new(Cursor::new(b"YUV4MPEG2 W4096 H144 C420\n".to_vec())).unwrap_err();
+        assert!(matches!(err, ParseY4mError::BadDimensions(4096, 144)));
+        let err = Y4mReader::new(Cursor::new(
+            b"YUV4MPEG2 W18446744073709551600 H16 C420\n".to_vec(),
+        ))
+        .unwrap_err();
+        assert!(matches!(err, ParseY4mError::BadDimensions(_, 16)));
     }
 
     #[test]

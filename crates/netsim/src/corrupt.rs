@@ -42,12 +42,11 @@ use pbpair_telemetry::{Counter, Stage, Telemetry};
 use pbpair_trace::{Event as TraceEvent, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Per-packet damage probabilities and magnitudes. All probabilities are
 /// independent per packet; several kinds of damage can hit the same
 /// packet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorruptionProfile {
     /// Probability that a packet's payload receives random bit flips.
     pub flip_prob: f64,
@@ -144,7 +143,7 @@ impl CorruptionProfile {
 }
 
 /// Running tally of injected damage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CorruptionStats {
     /// Packets whose payload was altered (flip, truncate, or burst).
     pub packets_damaged: u64,

@@ -10,12 +10,11 @@
 //! degradation-aware controller on the encoder side has to survive.
 
 use crate::loss::LossModel;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Sliding-window PLR estimator: the fraction of the last `window`
 /// transmissions that were lost.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowPlrEstimator {
     window: usize,
     history: VecDeque<bool>,
@@ -64,7 +63,7 @@ impl WindowPlrEstimator {
 }
 
 /// EWMA PLR estimator: `est ← (1−β)·est + β·outcome`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EwmaPlrEstimator {
     beta: f64,
     estimate: f64,
@@ -105,7 +104,7 @@ impl EwmaPlrEstimator {
 }
 
 /// One receiver report travelling back to the encoder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeedbackReport {
     /// Report sequence number (receiver-side send order).
     pub seq: u64,
@@ -131,7 +130,7 @@ pub struct FeedbackReport {
 /// this converges near `1/(1−p)` ≈ 1; on a Markov burst channel it tracks
 /// the mean dwell in the bad state — the statistic the joint redundancy
 /// controller needs to pick interleaving depth and parity rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstEstimator {
     beta: f64,
     estimate: f64,
@@ -193,7 +192,7 @@ impl BurstEstimator {
 }
 
 /// Cumulative statistics of the feedback path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FeedbackLinkStats {
     /// Report copies the receiver offered to the link (retries included).
     pub sent: u64,
@@ -216,7 +215,7 @@ pub struct FeedbackLinkStats {
 /// jitter` frames after the original. Copies share the original's
 /// sequence number, so once any copy is applied the rest are discarded by
 /// the out-of-order guard — retries add redundancy, never regressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryConfig {
     /// Redundant copies per report (0 disables retry).
     pub max_retries: u32,

@@ -1,7 +1,6 @@
 //! Packet types.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// One network packet carrying (a fragment of) an encoded video frame —
 /// the RTP-payload abstraction of the paper's transport: "the
@@ -43,7 +42,7 @@ impl Packet {
 }
 
 /// Running transmission statistics of a channel.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Packets handed to the channel.
     pub packets_sent: u64,

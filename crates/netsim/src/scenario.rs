@@ -15,8 +15,8 @@
 //!   ([`PhaseKind::Steady`], [`PhaseKind::Ramp`], [`PhaseKind::Outage`],
 //!   [`PhaseKind::Burst`]), each with its own feedback RTT, driven by
 //!   frame time through [`LossModel::on_frame`];
-//! * [`ChannelSpec`] — the declarative, serializable description of any
-//!   channel in the zoo, what scenario matrices store and ship to CI.
+//! * [`ChannelSpec`] — a plain value describing any channel in the zoo,
+//!   what scenario matrices and fleet configs carry.
 //!
 //! Everything is seeded and fully deterministic: the same spec and seed
 //! replay the same loss pattern packet for packet.
@@ -24,7 +24,6 @@
 use crate::loss::{GilbertElliott, LossModel, UniformLoss};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A channel from the scenario zoo: a [`LossModel`] that also knows what
 /// it is (label), what it converges to (stationary statistics, when they
@@ -171,7 +170,7 @@ impl ScenarioChannel for MarkovBurstErasure {
 }
 
 /// What the channel does during one [`Phase`] of a schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PhaseKind {
     /// Independent loss at a fixed rate.
     Steady {
@@ -199,7 +198,7 @@ pub enum PhaseKind {
 
 /// One segment of a [`ScheduleChannel`]: a behavior, a duration in frame
 /// slots, and the feedback RTT in force while it lasts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// Duration in frame slots. The final phase of a schedule holds
     /// forever once reached.
@@ -465,10 +464,10 @@ impl ScheduleBuilder {
     }
 }
 
-/// Declarative description of any channel in the zoo — what scenario
-/// configurations store, serialize, and hand to CI. [`ChannelSpec::build`]
-/// turns it into a live seeded channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Plain-value description of any channel in the zoo — what scenario
+/// and fleet configurations carry. [`ChannelSpec::build`] turns it into a
+/// live seeded channel.
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChannelSpec {
     /// Independent per-packet loss at a fixed rate.
     Uniform {

@@ -30,10 +30,8 @@
 //! deterministic inputs, so fleet behaviour replays bit-identically at
 //! any worker count — the property the replay test pins down.
 
-use serde::{Deserialize, Serialize};
-
 /// Capacity model and escalation thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionConfig {
     /// Modeled Joules of encode work the fleet may spend per round while
     /// staying "real time". Round cost beyond this accrues as lag.
@@ -60,7 +58,6 @@ pub struct AdmissionConfig {
     /// displayed PSNR discounted by the encoder's `C^k` expected-damage
     /// forecast — so the controller sheds the session spending the most
     /// energy per unit of quality it actually delivers to a viewer.
-    #[serde(default)]
     pub rank_energy_per_quality: bool,
 }
 
@@ -114,7 +111,7 @@ impl AdmissionConfig {
 
 /// One live session's contribution to a finished round, as the manager
 /// reports it to the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionRoundCost {
     /// Session id.
     pub id: u32,
@@ -134,7 +131,7 @@ pub struct SessionRoundCost {
 const MIN_QUALITY_POINTS: f64 = 1e-3;
 
 /// The fleet-level service state the controller is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceLevel {
     /// Full quality, full rate.
     Normal,
@@ -145,7 +142,7 @@ pub enum ServiceLevel {
 }
 
 /// What the manager must do after a round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundDecision {
     /// Service level for the next round.
     pub level: ServiceLevel,
@@ -160,7 +157,7 @@ pub struct RoundDecision {
 }
 
 /// The integrating admission controller. See the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionController {
     cfg: AdmissionConfig,
     lag_j: f64,

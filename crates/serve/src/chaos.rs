@@ -18,15 +18,14 @@
 //!   picture-header boundaries: whole frames vanish, first fragment
 //!   included, the worst case for resynchronization.
 //!
-//! Plans are data (serializable, cloneable) and fire deterministically:
+//! Plans are plain cloneable values and fire deterministically:
 //! the same plan against the same seeds produces the same trajectory at
 //! any worker count.
 
 use pbpair_netsim::ChannelSpec;
-use serde::{Deserialize, Serialize};
 
 /// One injectable session-level fault.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChaosFault {
     /// Suppress the receiver's feedback sends for `frames` slots.
     FeedbackBlackout {
@@ -83,7 +82,7 @@ impl ChaosFault {
 }
 
 /// A fault scheduled against one session.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosEvent {
     /// Target session id.
     pub session: u32,
@@ -94,7 +93,7 @@ pub struct ChaosEvent {
 }
 
 /// A deterministic fault schedule for the whole fleet.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosPlan {
     events: Vec<ChaosEvent>,
 }

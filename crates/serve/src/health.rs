@@ -28,10 +28,8 @@
 //! Everything is a pure function of the deterministic per-frame inputs,
 //! so health reports are byte-identical at any worker count.
 
-use serde::{Deserialize, Serialize};
-
 /// Where a session stands in the fleet's health state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthState {
     /// Feedback flowing, decoder live.
     Healthy,
@@ -65,7 +63,7 @@ impl HealthState {
 }
 
 /// Watchdog thresholds. All counts are in frame slots.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WatchdogConfig {
     /// Feedback darkness beyond which a healthy session degrades.
     pub degrade_after_dark: u64,
@@ -132,7 +130,7 @@ impl WatchdogConfig {
 }
 
 /// One recorded state change.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthTransition {
     /// Frame slot at which the transition fired.
     pub frame: u64,
@@ -146,7 +144,7 @@ pub struct HealthTransition {
 }
 
 /// Append-only per-session health log.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HealthLedger {
     transitions: Vec<HealthTransition>,
 }

@@ -31,12 +31,11 @@ use pbpair_codec::RdeConfig;
 use pbpair_media::synth::MotionClass;
 use pbpair_netsim::{ChannelSpec, FecSpec, RetryConfig};
 use pbpair_telemetry::Telemetry;
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// How encode-energy device profiles are assigned across the fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceMix {
     /// Every session uses the same device.
     Uniform(DeviceKind),
@@ -62,7 +61,7 @@ impl DeviceMix {
 }
 
 /// Fleet-level configuration of one serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Concurrent sessions admitted at start.
     pub sessions: usize,
@@ -106,7 +105,6 @@ pub struct ServeConfig {
     /// Joint rate–distortion–energy controller for every session's
     /// encoder (`None` or zero λ weights leave the fleet's bitstreams —
     /// and every committed digest — unchanged).
-    #[serde(default)]
     pub rde: Option<RdeConfig>,
     /// Device-profile assignment across sessions.
     pub device_mix: DeviceMix,

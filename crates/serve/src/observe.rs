@@ -31,6 +31,7 @@
 
 use crate::session::FrameOutcome;
 use pbpair_telemetry::expose::ExposeServer;
+use pbpair_telemetry::json;
 use pbpair_telemetry::slo::{AlertEvent, AlertState, BurnWindow, SloEngine, SloSpec};
 use pbpair_telemetry::timeseries::{SeriesConfig, TimeSeries};
 use pbpair_telemetry::{Counter, Telemetry};
@@ -342,27 +343,24 @@ pub(crate) fn fleet_health_json(
     sessions: &[(u32, &'static str, usize, bool)],
     firing: &[&str],
 ) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = write!(out, "{{\"rounds\":{rounds_done},\"sessions\":[");
-    for (i, (id, health, transitions, shed)) in sessions.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"id\":{id},\"health\":\"{health}\",\"transitions\":{transitions},\"shed\":{shed}}}"
-        );
-    }
-    out.push_str("],\"alerts_firing\":[");
-    for (i, name) in firing.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{name}\"");
-    }
-    out.push_str("]}");
-    out
+    json::object(|o| {
+        o.field("rounds", rounds_done)
+            .array("sessions", |a| {
+                for &(id, health, transitions, shed) in sessions {
+                    a.object(|s| {
+                        s.field("id", id)
+                            .string("health", health)
+                            .field("transitions", transitions)
+                            .field("shed", shed);
+                    });
+                }
+            })
+            .array("alerts_firing", |a| {
+                for name in firing {
+                    a.string(name);
+                }
+            });
+    })
 }
 
 #[cfg(test)]
@@ -402,6 +400,15 @@ mod tests {
         let slos = standard_slos();
         assert_eq!(slos.len(), 4);
         SloEngine::new(slos).expect("standard set must construct");
+    }
+
+    #[test]
+    fn health_json_escapes_slo_names() {
+        let body = fleet_health_json(0, &[], &["a\"b\\c"]);
+        assert_eq!(
+            body,
+            "{\"rounds\":0,\"sessions\":[],\"alerts_firing\":[\"a\\\"b\\\\c\"]}"
+        );
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! state — decisions replay identically at any worker count.
 
 use pbpair_netsim::FecSpec;
-use serde::{Deserialize, Serialize};
 
 /// The `Intra_Th` operating points the controller may select. Spans the
 /// paper's useful range; coarse on purpose — the degradation controller
@@ -50,7 +49,7 @@ const DAMAGE_FLOOR: f64 = 0.25;
 const PROPAGATION_SLOPE: f64 = 0.35;
 
 /// Configuration of the joint redundancy controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RedundancyConfig {
     /// Codec family to re-rate. Its `r` is only the starting point; the
     /// controller moves parity within `0..=max_parity` (0 = FEC off for
@@ -111,7 +110,7 @@ impl RedundancyConfig {
 
 /// One joint operating point: what the session applies until the next
 /// GOP boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RedundancyDecision {
     /// `Intra_Th` for the coming GOP.
     pub intra_th: f64,

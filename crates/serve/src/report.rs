@@ -16,11 +16,10 @@ use crate::health::{HealthState, HealthTransition};
 use pbpair_codec::DecodeReport;
 use pbpair_netsim::FecOps;
 use pbpair_telemetry::slo::AlertEvent;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Per-session outcome (deterministic).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionReport {
     /// Session id.
     pub id: u32,
@@ -73,7 +72,7 @@ pub struct SessionReport {
 }
 
 /// Fleet-wide tally of final session health states (deterministic).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FleetHealth {
     /// Sessions that never left [`HealthState::Healthy`].
     pub healthy: u32,
@@ -103,7 +102,7 @@ impl FleetHealth {
 }
 
 /// Wall-clock fleet measurements (machine- and schedule-dependent).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetTiming {
     /// Wall-clock seconds for the whole run.
     pub wall_s: f64,
@@ -118,7 +117,7 @@ pub struct FleetTiming {
 }
 
 /// The full result of one serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Worker threads used (recorded for context; does not affect the
     /// deterministic portion).

@@ -45,14 +45,13 @@ use pbpair_netsim::{
 };
 use pbpair_telemetry::{Counter, Telemetry};
 use pbpair_trace::{Event as TraceEvent, Tracer};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The refresh scheme a session encodes with. PBPAIR is the adaptive
 /// default; the fixed schemes are the paper's comparison points, run
 /// through the same serving loop so scenario matrices can put them side
 /// by side under identical channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionScheme {
     /// Adaptive PBPAIR (feedback-steered `Intra_Th`).
     Pbpair,
@@ -78,7 +77,7 @@ impl SessionScheme {
 
 /// The device whose energy model prices a session's encode work — the
 /// paper's two handheld evaluation targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceKind {
     /// iPAQ h5555 (XScale 400 MHz).
     Ipaq,
@@ -106,7 +105,7 @@ impl DeviceKind {
 
 /// Per-session knobs, normally filled in by the manager from a
 /// fleet-level [`crate::ServeConfig`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {
     /// Session id (stable across the run; also the affinity hint).
     pub id: u32,
@@ -160,7 +159,6 @@ pub struct SessionConfig {
     /// encoder ([`pbpair_codec::rde`]). `None` — and `Some` with both λ
     /// weights zero — keep the refresh scheme's decisions bit-identical
     /// to a plain encoder, so every committed digest is unchanged.
-    #[serde(default)]
     pub rde: Option<RdeConfig>,
 }
 
@@ -195,7 +193,7 @@ impl SessionConfig {
 
 /// What one frame step produced — the deterministic per-frame record the
 /// admission controller and the report aggregate from.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameOutcome {
     /// Encoding energy of this frame under the session's device model.
     pub encode_joules: f64,
@@ -222,7 +220,7 @@ pub struct FrameOutcome {
 }
 
 /// The lever that set a frame's `Intra_Th` (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntraThSource {
     /// The session's network proposer (degradation or redundancy
     /// controller).
@@ -247,7 +245,7 @@ pub fn arbitrate_intra_th(network: f64, load: f64, quarantine: f64) -> (f64, Int
 }
 
 /// Lifetime counters of one session (deterministic).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SessionStats {
     /// Frames encoded and transmitted.
     pub frames_encoded: u64,

@@ -11,7 +11,7 @@
 
 use crate::manager::ServeConfig;
 use pbpair_media::VideoFormat;
-use pbpair_trace::json::{push_field, push_string_field};
+use pbpair_telemetry::json;
 use pbpair_trace::{analyze, Analysis, AnalyzeParams, Calibration, RecordedEvent, Tracer};
 
 /// Flight-recorder slots per session. Big enough to hold several
@@ -69,108 +69,78 @@ impl FleetTrace {
     /// across worker counts; wall-clock timestamps are deliberately
     /// excluded (see [`FleetTrace::chrome_trace_json`]).
     pub fn deterministic_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        let mut first = true;
-        push_field(&mut out, &mut first, "sessions", self.sessions.len());
-        out.push_str(",\"calibration\":");
-        out.push_str(&self.calibration.deterministic_json());
-        out.push_str(",\"blasts\":[");
-        let mut first_blast = true;
-        for s in &self.sessions {
-            for b in &s.analysis.blasts {
-                if !first_blast {
-                    out.push(',');
-                }
-                first_blast = false;
-                b.push_json(&mut out, s.id as u64);
-            }
-        }
-        out.push_str("],\"per_session\":[");
-        for (i, s) in self.sessions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            let mut f = true;
-            push_field(&mut out, &mut f, "id", s.id);
-            push_field(&mut out, &mut f, "blasts", s.analysis.blasts.len());
-            push_field(
-                &mut out,
-                &mut f,
-                "dirty_mbs",
-                s.analysis
-                    .dirty
-                    .values()
-                    .map(|m| m.iter().filter(|&&d| d).count() as u64)
-                    .sum::<u64>(),
-            );
-            push_field(
-                &mut out,
-                &mut f,
-                "brier_e9",
-                s.analysis.calibration.brier_e9(),
-            );
-            push_field(&mut out, &mut f, "ring_pushed", s.ring_pushed);
-            out.push('}');
-        }
-        out.push_str("],\"dumps\":[");
-        for (i, d) in self.dumps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            let mut f = true;
-            push_field(&mut out, &mut f, "session", d.session);
-            push_field(&mut out, &mut f, "round", d.round);
-            push_string_field(&mut out, &mut f, "reason", d.reason);
-            out.push_str(",\"events\":[");
-            for (j, e) in d.events.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('{');
-                let mut g = true;
-                push_field(&mut out, &mut g, "ticket", e.ticket);
-                push_string_field(&mut out, &mut g, "name", e.event.name());
-                push_field(&mut out, &mut g, "frame", e.event.frame());
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+        json::object(|o| {
+            o.field("sessions", self.sessions.len())
+                .raw("calibration", &self.calibration.deterministic_json())
+                .array("blasts", |a| {
+                    for s in &self.sessions {
+                        for b in &s.analysis.blasts {
+                            b.push_json(a, s.id as u64);
+                        }
+                    }
+                })
+                .array("per_session", |a| {
+                    for s in &self.sessions {
+                        let dirty_mbs: u64 = s
+                            .analysis
+                            .dirty
+                            .values()
+                            .map(|m| m.iter().filter(|&&d| d).count() as u64)
+                            .sum();
+                        a.object(|o| {
+                            o.field("id", s.id)
+                                .field("blasts", s.analysis.blasts.len())
+                                .field("dirty_mbs", dirty_mbs)
+                                .field("brier_e9", s.analysis.calibration.brier_e9())
+                                .field("ring_pushed", s.ring_pushed);
+                        });
+                    }
+                })
+                .array("dumps", |a| {
+                    for d in &self.dumps {
+                        a.object(|o| {
+                            o.field("session", d.session)
+                                .field("round", d.round)
+                                .string("reason", d.reason)
+                                .array("events", |ev| {
+                                    for e in &d.events {
+                                        ev.object(|o| {
+                                            o.field("ticket", e.ticket)
+                                                .string("name", e.event.name())
+                                                .field("frame", e.event.frame());
+                                        });
+                                    }
+                                });
+                        });
+                    }
+                });
+        })
     }
 
     /// The timing-side export: every session's final ring as
     /// `chrome://tracing` instant events (`ph: "i"`), one pid per
     /// session. Timestamps are microseconds since the tracer's epoch.
     pub fn chrome_trace_json(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        for s in &self.sessions {
-            for e in &s.ring {
-                if !first {
-                    out.push(',');
+        json::object(|o| {
+            o.array("traceEvents", |a| {
+                for s in &self.sessions {
+                    for e in &s.ring {
+                        a.object(|o| {
+                            o.string("name", e.event.name())
+                                .string("ph", "i")
+                                .string("s", "t")
+                                .field("ts", e.ts_us)
+                                .field("pid", s.id)
+                                .field("tid", 0)
+                                .object("args", |args| {
+                                    args.field("frame", e.event.frame())
+                                        .field("ticket", e.ticket);
+                                });
+                        });
+                    }
                 }
-                first = false;
-                out.push('{');
-                let mut f = true;
-                push_string_field(&mut out, &mut f, "name", e.event.name());
-                push_string_field(&mut out, &mut f, "ph", "i");
-                push_string_field(&mut out, &mut f, "s", "t");
-                push_field(&mut out, &mut f, "ts", e.ts_us);
-                push_field(&mut out, &mut f, "pid", s.id);
-                push_field(&mut out, &mut f, "tid", 0);
-                out.push_str(",\"args\":{");
-                let mut g = true;
-                push_field(&mut out, &mut g, "frame", e.event.frame());
-                push_field(&mut out, &mut g, "ticket", e.ticket);
-                out.push_str("}}");
-            }
-        }
-        out.push_str("]}");
-        out
+            });
+        })
     }
 }
 

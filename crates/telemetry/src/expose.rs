@@ -152,9 +152,7 @@ impl ExposeServer {
         let shared = Arc::new(Shared {
             tel,
             health_json: Mutex::new("{}".to_string()),
-            timeseries_json: Mutex::new(
-                "{\"every\":0,\"ticks\":0,\"dropped\":0,\"frames\":[]}".to_string(),
-            ),
+            timeseries_json: Mutex::new(crate::timeseries::TimeSeries::disabled().to_json()),
         });
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {

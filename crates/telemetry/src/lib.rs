@@ -54,6 +54,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 pub mod expose;
+pub mod json;
 mod report;
 pub mod slo;
 pub mod timeseries;

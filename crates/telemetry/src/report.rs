@@ -1,13 +1,15 @@
-//! Report snapshots and hand-rolled JSON/CSV export.
+//! Report snapshots and their JSON/CSV export.
 //!
-//! The workspace's vendored `serde` is a no-op stub, so serialization is
-//! written out by hand. That turns out to be a feature: the emitter
-//! guarantees the byte-level properties the determinism contract needs —
-//! `BTreeMap` iteration gives sorted keys, and the deterministic section
-//! contains only integers, so there is no float formatting to drift.
+//! JSON goes through [`crate::json`], the workspace's one writer. The
+//! export guarantees the byte-level properties the determinism contract
+//! needs: `BTreeMap` iteration gives sorted keys, and the deterministic
+//! section contains only integers, so there is no float formatting to
+//! drift.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use crate::json;
 
 /// Merged view of one histogram: bucket counts over inclusive upper
 /// `bounds` plus an implicit overflow bucket (`counts.len() ==
@@ -223,52 +225,34 @@ impl TelemetryReport {
     /// thread interleaving — the serve determinism tests compare it
     /// directly.
     pub fn deterministic_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"counters\":");
-        write_u64_map(&mut out, &self.counters);
-        out.push_str(",\"histograms\":");
-        write_histogram_map(&mut out, &self.histograms);
-        out.push_str(",\"stages\":{");
-        for (i, (name, s)) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_json_string(&mut out, name);
-            let _ = write!(out, ":{{\"calls\":{},\"units\":{}}}", s.calls, s.units);
-        }
-        out.push_str("}}");
-        out
+        json::object(|o| {
+            o.object("counters", |m| {
+                m.fields(&self.counters);
+            })
+            .map("histograms", &self.histograms, histogram_json)
+            .map("stages", &self.stages, |o, s| {
+                o.field("calls", s.calls).field("units", s.units);
+            });
+        })
     }
 
     /// Full report as JSON: the deterministic section plus a `timing`
     /// object (scheduling counters, gauges, latency histograms, span
     /// wall times).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"deterministic\":");
-        out.push_str(&self.deterministic_json());
-        out.push_str(",\"timing\":{\"counters\":");
-        write_u64_map(&mut out, &self.timing_counters);
-        out.push_str(",\"gauges\":{");
-        for (i, (name, g)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_json_string(&mut out, name);
-            let _ = write!(out, ":{{\"last\":{},\"max\":{}}}", g.last, g.max);
-        }
-        out.push_str("},\"histograms\":");
-        write_histogram_map(&mut out, &self.timing_histograms);
-        out.push_str(",\"stage_wall_ns\":{");
-        for (i, (name, s)) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_json_string(&mut out, name);
-            let _ = write!(out, ":{}", s.wall_ns);
-        }
-        out.push_str("}}}");
-        out
+        json::object(|o| {
+            o.raw("deterministic", &self.deterministic_json())
+                .object("timing", |t| {
+                    t.object("counters", |m| {
+                        m.fields(&self.timing_counters);
+                    })
+                    .map("gauges", &self.gauges, gauge_json)
+                    .map("histograms", &self.timing_histograms, histogram_json)
+                    .object("stage_wall_ns", |m| {
+                        m.fields(self.stages.iter().map(|(name, s)| (name, s.wall_ns)));
+                    });
+                });
+        })
     }
 
     /// Flat CSV export: `section,kind,name,field,value` rows, sorted the
@@ -309,61 +293,15 @@ impl TelemetryReport {
     }
 }
 
-pub(crate) fn write_u64_map(out: &mut String, map: &BTreeMap<String, u64>) {
-    out.push('{');
-    for (i, (name, v)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_json_string(out, name);
-        let _ = write!(out, ":{v}");
-    }
-    out.push('}');
+pub(crate) fn gauge_json(o: &mut json::Object<'_>, g: &GaugeSnapshot) {
+    o.field("last", g.last).field("max", g.max);
 }
 
-pub(crate) fn write_histogram_map(out: &mut String, map: &BTreeMap<String, HistogramSnapshot>) {
-    out.push('{');
-    for (i, (name, h)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_json_string(out, name);
-        out.push_str(":{\"bounds\":");
-        write_u64_list(out, &h.bounds);
-        out.push_str(",\"counts\":");
-        write_u64_list(out, &h.counts);
-        let _ = write!(out, ",\"count\":{},\"sum\":{}}}", h.count, h.sum);
-    }
-    out.push('}');
-}
-
-pub(crate) fn write_u64_list(out: &mut String, values: &[u64]) {
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-}
-
-/// Minimal JSON string escaping: quotes, backslashes, and control
-/// characters. Metric names are plain ASCII identifiers in practice,
-/// but the emitter must not produce invalid JSON for any input.
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+fn histogram_json(o: &mut json::Object<'_>, h: &HistogramSnapshot) {
+    o.list("bounds", &h.bounds)
+        .list("counts", &h.counts)
+        .field("count", h.count)
+        .field("sum", h.sum);
 }
 
 /// Metric names avoid commas/quotes by convention; replace them if they
@@ -442,14 +380,6 @@ mod tests {
         assert!(json.contains("\"gauges\":{\"depth\":{\"last\":3,\"max\":9}}"));
         assert!(json.contains("\"stage_wall_ns\":{\"s\":50}"));
         assert!(json.contains("\"count\":6,\"sum\":321"));
-    }
-
-    #[test]
-    fn json_escapes_awkward_names() {
-        let mut r = TelemetryReport::default();
-        r.counters.insert("odd\"name\\x".into(), 1);
-        let json = r.deterministic_json();
-        assert!(json.contains("\"odd\\\"name\\\\x\":1"));
     }
 
     #[test]

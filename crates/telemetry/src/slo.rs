@@ -18,9 +18,8 @@
 //! contract.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
-use crate::report::write_json_string;
+use crate::json;
 use crate::timeseries::DeltaFrame;
 
 /// One sliding window of a burn-rate pair.
@@ -115,19 +114,15 @@ pub struct AlertEvent {
 }
 
 impl AlertEvent {
-    /// Canonical JSON object (integers and fixed strings only).
+    /// Canonical JSON object (integers and escaped strings only).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"round\":{},\"slo\":", self.round);
-        write_json_string(&mut out, &self.slo);
-        let _ = write!(
-            out,
-            ",\"state\":\"{}\",\"burn_fast_milli\":{},\"burn_slow_milli\":{}}}",
-            self.state.label(),
-            self.burn_fast_milli,
-            self.burn_slow_milli
-        );
-        out
+        json::object(|o| {
+            o.field("round", self.round)
+                .string("slo", &self.slo)
+                .string("state", self.state.label())
+                .field("burn_fast_milli", self.burn_fast_milli)
+                .field("burn_slow_milli", self.burn_slow_milli);
+        })
     }
 }
 
@@ -252,19 +247,6 @@ impl SloEngine {
             .filter(|s| s.firing)
             .map(|s| s.spec.name.as_str())
             .collect()
-    }
-
-    /// The cumulative alert log as a canonical JSON array.
-    pub fn alerts_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, e) in self.log.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&e.to_json());
-        }
-        out.push(']');
-        out
     }
 }
 

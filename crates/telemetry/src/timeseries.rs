@@ -23,10 +23,8 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
-use crate::report::{
-    csv_field, write_json_string, write_u64_list, write_u64_map, GaugeSnapshot, HistogramDelta,
-    TelemetryReport,
-};
+use crate::json;
+use crate::report::{csv_field, gauge_json, GaugeSnapshot, HistogramDelta, TelemetryReport};
 
 /// Tick cadence and retention for a [`TimeSeries`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,57 +100,37 @@ impl DeltaFrame {
     /// Deterministic section only — canonical JSON, sorted keys,
     /// integers only, byte-identical across worker counts.
     pub fn deterministic_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"round\":{},\"counters\":", self.round);
-        write_u64_map(&mut out, &self.counters);
-        out.push_str(",\"histograms\":");
-        write_delta_map(&mut out, &self.histograms);
-        out.push_str(",\"stages\":{");
-        for (i, (name, s)) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_json_string(&mut out, name);
-            let _ = write!(out, ":{{\"calls\":{},\"units\":{}}}", s.calls, s.units);
-        }
-        out.push_str("}}");
-        out
+        json::object(|o| {
+            o.field("round", self.round)
+                .object("counters", |m| {
+                    m.fields(&self.counters);
+                })
+                .map("histograms", &self.histograms, delta_json)
+                .map("stages", &self.stages, |o, s| {
+                    o.field("calls", s.calls).field("units", s.units);
+                });
+        })
     }
 
     /// Full frame: the deterministic section plus a timing object.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"deterministic\":");
-        out.push_str(&self.deterministic_json());
-        out.push_str(",\"timing\":{\"counters\":");
-        write_u64_map(&mut out, &self.timing_counters);
-        out.push_str(",\"histograms\":");
-        write_delta_map(&mut out, &self.timing_histograms);
-        out.push_str(",\"gauges\":{");
-        for (i, (name, g)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_json_string(&mut out, name);
-            let _ = write!(out, ":{{\"last\":{},\"max\":{}}}", g.last, g.max);
-        }
-        out.push_str("}}}");
-        out
+        json::object(|o| {
+            o.raw("deterministic", &self.deterministic_json())
+                .object("timing", |t| {
+                    t.object("counters", |m| {
+                        m.fields(&self.timing_counters);
+                    })
+                    .map("histograms", &self.timing_histograms, delta_json)
+                    .map("gauges", &self.gauges, gauge_json);
+                });
+        })
     }
 }
 
-fn write_delta_map(out: &mut String, map: &BTreeMap<String, HistogramDelta>) {
-    out.push('{');
-    for (i, (name, h)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_json_string(out, name);
-        out.push_str(":{\"counts\":");
-        write_u64_list(out, &h.counts);
-        let _ = write!(out, ",\"count\":{},\"sum\":{}}}", h.count, h.sum);
-    }
-    out.push('}');
+fn delta_json(o: &mut json::Object<'_>, h: &HistogramDelta) {
+    o.list("counts", &h.counts)
+        .field("count", h.count)
+        .field("sum", h.sum);
 }
 
 struct Inner {
@@ -266,45 +244,30 @@ impl TimeSeries {
     /// byte-identical across worker counts for a fixed workload and
     /// tick schedule.
     pub fn deterministic_json(&self) -> String {
-        let (every, ticks, dropped) = match &self.inner {
-            Some(i) => (i.cfg.every, i.ticks, i.dropped),
-            None => (0, 0, 0),
-        };
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"every\":{every},\"ticks\":{ticks},\"dropped\":{dropped},\"frames\":["
-        );
-        for (i, f) in self.frames().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&f.deterministic_json());
-        }
-        out.push_str("]}");
-        out
+        self.ring_json(DeltaFrame::deterministic_json)
     }
 
     /// The whole ring including timing scopes — what the `/timeseries`
     /// scrape endpoint serves.
     pub fn to_json(&self) -> String {
+        self.ring_json(DeltaFrame::to_json)
+    }
+
+    fn ring_json(&self, frame_json: fn(&DeltaFrame) -> String) -> String {
         let (every, ticks, dropped) = match &self.inner {
             Some(i) => (i.cfg.every, i.ticks, i.dropped),
             None => (0, 0, 0),
         };
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"every\":{every},\"ticks\":{ticks},\"dropped\":{dropped},\"frames\":["
-        );
-        for (i, f) in self.frames().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&f.to_json());
-        }
-        out.push_str("]}");
-        out
+        json::object(|o| {
+            o.field("every", every)
+                .field("ticks", ticks)
+                .field("dropped", dropped)
+                .array("frames", |a| {
+                    for f in self.frames() {
+                        a.raw(&frame_json(f));
+                    }
+                });
+        })
     }
 
     /// Long-format CSV for offline plotting:

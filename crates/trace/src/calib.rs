@@ -11,7 +11,7 @@
 //! commutative integer sum and the exported JSON is byte-identical
 //! regardless of how sessions were scheduled across workers.
 
-use crate::json::{push_field, push_string};
+use pbpair_telemetry::json;
 
 /// Fixed-point scale for probabilities in the deterministic export
 /// (1.0 ⇒ `1_000_000_000`).
@@ -122,29 +122,22 @@ impl Calibration {
 
     /// Deterministic JSON object: integers only, fixed key order.
     pub fn deterministic_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        push_field(&mut out, &mut first, "count", self.count);
-        push_field(&mut out, &mut first, "correct", self.correct);
-        push_field(&mut out, &mut first, "brier_sum_e9", self.brier_sum_e9);
-        push_field(&mut out, &mut first, "brier_e9", self.brier_e9());
-        out.push(',');
-        push_string(&mut out, "bins");
-        out.push_str(":[");
-        for (i, bin) in self.bins.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let mut bf = true;
-            out.push('{');
-            push_field(&mut out, &mut bf, "lo_e2", i as u64 * 10);
-            push_field(&mut out, &mut bf, "count", bin.count);
-            push_field(&mut out, &mut bf, "correct", bin.correct);
-            push_field(&mut out, &mut bf, "sigma_sum_e9", bin.sigma_sum_e9);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        json::object(|o| {
+            o.field("count", self.count)
+                .field("correct", self.correct)
+                .field("brier_sum_e9", self.brier_sum_e9)
+                .field("brier_e9", self.brier_e9())
+                .array("bins", |a| {
+                    for (i, bin) in self.bins.iter().enumerate() {
+                        a.object(|b| {
+                            b.field("lo_e2", i as u64 * 10)
+                                .field("count", bin.count)
+                                .field("correct", bin.correct)
+                                .field("sigma_sum_e9", bin.sigma_sum_e9);
+                        });
+                    }
+                });
+        })
     }
 
     /// Human-readable reliability table.

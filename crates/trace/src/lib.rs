@@ -1,10 +1,11 @@
 //! Causal error-propagation tracing for the PBPAIR pipeline.
 //!
-//! `pbpair-trace` is a std-only, zero-dependency event-tracing layer that
-//! sits *under* `pbpair-telemetry`: where telemetry aggregates counters,
-//! this crate records individual events — per-MB coding decisions at the
-//! encoder, per-packet loss/corruption at the channel, concealment and
-//! resync at the decoder — and joins them after the fact into a causal
+//! `pbpair-trace` is a std-only event-tracing layer beside
+//! `pbpair-telemetry` (its one dependency, for the JSON writer): where
+//! telemetry aggregates counters, this crate records individual events —
+//! per-MB coding decisions at the encoder, per-packet loss/corruption at
+//! the channel, concealment and resync at the decoder — and joins them
+//! after the fact into a causal
 //! provenance DAG. The DAG answers two questions the aggregate counters
 //! cannot:
 //!
@@ -32,7 +33,6 @@
 
 pub mod calib;
 pub mod event;
-pub mod json;
 pub mod recorder;
 pub mod replay;
 mod tracer;

@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::calib::Calibration;
 use crate::event::{Event, MODE_INTER, MODE_INTRA, MODE_SKIP};
-use crate::json::{push_field, push_string_field};
+use pbpair_telemetry::json;
 
 /// Structured event log of one traced pipeline (typically one serve
 /// session), plus the side-channel snapshots the replay pass scores
@@ -384,22 +384,21 @@ pub struct EventBlast {
 }
 
 impl EventBlast {
-    /// Appends this blast as a deterministic JSON object tagged with
-    /// its owning session.
-    pub fn push_json(&self, out: &mut String, session: u64) {
-        let mut first = true;
-        out.push('{');
-        push_field(out, &mut first, "session", session);
-        push_field(out, &mut first, "event", self.event_index);
-        push_field(out, &mut first, "frame", self.frame);
-        push_string_field(out, &mut first, "kind", self.kind.name());
-        push_field(out, &mut first, "seq", self.seq);
-        push_field(out, &mut first, "byte_start", self.byte_start);
-        push_field(out, &mut first, "byte_len", self.byte_len);
-        push_field(out, &mut first, "mbs", self.mbs_touched);
-        push_field(out, &mut first, "frames_to_heal", self.frames_to_heal);
-        push_field(out, &mut first, "sad_cost", self.sad_cost);
-        out.push('}');
+    /// Appends this blast to `blasts` as a deterministic JSON object
+    /// tagged with its owning session.
+    pub fn push_json(&self, blasts: &mut json::Array<'_>, session: u64) {
+        blasts.object(|o| {
+            o.field("session", session)
+                .field("event", self.event_index)
+                .field("frame", self.frame)
+                .string("kind", self.kind.name())
+                .field("seq", self.seq)
+                .field("byte_start", self.byte_start)
+                .field("byte_len", self.byte_len)
+                .field("mbs", self.mbs_touched)
+                .field("frames_to_heal", self.frames_to_heal)
+                .field("sad_cost", self.sad_cost);
+        });
     }
 }
 
