@@ -1,15 +1,22 @@
 #!/usr/bin/env python3
-"""Validates a scenario-matrix JSON report against the committed
-per-scenario resilience bounds, with trend tracking.
+"""The one checker of the serve-driven matrices' reports (`matrix
+<scenarios|dashboard|fec|rde|trace>`): validates each against its
+committed bounds, with trend tracking.
 
 Usage: python3 ci/validate_scenarios.py <scenarios.json> [<bounds.json>]
        python3 ci/validate_scenarios.py --fec <fec.json> [<bounds.json>]
        python3 ci/validate_scenarios.py --dashboard <dashboard.json> [<bounds.json>]
        python3 ci/validate_scenarios.py --rde <rde.json> [<rde_bounds.json>]
+       python3 ci/validate_scenarios.py --trace <trace.json> [<bounds.json>]
+
+Every mode checks the shared schema first: the exact top-level keys
+with positive integer depths, exactly the expected cells, each cell's
+exact field set and types, nonzero digests and PSNR.
 
 Checks (default scenario mode):
-  * schema: 18 cells (3 scenarios x 2 clips x 3 schemes), every field
-    present and integer-valued, nonzero digests and PSNR;
+  * schema: 18 cells (3 scenarios x 2 clips x 3 schemes);
+  * damage: the lossy scenarios recorded at least one damage event
+    somewhere in the matrix;
   * committed bounds per scenario: minimum PSNR, maximum per-cell
     energy, maximum C^k Brier score, maximum mean frames-to-heal —
     resilience regressions fail CI the same way bitstream goldens do;
@@ -46,6 +53,14 @@ Checks (--rde mode, against ci/rde_bounds.json):
     the baseline;
   * committed per-arm bounds: PSNR floor (milli-dB) and encode-energy
     ceiling (uJ), each with drift reported against the baseline.
+
+Checks (--trace mode, against the 'trace' section):
+  * schema: a non-empty (PLR, Intra_Th) grid, one point per grid key;
+  * calibration: every point scored observations, no more correct
+    than scored, reliability bins partitioning the observations, and a
+    C^k Brier score strictly below the committed ceiling (drift of the
+    worst point reported against the baseline);
+  * damage: at least one loss or corruption event across the grid.
 
 Checks (--dashboard mode, against the 'dashboard' section):
   * schema: 4 cells (3 committed scenarios + burst_kill), integer alert
@@ -117,6 +132,19 @@ RDE_CELL_FIELDS = {
     "on_front": int,
 }
 
+TRACE_POINT_FIELDS = {
+    "plr_pm": int,
+    "intra_th_pm": int,
+    "loss_events": int,
+    "corrupt_events": int,
+    "mbs_touched": int,
+    "frames_to_heal_sum": int,
+    "max_frames_to_heal": int,
+    "sad_cost": int,
+    "dumps": int,
+    "calibration": dict,
+}
+
 DASHBOARD_CELL_FIELDS = {
     "scenario": str,
     "alerts": dict,
@@ -139,19 +167,27 @@ def drift(observed, baseline):
     return f"{100.0 * (observed - baseline) / baseline:+.1f}%"
 
 
-def load_cells(report_path, label, fields, key_fields, expected_keys):
+def load_cells(report_path, label, fields, key_fields, expected_keys,
+               top=("frames", "sessions", "cells")):
     """Loads a report and checks the schema every mode shares: the
-    top-level keys, exactly one cell per expected key (the key joins
-    `key_fields` with '/'), each cell's exact field set and types, and
-    nonzero PSNR and digest where the cell carries them. Returns the
-    cells by key."""
+    top-level keys `top` (the last one lists the cells, the others are
+    positive integer depths), exactly one cell per expected key (the key
+    joins `key_fields` with '/'; `expected_keys=None` accepts any
+    non-empty set), each cell's exact field set and types, and nonzero
+    PSNR and digest where the cell carries them. Returns the cells by
+    key."""
     with open(report_path) as f:
         doc = json.load(f)
-    if set(doc) != {"frames", "sessions", "cells"}:
+    if set(doc) != set(top):
         fail(f"{label} top-level keys {sorted(doc)}")
-    cells = doc["cells"]
-    if len(cells) != len(expected_keys):
+    for depth in top[:-1]:
+        if not isinstance(doc[depth], int) or doc[depth] <= 0:
+            fail(f"{label} {depth} = {doc[depth]!r}, expected a positive integer")
+    cells = doc[top[-1]]
+    if expected_keys is not None and len(cells) != len(expected_keys):
         fail(f"{len(cells)} {label} cells != {len(expected_keys)}")
+    if not cells:
+        fail(f"empty {label} report")
     by_key = {}
     for c in cells:
         if set(c) != set(fields):
@@ -164,8 +200,10 @@ def load_cells(report_path, label, fields, key_fields, expected_keys):
             fail(f"{key}: zero PSNR")
         if "digest" in fields and c["digest"] == "0" * 16:
             fail(f"{key}: zero digest")
+        if key in by_key:
+            fail(f"{label}: duplicate cell {key}")
         by_key[key] = c
-    if set(by_key) != expected_keys:
+    if expected_keys is not None and set(by_key) != expected_keys:
         fail(f"{label} coverage mismatch: missing {sorted(expected_keys - set(by_key))}, "
              f"extra {sorted(set(by_key) - expected_keys)}")
     return by_key
@@ -216,6 +254,8 @@ def main(report_path, bounds_path):
             agg["heal_mean_max"] = max(
                 agg["heal_mean_max"], c["heal_sum"] / c["heal_events"])
     check_bounded("scenarios", per_scenario, bounds)
+    if all(c["heal_events"] == 0 for c in cells.values()):
+        fail("no damage events recorded across the matrix")
 
     # PSNR against its floor, the lower-is-better quantities against
     # their ceilings.
@@ -347,6 +387,33 @@ def main_rde(report_path, bounds_path):
           f"holds, front dominates pure PBPAIR")
 
 
+def main_trace(report_path, bounds_path):
+    with open(bounds_path) as f:
+        bounds = json.load(f)["trace"]
+    points = load_cells(report_path, "trace", TRACE_POINT_FIELDS,
+                        ("plr_pm", "intra_th_pm"), None, top=("frames", "points"))
+    ceiling = bounds["brier_max_e9"]
+    for key in sorted(points):
+        cal = points[key]["calibration"]
+        if cal["count"] == 0:
+            fail(f"{key}: grid point scored no MBs")
+        if cal["correct"] > cal["count"]:
+            fail(f"{key}: {cal['correct']} correct of {cal['count']} scored")
+        if sum(b["count"] for b in cal["bins"]) != cal["count"]:
+            fail(f"{key}: reliability bins do not partition the observations")
+        # The committed ceiling is exclusive.
+        if cal["brier_e9"] >= ceiling:
+            fail(f"{key}: Brier {cal['brier_e9']}/1e9 not below the committed "
+                 f"ceiling {ceiling}")
+    worst = max(p["calibration"]["brier_e9"] for p in points.values())
+    print(f"trace: brier_max_e9 = {worst} /1e9 (exclusive ceiling {ceiling}, drift vs "
+          f"baseline {drift(worst, bounds['baseline']['brier_max_e9'])})")
+    if all(p["loss_events"] + p["corrupt_events"] == 0 for p in points.values()):
+        fail("no damage events recorded across the grid")
+    print(f"trace OK: {len(points)} points scored, worst Brier {worst}/1e9 "
+          f"below {ceiling}")
+
+
 def main_dashboard(report_path, bounds_path):
     with open(bounds_path) as f:
         bounds = json.load(f)["dashboard"]["scenarios"]
@@ -380,15 +447,16 @@ def main_dashboard(report_path, bounds_path):
 
 if __name__ == "__main__":
     args = sys.argv[1:]
-    modes = [a for a in args if a in ("--fec", "--dashboard", "--rde")]
+    entries = {"--fec": main_fec, "--dashboard": main_dashboard,
+               "--rde": main_rde, "--trace": main_trace}
+    modes = [a for a in args if a in entries]
     args = [a for a in args if a not in modes]
     if len(modes) > 1:
-        fail("pick one of --fec / --dashboard / --rde")
+        fail("pick one of --fec / --dashboard / --rde / --trace")
     if len(args) not in (1, 2):
-        fail("usage: validate_scenarios.py [--fec|--dashboard|--rde] "
+        fail("usage: validate_scenarios.py [--fec|--dashboard|--rde|--trace] "
              "<report.json> [<bounds.json>]")
     mode = modes[0] if modes else None
-    entry = {"--fec": main_fec, "--dashboard": main_dashboard,
-             "--rde": main_rde, None: main}[mode]
+    entry = entries.get(mode, main)
     default_bounds = "ci/rde_bounds.json" if mode == "--rde" else "ci/scenario_bounds.json"
     entry(args[0], args[1] if len(args) == 2 else default_bounds)

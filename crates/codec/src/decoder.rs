@@ -14,10 +14,7 @@ use crate::blockcode::read_coeff_block;
 use crate::encoder::{PICTURE_START_CODE, PICTURE_START_CODE_LEN};
 use crate::kernels::{KernelChoice, Kernels};
 use crate::mb::{MbMode, MotionVector, SubPelVector};
-use crate::mc::{
-    predict_chroma, predict_chroma_subpel_with, predict_luma, predict_luma_subpel_with,
-    CHROMA_BLOCK, LUMA_BLOCK,
-};
+use crate::mc::{predict_chroma_subpel_with, predict_luma_subpel_with, CHROMA_BLOCK, LUMA_BLOCK};
 use crate::policy::FrameKind;
 use crate::quant::{dequantize_block, Qp};
 use crate::vlc;
@@ -439,47 +436,7 @@ impl Decoder {
             Concealment::CopyPrevious => self.recon.clone(),
             Concealment::MotionCopy => {
                 let mut concealed = Frame::new(self.format);
-                let mut pred_y = [0u8; LUMA_BLOCK * LUMA_BLOCK];
-                let mut pred_cb = [0u8; CHROMA_BLOCK * CHROMA_BLOCK];
-                let mut pred_cr = [0u8; CHROMA_BLOCK * CHROMA_BLOCK];
-                for mb in self.grid.iter().collect::<Vec<_>>() {
-                    let mv = self.last_mvs[self.grid.flat_index(mb)];
-                    let (lx, ly) = mb.luma_origin();
-                    let (cx, cy) = mb.chroma_origin();
-                    predict_luma_subpel_with(self.kernels, self.recon.y(), mb, mv, &mut pred_y);
-                    predict_chroma_subpel_with(self.kernels, self.recon.cb(), mb, mv, &mut pred_cb);
-                    predict_chroma_subpel_with(self.kernels, self.recon.cr(), mb, mv, &mut pred_cr);
-                    store_pred(
-                        concealed.y_mut(),
-                        lx,
-                        ly,
-                        &pred_y,
-                        LUMA_BLOCK,
-                        0,
-                        0,
-                        LUMA_BLOCK,
-                    );
-                    store_pred(
-                        concealed.cb_mut(),
-                        cx,
-                        cy,
-                        &pred_cb,
-                        CHROMA_BLOCK,
-                        0,
-                        0,
-                        CHROMA_BLOCK,
-                    );
-                    store_pred(
-                        concealed.cr_mut(),
-                        cx,
-                        cy,
-                        &pred_cr,
-                        CHROMA_BLOCK,
-                        0,
-                        0,
-                        CHROMA_BLOCK,
-                    );
-                }
+                self.conceal_mbs(&mut concealed, self.grid.iter());
                 // The concealed frame becomes the reference; the motion
                 // history is retained so consecutive losses keep
                 // extrapolating the same field.
@@ -723,7 +680,7 @@ impl Decoder {
                 if reject_empty && k == 0 {
                     return PictureOutcome::Phantom;
                 }
-                self.conceal_mb_range(&mut new_recon, &mb_list[k..]);
+                self.conceal_mbs(&mut new_recon, mb_list[k..].iter().copied());
                 // No deblocking: filtering across the decoded/concealed
                 // seam would smear the damage outward.
                 self.recon = new_recon;
@@ -739,50 +696,13 @@ impl Decoder {
 
     /// Fills the given macroblocks of `new_recon` from the current
     /// reference using the configured concealment strategy.
-    fn conceal_mb_range(&self, new_recon: &mut Frame, mbs: &[MbIndex]) {
-        let mut pred_y = [0u8; LUMA_BLOCK * LUMA_BLOCK];
-        let mut pred_cb = [0u8; CHROMA_BLOCK * CHROMA_BLOCK];
-        let mut pred_cr = [0u8; CHROMA_BLOCK * CHROMA_BLOCK];
-        for &mb in mbs {
+    fn conceal_mbs(&self, new_recon: &mut Frame, mbs: impl IntoIterator<Item = MbIndex>) {
+        for mb in mbs {
             let mv = match self.concealment {
                 Concealment::CopyPrevious => SubPelVector::ZERO,
                 Concealment::MotionCopy => self.last_mvs[self.grid.flat_index(mb)],
             };
-            let (lx, ly) = mb.luma_origin();
-            let (cx, cy) = mb.chroma_origin();
-            predict_luma_subpel_with(self.kernels, self.recon.y(), mb, mv, &mut pred_y);
-            predict_chroma_subpel_with(self.kernels, self.recon.cb(), mb, mv, &mut pred_cb);
-            predict_chroma_subpel_with(self.kernels, self.recon.cr(), mb, mv, &mut pred_cr);
-            store_pred(
-                new_recon.y_mut(),
-                lx,
-                ly,
-                &pred_y,
-                LUMA_BLOCK,
-                0,
-                0,
-                LUMA_BLOCK,
-            );
-            store_pred(
-                new_recon.cb_mut(),
-                cx,
-                cy,
-                &pred_cb,
-                CHROMA_BLOCK,
-                0,
-                0,
-                CHROMA_BLOCK,
-            );
-            store_pred(
-                new_recon.cr_mut(),
-                cx,
-                cy,
-                &pred_cr,
-                CHROMA_BLOCK,
-                0,
-                0,
-                CHROMA_BLOCK,
-            );
+            predict_mb(self.kernels, &self.recon, new_recon, mb, mv);
         }
     }
 
@@ -833,42 +753,7 @@ impl Decoder {
         let (cx, cy) = mb.chroma_origin();
         if r.get_bit()? {
             // COD = 1: skipped — copy colocated from the reference.
-            let mut pred_y = [0u8; LUMA_BLOCK * LUMA_BLOCK];
-            predict_luma(self.recon.y(), mb, MotionVector::ZERO, &mut pred_y);
-            let mut pred_cb = [0u8; CHROMA_BLOCK * CHROMA_BLOCK];
-            let mut pred_cr = [0u8; CHROMA_BLOCK * CHROMA_BLOCK];
-            predict_chroma(self.recon.cb(), mb, MotionVector::ZERO, &mut pred_cb);
-            predict_chroma(self.recon.cr(), mb, MotionVector::ZERO, &mut pred_cr);
-            store_pred(
-                new_recon.y_mut(),
-                lx,
-                ly,
-                &pred_y,
-                LUMA_BLOCK,
-                0,
-                0,
-                LUMA_BLOCK,
-            );
-            store_pred(
-                new_recon.cb_mut(),
-                cx,
-                cy,
-                &pred_cb,
-                CHROMA_BLOCK,
-                0,
-                0,
-                CHROMA_BLOCK,
-            );
-            store_pred(
-                new_recon.cr_mut(),
-                cx,
-                cy,
-                &pred_cr,
-                CHROMA_BLOCK,
-                0,
-                0,
-                CHROMA_BLOCK,
-            );
+            predict_mb(self.kernels, &self.recon, new_recon, mb, SubPelVector::ZERO);
             return Ok((MbMode::Skip, SubPelVector::ZERO));
         }
         if r.get_bit()? {
@@ -969,6 +854,41 @@ enum PictureOutcome {
     /// parsed but not a single macroblock decoded. Nothing was
     /// committed; the caller skips past the false start code.
     Phantom,
+}
+
+/// Writes macroblock `mb`'s motion-compensated prediction from
+/// `reference` at `mv` into `dst`, all three planes, with no residual:
+/// a skipped MB (zero vector) and a concealed MB alike.
+fn predict_mb(k: &Kernels, reference: &Frame, dst: &mut Frame, mb: MbIndex, mv: SubPelVector) {
+    let mut pred_y = [0u8; LUMA_BLOCK * LUMA_BLOCK];
+    let mut pred_cb = [0u8; CHROMA_BLOCK * CHROMA_BLOCK];
+    let mut pred_cr = [0u8; CHROMA_BLOCK * CHROMA_BLOCK];
+    predict_luma_subpel_with(k, reference.y(), mb, mv, &mut pred_y);
+    predict_chroma_subpel_with(k, reference.cb(), mb, mv, &mut pred_cb);
+    predict_chroma_subpel_with(k, reference.cr(), mb, mv, &mut pred_cr);
+    let (lx, ly) = mb.luma_origin();
+    let (cx, cy) = mb.chroma_origin();
+    store_pred(dst.y_mut(), lx, ly, &pred_y, LUMA_BLOCK, 0, 0, LUMA_BLOCK);
+    store_pred(
+        dst.cb_mut(),
+        cx,
+        cy,
+        &pred_cb,
+        CHROMA_BLOCK,
+        0,
+        0,
+        CHROMA_BLOCK,
+    );
+    store_pred(
+        dst.cr_mut(),
+        cx,
+        cy,
+        &pred_cr,
+        CHROMA_BLOCK,
+        0,
+        0,
+        CHROMA_BLOCK,
+    );
 }
 
 /// Finds the byte offset of the next picture start code in `data`.

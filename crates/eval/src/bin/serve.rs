@@ -32,10 +32,7 @@
 
 use pbpair_eval::experiments::frames_from_env;
 use pbpair_eval::report::{fmt_f, Table};
-use pbpair_serve::{
-    run, run_instrumented, run_observed, run_traced, run_traced_observed, standard_slos,
-    ObservabilityConfig, ServeConfig,
-};
+use pbpair_serve::{run, run_with, standard_slos, ObservabilityConfig, ServeConfig};
 use pbpair_telemetry::Telemetry;
 
 fn base_config(sessions: usize, frames: usize, workers: usize) -> ServeConfig {
@@ -78,15 +75,9 @@ fn smoke(
     } else {
         Telemetry::disabled()
     };
-    let mut observability = None;
-    let report = if trace_args.enabled {
-        let (report, trace) = if expose.is_some() {
-            let (report, trace, obs) = run_traced_observed(&cfg, &tel)?;
-            observability = Some(obs);
-            (report, trace)
-        } else {
-            run_traced(&cfg, &tel)?
-        };
+    let fleet = run_with(&cfg, &tel, trace_args.enabled)?;
+    let report = fleet.report;
+    if let Some(trace) = &fleet.trace {
         let json = trace.deterministic_json();
         match &trace_args.out {
             Some(path) => {
@@ -100,14 +91,7 @@ fn smoke(
                 .map_err(|e| format!("write {path}: {e}"))?;
             eprintln!("chrome://tracing timeline written to {path}");
         }
-        report
-    } else if expose.is_some() {
-        let (report, obs) = run_observed(&cfg, &tel)?;
-        observability = Some(obs);
-        report
-    } else {
-        run_instrumented(&cfg, &tel)?
-    };
+    }
     let summary = format!(
         "serve smoke: {} frames, {:.1} fps, mean PSNR {:.2} dB, \
          p50 {:.2} ms, p99 {:.2} ms, {} shed",
@@ -135,7 +119,7 @@ fn smoke(
     if report.timing.throughput_fps <= 0.0 {
         return Err("throughput must be nonzero".into());
     }
-    if let Some(obs) = &observability {
+    if let Some(obs) = &fleet.observability {
         if let Some(srv) = &obs.expose {
             // Announced on stderr so scrapers can find an ephemeral port.
             eprintln!("expose: serving /metrics on http://{}/metrics", srv.addr());

@@ -10,19 +10,17 @@
 //! already covers the clip × scheme plane; the dashboard's job is the
 //! metric → alert → ledger → flight-recorder chain per channel regime.
 
+use super::scenarios::{committed_scenarios, Scenario};
 use crate::report::Table;
+use pbpair_media::synth::MotionClass;
 use pbpair_netsim::ChannelSpec;
 use pbpair_serve::{
-    run_traced_observed, standard_slos, ChaosEvent, ChaosFault, ChaosPlan, DeviceMix,
-    ObservabilityConfig, ServeConfig, SessionScheme,
+    run_with, standard_slos, ChaosEvent, ChaosFault, ChaosPlan, ObservabilityConfig, SessionScheme,
 };
 use pbpair_telemetry::json;
 use pbpair_telemetry::slo::AlertState;
 use pbpair_telemetry::Telemetry;
 use std::collections::BTreeMap;
-
-use super::scenarios::{committed_scenarios, Scenario};
-use pbpair_media::synth::MotionClass;
 
 /// The committed scenarios plus `burst_kill`: a quiet channel with a
 /// 10-frame whole-frame kill on session 0 starting at frame 2 — the
@@ -162,37 +160,10 @@ impl DashboardReport {
     }
 }
 
-/// Builds the observed fleet configuration for one dashboard cell.
-fn cell_config(scenario: &Scenario, frames: usize, sessions: usize, workers: usize) -> ServeConfig {
-    let mut cfg = ServeConfig {
-        sessions,
-        frames,
-        workers,
-        seed: 2005,
-        plr: 0.08,
-        corruption: 0.2,
-        mtu: 300,
-        pacing_us: 0,
-        channel: scenario.channel.clone(),
-        clip: Some(MotionClass::LowAkiyo),
-        scheme: SessionScheme::Pbpair,
-        device_mix: DeviceMix::Alternating,
-        chaos: scenario.chaos.clone(),
-        ..ServeConfig::default()
-    };
-    // Same ground rules as the scenario matrix: resilience, not
-    // admission control — never shed.
-    cfg.admission.capacity_j_per_round = f64::MAX;
-    cfg.observability = ObservabilityConfig {
-        tick_every: 1,
-        ring_capacity: frames.max(16),
-        expose_port: None,
-        slos: standard_slos(),
-    };
-    cfg
-}
-
-/// Runs every dashboard scenario through an observed, traced fleet.
+/// Runs every dashboard scenario through an observed, traced fleet:
+/// the scenario matrix's LowAkiyo/PBPAIR cell with the standard SLOs
+/// ticking every round, each cell on a fresh registry so its
+/// time-series starts from zero.
 ///
 /// # Errors
 ///
@@ -203,12 +174,24 @@ pub fn run_dashboard(
     workers: usize,
 ) -> Result<DashboardReport, String> {
     let mut cells = Vec::new();
-    for scenario in &dashboard_scenarios() {
-        let cfg = cell_config(scenario, frames, sessions, workers);
-        // Fresh registry per cell so each scenario's time-series starts
-        // from zero.
-        let tel = Telemetry::with_shards(sessions);
-        let (report, trace, obs) = run_traced_observed(&cfg, &tel)?;
+    for scenario in dashboard_scenarios() {
+        let mut cfg = scenario.fleet(
+            MotionClass::LowAkiyo,
+            SessionScheme::Pbpair,
+            frames,
+            sessions,
+            workers,
+        );
+        cfg.observability = ObservabilityConfig {
+            tick_every: 1,
+            ring_capacity: frames.max(16),
+            expose_port: None,
+            slos: standard_slos(),
+        };
+        let run = run_with(&cfg, &Telemetry::with_shards(sessions), true)?;
+        let report = run.report;
+        let trace = run.trace.expect("dashboard cells are traced");
+        let obs = run.observability.expect("dashboard cells are observed");
         let mut alerts: BTreeMap<String, AlertTally> = BTreeMap::new();
         for a in &report.alerts {
             let t = alerts.entry(a.slo.clone()).or_default();

@@ -19,21 +19,12 @@
 //! `ci/validate_scenarios.py --fec` can gate committed residual-loss
 //! and energy bounds without float-formatting hazards.
 
+use super::fleet;
 use crate::report::{fmt_f, Table};
 use pbpair_netsim::{ChannelSpec, FecSpec};
-use pbpair_serve::{run_instrumented, DeviceMix, RedundancyConfig, ServeConfig};
+use pbpair_serve::{DeviceMix, RedundancyConfig, ServeConfig};
 use pbpair_telemetry::json;
 use pbpair_telemetry::Telemetry;
-
-/// FNV-1a, the same digest the scenario matrix commits.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One channel workload of the matrix.
 #[derive(Debug, Clone)]
@@ -284,82 +275,64 @@ fn cell_config(
     sessions: usize,
     workers: usize,
 ) -> ServeConfig {
-    let mut cfg = ServeConfig {
-        sessions,
-        frames,
-        workers,
-        seed: 2005,
-        plr: 0.08,
+    ServeConfig {
         corruption: 0.0, // isolate erasures: FEC repairs losses, not flips
         // ~275-byte synthetic frames fragment into ~8 packets at this
         // MTU, so the k=8 block codes operate on full blocks; at the
         // default MTU a frame is one packet and every code degenerates
         // to k=1 with a full-size parity twin.
         mtu: 36,
-        pacing_us: 0,
         channel: channel.channel.clone(),
         fec: arm.fec,
         redundancy: arm.redundancy,
         device_mix: DeviceMix::Alternating,
-        ..ServeConfig::default()
-    };
-    // The matrix compares codecs, not admission control: never shed.
-    cfg.admission.capacity_j_per_round = f64::MAX;
-    cfg
+        ..fleet::base(frames, sessions, workers)
+    }
 }
 
-/// Runs the full matrix: every committed channel × arm.
+/// Runs the full matrix — every committed channel × arm — with every
+/// cell's fleet reporting into `tel` (same semantics as the serve
+/// binary's `--telemetry`).
 ///
 /// # Errors
 ///
 /// Returns an error for invalid fleet configuration.
-pub fn run_fec_matrix(frames: usize, sessions: usize, workers: usize) -> Result<FecMatrix, String> {
-    run_fec_matrix_instrumented(frames, sessions, workers, &Telemetry::disabled())
-}
-
-/// [`run_fec_matrix`] with every cell's fleet reporting into `tel`
-/// (same semantics as the serve binary's `--telemetry`): the registry
-/// accumulates across cells, and its deterministic section stays
-/// byte-identical for any worker count.
-///
-/// # Errors
-///
-/// Returns an error for invalid fleet configuration.
-pub fn run_fec_matrix_instrumented(
+pub fn run_fec_matrix(
     frames: usize,
     sessions: usize,
     workers: usize,
     tel: &Telemetry,
 ) -> Result<FecMatrix, String> {
-    let channels = committed_channels();
-    let arms = committed_arms();
-    let mut cells = Vec::with_capacity(channels.len() * arms.len());
-    for channel in &channels {
-        for arm in &arms {
-            let cfg = cell_config(channel, arm, frames, sessions, workers);
-            let report = run_instrumented(&cfg, tel)?;
-            cells.push(FecCell {
-                channel: channel.name.to_string(),
-                arm: arm.name.to_string(),
-                codec: report
-                    .sessions
-                    .first()
-                    .map(|s| s.fec_codec.clone())
-                    .unwrap_or_default(),
-                digest: fnv1a(report.deterministic_digest().as_bytes()),
-                frames: report.sessions.iter().map(|s| s.frames_encoded).sum(),
-                frames_lost: report.sessions.iter().map(|s| s.frames_lost).sum(),
-                frames_damaged: report.sessions.iter().map(|s| s.frames_damaged).sum(),
-                fec_recoveries: report.sessions.iter().map(|s| s.fec_recoveries).sum(),
-                blocks_failed: report.sessions.iter().map(|s| s.fec.blocks_failed).sum(),
-                psnr_mdb: (report.mean_psnr_db * 1000.0).round() as u64,
-                encode_uj: (report.total_encode_joules * 1e6).round() as u64,
-                fec_uj: (report.total_fec_joules * 1e6).round() as u64,
-                sent_bytes: report.total_sent_bytes,
-                parity_bytes: report.sessions.iter().map(|s| s.fec.parity_bytes).sum(),
-            });
+    let mut grid = Vec::new();
+    for channel in committed_channels() {
+        for arm in committed_arms() {
+            let cfg = cell_config(&channel, &arm, frames, sessions, workers);
+            grid.push(((channel.name, arm.name), cfg));
         }
     }
+    let cells = fleet::run_cells(grid, tel, false, |(channel, arm), run| {
+        let report = run.report;
+        FecCell {
+            channel: channel.to_string(),
+            arm: arm.to_string(),
+            codec: report
+                .sessions
+                .first()
+                .map(|s| s.fec_codec.clone())
+                .unwrap_or_default(),
+            digest: fleet::digest(&report),
+            frames: report.sessions.iter().map(|s| s.frames_encoded).sum(),
+            frames_lost: report.sessions.iter().map(|s| s.frames_lost).sum(),
+            frames_damaged: report.sessions.iter().map(|s| s.frames_damaged).sum(),
+            fec_recoveries: report.sessions.iter().map(|s| s.fec_recoveries).sum(),
+            blocks_failed: report.sessions.iter().map(|s| s.fec.blocks_failed).sum(),
+            psnr_mdb: (report.mean_psnr_db * 1000.0).round() as u64,
+            encode_uj: (report.total_encode_joules * 1e6).round() as u64,
+            fec_uj: (report.total_fec_joules * 1e6).round() as u64,
+            sent_bytes: report.total_sent_bytes,
+            parity_bytes: report.sessions.iter().map(|s| s.fec.parity_bytes).sum(),
+        }
+    })?;
     Ok(FecMatrix {
         frames,
         sessions,
@@ -373,7 +346,7 @@ mod tests {
 
     #[test]
     fn matrix_covers_every_dimension_and_charges_fec() {
-        let m = run_fec_matrix(16, 2, 2).unwrap();
+        let m = run_fec_matrix(16, 2, 2, &Telemetry::disabled()).unwrap();
         assert_eq!(m.cells.len(), 2 * 7, "2 channels x 7 arms");
         for c in &m.cells {
             assert!(c.psnr_mdb > 0, "every cell must decode something: {c:?}");
@@ -411,14 +384,18 @@ mod tests {
 
     #[test]
     fn matrix_json_is_worker_count_invariant() {
-        let a = run_fec_matrix(12, 2, 1).unwrap().deterministic_json();
-        let b = run_fec_matrix(12, 2, 4).unwrap().deterministic_json();
+        let a = run_fec_matrix(12, 2, 1, &Telemetry::disabled())
+            .unwrap()
+            .deterministic_json();
+        let b = run_fec_matrix(12, 2, 4, &Telemetry::disabled())
+            .unwrap()
+            .deterministic_json();
         assert_eq!(a, b);
     }
 
     #[test]
     fn protected_arms_stay_inside_the_wire_budget() {
-        let m = run_fec_matrix(16, 2, 2).unwrap();
+        let m = run_fec_matrix(16, 2, 2, &Telemetry::disabled()).unwrap();
         for c in &m.cells {
             // r=2 over k=8 is 20% of wire bytes on full blocks; short
             // tail blocks still carry the full shard count, which lifts
@@ -436,7 +413,7 @@ mod tests {
 
     #[test]
     fn rs_beats_xor_on_the_burst_channel() {
-        let m = run_fec_matrix(48, 2, 2).unwrap();
+        let m = run_fec_matrix(48, 2, 2, &Telemetry::disabled()).unwrap();
         let xor = m.cell("markov_burst", "xor-fixed").unwrap();
         let rs = m.cell("markov_burst", "rs-adaptive").unwrap();
         assert!(

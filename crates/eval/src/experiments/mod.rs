@@ -8,6 +8,7 @@ pub mod extensions;
 pub mod fec;
 pub mod fig5;
 pub mod fig6;
+pub mod fleet;
 pub mod headline;
 pub mod rde;
 pub mod resilience;

@@ -22,22 +22,13 @@
 //! front in `ci/rde_bounds.json` without float-formatting hazards; the
 //! JSON is byte-identical for any worker count.
 
+use super::fleet;
 use crate::report::{fmt_f, Table};
 use pbpair_codec::RdeConfig;
 use pbpair_netsim::ChannelSpec;
-use pbpair_serve::{run_instrumented, DeviceMix, ServeConfig};
+use pbpair_serve::{DeviceKind, DeviceMix, ServeConfig};
 use pbpair_telemetry::json;
 use pbpair_telemetry::Telemetry;
-
-/// FNV-1a, the same digest the scenario and FEC matrices commit.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One (λ1, λ2) operating point of the sweep.
 #[derive(Debug, Clone)]
@@ -227,59 +218,42 @@ impl RdeSweep {
 /// [`RdeConfig`] prices with), admission shedding disabled so every arm
 /// encodes the same frame slots.
 fn arm_config(arm: &RdeArm, frames: usize, sessions: usize, workers: usize) -> ServeConfig {
-    let mut cfg = ServeConfig {
-        sessions,
-        frames,
-        workers,
-        seed: 2005,
-        plr: 0.08,
+    ServeConfig {
         corruption: 0.0, // isolate the rate/energy levers from bit flips
-        pacing_us: 0,
         channel: Some(ChannelSpec::BurstErasure {
             burst_len: 4.0,
             guard_len: 28.0,
         }),
         rde: arm.rde,
-        device_mix: DeviceMix::Uniform(pbpair_serve::DeviceKind::Ipaq),
-        ..ServeConfig::default()
-    };
-    // The sweep compares λ points, not admission control: never shed.
-    cfg.admission.capacity_j_per_round = f64::MAX;
-    cfg
+        device_mix: DeviceMix::Uniform(DeviceKind::Ipaq),
+        ..fleet::base(frames, sessions, workers)
+    }
 }
 
-/// Runs the committed λ grid.
+/// Runs the committed λ grid with every arm's fleet reporting into
+/// `tel` (same semantics as the serve binary's `--telemetry`).
 ///
 /// # Errors
 ///
 /// Returns an error for invalid fleet configuration.
-pub fn run_rde_sweep(frames: usize, sessions: usize, workers: usize) -> Result<RdeSweep, String> {
-    run_rde_sweep_instrumented(frames, sessions, workers, &Telemetry::disabled())
-}
-
-/// [`run_rde_sweep`] with every arm's fleet reporting into `tel` (same
-/// semantics as the FEC matrix binary's `--telemetry`).
-///
-/// # Errors
-///
-/// Returns an error for invalid fleet configuration.
-pub fn run_rde_sweep_instrumented(
+pub fn run_rde_sweep(
     frames: usize,
     sessions: usize,
     workers: usize,
     tel: &Telemetry,
 ) -> Result<RdeSweep, String> {
-    let arms = committed_arms();
-    let mut cells = Vec::with_capacity(arms.len());
-    for arm in &arms {
-        let cfg = arm_config(arm, frames, sessions, workers);
-        let report = run_instrumented(&cfg, tel)?;
+    let grid = committed_arms().into_iter().map(|arm| {
+        let cfg = arm_config(&arm, frames, sessions, workers);
+        (arm, cfg)
+    });
+    let mut cells = fleet::run_cells(grid, tel, false, |arm, run| {
+        let report = run.report;
         let rde = arm.rde.unwrap_or_default();
-        cells.push(RdeCell {
+        RdeCell {
             arm: arm.name.to_string(),
             lambda1_q16: rde.lambda1_q16,
             lambda2_q16: rde.lambda2_q16,
-            digest: fnv1a(report.deterministic_digest().as_bytes()),
+            digest: fleet::digest(&report),
             frames: report.sessions.iter().map(|s| s.frames_encoded).sum(),
             frames_lost: report.sessions.iter().map(|s| s.frames_lost).sum(),
             frames_damaged: report.sessions.iter().map(|s| s.frames_damaged).sum(),
@@ -287,8 +261,8 @@ pub fn run_rde_sweep_instrumented(
             encode_uj: (report.total_encode_joules * 1e6).round() as u64,
             sent_bytes: report.total_sent_bytes,
             on_front: false,
-        });
-    }
+        }
+    })?;
     for i in 0..cells.len() {
         cells[i].on_front = !cells.iter().any(|other| other.dominates(&cells[i]));
     }
@@ -305,7 +279,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_the_grid_and_pins_the_zero_gate() {
-        let s = run_rde_sweep(16, 2, 2).unwrap();
+        let s = run_rde_sweep(16, 2, 2, &Telemetry::disabled()).unwrap();
         assert_eq!(s.cells.len(), 7, "committed grid is seven arms");
         for c in &s.cells {
             assert!(c.psnr_mdb > 0, "every arm must decode something: {c:?}");
@@ -345,14 +319,18 @@ mod tests {
 
     #[test]
     fn sweep_json_is_worker_count_invariant() {
-        let a = run_rde_sweep(12, 2, 1).unwrap().deterministic_json();
-        let b = run_rde_sweep(12, 2, 4).unwrap().deterministic_json();
+        let a = run_rde_sweep(12, 2, 1, &Telemetry::disabled())
+            .unwrap()
+            .deterministic_json();
+        let b = run_rde_sweep(12, 2, 4, &Telemetry::disabled())
+            .unwrap()
+            .deterministic_json();
         assert_eq!(a, b);
     }
 
     #[test]
     fn front_flags_are_mutually_non_dominated() {
-        let s = run_rde_sweep(16, 2, 2).unwrap();
+        let s = run_rde_sweep(16, 2, 2, &Telemetry::disabled()).unwrap();
         let front = s.front();
         assert!(!front.is_empty(), "a finite sweep always has a front");
         for a in &front {

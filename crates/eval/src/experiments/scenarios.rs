@@ -15,24 +15,13 @@
 //! all in integer fixed point so `ci/validate_scenarios.py` can gate
 //! committed per-scenario bounds without float-formatting hazards.
 
+use super::fleet;
 use crate::report::{fmt_f, Table};
 use pbpair_media::synth::MotionClass;
 use pbpair_netsim::{ChannelSpec, ScheduleBuilder};
-use pbpair_serve::{
-    run_traced, ChaosEvent, ChaosFault, ChaosPlan, DeviceMix, ServeConfig, SessionScheme,
-};
+use pbpair_serve::{ChaosEvent, ChaosFault, ChaosPlan, DeviceMix, ServeConfig, SessionScheme};
 use pbpair_telemetry::json;
 use pbpair_telemetry::Telemetry;
-
-/// FNV-1a, the same digest DESIGN.md uses for deterministic reports.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One named channel-plus-faults workload.
 #[derive(Debug, Clone)]
@@ -44,6 +33,33 @@ pub struct Scenario {
     pub channel: Option<ChannelSpec>,
     /// Fault schedule injected into the fleet.
     pub chaos: ChaosPlan,
+}
+
+impl Scenario {
+    /// The fleet one `(clip, scheme)` cell of this scenario runs: an
+    /// alternating IPAQ/ZAURUS fleet over multi-fragment frames (MTU
+    /// 300, so damage events are packet-level) under this scenario's
+    /// channel and faults. The scenario matrix, the dashboard replay and
+    /// the scenario goldens all build their cells here.
+    pub fn fleet(
+        &self,
+        clip: MotionClass,
+        scheme: SessionScheme,
+        frames: usize,
+        sessions: usize,
+        workers: usize,
+    ) -> ServeConfig {
+        ServeConfig {
+            corruption: 0.2,
+            mtu: 300,
+            channel: self.channel.clone(),
+            clip: Some(clip),
+            scheme,
+            device_mix: DeviceMix::Alternating,
+            chaos: self.chaos.clone(),
+            ..fleet::base(frames, sessions, workers)
+        }
+    }
 }
 
 /// The three committed scenarios the golden digests and CI bounds pin.
@@ -227,38 +243,9 @@ impl ScenarioMatrix {
     }
 }
 
-/// Builds the fleet configuration for one cell.
-fn cell_config(
-    scenario: &Scenario,
-    clip: MotionClass,
-    scheme: SessionScheme,
-    frames: usize,
-    sessions: usize,
-    workers: usize,
-) -> ServeConfig {
-    let mut cfg = ServeConfig {
-        sessions,
-        frames,
-        workers,
-        seed: 2005,
-        plr: 0.08,
-        corruption: 0.2,
-        mtu: 300, // multi-fragment frames → packet-level damage events
-        pacing_us: 0,
-        channel: scenario.channel.clone(),
-        clip: Some(clip),
-        scheme,
-        device_mix: DeviceMix::Alternating,
-        chaos: scenario.chaos.clone(),
-        ..ServeConfig::default()
-    };
-    // Scenario fleets never shed: the matrix compares resilience, not
-    // admission control.
-    cfg.admission.capacity_j_per_round = f64::MAX;
-    cfg
-}
-
-/// Runs the full matrix: every committed scenario × clip × scheme.
+/// Runs the full matrix — every committed scenario × clip × scheme —
+/// with every cell's fleet traced and reporting into `tel` (same
+/// semantics as the serve binary's `--telemetry`).
 ///
 /// # Errors
 ///
@@ -267,57 +254,42 @@ pub fn run_scenario_matrix(
     frames: usize,
     sessions: usize,
     workers: usize,
-) -> Result<ScenarioMatrix, String> {
-    run_scenario_matrix_instrumented(frames, sessions, workers, &Telemetry::disabled())
-}
-
-/// [`run_scenario_matrix`] with every cell's fleet reporting into `tel`
-/// (same semantics as the serve binary's `--telemetry`): the registry
-/// accumulates across cells, and its deterministic section stays
-/// byte-identical for any worker count.
-///
-/// # Errors
-///
-/// Returns an error for invalid fleet configuration.
-pub fn run_scenario_matrix_instrumented(
-    frames: usize,
-    sessions: usize,
-    workers: usize,
     tel: &Telemetry,
 ) -> Result<ScenarioMatrix, String> {
-    let scenarios = committed_scenarios();
-    let clips = matrix_clips();
-    let schemes = matrix_schemes();
-    let mut cells = Vec::with_capacity(scenarios.len() * clips.len() * schemes.len());
-    for scenario in &scenarios {
-        for &clip in &clips {
-            for &scheme in &schemes {
-                let cfg = cell_config(scenario, clip, scheme, frames, sessions, workers);
-                let (report, trace) = run_traced(&cfg, tel)?;
-                let mut cell = ScenarioCell {
-                    scenario: scenario.name.to_string(),
-                    clip: clip.label().to_string(),
-                    scheme: scheme.label(),
-                    digest: fnv1a(report.deterministic_digest().as_bytes()),
-                    psnr_mdb: (report.mean_psnr_db * 1000.0).round() as u64,
-                    energy_uj: (report.total_encode_joules * 1e6).round() as u64,
-                    brier_e9: trace.calibration.brier_e9(),
-                    heal_events: 0,
-                    heal_sum: 0,
-                    heal_max: 0,
-                    frames_lost: report.sessions.iter().map(|s| s.frames_lost).sum(),
-                    impaired: report.health.impaired(),
-                    recovered: report.health.recovered,
-                };
-                for blast in trace.sessions.iter().flat_map(|s| &s.analysis.blasts) {
-                    cell.heal_events += 1;
-                    cell.heal_sum += u64::from(blast.frames_to_heal);
-                    cell.heal_max = cell.heal_max.max(blast.frames_to_heal);
-                }
-                cells.push(cell);
+    let mut grid = Vec::new();
+    for scenario in committed_scenarios() {
+        for clip in matrix_clips() {
+            for scheme in matrix_schemes() {
+                let cfg = scenario.fleet(clip, scheme, frames, sessions, workers);
+                grid.push(((scenario.name, clip, scheme), cfg));
             }
         }
     }
+    let cells = fleet::run_cells(grid, tel, true, |(name, clip, scheme), run| {
+        let report = run.report;
+        let trace = run.trace.expect("scenario cells are traced");
+        let mut cell = ScenarioCell {
+            scenario: name.to_string(),
+            clip: clip.label().to_string(),
+            scheme: scheme.label(),
+            digest: fleet::digest(&report),
+            psnr_mdb: (report.mean_psnr_db * 1000.0).round() as u64,
+            energy_uj: (report.total_encode_joules * 1e6).round() as u64,
+            brier_e9: trace.calibration.brier_e9(),
+            heal_events: 0,
+            heal_sum: 0,
+            heal_max: 0,
+            frames_lost: report.sessions.iter().map(|s| s.frames_lost).sum(),
+            impaired: report.health.impaired(),
+            recovered: report.health.recovered,
+        };
+        for blast in trace.sessions.iter().flat_map(|s| &s.analysis.blasts) {
+            cell.heal_events += 1;
+            cell.heal_sum += u64::from(blast.frames_to_heal);
+            cell.heal_max = cell.heal_max.max(blast.frames_to_heal);
+        }
+        cell
+    })?;
     Ok(ScenarioMatrix {
         frames,
         sessions,
@@ -331,7 +303,7 @@ mod tests {
 
     #[test]
     fn matrix_covers_every_dimension() {
-        let m = run_scenario_matrix(16, 2, 2).unwrap();
+        let m = run_scenario_matrix(16, 2, 2, &Telemetry::disabled()).unwrap();
         assert_eq!(
             m.cells.len(),
             3 * 2 * 3,
@@ -357,14 +329,18 @@ mod tests {
 
     #[test]
     fn matrix_json_is_worker_count_invariant() {
-        let a = run_scenario_matrix(12, 2, 1).unwrap().deterministic_json();
-        let b = run_scenario_matrix(12, 2, 4).unwrap().deterministic_json();
+        let a = run_scenario_matrix(12, 2, 1, &Telemetry::disabled())
+            .unwrap()
+            .deterministic_json();
+        let b = run_scenario_matrix(12, 2, 4, &Telemetry::disabled())
+            .unwrap()
+            .deterministic_json();
         assert_eq!(a, b);
     }
 
     #[test]
     fn blackout_scenario_impairs_and_recovers_a_session() {
-        let m = run_scenario_matrix(40, 2, 2).unwrap();
+        let m = run_scenario_matrix(40, 2, 2, &Telemetry::disabled()).unwrap();
         let blackout_cells: Vec<_> = m
             .cells
             .iter()

@@ -14,8 +14,9 @@
 //! Everything reported here is deterministic: the JSON export is
 //! byte-identical for any worker count.
 
+use super::fleet;
 use crate::report::{fmt_f, Table};
-use pbpair_serve::{run_traced, ServeConfig};
+use pbpair_serve::ServeConfig;
 use pbpair_telemetry::json;
 use pbpair_telemetry::Telemetry;
 use pbpair_trace::{Calibration, LossKind};
@@ -164,7 +165,7 @@ pub fn run_trace_sweep(
     intra_ths: &[f64],
     workers: usize,
 ) -> Result<TraceExperiment, String> {
-    let mut points = Vec::with_capacity(plrs.len() * intra_ths.len());
+    let mut grid = Vec::with_capacity(plrs.len() * intra_ths.len());
     for &plr in plrs {
         for &intra_th in intra_ths {
             let cfg = ServeConfig {
@@ -179,11 +180,19 @@ pub fn run_trace_sweep(
                 pacing_us: 0,
                 ..ServeConfig::default()
             };
-            let (_, trace) = run_traced(&cfg, &Telemetry::disabled())?;
+            grid.push(((plr, intra_th), cfg));
+        }
+    }
+    let points = fleet::run_cells(
+        grid,
+        &Telemetry::disabled(),
+        true,
+        |(plr, intra_th), run| {
+            let trace = run.trace.expect("trace points are traced");
             let mut point = TracePoint {
                 plr,
                 intra_th,
-                calibration: trace.calibration.clone(),
+                calibration: trace.calibration,
                 loss_events: 0,
                 corrupt_events: 0,
                 mbs_touched: 0,
@@ -202,9 +211,9 @@ pub fn run_trace_sweep(
                 point.max_frames_to_heal = point.max_frames_to_heal.max(blast.frames_to_heal);
                 point.sad_cost += blast.sad_cost;
             }
-            points.push(point);
-        }
-    }
+            point
+        },
+    )?;
     Ok(TraceExperiment { frames, points })
 }
 

@@ -9,7 +9,9 @@
 //!   (scheme comparison), Figure 6 (per-frame loss behaviour), the
 //!   headline energy-reduction percentages, the §4.3/§4.4 sweeps, the
 //!   §3.2 adaptive extension, and the fault-injection resilience
-//!   scenarios (corruption sweep + feedback blackout).
+//!   scenarios (corruption sweep + feedback blackout); plus the five
+//!   serve-driven matrices (scenarios, dashboard, FEC, RDE, trace), all
+//!   run by one fleet runner, [`experiments::fleet`].
 //! * [`report`] — aligned text tables, printed in the same shape the
 //!   paper reports.
 //!
@@ -23,6 +25,7 @@
 //! cargo run --release -p pbpair-eval --bin sweep_plr
 //! cargo run --release -p pbpair-eval --bin adaptive
 //! cargo run --release -p pbpair-eval --bin resilience
+//! cargo run --release -p pbpair-eval --bin matrix -- scenarios  # or dashboard, fec, rde, trace
 //! ```
 //!
 //! Set `PBPAIR_FRAMES=<n>` to shrink runs for smoke testing.

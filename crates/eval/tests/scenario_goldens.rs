@@ -12,21 +12,13 @@
 //! `PBPAIR_BLESS=1 cargo test -p pbpair-eval --test scenario_goldens -- --nocapture`
 //! and paste the printed digests into `GOLDENS`.
 
+use pbpair_eval::experiments::fleet;
 use pbpair_eval::experiments::scenarios::committed_scenarios;
 use pbpair_media::synth::MotionClass;
-use pbpair_serve::{run, DeviceMix, ServeConfig, SessionScheme};
+use pbpair_serve::{run, ServeReport, SessionScheme};
 
 const FRAMES: usize = 12;
 const SESSIONS: usize = 2;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 const GOLDENS: &[(&str, u64)] = &[
     ("steady_burst", 0xf221_419e_7a47_00b2),
@@ -34,41 +26,38 @@ const GOLDENS: &[(&str, u64)] = &[
     ("feedback_blackout", 0x7bef_86a4_7f95_8854),
 ];
 
-fn digest_at(scenario_name: &str, workers: usize) -> String {
+fn report_at(scenario_name: &str, workers: usize) -> ServeReport {
     let scenario = committed_scenarios()
         .into_iter()
         .find(|s| s.name == scenario_name)
         .expect("committed scenario exists");
-    let mut cfg = ServeConfig {
-        sessions: SESSIONS,
-        frames: FRAMES,
+    let cfg = scenario.fleet(
+        MotionClass::MediumForeman,
+        SessionScheme::Pbpair,
+        FRAMES,
+        SESSIONS,
         workers,
-        seed: 2005,
-        plr: 0.08,
-        corruption: 0.2,
-        mtu: 300,
-        pacing_us: 0,
-        channel: scenario.channel.clone(),
-        clip: Some(MotionClass::MediumForeman),
-        scheme: SessionScheme::Pbpair,
-        device_mix: DeviceMix::Alternating,
-        chaos: scenario.chaos.clone(),
-        ..ServeConfig::default()
-    };
-    cfg.admission.capacity_j_per_round = f64::MAX;
-    run(&cfg).expect("valid config").deterministic_digest()
+    );
+    run(&cfg).expect("valid config")
 }
 
 #[test]
 fn committed_scenarios_replay_identically_at_1_2_and_8_workers() {
     let bless = std::env::var("PBPAIR_BLESS").is_ok();
     for &(name, committed) in GOLDENS {
-        let one = digest_at(name, 1);
-        let two = digest_at(name, 2);
-        let eight = digest_at(name, 8);
-        assert_eq!(one, two, "{name}: digest differs between 1 and 2 workers");
-        assert_eq!(two, eight, "{name}: digest differs between 2 and 8 workers");
-        let got = fnv1a(one.as_bytes());
+        let [one, two, eight] = [1, 2, 8].map(|w| report_at(name, w));
+        let digest = ServeReport::deterministic_digest;
+        assert_eq!(
+            digest(&one),
+            digest(&two),
+            "{name}: digest differs between 1 and 2 workers"
+        );
+        assert_eq!(
+            digest(&two),
+            digest(&eight),
+            "{name}: digest differs between 2 and 8 workers"
+        );
+        let got = fleet::digest(&one);
         if bless {
             println!("    (\"{name}\", 0x{got:016x}),");
         } else {

@@ -46,6 +46,5 @@ pub use packet::{ChannelStats, Packet};
 pub use pbpair_fec::{FecOps, FecSpec};
 pub use rtp::{reassemble_frame, Packetizer, DEFAULT_MTU};
 pub use scenario::{
-    ChannelSpec, MarkovBurstErasure, Phase, PhaseKind, ScenarioChannel, ScheduleBuilder,
-    ScheduleChannel,
+    ChannelSpec, MarkovBurstErasure, Phase, PhaseKind, ScheduleBuilder, ScheduleChannel,
 };

@@ -25,60 +25,6 @@ use crate::loss::{GilbertElliott, LossModel, UniformLoss};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A channel from the scenario zoo: a [`LossModel`] that also knows what
-/// it is (label), what it converges to (stationary statistics, when they
-/// exist), and how its feedback RTT evolves over frame time.
-///
-/// The supertrait keeps every scenario channel pluggable wherever a
-/// plain loss model is expected ([`crate::LossyChannel`],
-/// [`crate::CorruptingChannel`], [`crate::FeedbackLink`]); the extra
-/// methods are what the scenario engine's regression gates introspect.
-pub trait ScenarioChannel: LossModel {
-    /// Stable display label for reports.
-    fn label(&self) -> String;
-
-    /// Long-run packet-loss rate, if the channel is stationary.
-    fn stationary_loss(&self) -> Option<f64> {
-        None
-    }
-
-    /// Mean erasure-burst length in packets, if defined.
-    fn mean_burst_len(&self) -> Option<f64> {
-        None
-    }
-
-    /// Feedback RTT (in frame periods) in force at `frame`; `None` when
-    /// the channel does not constrain the return path.
-    fn rtt_at(&self, _frame: u64) -> Option<u64> {
-        None
-    }
-}
-
-impl ScenarioChannel for UniformLoss {
-    fn label(&self) -> String {
-        format!("uniform({:.3})", self.rate())
-    }
-
-    fn stationary_loss(&self) -> Option<f64> {
-        Some(self.rate())
-    }
-
-    fn mean_burst_len(&self) -> Option<f64> {
-        // Bernoulli losses: burst length is geometric with mean 1/(1−p).
-        Some(1.0 / (1.0 - self.rate()).max(f64::MIN_POSITIVE))
-    }
-}
-
-impl ScenarioChannel for GilbertElliott {
-    fn label(&self) -> String {
-        "gilbert-elliott".to_string()
-    }
-
-    fn stationary_loss(&self) -> Option<f64> {
-        Some(self.steady_state_loss())
-    }
-}
-
 /// Two-state Markov burst-erasure channel, parameterized by the mean
 /// burst length `B` and the mean guard space `G` (both in packets).
 ///
@@ -155,20 +101,6 @@ impl LossModel for MarkovBurstErasure {
     }
 }
 
-impl ScenarioChannel for MarkovBurstErasure {
-    fn label(&self) -> String {
-        format!("burst(B={:.1},G={:.1})", self.burst_len, self.guard_len)
-    }
-
-    fn stationary_loss(&self) -> Option<f64> {
-        Some(self.stationary_loss_rate())
-    }
-
-    fn mean_burst_len(&self) -> Option<f64> {
-        Some(self.burst_len)
-    }
-}
-
 /// What the channel does during one [`Phase`] of a schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PhaseKind {
@@ -232,7 +164,8 @@ impl Phase {
                 burst_len,
                 guard_len,
             } => {
-                if burst_len < 1.0 || guard_len < 1.0 {
+                // Written so NaN fails too.
+                if !(1.0..).contains(&burst_len) || !(1.0..).contains(&guard_len) {
                     return Err(format!(
                         "burst phase lengths must be >= 1 packet: B={burst_len} G={guard_len}"
                     ));
@@ -363,17 +296,6 @@ impl LossModel for ScheduleChannel {
     }
 }
 
-impl ScenarioChannel for ScheduleChannel {
-    fn label(&self) -> String {
-        format!("schedule({} phases)", self.phases.len())
-    }
-
-    fn rtt_at(&self, frame: u64) -> Option<u64> {
-        let i = Self::phase_index_at(&self.phases, frame);
-        Some(self.phases[i].rtt_frames)
-    }
-}
-
 /// Fluent builder for mobility/handoff schedules.
 ///
 /// # Example
@@ -465,8 +387,8 @@ impl ScheduleBuilder {
 }
 
 /// Plain-value description of any channel in the zoo — what scenario
-/// and fleet configurations carry. [`ChannelSpec::build`] turns it into a
-/// live seeded channel.
+/// and fleet configurations carry. [`ChannelSpec::build_loss`] turns it
+/// into a live seeded channel.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChannelSpec {
     /// Independent per-packet loss at a fixed rate.
@@ -533,7 +455,8 @@ impl ChannelSpec {
                 burst_len,
                 guard_len,
             } => {
-                if *burst_len < 1.0 || *guard_len < 1.0 {
+                // Written so NaN fails too.
+                if !(1.0..).contains(burst_len) || !(1.0..).contains(guard_len) {
                     return Err(format!(
                         "burst-erasure lengths must be >= 1 packet: B={burst_len} G={guard_len}"
                     ));
@@ -551,12 +474,14 @@ impl ChannelSpec {
         Ok(())
     }
 
-    /// Builds the live seeded channel this spec describes.
+    /// Builds the live seeded channel this spec describes, as the plain
+    /// boxed [`LossModel`] every channel wrapper consumes
+    /// ([`crate::LossyChannel`], [`crate::CorruptingChannel`]).
     ///
     /// # Errors
     ///
     /// Propagates [`ChannelSpec::validate`].
-    pub fn build(&self, seed: u64) -> Result<Box<dyn ScenarioChannel>, String> {
+    pub fn build_loss(&self, seed: u64) -> Result<Box<dyn LossModel>, String> {
         self.validate()?;
         Ok(match self {
             ChannelSpec::Uniform { plr } => Box::new(UniformLoss::new(*plr, seed)),
@@ -576,16 +501,6 @@ impl ChannelSpec {
                 Box::new(ScheduleChannel::new(phases.clone(), seed)?)
             }
         })
-    }
-
-    /// Builds the spec as a plain boxed [`LossModel`] (what
-    /// [`crate::CorruptingChannel`] consumes).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ChannelSpec::validate`].
-    pub fn build_loss(&self, seed: u64) -> Result<Box<dyn LossModel>, String> {
-        self.build(seed).map(|b| b as Box<dyn LossModel>)
     }
 
     /// Stable display label.
@@ -684,7 +599,7 @@ mod tests {
             .steady(0.0, 10, 2)
             .build()
             .unwrap();
-        let mut chan = spec.build(3).unwrap();
+        let mut chan = spec.build_loss(3).unwrap();
         let mut lost_by_frame = Vec::new();
         for f in 0..25u64 {
             chan.on_frame(f);
@@ -706,8 +621,8 @@ mod tests {
             .ramp(0.0, 1.0, 100, 2)
             .build()
             .unwrap();
-        let mut chan = spec.build(5).unwrap();
-        let window_loss = |chan: &mut Box<dyn ScenarioChannel>, frames: std::ops::Range<u64>| {
+        let mut chan = spec.build_loss(5).unwrap();
+        let window_loss = |chan: &mut Box<dyn LossModel>, frames: std::ops::Range<u64>| {
             let mut lost = 0u64;
             let mut n = 0u64;
             for f in frames {
@@ -734,7 +649,7 @@ mod tests {
             .steady(1.0, 5, 4)
             .build()
             .unwrap();
-        let mut chan = spec.build(1).unwrap();
+        let mut chan = spec.build_loss(1).unwrap();
         chan.on_frame(10_000);
         assert!(chan.next_lost(), "last phase must persist past its window");
         assert_eq!(spec.rtt_at(10_000), Some(4));
@@ -756,9 +671,23 @@ mod tests {
             guard_len: 36.0,
         };
         assert_eq!(spec.label(), "burst(B=4.0,G=36.0)");
-        let chan = spec.build(9).unwrap();
-        assert_eq!(chan.stationary_loss(), Some(0.1));
-        assert_eq!(chan.mean_burst_len(), Some(4.0));
+        assert!(spec.build_loss(9).is_ok());
+        let chan = MarkovBurstErasure::new(4.0, 36.0, 9);
+        assert_eq!(chan.stationary_loss_rate(), 0.1);
+        assert_eq!(chan.burst_len(), 4.0);
+    }
+
+    #[test]
+    fn nan_burst_phase_is_rejected() {
+        assert!(ScheduleBuilder::new()
+            .steady(0.05, 4, 2)
+            .burst(f64::NAN, 20.0, 8, 2)
+            .build()
+            .is_err());
+        assert!(ScheduleBuilder::new()
+            .burst(4.0, f64::NAN, 8, 2)
+            .build()
+            .is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@ use pbpair_netsim::loss::{GilbertElliott, LossModel, ScriptedLoss, UniformLoss};
 use pbpair_netsim::rtp::{reassemble_frame, Packetizer};
 use pbpair_netsim::{
     reassemble_frame_damaged, Corrupter, CorruptionProfile, LossyChannel, MarkovBurstErasure,
-    NoLoss, ScenarioChannel, WindowPlrEstimator,
+    NoLoss, WindowPlrEstimator,
 };
 use proptest::prelude::*;
 
@@ -160,8 +160,6 @@ proptest! {
         let guard_len = burst_len * guard_ratio;
         let mut m = MarkovBurstErasure::new(burst_len, guard_len, seed);
         let expected = m.stationary_loss_rate();
-        prop_assert_eq!(m.stationary_loss(), Some(expected));
-        prop_assert_eq!(m.mean_burst_len(), Some(burst_len));
         let (rate, mean_burst) = observe(&mut m, 300_000);
         prop_assert!(
             (rate - expected).abs() < 0.015 + 0.1 * expected,

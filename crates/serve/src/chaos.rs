@@ -194,6 +194,23 @@ mod tests {
     }
 
     #[test]
+    fn nan_channel_swap_is_rejected_at_plan_time() {
+        // A worker builds the swapped-in channel mid-run; the plan is
+        // the only place a NaN burst length can be refused.
+        assert!(ChaosPlan::new(vec![ChaosEvent {
+            session: 0,
+            at_frame: 3,
+            fault: ChaosFault::ChannelSwap {
+                spec: ChannelSpec::BurstErasure {
+                    burst_len: f64::NAN,
+                    guard_len: 28.0,
+                },
+            },
+        }])
+        .is_err());
+    }
+
+    #[test]
     fn labels_are_stable() {
         assert_eq!(
             ChaosFault::FeedbackBlackout { frames: 1 }.label(),

@@ -55,9 +55,7 @@ pub use admission::{
 };
 pub use chaos::{ChaosEvent, ChaosFault, ChaosPlan};
 pub use health::{HealthLedger, HealthState, HealthTransition, StalenessWatchdog, WatchdogConfig};
-pub use manager::{
-    run, run_instrumented, run_observed, run_traced, run_traced_observed, DeviceMix, ServeConfig,
-};
+pub use manager::{run, run_with, DeviceMix, FleetRun, ServeConfig};
 pub use observe::{standard_slos, Observability, ObservabilityConfig};
 pub use redundancy::{RedundancyConfig, RedundancyController, RedundancyDecision};
 pub use report::{FleetHealth, FleetTiming, ServeReport, SessionReport};

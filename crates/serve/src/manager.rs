@@ -173,6 +173,9 @@ impl ServeConfig {
         if !(0.0..1.0).contains(&self.plr) {
             return Err(format!("plr {} outside [0,1)", self.plr));
         }
+        if self.mtu == 0 {
+            return Err("mtu must be positive".into());
+        }
         if let Some(chan) = &self.channel {
             chan.validate()?;
         }
@@ -224,99 +227,66 @@ struct Slot {
     outcome: Option<FrameOutcome>,
 }
 
-/// Runs the fleet to completion. This is the serving subsystem's main
-/// entry point.
+/// What one fleet run hands back: the report, plus whatever optional
+/// plane the run switched on.
+pub struct FleetRun {
+    /// The fleet report: deterministic digest material plus wall-clock
+    /// [`FleetTiming`].
+    pub report: ServeReport,
+    /// The causal trace, present exactly when the run was traced.
+    pub trace: Option<FleetTrace>,
+    /// The observability plane's series, alerts and scrape endpoint,
+    /// present exactly when [`ServeConfig::observability`] is enabled.
+    pub observability: Option<Observability>,
+}
+
+/// Runs the fleet to completion with telemetry and tracing off. This is
+/// the serving subsystem's main entry point; [`run_with`] switches the
+/// optional planes on.
 ///
 /// # Errors
 ///
-/// Returns an error for invalid configuration; the run itself is total.
+/// Returns an error for invalid configuration, including an enabled
+/// observability plane (it needs the registry only [`run_with`] takes);
+/// the run itself is total.
 pub fn run(cfg: &ServeConfig) -> Result<ServeReport, String> {
-    run_instrumented(cfg, &Telemetry::disabled())
+    run_with(cfg, &Telemetry::disabled(), false).map(|run| run.report)
 }
 
-/// Like [`run`], but with every pipeline stage reporting into `tel`:
-/// the codec (`enc.*`/`dec.*`), the channels (`net.*`), the sessions and
-/// scheduler (`serve.*`), plus a `serve.frame_latency_ms` timing
-/// histogram. Each session writes through `tel.shard(id)` so concurrent
-/// flushes touch disjoint cache lines; the report's deterministic
-/// section is identical for any worker count (the counter sums commute).
+/// Runs the fleet to completion with every plane the caller asks for:
+///
+/// * **Telemetry** — every pipeline stage reports into `tel`: the codec
+///   (`enc.*`/`dec.*`), the channels (`net.*`), the sessions and
+///   scheduler (`serve.*`), plus a `serve.frame_latency_ms` timing
+///   histogram. Each session writes through `tel.shard(id)` so
+///   concurrent flushes touch disjoint cache lines; the registry's
+///   deterministic section is identical for any worker count (the
+///   counter sums commute). A disabled `tel` costs nothing.
+/// * **Tracing** (`trace`) — a causal tracer on every session: the
+///   encoder records per-MB coding provenance, the channel per-packet
+///   loss/corruption, the decoder concealment/resync — and the run
+///   replays the joined log into per-event blast radii plus a fleet
+///   `C^k` calibration score. Flight-recorder rings are dumped whenever
+///   the admission controller raises the service-degradation level, a
+///   decoder resync fires, or (with observability) an SLO alert fires
+///   (reason `"slo"`). [`FleetTrace`]'s deterministic report is
+///   byte-identical for any worker count.
+/// * **Observability** ([`ServeConfig::observability`]) — the manager
+///   maintains `slo.*` counters at every round barrier, ticks the
+///   time-series ring, evaluates the configured burn-rate SLOs, and —
+///   when [`ObservabilityConfig::expose_port`] is set — serves
+///   `/metrics`, `/health` and `/timeseries` for the duration of the
+///   run. The returned [`Observability`] keeps the endpoint alive until
+///   dropped, so callers can hold it open for scrapers after the run.
 ///
 /// # Errors
 ///
-/// Returns an error for invalid configuration; the run itself is total.
-pub fn run_instrumented(cfg: &ServeConfig, tel: &Telemetry) -> Result<ServeReport, String> {
-    run_internal(cfg, tel, None).map(|(report, _, _)| report)
-}
-
-/// Like [`run_instrumented`], but with a causal tracer attached to every
-/// session: the encoder records per-MB coding provenance, the channel
-/// per-packet loss/corruption, the decoder concealment/resync — and the
-/// run replays the joined log into per-event blast radii plus a fleet
-/// `C^k` calibration score. Flight-recorder rings are dumped whenever
-/// the admission controller raises the service-degradation level or a
-/// decoder resync fires. The returned [`FleetTrace`]'s deterministic
-/// report is byte-identical for any worker count.
-///
-/// # Errors
-///
-/// Returns an error for invalid configuration; the run itself is total.
-pub fn run_traced(cfg: &ServeConfig, tel: &Telemetry) -> Result<(ServeReport, FleetTrace), String> {
-    let (report, trace, _) = run_internal(cfg, tel, Some(TraceState::new(cfg.sessions)))?;
-    Ok((report, trace.expect("tracing was enabled")))
-}
-
-/// Like [`run_instrumented`], but with the observability plane active:
-/// the manager maintains `slo.*` counters at every round barrier, ticks
-/// the time-series ring, evaluates the configured burn-rate SLOs, and —
-/// when [`ObservabilityConfig::expose_port`] is set — serves `/metrics`,
-/// `/health` and `/timeseries` for the duration of the run. The
-/// returned [`Observability`] keeps the endpoint alive until dropped,
-/// so callers can hold it open for scrapers after the run finishes.
-///
-/// # Errors
-///
-/// Returns an error for invalid configuration, when
-/// [`ServeConfig::observability`] is fully disabled, or when the
-/// telemetry context is disabled (the plane would export zeros).
-pub fn run_observed(
-    cfg: &ServeConfig,
-    tel: &Telemetry,
-) -> Result<(ServeReport, Observability), String> {
-    if !cfg.observability.enabled() {
-        return Err("observability is disabled; set tick_every or expose_port".into());
-    }
-    let (report, _, obs) = run_internal(cfg, tel, None)?;
-    Ok((report, obs.expect("observability was enabled")))
-}
-
-/// [`run_traced`] and [`run_observed`] combined: causal tracing plus the
-/// observability plane, with firing SLO alerts dumping flight-recorder
-/// rings (reason `"slo"`).
-///
-/// # Errors
-///
-/// Same contract as [`run_observed`].
-pub fn run_traced_observed(
-    cfg: &ServeConfig,
-    tel: &Telemetry,
-) -> Result<(ServeReport, FleetTrace, Observability), String> {
-    if !cfg.observability.enabled() {
-        return Err("observability is disabled; set tick_every or expose_port".into());
-    }
-    let (report, trace, obs) = run_internal(cfg, tel, Some(TraceState::new(cfg.sessions)))?;
-    Ok((
-        report,
-        trace.expect("tracing was enabled"),
-        obs.expect("observability was enabled"),
-    ))
-}
-
-fn run_internal(
-    cfg: &ServeConfig,
-    tel: &Telemetry,
-    mut tracing: Option<TraceState>,
-) -> Result<(ServeReport, Option<FleetTrace>, Option<Observability>), String> {
+/// Returns an error for invalid configuration, for an enabled
+/// observability plane over a disabled `tel` (it would export zeros),
+/// and when the scrape endpoint fails to bind; the run itself is total.
+pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<FleetRun, String> {
     cfg.validate()?;
+    let mut tracing = trace.then(|| TraceState::new(cfg.sessions));
     let mut obs = ObserveState::build(&cfg.observability, tel)?;
     let mut controller = AdmissionController::new(cfg.admission)?;
     let slots: Vec<Arc<Mutex<Slot>>> = (0..cfg.sessions)
@@ -587,11 +557,11 @@ fn run_internal(
             .unwrap_or_default(),
         timing,
     };
-    Ok((
+    Ok(FleetRun {
         report,
-        tracing.map(|ts| ts.finish(cfg)),
-        obs.map(ObserveState::finish),
-    ))
+        trace: tracing.map(|ts| ts.finish(cfg)),
+        observability: obs.map(ObserveState::finish),
+    })
 }
 
 /// Renders the `/health` body for the scrape endpoint: per-session
@@ -713,5 +683,27 @@ mod tests {
         let mut bad = small(1, 1, 1);
         bad.plr = 1.5;
         assert!(run(&bad).is_err());
+    }
+
+    #[test]
+    fn zero_mtu_is_rejected_not_a_packetizer_panic() {
+        let cfg = ServeConfig {
+            mtu: 0,
+            ..small(1, 2, 1)
+        };
+        assert!(cfg.validate().is_err());
+        assert!(run(&cfg).is_err());
+    }
+
+    #[test]
+    fn nan_burst_length_is_rejected_not_a_channel_panic() {
+        let cfg = ServeConfig {
+            channel: Some(ChannelSpec::BurstErasure {
+                burst_len: f64::NAN,
+                guard_len: 28.0,
+            }),
+            ..small(1, 2, 1)
+        };
+        assert!(run(&cfg).is_err());
     }
 }

@@ -5,7 +5,7 @@
 //! actively degrading, rate-dropping, and shedding sessions.
 
 use pbpair_netsim::FecSpec;
-use pbpair_serve::{run, run_instrumented, RedundancyConfig, ServeConfig};
+use pbpair_serve::{run, run_with, RedundancyConfig, ServeConfig};
 use pbpair_telemetry::Telemetry;
 
 fn digest(cfg: &ServeConfig, workers: usize) -> String {
@@ -19,7 +19,7 @@ fn telemetry_json(cfg: &ServeConfig, workers: usize) -> String {
     let mut cfg = cfg.clone();
     cfg.workers = workers;
     let tel = Telemetry::with_shards(cfg.sessions);
-    run_instrumented(&cfg, &tel).expect("valid config");
+    run_with(&cfg, &tel, false).expect("valid config");
     tel.report().deterministic_json()
 }
 
@@ -70,8 +70,9 @@ fn instrumented_run_matches_uninstrumented_report() {
         ..ServeConfig::default()
     };
     let tel = Telemetry::with_shards(cfg.sessions);
-    let instrumented = run_instrumented(&cfg, &tel)
+    let instrumented = run_with(&cfg, &tel, false)
         .expect("valid config")
+        .report
         .deterministic_digest();
     assert_eq!(instrumented, digest(&cfg, cfg.workers));
 }

@@ -5,8 +5,8 @@
 //! that calms down after an alert walks the ledger back to recovered.
 
 use pbpair_serve::{
-    run_observed, run_traced_observed, standard_slos, ChaosEvent, ChaosFault, ChaosPlan,
-    HealthState, ObservabilityConfig, ServeConfig,
+    run_with, standard_slos, ChaosEvent, ChaosFault, ChaosPlan, HealthState, ObservabilityConfig,
+    ServeConfig,
 };
 use pbpair_telemetry::slo::AlertState;
 use pbpair_telemetry::Telemetry;
@@ -49,8 +49,10 @@ fn observed(cfg: &ServeConfig, workers: usize) -> (String, Vec<(u64, String, &'s
     let mut cfg = cfg.clone();
     cfg.workers = workers;
     let tel = Telemetry::with_shards(cfg.sessions);
-    let (report, obs) = run_observed(&cfg, &tel).expect("valid config");
-    let alerts = report
+    let run = run_with(&cfg, &tel, false).expect("valid config");
+    let obs = run.observability.expect("observed run");
+    let alerts = run
+        .report
         .alerts
         .iter()
         .map(|a| (a.round, a.slo.clone(), a.state.label()))
@@ -77,7 +79,9 @@ fn time_series_and_alert_stream_identical_across_worker_counts() {
 fn burst_kill_fires_residual_loss_and_dumps_the_flight_recorder() {
     let cfg = burst_cfg(24);
     let tel = Telemetry::with_shards(cfg.sessions);
-    let (report, trace, obs) = run_traced_observed(&cfg, &tel).expect("valid config");
+    let run = run_with(&cfg, &tel, true).expect("valid config");
+    let (report, trace) = (run.report, run.trace.expect("traced run"));
+    let obs = run.observability.expect("observed run");
 
     // The SLO fires…
     let fired: Vec<_> = report
@@ -117,7 +121,7 @@ fn alerts_clear_and_sessions_recover_after_the_burst() {
     // fresh streak to reach its recovery threshold.
     let cfg = burst_cfg(48);
     let tel = Telemetry::with_shards(cfg.sessions);
-    let (report, _) = run_observed(&cfg, &tel).expect("valid config");
+    let report = run_with(&cfg, &tel, false).expect("valid config").report;
 
     let residual: Vec<_> = report
         .alerts
@@ -154,16 +158,24 @@ fn alerts_clear_and_sessions_recover_after_the_burst() {
 }
 
 #[test]
-fn observed_run_requires_enabled_config_and_telemetry() {
-    let cfg = ServeConfig::default();
+fn observability_is_returned_exactly_when_enabled_and_needs_telemetry() {
+    let off = ServeConfig {
+        frames: 4,
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let tel = Telemetry::with_shards(off.sessions);
     assert!(
-        run_observed(&cfg, &Telemetry::with_shards(1)).is_err(),
-        "fully-off observability must be rejected"
+        run_with(&off, &tel, false)
+            .expect("valid config")
+            .observability
+            .is_none(),
+        "fully-off observability returns no plane"
     );
     let mut on = burst_cfg(8);
     on.workers = 1;
     assert!(
-        run_observed(&on, &Telemetry::disabled()).is_err(),
+        run_with(&on, &Telemetry::disabled(), false).is_err(),
         "observability over a disabled registry must be rejected"
     );
 }

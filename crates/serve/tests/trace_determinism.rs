@@ -3,7 +3,7 @@
 //! for any worker count — and attaching a tracer never perturbs the
 //! deterministic outcome of the run itself.
 
-use pbpair_serve::{run, run_traced, FleetTrace, ServeConfig};
+use pbpair_serve::{run, run_with, FleetTrace, ServeConfig};
 use pbpair_telemetry::Telemetry;
 
 fn overload_cfg() -> ServeConfig {
@@ -27,8 +27,11 @@ fn overload_cfg() -> ServeConfig {
 fn traced(cfg: &ServeConfig, workers: usize) -> (String, FleetTrace) {
     let mut cfg = cfg.clone();
     cfg.workers = workers;
-    let (report, trace) = run_traced(&cfg, &Telemetry::disabled()).expect("valid config");
-    (report.deterministic_digest(), trace)
+    let run = run_with(&cfg, &Telemetry::disabled(), true).expect("valid config");
+    (
+        run.report.deterministic_digest(),
+        run.trace.expect("traced run"),
+    )
 }
 
 #[test]
