@@ -18,7 +18,6 @@
 //!   cargo run --release -p pbpair-eval --bin perf -- --kernels-info  # detected tier to stdout
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -27,6 +26,7 @@ use pbpair_codec::fused::fdct_quant_scan_with;
 use pbpair_codec::{EncodedFrame, Encoder, EncoderConfig, Kernels, NaturalPolicy, OptConfig, Qp};
 use pbpair_media::synth::SyntheticSequence;
 use pbpair_media::Frame;
+use pbpair_telemetry::json;
 
 /// Counts heap allocations so the benchmark can report allocations per
 /// steady-state frame (the zero-allocation claim, measured rather than
@@ -157,38 +157,34 @@ fn run_variant(v: &Variant, clip: &'static str, frames: &[Frame]) -> (Measuremen
     )
 }
 
-fn json_escape_is_unneeded(s: &str) -> bool {
-    s.chars()
-        .all(|c| c.is_ascii_graphic() && c != '"' && c != '\\')
+/// A float member with a fixed number of decimals.
+fn fixed(o: &mut json::Object<'_>, key: &str, value: f64, decimals: usize) {
+    o.raw(key, &format!("{value:.decimals$}"));
 }
 
 fn emit_json(results: &[Measurement], frames_per_clip: usize) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"meta\": {\n");
-    let _ = writeln!(out, "    \"bench\": \"pr5-encode-hot-path\",");
-    let _ = writeln!(out, "    \"config\": \"paper (full search ±15, QCIF)\",");
-    let _ = writeln!(out, "    \"warmup_frames\": {WARMUP},");
-    let _ = writeln!(out, "    \"measured_frames_per_clip\": {frames_per_clip}");
-    out.push_str("  },\n  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        assert!(json_escape_is_unneeded(&m.name), "unescapable name");
-        out.push_str("    {");
-        let _ = write!(out, "\"name\": \"{}\", ", m.name);
-        let _ = write!(out, "\"threads\": {}, ", m.threads);
-        let _ = write!(out, "\"clip\": \"{}\", ", m.clip);
-        let _ = write!(out, "\"frames\": {}, ", m.frames);
-        let _ = write!(out, "\"fps\": {:.2}, ", m.fps);
-        let _ = write!(out, "\"sad_ops_per_frame\": {:.1}, ", m.sad_ops_per_frame);
-        let _ = write!(out, "\"allocs_per_frame\": {:.3}, ", m.allocs_per_frame);
-        let _ = write!(out, "\"speedup_vs_naive\": {:.3}", m.speedup_vs_naive);
-        out.push_str(if i + 1 == results.len() {
-            "}\n"
-        } else {
-            "},\n"
+    json::object(|o| {
+        o.object("meta", |m| {
+            m.string("bench", "pr5-encode-hot-path")
+                .string("config", "paper (full search ±15, QCIF)")
+                .field("warmup_frames", WARMUP)
+                .field("measured_frames_per_clip", frames_per_clip);
+        })
+        .array("results", |a| {
+            for r in results {
+                a.object(|o| {
+                    o.string("name", &r.name)
+                        .field("threads", r.threads)
+                        .string("clip", r.clip)
+                        .field("frames", r.frames);
+                    fixed(o, "fps", r.fps, 2);
+                    fixed(o, "sad_ops_per_frame", r.sad_ops_per_frame, 1);
+                    fixed(o, "allocs_per_frame", r.allocs_per_frame, 3);
+                    fixed(o, "speedup_vs_naive", r.speedup_vs_naive, 3);
+                });
+            }
         });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    }) + "\n"
 }
 
 // ---------------------------------------------------------------------
@@ -362,43 +358,28 @@ fn bench_kernels(smoke: bool) -> Vec<KernelMeasurement> {
 }
 
 fn emit_kernels_json(results: &[KernelMeasurement], smoke: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"meta\": {\n");
-    let _ = writeln!(out, "    \"bench\": \"pr8_kernels\",");
-    let _ = writeln!(out, "    \"arch\": \"{}\",", std::env::consts::ARCH);
-    let _ = writeln!(
-        out,
-        "    \"detected_best\": \"{}\",",
-        Kernels::detect_best().label()
-    );
-    out.push_str("    \"pins\": {");
-    for (i, (arch, tier)) in TIER_PINS.iter().enumerate() {
-        let _ = write!(out, "\"{arch}\": \"{tier}\"");
-        if i + 1 != TIER_PINS.len() {
-            out.push_str(", ");
-        }
-    }
-    out.push_str("},\n");
-    let _ = writeln!(
-        out,
-        "    \"scale\": \"{}\"",
-        if smoke { "smoke" } else { "full" }
-    );
-    out.push_str("  },\n  \"results\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        out.push_str("    {");
-        let _ = write!(out, "\"kernel\": \"{}\", ", m.kernel);
-        let _ = write!(out, "\"tier\": \"{}\", ", m.tier);
-        let _ = write!(out, "\"ns_per_call\": {:.2}, ", m.ns_per_call);
-        let _ = write!(out, "\"speedup_vs_scalar\": {:.3}", m.speedup_vs_scalar);
-        out.push_str(if i + 1 == results.len() {
-            "}\n"
-        } else {
-            "},\n"
+    json::object(|o| {
+        o.object("meta", |m| {
+            m.string("bench", "pr8_kernels")
+                .string("arch", std::env::consts::ARCH)
+                .string("detected_best", Kernels::detect_best().label())
+                .object("pins", |p| {
+                    for (arch, tier) in TIER_PINS {
+                        p.string(arch, tier);
+                    }
+                })
+                .string("scale", if smoke { "smoke" } else { "full" });
+        })
+        .array("results", |a| {
+            for r in results {
+                a.object(|o| {
+                    o.string("kernel", r.kernel).string("tier", r.tier);
+                    fixed(o, "ns_per_call", r.ns_per_call, 2);
+                    fixed(o, "speedup_vs_scalar", r.speedup_vs_scalar, 3);
+                });
+            }
         });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    }) + "\n"
 }
 
 fn main() {

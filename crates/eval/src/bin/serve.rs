@@ -29,11 +29,21 @@
 //! registry for that many seconds after the run — CI's scrape validator
 //! polls it during the hold, then kills the process.
 //! `PBPAIR_FRAMES` overrides the frames-per-session depth of the sweeps.
+//!
+//! `--trace`, `--expose` and `--smoke` each select the smoke run; the
+//! other flags apply only to it, and `--trace-out`/`--trace-chrome` only
+//! with `--trace`, `--expose-hold` only with `--expose`. Bad arguments
+//! (an unknown or misplaced flag, a missing or malformed value) exit
+//! with status 2 and a message; a failed run exits with status 1.
 
 use pbpair_eval::experiments::frames_from_env;
 use pbpair_eval::report::{fmt_f, Table};
+use pbpair_serve::admission::DEGRADE_FLOOR_TH;
 use pbpair_serve::{run, run_with, standard_slos, ObservabilityConfig, ServeConfig};
 use pbpair_telemetry::Telemetry;
+
+const USAGE: &str = "usage: serve [--smoke] [--telemetry] [--workers N] [--trace] \
+                     [--trace-out PATH] [--trace-chrome PATH] [--expose PORT] [--expose-hold SECS]";
 
 fn base_config(sessions: usize, frames: usize, workers: usize) -> ServeConfig {
     ServeConfig {
@@ -46,21 +56,81 @@ fn base_config(sessions: usize, frames: usize, workers: usize) -> ServeConfig {
 }
 
 /// What the smoke run should trace and where the outputs go.
+#[derive(Default)]
 struct TraceArgs {
     enabled: bool,
     out: Option<String>,
     chrome: Option<String>,
 }
 
-fn smoke(
-    workers: usize,
+/// The parsed command line; the smoke run's flags stay unset without one.
+#[derive(Default)]
+struct Args {
+    smoke: bool,
     telemetry: bool,
-    trace_args: &TraceArgs,
+    workers: Option<usize>,
+    trace: TraceArgs,
     expose: Option<u16>,
-    hold_secs: u64,
-) -> Result<(), String> {
-    let mut cfg = base_config(4, 16, workers);
-    if let Some(port) = expose {
+    hold_secs: Option<u64>,
+}
+
+impl Args {
+    /// Whether the flags select the smoke run instead of the sweeps.
+    fn smoke_run(&self) -> bool {
+        self.smoke || self.trace.enabled || self.expose.is_some()
+    }
+}
+
+fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args::default();
+    while let Some(flag) = argv.next() {
+        let mut value = || argv.next().ok_or_else(|| format!("{flag} expects a value"));
+        match flag.as_str() {
+            "--smoke" => args.smoke = true,
+            "--telemetry" => args.telemetry = true,
+            "--trace" => args.trace.enabled = true,
+            "--workers" => {
+                let v = value()?;
+                let n = v
+                    .parse()
+                    .map_err(|_| format!("--workers expects a number, got {v:?}"))?;
+                args.workers = Some(n);
+            }
+            "--trace-out" => args.trace.out = Some(value()?),
+            "--trace-chrome" => args.trace.chrome = Some(value()?),
+            "--expose" => {
+                let v = value()?;
+                let port = v
+                    .parse()
+                    .map_err(|_| format!("--expose expects a port number, got {v:?}"))?;
+                args.expose = Some(port);
+            }
+            "--expose-hold" => {
+                let v = value()?;
+                let secs = v
+                    .parse()
+                    .map_err(|_| format!("--expose-hold expects seconds, got {v:?}"))?;
+                args.hold_secs = Some(secs);
+            }
+            _ => return Err(format!("unknown flag {flag:?}")),
+        }
+    }
+    if !args.trace.enabled && (args.trace.out.is_some() || args.trace.chrome.is_some()) {
+        return Err("--trace-out and --trace-chrome need --trace".into());
+    }
+    if args.expose.is_none() && args.hold_secs.is_some() {
+        return Err("--expose-hold needs --expose".into());
+    }
+    if !args.smoke_run() && (args.telemetry || args.workers.is_some()) {
+        return Err("--telemetry and --workers apply only to the smoke run".into());
+    }
+    Ok(args)
+}
+
+fn smoke(args: &Args) -> Result<(), String> {
+    let trace_args = &args.trace;
+    let mut cfg = base_config(4, 16, args.workers.unwrap_or(2));
+    if let Some(port) = args.expose {
         cfg.observability = ObservabilityConfig {
             tick_every: 1,
             ring_capacity: 256,
@@ -68,7 +138,7 @@ fn smoke(
             slos: standard_slos(),
         };
     }
-    let tel = if telemetry || expose.is_some() {
+    let tel = if args.telemetry || args.expose.is_some() {
         // One shard per session keeps concurrent flushes contention-free
         // (and the scrape endpoint needs a live registry).
         Telemetry::with_config(cfg.sessions, true)
@@ -104,13 +174,13 @@ fn smoke(
     );
     // Keep stdout pure JSON for downstream tooling whenever a JSON
     // stream (telemetry or trace) is being emitted there.
-    let stdout_is_json = telemetry || (trace_args.enabled && trace_args.out.is_none());
+    let stdout_is_json = args.telemetry || (trace_args.enabled && trace_args.out.is_none());
     if stdout_is_json {
         eprintln!("{summary}");
     } else {
         println!("{summary}");
     }
-    if telemetry {
+    if args.telemetry {
         println!("{}", tel.report().to_json());
     }
     if report.total_frames != 64 {
@@ -123,7 +193,7 @@ fn smoke(
         if let Some(srv) = &obs.expose {
             // Announced on stderr so scrapers can find an ephemeral port.
             eprintln!("expose: serving /metrics on http://{}/metrics", srv.addr());
-            if hold_secs > 0 {
+            if let Some(hold_secs) = args.hold_secs.filter(|&secs| secs > 0) {
                 eprintln!("expose: holding the endpoint for {hold_secs}s");
                 std::thread::sleep(std::time::Duration::from_secs(hold_secs));
             }
@@ -238,7 +308,7 @@ fn overload_demo(frames: usize) {
                 dropped,
                 r.sessions
                     .iter()
-                    .any(|s| !s.shed && s.final_intra_th >= cfg.admission.degrade_floor_th)
+                    .any(|s| !s.shed && s.final_intra_th >= DEGRADE_FLOOR_TH)
             );
         }
         Err(e) => {
@@ -249,37 +319,15 @@ fn overload_demo(frames: usize) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+    let args = match parse(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("serve: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
     };
-    let trace_args = TraceArgs {
-        enabled: args.iter().any(|a| a == "--trace"),
-        out: flag_value("--trace-out"),
-        chrome: flag_value("--trace-chrome"),
-    };
-    let expose = flag_value("--expose").map(|v| {
-        v.parse::<u16>()
-            .unwrap_or_else(|_| panic!("--expose expects a port number, got {v:?}"))
-    });
-    if args.iter().any(|a| a == "--smoke") || trace_args.enabled || expose.is_some() {
-        let telemetry = args.iter().any(|a| a == "--telemetry");
-        let workers = flag_value("--workers")
-            .map(|v| {
-                v.parse::<usize>()
-                    .unwrap_or_else(|_| panic!("--workers expects a number, got {v:?}"))
-            })
-            .unwrap_or(2);
-        let hold_secs = flag_value("--expose-hold")
-            .map(|v| {
-                v.parse::<u64>()
-                    .unwrap_or_else(|_| panic!("--expose-hold expects seconds, got {v:?}"))
-            })
-            .unwrap_or(0);
-        if let Err(e) = smoke(workers, telemetry, &trace_args, expose, hold_secs) {
+    if args.smoke_run() {
+        if let Err(e) = smoke(&args) {
             eprintln!("serve smoke failed: {e}");
             std::process::exit(1);
         }

@@ -351,7 +351,8 @@ pub fn run_feedback_blackout_instrumented(
         // Receiver side: update the estimate and offer a report to the
         // (possibly dark) return channel.
         estimator.record(lost);
-        link.send(f, estimator.estimate().clamp(0.01, 0.9));
+        let plr = estimator.estimate().clamp(0.01, 0.9);
+        link.send(f, plr, plr, 1.0);
     }
 
     Ok(BlackoutReport {

@@ -78,10 +78,7 @@ pub fn sweep_intra_th(frames: usize, plr: f64) -> Result<ThSweepReport, String> 
         })
         .collect();
     let mut points = Vec::new();
-    for (result, th) in run_batch_parallel(&configs, None)
-        .into_iter()
-        .zip(thresholds)
-    {
+    for (result, th) in run_batch_parallel(&configs).into_iter().zip(thresholds) {
         let result = result?;
         points.push(ThSweepPoint {
             intra_th: th,
@@ -197,7 +194,7 @@ pub fn sweep_plr_grid(frames: usize) -> Result<PlrGridReport, String> {
         })
         .collect();
     let mut points = Vec::new();
-    for (result, (plr, th)) in run_batch_parallel(&configs, None).into_iter().zip(grid) {
+    for (result, (plr, th)) in run_batch_parallel(&configs).into_iter().zip(grid) {
         let result = result?;
         points.push(PlrGridPoint {
             plr,

@@ -429,23 +429,14 @@ pub fn run_replicated(cfg: &RunConfig, replicates: usize) -> Result<ReplicatedRe
 }
 
 /// Executes a batch of cells in parallel (bounded by the logical CPU
-/// count), preserving input order in the output. Progress messages are
-/// emitted through the optional callback, which is invoked under a lock
-/// so interleaved output stays line-atomic.
+/// count), preserving input order in the output.
 ///
 /// # Errors
 ///
 /// Each cell reports its own `Result`; one failing cell does not abort
 /// the others.
-/// Progress callback of [`run_batch_parallel`]: `(completed, cell label)`.
-pub type ProgressFn<'a> = &'a mut (dyn FnMut(usize, &str) + Send);
-
-pub fn run_batch_parallel(
-    configs: &[RunConfig],
-    mut progress: Option<ProgressFn<'_>>,
-) -> Vec<Result<RunResult, String>> {
+pub fn run_batch_parallel(configs: &[RunConfig]) -> Vec<Result<RunResult, String>> {
     use std::sync::Mutex;
-    let done = Mutex::new((0usize, &mut progress));
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
@@ -461,23 +452,7 @@ pub fn run_batch_parallel(
                 if i >= configs.len() {
                     break;
                 }
-                let result = run(&configs[i]);
-                {
-                    let mut guard = done.lock().expect("progress lock poisoned");
-                    guard.0 += 1;
-                    let completed = guard.0;
-                    if let Some(cb) = guard.1.as_deref_mut() {
-                        cb(
-                            completed,
-                            &format!(
-                                "{} × {}",
-                                configs[i].scheme.name(),
-                                configs[i].sequence.label()
-                            ),
-                        );
-                    }
-                }
-                *results[i].lock().expect("result lock poisoned") = Some(result);
+                *results[i].lock().expect("result lock poisoned") = Some(run(&configs[i]));
             });
         }
     });
@@ -744,7 +719,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_parallel_matches_serial_and_reports_progress() {
+    fn batch_parallel_matches_serial() {
         let configs: Vec<RunConfig> = [0.0, 0.1, 0.2]
             .iter()
             .map(|&rate| {
@@ -758,10 +733,8 @@ mod tests {
                 )
             })
             .collect();
-        let mut events = Vec::new();
-        let mut cb = |n: usize, label: &str| events.push((n, label.to_string()));
-        let parallel = run_batch_parallel(&configs, Some(&mut cb));
-        assert_eq!(events.len(), 3);
+        let parallel = run_batch_parallel(&configs);
+        assert_eq!(parallel.len(), configs.len());
         for (cfg, result) in configs.iter().zip(&parallel) {
             let serial = run(cfg).unwrap();
             let p = result.as_ref().unwrap();

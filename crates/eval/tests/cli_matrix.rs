@@ -1,16 +1,26 @@
-//! End-to-end tests of the `matrix` command-line binary: the report is
-//! worker-count invariant, and bad arguments fail with a message
-//! instead of a panic.
+//! End-to-end tests of the `matrix` and `serve` command-line binaries:
+//! the matrix report is worker-count invariant, and bad arguments to
+//! either fail with a message instead of a panic.
 
 use std::process::{Command, Output};
 
-fn matrix(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_matrix"))
+/// Runs binary `bin` (`"matrix"` or `"serve"`) with `args`.
+fn run_bin(bin: &str, args: &[&str]) -> Output {
+    let exe = match bin {
+        "matrix" => env!("CARGO_BIN_EXE_matrix"),
+        "serve" => env!("CARGO_BIN_EXE_serve"),
+        _ => unreachable!("no binary {bin}"),
+    };
+    Command::new(exe)
         .args(args)
         // Shallowest allowed depth; the override is what CI pins too.
         .env("PBPAIR_FRAMES", "10")
         .output()
         .expect("binary runs")
+}
+
+fn matrix(args: &[&str]) -> Output {
+    run_bin("matrix", args)
 }
 
 #[test]
@@ -49,28 +59,81 @@ fn trace_smoke_report_is_identical_at_one_and_three_workers() {
 
 #[test]
 fn bad_arguments_fail_with_a_message_not_a_panic() {
-    for (args, message) in [
-        (&["nope", "--smoke"][..], "unknown matrix \"nope\""),
+    for (bin, args, message) in [
         (
+            "matrix",
+            &["nope", "--smoke"][..],
+            "unknown matrix \"nope\"",
+        ),
+        (
+            "matrix",
             &["trace", "--workers", "abc"][..],
             "--workers expects a number",
         ),
-        (&["trace", "--smoke", "--out"][..], "--out expects a value"),
         (
+            "matrix",
+            &["trace", "--smoke", "--out"][..],
+            "--out expects a value",
+        ),
+        (
+            "matrix",
             &["trace", "--smoke", "--telemetry"][..],
             "--telemetry does not apply to trace",
         ),
+        (
+            "serve",
+            &["--smoke", "--workers", "abc"][..],
+            "--workers expects a number",
+        ),
+        (
+            "serve",
+            &["--expose", "notaport"][..],
+            "--expose expects a port number",
+        ),
+        (
+            "serve",
+            &["--smoke", "--expose-hold", "abc"][..],
+            "--expose-hold expects seconds",
+        ),
+        ("serve", &["--smok"][..], "unknown flag \"--smok\""),
+        (
+            "serve",
+            &["--smoke", "--trace-out", "never-written.json"][..],
+            "need --trace",
+        ),
+        (
+            "serve",
+            &["--smoke", "--trace-chrome", "never-written.json"][..],
+            "need --trace",
+        ),
+        (
+            "serve",
+            &["--smoke", "--trace", "--trace-out"][..],
+            "--trace-out expects a value",
+        ),
+        (
+            "serve",
+            &["--smoke", "--expose-hold", "5"][..],
+            "--expose-hold needs --expose",
+        ),
+        ("serve", &["--telemetry"][..], "apply only to the smoke run"),
     ] {
-        let output = matrix(args);
+        let output = run_bin(bin, args);
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(!output.status.success(), "{args:?} must fail");
+        assert!(!output.status.success(), "{bin} {args:?} must fail");
         assert_ne!(
             output.status.code(),
             Some(101),
-            "{args:?} panicked: {stderr}"
+            "{bin} {args:?} panicked: {stderr}"
         );
-        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
-        assert!(stderr.contains(message), "{args:?}: {stderr}");
-        assert!(stderr.contains("usage: matrix"), "{args:?}: {stderr}");
+        assert!(
+            !stderr.contains("panicked"),
+            "{bin} {args:?} panicked: {stderr}"
+        );
+        assert!(stderr.contains(message), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("usage: {bin}")),
+            "{bin} {args:?}: {stderr}"
+        );
     }
 }

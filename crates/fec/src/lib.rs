@@ -275,10 +275,9 @@ impl FecSpec {
         if r == 0 {
             return Err("fec: r must be positive".into());
         }
-        if k + r > 255 {
+        if k.saturating_add(r) > 255 {
             return Err(format!(
-                "fec: k + r = {} exceeds GF(256) block bound",
-                k + r
+                "fec: k + r = {k} + {r} exceeds GF(256) block bound"
             ));
         }
         Ok(())

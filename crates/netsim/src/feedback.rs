@@ -3,11 +3,11 @@
 //! network, PBPAIR can be extended to adjust Intra_Th").
 //!
 //! Two estimators: a sliding-window empirical rate (what an RTCP receiver
-//! report would carry) and an exponentially-weighted moving average for
-//! smoother control loops. [`FeedbackLink`] then carries those estimates
-//! back to the encoder through the *same* unreliable network the video
-//! crossed — reports can be delayed or lost outright, which is what the
-//! degradation-aware controller on the encoder side has to survive.
+//! report would carry) and an erasure-burst-length EWMA.
+//! [`FeedbackLink`] then carries those estimates back to the encoder
+//! through the *same* unreliable network the video crossed — reports can
+//! be delayed or lost outright, which is what the degradation-aware
+//! controller on the encoder side has to survive.
 
 use crate::loss::LossModel;
 use std::collections::VecDeque;
@@ -59,47 +59,6 @@ impl WindowPlrEstimator {
     /// Observations currently in the window.
     pub fn observations(&self) -> usize {
         self.history.len()
-    }
-}
-
-/// EWMA PLR estimator: `est ← (1−β)·est + β·outcome`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EwmaPlrEstimator {
-    beta: f64,
-    estimate: f64,
-    seen_any: bool,
-}
-
-impl EwmaPlrEstimator {
-    /// Creates an estimator with smoothing factor `beta` (weight of the
-    /// newest observation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `beta` is outside `(0, 1]`.
-    pub fn new(beta: f64) -> Self {
-        assert!(beta > 0.0 && beta <= 1.0, "beta must be in (0,1]");
-        EwmaPlrEstimator {
-            beta,
-            estimate: 0.0,
-            seen_any: false,
-        }
-    }
-
-    /// Records one transmission outcome.
-    pub fn record(&mut self, lost: bool) {
-        let x = if lost { 1.0 } else { 0.0 };
-        if self.seen_any {
-            self.estimate = (1.0 - self.beta) * self.estimate + self.beta * x;
-        } else {
-            self.estimate = x;
-            self.seen_any = true;
-        }
-    }
-
-    /// The current estimate; `0.0` before any observation.
-    pub fn estimate(&self) -> f64 {
-        self.estimate
     }
 }
 
@@ -194,52 +153,16 @@ impl BurstEstimator {
 /// Cumulative statistics of the feedback path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FeedbackLinkStats {
-    /// Report copies the receiver offered to the link (retries included).
+    /// Reports the receiver offered to the link.
     pub sent: u64,
-    /// Copies the return channel dropped.
+    /// Reports the return channel dropped.
     pub lost: u64,
-    /// Copies the encoder actually polled off the link.
+    /// Reports the encoder actually polled off the link.
     pub delivered: u64,
-    /// Copies that arrived older than the staleness window and were
-    /// discarded instead of applied.
-    pub expired: u64,
-    /// Copies that arrived after a fresher report had already been
-    /// applied (RTT shrank mid-flight, or a retry duplicate landed late)
-    /// and were discarded instead of applied out of order.
+    /// Reports that arrived after a fresher report had already been
+    /// applied (the RTT shrank mid-flight) and were discarded instead of
+    /// applied out of order.
     pub out_of_order: u64,
-}
-
-/// Bounded retry with exponential backoff + deterministic jitter for the
-/// feedback path. The receiver re-offers each report up to `max_retries`
-/// times; copy `k` (1-based) is sent `base_backoff_frames · 2^(k−1) +
-/// jitter` frames after the original. Copies share the original's
-/// sequence number, so once any copy is applied the rest are discarded by
-/// the out-of-order guard — retries add redundancy, never regressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryConfig {
-    /// Redundant copies per report (0 disables retry).
-    pub max_retries: u32,
-    /// Backoff base, in frame periods (doubles per attempt).
-    pub base_backoff_frames: u64,
-    /// Seed for the deterministic jitter.
-    pub jitter_seed: u64,
-}
-
-impl Default for RetryConfig {
-    fn default() -> Self {
-        RetryConfig {
-            max_retries: 0,
-            base_backoff_frames: 2,
-            jitter_seed: 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// The return channel for receiver reports: a [`LossModel`] plus a fixed
@@ -258,7 +181,7 @@ fn splitmix(mut x: u64) -> u64 {
 /// use pbpair_netsim::loss::NoLoss;
 ///
 /// let mut link = FeedbackLink::new(Box::new(NoLoss), 3);
-/// link.send(10, 0.07);
+/// link.send(10, 0.07, 0.07, 1.0);
 /// assert!(link.poll(12).is_none(), "still in flight");
 /// let report = link.poll(13).expect("arrived after 3 frames");
 /// assert_eq!(report.sent_at_frame, 10);
@@ -274,9 +197,6 @@ pub struct FeedbackLink {
     /// Sequence number of the newest report ever returned by `poll`;
     /// anything at or below it that arrives later is discarded.
     last_applied_seq: Option<u64>,
-    /// Maximum report age (frames) `poll` will still apply; `None`
-    /// disables expiry.
-    staleness_window: Option<u64>,
     stats: FeedbackLinkStats,
 }
 
@@ -300,7 +220,6 @@ impl FeedbackLink {
             in_flight: VecDeque::new(),
             next_seq: 0,
             last_applied_seq: None,
-            staleness_window: None,
             stats: FeedbackLinkStats::default(),
         }
     }
@@ -324,91 +243,41 @@ impl FeedbackLink {
         self.delay_frames = delay_frames;
     }
 
-    /// Bounds how old (in frames, send → poll) a report may be and still
-    /// be applied; older arrivals are counted as `expired` and dropped.
-    /// `None` (the default) disables expiry.
-    pub fn set_staleness_window(&mut self, window: Option<u64>) {
-        self.staleness_window = window;
-    }
-
     /// Reports currently in transit.
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
     }
 
-    /// Receiver side: offers a PLR report to the return channel at frame
-    /// `now_frame`. The report is dropped immediately if the loss model
-    /// says so; otherwise it arrives `delay_frames` later.
-    pub fn send(&mut self, now_frame: u64, plr: f64) {
+    /// Receiver side: offers a report to the return channel at frame
+    /// `now_frame` — the PLR estimate, the pre-repair packet loss rate
+    /// and the erasure-burst-length estimate. The report is dropped
+    /// immediately if the loss model says so; otherwise it arrives
+    /// `delay_frames` later.
+    pub fn send(&mut self, now_frame: u64, plr: f64, packet_plr: f64, burst: f64) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.offer_copy(
-            now_frame,
-            FeedbackReport {
-                seq,
-                sent_at_frame: now_frame,
-                plr,
-                packet_plr: plr,
-                burst: 1.0,
-            },
-        );
-    }
-
-    /// Receiver side with bounded retry: offers the report now and again
-    /// at `base · 2^(k−1) + jitter` frame offsets, up to
-    /// `retry.max_retries` redundant copies. Every copy shares one
-    /// sequence number; the out-of-order guard in [`FeedbackLink::poll`]
-    /// makes late duplicates harmless. With `max_retries == 0` this is
-    /// a single copy, like [`FeedbackLink::send`] but carrying the
-    /// pre-repair packet loss rate and burst-length estimate alongside
-    /// the PLR.
-    pub fn send_with_retry(
-        &mut self,
-        now_frame: u64,
-        plr: f64,
-        packet_plr: f64,
-        burst: f64,
-        retry: &RetryConfig,
-    ) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let report = FeedbackReport {
-            seq,
-            sent_at_frame: now_frame,
-            plr,
-            packet_plr,
-            burst,
-        };
-        self.offer_copy(now_frame, report);
-        for attempt in 1..=u64::from(retry.max_retries) {
-            let backoff = retry.base_backoff_frames << (attempt - 1);
-            let jitter = if retry.base_backoff_frames == 0 {
-                0
-            } else {
-                splitmix(retry.jitter_seed ^ seq.wrapping_mul(0x9e37_79b9) ^ attempt)
-                    % retry.base_backoff_frames
-            };
-            self.offer_copy(now_frame + backoff + jitter, report);
-        }
-    }
-
-    /// Offers one copy to the lossy return path at `send_frame`.
-    fn offer_copy(&mut self, send_frame: u64, report: FeedbackReport) {
         self.stats.sent += 1;
         if self.loss.next_lost() {
             self.stats.lost += 1;
             return;
         }
-        self.in_flight
-            .push_back((send_frame + self.delay_frames, report));
+        self.in_flight.push_back((
+            now_frame.saturating_add(self.delay_frames),
+            FeedbackReport {
+                seq,
+                sent_at_frame: now_frame,
+                plr,
+                packet_plr,
+                burst,
+            },
+        ));
     }
 
-    /// Encoder side: drains every copy that has arrived by frame
-    /// `now_frame` and returns the freshest *applicable* report, if any.
-    /// Copies older than the staleness window are expired; copies at or
-    /// below the last applied sequence number (late reordered stragglers,
-    /// retry duplicates) are discarded as out-of-order. Superseded
-    /// same-poll copies still count as delivered.
+    /// Encoder side: drains every report that has arrived by frame
+    /// `now_frame` and returns the freshest *applicable* one, if any.
+    /// Reports at or below the last applied sequence number (late
+    /// reordered stragglers) are discarded as out-of-order. Superseded
+    /// same-poll reports still count as delivered.
     pub fn poll(&mut self, now_frame: u64) -> Option<FeedbackReport> {
         let mut arrived = Vec::new();
         self.in_flight.retain(|&(arrival, report)| {
@@ -421,13 +290,6 @@ impl FeedbackLink {
         });
         let mut latest: Option<FeedbackReport> = None;
         for report in arrived {
-            if self
-                .staleness_window
-                .is_some_and(|w| now_frame.saturating_sub(report.sent_at_frame) > w)
-            {
-                self.stats.expired += 1;
-                continue;
-            }
             if self.last_applied_seq.is_some_and(|last| report.seq <= last) {
                 self.stats.out_of_order += 1;
                 continue;
@@ -474,42 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn ewma_converges_to_the_true_rate() {
-        let mut e = EwmaPlrEstimator::new(0.05);
-        // Deterministic 1-in-10 pattern.
-        for i in 0..2000 {
-            e.record(i % 10 == 0);
-        }
-        assert!(
-            (e.estimate() - 0.1).abs() < 0.05,
-            "estimate {}",
-            e.estimate()
-        );
-    }
-
-    #[test]
-    fn ewma_first_sample_initializes() {
-        let mut e = EwmaPlrEstimator::new(0.1);
-        e.record(true);
-        assert_eq!(e.estimate(), 1.0);
-    }
-
-    #[test]
-    fn ewma_reacts_faster_with_larger_beta() {
-        let run = |beta: f64| {
-            let mut e = EwmaPlrEstimator::new(beta);
-            for _ in 0..50 {
-                e.record(false);
-            }
-            for _ in 0..10 {
-                e.record(true); // rate jumps
-            }
-            e.estimate()
-        };
-        assert!(run(0.3) > run(0.05));
-    }
-
-    #[test]
     #[should_panic(expected = "window")]
     fn zero_window_rejected() {
         let _ = WindowPlrEstimator::new(0);
@@ -518,13 +344,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "beta")]
     fn bad_beta_rejected() {
-        let _ = EwmaPlrEstimator::new(0.0);
+        let _ = BurstEstimator::new(0.0);
     }
 
     #[test]
     fn feedback_link_delays_by_the_configured_frames() {
         let mut link = FeedbackLink::new(Box::new(NoLoss), 5);
-        link.send(100, 0.12);
+        link.send(100, 0.12, 0.4, 2.5);
         assert_eq!(link.in_flight(), 1);
         for now in 100..105 {
             assert!(link.poll(now).is_none(), "too early at frame {now}");
@@ -533,13 +359,15 @@ mod tests {
         assert_eq!(r.sent_at_frame, 100);
         assert_eq!(r.seq, 0);
         assert!((r.plr - 0.12).abs() < 1e-12);
+        assert!((r.packet_plr - 0.4).abs() < 1e-12);
+        assert!((r.burst - 2.5).abs() < 1e-12);
         assert_eq!(link.in_flight(), 0);
     }
 
     #[test]
     fn feedback_link_zero_delay_is_immediate() {
         let mut link = FeedbackLink::new(Box::new(NoLoss), 0);
-        link.send(7, 0.3);
+        link.send(7, 0.3, 0.3, 1.0);
         assert!(link.poll(7).is_some());
     }
 
@@ -548,7 +376,7 @@ mod tests {
         // Reports 1 and 2 die on the return path.
         let mut link = FeedbackLink::new(Box::new(ScriptedLoss::new([1, 2])), 1);
         for f in 0..4 {
-            link.send(f * 10, 0.1 * f as f64);
+            link.send(f * 10, 0.1 * f as f64, 0.1 * f as f64, 1.0);
         }
         let mut seen = Vec::new();
         for now in 0..=40 {
@@ -565,9 +393,9 @@ mod tests {
     #[test]
     fn feedback_link_poll_supersedes_with_the_freshest_report() {
         let mut link = FeedbackLink::new(Box::new(NoLoss), 2);
-        link.send(0, 0.1);
-        link.send(1, 0.2);
-        link.send(2, 0.3);
+        link.send(0, 0.1, 0.1, 1.0);
+        link.send(1, 0.2, 0.2, 1.0);
+        link.send(2, 0.3, 0.3, 1.0);
         // By frame 4 all three have arrived; only the newest wins.
         let r = link.poll(4).expect("reports arrived");
         assert_eq!(r.seq, 2);
@@ -595,109 +423,20 @@ mod tests {
     }
 
     #[test]
-    fn stale_reports_are_expired_not_applied() {
-        let mut link = FeedbackLink::new(Box::new(NoLoss), 10);
-        link.set_staleness_window(Some(4));
-        link.send(0, 0.9); // arrives at frame 10, age 10 > window 4
-        assert!(link.poll(10).is_none(), "stale report must not apply");
-        assert_eq!(link.stats().expired, 1);
-        assert_eq!(link.stats().delivered, 0);
-        // A fresh report under the window still applies.
-        link.set_delay(2);
-        link.send(20, 0.1);
-        let r = link.poll(22).expect("fresh report applies");
-        assert!((r.plr - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
     fn rtt_shrink_cannot_apply_reports_out_of_order() {
         // Handoff: RTT drops from 8 to 1 mid-run. The newer report
         // overtakes the older one; the straggler must be discarded, not
         // applied on top of fresher state.
         let mut link = FeedbackLink::new(Box::new(NoLoss), 8);
-        link.send(0, 0.5); // seq 0, arrives at frame 8
+        link.send(0, 0.5, 0.5, 1.0); // seq 0, arrives at frame 8
         link.set_delay(1);
-        link.send(2, 0.1); // seq 1, arrives at frame 3
+        link.send(2, 0.1, 0.1, 1.0); // seq 1, arrives at frame 3
         let first = link.poll(3).expect("fast report lands first");
         assert_eq!(first.seq, 1);
         let late = link.poll(8);
         assert!(late.is_none(), "overtaken report must be dropped");
         assert_eq!(link.stats().out_of_order, 1);
         assert_eq!(link.stats().delivered, 1);
-    }
-
-    #[test]
-    fn outage_long_delay_reports_drop_cleanly_under_staleness() {
-        // During an outage the return path effectively stalls; when it
-        // heals, a burst of ancient reports arrives at once. Only those
-        // inside the staleness window may apply, and the freshest wins.
-        let mut link = FeedbackLink::new(Box::new(NoLoss), 0);
-        link.set_staleness_window(Some(5));
-        link.set_delay(30); // outage-inflated RTT
-        for f in 0..4 {
-            link.send(f, 0.2 + f as f64 * 0.1);
-        }
-        link.set_delay(1);
-        link.send(33, 0.05); // post-heal report, arrives at 34
-        let r = link.poll(34).expect("post-heal report applies");
-        assert_eq!(r.seq, 4);
-        assert!((r.plr - 0.05).abs() < 1e-12);
-        // The four outage-era reports (ages 34-f+..) are all expired or
-        // out-of-order; none applied.
-        let s = *link.stats();
-        assert_eq!(s.delivered, 1);
-        assert_eq!(s.expired + s.out_of_order, 4);
-        assert_eq!(s.sent, 5);
-    }
-
-    #[test]
-    fn retry_copies_are_redundant_and_idempotent() {
-        let retry = RetryConfig {
-            max_retries: 2,
-            base_backoff_frames: 2,
-            jitter_seed: 42,
-        };
-        // Return path drops the first copy; a retry still gets through.
-        let mut link = FeedbackLink::new(Box::new(ScriptedLoss::new([0])), 1);
-        link.send_with_retry(0, 0.25, 0.4, 1.0, &retry);
-        assert_eq!(link.stats().sent, 3, "original + 2 retries offered");
-        assert_eq!(link.stats().lost, 1);
-        let mut applied = Vec::new();
-        for now in 0..20 {
-            if let Some(r) = link.poll(now) {
-                applied.push(r);
-            }
-        }
-        assert_eq!(applied.len(), 1, "duplicates must not re-apply");
-        assert_eq!(applied[0].seq, 0);
-        assert!((applied[0].plr - 0.25).abs() < 1e-12);
-        assert!((applied[0].packet_plr - 0.4).abs() < 1e-12);
-        assert!((applied[0].burst - 1.0).abs() < 1e-12);
-        let s = *link.stats();
-        assert_eq!(s.delivered + s.out_of_order, 2, "second copy discarded");
-    }
-
-    #[test]
-    fn retry_is_deterministic_for_a_fixed_seed() {
-        let retry = RetryConfig {
-            max_retries: 3,
-            base_backoff_frames: 2,
-            jitter_seed: 7,
-        };
-        let run = || {
-            let mut link = FeedbackLink::new(Box::new(UniformLoss::new(0.5, 9)), 2);
-            for f in 0..50u64 {
-                link.send_with_retry(f * 3, 0.1, 0.2, 1.5, &retry);
-            }
-            let mut seen = Vec::new();
-            for now in 0..200u64 {
-                if let Some(r) = link.poll(now) {
-                    seen.push((now, r.seq));
-                }
-            }
-            (seen, *link.stats())
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]
@@ -756,7 +495,7 @@ mod tests {
     fn feedback_link_loss_rate_shows_up_in_stats() {
         let mut link = FeedbackLink::new(Box::new(UniformLoss::new(0.4, 77)), 1);
         for f in 0..1000 {
-            link.send(f, 0.05);
+            link.send(f, 0.05, 0.05, 1.0);
             let _ = link.poll(f);
         }
         let _ = link.poll(2000);

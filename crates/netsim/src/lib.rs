@@ -38,8 +38,7 @@ pub use corrupt::{
 pub use delay::{LinkStats, RealTimeLink};
 pub use fec::{FecProtector, FecRecovery};
 pub use feedback::{
-    BurstEstimator, EwmaPlrEstimator, FeedbackLink, FeedbackLinkStats, FeedbackReport, RetryConfig,
-    WindowPlrEstimator,
+    BurstEstimator, FeedbackLink, FeedbackLinkStats, FeedbackReport, WindowPlrEstimator,
 };
 pub use loss::{GilbertElliott, LossModel, NoLoss, ScriptedLoss, TraceLoss, UniformLoss};
 pub use packet::{ChannelStats, Packet};

@@ -136,18 +136,26 @@ impl GilbertElliott {
     }
 }
 
+/// One transition of a two-state (good/bad) Markov chain, the step every
+/// bursty channel shares: draws one uniform from `rng`, enters the bad
+/// state with probability `p_enter` or leaves it with probability
+/// `p_leave`, and returns the new state.
+pub(crate) fn markov_step(rng: &mut StdRng, bad: &mut bool, p_enter: f64, p_leave: f64) -> bool {
+    let flip: f64 = rng.gen();
+    if *bad {
+        if flip < p_leave {
+            *bad = false;
+        }
+    } else if flip < p_enter {
+        *bad = true;
+    }
+    *bad
+}
+
 impl LossModel for GilbertElliott {
     fn next_lost(&mut self) -> bool {
         // Transition first, then sample loss in the new state.
-        let flip: f64 = self.rng.gen();
-        if self.in_bad {
-            if flip < self.p_bg {
-                self.in_bad = false;
-            }
-        } else if flip < self.p_gb {
-            self.in_bad = true;
-        }
-        let p = if self.in_bad {
+        let p = if markov_step(&mut self.rng, &mut self.in_bad, self.p_gb, self.p_bg) {
             self.loss_bad
         } else {
             self.loss_good

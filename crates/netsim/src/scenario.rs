@@ -21,7 +21,7 @@
 //! Everything is seeded and fully deterministic: the same spec and seed
 //! replay the same loss pattern packet for packet.
 
-use crate::loss::{GilbertElliott, LossModel, UniformLoss};
+use crate::loss::{markov_step, GilbertElliott, LossModel, UniformLoss};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -75,24 +75,16 @@ impl MarkovBurstErasure {
     pub fn stationary_loss_rate(&self) -> f64 {
         self.burst_len / (self.burst_len + self.guard_len)
     }
-
-    /// One Markov step; returns whether the new state is Burst.
-    fn step(&mut self) -> bool {
-        let flip: f64 = self.rng.gen();
-        if self.in_burst {
-            if flip < 1.0 / self.burst_len {
-                self.in_burst = false;
-            }
-        } else if flip < 1.0 / self.guard_len {
-            self.in_burst = true;
-        }
-        self.in_burst
-    }
 }
 
 impl LossModel for MarkovBurstErasure {
     fn next_lost(&mut self) -> bool {
-        self.step()
+        markov_step(
+            &mut self.rng,
+            &mut self.in_burst,
+            1.0 / self.guard_len,
+            1.0 / self.burst_len,
+        )
     }
 
     fn reset(&mut self) {
@@ -244,10 +236,11 @@ impl ScheduleChannel {
     fn phase_index_at(phases: &[Phase], frame: u64) -> usize {
         let mut start = 0u64;
         for (i, p) in phases.iter().enumerate() {
-            if frame < start + p.frames || i == phases.len() - 1 {
+            let end = start.saturating_add(p.frames);
+            if frame < end || i == phases.len() - 1 {
                 return i;
             }
-            start += p.frames;
+            start = end;
         }
         phases.len() - 1
     }
@@ -259,17 +252,12 @@ impl LossModel for ScheduleChannel {
             PhaseKind::Burst {
                 burst_len,
                 guard_len,
-            } => {
-                let flip: f64 = self.rng.gen();
-                if self.in_burst {
-                    if flip < 1.0 / burst_len {
-                        self.in_burst = false;
-                    }
-                } else if flip < 1.0 / guard_len {
-                    self.in_burst = true;
-                }
-                self.in_burst
-            }
+            } => markov_step(
+                &mut self.rng,
+                &mut self.in_burst,
+                1.0 / guard_len,
+                1.0 / burst_len,
+            ),
             PhaseKind::Outage => true,
             _ => self.rng.gen::<f64>() < self.current_plr(),
         }
@@ -286,7 +274,10 @@ impl LossModel for ScheduleChannel {
     fn on_frame(&mut self, frame: u64) {
         self.frame = frame;
         while self.cursor + 1 < self.phases.len()
-            && frame >= self.phase_start + self.phases[self.cursor].frames
+            && frame
+                >= self
+                    .phase_start
+                    .saturating_add(self.phases[self.cursor].frames)
         {
             self.phase_start += self.phases[self.cursor].frames;
             self.cursor += 1;

@@ -17,18 +17,26 @@
 //!    stream also becomes more loss-resilient, which matters because a
 //!    congested serving fleet usually coincides with a congested
 //!    network. On deeper lag (`rate_drop_lag`), degraded sessions also
-//!    drop every `rate_drop_stride`-th frame.
+//!    drop every [`RATE_DROP_STRIDE`]-th frame.
 //! 2. **Shed** (`lag > shed_lag`): the most expensive session (by last
 //!    round's energy; ties to the lowest id) is terminated outright.
 //!    At most one session is shed per round, so a transient spike
 //!    cannot wipe the fleet.
-//! 3. **Recover** (`lag < recover_lag`): the floor is lifted and
+//! 3. **Recover** (`lag <` [`RECOVER_LAG`]): the floor is lifted and
 //!    sessions resume full rate. Shed sessions stay shed — admission
 //!    is cheaper than re-buffering a client that was already dropped.
 //!
 //! Everything here is pure integer/float state machinery on
 //! deterministic inputs, so fleet behaviour replays bit-identically at
 //! any worker count — the property the replay test pins down.
+
+/// Lag below which degradation is lifted.
+pub const RECOVER_LAG: f64 = 0.5;
+/// The `Intra_Th` floor imposed while degraded.
+pub const DEGRADE_FLOOR_TH: f64 = 0.995;
+/// While rate-dropping, every `RATE_DROP_STRIDE`-th frame of each
+/// degraded session is skipped.
+pub const RATE_DROP_STRIDE: u64 = 3;
 
 /// Capacity model and escalation thresholds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,22 +51,6 @@ pub struct AdmissionConfig {
     pub rate_drop_lag: f64,
     /// Lag beyond which one session per round is shed.
     pub shed_lag: f64,
-    /// Lag below which degradation is lifted.
-    pub recover_lag: f64,
-    /// The `Intra_Th` floor imposed while degraded.
-    pub degrade_floor_th: f64,
-    /// While rate-dropping, every `rate_drop_stride`-th frame of each
-    /// degraded session is skipped (must be ≥ 2).
-    pub rate_drop_stride: u64,
-    /// Shed ranking metric. `false` (the default, and the behaviour of
-    /// every committed scenario digest) sheds the session with the
-    /// highest raw round energy. `true` ranks by **Joules per quality
-    /// point** — round energy divided by the session's delivered
-    /// quality, where the manager supplies quality as the last
-    /// displayed PSNR discounted by the encoder's `C^k` expected-damage
-    /// forecast — so the controller sheds the session spending the most
-    /// energy per unit of quality it actually delivers to a viewer.
-    pub rank_energy_per_quality: bool,
 }
 
 impl Default for AdmissionConfig {
@@ -68,10 +60,6 @@ impl Default for AdmissionConfig {
             degrade_lag: 2.0,
             rate_drop_lag: 6.0,
             shed_lag: 12.0,
-            recover_lag: 0.5,
-            degrade_floor_th: 0.995,
-            rate_drop_stride: 3,
-            rank_energy_per_quality: false,
         }
     }
 }
@@ -86,49 +74,19 @@ impl AdmissionConfig {
         if self.capacity_j_per_round <= 0.0 {
             return Err("capacity_j_per_round must be positive".into());
         }
-        if !(0.0..=1.0).contains(&self.degrade_floor_th) {
-            return Err(format!(
-                "degrade_floor_th {} outside [0,1]",
-                self.degrade_floor_th
-            ));
-        }
-        if !(self.recover_lag <= self.degrade_lag
+        if !(RECOVER_LAG <= self.degrade_lag
             && self.degrade_lag <= self.rate_drop_lag
             && self.rate_drop_lag <= self.shed_lag)
         {
             return Err(format!(
                 "lag thresholds must be ordered recover ≤ degrade ≤ rate_drop ≤ shed: \
-                 {} / {} / {} / {}",
-                self.recover_lag, self.degrade_lag, self.rate_drop_lag, self.shed_lag
+                 {RECOVER_LAG} / {} / {} / {}",
+                self.degrade_lag, self.rate_drop_lag, self.shed_lag
             ));
-        }
-        if self.rate_drop_stride < 2 {
-            return Err("rate_drop_stride must be at least 2".into());
         }
         Ok(())
     }
 }
-
-/// One live session's contribution to a finished round, as the manager
-/// reports it to the controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SessionRoundCost {
-    /// Session id.
-    pub id: u32,
-    /// Modeled compute Joules the session spent this round (encode plus
-    /// FEC processing).
-    pub joules: f64,
-    /// Delivered quality in points — the manager supplies the last
-    /// displayed PSNR in dB, discounted by the encoder's `C^k`
-    /// expected-damage forecast. Only consulted when
-    /// [`AdmissionConfig::rank_energy_per_quality`] is set.
-    pub quality: f64,
-}
-
-/// Quality floor used when ranking by Joules per quality point: a
-/// session that has delivered no measurable quality yet (or reports
-/// zero) ranks as maximally expensive rather than dividing by zero.
-const MIN_QUALITY_POINTS: f64 = 1e-3;
 
 /// The fleet-level service state the controller is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,7 +106,7 @@ pub struct RoundDecision {
     pub level: ServiceLevel,
     /// `Intra_Th` floor to apply to every live session (0 when normal).
     pub floor_th: f64,
-    /// Whether the stride-`rate_drop_stride` frame drop applies.
+    /// Whether the stride-[`RATE_DROP_STRIDE`] frame drop applies.
     pub drop_frames: bool,
     /// Session to shed this round, if any.
     pub shed: Option<u32>,
@@ -203,32 +161,10 @@ impl AdmissionController {
         self.lag_j / self.cfg.capacity_j_per_round
     }
 
-    /// Feeds one finished round: `(session id, encode Joules)` for every
+    /// Feeds one finished round: `(session id, compute Joules)` for every
     /// session that stepped. Returns the decision for the next round.
-    ///
-    /// Legacy entry point: every session's quality is taken as one
-    /// point, so shedding ranks by raw Joules regardless of
-    /// [`AdmissionConfig::rank_energy_per_quality`].
     pub fn observe_round(&mut self, round_cost: &[(u32, f64)]) -> RoundDecision {
-        let costs: Vec<SessionRoundCost> = round_cost
-            .iter()
-            .map(|&(id, joules)| SessionRoundCost {
-                id,
-                joules,
-                quality: 1.0,
-            })
-            .collect();
-        self.observe_round_ranked(&costs)
-    }
-
-    /// Feeds one finished round with per-session delivered quality.
-    /// Identical to [`AdmissionController::observe_round`] except that,
-    /// with [`AdmissionConfig::rank_energy_per_quality`] set, the shed
-    /// ranking key becomes `joules / quality` (Joules per quality
-    /// point) instead of raw Joules. Lag accounting is unchanged —
-    /// quality never buys capacity, it only chooses the victim.
-    pub fn observe_round_ranked(&mut self, round_cost: &[SessionRoundCost]) -> RoundDecision {
-        let spent: f64 = round_cost.iter().map(|c| c.joules).sum();
+        let spent: f64 = round_cost.iter().map(|&(_, joules)| joules).sum();
         self.lag_j = (self.lag_j + spent - self.cfg.capacity_j_per_round).max(0.0);
         let lag = self.lag();
 
@@ -236,7 +172,7 @@ impl AdmissionController {
             ServiceLevel::RateDropping
         } else if lag > self.cfg.degrade_lag {
             ServiceLevel::Degraded
-        } else if lag < self.cfg.recover_lag {
+        } else if lag < RECOVER_LAG {
             ServiceLevel::Normal
         } else {
             // Hysteresis band: hold the current level (but entering the
@@ -248,26 +184,16 @@ impl AdmissionController {
         }
 
         let shed = if lag > self.cfg.shed_lag {
-            // Shed the costliest session by the configured metric; ties
-            // break to the lowest id so the choice is independent of
-            // observation order.
-            let key = |c: &SessionRoundCost| {
-                if self.cfg.rank_energy_per_quality {
-                    c.joules / c.quality.max(MIN_QUALITY_POINTS)
-                } else {
-                    c.joules
-                }
-            };
+            // Shed the costliest session; ties break to the lowest id so
+            // the choice is independent of observation order.
             round_cost
                 .iter()
-                .copied()
                 .max_by(|a, b| {
-                    key(a)
-                        .partial_cmp(&key(b))
-                        .expect("energy and quality are never NaN")
-                        .then(b.id.cmp(&a.id))
+                    a.1.partial_cmp(&b.1)
+                        .expect("energy is never NaN")
+                        .then(b.0.cmp(&a.0))
                 })
-                .map(|c| c.id)
+                .map(|&(id, _)| id)
         } else {
             None
         };
@@ -280,7 +206,7 @@ impl AdmissionController {
             floor_th: if self.level == ServiceLevel::Normal {
                 0.0
             } else {
-                self.cfg.degrade_floor_th
+                DEGRADE_FLOOR_TH
             },
             drop_frames: self.level == ServiceLevel::RateDropping,
             shed,
@@ -299,10 +225,6 @@ mod tests {
             degrade_lag: 2.0,
             rate_drop_lag: 4.0,
             shed_lag: 8.0,
-            recover_lag: 0.5,
-            degrade_floor_th: 0.99,
-            rate_drop_stride: 3,
-            rank_energy_per_quality: false,
         }
     }
 
@@ -372,90 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn quality_ranking_sheds_the_least_efficient_session_not_the_costliest() {
-        // Session 0: 30 J for 40 quality points → 0.75 J/point.
-        // Session 1: 20 J for 10 quality points → 2.0 J/point.
-        // Raw-energy ranking sheds 0; per-quality ranking sheds 1.
-        let round = [
-            SessionRoundCost {
-                id: 0,
-                joules: 30.0,
-                quality: 40.0,
-            },
-            SessionRoundCost {
-                id: 1,
-                joules: 20.0,
-                quality: 10.0,
-            },
-        ];
-        let mut raw = AdmissionController::new(cfg()).unwrap();
-        let mut ranked = AdmissionController::new(AdmissionConfig {
-            rank_energy_per_quality: true,
-            ..cfg()
-        })
-        .unwrap();
-        let mut shed_raw = None;
-        let mut shed_ranked = None;
-        for _ in 0..100 {
-            shed_raw = shed_raw.or(raw.observe_round_ranked(&round).shed);
-            shed_ranked = shed_ranked.or(ranked.observe_round_ranked(&round).shed);
-        }
-        assert_eq!(shed_raw, Some(0), "raw metric sheds the costliest");
-        assert_eq!(
-            shed_ranked,
-            Some(1),
-            "per-quality metric sheds the worst Joules-per-point"
-        );
-    }
-
-    #[test]
-    fn zero_quality_session_ranks_as_maximally_expensive() {
-        let round = [
-            SessionRoundCost {
-                id: 0,
-                joules: 50.0,
-                quality: 30.0,
-            },
-            // Delivered nothing yet: must be the shed candidate even
-            // with far less raw energy, and must not divide by zero.
-            SessionRoundCost {
-                id: 1,
-                joules: 1.0,
-                quality: 0.0,
-            },
-        ];
-        let mut c = AdmissionController::new(AdmissionConfig {
-            rank_energy_per_quality: true,
-            ..cfg()
-        })
-        .unwrap();
-        let mut shed = None;
-        for _ in 0..100 {
-            shed = shed.or(c.observe_round_ranked(&round).shed);
-        }
-        assert_eq!(shed, Some(1));
-    }
-
-    #[test]
-    fn legacy_observe_round_is_unchanged_by_the_ranking_flag() {
-        // Through the tuple entry point every quality is one point, so
-        // the flag must not alter which session is shed.
-        let round = [(0u32, 30.0f64), (1, 20.0)];
-        let mut raw = AdmissionController::new(cfg()).unwrap();
-        let mut flagged = AdmissionController::new(AdmissionConfig {
-            rank_energy_per_quality: true,
-            ..cfg()
-        })
-        .unwrap();
-        for _ in 0..100 {
-            let a = raw.observe_round(&round);
-            let b = flagged.observe_round(&round);
-            assert_eq!(a.shed, b.shed);
-            assert_eq!(a.level, b.level);
-        }
-    }
-
-    #[test]
     fn bad_configs_rejected() {
         let mut bad = cfg();
         bad.capacity_j_per_round = 0.0;
@@ -464,10 +302,7 @@ mod tests {
         bad.shed_lag = 1.0; // below rate_drop_lag
         assert!(AdmissionController::new(bad).is_err());
         let mut bad = cfg();
-        bad.rate_drop_stride = 1;
-        assert!(AdmissionController::new(bad).is_err());
-        let mut bad = cfg();
-        bad.degrade_floor_th = 1.5;
+        bad.degrade_lag = RECOVER_LAG / 2.0; // below the recover threshold
         assert!(AdmissionController::new(bad).is_err());
     }
 }

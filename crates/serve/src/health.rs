@@ -29,9 +29,10 @@
 //! so health reports are byte-identical at any worker count.
 
 /// Where a session stands in the fleet's health state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum HealthState {
     /// Feedback flowing, decoder live.
+    #[default]
     Healthy,
     /// Feedback dark past the degrade threshold (or decoder stalling);
     /// the session is steering blind.
@@ -62,72 +63,25 @@ impl HealthState {
     }
 }
 
-/// Watchdog thresholds. All counts are in frame slots.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WatchdogConfig {
-    /// Feedback darkness beyond which a healthy session degrades.
-    pub degrade_after_dark: u64,
-    /// Darkness beyond which a degraded session is quarantined.
-    pub quarantine_after_dark: u64,
-    /// Consecutive whole-frame losses before the display is declared
-    /// starved (a session showing nothing is impaired even when the
-    /// feedback path is perfectly fresh — the burst-kill and
-    /// channel-swap failure signature).
-    pub starve_after_lost: u64,
-    /// Consecutive healthy observations an impaired session needs to be
-    /// declared recovered.
-    pub recover_after_fresh: u64,
-    /// `Intra_Th` floor imposed while quarantined.
-    pub quarantine_floor_th: f64,
-}
+// Watchdog thresholds, in frame slots. The dark thresholds tolerate a
+// couple of lost feedback reports at the standard cadence (interval 5,
+// delay 2): one lost report leaves the encoder ~12 frames dark, which is
+// weather, not ill health.
 
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        // The dark thresholds tolerate a couple of lost feedback
-        // reports at the standard cadence (interval 5, delay 2): one
-        // lost report leaves the encoder ~12 frames dark, which is
-        // weather, not ill health.
-        WatchdogConfig {
-            degrade_after_dark: 18,
-            quarantine_after_dark: 40,
-            starve_after_lost: 6,
-            recover_after_fresh: 6,
-            quarantine_floor_th: 0.99,
-        }
-    }
-}
-
-impl WatchdogConfig {
-    /// Validates threshold ordering and ranges.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.degrade_after_dark == 0 {
-            return Err("degrade_after_dark must be at least 1 frame".into());
-        }
-        if self.quarantine_after_dark <= self.degrade_after_dark {
-            return Err(format!(
-                "quarantine_after_dark {} must exceed degrade_after_dark {}",
-                self.quarantine_after_dark, self.degrade_after_dark
-            ));
-        }
-        if self.starve_after_lost == 0 {
-            return Err("starve_after_lost must be at least 1 frame".into());
-        }
-        if self.recover_after_fresh == 0 {
-            return Err("recover_after_fresh must be at least 1 frame".into());
-        }
-        if !(0.0..=1.0).contains(&self.quarantine_floor_th) {
-            return Err(format!(
-                "quarantine_floor_th {} outside [0,1]",
-                self.quarantine_floor_th
-            ));
-        }
-        Ok(())
-    }
-}
+/// Feedback darkness beyond which a healthy session degrades.
+pub const DEGRADE_AFTER_DARK: u64 = 18;
+/// Darkness beyond which a degraded session is quarantined.
+pub const QUARANTINE_AFTER_DARK: u64 = 40;
+/// Consecutive whole-frame losses before the display is declared
+/// starved (a session showing nothing is impaired even when the feedback
+/// path is perfectly fresh — the burst-kill and channel-swap failure
+/// signature).
+pub const STARVE_AFTER_LOST: u64 = 6;
+/// Consecutive healthy observations an impaired session needs to be
+/// declared recovered.
+pub const RECOVER_AFTER_FRESH: u64 = 6;
+/// `Intra_Th` floor imposed while quarantined.
+pub const QUARANTINE_FLOOR_TH: f64 = 0.99;
 
 /// One recorded state change.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,9 +127,8 @@ impl HealthLedger {
 /// The per-session watchdog. Feed it one [`StalenessWatchdog::observe`]
 /// per frame slot; read [`StalenessWatchdog::floor_th`] into the
 /// session's `Intra_Th` arbiter.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StalenessWatchdog {
-    cfg: WatchdogConfig,
     state: HealthState,
     fresh_streak: u64,
     ledger: HealthLedger,
@@ -183,18 +136,8 @@ pub struct StalenessWatchdog {
 
 impl StalenessWatchdog {
     /// Creates a watchdog in the healthy state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`WatchdogConfig::validate`].
-    pub fn new(cfg: WatchdogConfig) -> Result<Self, String> {
-        cfg.validate()?;
-        Ok(StalenessWatchdog {
-            cfg,
-            state: HealthState::Healthy,
-            fresh_streak: 0,
-            ledger: HealthLedger::default(),
-        })
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Current state.
@@ -208,10 +151,10 @@ impl StalenessWatchdog {
     }
 
     /// The `Intra_Th` floor the current state imposes:
-    /// `quarantine_floor_th` while quarantined, `0.0` otherwise.
+    /// [`QUARANTINE_FLOOR_TH`] while quarantined, `0.0` otherwise.
     pub fn floor_th(&self) -> f64 {
         if self.state == HealthState::Quarantined {
-            self.cfg.quarantine_floor_th
+            QUARANTINE_FLOOR_TH
         } else {
             0.0
         }
@@ -226,13 +169,13 @@ impl StalenessWatchdog {
     ///
     /// Escalation is strictly one step per observation (healthy →
     /// degraded → quarantined), so the ledger always shows the full
-    /// path; recovery requires `recover_after_fresh` consecutive calm
+    /// path; recovery requires [`RECOVER_AFTER_FRESH`] consecutive calm
     /// observations.
     pub fn observe(&mut self, frame: u64, dark: Option<u64>, stalled: bool, lost_streak: u64) {
         let dark_frames = dark.unwrap_or(0);
-        let starved = lost_streak >= self.cfg.starve_after_lost;
-        let degrade_signal = stalled || starved || dark_frames > self.cfg.degrade_after_dark;
-        let quarantine_signal = dark_frames > self.cfg.quarantine_after_dark
+        let starved = lost_streak >= STARVE_AFTER_LOST;
+        let degrade_signal = stalled || starved || dark_frames > DEGRADE_AFTER_DARK;
+        let quarantine_signal = dark_frames > QUARANTINE_AFTER_DARK
             || ((stalled || starved) && self.state == HealthState::Degraded);
 
         if degrade_signal || quarantine_signal {
@@ -255,7 +198,7 @@ impl StalenessWatchdog {
             }
         } else if self.state.is_impaired() {
             self.fresh_streak += 1;
-            if self.fresh_streak >= self.cfg.recover_after_fresh {
+            if self.fresh_streak >= RECOVER_AFTER_FRESH {
                 let streak = self.fresh_streak;
                 self.transition(frame, HealthState::Recovered, format!("fresh={streak}"));
                 self.fresh_streak = 0;
@@ -294,19 +237,13 @@ impl StalenessWatchdog {
 mod tests {
     use super::*;
 
-    fn cfg() -> WatchdogConfig {
-        WatchdogConfig {
-            degrade_after_dark: 3,
-            quarantine_after_dark: 8,
-            starve_after_lost: 3,
-            recover_after_fresh: 4,
-            quarantine_floor_th: 0.95,
-        }
-    }
+    /// Observing darkness `f` at frames `f = 0..DEGRADED_BY` degrades the
+    /// watchdog at the last of them, the first past the threshold.
+    const DEGRADED_BY: u64 = DEGRADE_AFTER_DARK + 2;
 
     #[test]
     fn quiet_session_stays_healthy() {
-        let mut w = StalenessWatchdog::new(cfg()).unwrap();
+        let mut w = StalenessWatchdog::new();
         for f in 0..50 {
             w.observe(f, Some(f.min(2)), false, 0);
             assert_eq!(w.floor_th(), 0.0);
@@ -317,7 +254,7 @@ mod tests {
 
     #[test]
     fn startup_silence_is_not_ill_health() {
-        let mut w = StalenessWatchdog::new(cfg()).unwrap();
+        let mut w = StalenessWatchdog::new();
         for f in 0..100 {
             w.observe(f, None, false, 0);
         }
@@ -326,12 +263,16 @@ mod tests {
 
     #[test]
     fn sustained_darkness_walks_the_full_escalation_path() {
-        let mut w = StalenessWatchdog::new(cfg()).unwrap();
-        for f in 0..20u64 {
+        let mut w = StalenessWatchdog::new();
+        for f in 0..QUARANTINE_AFTER_DARK + 5 {
             w.observe(f, Some(f), false, 0);
         }
         assert_eq!(w.state(), HealthState::Quarantined);
-        assert_eq!(w.floor_th(), 0.95, "quarantine must impose the floor");
+        assert_eq!(
+            w.floor_th(),
+            QUARANTINE_FLOOR_TH,
+            "quarantine must impose the floor"
+        );
         let log = w.ledger().transitions();
         assert_eq!(log.len(), 2, "one step per level: {log:?}");
         assert_eq!(
@@ -347,65 +288,76 @@ mod tests {
 
     #[test]
     fn recovery_needs_the_full_fresh_streak() {
-        let mut w = StalenessWatchdog::new(cfg()).unwrap();
-        for f in 0..12u64 {
+        let mut w = StalenessWatchdog::new();
+        let dark_until = QUARANTINE_AFTER_DARK + 2;
+        for f in 0..dark_until {
             w.observe(f, Some(f), false, 0);
         }
         assert_eq!(w.state(), HealthState::Quarantined);
-        // Three calm frames: not yet recovered.
-        for f in 12..15u64 {
+        // One calm frame short of the streak: not yet recovered.
+        let recovered_at = dark_until + RECOVER_AFTER_FRESH - 1;
+        for f in dark_until..recovered_at {
             w.observe(f, Some(1), false, 0);
-            assert_eq!(w.floor_th(), 0.95, "floor holds until recovered");
+            assert_eq!(
+                w.floor_th(),
+                QUARANTINE_FLOOR_TH,
+                "floor holds until recovered"
+            );
         }
         assert_eq!(w.state(), HealthState::Quarantined);
-        // Fourth calm frame completes the streak.
-        w.observe(15, Some(1), false, 0);
+        // The last calm frame completes the streak.
+        w.observe(recovered_at, Some(1), false, 0);
         assert_eq!(w.floor_th(), 0.0);
         assert_eq!(w.state(), HealthState::Recovered);
         let last = w.ledger().transitions().last().unwrap();
         assert_eq!(last.to, HealthState::Recovered);
-        assert_eq!(last.reason, "fresh=4");
+        assert_eq!(last.reason, format!("fresh={RECOVER_AFTER_FRESH}"));
     }
 
     #[test]
     fn relapse_interrupts_a_fresh_streak() {
-        let mut w = StalenessWatchdog::new(cfg()).unwrap();
-        for f in 0..6u64 {
+        let mut w = StalenessWatchdog::new();
+        for f in 0..DEGRADED_BY {
             w.observe(f, Some(f), false, 0);
         }
         assert_eq!(w.state(), HealthState::Degraded);
-        w.observe(6, Some(1), false, 0);
-        w.observe(7, Some(1), false, 0);
-        w.observe(8, Some(5), false, 0); // relapse resets the streak
-        for f in 9..12u64 {
+        let mut f = DEGRADED_BY;
+        w.observe(f, Some(1), false, 0);
+        w.observe(f + 1, Some(1), false, 0);
+        // A relapse resets the streak.
+        w.observe(f + 2, Some(DEGRADE_AFTER_DARK + 1), false, 0);
+        f += 3;
+        for _ in 1..RECOVER_AFTER_FRESH {
             w.observe(f, Some(1), false, 0);
+            f += 1;
         }
         assert_eq!(w.state(), HealthState::Degraded, "streak must restart");
-        w.observe(12, Some(1), false, 0);
+        w.observe(f, Some(1), false, 0);
         assert_eq!(w.state(), HealthState::Recovered);
     }
 
     #[test]
     fn decoder_stall_escalates_even_with_fresh_feedback() {
-        let mut w = StalenessWatchdog::new(cfg()).unwrap();
+        let mut w = StalenessWatchdog::new();
         w.observe(0, Some(0), true, 0);
         assert_eq!(w.state(), HealthState::Degraded);
         w.observe(1, Some(0), true, 0);
         assert_eq!(w.state(), HealthState::Quarantined);
-        assert_eq!(w.floor_th(), 0.95);
+        assert_eq!(w.floor_th(), QUARANTINE_FLOOR_TH);
     }
 
     #[test]
     fn recovered_session_can_degrade_again() {
-        let mut w = StalenessWatchdog::new(cfg()).unwrap();
-        for f in 0..6u64 {
+        let mut w = StalenessWatchdog::new();
+        for f in 0..DEGRADED_BY {
             w.observe(f, Some(f), false, 0);
         }
-        for f in 6..10u64 {
+        let calm_until = DEGRADED_BY + RECOVER_AFTER_FRESH;
+        for f in DEGRADED_BY..calm_until {
             w.observe(f, Some(1), false, 0);
         }
         assert_eq!(w.state(), HealthState::Recovered);
-        w.observe(10, Some(20), false, 0);
+        w.observe(calm_until, Some(DEGRADE_AFTER_DARK + 2), false, 0);
         assert_eq!(w.state(), HealthState::Degraded);
         assert_eq!(w.ledger().transitions().len(), 3);
     }
@@ -414,38 +366,19 @@ mod tests {
     fn display_starvation_escalates_with_fresh_feedback() {
         // Burst-kill / channel-swap signature: feedback is perfectly
         // fresh, but the display shows nothing frame after frame.
-        let mut w = StalenessWatchdog::new(cfg()).unwrap();
-        w.observe(0, Some(1), false, 2);
+        let mut w = StalenessWatchdog::new();
+        w.observe(0, Some(1), false, STARVE_AFTER_LOST - 1);
         assert_eq!(w.state(), HealthState::Healthy, "short runs are noise");
-        w.observe(1, Some(1), false, 3);
+        w.observe(1, Some(1), false, STARVE_AFTER_LOST);
         assert_eq!(w.state(), HealthState::Degraded);
-        w.observe(2, Some(1), false, 4);
+        w.observe(2, Some(1), false, STARVE_AFTER_LOST + 1);
         assert_eq!(w.state(), HealthState::Quarantined);
-        assert_eq!(w.floor_th(), 0.95);
+        assert_eq!(w.floor_th(), QUARANTINE_FLOOR_TH);
         assert!(w.ledger().transitions()[0].reason.starts_with("starved="));
         // Frames start arriving again: full fresh streak → recovered.
-        for f in 3..7u64 {
+        for f in 3..3 + RECOVER_AFTER_FRESH {
             w.observe(f, Some(1), false, 0);
         }
         assert_eq!(w.state(), HealthState::Recovered);
-    }
-
-    #[test]
-    fn bad_configs_rejected() {
-        let mut bad = cfg();
-        bad.degrade_after_dark = 0;
-        assert!(StalenessWatchdog::new(bad).is_err());
-        let mut bad = cfg();
-        bad.starve_after_lost = 0;
-        assert!(StalenessWatchdog::new(bad).is_err());
-        let mut bad = cfg();
-        bad.quarantine_after_dark = bad.degrade_after_dark;
-        assert!(StalenessWatchdog::new(bad).is_err());
-        let mut bad = cfg();
-        bad.recover_after_fresh = 0;
-        assert!(StalenessWatchdog::new(bad).is_err());
-        let mut bad = cfg();
-        bad.quarantine_floor_th = 1.5;
-        assert!(StalenessWatchdog::new(bad).is_err());
     }
 }

@@ -15,8 +15,8 @@
 //! * [`session`] — a self-contained, seeded per-client loop; no shared
 //!   mutable state, so a session computes the same trajectory wherever
 //!   the scheduler runs it.
-//! * [`sched`] — the work-stealing pool: per-worker deques, a global
-//!   injector, backpressure via a bounded in-flight count.
+//! * [`pbpair_sched`] — the work-stealing pool: per-worker deques, a
+//!   global injector, backpressure via a bounded in-flight count.
 //! * [`admission`] — the lag-integrating controller driven by *modeled*
 //!   encode Joules (deterministic), never wall clock.
 //! * [`manager`] — rounds + barrier: ties the three together and splits
@@ -46,20 +46,16 @@ pub mod manager;
 pub mod observe;
 pub mod redundancy;
 pub mod report;
-pub mod sched;
 pub mod session;
 pub mod trace;
 
-pub use admission::{
-    AdmissionConfig, AdmissionController, RoundDecision, ServiceLevel, SessionRoundCost,
-};
+pub use admission::{AdmissionConfig, AdmissionController, RoundDecision, ServiceLevel};
 pub use chaos::{ChaosEvent, ChaosFault, ChaosPlan};
-pub use health::{HealthLedger, HealthState, HealthTransition, StalenessWatchdog, WatchdogConfig};
+pub use health::{HealthLedger, HealthState, HealthTransition, StalenessWatchdog};
 pub use manager::{run, run_with, DeviceMix, FleetRun, ServeConfig};
 pub use observe::{standard_slos, Observability, ObservabilityConfig};
 pub use redundancy::{RedundancyConfig, RedundancyController, RedundancyDecision};
 pub use report::{FleetHealth, FleetTiming, ServeReport, SessionReport};
-pub use sched::WorkStealingPool;
 pub use session::{
     DeviceKind, FrameOutcome, IntraThSource, Session, SessionConfig, SessionScheme, SessionStats,
 };

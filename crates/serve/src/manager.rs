@@ -16,20 +16,19 @@
 //! keeps admission decisions on that deterministic side of the line:
 //! the controller always observes complete rounds in session-id order.
 
-use crate::admission::{AdmissionConfig, AdmissionController, SessionRoundCost};
+use crate::admission::{AdmissionConfig, AdmissionController, RATE_DROP_STRIDE};
 use crate::chaos::ChaosPlan;
-use crate::health::WatchdogConfig;
 use crate::observe::{
     firing_events, fleet_health_json, Observability, ObservabilityConfig, ObserveState,
 };
 use crate::redundancy::RedundancyConfig;
 use crate::report::{quantile_ms, FleetHealth, FleetTiming, ServeReport, SessionReport};
-use crate::sched::WorkStealingPool;
 use crate::session::{DeviceKind, FrameOutcome, Session, SessionConfig, SessionScheme};
 use crate::trace::{FleetTrace, TraceState};
 use pbpair_codec::RdeConfig;
 use pbpair_media::synth::MotionClass;
-use pbpair_netsim::{ChannelSpec, FecSpec, RetryConfig};
+use pbpair_netsim::{ChannelSpec, FecSpec};
+use pbpair_sched::WorkStealingPool;
 use pbpair_telemetry::Telemetry;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -60,6 +59,10 @@ impl DeviceMix {
     }
 }
 
+/// Most worker threads a fleet may ask for: far above any core count,
+/// far below what a thread spawn can fail on.
+const MAX_WORKERS: usize = 1024;
+
 /// Fleet-level configuration of one serving run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
@@ -67,10 +70,9 @@ pub struct ServeConfig {
     pub sessions: usize,
     /// Rounds to run (frame slots per session).
     pub frames: usize,
-    /// Worker threads.
+    /// Worker threads; the scheduler bounds in-flight jobs at
+    /// `2 × workers`.
     pub workers: usize,
-    /// In-flight job bound of the scheduler; 0 → `2 × workers`.
-    pub queue_capacity: usize,
     /// Master seed; every session derives its own streams from it.
     pub seed: u64,
     /// Forward-channel per-packet loss rate for every session.
@@ -108,12 +110,6 @@ pub struct ServeConfig {
     pub rde: Option<RdeConfig>,
     /// Device-profile assignment across sessions.
     pub device_mix: DeviceMix,
-    /// Feedback-report staleness window (frames); `None` disables expiry.
-    pub feedback_staleness: Option<u64>,
-    /// Feedback retry/backoff policy (`max_retries == 0` disables).
-    pub retry: RetryConfig,
-    /// Per-session staleness-watchdog thresholds.
-    pub watchdog: WatchdogConfig,
     /// Fault-injection schedule.
     pub chaos: ChaosPlan,
     /// Live observability plane (time-series, SLO alerting, scrape
@@ -130,7 +126,6 @@ impl Default for ServeConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            queue_capacity: 0,
             seed: 2005,
             plr: 0.10,
             corruption: 0.2,
@@ -145,9 +140,6 @@ impl Default for ServeConfig {
             scheme: SessionScheme::Pbpair,
             rde: None,
             device_mix: DeviceMix::Uniform(DeviceKind::Ipaq),
-            feedback_staleness: None,
-            retry: RetryConfig::default(),
-            watchdog: WatchdogConfig::default(),
             chaos: ChaosPlan::none(),
             observability: ObservabilityConfig::default(),
         }
@@ -170,6 +162,12 @@ impl ServeConfig {
         if self.workers == 0 {
             return Err("at least one worker required".into());
         }
+        if self.workers > MAX_WORKERS {
+            return Err(format!(
+                "{} workers exceed the limit of {MAX_WORKERS}",
+                self.workers
+            ));
+        }
         if !(0.0..1.0).contains(&self.plr) {
             return Err(format!("plr {} outside [0,1)", self.plr));
         }
@@ -188,7 +186,7 @@ impl ServeConfig {
         if let Some(rc) = &self.redundancy {
             rc.validate()?;
         }
-        self.watchdog.validate()?;
+        self.scheme.validate()?;
         self.observability.validate()?;
         self.admission.validate()
     }
@@ -214,9 +212,6 @@ impl ServeConfig {
         cfg.scheme = self.scheme;
         cfg.rde = self.rde;
         cfg.device = self.device_mix.device_for(id);
-        cfg.feedback_staleness = self.feedback_staleness;
-        cfg.retry = self.retry;
-        cfg.watchdog = self.watchdog;
         cfg
     }
 }
@@ -305,12 +300,7 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
         })
         .collect::<Result<_, _>>()?;
 
-    let capacity = if cfg.queue_capacity == 0 {
-        2 * cfg.workers
-    } else {
-        cfg.queue_capacity
-    };
-    let pool = WorkStealingPool::with_telemetry(cfg.workers, capacity, tel);
+    let pool = WorkStealingPool::with_telemetry(cfg.workers, 2 * cfg.workers, tel);
     let rounds_counter = tel.counter("serve.rounds");
     let shed_counter = tel.counter("serve.shed_sessions");
     let latency_hist = tel.timing_histogram(
@@ -322,11 +312,10 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
     let started = Instant::now();
     let mut floor_th = 0.0f64;
     let mut drop_frames = false;
-    let stride = cfg.admission.rate_drop_stride;
     let mut final_lag = 0.0;
 
     for round in 0..cfg.frames {
-        let rate_dropping = drop_frames && (round as u64 + 1).is_multiple_of(stride);
+        let rate_dropping = drop_frames && (round as u64 + 1).is_multiple_of(RATE_DROP_STRIDE);
         for (id, slot) in slots.iter().enumerate() {
             if slot.lock().expect("slot lock").session.is_shed() {
                 continue;
@@ -364,17 +353,7 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
             if let Some(outcome) = &outcome {
                 // FEC processing is session compute too; the admission
                 // controller budgets the sum (identical when FEC is off).
-                // The quality term is displayed dB discounted by the
-                // session's C^k expected-damage forecast: fragile quality
-                // counts for less, so under the energy-per-quality
-                // ranking a fragile expensive session sheds first. It is
-                // ignored entirely unless that ranking is enabled.
-                let s = &slot.session;
-                round_cost.push(SessionRoundCost {
-                    id: id as u32,
-                    joules: outcome.encode_joules + outcome.fec_joules,
-                    quality: (s.last_psnr_mdb() as f64 / 1000.0) * (1.0 - s.expected_damage()),
-                });
+                round_cost.push((id as u32, outcome.encode_joules + outcome.fec_joules));
             }
             if let Some(obs) = &obs {
                 // Live sessions only: a shed slot carries no traffic and
@@ -390,7 +369,7 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
                 }
             }
         }
-        let decision = controller.observe_round_ranked(&round_cost);
+        let decision = controller.observe_round(&round_cost);
         floor_th = decision.floor_th;
         drop_frames = decision.drop_frames;
         final_lag = decision.lag;

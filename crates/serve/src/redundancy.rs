@@ -98,10 +98,11 @@ impl RedundancyConfig {
                 self.budget_ratio
             ));
         }
-        if self.family.k() + self.max_parity > 255 {
+        if self.family.k().saturating_add(self.max_parity) > 255 {
             return Err(format!(
-                "redundancy: k + max_parity = {} exceeds GF(256) block bound",
-                self.family.k() + self.max_parity
+                "redundancy: k + max_parity = {} + {} exceeds GF(256) block bound",
+                self.family.k(),
+                self.max_parity
             ));
         }
         Ok(())

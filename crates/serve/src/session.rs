@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`IntraThSource::Network`] | the session's one network proposer, fixed at construction: a [`DegradationController`] (PLR compensation, backoff while feedback is dark) or, for adaptive-FEC sessions, the [`RedundancyController`] (joint intra/parity split per GOP) | every frame |
 //! | [`IntraThSource::Load`] | the fleet admission controller's floor ([`Session::set_load_floor`]): under overload, cheap high-intra encodes (intra decisions skip motion estimation) | while the fleet is over budget; 0 otherwise |
-//! | [`IntraThSource::Quarantine`] | the staleness watchdog's `quarantine_floor_th` | while [`HealthState::Quarantined`]; 0 otherwise |
+//! | [`IntraThSource::Quarantine`] | the staleness watchdog's [`QUARANTINE_FLOOR_TH`](crate::health::QUARANTINE_FLOOR_TH) | while [`HealthState::Quarantined`]; 0 otherwise |
 //!
 //! The rule is `th = max(network, load, quarantine)`; ties go to
 //! quarantine, then load, then network. The frame step, the reported
@@ -28,7 +28,7 @@
 //! sessions.
 
 use crate::chaos::{ChaosEvent, ChaosFault};
-use crate::health::{HealthLedger, HealthState, StalenessWatchdog, WatchdogConfig};
+use crate::health::{HealthLedger, HealthState, StalenessWatchdog};
 use crate::redundancy::{RedundancyConfig, RedundancyController, RedundancyDecision};
 use pbpair::adapt::{DegradationConfig, DegradationController};
 use pbpair::{AirPolicy, GopPolicy, PbpairConfig, PbpairPolicy, PgopPolicy};
@@ -41,11 +41,18 @@ use pbpair_media::synth::{MotionClass, SyntheticSequence};
 use pbpair_netsim::{
     reassemble_frame, reassemble_frame_damaged, BurstEstimator, ChannelSpec, CorruptingChannel,
     CorruptionProfile, FecOps, FecProtector, FecSpec, FeedbackLink, LossModel, Packetizer,
-    RetryConfig, UniformLoss, WindowPlrEstimator,
+    UniformLoss, WindowPlrEstimator,
 };
 use pbpair_telemetry::{Counter, Telemetry};
 use pbpair_trace::{Event as TraceEvent, Tracer};
 use std::collections::VecDeque;
+
+/// The receiver sends a feedback report every this many frames.
+const FEEDBACK_INTERVAL: u64 = 5;
+/// Return-path transit delay of a feedback report, in frame periods.
+const FEEDBACK_DELAY: u64 = 2;
+/// Loss rate of the feedback return path.
+const FEEDBACK_PLR: f64 = 0.10;
 
 /// The refresh scheme a session encodes with. PBPAIR is the adaptive
 /// default; the fixed schemes are the paper's comparison points, run
@@ -64,6 +71,19 @@ pub enum SessionScheme {
 }
 
 impl SessionScheme {
+    /// Rejects the parameters the fixed schemes cannot run with.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the violated constraint.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            SessionScheme::Gop(0) => Err("GOP-0 has no P-frame per GOP".into()),
+            SessionScheme::Pgop(0) => Err("PGOP-0 refreshes no column".into()),
+            _ => Ok(()),
+        }
+    }
+
     /// Short display name matching the paper's figure legends.
     pub fn label(&self) -> String {
         match self {
@@ -125,12 +145,6 @@ pub struct SessionConfig {
     pub redundancy: Option<RedundancyConfig>,
     /// Payload MTU.
     pub mtu: usize,
-    /// Receiver sends a PLR report every this many frames.
-    pub feedback_interval: u64,
-    /// Return-path transit delay in frame periods.
-    pub feedback_delay: u64,
-    /// Loss rate of the feedback return path.
-    pub feedback_plr: f64,
     /// Anchor operating point for the degradation controller.
     pub base_intra_th: f64,
     /// Modeled transmission/pacing wait per frame, microseconds. This is
@@ -147,14 +161,6 @@ pub struct SessionConfig {
     pub scheme: SessionScheme,
     /// Device whose energy model prices the encode work.
     pub device: DeviceKind,
-    /// Maximum age (frames) of a feedback report the encoder will still
-    /// apply; `None` disables expiry.
-    pub feedback_staleness: Option<u64>,
-    /// Bounded retry with backoff + jitter on the feedback path
-    /// (`max_retries == 0` disables).
-    pub retry: RetryConfig,
-    /// Staleness-watchdog thresholds for the session's health ledger.
-    pub watchdog: WatchdogConfig,
     /// Joint rate–distortion–energy controller for this session's
     /// encoder ([`pbpair_codec::rde`]). `None` — and `Some` with both λ
     /// weights zero — keep the refresh scheme's decisions bit-identical
@@ -175,17 +181,11 @@ impl SessionConfig {
             fec: None,
             redundancy: None,
             mtu: pbpair_netsim::DEFAULT_MTU,
-            feedback_interval: 5,
-            feedback_delay: 2,
-            feedback_plr: 0.10,
             base_intra_th: 0.9,
             pacing_us: 0,
             channel: None,
             scheme: SessionScheme::Pbpair,
             device: DeviceKind::Ipaq,
-            feedback_staleness: None,
-            retry: RetryConfig::default(),
-            watchdog: WatchdogConfig::default(),
             rde: None,
         }
     }
@@ -291,7 +291,12 @@ impl SchemeDriver {
         }
     }
 
-    /// See [`Session::expected_damage`].
+    /// The encoder's `C^k` expected-damage forecast in `[0, 1]`: the
+    /// probability-weighted fraction of the picture a loss *now* would
+    /// visibly damage. PBPAIR reads it off the committed correctness
+    /// matrix (`1 − mean σ`); fixed refresh schemes carry no per-MB
+    /// forecast and report the uninformative prior 0.5. The joint
+    /// redundancy controller re-rates FEC with it.
     fn expected_damage(&self) -> f64 {
         match self {
             SchemeDriver::Pbpair(policy) => 1.0 - policy.matrix().mean_sigma(),
@@ -436,8 +441,10 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns an error for invalid PBPAIR or controller configuration.
+    /// Returns an error for an invalid scheme, PBPAIR or controller
+    /// configuration.
     pub fn new(cfg: SessionConfig) -> Result<Self, String> {
+        cfg.scheme.validate()?;
         let sub = |stream: u64| splitmix(cfg.seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let format = pbpair_media::VideoFormat::QCIF;
         let driver = match cfg.scheme {
@@ -453,7 +460,6 @@ impl Session {
             SessionScheme::Air(n) => SchemeDriver::Fixed(Box::new(AirPolicy::new(format, n))),
             SessionScheme::Pgop(n) => SchemeDriver::Fixed(Box::new(PgopPolicy::new(format, n))),
         };
-        let watchdog = StalenessWatchdog::new(cfg.watchdog)?;
         // One FEC source of truth: the redundancy controller carries its
         // own family and is then also the network proposer.
         let (network, fec_spec) = match cfg.redundancy {
@@ -480,11 +486,10 @@ impl Session {
             Some(spec) => spec.build_loss(sub(2))?,
             None => Box::new(UniformLoss::new(cfg.plr, sub(2))),
         };
-        let mut feedback = FeedbackLink::new(
-            Box::new(UniformLoss::new(cfg.feedback_plr, sub(4))),
-            cfg.feedback_delay,
+        let feedback = FeedbackLink::new(
+            Box::new(UniformLoss::new(FEEDBACK_PLR, sub(4))),
+            FEEDBACK_DELAY,
         );
-        feedback.set_staleness_window(cfg.feedback_staleness);
         Ok(Session {
             source: SyntheticSequence::for_class(cfg.class, sub(1)),
             driver,
@@ -505,7 +510,7 @@ impl Session {
             plr_estimator: WindowPlrEstimator::new(30),
             packet_plr_estimator: WindowPlrEstimator::new(240),
             burst_estimator: BurstEstimator::new(0.2),
-            watchdog,
+            watchdog: StalenessWatchdog::new(),
             energy: EnergyModel::new(cfg.device.profile()),
             ops_snapshot: OpCounts::default(),
             load_floor: 0.0,
@@ -658,18 +663,6 @@ impl Session {
         self.last_report.map(|f| now.saturating_sub(f))
     }
 
-    /// The encoder's `C^k` expected-damage forecast in `[0, 1]`: the
-    /// probability-weighted fraction of the picture a loss *now* would
-    /// visibly damage. PBPAIR sessions read it off the committed
-    /// correctness matrix (`1 − mean σ`); fixed refresh schemes carry no
-    /// per-MB forecast and report the uninformative prior 0.5. This is
-    /// the same forecast the joint redundancy controller re-rates FEC
-    /// with, and the quality discount the admission controller's
-    /// Joules-per-quality-point ranking applies.
-    pub fn expected_damage(&self) -> f64 {
-        self.driver.expected_damage()
-    }
-
     /// Most recent displayed-frame PSNR in milli-dB, clamped to 120 dB
     /// because identical frames report infinite PSNR. Zero before the
     /// first frame.
@@ -733,9 +726,13 @@ impl Session {
             let event = self.chaos.pop_front().expect("front checked");
             self.stats.chaos_injected += 1;
             match event.fault {
-                ChaosFault::FeedbackBlackout { frames } => self.blackout_until = now + frames,
-                ChaosFault::DecoderStall { frames } => self.stall_until = now + frames,
-                ChaosFault::BurstKill { frames } => self.kill_until = now + frames,
+                ChaosFault::FeedbackBlackout { frames } => {
+                    self.blackout_until = now.saturating_add(frames);
+                }
+                ChaosFault::DecoderStall { frames } => {
+                    self.stall_until = now.saturating_add(frames)
+                }
+                ChaosFault::BurstKill { frames } => self.kill_until = now.saturating_add(frames),
                 ChaosFault::ChannelSwap { spec } => {
                     let seed =
                         splitmix(self.cfg.seed ^ 0xC4A0_5EED ^ now.wrapping_mul(0x9e37_79b9));
@@ -901,16 +898,12 @@ impl Session {
         // Receiver-side PLR estimation and feedback (suppressed during a
         // chaos blackout — the receiver cannot reach back at all).
         self.plr_estimator.record(lost);
-        if self.cfg.feedback_interval > 0
-            && now.is_multiple_of(self.cfg.feedback_interval)
-            && now >= self.blackout_until
-        {
-            self.feedback.send_with_retry(
+        if now.is_multiple_of(FEEDBACK_INTERVAL) && now >= self.blackout_until {
+            self.feedback.send(
                 now,
                 self.plr_estimator.estimate(),
                 self.packet_plr_estimator.estimate(),
                 self.burst_estimator.estimate(),
-                &self.cfg.retry,
             );
         }
 

@@ -6,16 +6,15 @@
 use pbpair_netsim::ChannelSpec;
 use pbpair_serve::{
     run, ChaosEvent, ChaosFault, ChaosPlan, HealthState, IntraThSource, ServeConfig, Session,
-    SessionConfig, WatchdogConfig,
+    SessionConfig,
 };
 
-/// A session with a quiet baseline (near-lossless forward channel,
-/// lossless feedback) so the only impairment is the injected fault.
+/// A session with a quiet baseline (near-lossless, uncorrupted forward
+/// channel) so the only impairment is the injected fault.
 fn quiet_config(seed: u64) -> SessionConfig {
     let mut cfg = SessionConfig::standard(0, seed);
     cfg.plr = 0.01;
     cfg.corruption = 0.0;
-    cfg.feedback_plr = 0.0;
     cfg
 }
 
@@ -153,12 +152,7 @@ fn mid_gop_channel_swap_walks_the_full_recovery_path() {
 
 #[test]
 fn quarantine_imposes_the_intra_th_floor() {
-    let mut cfg = quiet_config(15);
-    cfg.watchdog = WatchdogConfig {
-        quarantine_floor_th: 0.97,
-        ..WatchdogConfig::default()
-    };
-    let mut s = Session::new(cfg).unwrap();
+    let mut s = Session::new(quiet_config(15)).unwrap();
     s.set_chaos(vec![ChaosEvent {
         session: 0,
         at_frame: 5,
@@ -169,8 +163,8 @@ fn quarantine_imposes_the_intra_th_floor() {
         let out = s.step_frame();
         if s.health() == HealthState::Quarantined {
             assert!(
-                out.intra_th >= 0.97,
-                "quarantine must force the Intra_Th floor, got {}",
+                out.intra_th >= 0.99,
+                "quarantine must force the 0.99 Intra_Th floor, got {}",
                 out.intra_th
             );
             assert_eq!(out.intra_th_source, IntraThSource::Quarantine);

@@ -178,7 +178,7 @@ impl SloEngine {
             slos: specs
                 .into_iter()
                 .map(|spec| SloState {
-                    window: VecDeque::with_capacity(spec.slow.ticks),
+                    window: VecDeque::new(),
                     spec,
                     firing: false,
                 })

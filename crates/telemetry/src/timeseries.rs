@@ -172,7 +172,9 @@ impl TimeSeries {
             inner: Some(Inner {
                 cfg,
                 prev: TelemetryReport::default(),
-                frames: VecDeque::with_capacity(cfg.capacity),
+                // Grown on demand: the capacity is outside input and may
+                // be far beyond what is ever ticked.
+                frames: VecDeque::new(),
                 ticks: 0,
                 dropped: 0,
             }),

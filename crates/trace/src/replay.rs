@@ -463,7 +463,7 @@ pub fn analyze(log: &TraceLog, params: AnalyzeParams) -> Analysis {
                     frame,
                     kind: LossKind::Loss,
                     seq,
-                    byte_start: u64::from(frag) * params.mtu as u64,
+                    byte_start: u64::from(frag).saturating_mul(params.mtu as u64),
                     byte_len: len,
                     damaging: !parity && !fec_recovered.contains(&frame),
                 });
@@ -482,7 +482,7 @@ pub fn analyze(log: &TraceLog, params: AnalyzeParams) -> Analysis {
                     frame,
                     kind: LossKind::Corrupt,
                     seq,
-                    byte_start: u64::from(frag) * params.mtu as u64,
+                    byte_start: u64::from(frag).saturating_mul(params.mtu as u64),
                     byte_len: len,
                     damaging: !fec_recovered.contains(&frame),
                 });
