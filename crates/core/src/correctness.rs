@@ -26,6 +26,7 @@
 //! copied block is wrong (sim → 0). Other concealments are one
 //! [`SimilarityModel`] away, exactly as the paper promises.
 
+use pbpair_media::format::MB_SIZE;
 use pbpair_media::{MbGrid, MbIndex, VideoFormat};
 
 /// How the similarity factor is derived from the colocated SAD.
@@ -35,7 +36,8 @@ pub enum SimilarityModel {
     /// in SAD units over a 16×16 block (65280 max).
     ExpDecay {
         /// SAD scale constant; smaller = similarity drops faster with
-        /// motion.
+        /// motion. A scale that is not positive (NaN included) means no
+        /// similarity, so σ stays a finite probability.
         scale: f64,
     },
     /// `sim = 0`: the paper's Equation 3 approximation (no similarity
@@ -62,7 +64,7 @@ impl SimilarityModel {
     pub fn similarity(&self, colocated_sad: u64) -> f64 {
         match *self {
             SimilarityModel::ExpDecay { scale } => {
-                if scale <= 0.0 {
+                if scale.is_nan() || scale <= 0.0 {
                     0.0
                 } else {
                     (-(colocated_sad as f64) / scale).exp()
@@ -98,6 +100,8 @@ pub struct CorrectnessMatrix {
     prev: Vec<f64>,
     /// `C^k` under construction.
     next: Vec<f64>,
+    /// `C^{k−1}` again, laid out for the σ-aware search's region reads.
+    committed: SigmaSnapshot,
     model: SimilarityModel,
 }
 
@@ -106,9 +110,11 @@ impl CorrectnessMatrix {
     /// (`∀ i,j: σ = 1`, the initialization in the paper's Figure 2).
     pub fn new(format: VideoFormat, model: SimilarityModel) -> Self {
         let grid = MbGrid::new(format);
+        let prev = vec![1.0; grid.len()];
         CorrectnessMatrix {
-            prev: vec![1.0; grid.len()],
-            next: vec![1.0; grid.len()],
+            committed: SigmaSnapshot::new(grid, &prev),
+            next: prev.clone(),
+            prev,
             grid,
             model,
         }
@@ -142,13 +148,15 @@ impl CorrectnessMatrix {
     /// Area-weighted `σ^{k−1}` over the macroblocks that a 16×16 reference
     /// region anchored at pixel `(px, py)` overlaps — the candidate
     /// quality term of the σ-aware motion search (paper §3.1.2,
-    /// Figure 3).
+    /// Figure 3). Pixels outside the frame count as the edge macroblock
+    /// they clamp to, as in [`MbGrid::overlapped_mbs`].
     pub fn sigma_of_region(&self, px: isize, py: isize) -> f64 {
-        let mut acc = 0.0;
-        self.grid.for_each_overlapped(px, py, |mb, area| {
-            acc += self.prev[self.grid.flat_index(mb)] * area as f64;
-        });
-        acc / 256.0
+        self.committed.sigma_of_region(px, py)
+    }
+
+    /// The committed `σ^{k−1}` as the snapshot the σ-aware search reads.
+    pub(crate) fn committed(&self) -> &SigmaSnapshot {
+        &self.committed
     }
 
     /// Minimum `σ^{k−1}` over the macroblocks a reference region overlaps
@@ -203,12 +211,14 @@ impl CorrectnessMatrix {
     /// Figure 2).
     pub fn commit_frame(&mut self) {
         self.prev.copy_from_slice(&self.next);
+        self.committed.refresh(&self.prev);
     }
 
     /// Resets to the error-free state (a new sequence).
     pub fn reset(&mut self) {
         self.prev.iter_mut().for_each(|s| *s = 1.0);
         self.next.iter_mut().for_each(|s| *s = 1.0);
+        self.committed.refresh(&self.prev);
     }
 
     /// All `σ^{k−1}` values in raster order — the grid behind
@@ -227,6 +237,78 @@ impl CorrectnessMatrix {
     /// Minimum `σ^{k−1}` over the frame.
     pub fn min_sigma(&self) -> f64 {
         self.prev.iter().cloned().fold(f64::INFINITY, f64::min)
+    }
+}
+
+/// A copy of the committed `σ^{k−1}` grid padded with one extra column
+/// and one extra row, so that the four cells a 16×16 region can touch
+/// are always in bounds. The σ-aware search reads it once per candidate,
+/// and a frame-frozen ME bias captures a clone of it and nothing else.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SigmaSnapshot {
+    /// `(rows + 1) × (cols + 1)` values in raster order; the last row
+    /// and column are padding that only ever carries a zero weight.
+    cells: Vec<f64>,
+    /// `cols + 1`.
+    stride: usize,
+    /// The largest anchor that still moves the region: `W − 16`.
+    max_x: isize,
+    /// `H − 16`.
+    max_y: isize,
+}
+
+impl SigmaSnapshot {
+    fn new(grid: MbGrid, sigma: &[f64]) -> Self {
+        let stride = grid.cols() + 1;
+        let mut snapshot = SigmaSnapshot {
+            cells: vec![0.0; (grid.rows() + 1) * stride],
+            stride,
+            max_x: ((grid.cols() - 1) * MB_SIZE) as isize,
+            max_y: ((grid.rows() - 1) * MB_SIZE) as isize,
+        };
+        snapshot.refresh(sigma);
+        snapshot
+    }
+
+    /// Copies the raster-order grid `sigma` into the unpadded cells.
+    fn refresh(&mut self, sigma: &[f64]) {
+        let cols = self.stride - 1;
+        for (dst, src) in self
+            .cells
+            .chunks_exact_mut(self.stride)
+            .zip(sigma.chunks_exact(cols))
+        {
+            dst[..cols].copy_from_slice(src);
+        }
+    }
+
+    /// [`CorrectnessMatrix::sigma_of_region`] in closed form. Past the
+    /// frame edges every pixel clamps to the edge macroblocks, so the
+    /// anchor clamps to `[0, W−16] × [0, H−16]` without changing the
+    /// result. Each coordinate then splits into a cell and an offset,
+    /// and the region covers `(16−ox)(16−oy)`, `ox(16−oy)`, `(16−ox)oy`
+    /// and `ox·oy` samples of the four cells from its anchor cell
+    /// rightwards and down. The terms are summed in the order
+    /// [`MbGrid::for_each_overlapped`] visits them. A cell the region
+    /// misses has area 0 and a finite σ, so it adds `+0.0`, which leaves
+    /// every partial sum unchanged: the result is bit-identical to the
+    /// area-weighted walk over the overlapped macroblocks.
+    #[inline]
+    pub(crate) fn sigma_of_region(&self, px: isize, py: isize) -> f64 {
+        let x = px.clamp(0, self.max_x) as usize;
+        let y = py.clamp(0, self.max_y) as usize;
+        let (ox, oy) = (x % MB_SIZE, y % MB_SIZE);
+        let at = (y / MB_SIZE) * self.stride + x / MB_SIZE;
+        let top = &self.cells[at..at + 2];
+        let bottom = &self.cells[at + self.stride..at + self.stride + 2];
+        let (w0, w1) = (MB_SIZE - ox, ox);
+        let (h0, h1) = (MB_SIZE - oy, oy);
+        let acc = 0.0
+            + top[0] * (w0 * h0) as f64
+            + top[1] * (w1 * h0) as f64
+            + bottom[0] * (w0 * h1) as f64
+            + bottom[1] * (w1 * h1) as f64;
+        acc / 256.0
     }
 }
 
@@ -375,6 +457,66 @@ mod tests {
         assert!(c.min_sigma_of_region(8, 0) < 0.01);
     }
 
+    /// The region read as it was before the closed form: the
+    /// area-weighted walk over the overlapped macroblocks.
+    fn walked_sigma_of_region(c: &CorrectnessMatrix, px: isize, py: isize) -> f64 {
+        let mut acc = 0.0;
+        c.grid.for_each_overlapped(px, py, |mb, area| {
+            acc += c.prev[c.grid.flat_index(mb)] * area as f64;
+        });
+        acc / 256.0
+    }
+
+    #[test]
+    fn closed_form_region_read_is_bit_identical_to_the_walk() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let formats = [
+            VideoFormat::SQCIF,
+            VideoFormat::QCIF,
+            VideoFormat::CIF,
+            VideoFormat::custom(16, 80).expect("one macroblock wide"),
+            VideoFormat::custom(96, 16).expect("one macroblock tall"),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5eed_c0de);
+        for format in formats {
+            let mut c = CorrectnessMatrix::new(format, SimilarityModel::None);
+            for round in 0..3 {
+                // Round 0 is the error-free start; later rounds draw σ
+                // uniformly, with exact 0s and 1s mixed in.
+                if round > 0 {
+                    for s in c.next.iter_mut() {
+                        *s = match rng.gen_range(0u32..8) {
+                            0 => 0.0,
+                            1 => 1.0,
+                            _ => rng.gen::<f64>(),
+                        };
+                    }
+                    c.commit_frame();
+                }
+                let (w, h) = (format.width() as isize, format.height() as isize);
+                for py in -40..=h + 40 {
+                    for px in -40..=w + 40 {
+                        let closed = c.sigma_of_region(px, py);
+                        let walked = walked_sigma_of_region(&c, px, py);
+                        assert_eq!(
+                            closed.to_bits(),
+                            walked.to_bits(),
+                            "{}x{} round {round} anchor ({px}, {py}): {closed} vs {walked}",
+                            format.width(),
+                            format.height()
+                        );
+                    }
+                }
+            }
+            c.reset();
+            assert_eq!(
+                c.sigma_of_region(-3, 5),
+                1.0,
+                "reset refreshes the snapshot"
+            );
+        }
+    }
+
     #[test]
     fn similarity_models_behave() {
         let m = SimilarityModel::default_copy_concealment();
@@ -382,6 +524,9 @@ mod tests {
         assert!(m.similarity(2_000) > m.similarity(20_000));
         assert!(m.similarity(1_000_000) < 1e-9);
         assert_eq!(SimilarityModel::None.similarity(0), 0.0);
+        // A NaN scale must not put NaN into the matrix.
+        let nan = SimilarityModel::ExpDecay { scale: f64::NAN };
+        assert_eq!(nan.similarity(0), 0.0);
     }
 
     #[test]

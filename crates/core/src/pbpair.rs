@@ -20,12 +20,18 @@
 //! After each macroblock the policy applies the Equation 1/2 update to its
 //! correctness matrix, and commits the matrix at frame end.
 
-use crate::correctness::{CorrectnessMatrix, SimilarityModel};
+use crate::correctness::{CorrectnessMatrix, SigmaSnapshot, SimilarityModel};
 use pbpair_codec::{
     FrameContext, FrameKind, FrameStats, FrozenMeBias, MbContext, MbMode, MbOutcome, MotionVector,
     PreMeDecision, RefreshPolicy,
 };
-use pbpair_media::VideoFormat;
+use pbpair_media::{MbIndex, VideoFormat};
+
+/// The largest full-damage penalty `λ · penalty_scale` a configuration
+/// may ask for (2^32). A candidate's cost is `SAD + penalty` in `i64`
+/// with SAD below 2^16, so this leaves ample room; the configurations
+/// in use stay at `1 × 4096`.
+const MAX_PENALTY: f64 = 4_294_967_296.0;
 
 /// PBPAIR configuration knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,10 +43,14 @@ pub struct PbpairConfig {
     /// Updated live via [`PbpairPolicy::set_plr`] when feedback arrives.
     pub plr: f64,
     /// Weight of the σ-penalty in the ME cost (λ). 0 disables the σ-aware
-    /// search (ablation: plain SAD).
+    /// search (ablation: plain SAD). Finite and non-negative, with
+    /// `λ · penalty_scale ≤ 2^32` so that `SAD + penalty` cannot
+    /// overflow the search's `i64` cost.
     pub lambda: f64,
     /// SAD-unit scale of a full-damage penalty: a candidate whose
     /// reference is certainly lost costs `λ · penalty_scale` extra.
+    /// Finite and non-negative; see [`PbpairConfig::lambda`] for the cap
+    /// on the product.
     pub penalty_scale: f64,
     /// Similarity model for the matrix update (copy concealment by
     /// default; [`SimilarityModel::None`] reproduces Equation 3).
@@ -113,11 +123,23 @@ impl PbpairConfig {
         if !(0.0..=1.0).contains(&self.plr) {
             return Err(format!("plr {} outside [0,1]", self.plr));
         }
+        if !self.lambda.is_finite() {
+            return Err(format!("lambda {} not finite", self.lambda));
+        }
         if self.lambda < 0.0 {
             return Err(format!("lambda {} negative", self.lambda));
         }
+        if !self.penalty_scale.is_finite() {
+            return Err(format!("penalty_scale {} not finite", self.penalty_scale));
+        }
         if self.penalty_scale < 0.0 {
             return Err(format!("penalty_scale {} negative", self.penalty_scale));
+        }
+        if self.lambda * self.penalty_scale > MAX_PENALTY {
+            return Err(format!(
+                "lambda × penalty_scale {} exceeds 2^32",
+                self.lambda * self.penalty_scale
+            ));
         }
         if !(0.0..=0.5).contains(&self.threshold_jitter) {
             return Err(format!(
@@ -234,6 +256,42 @@ impl PbpairPolicy {
     }
 }
 
+/// The σ-aware search penalty of §3.1.2, `λ · (1 − σ_ref) · penalty_scale`,
+/// where `σ_ref` is the committed σ averaged over the reference region
+/// of `mb` displaced by `mv`. The one formula behind the `me_bias` of
+/// [`PbpairPolicy`] and of the late-decision ablation, and behind their
+/// frame-frozen snapshots ([`frozen_sigma_penalty`]).
+#[inline]
+pub(crate) fn sigma_penalty(
+    sigma: &SigmaSnapshot,
+    lambda: f64,
+    penalty_scale: f64,
+    mb: MbIndex,
+    mv: MotionVector,
+) -> i64 {
+    if lambda == 0.0 {
+        return 0;
+    }
+    let (ox, oy) = mb.luma_origin();
+    let sigma_ref = sigma.sigma_of_region(ox as isize + mv.x as isize, oy as isize + mv.y as isize);
+    (lambda * (1.0 - sigma_ref) * penalty_scale) as i64
+}
+
+/// [`sigma_penalty`] frozen for one frame. The penalty reads only the
+/// *committed* (previous-frame) σ, which no hook changes mid-frame:
+/// `mb_coded` updates land in the matrix's write buffer and become
+/// visible at `commit_frame`. A copy of the committed σ taken at frame
+/// start therefore returns exactly what `me_bias` would at any point of
+/// the frame, which makes the policy slice-parallel safe.
+pub(crate) fn frozen_sigma_penalty(matrix: &CorrectnessMatrix, cfg: &PbpairConfig) -> FrozenMeBias {
+    let (lambda, penalty_scale) = (cfg.lambda, cfg.penalty_scale);
+    if lambda == 0.0 {
+        return Box::new(|_, _| 0);
+    }
+    let sigma = matrix.committed().clone();
+    Box::new(move |mb, mv| sigma_penalty(&sigma, lambda, penalty_scale, mb, mv))
+}
+
 /// `Intra_Th` scaled by a deterministic factor in `[1−j, 1+j]` derived
 /// from the macroblock's flat index. The boundary operating points are
 /// exempt: 1.0 still forces everything and 0.0 still forces nothing.
@@ -279,35 +337,17 @@ impl RefreshPolicy for PbpairPolicy {
     }
 
     fn me_bias(&mut self, ctx: &MbContext<'_>, mv: MotionVector) -> i64 {
-        if self.cfg.lambda == 0.0 {
-            return 0;
-        }
-        let (ox, oy) = ctx.mb.luma_origin();
-        let sigma_ref = self
-            .matrix
-            .sigma_of_region(ox as isize + mv.x as isize, oy as isize + mv.y as isize);
-        (self.cfg.lambda * (1.0 - sigma_ref) * self.cfg.penalty_scale) as i64
+        sigma_penalty(
+            self.matrix.committed(),
+            self.cfg.lambda,
+            self.cfg.penalty_scale,
+            ctx.mb,
+            mv,
+        )
     }
 
     fn frame_frozen_bias(&self, _ctx: &FrameContext) -> Option<FrozenMeBias> {
-        // The σ-penalty reads the *committed* (previous-frame) matrix,
-        // which is immutable for the duration of a frame — mid-frame
-        // `mb_coded` updates land in the write buffer and only become
-        // visible at `commit_frame`. A clone of the matrix taken at frame
-        // start therefore returns exactly what `me_bias` would at any
-        // point during the frame, making PBPAIR slice-parallel safe.
-        if self.cfg.lambda == 0.0 {
-            return Some(Box::new(|_, _| 0));
-        }
-        let matrix = self.matrix.clone();
-        let lambda = self.cfg.lambda;
-        let penalty_scale = self.cfg.penalty_scale;
-        Some(Box::new(move |mb, mv| {
-            let (ox, oy) = mb.luma_origin();
-            let sigma_ref =
-                matrix.sigma_of_region(ox as isize + mv.x as isize, oy as isize + mv.y as isize);
-            (lambda * (1.0 - sigma_ref) * penalty_scale) as i64
-        }))
+        Some(frozen_sigma_penalty(&self.matrix, &self.cfg))
     }
 
     fn mb_coded(&mut self, _ctx: &FrameContext, outcome: &MbOutcome) {
@@ -339,7 +379,7 @@ impl RefreshPolicy for PbpairPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbpair_codec::{Encoder, EncoderConfig};
+    use pbpair_codec::{Encoder, EncoderConfig, MeConfig, SearchStrategy};
     use pbpair_media::synth::SyntheticSequence;
 
     fn encode_with(cfg: PbpairConfig, frames: usize, seed: u64) -> (Encoder, Vec<f64>) {
@@ -372,6 +412,129 @@ mod tests {
             ..PbpairConfig::default()
         };
         assert!(PbpairPolicy::new(VideoFormat::QCIF, bad).is_err());
+        // Non-finite penalty settings, and products over the cap.
+        let with = |lambda: f64, penalty_scale: f64| PbpairConfig {
+            lambda,
+            penalty_scale,
+            ..PbpairConfig::default()
+        };
+        for (lambda, scale) in [
+            (f64::NAN, 4096.0),
+            (f64::INFINITY, 4096.0),
+            (1.0, f64::NAN),
+            (1.0, f64::INFINITY),
+            (0.0, f64::INFINITY),
+            (1e300, 1e300),
+            (2.0, MAX_PENALTY),
+        ] {
+            let err = with(lambda, scale)
+                .validate()
+                .expect_err("must be rejected");
+            assert!(
+                err.contains("lambda") || err.contains("penalty_scale"),
+                "{err}"
+            );
+        }
+        assert!(with(1.0, MAX_PENALTY).validate().is_ok());
+    }
+
+    /// λ = ∞ used to pass validation, and the first search after any σ
+    /// fell below 1 then overflowed `SAD + bias` (a panic with overflow
+    /// checks on, a silent wrap without).
+    #[test]
+    fn infinite_lambda_is_rejected_before_it_can_overflow_the_search() {
+        let cfg = PbpairConfig {
+            lambda: f64::INFINITY,
+            ..PbpairConfig::default()
+        };
+        match PbpairPolicy::new(VideoFormat::QCIF, cfg) {
+            Err(e) => assert!(e.contains("lambda"), "{e}"),
+            Ok(mut policy) => {
+                let mut enc = Encoder::new(EncoderConfig::default());
+                let mut seq = SyntheticSequence::foreman_class(5);
+                for _ in 0..3 {
+                    let _ = enc.encode_frame(&seq.next_frame(), &mut policy);
+                }
+                panic!("lambda = inf was accepted");
+            }
+        }
+    }
+
+    #[test]
+    fn the_largest_accepted_penalty_keeps_the_search_cost_in_range() {
+        // Overflow checks are on in the test profile, so this would
+        // panic if SAD + bias could leave i64 at the cap.
+        for strategy in [SearchStrategy::Full, SearchStrategy::ThreeStep] {
+            let cfg = PbpairConfig {
+                plr: 0.3,
+                penalty_scale: MAX_PENALTY,
+                ..PbpairConfig::default()
+            };
+            let mut policy = PbpairPolicy::new(VideoFormat::QCIF, cfg).unwrap();
+            let mut enc = Encoder::new(EncoderConfig {
+                me: MeConfig {
+                    search_range: 15,
+                    strategy,
+                },
+                ..EncoderConfig::default()
+            });
+            let mut seq = SyntheticSequence::foreman_class(5);
+            for _ in 0..4 {
+                let _ = enc.encode_frame(&seq.next_frame(), &mut policy);
+            }
+            assert!(policy.matrix().min_sigma() < 1.0, "the penalty was live");
+        }
+    }
+
+    /// The frame-frozen bias of both σ-aware policies must return what
+    /// `me_bias` returns, for every macroblock and every vector of the
+    /// ±15 window, once σ has spread away from 1.
+    #[test]
+    fn frozen_bias_equals_me_bias_for_both_sigma_aware_policies() {
+        let cfg = PbpairConfig {
+            intra_th: 0.93,
+            plr: 0.2,
+            ..PbpairConfig::default()
+        };
+        let policies: [Box<dyn RefreshPolicy>; 2] = [
+            Box::new(PbpairPolicy::new(VideoFormat::QCIF, cfg).unwrap()),
+            Box::new(crate::schemes::LatePbpairPolicy::new(VideoFormat::QCIF, cfg).unwrap()),
+        ];
+        for mut policy in policies {
+            let mut enc = Encoder::new(EncoderConfig::default());
+            let mut seq = SyntheticSequence::garden_class(3);
+            for _ in 0..5 {
+                let _ = enc.encode_frame(&seq.next_frame(), policy.as_mut());
+            }
+            let fctx = FrameContext {
+                frame_index: 5,
+                format: VideoFormat::QCIF,
+                mb_count: 99,
+            };
+            let frozen = policy
+                .frame_frozen_bias(&fctx)
+                .expect("σ-aware policies freeze");
+            let plane = pbpair_media::Plane::new(176, 144);
+            let mut distinct = std::collections::BTreeSet::new();
+            for mb in pbpair_media::MbGrid::new(VideoFormat::QCIF).iter() {
+                let ctx = MbContext {
+                    frame_index: 5,
+                    mb,
+                    cur_luma: &plane,
+                    ref_luma: &plane,
+                    colocated_sad: 0,
+                };
+                for dy in -15..=15 {
+                    for dx in -15..=15 {
+                        let mv = MotionVector::new(dx, dy);
+                        let live = policy.me_bias(&ctx, mv);
+                        assert_eq!(frozen(mb, mv), live, "{} {mb:?} {mv:?}", policy.label());
+                        distinct.insert(live);
+                    }
+                }
+            }
+            assert!(distinct.len() > 10, "{}: σ barely moved", policy.label());
+        }
     }
 
     #[test]

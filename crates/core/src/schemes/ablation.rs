@@ -15,10 +15,10 @@
 //!    SimilarityModel::None, .. }` (the paper's Equation 3).
 
 use crate::correctness::CorrectnessMatrix;
-use crate::pbpair::PbpairConfig;
+use crate::pbpair::{frozen_sigma_penalty, sigma_penalty, PbpairConfig};
 use pbpair_codec::{
-    FrameContext, FrameKind, FrameStats, MbContext, MbMode, MbOutcome, MeResult, MotionVector,
-    PostMeDecision, RefreshPolicy,
+    FrameContext, FrameKind, FrameStats, FrozenMeBias, MbContext, MbMode, MbOutcome, MeResult,
+    MotionVector, PostMeDecision, RefreshPolicy,
 };
 use pbpair_media::VideoFormat;
 
@@ -58,14 +58,19 @@ impl RefreshPolicy for LatePbpairPolicy {
     // NOTE: no `pre_me_mode` override — the search always runs.
 
     fn me_bias(&mut self, ctx: &MbContext<'_>, mv: MotionVector) -> i64 {
-        if self.cfg.lambda == 0.0 {
-            return 0;
-        }
-        let (ox, oy) = ctx.mb.luma_origin();
-        let sigma_ref = self
-            .matrix
-            .sigma_of_region(ox as isize + mv.x as isize, oy as isize + mv.y as isize);
-        (self.cfg.lambda * (1.0 - sigma_ref) * self.cfg.penalty_scale) as i64
+        sigma_penalty(
+            self.matrix.committed(),
+            self.cfg.lambda,
+            self.cfg.penalty_scale,
+            ctx.mb,
+            mv,
+        )
+    }
+
+    fn frame_frozen_bias(&self, _ctx: &FrameContext) -> Option<FrozenMeBias> {
+        // The bias reads only the committed matrix, exactly as
+        // PBPAIR's does, so it freezes the same way.
+        Some(frozen_sigma_penalty(&self.matrix, &self.cfg))
     }
 
     fn post_me_mode(&mut self, ctx: &MbContext<'_>, _me: &MeResult) -> PostMeDecision {

@@ -13,6 +13,7 @@
 //! `PBPAIR_BLESS=1 cargo test -p pbpair --test golden_schemes -- --nocapture`
 //! and paste the printed digests into `VECTORS`.
 
+use pbpair::schemes::LatePbpairPolicy;
 use pbpair::{AirPolicy, GopPolicy, NoPolicy, PbpairConfig, PbpairPolicy, PgopPolicy};
 use pbpair_codec::policy::RefreshPolicy;
 use pbpair_codec::{
@@ -43,6 +44,19 @@ fn make_policy(scheme: &str) -> Box<dyn RefreshPolicy> {
         "pbpair" => Box::new(
             PbpairPolicy::new(VideoFormat::QCIF, PbpairConfig::default())
                 .expect("default config validates"),
+        ),
+        // At the default 0.9 no σ falls below the threshold within the
+        // ten frames, and the late ablation would code exactly what
+        // "pbpair" does; 0.97 makes its post-ME refresh fire.
+        "pbpair-late" => Box::new(
+            LatePbpairPolicy::new(
+                VideoFormat::QCIF,
+                PbpairConfig {
+                    intra_th: 0.97,
+                    ..PbpairConfig::default()
+                },
+            )
+            .expect("config validates"),
         ),
         other => panic!("unknown scheme {other}"),
     }
@@ -148,6 +162,16 @@ const VECTORS: &[Vector] = &[
         scheme: "pbpair",
         strategy: SearchStrategy::ThreeStep,
         digest: 0xf807_99b4_3768_4cf9,
+    },
+    Vector {
+        scheme: "pbpair-late",
+        strategy: SearchStrategy::Full,
+        digest: 0x0ef1_acb3_2250_dcd6,
+    },
+    Vector {
+        scheme: "pbpair-late",
+        strategy: SearchStrategy::ThreeStep,
+        digest: 0x0500_a2bf_6609_84e2,
     },
 ];
 

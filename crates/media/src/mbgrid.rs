@@ -146,7 +146,8 @@ impl MbGrid {
     }
 
     /// Allocation-free variant of [`MbGrid::overlapped_mbs`] for hot paths
-    /// (the σ-aware ME bias evaluates it once per search candidate).
+    /// (PBPAIR's Equation-1 update evaluates it once per inter
+    /// macroblock).
     /// `f(mb, samples)` is invoked up to four times; when clamping collapses
     /// cells the same index may be reported more than once, with the areas
     /// still totalling 256.
