@@ -1,7 +1,9 @@
 //! Ablation policies: PBPAIR with individual design choices disabled.
 //!
 //! DESIGN.md calls out the paper's two load-bearing design decisions;
-//! these policies isolate them so the benches can price each:
+//! these policies isolate them so tests can pin what each one costs in
+//! operations (the `ablation_table_*` tests hold the table in
+//! EXPERIMENTS.md):
 //!
 //! 1. **Early (pre-ME) mode decision** — [`LatePbpairPolicy`] moves the
 //!    `σ < Intra_Th` test *after* motion estimation. The refresh pattern
@@ -120,10 +122,11 @@ impl RefreshPolicy for LatePbpairPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbpair_codec::{Encoder, EncoderConfig};
-    use pbpair_media::synth::SyntheticSequence;
+    use crate::SimilarityModel;
+    use pbpair_codec::{Encoder, EncoderConfig, MeConfig, OpCounts, SearchStrategy};
+    use pbpair_media::synth::{MotionClass, SyntheticSequence};
 
-    fn encode(policy: &mut dyn RefreshPolicy, frames: usize) -> (pbpair_codec::OpCounts, Vec<u32>) {
+    fn encode(policy: &mut dyn RefreshPolicy, frames: usize) -> (OpCounts, Vec<u32>) {
         let mut enc = Encoder::new(EncoderConfig::default());
         let mut seq = SyntheticSequence::foreman_class(11);
         let mut intra = Vec::new();
@@ -164,6 +167,102 @@ mod tests {
             "early decision must skip searches"
         );
         assert!(ops_early.sad_ops < ops_late.sad_ops);
+    }
+
+    /// The inputs of the ablation table in EXPERIMENTS.md: eight frames
+    /// of `class` (seed 2005) under `enc_cfg`; returns the op counts.
+    fn table_ops(
+        class: MotionClass,
+        enc_cfg: EncoderConfig,
+        policy: &mut dyn RefreshPolicy,
+    ) -> OpCounts {
+        let mut enc = Encoder::new(enc_cfg);
+        let mut seq = SyntheticSequence::for_class(class, 2005);
+        for _ in 0..8 {
+            enc.encode_frame(&seq.next_frame(), policy);
+        }
+        enc.take_ops()
+    }
+
+    /// PBPAIR at the table's operating point: `Intra_Th` 0.93, α 0.10.
+    fn table_cfg() -> PbpairConfig {
+        PbpairConfig {
+            intra_th: 0.93,
+            plr: 0.10,
+            ..PbpairConfig::default()
+        }
+    }
+
+    /// A QCIF PBPAIR policy for `cfg`.
+    fn table_pbpair(cfg: PbpairConfig) -> crate::PbpairPolicy {
+        crate::PbpairPolicy::new(VideoFormat::QCIF, cfg).unwrap()
+    }
+
+    #[test]
+    fn ablation_table_early_vs_late_decision() {
+        // Paper config: the early decision skips the search of every
+        // macroblock it refreshes, the late one searches all 7 × 99.
+        let foreman = MotionClass::MediumForeman;
+        let early = table_ops(
+            foreman,
+            EncoderConfig::paper(),
+            &mut table_pbpair(table_cfg()),
+        );
+        let mut late = LatePbpairPolicy::new(VideoFormat::QCIF, table_cfg()).unwrap();
+        let late = table_ops(foreman, EncoderConfig::paper(), &mut late);
+        assert_eq!((early.me_invocations, early.intra_mbs), (518, 274));
+        assert_eq!((late.me_invocations, late.intra_mbs), (693, 274));
+    }
+
+    #[test]
+    fn ablation_table_sigma_bias() {
+        // λ = 1 steers vectors toward well-refreshed references, so fewer
+        // macroblocks decay below `Intra_Th`; each one it keeps inter
+        // pays a search instead of a refresh.
+        let run = |lambda| {
+            let mut p = table_pbpair(PbpairConfig {
+                lambda,
+                ..table_cfg()
+            });
+            let ops = table_ops(MotionClass::MediumForeman, EncoderConfig::default(), &mut p);
+            (ops.intra_mbs, ops.me_invocations)
+        };
+        assert_eq!(run(1.0), (278, 514));
+        assert_eq!(run(0.0), (302, 490));
+    }
+
+    #[test]
+    fn ablation_table_similarity_factor() {
+        // Without the similarity factor (Equation 3) static akiyo decays
+        // as fast as motion would, and every macroblock refreshes.
+        let run = |similarity| {
+            let mut p = table_pbpair(PbpairConfig {
+                similarity,
+                ..table_cfg()
+            });
+            table_ops(MotionClass::LowAkiyo, EncoderConfig::default(), &mut p).intra_mbs
+        };
+        assert_eq!(run(SimilarityModel::default_copy_concealment()), 207);
+        assert_eq!(run(SimilarityModel::None), 8 * 99);
+    }
+
+    #[test]
+    fn ablation_table_full_vs_three_step_search() {
+        // Candidates per search on garden: 962.1 for full search ±15,
+        // 37.9 for three-step.
+        let run = |strategy| {
+            let cfg = EncoderConfig {
+                me: MeConfig {
+                    search_range: 15,
+                    strategy,
+                },
+                ..EncoderConfig::default()
+            };
+            let ops = table_ops(MotionClass::HighGarden, cfg, &mut table_pbpair(table_cfg()));
+            (ops.sad_candidates, ops.me_invocations)
+        };
+        assert_eq!(run(SearchStrategy::Full), (471_430, 490));
+        assert_eq!(run(SearchStrategy::ThreeStep), (18_537, 489));
     }
 
     #[test]

@@ -10,23 +10,41 @@
 //! bit-identical results while timing, and emits the JSON committed as
 //! `BENCH_PR8.json` (same validator, keyed on `meta.bench`).
 //!
+//! A third mode (`--overhead`) is the disabled-mode observability guard:
+//! it prices an encode with disabled telemetry, a disabled tracer and a
+//! disabled time series against the same encode with nothing wired, and
+//! exits 1 if any of them costs more than the budget
+//! (`PBPAIR_TELEMETRY_GATE_PCT`, default 2%).
+//!
 //! Usage:
 //!   cargo run --release -p pbpair-eval --bin perf              # full run, JSON to stdout
 //!   cargo run --release -p pbpair-eval --bin perf -- --smoke   # CI-sized run
 //!   cargo run --release -p pbpair-eval --bin perf -- --out BENCH_PR5.json
 //!   cargo run --release -p pbpair-eval --bin perf -- --kernels --out BENCH_PR8.json
 //!   cargo run --release -p pbpair-eval --bin perf -- --kernels-info  # detected tier to stdout
+//!   cargo run --release -p pbpair-eval --bin perf -- --overhead      # disabled-mode guard
+//!
+//! `--kernels-info` and `--overhead` take no other flag. Bad arguments
+//! (an unknown or misplaced flag, a missing value) exit with status 2
+//! and a message; a failed run exits with status 1.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use pbpair::{PbpairConfig, PbpairPolicy};
 use pbpair_codec::fused::fdct_quant_scan_with;
 use pbpair_codec::{EncodedFrame, Encoder, EncoderConfig, Kernels, NaturalPolicy, OptConfig, Qp};
-use pbpair_media::synth::SyntheticSequence;
-use pbpair_media::Frame;
+use pbpair_media::synth::{MotionClass, SyntheticSequence};
+use pbpair_media::{Frame, VideoFormat};
 use pbpair_telemetry::json;
+use pbpair_telemetry::timeseries::TimeSeries;
+use pbpair_telemetry::Telemetry;
+use pbpair_trace::Tracer;
+
+const USAGE: &str =
+    "usage: perf [--kernels] [--smoke] [--out PATH] | perf --kernels-info | perf --overhead";
 
 /// Counts heap allocations so the benchmark can report allocations per
 /// steady-state frame (the zero-allocation claim, measured rather than
@@ -382,40 +400,266 @@ fn emit_kernels_json(results: &[KernelMeasurement], smoke: bool) -> String {
     }) + "\n"
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
+// ---------------------------------------------------------------------
+// `--overhead`: the disabled-mode observability guard.
+// ---------------------------------------------------------------------
+//
+// The telemetry contract promises that *disabled* instrumentation is
+// free: a `Telemetry::disabled()` handle reduces every flush to a branch
+// on a `None`, and a `Tracer::disabled()` handle does the same for
+// causal-trace emission; a `TimeSeries::disabled()` ring reduces its
+// per-round `tick_due` check to the same. The guard prices five encode
+// configurations — nothing wired, disabled telemetry, a disabled tracer,
+// a disabled time-series tick path, and an enabled registry — and fails
+// if any disabled mode costs more than the budgeted fraction of the
+// plain encode hot loop.
+
+/// Frames per guard pass: 48 foreman-class frames (seed 2005).
+const OVERHEAD_FRAMES: usize = 48;
+
+/// A PBPAIR policy at the evaluation's default operating point.
+fn default_pbpair() -> PbpairPolicy {
+    PbpairPolicy::new(
+        VideoFormat::QCIF,
+        PbpairConfig {
+            intra_th: 0.93,
+            plr: 0.10,
+            ..PbpairConfig::default()
+        },
+    )
+    .expect("valid default config")
+}
+
+/// One measured encode pass; telemetry and tracing wired per args.
+fn encode_pass(frames: &[Frame], tel: Option<&Telemetry>, trace: Option<&Tracer>) -> usize {
+    let mut enc = Encoder::new(EncoderConfig::default());
+    if let Some(tel) = tel {
+        enc.set_telemetry(tel);
+    }
+    if let Some(trace) = trace {
+        enc.set_tracer(trace);
+    }
+    let mut policy = default_pbpair();
+    frames
         .iter()
-        .position(|a| a == "--out")
-        .map(|i| args.get(i + 1).expect("--out requires a path").clone());
-    if args.iter().any(|a| a == "--kernels-info") {
-        // Bare detected-best tier on stdout (CI compares it against the
-        // committed pin); the full picture goes to stderr.
-        eprintln!(
-            "arch={} available={}",
-            std::env::consts::ARCH,
-            Kernels::available()
-                .iter()
-                .map(|t| t.label())
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        println!("{}", Kernels::detect_best().label());
-        return;
-    }
-    if args.iter().any(|a| a == "--kernels") {
-        let results = bench_kernels(smoke);
-        let json = emit_kernels_json(&results, smoke);
-        match out_path {
-            Some(p) => {
-                std::fs::write(&p, &json).expect("write bench JSON");
-                eprintln!("wrote {p}");
+        .map(|f| enc.encode_frame(f, &mut policy).data.len())
+        .sum()
+}
+
+/// The encode pass plus the observability plane's per-round check
+/// against a disabled ring — the exact branch the serve manager takes
+/// every round when no time-series is configured.
+fn encode_pass_with_series(frames: &[Frame], series: &TimeSeries) -> usize {
+    let mut enc = Encoder::new(EncoderConfig::default());
+    let mut policy = default_pbpair();
+    frames
+        .iter()
+        .enumerate()
+        .map(|(round, f)| {
+            let len = enc.encode_frame(f, &mut policy).data.len();
+            if black_box(series.tick_due(round as u64)) {
+                // Unreachable for a disabled ring; keeps the branch live.
+                len + series.len()
+            } else {
+                len
             }
-            None => print!("{json}"),
+        })
+        .sum()
+}
+
+/// One timed pass, in seconds.
+fn time_pass<F: FnMut() -> usize>(f: &mut F) -> f64 {
+    let t = Instant::now();
+    black_box(f());
+    t.elapsed().as_secs_f64()
+}
+
+/// Runs the guard; `Err` names the first disabled mode over budget.
+fn overhead_guard() -> Result<(), String> {
+    let gate_pct: f64 = std::env::var("PBPAIR_TELEMETRY_GATE_PCT")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(2.0);
+
+    let mut seq = SyntheticSequence::for_class(MotionClass::MediumForeman, 2005);
+    let fs: Vec<Frame> = (0..OVERHEAD_FRAMES).map(|_| seq.next_frame()).collect();
+    let disabled = Telemetry::disabled();
+    let enabled = Telemetry::with_shards(1);
+    let tracer_off = Tracer::disabled();
+    let series_off = TimeSeries::disabled();
+
+    // Warm-up: page in code, ramp the CPU governor.
+    encode_pass(&fs, None, None);
+    encode_pass(&fs, Some(&enabled), None);
+
+    // Time the five modes back-to-back each round and compare *within*
+    // the round: the per-round ratio cancels frequency drift between
+    // rounds. Each pass is long enough (~tens of ms) that interference
+    // averages out inside it; the median over rounds (with the order
+    // alternated to cancel position effects) discards the rest.
+    let reps = 9;
+    let mut plain_s = f64::INFINITY;
+    let mut disabled_ratios = Vec::with_capacity(reps);
+    let mut tracer_ratios = Vec::with_capacity(reps);
+    let mut series_ratios = Vec::with_capacity(reps);
+    let mut enabled_ratios = Vec::with_capacity(reps);
+    for rep in 0..reps {
+        let (p, d, t, s, e);
+        if rep % 2 == 0 {
+            p = time_pass(&mut || encode_pass(&fs, None, None));
+            d = time_pass(&mut || encode_pass(&fs, Some(&disabled), None));
+            t = time_pass(&mut || encode_pass(&fs, None, Some(&tracer_off)));
+            s = time_pass(&mut || encode_pass_with_series(&fs, &series_off));
+            e = time_pass(&mut || encode_pass(&fs, Some(&enabled), None));
+        } else {
+            e = time_pass(&mut || encode_pass(&fs, Some(&enabled), None));
+            s = time_pass(&mut || encode_pass_with_series(&fs, &series_off));
+            t = time_pass(&mut || encode_pass(&fs, None, Some(&tracer_off)));
+            d = time_pass(&mut || encode_pass(&fs, Some(&disabled), None));
+            p = time_pass(&mut || encode_pass(&fs, None, None));
         }
-        return;
+        plain_s = plain_s.min(p);
+        disabled_ratios.push(d / p);
+        tracer_ratios.push(t / p);
+        series_ratios.push(s / p);
+        enabled_ratios.push(e / p);
     }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(|a, b| a.total_cmp(b));
+        v[v.len() / 2]
+    };
+    let disabled_s = plain_s * median(&mut disabled_ratios);
+    let tracer_s = plain_s * median(&mut tracer_ratios);
+    let series_s = plain_s * median(&mut series_ratios);
+    let enabled_s = plain_s * median(&mut enabled_ratios);
+
+    let pct = |t: f64| (t - plain_s) / plain_s * 100.0;
+    println!(
+        "telemetry overhead guard ({} frames, best of {reps}):",
+        fs.len()
+    );
+    println!("  no telemetry       {:>9.3} ms", plain_s * 1e3);
+    println!(
+        "  disabled handle    {:>9.3} ms  ({:+.2}%)",
+        disabled_s * 1e3,
+        pct(disabled_s)
+    );
+    println!(
+        "  disabled tracer    {:>9.3} ms  ({:+.2}%)",
+        tracer_s * 1e3,
+        pct(tracer_s)
+    );
+    println!(
+        "  disabled series    {:>9.3} ms  ({:+.2}%)",
+        series_s * 1e3,
+        pct(series_s)
+    );
+    println!(
+        "  enabled registry   {:>9.3} ms  ({:+.2}%)",
+        enabled_s * 1e3,
+        pct(enabled_s)
+    );
+
+    for (what, t) in [
+        ("telemetry", disabled_s),
+        ("tracing", tracer_s),
+        ("time-series tick path", series_s),
+    ] {
+        if pct(t) > gate_pct {
+            return Err(format!(
+                "disabled-mode {what} costs {:.2}% (> {gate_pct}% budget)",
+                pct(t)
+            ));
+        }
+    }
+    println!("disabled-mode overhead within {gate_pct}% budget");
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// Command line.
+// ---------------------------------------------------------------------
+
+/// Which run the flags select.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// The encode hot-path benchmark (`BENCH_PR5.json`).
+    Encode,
+    /// The pixel-kernel microbenchmarks (`BENCH_PR8.json`).
+    Kernels,
+    /// The detected-best kernel tier, bare on stdout.
+    KernelsInfo,
+    /// The disabled-mode observability overhead guard.
+    Overhead,
+}
+
+impl Mode {
+    fn flag(self) -> &'static str {
+        match self {
+            Mode::Encode => "",
+            Mode::Kernels => "--kernels",
+            Mode::KernelsInfo => "--kernels-info",
+            Mode::Overhead => "--overhead",
+        }
+    }
+}
+
+struct Args {
+    mode: Mode,
+    smoke: bool,
+    out: Option<String>,
+}
+
+fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args {
+        mode: Mode::Encode,
+        smoke: false,
+        out: None,
+    };
+    while let Some(flag) = argv.next() {
+        let mode = match flag.as_str() {
+            "--smoke" => {
+                args.smoke = true;
+                continue;
+            }
+            "--out" => {
+                args.out = Some(argv.next().ok_or("--out expects a value")?);
+                continue;
+            }
+            "--kernels" => Mode::Kernels,
+            "--kernels-info" => Mode::KernelsInfo,
+            "--overhead" => Mode::Overhead,
+            _ => return Err(format!("unknown flag {flag:?}")),
+        };
+        if args.mode != Mode::Encode && args.mode != mode {
+            return Err(format!("{flag} does not apply to {}", args.mode.flag()));
+        }
+        args.mode = mode;
+    }
+    if matches!(args.mode, Mode::KernelsInfo | Mode::Overhead) {
+        for (set, flag) in [(args.smoke, "--smoke"), (args.out.is_some(), "--out")] {
+            if set {
+                return Err(format!("{flag} does not apply to {}", args.mode.flag()));
+            }
+        }
+    }
+    Ok(args)
+}
+
+/// Writes a bench report to `out`, or to stdout without one.
+fn emit(json: &str, out: Option<&str>) -> Result<(), String> {
+    match out {
+        Some(p) => {
+            std::fs::write(p, json).map_err(|e| format!("failed to write {p}: {e}"))?;
+            eprintln!("wrote {p}");
+        }
+        None => print!("{json}"),
+    }
+    Ok(())
+}
+
+/// The encode hot-path benchmark over both clips.
+fn encode_bench(smoke: bool) -> String {
     let frames_per_clip = if smoke { 12 } else { 64 } + WARMUP;
 
     type MakeSeq = fn(u64) -> SyntheticSequence;
@@ -454,13 +698,48 @@ fn main() {
             results.push(m);
         }
     }
+    emit_json(&results, frames_per_clip - WARMUP)
+}
 
-    let json = emit_json(&results, frames_per_clip - WARMUP);
-    match out_path {
-        Some(p) => {
-            std::fs::write(&p, &json).expect("write bench JSON");
-            eprintln!("wrote {p}");
+fn run(args: &Args) -> Result<(), String> {
+    match args.mode {
+        Mode::KernelsInfo => {
+            // Bare detected-best tier on stdout (CI compares it against
+            // the committed pin); the full picture goes to stderr.
+            eprintln!(
+                "arch={} available={}",
+                std::env::consts::ARCH,
+                Kernels::available()
+                    .iter()
+                    .map(|t| t.label())
+                    .collect::<Vec<_>>()
+                    .join(",")
+            );
+            println!("{}", Kernels::detect_best().label());
+            Ok(())
         }
-        None => print!("{json}"),
+        Mode::Overhead => overhead_guard(),
+        Mode::Kernels => {
+            let results = bench_kernels(args.smoke);
+            emit(
+                &emit_kernels_json(&results, args.smoke),
+                args.out.as_deref(),
+            )
+        }
+        Mode::Encode => emit(&encode_bench(args.smoke), args.out.as_deref()),
+    }
+}
+
+fn main() {
+    let args = match parse(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("perf: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    if let Err(e) = run(&args) {
+        eprintln!("FAIL: {e}");
+        std::process::exit(1);
     }
 }

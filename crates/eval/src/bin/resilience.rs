@@ -11,6 +11,9 @@
 //! the human-readable tables move to stderr so stdout stays
 //! machine-parseable. `--trace-out <path>` (implies `--telemetry`)
 //! writes that JSON to a file instead, leaving the tables on stdout.
+//!
+//! Bad arguments (an unknown flag, a missing value) exit with status 2
+//! and a message; a failed run exits with status 1.
 
 use pbpair_eval::experiments::frames_from_env;
 use pbpair_eval::experiments::resilience::{
@@ -18,14 +21,30 @@ use pbpair_eval::experiments::resilience::{
 };
 use pbpair_telemetry::Telemetry;
 
+const USAGE: &str = "usage: resilience [--telemetry] [--trace-out PATH]";
+
+/// Parses the flags into `(telemetry, trace_out)`.
+fn parse(mut argv: impl Iterator<Item = String>) -> Result<(bool, Option<String>), String> {
+    let (mut telemetry, mut trace_out) = (false, None);
+    while let Some(flag) = argv.next() {
+        match flag.as_str() {
+            "--telemetry" => telemetry = true,
+            "--trace-out" => trace_out = Some(argv.next().ok_or("--trace-out expects a value")?),
+            _ => return Err(format!("unknown flag {flag:?}")),
+        }
+    }
+    Ok((telemetry, trace_out))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let trace_out = args
-        .iter()
-        .position(|a| a == "--trace-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let telemetry = args.iter().any(|a| a == "--telemetry") || trace_out.is_some();
+    let (telemetry, trace_out) = match parse(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("resilience: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    let telemetry = telemetry || trace_out.is_some();
     let tel = if telemetry {
         Telemetry::with_config(1, true)
     } else {

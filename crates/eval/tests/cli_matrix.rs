@@ -1,14 +1,17 @@
-//! End-to-end tests of the `matrix` and `serve` command-line binaries:
-//! the matrix report is worker-count invariant, and bad arguments to
-//! either fail with a message instead of a panic.
+//! End-to-end tests of the command-line binaries: the matrix report is
+//! worker-count invariant, and bad arguments to `matrix`, `serve`,
+//! `perf` or `resilience` fail with a message instead of a panic.
 
 use std::process::{Command, Output};
 
-/// Runs binary `bin` (`"matrix"` or `"serve"`) with `args`.
+/// Runs binary `bin` (`"matrix"`, `"serve"`, `"perf"` or
+/// `"resilience"`) with `args`.
 fn run_bin(bin: &str, args: &[&str]) -> Output {
     let exe = match bin {
         "matrix" => env!("CARGO_BIN_EXE_matrix"),
         "serve" => env!("CARGO_BIN_EXE_serve"),
+        "perf" => env!("CARGO_BIN_EXE_perf"),
+        "resilience" => env!("CARGO_BIN_EXE_resilience"),
         _ => unreachable!("no binary {bin}"),
     };
     Command::new(exe)
@@ -117,6 +120,47 @@ fn bad_arguments_fail_with_a_message_not_a_panic() {
             "--expose-hold needs --expose",
         ),
         ("serve", &["--telemetry"][..], "apply only to the smoke run"),
+        ("perf", &["--out"][..], "--out expects a value"),
+        (
+            "perf",
+            &["--kernels-info", "--bogus"][..],
+            "unknown flag \"--bogus\"",
+        ),
+        (
+            "perf",
+            &["--smoke", "--kernel"][..],
+            "unknown flag \"--kernel\"",
+        ),
+        (
+            "perf",
+            &["--kernels-info", "--out", "never-written.json"][..],
+            "--out does not apply to --kernels-info",
+        ),
+        (
+            "perf",
+            &["--kernels-info", "--smoke"][..],
+            "--smoke does not apply to --kernels-info",
+        ),
+        (
+            "perf",
+            &["--overhead", "--smoke"][..],
+            "--smoke does not apply to --overhead",
+        ),
+        (
+            "perf",
+            &["--smoke", "--kernels", "--overhead"][..],
+            "--overhead does not apply to --kernels",
+        ),
+        (
+            "resilience",
+            &["--trace-out"][..],
+            "--trace-out expects a value",
+        ),
+        (
+            "resilience",
+            &["--telemetry", "--bogus"][..],
+            "unknown flag \"--bogus\"",
+        ),
     ] {
         let output = run_bin(bin, args);
         let stderr = String::from_utf8_lossy(&output.stderr);

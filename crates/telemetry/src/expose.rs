@@ -16,18 +16,19 @@
 //!   delta-frame ring dump).
 //!
 //! The server is deliberately tiny: blocking I/O, one thread, no keep-
-//! alive, 4 KiB request cap, std only — it exists so an operator can
-//! point `curl` or a Prometheus scraper at a running fleet, not to be a
-//! web framework. Scrapes read live atomics and shared strings; they
-//! never touch the deterministic round loop, so exposing a fleet cannot
-//! perturb its digest.
+//! alive, std only. A request head must end within 4 KiB and within 2 s
+//! of accept, or the connection is dropped unanswered. It exists so an
+//! operator can point `curl` or a Prometheus scraper at a running
+//! fleet, not to be a web framework. Scrapes read live atomics and
+//! shared strings; they never touch the deterministic round loop, so
+//! exposing a fleet cannot perturb its digest.
 
 use std::io::{Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::report::{HistogramSnapshot, TelemetryReport};
 use crate::Telemetry;
@@ -215,25 +216,45 @@ impl Drop for ExposeServer {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let mut buf = [0u8; 4096];
+/// How long a client has, from accept, to deliver its whole request
+/// head. The accept loop serves one connection at a time, so this also
+/// bounds how long one slow or silent client can delay a scrape.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Reads a request head into `buf` up to its blank line. Returns the
+/// head's length, or `None` if the client closed, failed or ran past
+/// [`HEAD_DEADLINE`] first, or overflowed `buf`.
+fn read_head(stream: &mut TcpStream, buf: &mut [u8]) -> Option<usize> {
+    let deadline = Instant::now() + HEAD_DEADLINE;
     let mut len = 0usize;
-    // Read until the end of the request head; everything we accept is a
-    // bodyless GET, so headers are all we need.
     while len < buf.len() {
+        // A zero timeout would mean "block forever", so an exhausted
+        // deadline ends the read instead.
+        let left = deadline
+            .checked_duration_since(Instant::now())
+            .filter(|d| !d.is_zero())?;
+        stream.set_read_timeout(Some(left)).ok()?;
         match stream.read(&mut buf[len..]) {
-            Ok(0) => break,
+            Ok(0) | Err(_) => return None,
             Ok(n) => {
                 len += n;
                 if buf[..len].windows(4).any(|w| w == b"\r\n\r\n") {
-                    break;
+                    return Some(len);
                 }
             }
-            Err(_) => return,
         }
     }
+    None
+}
+
+fn handle_connection(mut stream: TcpStream, shared: &Shared) {
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+    let mut buf = [0u8; 4096];
+    // Everything we accept is a bodyless GET, so the head is all we
+    // need; a client that cannot deliver one in time is dropped.
+    let Some(len) = read_head(&mut stream, &mut buf) else {
+        return;
+    };
     let head = String::from_utf8_lossy(&buf[..len]);
     let mut parts = head.split_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
@@ -369,5 +390,76 @@ mod tests {
         drop(server);
         // The port is released after shutdown.
         assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err());
+    }
+
+    /// Sends `bytes` on `stream` and returns whatever the server
+    /// answers before closing it.
+    fn send_raw(mut stream: TcpStream, bytes: &[u8]) -> Vec<u8> {
+        let _ = stream.write_all(bytes);
+        let mut reply = Vec::new();
+        // A reset counts as "dropped" as much as a clean close does.
+        let _ = stream.read_to_end(&mut reply);
+        reply
+    }
+
+    #[test]
+    fn hostile_clients_are_dropped_and_scrapes_still_answer_in_time() {
+        let tel = Telemetry::with_shards(1);
+        tel.counter("serve.rounds").inc(1);
+        let server = ExposeServer::start(0, tel).unwrap();
+        let addr = server.addr();
+
+        // A trickling client: one byte of a head every 0.5 s for 8 s,
+        // never reaching the blank line. Without one deadline per head
+        // it would hold the only serving thread for the whole 8 s.
+        let mut trickle = TcpStream::connect(addr).unwrap();
+        let trickler = std::thread::spawn(move || {
+            for b in b"GET /metrics HTT" {
+                if trickle.write_all(&[*b]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(500));
+            }
+            send_raw(trickle, b"")
+        });
+        // Let the server accept the trickler before the others queue.
+        std::thread::sleep(Duration::from_millis(200));
+        let start = Instant::now();
+
+        // A full 4 KiB head with no blank line, and garbage bytes, each
+        // connected (so queued) before the scrape below.
+        let mut oversized = b"GET /metrics HTTP/1.1\r\nX-Pad: ".to_vec();
+        oversized.resize(4096, b'a');
+        let mut garbage: Vec<u8> = (0u32..512)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        garbage.extend_from_slice(b"\r\n\r\n");
+        let hostile = [oversized, garbage].map(|bytes| {
+            let stream = TcpStream::connect(addr).unwrap();
+            std::thread::spawn(move || send_raw(stream, &bytes))
+        });
+
+        // A scrape queued behind all of them is answered within the
+        // deadline plus a margin.
+        let (status, body) = get(addr, "/metrics");
+        let waited = start.elapsed();
+        assert!(status.contains("200"), "{status}");
+        assert!(body.contains("pbpair_serve_rounds_total 1\n"));
+        assert!(
+            waited < HEAD_DEADLINE + Duration::from_millis(1500),
+            "scrape waited {waited:?} behind hostile clients"
+        );
+
+        for reply in hostile
+            .into_iter()
+            .map(|t| t.join().unwrap())
+            .chain([trickler.join().unwrap()])
+        {
+            assert!(
+                !reply.starts_with(b"HTTP/1.1 200"),
+                "a hostile request was served: {:?}",
+                String::from_utf8_lossy(&reply)
+            );
+        }
     }
 }

@@ -27,8 +27,8 @@
 //! are exported separately as chrome://tracing JSON.
 //!
 //! Disabled tracing (the default, [`Tracer::disabled`]) is a single
-//! branch on an `Option` per would-be event; the overhead gate in
-//! `crates/bench/benches/telemetry.rs` holds it below the same <2%
+//! branch on an `Option` per would-be event; the overhead guard
+//! (`perf --overhead`, in `pbpair-eval`) holds it below the same <2%
 //! budget as disabled telemetry.
 
 pub mod calib;
