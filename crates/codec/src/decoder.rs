@@ -1,6 +1,8 @@
 //! The video decoder, with error concealment for lost frames.
 //!
-//! The decoder mirrors the encoder's reconstruction loop bit-exactly. When
+//! The decoder parses each macroblock's CBP, vectors and coefficient
+//! blocks and rebuilds it through the encoder's own reconstruction
+//! (`mbcode`), so the two stay bit-exact by construction. When
 //! the network drops a packet (= one frame in the paper's setup), the
 //! caller invokes [`Decoder::conceal_lost_frame`]; the default concealment
 //! is the paper's **simple copy scheme** — repeat the previous
@@ -9,16 +11,14 @@
 //! similarity factor).
 
 use crate::bitstream::{BitReader, BitstreamError};
-use crate::block::{store_block_clamped_with, store_pred, store_pred_plus_residual_with};
 use crate::blockcode::read_coeff_block;
 use crate::encoder::{PICTURE_START_CODE, PICTURE_START_CODE_LEN};
 use crate::kernels::{KernelChoice, Kernels};
 use crate::mb::{MbMode, MotionVector, SubPelVector};
-use crate::mc::{predict_chroma_subpel_with, predict_luma_subpel_with, CHROMA_BLOCK, LUMA_BLOCK};
+use crate::mbcode::{copy_mb, recon_intra_mb, MbLevels, MbPrediction};
 use crate::policy::FrameKind;
-use crate::quant::{dequantize_block, Qp};
+use crate::quant::Qp;
 use crate::vlc;
-use crate::zigzag;
 use pbpair_media::{Frame, MbGrid, MbIndex, VideoFormat};
 use pbpair_telemetry::{Counter, Stage, Telemetry};
 use pbpair_trace::{Event as TraceEvent, Tracer};
@@ -100,8 +100,8 @@ struct PictureHeader {
 }
 
 /// Aggregated outcome of resilient decoding — what the error-tolerant
-/// entry points ([`Decoder::decode_frame_resilient`],
-/// [`Decoder::decode_stream`]) return instead of an error.
+/// entry point ([`Decoder::decode_frame_resilient`]) returns instead of
+/// an error.
 ///
 /// Reports from successive calls add together with
 /// [`absorb`](DecodeReport::absorb), so a session-level tally is one
@@ -181,7 +181,6 @@ pub struct Decoder {
     grid: MbGrid,
     recon: Frame,
     concealment: Concealment,
-    decoded_any: bool,
     /// Motion vector of each macroblock in the most recent decoded frame
     /// (zero for intra/skip) — the input to motion-copy concealment.
     last_mvs: Vec<SubPelVector>,
@@ -249,7 +248,6 @@ impl Decoder {
             kernels: Kernels::active(),
             recon: Frame::new(format),
             concealment,
-            decoded_any: false,
             last_mvs: vec![SubPelVector::ZERO; grid.len()],
             grid,
             tel: None,
@@ -309,14 +307,25 @@ impl Decoder {
     /// caller can treat a corrupt frame exactly like a lost one.
     pub fn decode_frame(&mut self, data: &[u8]) -> Result<(Frame, DecodedInfo), DecodeError> {
         let mut r = BitReader::new(data);
-        let result = self.decode_picture(&mut r);
-        if result.is_ok() {
-            if let Some(t) = &self.tel {
-                t.stage.record(data.len() as u64);
-                t.frames.inc(1);
-            }
+        let header = self.parse_header(&mut r)?;
+        let pic = self.decode_mbs(&mut r, &header);
+        if let Some((_, e)) = pic.damage {
+            return Err(e);
         }
-        result
+        let frame = self.commit(pic.recon, pic.mvs, header.deblock.then_some(header.qp));
+        if let Some(t) = &self.tel {
+            t.stage.record(data.len() as u64);
+            t.frames.inc(1);
+        }
+        Ok((
+            frame,
+            DecodedInfo {
+                temporal_ref: header.temporal_ref,
+                kind: header.kind,
+                qp: header.qp,
+                mb_modes: pic.mb_modes,
+            },
+        ))
     }
 
     /// Parses the picture header, validating the quantizer and the
@@ -365,55 +374,6 @@ impl Decoder {
         })
     }
 
-    /// Decodes one picture from the reader (header + all macroblocks).
-    fn decode_picture(
-        &mut self,
-        r: &mut BitReader<'_>,
-    ) -> Result<(Frame, DecodedInfo), DecodeError> {
-        let PictureHeader {
-            temporal_ref,
-            kind,
-            qp,
-            half_pel,
-            deblock,
-        } = self.parse_header(r)?;
-
-        let mut new_recon = Frame::new(self.format);
-        let mut mb_modes = Vec::with_capacity(self.grid.len());
-        let mut mvs = vec![SubPelVector::ZERO; self.grid.len()];
-        for mb in self.grid.iter().collect::<Vec<_>>() {
-            let mode = match kind {
-                FrameKind::Intra => {
-                    self.decode_intra_mb(r, qp, &mut new_recon, mb)?;
-                    MbMode::Intra
-                }
-                FrameKind::Inter => {
-                    let (mode, mv) = self.decode_p_mb(r, qp, half_pel, &mut new_recon, mb)?;
-                    mvs[self.grid.flat_index(mb)] = mv;
-                    mode
-                }
-            };
-            mb_modes.push(mode);
-        }
-
-        if deblock {
-            crate::deblock::deblock_frame(&mut new_recon, qp);
-        }
-
-        self.recon = new_recon;
-        self.last_mvs = mvs;
-        self.decoded_any = true;
-        Ok((
-            self.recon.clone(),
-            DecodedInfo {
-                temporal_ref,
-                kind,
-                qp,
-                mb_modes,
-            },
-        ))
-    }
-
     /// Produces the concealed output for a lost frame and keeps it as the
     /// new reference (so subsequent inter frames predict from the
     /// concealment, propagating the error exactly as the paper models).
@@ -428,7 +388,7 @@ impl Decoder {
     }
 
     /// Concealment without telemetry accounting — the resilient decode
-    /// paths call this so damage already tallied in a [`DecodeReport`]
+    /// path calls this so damage already tallied in a [`DecodeReport`]
     /// is not double-counted.
     fn conceal_lost_frame_inner(&mut self) -> Frame {
         match self.concealment {
@@ -474,22 +434,20 @@ impl Decoder {
     /// assert_eq!(report.frames_recovered, 1);
     /// ```
     pub fn decode_frame_resilient(&mut self, data: &[u8]) -> (Frame, DecodeReport) {
-        let mut report = DecodeReport::default();
+        let mut report = DecodeReport {
+            frames_decoded: 1,
+            ..DecodeReport::default()
+        };
         let mut offset = 0usize;
-        loop {
+        let frame = loop {
             let Some(delta) = find_start_code(&data[offset..]) else {
                 // Nothing decodable left: conceal the whole picture.
                 report.bytes_skipped += (data.len() - offset) as u64;
-                report.frames_decoded += 1;
                 report.frames_recovered += 1;
                 report.mbs_concealed += self.grid.len() as u64;
                 let mbs = self.grid.len() as u16;
                 self.trace_emit(|frame| TraceEvent::FrameConcealed { frame, mbs });
-                let frame = self.conceal_lost_frame_inner();
-                if let Some(t) = &self.tel {
-                    t.note_report(&report, data.len());
-                }
-                return (frame, report);
+                break self.conceal_lost_frame_inner();
             };
             report.bytes_skipped += delta as u64;
             if offset + delta > 0 {
@@ -502,393 +460,149 @@ impl Decoder {
             }
             offset += delta;
             let mut r = BitReader::new(&data[offset..]);
-            match self.decode_picture_resilient(&mut r, false) {
-                PictureOutcome::Clean { frame } => {
-                    report.frames_decoded += 1;
-                    if let Some(t) = &self.tel {
-                        t.note_report(&report, data.len());
-                    }
-                    return (frame, report);
-                }
-                PictureOutcome::Recovered {
-                    frame,
-                    mbs_concealed,
-                } => {
-                    report.frames_decoded += 1;
-                    report.frames_recovered += 1;
-                    report.mbs_concealed += mbs_concealed;
-                    let start = (self.grid.len() as u64 - mbs_concealed) as u16;
-                    self.trace_emit(|fidx| TraceEvent::MbConcealed {
-                        frame: fidx,
-                        mb_start: start,
-                        count: mbs_concealed as u16,
-                    });
-                    if let Some(t) = &self.tel {
-                        t.note_report(&report, data.len());
-                    }
-                    return (frame, report);
-                }
-                PictureOutcome::HeaderLost(_) | PictureOutcome::Phantom => {
-                    // False or damaged start code: step past it, rescan.
-                    report.bytes_skipped += 1;
-                    offset += 1;
-                }
-            }
-        }
-    }
-
-    /// Decodes a concatenation of pictures (e.g. several frames'
-    /// payloads fused by damaged packetization), resynchronizing on
-    /// picture start codes after damage. Returns every picture that
-    /// could be emitted, clean or partially concealed.
-    ///
-    /// After a partially-concealed picture the scanner resumes inside
-    /// the damaged tail, where payload bits can emulate a start code
-    /// and parse as a plausible header. Such a *phantom* picture would
-    /// conceal — and count — the same frame's macroblocks a second
-    /// time, so while in the damaged tail a candidate whose first
-    /// macroblock already fails is rejected as an emulation (skipped
-    /// byte-by-byte) instead of being emitted. A candidate that
-    /// decodes at least one macroblock is accepted as a genuine
-    /// picture, and a clean picture ends the suspect state.
-    pub fn decode_stream(&mut self, data: &[u8]) -> (Vec<Frame>, DecodeReport) {
-        let mut report = DecodeReport::default();
-        let mut frames = Vec::new();
-        let mut offset = 0usize;
-        // True while scanning the damaged tail of a recovered picture.
-        let mut suspect_tail = false;
-        while offset < data.len() {
-            let Some(delta) = find_start_code(&data[offset..]) else {
-                report.bytes_skipped += (data.len() - offset) as u64;
-                break;
+            let Ok(header) = self.parse_header(&mut r) else {
+                // False or damaged start code: step past it, rescan.
+                report.bytes_skipped += 1;
+                offset += 1;
+                continue;
             };
-            report.bytes_skipped += delta as u64;
-            if delta > 0 {
-                report.resyncs += 1;
-                let skipped = delta as u32;
-                self.trace_emit(|frame| TraceEvent::Resync {
-                    frame,
-                    bytes_skipped: skipped,
-                });
-            }
-            offset += delta;
-            let mut r = BitReader::new(&data[offset..]);
-            match self.decode_picture_resilient(&mut r, suspect_tail) {
-                PictureOutcome::Clean { frame } => {
-                    frames.push(frame);
-                    report.frames_decoded += 1;
-                    suspect_tail = false;
-                    // The encoder byte-aligns each picture, so the next
-                    // one starts at the following byte boundary.
-                    offset += (r.position() as usize).div_ceil(8).max(1);
-                }
-                PictureOutcome::Recovered {
-                    frame,
-                    mbs_concealed,
-                } => {
-                    frames.push(frame);
-                    report.frames_decoded += 1;
-                    report.frames_recovered += 1;
-                    report.mbs_concealed += mbs_concealed;
-                    let start = (self.grid.len() as u64 - mbs_concealed) as u16;
-                    self.trace_emit(|fidx| TraceEvent::MbConcealed {
-                        frame: fidx,
-                        mb_start: start,
-                        count: mbs_concealed as u16,
-                    });
-                    suspect_tail = true;
-                    // Resume scanning after the bits that decoded before
-                    // the damage; the scan ahead finds the next picture.
-                    offset += ((r.position() / 8) as usize).max(1);
-                }
-                PictureOutcome::HeaderLost(_) | PictureOutcome::Phantom => {
-                    report.bytes_skipped += 1;
-                    offset += 1;
-                }
-            }
-        }
+            let mut pic = self.decode_mbs(&mut r, &header);
+            let Some((k, _)) = pic.damage else {
+                break self.commit(pic.recon, pic.mvs, header.deblock.then_some(header.qp));
+            };
+            let count = self.grid.len() - k;
+            report.frames_recovered += 1;
+            report.mbs_concealed += count as u64;
+            self.trace_emit(|frame| TraceEvent::MbConcealed {
+                frame,
+                mb_start: k as u16,
+                count: count as u16,
+            });
+            self.conceal_mbs(&mut pic.recon, self.grid.iter().skip(k));
+            // No deblocking: filtering across the decoded/concealed seam
+            // would smear the damage outward.
+            break self.commit(pic.recon, pic.mvs, None);
+        };
         if let Some(t) = &self.tel {
             t.note_report(&report, data.len());
         }
-        (frames, report)
+        (frame, report)
     }
 
-    /// Decodes one picture, capturing mid-stream damage: on the first
-    /// bad macroblock the remaining range is concealed and the partial
-    /// picture is committed as the new reference.
-    ///
-    /// With `reject_empty` set, a picture whose very first macroblock
-    /// fails is treated as a start-code emulation: nothing is
-    /// committed and [`PictureOutcome::Phantom`] is returned. Callers
-    /// set this only while scanning the damaged tail of a recovered
-    /// picture, where emulations would double-conceal (and
-    /// double-count) the same frame's macroblocks.
-    fn decode_picture_resilient(
-        &mut self,
-        r: &mut BitReader<'_>,
-        reject_empty: bool,
-    ) -> PictureOutcome {
-        let header = match self.parse_header(r) {
-            Ok(h) => h,
-            Err(e) => return PictureOutcome::HeaderLost(e),
+    /// The picture loop both entry points share: parses every macroblock
+    /// after the header and reconstructs it into a new picture predicted
+    /// from the current reference, stopping at the first macroblock whose
+    /// data is bad. Commits nothing.
+    fn decode_mbs(&self, r: &mut BitReader<'_>, header: &PictureHeader) -> Picture {
+        let mut pic = Picture {
+            recon: Frame::new(self.format),
+            mb_modes: Vec::with_capacity(self.grid.len()),
+            mvs: self.last_mvs.clone(),
+            damage: None,
         };
-        let PictureHeader {
-            kind,
-            qp,
-            half_pel,
-            deblock,
-            ..
-        } = header;
-
-        let mut new_recon = Frame::new(self.format);
-        // Concealed macroblocks keep their previous motion so a later
-        // motion-copy concealment still has a plausible field.
-        let mut mvs = self.last_mvs.clone();
-        let mb_list: Vec<MbIndex> = self.grid.iter().collect();
-        let mut failed_at: Option<usize> = None;
-        for (k, &mb) in mb_list.iter().enumerate() {
-            let decoded = match kind {
-                FrameKind::Intra => self
-                    .decode_intra_mb(r, qp, &mut new_recon, mb)
-                    .map(|()| SubPelVector::ZERO),
-                FrameKind::Inter => self
-                    .decode_p_mb(r, qp, half_pel, &mut new_recon, mb)
-                    .map(|(_, mv)| mv),
-            };
-            match decoded {
-                Ok(mv) => mvs[self.grid.flat_index(mb)] = mv,
-                Err(_) => {
-                    failed_at = Some(k);
+        for (k, mb) in self.grid.iter().enumerate() {
+            match decode_mb(self.kernels, r, header, &self.recon, &mut pic.recon, mb) {
+                Ok((mode, mv)) => {
+                    pic.mb_modes.push(mode);
+                    pic.mvs[k] = mv;
+                }
+                Err(e) => {
+                    pic.damage = Some((k, e));
                     break;
                 }
             }
         }
-
-        match failed_at {
-            None => {
-                if deblock {
-                    crate::deblock::deblock_frame(&mut new_recon, qp);
-                }
-                self.recon = new_recon;
-                self.last_mvs = mvs;
-                self.decoded_any = true;
-                PictureOutcome::Clean {
-                    frame: self.recon.clone(),
-                }
-            }
-            Some(k) => {
-                if reject_empty && k == 0 {
-                    return PictureOutcome::Phantom;
-                }
-                self.conceal_mbs(&mut new_recon, mb_list[k..].iter().copied());
-                // No deblocking: filtering across the decoded/concealed
-                // seam would smear the damage outward.
-                self.recon = new_recon;
-                self.last_mvs = mvs;
-                self.decoded_any = true;
-                PictureOutcome::Recovered {
-                    frame: self.recon.clone(),
-                    mbs_concealed: (mb_list.len() - k) as u64,
-                }
-            }
-        }
+        pic
     }
 
-    /// Fills the given macroblocks of `new_recon` from the current
-    /// reference using the configured concealment strategy.
-    fn conceal_mbs(&self, new_recon: &mut Frame, mbs: impl IntoIterator<Item = MbIndex>) {
+    /// Makes `recon` the new reference, deblocking it first when `deblock`
+    /// carries the picture's quantizer, and returns a copy for output.
+    fn commit(&mut self, mut recon: Frame, mvs: Vec<SubPelVector>, deblock: Option<Qp>) -> Frame {
+        if let Some(qp) = deblock {
+            crate::deblock::deblock_frame(&mut recon, qp);
+        }
+        self.recon = recon;
+        self.last_mvs = mvs;
+        self.recon.clone()
+    }
+
+    /// Fills the given macroblocks of `dst` from the current reference
+    /// using the configured concealment strategy.
+    fn conceal_mbs(&self, dst: &mut Frame, mbs: impl IntoIterator<Item = MbIndex>) {
         for mb in mbs {
             let mv = match self.concealment {
                 Concealment::CopyPrevious => SubPelVector::ZERO,
                 Concealment::MotionCopy => self.last_mvs[self.grid.flat_index(mb)],
             };
-            predict_mb(self.kernels, &self.recon, new_recon, mb, mv);
+            MbPrediction::new(self.kernels, &self.recon, mb, mv).store(dst, mb);
         }
     }
+}
 
-    fn decode_intra_mb(
-        &mut self,
-        r: &mut BitReader<'_>,
-        qp: Qp,
-        new_recon: &mut Frame,
-        mb: MbIndex,
-    ) -> Result<(), DecodeError> {
-        let (lx, ly) = mb.luma_origin();
-        let (cx, cy) = mb.chroma_origin();
-        let cbp = vlc::read_cbp(r)?;
-        for i in 0..6usize {
-            let dc = r.get_bits(8)? as i32;
-            let mut zig = if cbp & (1 << (5 - i)) != 0 {
-                read_coeff_block(r, 1)?
-            } else {
-                [0i32; 64]
-            };
-            zig[0] = dc;
-            let quantized = zigzag::unscan(&zig);
-            let coefs = dequantize_block(&quantized, qp, true);
-            let mut spatial = [0i32; 64];
-            self.kernels.idct8(&coefs, &mut spatial);
-            let (dx, dy, plane) = match i {
-                0 => (lx, ly, new_recon.y_mut()),
-                1 => (lx + 8, ly, new_recon.y_mut()),
-                2 => (lx, ly + 8, new_recon.y_mut()),
-                3 => (lx + 8, ly + 8, new_recon.y_mut()),
-                4 => (cx, cy, new_recon.cb_mut()),
-                _ => (cx, cy, new_recon.cr_mut()),
-            };
-            store_block_clamped_with(self.kernels, plane, dx, dy, &spatial);
-        }
-        Ok(())
-    }
+/// A picture under reconstruction (internal).
+struct Picture {
+    recon: Frame,
+    /// Mode of every macroblock decoded so far, in raster order.
+    mb_modes: Vec<MbMode>,
+    /// Motion field: starts as the previous picture's, so macroblocks
+    /// concealed after damage keep their previous motion and a later
+    /// motion-copy concealment still has a plausible field.
+    mvs: Vec<SubPelVector>,
+    /// The first macroblock whose data failed to parse, with the error;
+    /// `None` when every macroblock decoded.
+    damage: Option<(usize, DecodeError)>,
+}
 
-    fn decode_p_mb(
-        &mut self,
-        r: &mut BitReader<'_>,
-        qp: Qp,
-        half_pel: bool,
-        new_recon: &mut Frame,
-        mb: MbIndex,
-    ) -> Result<(MbMode, SubPelVector), DecodeError> {
-        let (lx, ly) = mb.luma_origin();
-        let (cx, cy) = mb.chroma_origin();
+/// Parses macroblock `mb` of a picture with header `h` — only the COD and
+/// mode bits, vector differences, CBP and coefficient blocks — and
+/// rebuilds it into `dst` from `reference` through the encoder's own
+/// reconstruction. Returns its mode and motion vector (zero unless inter).
+fn decode_mb(
+    k: &Kernels,
+    r: &mut BitReader<'_>,
+    h: &PictureHeader,
+    reference: &Frame,
+    dst: &mut Frame,
+    mb: MbIndex,
+) -> Result<(MbMode, SubPelVector), DecodeError> {
+    if h.kind == FrameKind::Inter {
         if r.get_bit()? {
             // COD = 1: skipped — copy colocated from the reference.
-            predict_mb(self.kernels, &self.recon, new_recon, mb, SubPelVector::ZERO);
+            copy_mb(reference, dst, mb);
             return Ok((MbMode::Skip, SubPelVector::ZERO));
         }
-        if r.get_bit()? {
-            // Intra macroblock inside a P-frame.
-            self.decode_intra_mb(r, qp, new_recon, mb)?;
-            return Ok((MbMode::Intra, SubPelVector::ZERO));
-        }
-
-        let mvx = vlc::read_mvd(r)?;
-        let mvy = vlc::read_mvd(r)?;
-        let mv = if half_pel {
-            SubPelVector::from_half_units(mvx, mvy)
-        } else {
-            SubPelVector::integer(MotionVector::new(mvx, mvy))
-        };
-        let cbp = vlc::read_cbp(r)?;
-
-        let mut pred_y = [0u8; LUMA_BLOCK * LUMA_BLOCK];
-        predict_luma_subpel_with(self.kernels, self.recon.y(), mb, mv, &mut pred_y);
-        let mut pred_cb = [0u8; CHROMA_BLOCK * CHROMA_BLOCK];
-        let mut pred_cr = [0u8; CHROMA_BLOCK * CHROMA_BLOCK];
-        predict_chroma_subpel_with(self.kernels, self.recon.cb(), mb, mv, &mut pred_cb);
-        predict_chroma_subpel_with(self.kernels, self.recon.cr(), mb, mv, &mut pred_cr);
-
-        let sub = [(0usize, 0usize), (8, 0), (0, 8), (8, 8)];
-        #[allow(clippy::needless_range_loop)] // i indexes both cbp bits and sub[]
-        for i in 0..6usize {
-            let resid = if cbp & (1 << (5 - i)) != 0 {
-                let zig = read_coeff_block(r, 0)?;
-                let quantized = zigzag::unscan(&zig);
-                let coefs = dequantize_block(&quantized, qp, false);
-                let mut spatial = [0i32; 64];
-                self.kernels.idct8(&coefs, &mut spatial);
-                spatial
+        if !r.get_bit()? {
+            let mvx = vlc::read_mvd(r)?;
+            let mvy = vlc::read_mvd(r)?;
+            let mv = if h.half_pel {
+                SubPelVector::from_half_units(mvx, mvy)
             } else {
-                [0i32; 64]
+                SubPelVector::integer(MotionVector::new(mvx, mvy))
             };
-            match i {
-                0..=3 => {
-                    let (sx, sy) = sub[i];
-                    store_pred_plus_residual_with(
-                        self.kernels,
-                        new_recon.y_mut(),
-                        lx + sx,
-                        ly + sy,
-                        &pred_y,
-                        LUMA_BLOCK,
-                        sx,
-                        sy,
-                        &resid,
-                    );
+            let cbp = vlc::read_cbp(r)?;
+            let mut levels: MbLevels = [[0i32; 64]; 6];
+            for (i, zig) in levels.iter_mut().enumerate() {
+                if cbp & (1 << (5 - i)) != 0 {
+                    *zig = read_coeff_block(r, 0)?;
                 }
-                4 => store_pred_plus_residual_with(
-                    self.kernels,
-                    new_recon.cb_mut(),
-                    cx,
-                    cy,
-                    &pred_cb,
-                    CHROMA_BLOCK,
-                    0,
-                    0,
-                    &resid,
-                ),
-                _ => store_pred_plus_residual_with(
-                    self.kernels,
-                    new_recon.cr_mut(),
-                    cx,
-                    cy,
-                    &pred_cr,
-                    CHROMA_BLOCK,
-                    0,
-                    0,
-                    &resid,
-                ),
             }
+            MbPrediction::new(k, reference, mb, mv)
+                .store_plus_residual(k, h.qp, &levels, cbp, dst, mb);
+            return Ok((MbMode::Inter, mv));
         }
-        Ok((MbMode::Inter, mv))
+        // Otherwise an intra macroblock inside a P-frame.
     }
-}
-
-/// Outcome of one resilient picture decode (internal).
-enum PictureOutcome {
-    /// Every macroblock decoded; the picture is exact.
-    Clean {
-        /// The decoded picture.
-        frame: Frame,
-    },
-    /// The entropy data went bad mid-picture; the tail was concealed.
-    Recovered {
-        /// The partially-decoded, partially-concealed picture.
-        frame: Frame,
-        /// How many macroblocks were concealed.
-        mbs_concealed: u64,
-    },
-    /// The header was unusable; nothing was committed.
-    HeaderLost(#[allow(dead_code)] DecodeError),
-    /// A start-code emulation inside a damaged tail: the header
-    /// parsed but not a single macroblock decoded. Nothing was
-    /// committed; the caller skips past the false start code.
-    Phantom,
-}
-
-/// Writes macroblock `mb`'s motion-compensated prediction from
-/// `reference` at `mv` into `dst`, all three planes, with no residual:
-/// a skipped MB (zero vector) and a concealed MB alike.
-fn predict_mb(k: &Kernels, reference: &Frame, dst: &mut Frame, mb: MbIndex, mv: SubPelVector) {
-    let mut pred_y = [0u8; LUMA_BLOCK * LUMA_BLOCK];
-    let mut pred_cb = [0u8; CHROMA_BLOCK * CHROMA_BLOCK];
-    let mut pred_cr = [0u8; CHROMA_BLOCK * CHROMA_BLOCK];
-    predict_luma_subpel_with(k, reference.y(), mb, mv, &mut pred_y);
-    predict_chroma_subpel_with(k, reference.cb(), mb, mv, &mut pred_cb);
-    predict_chroma_subpel_with(k, reference.cr(), mb, mv, &mut pred_cr);
-    let (lx, ly) = mb.luma_origin();
-    let (cx, cy) = mb.chroma_origin();
-    store_pred(dst.y_mut(), lx, ly, &pred_y, LUMA_BLOCK, 0, 0, LUMA_BLOCK);
-    store_pred(
-        dst.cb_mut(),
-        cx,
-        cy,
-        &pred_cb,
-        CHROMA_BLOCK,
-        0,
-        0,
-        CHROMA_BLOCK,
-    );
-    store_pred(
-        dst.cr_mut(),
-        cx,
-        cy,
-        &pred_cr,
-        CHROMA_BLOCK,
-        0,
-        0,
-        CHROMA_BLOCK,
-    );
+    let cbp = vlc::read_cbp(r)?;
+    let mut levels: MbLevels = [[0i32; 64]; 6];
+    for (i, zig) in levels.iter_mut().enumerate() {
+        let dc = r.get_bits(8)? as i32;
+        if cbp & (1 << (5 - i)) != 0 {
+            *zig = read_coeff_block(r, 1)?;
+        }
+        zig[0] = dc;
+    }
+    recon_intra_mb(k, h.qp, &levels, dst, mb);
+    Ok((MbMode::Intra, SubPelVector::ZERO))
 }
 
 /// Finds the byte offset of the next picture start code in `data`.
@@ -1260,71 +974,8 @@ mod tests {
         assert_eq!(frame, strict.decode_frame(&e.data).unwrap().0);
     }
 
-    #[test]
-    fn decode_stream_walks_concatenated_pictures() {
-        let mut enc = Encoder::new(EncoderConfig::default());
-        let mut policy = NaturalPolicy::new();
-        let mut seq = SyntheticSequence::foreman_class(11);
-        let mut blob = Vec::new();
-        let mut strict = Decoder::new(VideoFormat::QCIF);
-        let mut expected = Vec::new();
-        for _ in 0..4 {
-            let e = enc.encode_frame(&seq.next_frame(), &mut policy);
-            expected.push(strict.decode_frame(&e.data).unwrap().0);
-            blob.extend_from_slice(&e.data);
-        }
-        let mut dec = Decoder::new(VideoFormat::QCIF);
-        let (frames, report) = dec.decode_stream(&blob);
-        assert_eq!(frames, expected);
-        assert_eq!(report.frames_decoded, 4);
-        assert!(!report.any_damage());
-    }
-
-    #[test]
-    fn decode_stream_conceals_truncated_final_picture() {
-        let mut enc = Encoder::new(EncoderConfig::default());
-        let mut policy = NaturalPolicy::new();
-        let mut seq = SyntheticSequence::foreman_class(19);
-        let e0 = enc.encode_frame(&seq.next_frame(), &mut policy);
-        let e1 = enc.encode_frame(&seq.next_frame(), &mut policy);
-        let mut blob = e0.data.clone();
-        blob.extend_from_slice(&e1.data[..e1.data.len() / 2]);
-
-        let mut dec = Decoder::new(VideoFormat::QCIF);
-        let (frames, report) = dec.decode_stream(&blob);
-        assert_eq!(frames.len(), 2, "both pictures must be emitted");
-        assert_eq!(report.frames_decoded, 2);
-        assert_eq!(report.frames_recovered, 1, "the cut picture recovers");
-        assert!(report.mbs_concealed > 0);
-    }
-
-    #[test]
-    fn decode_stream_resyncs_past_an_obliterated_picture() {
-        // Picture 1 is replaced entirely by garbage containing no
-        // start-code pattern; the scanner must skip it and pick up
-        // picture 2 at its real start code.
-        let mut enc = Encoder::new(EncoderConfig::default());
-        let mut policy = NaturalPolicy::new();
-        let mut seq = SyntheticSequence::foreman_class(19);
-        let e0 = enc.encode_frame(&seq.next_frame(), &mut policy);
-        let e1 = enc.encode_frame(&seq.next_frame(), &mut policy);
-        let e2 = enc.encode_frame(&seq.next_frame(), &mut policy);
-        let garbage = vec![0x55u8; e1.data.len()];
-        let mut blob = e0.data.clone();
-        blob.extend_from_slice(&garbage);
-        blob.extend_from_slice(&e2.data);
-
-        let mut dec = Decoder::new(VideoFormat::QCIF);
-        let (frames, report) = dec.decode_stream(&blob);
-        assert_eq!(frames.len(), 2, "pictures 0 and 2 must be emitted");
-        assert_eq!(report.frames_decoded, 2);
-        assert_eq!(report.resyncs, 1, "one forward scan past the garbage");
-        assert_eq!(report.bytes_skipped, garbage.len() as u64);
-    }
-
     /// Builds a byte-aligned Inter QCIF picture header with a valid
-    /// quantizer and no payload — exactly what a start-code emulation
-    /// in a damaged tail can look like.
+    /// quantizer and no payload.
     fn phantom_header() -> Vec<u8> {
         use crate::bitstream::BitWriter;
         let mut w = BitWriter::new();
@@ -1339,54 +990,9 @@ mod tests {
     }
 
     #[test]
-    fn decode_stream_does_not_double_count_phantom_picture_in_damaged_tail() {
-        // A truncated picture leaves the scanner inside its damaged
-        // tail, where a start-code emulation that parses as a header
-        // but decodes zero MBs used to be emitted as a second
-        // whole-frame concealment — double-counting the same frame's
-        // MBs. The stream must decode identically to feeding the
-        // pictures through decode_frame_resilient one at a time.
-        let mut enc = Encoder::new(EncoderConfig::default());
-        let mut policy = NaturalPolicy::new();
-        let mut seq = SyntheticSequence::foreman_class(19);
-        let e0 = enc.encode_frame(&seq.next_frame(), &mut policy);
-        let e1 = enc.encode_frame(&seq.next_frame(), &mut policy);
-        let cut = &e1.data[..e1.data.len() / 2];
-
-        let mut blob = e0.data.clone();
-        blob.extend_from_slice(cut);
-        blob.extend_from_slice(&phantom_header());
-
-        let mut reference = Decoder::new(VideoFormat::QCIF);
-        let (r0_frame, r0) = reference.decode_frame_resilient(&e0.data);
-        let (r1_frame, r1) = reference.decode_frame_resilient(cut);
-        assert_eq!(r0.frames_recovered, 0);
-        assert_eq!(r1.frames_recovered, 1);
-
-        let mut dec = Decoder::new(VideoFormat::QCIF);
-        let (frames, report) = dec.decode_stream(&blob);
-        assert_eq!(
-            frames,
-            vec![r0_frame, r1_frame],
-            "the phantom header must not become a third picture"
-        );
-        assert_eq!(report.frames_decoded, 2);
-        assert_eq!(report.frames_recovered, 1);
-        assert_eq!(
-            report.mbs_concealed, r1.mbs_concealed,
-            "each MB may be counted at most once per frame"
-        );
-        assert!(
-            (report.mbs_concealed as usize) < MbGrid::new(VideoFormat::QCIF).len(),
-            "only the damaged tail of the cut picture is concealed"
-        );
-    }
-
-    #[test]
     fn decode_frame_resilient_still_conceals_header_only_picture() {
-        // Outside a damaged tail a header with no payload is a
-        // genuinely truncated picture and must still be concealed
-        // (the phantom rejection only applies in-stream after damage).
+        // A header with no payload is a truncated picture: every
+        // macroblock is concealed.
         let mut dec = Decoder::new(VideoFormat::QCIF);
         let (frame, report) = dec.decode_frame_resilient(&phantom_header());
         assert_eq!(frame.format(), VideoFormat::QCIF);

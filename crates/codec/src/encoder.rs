@@ -7,7 +7,7 @@
 //! 2. **motion estimation** — biased cost search
 //!    (`SAD + policy.me_bias(mv)`);
 //! 3. **natural inter/intra test** — intra when
-//!    `SAD_mv > SAD_self + intra_bias` (the paper's
+//!    `SAD_mv > SAD_self + SAD_TH` (the paper's
 //!    `SAD_mv − SAD_Th > SAD_self` test);
 //! 4. **post-ME override** — the policy may still force intra (AIR,
 //!    PGOP stride-back);
@@ -114,6 +114,10 @@ impl OptConfig {
     }
 }
 
+/// The paper's `SAD_Th`: inter is kept only while
+/// `SAD_mv ≤ SAD_self + SAD_TH` (500, the H.263 TMN convention).
+const SAD_TH: u64 = 500;
+
 /// Encoder configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncoderConfig {
@@ -123,9 +127,6 @@ pub struct EncoderConfig {
     pub qp: Qp,
     /// Motion-search configuration.
     pub me: MeConfig,
-    /// The paper's `SAD_Th`: inter is kept only while
-    /// `SAD_mv ≤ SAD_self + intra_bias`. Larger values favor inter.
-    pub intra_bias: u32,
     /// Half-pixel motion precision (H.263's default). When set, the
     /// integer search winner is refined over its 8 half-pel neighbours
     /// and vectors travel in half-pel units. The flag is carried in every
@@ -145,14 +146,13 @@ pub struct EncoderConfig {
 }
 
 impl Default for EncoderConfig {
-    /// QCIF, QP 8, ±15 three-step search, `SAD_Th` = 500 (the H.263 TMN
-    /// convention).
+    /// QCIF, QP 8, ±15 three-step search, integer precision, no
+    /// deblocking.
     fn default() -> Self {
         EncoderConfig {
             format: VideoFormat::QCIF,
             qp: Qp::default(),
             me: MeConfig::default(),
-            intra_bias: 500,
             half_pel: false,
             deblock: false,
             opt: OptConfig::default(),
@@ -841,7 +841,7 @@ impl Encoder {
                         ref_luma: self.recon.y(),
                         colocated_sad: st.colocated_sad,
                     };
-                    let natural_intra = st.me.sad > st.sad_self + self.cfg.intra_bias as u64;
+                    let natural_intra = st.me.sad > st.sad_self + SAD_TH;
                     let post = policy.post_me_mode(&ctx, &st.me);
                     st.inter_mv = if natural_intra || post == PostMeDecision::ForceIntra {
                         None
@@ -1167,7 +1167,7 @@ impl Encoder {
 
             let sad_self = me::sad_self(frame.y(), mb);
             self.ops.sad_ops += 512; // mean + deviation pass
-            let natural_intra = me_result.sad > sad_self + self.cfg.intra_bias as u64;
+            let natural_intra = me_result.sad > sad_self + SAD_TH;
             let post = policy.post_me_mode(&ctx, &me_result);
             if natural_intra || post == PostMeDecision::ForceIntra {
                 (MbMode::Intra, SubPelVector::ZERO, Some(me_result.sad), true)

@@ -1,5 +1,9 @@
 //! Macroblock coding primitives shared by the serial and slice-parallel
-//! encoder paths.
+//! encoder paths, and the macroblock reconstruction that the encoder,
+//! the RDE trial coder and the decoder all share: [`recon_intra_mb`]
+//! for intra blocks, [`MbPrediction`] for inter, skipped and concealed
+//! ones, and [`copy_mb`] for explicit skips. Reconstruction charges no
+//! operations; each caller counts its own.
 //!
 //! These are free functions over explicit references (current frame,
 //! prediction reference, output reconstruction, bit writer, op counter)
@@ -76,8 +80,7 @@ pub(crate) fn code_intra_mb(
     let (lx, ly) = mb.luma_origin();
     let (cx, cy) = mb.chroma_origin();
     ops.recon_write_bytes += MB_FOOTPRINT_BYTES;
-    // Block order: Y0 Y1 Y2 Y3 (raster 8×8 quadrants), Cb, Cr.
-    let mut levels = [[0i32; 64]; 6];
+    let mut levels: MbLevels = [[0i32; 64]; 6];
     let mut cbp = 0u8;
     for (i, (px, py, plane)) in [
         (lx, ly, frame.y()),
@@ -104,24 +107,9 @@ pub(crate) fn code_intra_mb(
         }
     }
 
-    // Reconstruction (identical to the decoder).
-    for (i, zig) in levels.iter().enumerate() {
-        let quantized = zigzag::unscan(zig);
-        let coefs = dequantize_block(&quantized, cfg.qp, true);
-        let mut spatial = [0i32; 64];
-        cfg.kernels.idct8(&coefs, &mut spatial);
-        ops.dequant_blocks += 1;
-        ops.idct_blocks += 1;
-        let (dx, dy, plane) = match i {
-            0 => (lx, ly, new_recon.y_mut()),
-            1 => (lx + 8, ly, new_recon.y_mut()),
-            2 => (lx, ly + 8, new_recon.y_mut()),
-            3 => (lx + 8, ly + 8, new_recon.y_mut()),
-            4 => (cx, cy, new_recon.cb_mut()),
-            _ => (cx, cy, new_recon.cr_mut()),
-        };
-        store_block_clamped_with(cfg.kernels, plane, dx, dy, &spatial);
-    }
+    recon_intra_mb(cfg.kernels, cfg.qp, &levels, new_recon, mb);
+    ops.dequant_blocks += 6;
+    ops.idct_blocks += 6;
 }
 
 /// Codes one inter macroblock, with automatic demotion to skip when the
@@ -141,29 +129,22 @@ pub(crate) fn code_inter_mb(
     let (lx, ly) = mb.luma_origin();
     let (cx, cy) = mb.chroma_origin();
 
-    // Predictions.
-    let mut pred_y = [0u8; LUMA_BLOCK * LUMA_BLOCK];
-    predict_luma_subpel_with(cfg.kernels, reference.y(), mb, mv, &mut pred_y);
-    let mut pred_cb = [0u8; CHROMA_BLOCK * CHROMA_BLOCK];
-    let mut pred_cr = [0u8; CHROMA_BLOCK * CHROMA_BLOCK];
-    predict_chroma_subpel_with(cfg.kernels, reference.cb(), mb, mv, &mut pred_cb);
-    predict_chroma_subpel_with(cfg.kernels, reference.cr(), mb, mv, &mut pred_cr);
+    let pred = MbPrediction::new(cfg.kernels, reference, mb, mv);
     ops.mc_luma_blocks += 1;
     ops.mc_chroma_blocks += 2;
     ops.ref_read_bytes += mc_read_bytes(mv);
     ops.recon_write_bytes += MB_FOOTPRINT_BYTES;
 
     // Residual transform per block.
-    let sub = [(0usize, 0usize), (8, 0), (0, 8), (8, 8)];
-    let mut levels = [[0i32; 64]; 6];
+    let mut levels: MbLevels = [[0i32; 64]; 6];
     let mut cbp = 0u8;
-    for (i, &(sx, sy)) in sub.iter().enumerate() {
-        let resid = residual_block(frame.y(), lx + sx, ly + sy, &pred_y, LUMA_BLOCK, sx, sy);
+    for (i, &(sx, sy)) in LUMA_SUB.iter().enumerate() {
+        let resid = residual_block(frame.y(), lx + sx, ly + sy, &pred.y, LUMA_BLOCK, sx, sy);
         if transform_block(cfg, &resid, false, &mut levels[i], ops) {
             cbp |= 1 << (5 - i);
         }
     }
-    for (i, (plane, pred)) in [(frame.cb(), &pred_cb), (frame.cr(), &pred_cr)]
+    for (i, (plane, pred)) in [(frame.cb(), &pred.cb), (frame.cr(), &pred.cr)]
         .into_iter()
         .enumerate()
     {
@@ -176,36 +157,7 @@ pub(crate) fn code_inter_mb(
     if mv.is_zero() && cbp == 0 {
         // Skip: single COD bit, reconstruction = colocated copy.
         w.put_bit(true);
-        store_pred(
-            new_recon.y_mut(),
-            lx,
-            ly,
-            &pred_y,
-            LUMA_BLOCK,
-            0,
-            0,
-            LUMA_BLOCK,
-        );
-        store_pred(
-            new_recon.cb_mut(),
-            cx,
-            cy,
-            &pred_cb,
-            CHROMA_BLOCK,
-            0,
-            0,
-            CHROMA_BLOCK,
-        );
-        store_pred(
-            new_recon.cr_mut(),
-            cx,
-            cy,
-            &pred_cr,
-            CHROMA_BLOCK,
-            0,
-            0,
-            CHROMA_BLOCK,
-        );
+        pred.store(new_recon, mb);
         return MbMode::Skip;
     }
 
@@ -226,59 +178,10 @@ pub(crate) fn code_inter_mb(
         }
     }
 
-    // Reconstruction.
-    for (i, zig) in levels.iter().enumerate() {
-        let coded = cbp & (1 << (5 - i)) != 0;
-        let resid = if coded {
-            let quantized = zigzag::unscan(zig);
-            let coefs = dequantize_block(&quantized, cfg.qp, false);
-            let mut spatial = [0i32; 64];
-            cfg.kernels.idct8(&coefs, &mut spatial);
-            ops.dequant_blocks += 1;
-            ops.idct_blocks += 1;
-            spatial
-        } else {
-            [0i32; 64]
-        };
-        match i {
-            0..=3 => {
-                let (sx, sy) = sub[i];
-                store_pred_plus_residual_with(
-                    cfg.kernels,
-                    new_recon.y_mut(),
-                    lx + sx,
-                    ly + sy,
-                    &pred_y,
-                    LUMA_BLOCK,
-                    sx,
-                    sy,
-                    &resid,
-                );
-            }
-            4 => store_pred_plus_residual_with(
-                cfg.kernels,
-                new_recon.cb_mut(),
-                cx,
-                cy,
-                &pred_cb,
-                CHROMA_BLOCK,
-                0,
-                0,
-                &resid,
-            ),
-            _ => store_pred_plus_residual_with(
-                cfg.kernels,
-                new_recon.cr_mut(),
-                cx,
-                cy,
-                &pred_cr,
-                CHROMA_BLOCK,
-                0,
-                0,
-                &resid,
-            ),
-        }
-    }
+    pred.store_plus_residual(cfg.kernels, cfg.qp, &levels, cbp, new_recon, mb);
+    let coded = u64::from(cbp.count_ones());
+    ops.dequant_blocks += coded;
+    ops.idct_blocks += coded;
     MbMode::Inter
 }
 
@@ -295,22 +198,135 @@ pub(crate) fn code_skip_mb(
     mb: MbIndex,
     ops: &mut OpCounts,
 ) -> MbMode {
-    let (lx, ly) = mb.luma_origin();
-    let (cx, cy) = mb.chroma_origin();
     w.put_bit(true); // COD = 1: skipped
-    for y in 0..16 {
-        let row = &reference.y().row(ly + y)[lx..lx + 16];
-        new_recon.y_mut().row_mut(ly + y)[lx..lx + 16].copy_from_slice(row);
-    }
-    for y in 0..8 {
-        let cb = &reference.cb().row(cy + y)[cx..cx + 8];
-        new_recon.cb_mut().row_mut(cy + y)[cx..cx + 8].copy_from_slice(cb);
-        let cr = &reference.cr().row(cy + y)[cx..cx + 8];
-        new_recon.cr_mut().row_mut(cy + y)[cx..cx + 8].copy_from_slice(cr);
-    }
+    copy_mb(reference, new_recon, mb);
     ops.mc_luma_blocks += 1;
     ops.mc_chroma_blocks += 2;
     ops.ref_read_bytes += MB_FOOTPRINT_BYTES;
     ops.recon_write_bytes += MB_FOOTPRINT_BYTES;
     MbMode::Skip
+}
+
+/// The zigzag-ordered levels of a macroblock's six 8×8 blocks, in coding
+/// order: Y0 Y1 Y2 Y3 (raster 8×8 quadrants), Cb, Cr.
+pub(crate) type MbLevels = [[i32; 64]; 6];
+
+/// Offsets of the four luma blocks inside the 16×16 macroblock.
+const LUMA_SUB: [(usize, usize); 4] = [(0, 0), (8, 0), (0, 8), (8, 8)];
+
+/// Dequantizes and inverse-transforms one block of zigzag levels.
+#[inline]
+fn inverse_block(k: &Kernels, zig: &[i32; 64], qp: Qp, intra: bool) -> [i32; 64] {
+    let coefs = dequantize_block(&zigzag::unscan(zig), qp, intra);
+    let mut spatial = [0i32; 64];
+    k.idct8(&coefs, &mut spatial);
+    spatial
+}
+
+/// Reconstructs an intra macroblock from its levels into `dst`:
+/// dequantize → IDCT → clamped store, block by block. The encoder, the
+/// RDE trial coder and the decoder all rebuild intra macroblocks here;
+/// callers count the six dequantized and inverse-transformed blocks.
+pub(crate) fn recon_intra_mb(k: &Kernels, qp: Qp, levels: &MbLevels, dst: &mut Frame, mb: MbIndex) {
+    let (lx, ly) = mb.luma_origin();
+    let (cx, cy) = mb.chroma_origin();
+    for (i, zig) in levels.iter().enumerate() {
+        let spatial = inverse_block(k, zig, qp, true);
+        let (dx, dy, plane) = match i {
+            0..=3 => (lx + LUMA_SUB[i].0, ly + LUMA_SUB[i].1, dst.y_mut()),
+            4 => (cx, cy, dst.cb_mut()),
+            _ => (cx, cy, dst.cr_mut()),
+        };
+        store_block_clamped_with(k, plane, dx, dy, &spatial);
+    }
+}
+
+/// One macroblock's motion-compensated prediction, all three planes.
+/// The encoder, the RDE trial coder and the decoder all predict inter,
+/// skipped and concealed macroblocks through it.
+pub(crate) struct MbPrediction {
+    y: [u8; LUMA_BLOCK * LUMA_BLOCK],
+    cb: [u8; CHROMA_BLOCK * CHROMA_BLOCK],
+    cr: [u8; CHROMA_BLOCK * CHROMA_BLOCK],
+}
+
+impl MbPrediction {
+    /// Predicts macroblock `mb` from `reference` displaced by `mv`.
+    pub(crate) fn new(k: &Kernels, reference: &Frame, mb: MbIndex, mv: SubPelVector) -> Self {
+        let mut pred = MbPrediction {
+            y: [0; LUMA_BLOCK * LUMA_BLOCK],
+            cb: [0; CHROMA_BLOCK * CHROMA_BLOCK],
+            cr: [0; CHROMA_BLOCK * CHROMA_BLOCK],
+        };
+        predict_luma_subpel_with(k, reference.y(), mb, mv, &mut pred.y);
+        predict_chroma_subpel_with(k, reference.cb(), mb, mv, &mut pred.cb);
+        predict_chroma_subpel_with(k, reference.cr(), mb, mv, &mut pred.cr);
+        pred
+    }
+
+    /// Stores the prediction with no residual: a demoted skip or a
+    /// concealed macroblock.
+    pub(crate) fn store(&self, dst: &mut Frame, mb: MbIndex) {
+        let (lx, ly) = mb.luma_origin();
+        let (cx, cy) = mb.chroma_origin();
+        let (l, c) = (LUMA_BLOCK, CHROMA_BLOCK);
+        store_pred(dst.y_mut(), lx, ly, &self.y, l, 0, 0, l);
+        store_pred(dst.cb_mut(), cx, cy, &self.cb, c, 0, 0, c);
+        store_pred(dst.cr_mut(), cx, cy, &self.cr, c, 0, 0, c);
+    }
+
+    /// Stores prediction plus residual, clamped: each block `cbp` flags
+    /// adds its dequantized, inverse-transformed `levels`, the others a
+    /// zero residual. Callers count the coded blocks.
+    pub(crate) fn store_plus_residual(
+        &self,
+        k: &Kernels,
+        qp: Qp,
+        levels: &MbLevels,
+        cbp: u8,
+        dst: &mut Frame,
+        mb: MbIndex,
+    ) {
+        let (lx, ly) = mb.luma_origin();
+        let (cx, cy) = mb.chroma_origin();
+        for (i, zig) in levels.iter().enumerate() {
+            let resid = if cbp & (1 << (5 - i)) != 0 {
+                inverse_block(k, zig, qp, false)
+            } else {
+                [0i32; 64]
+            };
+            let (x, y, plane, pred, stride, (px, py)) = match i {
+                0..=3 => (
+                    lx + LUMA_SUB[i].0,
+                    ly + LUMA_SUB[i].1,
+                    dst.y_mut(),
+                    &self.y[..],
+                    LUMA_BLOCK,
+                    LUMA_SUB[i],
+                ),
+                4 => (cx, cy, dst.cb_mut(), &self.cb[..], CHROMA_BLOCK, (0, 0)),
+                _ => (cx, cy, dst.cr_mut(), &self.cr[..], CHROMA_BLOCK, (0, 0)),
+            };
+            store_pred_plus_residual_with(k, plane, x, y, pred, stride, px, py, &resid);
+        }
+    }
+}
+
+/// Copies macroblock `mb` of `reference` into `dst` unchanged: the
+/// zero-vector prediction of a skipped macroblock, without the
+/// motion-compensation kernels (every tier's zero-vector prediction is
+/// this copy).
+pub(crate) fn copy_mb(reference: &Frame, dst: &mut Frame, mb: MbIndex) {
+    let (lx, ly) = mb.luma_origin();
+    let (cx, cy) = mb.chroma_origin();
+    for y in 0..16 {
+        let row = &reference.y().row(ly + y)[lx..lx + 16];
+        dst.y_mut().row_mut(ly + y)[lx..lx + 16].copy_from_slice(row);
+    }
+    for y in 0..8 {
+        let cb = &reference.cb().row(cy + y)[cx..cx + 8];
+        dst.cb_mut().row_mut(cy + y)[cx..cx + 8].copy_from_slice(cb);
+        let cr = &reference.cr().row(cy + y)[cx..cx + 8];
+        dst.cr_mut().row_mut(cy + y)[cx..cx + 8].copy_from_slice(cr);
+    }
 }

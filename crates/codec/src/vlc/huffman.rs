@@ -255,14 +255,6 @@ impl Codebook {
             value: v as i64,
         })
     }
-
-    /// Expected code length in bits under the weights used at build time
-    /// is not stored; this instead returns the mean codeword length over
-    /// all symbols — a coarse sanity metric for tests.
-    pub fn mean_code_len(&self) -> f64 {
-        let total: u64 = self.codes.iter().map(|c| c.len as u64).sum();
-        total as f64 / self.codes.len() as f64
-    }
 }
 
 #[cfg(test)]

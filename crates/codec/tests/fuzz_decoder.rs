@@ -1,13 +1,15 @@
 //! Robustness fuzzing: no byte sequence may panic the decoder. This is
 //! what "erroneous data streams" (paper §2) actually look like to a
-//! receiver — and the resilient entry points must do better than not
-//! crashing: they must return a frame and an honest [`DecodeReport`] for
+//! receiver — and the resilient entry point must do better than not
+//! crashing: it must return a frame and an honest [`DecodeReport`] for
 //! *anything*.
 //!
 //! The main harness is a seeded 10 000-mutation loop over valid
 //! bitstreams (bit flips, byte overwrites, truncations, deletions,
 //! insertions, splices), checked for totality and report consistency.
-//! Proptests below cover the classic `decode_frame` error path.
+//! A parity test pins the picture loop the strict and resilient entry
+//! points share, and proptests below cover the classic `decode_frame`
+//! error path.
 
 use pbpair_codec::{DecodeReport, Decoder, Encoder, EncoderConfig, NaturalPolicy};
 use pbpair_media::synth::SyntheticSequence;
@@ -129,18 +131,6 @@ fn ten_thousand_seeded_corruptions_never_panic() {
         recovered_seen += report.frames_recovered;
         concealed_seen += report.mbs_concealed;
 
-        // Stream path every few cases: valid + mutated + valid, walked
-        // end to end.
-        if case % 8 == 0 {
-            let mut blob = originals[0].clone();
-            blob.extend_from_slice(&data);
-            blob.extend_from_slice(&originals[2]);
-            let mut sdec = Decoder::new(VideoFormat::QCIF);
-            let (frames, sreport) = sdec.decode_stream(&blob);
-            check_report(frames.len(), &sreport, blob.len());
-            assert!(!frames.is_empty(), "case {case}: picture 0 is intact");
-        }
-
         // The decoder must not be poisoned: an intact picture still
         // decodes afterwards.
         let (ok, clean) = dec.decode_frame_resilient(&originals[0]);
@@ -157,6 +147,52 @@ fn ten_thousand_seeded_corruptions_never_panic() {
     assert!(
         concealed_seen > 1000,
         "concealment barely hit: {concealed_seen}"
+    );
+}
+
+/// The strict and the resilient entry points walk a picture in one
+/// loop, so on any input — the valid frames and seeded mutations of
+/// them — `decode_frame` succeeds exactly when the resilient report
+/// shows a clean picture (no recovered frame, no resync, no skipped
+/// byte), the two then emit the same frame, and a strict failure
+/// commits nothing.
+#[test]
+fn strict_and_resilient_decoding_agree() {
+    let originals = valid_frames();
+    let mut rng = StdRng::seed_from_u64(0x5A1D_F00D);
+    let (mut clean, mut damaged) = (0u32, 0u32);
+
+    for case in 0..2_000usize {
+        let mut data = originals[case % originals.len()].clone();
+        if case >= originals.len() {
+            mutate(&mut rng, &mut data);
+        }
+
+        let mut strict = Decoder::new(VideoFormat::QCIF);
+        let mut resilient = Decoder::new(VideoFormat::QCIF);
+        let before = strict.last_frame().clone();
+        let (frame, report) = resilient.decode_frame_resilient(&data);
+        let report_clean = !report.any_damage();
+        match strict.decode_frame(&data) {
+            Ok((decoded, _)) => {
+                assert!(report_clean, "case {case}: strict Ok but {report:?}");
+                assert_eq!(decoded, frame, "case {case}: the two decoders disagree");
+                clean += 1;
+            }
+            Err(e) => {
+                assert!(!report_clean, "case {case}: strict {e} but a clean report");
+                assert_eq!(
+                    strict.last_frame(),
+                    &before,
+                    "case {case}: a failed strict decode committed"
+                );
+                damaged += 1;
+            }
+        }
+    }
+    assert!(
+        clean > 25 && damaged > 1500,
+        "too one-sided to pin the loop: {clean} clean, {damaged} damaged"
     );
 }
 

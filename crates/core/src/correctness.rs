@@ -130,11 +130,6 @@ impl CorrectnessMatrix {
         self.model
     }
 
-    /// Replaces the similarity model (ablations).
-    pub fn set_model(&mut self, model: SimilarityModel) {
-        self.model = model;
-    }
-
     /// `σ^{k−1}_{i,j}` — the value mode selection compares against
     /// `Intra_Th`.
     ///

@@ -10,7 +10,7 @@
 //!    saving comes from, since ME is the dominant encoder cost.
 //! 2. **σ-aware motion estimation** (§3.1.2): every ME candidate pays a
 //!    penalty proportional to the expected damage of its reference area,
-//!    `λ · (1 − σ_ref(mv)) · penalty_scale`, reconstructing the paper's
+//!    `λ · (1 − σ_ref(mv)) · 4096`, reconstructing the paper's
 //!    Figure-3 behaviour: a low-SAD candidate that probably arrived
 //!    corrupted loses to a clean, slightly-worse match. (The paper defers
 //!    the exact formulation to its technical report [15], which is not
@@ -27,11 +27,20 @@ use pbpair_codec::{
 };
 use pbpair_media::{MbIndex, VideoFormat};
 
-/// The largest full-damage penalty `λ · penalty_scale` a configuration
-/// may ask for (2^32). A candidate's cost is `SAD + penalty` in `i64`
-/// with SAD below 2^16, so this leaves ample room; the configurations
-/// in use stay at `1 × 4096`.
-const MAX_PENALTY: f64 = 4_294_967_296.0;
+/// SAD-unit scale of a full-damage penalty: a candidate whose reference
+/// is certainly lost costs `λ · PENALTY_SCALE` extra.
+const PENALTY_SCALE: f64 = 4096.0;
+
+/// The largest λ a configuration may ask for: `λ ≤ 2^32 / 4096 = 2^20`,
+/// so a full-damage penalty `λ · PENALTY_SCALE` stays within 2^32. A
+/// candidate's cost is `SAD + penalty` in `i64` with SAD below 2^16,
+/// so this leaves ample room; the configurations in use keep λ = 1.
+const MAX_LAMBDA: f64 = 1_048_576.0;
+
+/// Relative per-macroblock dither applied to `Intra_Th` (±3%,
+/// deterministic per macroblock position). Staggers threshold crossings
+/// of macroblocks with similar σ trajectories.
+const THRESHOLD_JITTER: f64 = 0.03;
 
 /// PBPAIR configuration knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,16 +51,12 @@ pub struct PbpairConfig {
     /// `α`: the network packet-loss rate the probability model assumes.
     /// Updated live via [`PbpairPolicy::set_plr`] when feedback arrives.
     pub plr: f64,
-    /// Weight of the σ-penalty in the ME cost (λ). 0 disables the σ-aware
-    /// search (ablation: plain SAD). Finite and non-negative, with
-    /// `λ · penalty_scale ≤ 2^32` so that `SAD + penalty` cannot
-    /// overflow the search's `i64` cost.
+    /// Weight of the σ-penalty in the ME cost (λ): a candidate whose
+    /// reference is certainly lost costs `λ · 4096` SAD units extra. 0
+    /// disables the σ-aware search (ablation: plain SAD). Finite and in
+    /// `[0, 2^20]`, so that `SAD + penalty` cannot overflow the search's
+    /// `i64` cost.
     pub lambda: f64,
-    /// SAD-unit scale of a full-damage penalty: a candidate whose
-    /// reference is certainly lost costs `λ · penalty_scale` extra.
-    /// Finite and non-negative; see [`PbpairConfig::lambda`] for the cap
-    /// on the product.
-    pub penalty_scale: f64,
     /// Similarity model for the matrix update (copy concealment by
     /// default; [`SimilarityModel::None`] reproduces Equation 3).
     pub similarity: SimilarityModel,
@@ -60,11 +65,6 @@ pub struct PbpairConfig {
     /// "depends on which error concealment algorithm we use at the
     /// decoder").
     pub similarity_input: SimilarityInput,
-    /// Relative per-macroblock dither applied to `Intra_Th` (±fraction,
-    /// deterministic per macroblock position). Staggers threshold
-    /// crossings of macroblocks with similar σ trajectories. Set to 0.0
-    /// for the undithered behaviour.
-    pub threshold_jitter: f64,
     /// Maximum fraction of the frame's macroblocks the early decision may
     /// force intra in a single frame (`1.0` = uncapped, the formula as
     /// published). Equation 1's `min(related σ)` spatially couples the
@@ -101,10 +101,8 @@ impl Default for PbpairConfig {
             intra_th: 0.9,
             plr: 0.10,
             lambda: 1.0,
-            penalty_scale: 4096.0,
             similarity: SimilarityModel::default_copy_concealment(),
             similarity_input: SimilarityInput::ColocatedSad,
-            threshold_jitter: 0.03,
             refresh_cap_ratio: 1.0,
         }
     }
@@ -129,23 +127,8 @@ impl PbpairConfig {
         if self.lambda < 0.0 {
             return Err(format!("lambda {} negative", self.lambda));
         }
-        if !self.penalty_scale.is_finite() {
-            return Err(format!("penalty_scale {} not finite", self.penalty_scale));
-        }
-        if self.penalty_scale < 0.0 {
-            return Err(format!("penalty_scale {} negative", self.penalty_scale));
-        }
-        if self.lambda * self.penalty_scale > MAX_PENALTY {
-            return Err(format!(
-                "lambda × penalty_scale {} exceeds 2^32",
-                self.lambda * self.penalty_scale
-            ));
-        }
-        if !(0.0..=0.5).contains(&self.threshold_jitter) {
-            return Err(format!(
-                "threshold_jitter {} outside [0, 0.5]",
-                self.threshold_jitter
-            ));
+        if self.lambda > MAX_LAMBDA {
+            return Err(format!("lambda {} exceeds 2^20", self.lambda));
         }
         if !(0.0..=1.0).contains(&self.refresh_cap_ratio) || self.refresh_cap_ratio == 0.0 {
             return Err(format!(
@@ -248,15 +231,11 @@ impl PbpairPolicy {
     /// The dithered threshold for one macroblock (see
     /// [`dithered_threshold`]).
     fn effective_threshold(&self, mb: pbpair_media::MbIndex) -> f64 {
-        dithered_threshold(
-            self.cfg.intra_th,
-            self.cfg.threshold_jitter,
-            self.matrix.grid().flat_index(mb),
-        )
+        dithered_threshold(self.cfg.intra_th, self.matrix.grid().flat_index(mb))
     }
 }
 
-/// The σ-aware search penalty of §3.1.2, `λ · (1 − σ_ref) · penalty_scale`,
+/// The σ-aware search penalty of §3.1.2, `λ · (1 − σ_ref) · 4096`,
 /// where `σ_ref` is the committed σ averaged over the reference region
 /// of `mb` displaced by `mv`. The one formula behind the `me_bias` of
 /// [`PbpairPolicy`] and of the late-decision ablation, and behind their
@@ -265,7 +244,6 @@ impl PbpairPolicy {
 pub(crate) fn sigma_penalty(
     sigma: &SigmaSnapshot,
     lambda: f64,
-    penalty_scale: f64,
     mb: MbIndex,
     mv: MotionVector,
 ) -> i64 {
@@ -274,7 +252,7 @@ pub(crate) fn sigma_penalty(
     }
     let (ox, oy) = mb.luma_origin();
     let sigma_ref = sigma.sigma_of_region(ox as isize + mv.x as isize, oy as isize + mv.y as isize);
-    (lambda * (1.0 - sigma_ref) * penalty_scale) as i64
+    (lambda * (1.0 - sigma_ref) * PENALTY_SCALE) as i64
 }
 
 /// [`sigma_penalty`] frozen for one frame. The penalty reads only the
@@ -284,21 +262,21 @@ pub(crate) fn sigma_penalty(
 /// start therefore returns exactly what `me_bias` would at any point of
 /// the frame, which makes the policy slice-parallel safe.
 pub(crate) fn frozen_sigma_penalty(matrix: &CorrectnessMatrix, cfg: &PbpairConfig) -> FrozenMeBias {
-    let (lambda, penalty_scale) = (cfg.lambda, cfg.penalty_scale);
+    let lambda = cfg.lambda;
     if lambda == 0.0 {
         return Box::new(|_, _| 0);
     }
     let sigma = matrix.committed().clone();
-    Box::new(move |mb, mv| sigma_penalty(&sigma, lambda, penalty_scale, mb, mv))
+    Box::new(move |mb, mv| sigma_penalty(&sigma, lambda, mb, mv))
 }
 
-/// `Intra_Th` scaled by a deterministic factor in `[1−j, 1+j]` derived
-/// from the macroblock's flat index. The boundary operating points are
-/// exempt: 1.0 still forces everything and 0.0 still forces nothing.
-/// Shared by [`PbpairPolicy`] and the late-decision ablation so their
-/// refresh patterns stay comparable.
-pub(crate) fn dithered_threshold(th: f64, j: f64, flat_index: usize) -> f64 {
-    if j == 0.0 || th >= 1.0 || th <= 0.0 {
+/// `Intra_Th` scaled by a deterministic factor in `[1−j, 1+j]`, with
+/// `j` = [`THRESHOLD_JITTER`], derived from the macroblock's flat index.
+/// The boundary operating points are exempt: 1.0 still forces everything
+/// and 0.0 still forces nothing. Shared by [`PbpairPolicy`] and the
+/// late-decision ablation so their refresh patterns stay comparable.
+pub(crate) fn dithered_threshold(th: f64, flat_index: usize) -> f64 {
+    if th >= 1.0 || th <= 0.0 {
         return th;
     }
     // splitmix64 finalizer over the flat index → uniform in [-1, 1].
@@ -308,7 +286,7 @@ pub(crate) fn dithered_threshold(th: f64, j: f64, flat_index: usize) -> f64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     let u = ((z >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
-    (th * (1.0 + j * u)).clamp(0.0, 1.0)
+    (th * (1.0 + THRESHOLD_JITTER * u)).clamp(0.0, 1.0)
 }
 
 impl RefreshPolicy for PbpairPolicy {
@@ -324,7 +302,7 @@ impl RefreshPolicy for PbpairPolicy {
         // §3.1.1: σ^{k−1}_{i,j} < Intra_Th → intra, and skip ME. The
         // threshold carries a small deterministic per-MB dither so the
         // refresh phases of macroblocks with similar σ trajectories stay
-        // decorrelated (no refresh storms; see `threshold_jitter`).
+        // decorrelated (no refresh storms; see `THRESHOLD_JITTER`).
         let cap = (self.cfg.refresh_cap_ratio * self.matrix.grid().len() as f64).ceil() as u32;
         if self.forced_intra_this_frame < cap
             && self.matrix.sigma(ctx.mb) < self.effective_threshold(ctx.mb)
@@ -337,13 +315,7 @@ impl RefreshPolicy for PbpairPolicy {
     }
 
     fn me_bias(&mut self, ctx: &MbContext<'_>, mv: MotionVector) -> i64 {
-        sigma_penalty(
-            self.matrix.committed(),
-            self.cfg.lambda,
-            self.cfg.penalty_scale,
-            ctx.mb,
-            mv,
-        )
+        sigma_penalty(self.matrix.committed(), self.cfg.lambda, ctx.mb, mv)
     }
 
     fn frame_frozen_bias(&self, _ctx: &FrameContext) -> Option<FrozenMeBias> {
@@ -412,30 +384,16 @@ mod tests {
             ..PbpairConfig::default()
         };
         assert!(PbpairPolicy::new(VideoFormat::QCIF, bad).is_err());
-        // Non-finite penalty settings, and products over the cap.
-        let with = |lambda: f64, penalty_scale: f64| PbpairConfig {
+        // Non-finite λ, and λ over the 2^20 cap.
+        let with = |lambda: f64| PbpairConfig {
             lambda,
-            penalty_scale,
             ..PbpairConfig::default()
         };
-        for (lambda, scale) in [
-            (f64::NAN, 4096.0),
-            (f64::INFINITY, 4096.0),
-            (1.0, f64::NAN),
-            (1.0, f64::INFINITY),
-            (0.0, f64::INFINITY),
-            (1e300, 1e300),
-            (2.0, MAX_PENALTY),
-        ] {
-            let err = with(lambda, scale)
-                .validate()
-                .expect_err("must be rejected");
-            assert!(
-                err.contains("lambda") || err.contains("penalty_scale"),
-                "{err}"
-            );
+        for lambda in [f64::NAN, f64::INFINITY, 1e300, 2.0 * MAX_LAMBDA] {
+            let err = with(lambda).validate().expect_err("must be rejected");
+            assert!(err.contains("lambda"), "{err}");
         }
-        assert!(with(1.0, MAX_PENALTY).validate().is_ok());
+        assert!(with(MAX_LAMBDA).validate().is_ok());
     }
 
     /// λ = ∞ used to pass validation, and the first search after any σ
@@ -467,7 +425,7 @@ mod tests {
         for strategy in [SearchStrategy::Full, SearchStrategy::ThreeStep] {
             let cfg = PbpairConfig {
                 plr: 0.3,
-                penalty_scale: MAX_PENALTY,
+                lambda: MAX_LAMBDA,
                 ..PbpairConfig::default()
             };
             let mut policy = PbpairPolicy::new(VideoFormat::QCIF, cfg).unwrap();

@@ -60,13 +60,7 @@ impl RefreshPolicy for LatePbpairPolicy {
     // NOTE: no `pre_me_mode` override — the search always runs.
 
     fn me_bias(&mut self, ctx: &MbContext<'_>, mv: MotionVector) -> i64 {
-        sigma_penalty(
-            self.matrix.committed(),
-            self.cfg.lambda,
-            self.cfg.penalty_scale,
-            ctx.mb,
-            mv,
-        )
+        sigma_penalty(self.matrix.committed(), self.cfg.lambda, ctx.mb, mv)
     }
 
     fn frame_frozen_bias(&self, _ctx: &FrameContext) -> Option<FrozenMeBias> {
@@ -82,7 +76,6 @@ impl RefreshPolicy for LatePbpairPolicy {
         if self.matrix.sigma(ctx.mb)
             < crate::pbpair::dithered_threshold(
                 self.cfg.intra_th,
-                self.cfg.threshold_jitter,
                 self.matrix.grid().flat_index(ctx.mb),
             )
         {

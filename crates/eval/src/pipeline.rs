@@ -12,7 +12,7 @@ use pbpair_energy::{EnergyModel, Joules};
 use pbpair_media::metrics::QualityStats;
 use pbpair_media::synth::{FrameSource, MotionClass, SyntheticSequence};
 use pbpair_media::y4m::Y4mReader;
-use pbpair_netsim::loss::{GilbertElliott, LossModel, NoLoss, ScriptedLoss, UniformLoss};
+use pbpair_netsim::loss::{LossModel, NoLoss, ScriptedLoss, UniformLoss};
 use pbpair_netsim::{ChannelStats, LossyChannel, Packetizer, DEFAULT_MTU};
 
 /// Which video sequence a run encodes.
@@ -90,19 +90,6 @@ pub enum LossSpec {
         /// Frame indices to drop.
         lost_frames: Vec<u64>,
     },
-    /// Bursty Gilbert–Elliott loss (extension experiments).
-    Bursty {
-        /// P(Good→Bad) per frame.
-        p_gb: f64,
-        /// P(Bad→Good) per frame.
-        p_bg: f64,
-        /// Loss probability in Good.
-        loss_good: f64,
-        /// Loss probability in Bad.
-        loss_bad: f64,
-        /// RNG seed.
-        seed: u64,
-    },
 }
 
 impl LossSpec {
@@ -114,15 +101,6 @@ impl LossSpec {
             LossSpec::Scripted { lost_frames } => {
                 Box::new(ScriptedLoss::new(lost_frames.iter().copied()))
             }
-            LossSpec::Bursty {
-                p_gb,
-                p_bg,
-                loss_good,
-                loss_bad,
-                seed,
-            } => Box::new(GilbertElliott::new(
-                *p_gb, *p_bg, *loss_good, *loss_bad, *seed,
-            )),
         }
     }
 
@@ -135,46 +113,7 @@ impl LossSpec {
                 rate: *rate,
                 seed: seed.wrapping_add(rep.wrapping_mul(0x9e37_79b9)),
             },
-            LossSpec::Bursty {
-                p_gb,
-                p_bg,
-                loss_good,
-                loss_bad,
-                seed,
-            } => LossSpec::Bursty {
-                p_gb: *p_gb,
-                p_bg: *p_bg,
-                loss_good: *loss_good,
-                loss_bad: *loss_bad,
-                seed: seed.wrapping_add(rep.wrapping_mul(0x9e37_79b9)),
-            },
             other => other.clone(),
-        }
-    }
-
-    /// The long-run loss rate this spec represents — what PBPAIR should be
-    /// told as `α`.
-    pub fn nominal_plr(&self) -> f64 {
-        match self {
-            LossSpec::None => 0.0,
-            LossSpec::Uniform { rate, .. } => *rate,
-            // Scripted events are sparse probes, not a rate; callers set α
-            // explicitly for those experiments.
-            LossSpec::Scripted { .. } => 0.0,
-            LossSpec::Bursty {
-                p_gb,
-                p_bg,
-                loss_good,
-                loss_bad,
-                ..
-            } => {
-                if p_gb + p_bg == 0.0 {
-                    *loss_good
-                } else {
-                    let pi_bad = p_gb / (p_gb + p_bg);
-                    (1.0 - pi_bad) * loss_good + pi_bad * loss_bad
-                }
-            }
         }
     }
 }
@@ -195,24 +134,6 @@ pub struct RunConfig {
     pub loss: LossSpec,
     /// Payload MTU for packetization.
     pub mtu: usize,
-}
-
-impl RunConfig {
-    /// The paper's standard cell: QCIF, QP 8, 10% uniform frame loss,
-    /// 300 frames.
-    pub fn paper_default(scheme: SchemeSpec, sequence: SequenceSpec) -> Self {
-        RunConfig {
-            scheme,
-            sequence,
-            frames: 300,
-            encoder: EncoderConfig::default(),
-            loss: LossSpec::Uniform {
-                rate: 0.10,
-                seed: 77,
-            },
-            mtu: DEFAULT_MTU,
-        }
-    }
 }
 
 /// Every measurement one cell produces.
@@ -756,19 +677,5 @@ mod tests {
             mtu: DEFAULT_MTU,
         });
         assert!(err.unwrap_err().contains("cannot open"));
-    }
-
-    #[test]
-    fn nominal_plr_of_specs() {
-        assert_eq!(LossSpec::None.nominal_plr(), 0.0);
-        assert_eq!(LossSpec::Uniform { rate: 0.2, seed: 0 }.nominal_plr(), 0.2);
-        let b = LossSpec::Bursty {
-            p_gb: 0.1,
-            p_bg: 0.3,
-            loss_good: 0.0,
-            loss_bad: 0.4,
-            seed: 0,
-        };
-        assert!((b.nominal_plr() - 0.1).abs() < 1e-12);
     }
 }

@@ -5,8 +5,8 @@
 //! channel coding" as the open direction. This crate supplies that half
 //! of the loop: a family of *systematic* block erasure codes over
 //! equal-length byte shards — the existing XOR group parity, Reed-Solomon
-//! over GF(256), a seeded LT fountain, and an interleaved-XOR point for
-//! bursts — behind one [`FecCodec`] trait, so the serving layer can trade
+//! over GF(256) and a seeded LT fountain — behind one [`FecCodec`] trait,
+//! so the serving layer can trade
 //! `Intra_Th` bits against parity bits at runtime.
 //!
 //! Everything is deterministic and `std`-only: the LT generator matrix is
@@ -43,12 +43,10 @@
 //! ```
 
 pub mod gf256;
-mod interleave;
 mod lt;
 mod rs;
 mod xor;
 
-pub use interleave::InterleavedXor;
 pub use lt::LtCodec;
 pub use rs::ReedSolomon;
 pub use xor::XorCodec;
@@ -58,7 +56,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// Arithmetic performed by FEC encode/decode, for energy charging.
 ///
 /// The two work counters mirror the codec families' inner loops: plain
-/// byte XOR (XOR, interleaved-XOR, LT) and GF(256) multiply-accumulate
+/// byte XOR (XOR, LT) and GF(256) multiply-accumulate
 /// (Reed-Solomon). Everything else is bookkeeping the eval layer and
 /// telemetry surface.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -128,7 +126,7 @@ pub trait FecCodec: Send {
     /// Parity shards per block (`r`).
     fn parity_shards(&self) -> usize;
 
-    /// Stable short name for reports (`"xor"`, `"rs"`, `"lt"`, `"ilv"`).
+    /// Stable short name for reports (`"xor"`, `"rs"`, `"lt"`).
     fn name(&self) -> &'static str;
 
     /// Encodes one block: `data` holds exactly `k` shards of one common
@@ -208,24 +206,13 @@ pub enum FecSpec {
         /// Seed of the repair-equation generator.
         seed: u64,
     },
-    /// Interleaved XOR: parity `j` covers shards `i ≡ j (mod r)`, so a
-    /// contiguous burst of up to `r` losses splits into single losses.
-    Interleaved {
-        /// Data shards per block.
-        k: usize,
-        /// Parity shards (interleave depth).
-        r: usize,
-    },
 }
 
 impl FecSpec {
     /// Data shards per block.
     pub fn k(&self) -> usize {
         match *self {
-            FecSpec::Xor { k }
-            | FecSpec::Rs { k, .. }
-            | FecSpec::Lt { k, .. }
-            | FecSpec::Interleaved { k, .. } => k,
+            FecSpec::Xor { k } | FecSpec::Rs { k, .. } | FecSpec::Lt { k, .. } => k,
         }
     }
 
@@ -233,7 +220,7 @@ impl FecSpec {
     pub fn r(&self) -> usize {
         match *self {
             FecSpec::Xor { .. } => 1,
-            FecSpec::Rs { r, .. } | FecSpec::Lt { r, .. } | FecSpec::Interleaved { r, .. } => r,
+            FecSpec::Rs { r, .. } | FecSpec::Lt { r, .. } => r,
         }
     }
 
@@ -248,7 +235,6 @@ impl FecSpec {
             FecSpec::Xor { k } => FecSpec::Xor { k },
             FecSpec::Rs { k, .. } => FecSpec::Rs { k, r },
             FecSpec::Lt { k, seed, .. } => FecSpec::Lt { k, r, seed },
-            FecSpec::Interleaved { k, .. } => FecSpec::Interleaved { k, r },
         }
     }
 
@@ -258,7 +244,6 @@ impl FecSpec {
             FecSpec::Xor { k } => format!("xor-{k}"),
             FecSpec::Rs { k, r } => format!("rs-{k}.{r}"),
             FecSpec::Lt { k, r, .. } => format!("lt-{k}.{r}"),
-            FecSpec::Interleaved { k, r } => format!("ilv-{k}.{r}"),
         }
     }
 
@@ -294,7 +279,6 @@ impl FecSpec {
             FecSpec::Xor { k } => Box::new(XorCodec::new(k)),
             FecSpec::Rs { k, r } => Box::new(ReedSolomon::new(k, r)?),
             FecSpec::Lt { k, r, seed } => Box::new(LtCodec::new(k, r, seed)),
-            FecSpec::Interleaved { k, r } => Box::new(InterleavedXor::new(k, r)),
         })
     }
 }
@@ -337,7 +321,6 @@ mod tests {
                 3,
                 "lt-8.3",
             ),
-            (FecSpec::Interleaved { k: 6, r: 2 }, 6, 2, "ilv-6.2"),
         ];
         for (spec, k, r, label) in specs {
             assert_eq!(spec.k(), k);
@@ -370,10 +353,6 @@ mod tests {
                 r: 1,
                 seed: 9
             }
-        );
-        assert_eq!(
-            FecSpec::Interleaved { k: 6, r: 3 }.with_parity(2),
-            FecSpec::Interleaved { k: 6, r: 2 }
         );
         // XOR is structurally single-parity.
         assert_eq!(FecSpec::Xor { k: 4 }.with_parity(3), FecSpec::Xor { k: 4 });

@@ -122,7 +122,6 @@ proptest! {
             FecSpec::Xor { k },
             FecSpec::Rs { k, r },
             FecSpec::Lt { k, r, seed },
-            FecSpec::Interleaved { k, r },
         ] {
             let codec = spec.build().unwrap();
             let data = random_block(seed ^ 0xabcd, k, len);

@@ -81,74 +81,6 @@ pub fn bad_pixels_with_threshold(a: &Frame, b: &Frame, threshold: u8) -> u64 {
         .count() as u64
 }
 
-/// Structural similarity (SSIM) between two planes, computed over 8×8
-/// windows with the standard constants (`K1 = 0.01`, `K2 = 0.03`,
-/// `L = 255`). Returns the mean SSIM over all windows, in `[-1, 1]`
-/// (1 = identical).
-///
-/// The paper's future work asks for "a more effective and less
-/// computationally intensive video quality measure" than PSNR; SSIM is
-/// the standard answer and is exposed here alongside PSNR and the
-/// bad-pixel count.
-///
-/// # Panics
-///
-/// Panics if the plane dimensions differ or are smaller than 8×8.
-pub fn ssim(a: &Plane, b: &Plane) -> f64 {
-    assert_eq!(a.width(), b.width(), "plane widths differ");
-    assert_eq!(a.height(), b.height(), "plane heights differ");
-    assert!(
-        a.width() >= 8 && a.height() >= 8,
-        "ssim needs at least one 8x8 window"
-    );
-    const C1: f64 = (0.01 * 255.0) * (0.01 * 255.0);
-    const C2: f64 = (0.03 * 255.0) * (0.03 * 255.0);
-    let mut acc = 0.0;
-    let mut windows = 0u64;
-    let mut y = 0;
-    while y + 8 <= a.height() {
-        let mut x = 0;
-        while x + 8 <= a.width() {
-            let (mut sa, mut sb, mut saa, mut sbb, mut sab) = (0f64, 0f64, 0f64, 0f64, 0f64);
-            for dy in 0..8 {
-                let ra = &a.row(y + dy)[x..x + 8];
-                let rb = &b.row(y + dy)[x..x + 8];
-                for (pa, pb) in ra.iter().zip(rb) {
-                    let (va, vb) = (*pa as f64, *pb as f64);
-                    sa += va;
-                    sb += vb;
-                    saa += va * va;
-                    sbb += vb * vb;
-                    sab += va * vb;
-                }
-            }
-            let n = 64.0;
-            let mu_a = sa / n;
-            let mu_b = sb / n;
-            let var_a = saa / n - mu_a * mu_a;
-            let var_b = sbb / n - mu_b * mu_b;
-            let cov = sab / n - mu_a * mu_b;
-            let s = ((2.0 * mu_a * mu_b + C1) * (2.0 * cov + C2))
-                / ((mu_a * mu_a + mu_b * mu_b + C1) * (var_a + var_b + C2));
-            acc += s;
-            windows += 1;
-            x += 8;
-        }
-        y += 8;
-    }
-    acc / windows as f64
-}
-
-/// Luma SSIM between two frames.
-///
-/// # Panics
-///
-/// Panics if the frame formats differ.
-pub fn ssim_y(a: &Frame, b: &Frame) -> f64 {
-    assert_eq!(a.format(), b.format(), "frame formats differ");
-    ssim(a.y(), b.y())
-}
-
 /// Per-macroblock damage map: for each 16×16 macroblock (raster order),
 /// the fraction of its luma pixels whose difference exceeds `threshold`.
 /// This is the ground-truth counterpart of PBPAIR's probability-of-
@@ -222,29 +154,19 @@ pub fn render_mb_heatmap(values: &[f64], cols: usize) -> String {
 pub struct QualityStats {
     psnr_series: Vec<f64>,
     bad_pixel_series: Vec<u64>,
-    threshold: Option<u8>,
 }
 
 impl QualityStats {
-    /// New accumulator using [`DEFAULT_BAD_PIXEL_THRESHOLD`].
+    /// New accumulator; bad pixels use [`DEFAULT_BAD_PIXEL_THRESHOLD`].
     pub fn new() -> Self {
         QualityStats::default()
     }
 
-    /// New accumulator with a custom bad-pixel threshold.
-    pub fn with_threshold(threshold: u8) -> Self {
-        QualityStats {
-            threshold: Some(threshold),
-            ..QualityStats::default()
-        }
-    }
-
     /// Records one (original, reconstructed) frame pair.
     pub fn record(&mut self, original: &Frame, reconstructed: &Frame) {
-        let th = self.threshold.unwrap_or(DEFAULT_BAD_PIXEL_THRESHOLD);
         self.psnr_series.push(psnr_y(original, reconstructed));
         self.bad_pixel_series
-            .push(bad_pixels_with_threshold(original, reconstructed, th));
+            .push(bad_pixels(original, reconstructed));
     }
 
     /// Number of recorded frame pairs.
@@ -387,46 +309,5 @@ mod tests {
     #[should_panic(expected = "whole rows")]
     fn heatmap_rejects_ragged_input() {
         let _ = render_mb_heatmap(&[0.0, 0.5, 1.0], 2);
-    }
-
-    #[test]
-    fn ssim_of_identical_planes_is_one() {
-        let p = Plane::from_fn(16, 16, |x, y| ((x * 7 + y * 3) % 200) as u8);
-        assert!((ssim(&p, &p) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ssim_decreases_with_structural_damage() {
-        let a = Plane::from_fn(32, 32, |x, y| ((x * 5 + y * 9) % 220) as u8);
-        // Mild uniform brightness shift: structure preserved, SSIM high.
-        let mut shifted = a.clone();
-        for s in shifted.samples_mut() {
-            *s = s.saturating_add(8);
-        }
-        // Structure destroyed: rows shuffled into stripes.
-        let scrambled = Plane::from_fn(32, 32, |x, y| a.get(x, (y * 13 + 5) % 32));
-        let s_shift = ssim(&a, &shifted);
-        let s_scram = ssim(&a, &scrambled);
-        assert!(s_shift > 0.9, "brightness shift keeps structure: {s_shift}");
-        assert!(
-            s_scram < s_shift - 0.2,
-            "scrambling must crush SSIM: {s_scram} vs {s_shift}"
-        );
-    }
-
-    #[test]
-    fn ssim_is_symmetric_and_bounded() {
-        let a = Plane::from_fn(16, 16, |x, y| (x * 16 + y) as u8);
-        let b = Plane::from_fn(16, 16, |x, y| (255 - x * 16 - y) as u8);
-        let ab = ssim(&a, &b);
-        let ba = ssim(&b, &a);
-        assert!((ab - ba).abs() < 1e-12);
-        assert!((-1.0..=1.0).contains(&ab));
-    }
-
-    #[test]
-    fn ssim_y_requires_matching_formats() {
-        let a = Frame::flat(VideoFormat::custom(16, 16).unwrap(), 100);
-        assert!((ssim_y(&a, &a) - 1.0).abs() < 1e-12);
     }
 }

@@ -350,11 +350,6 @@ impl Delivery {
             Delivery::Lost => None,
         }
     }
-
-    /// Whether anything was delivered.
-    pub fn is_delivered(&self) -> bool {
-        !matches!(self, Delivery::Lost)
-    }
 }
 
 /// A lossy channel that also injects payload-level corruption: packet
@@ -466,16 +461,6 @@ impl CorruptingChannel {
         CorruptingChannel {
             inner: LossyChannel::new(model),
             corrupter: Corrupter::new(profile, seed),
-            tel: None,
-            trace: Tracer::disabled(),
-        }
-    }
-
-    /// Composes an existing lossy channel with an existing corrupter.
-    pub fn from_parts(inner: LossyChannel, corrupter: Corrupter) -> Self {
-        CorruptingChannel {
-            inner,
-            corrupter,
             tel: None,
             trace: Tracer::disabled(),
         }

@@ -398,7 +398,6 @@ mod tests {
                 r: 3,
                 seed: 2005,
             }),
-            protector(FecSpec::Interleaved { k: 4, r: 2 }),
         ]
     }
 
@@ -459,26 +458,6 @@ mod tests {
         assert_eq!(rec.data.len(), 5); // 0..4 from block 0, 7 from block 1
         assert_eq!(ops.blocks_repaired, 1);
         assert_eq!(ops.blocks_failed, 1);
-    }
-
-    #[test]
-    fn interleaved_xor_survives_contiguous_bursts() {
-        let data: Vec<u8> = (0..1150).map(|i| (i * 3 + 7) as u8).collect();
-        let pkts = fragments(&data, 100); // 12 fragments
-        let ilv = protector(FecSpec::Interleaved { k: 6, r: 2 });
-        let mut ops = FecOps::default();
-        let protected = ilv.protect(&pkts, &mut ops);
-        // Contiguous burst of 2 inside one block.
-        let survivors: Vec<Packet> = protected
-            .into_iter()
-            .filter(|p| p.parity || !(2..=3).contains(&p.fragment_index))
-            .collect();
-        let rec = ilv.recover(&survivors, &mut ops).unwrap();
-        assert!(rec.complete);
-        assert_eq!(reassemble_frame(&rec.data).unwrap(), data);
-        // Pure XOR family: no field multiplies.
-        assert_eq!(ops.gf_mul_bytes, 0);
-        assert!(ops.xor_bytes > 0);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use fec::{FecProtector, FecRecovery};
 pub use feedback::{
     BurstEstimator, FeedbackLink, FeedbackLinkStats, FeedbackReport, WindowPlrEstimator,
 };
-pub use loss::{GilbertElliott, LossModel, NoLoss, ScriptedLoss, TraceLoss, UniformLoss};
+pub use loss::{GilbertElliott, LossModel, NoLoss, ScriptedLoss, UniformLoss};
 pub use packet::{ChannelStats, Packet};
 pub use pbpair_fec::{FecOps, FecSpec};
 pub use rtp::{reassemble_frame, Packetizer, DEFAULT_MTU};

@@ -186,91 +186,12 @@ impl ScriptedLoss {
             cursor: 0,
         }
     }
-
-    /// The scripted drop set.
-    pub fn lost_indices(&self) -> impl Iterator<Item = u64> + '_ {
-        self.lost.iter().copied()
-    }
 }
 
 impl LossModel for ScriptedLoss {
     fn next_lost(&mut self) -> bool {
         let lost = self.lost.contains(&self.cursor);
         self.cursor += 1;
-        lost
-    }
-
-    fn reset(&mut self) {
-        self.cursor = 0;
-    }
-}
-
-/// Trace-driven loss: replays a recorded loss pattern (one `bool` per
-/// transmission), cycling when the trace is shorter than the session.
-/// [`TraceLoss::parse`] reads the common text format of loss traces: one
-/// `0`/`1` (or `r`/`l`) per line or whitespace-separated, `#` comments.
-#[derive(Debug, Clone)]
-pub struct TraceLoss {
-    pattern: Vec<bool>,
-    cursor: usize,
-}
-
-impl TraceLoss {
-    /// Creates a model from an explicit pattern (`true` = lost).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern is empty.
-    pub fn new(pattern: Vec<bool>) -> Self {
-        assert!(!pattern.is_empty(), "loss trace must not be empty");
-        TraceLoss { pattern, cursor: 0 }
-    }
-
-    /// Parses a text trace: tokens `0`/`r`/`R` mean received, `1`/`l`/`L`
-    /// mean lost; `#` starts a comment until end of line.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error naming the first unrecognized token, or if the
-    /// trace contains no events.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut pattern = Vec::new();
-        for line in text.lines() {
-            let line = line.split('#').next().unwrap_or("");
-            for tok in line.split_whitespace() {
-                match tok {
-                    "0" | "r" | "R" => pattern.push(false),
-                    "1" | "l" | "L" => pattern.push(true),
-                    other => return Err(format!("unrecognized trace token '{other}'")),
-                }
-            }
-        }
-        if pattern.is_empty() {
-            return Err("trace contains no events".to_string());
-        }
-        Ok(TraceLoss::new(pattern))
-    }
-
-    /// Number of events in the trace before it cycles.
-    pub fn len(&self) -> usize {
-        self.pattern.len()
-    }
-
-    /// Whether the trace is empty (never true: constructors reject it).
-    pub fn is_empty(&self) -> bool {
-        self.pattern.is_empty()
-    }
-
-    /// Fraction of lost events in one trace cycle.
-    pub fn loss_rate(&self) -> f64 {
-        self.pattern.iter().filter(|&&l| l).count() as f64 / self.pattern.len() as f64
-    }
-}
-
-impl LossModel for TraceLoss {
-    fn next_lost(&mut self) -> bool {
-        let lost = self.pattern[self.cursor];
-        self.cursor = (self.cursor + 1) % self.pattern.len();
         lost
     }
 
@@ -362,26 +283,6 @@ mod tests {
             b_ge > b_uni * 1.3,
             "GE bursts ({b_ge}) must exceed uniform bursts ({b_uni})"
         );
-    }
-
-    #[test]
-    fn trace_loss_replays_and_cycles() {
-        let mut m = TraceLoss::new(vec![false, true, false]);
-        let got: Vec<bool> = (0..7).map(|_| m.next_lost()).collect();
-        assert_eq!(got, vec![false, true, false, false, true, false, false]);
-        m.reset();
-        assert!(!m.next_lost());
-        assert!((m.loss_rate() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(m.len(), 3);
-    }
-
-    #[test]
-    fn trace_parsing_accepts_common_formats() {
-        let t = TraceLoss::parse("0 1 0\n# comment line\nr l R L # trailing\n").unwrap();
-        assert_eq!(t.len(), 7);
-        assert!((t.loss_rate() - 3.0 / 7.0).abs() < 1e-12);
-        assert!(TraceLoss::parse("0 2 0").is_err());
-        assert!(TraceLoss::parse("# nothing\n").is_err());
     }
 
     #[test]

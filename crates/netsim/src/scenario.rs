@@ -211,11 +211,6 @@ impl ScheduleChannel {
         })
     }
 
-    /// The phase in force at the current frame.
-    pub fn current_phase(&self) -> &Phase {
-        &self.phases[self.cursor]
-    }
-
     /// The loss probability a packet sent *now* faces (the Markov burst
     /// phases sample their own state instead).
     fn current_plr(&self) -> f64 {

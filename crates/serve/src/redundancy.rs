@@ -240,23 +240,23 @@ fn norm_bytes(th: f64) -> f64 {
     0.6 + 0.6 * th
 }
 
-/// Erasures per block the family is guaranteed (RS, interleaved-XOR
-/// against *any* pattern of that weight; XOR) or likely (LT, which pays
-/// fountain overhead) to repair.
+/// Erasures per block the family is guaranteed (RS against *any*
+/// pattern of that weight; XOR) or likely (LT, which pays fountain
+/// overhead) to repair.
 fn erasure_capability(spec: FecSpec) -> usize {
     match spec {
-        FecSpec::Rs { r, .. } | FecSpec::Interleaved { r, .. } => r,
+        FecSpec::Rs { r, .. } => r,
         FecSpec::Xor { .. } => 1,
         FecSpec::Lt { r, .. } => r.saturating_sub(1),
     }
 }
 
 /// Normalized per-parity-shard processing cost (GF(256) families pay
-/// table-lookup MACs; XOR families pay single-cycle XORs).
+/// table-lookup MACs; XOR pays single-cycle XORs).
 fn per_parity_cost(family: &FecSpec) -> f64 {
     match family {
         FecSpec::Rs { .. } | FecSpec::Lt { .. } => 0.25,
-        FecSpec::Xor { .. } | FecSpec::Interleaved { .. } => 0.05,
+        FecSpec::Xor { .. } => 0.05,
     }
 }
 

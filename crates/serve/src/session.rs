@@ -589,11 +589,6 @@ impl Session {
         self.burst_estimator.estimate()
     }
 
-    /// The receiver's current pre-repair packet-loss estimate.
-    pub fn packet_plr_estimate(&self) -> f64 {
-        self.packet_plr_estimator.estimate()
-    }
-
     /// Whether any FEC (fixed or adaptive) protects this session.
     pub fn fec_enabled(&self) -> bool {
         self.fec.is_some() || self.network.redundancy().is_some()

@@ -98,15 +98,14 @@ impl Draw {
     fn fec_spec(&mut self) -> FecSpec {
         let k = self.size(1, 16);
         let r = self.size(1, 4);
-        match self.rng.gen_range(0..4u8) {
+        match self.rng.gen_range(0..3u8) {
             0 => FecSpec::Xor { k },
             1 => FecSpec::Rs { k, r },
-            2 => FecSpec::Lt {
+            _ => FecSpec::Lt {
                 k,
                 r,
                 seed: self.rng.gen(),
             },
-            _ => FecSpec::Interleaved { k, r },
         }
     }
 
