@@ -1,21 +1,42 @@
 //! The hybrid video encoder.
 //!
-//! Pipeline per P-frame macroblock (Figure 1 of the paper):
+//! Every macroblock passes through five steps (Figures 1–2 of the paper),
+//! each one function over the macroblock's record (`par::MbStage`):
 //!
-//! 1. **pre-ME mode selection** — the policy may force intra and skip the
-//!    search entirely (PBPAIR's early decision);
+//! 1. **colocated SAD and pre-ME mode selection** — the content-similarity
+//!    SAD against the previous original frame, then, on P-frames, the
+//!    policy may force intra and skip the search entirely (PBPAIR's early
+//!    decision);
 //! 2. **motion estimation** — biased cost search
-//!    (`SAD + policy.me_bias(mv)`);
-//! 3. **natural inter/intra test** — intra when
-//!    `SAD_mv > SAD_self + SAD_TH` (the paper's
-//!    `SAD_mv − SAD_Th > SAD_self` test);
-//! 4. **post-ME override** — the policy may still force intra (AIR,
-//!    PGOP stride-back);
-//! 5. transform / quantize / entropy-code, plus an in-loop reconstruction
-//!    identical to the decoder's.
+//!    (`SAD + policy.me_bias(mv)`) plus the macroblock's `SAD_self`;
+//! 3. **natural inter/intra test and post-ME override** — intra when
+//!    `SAD_mv > SAD_self + SAD_TH` (the paper's `SAD_mv − SAD_Th >
+//!    SAD_self` test); the policy may still force intra (AIR, PGOP
+//!    stride-back);
+//! 4. **coding** — half-pel refinement, then transform / quantize /
+//!    entropy-code (through the joint RDE controller when it is active),
+//!    plus an in-loop reconstruction identical to the decoder's;
+//! 5. **bookkeeping** — the trace event, frame statistics, the policy's
+//!    outcome observation and the motion-vector history.
 //!
 //! All primitive operations are tallied in an [`OpCounts`], the input to
-//! the energy model.
+//! the energy model; a frame's ME count is its `OpCounts` delta.
+//!
+//! # Two schedules
+//!
+//! The **serial** schedule runs steps 1–5 macroblock by macroblock in
+//! raster order, with the policy's live ME bias and a search prepass
+//! seeded by the median of the coded neighbours. The **slice** schedule
+//! (`OptConfig::slices > 1` and a policy with a frame-frozen bias) runs
+//! each step over the whole frame: steps 1, 3 and 5 serially in raster
+//! order, steps 2 and 4 as one job per macroblock row on a worker pool,
+//! with the frozen bias and a row-local prepass. Each policy hook sees
+//! the same calls in the same order under both schedules, and the
+//! bitstream is identical. The prepass lists differ on purpose: a
+//! prepass only tightens the search's pruning bound and never selects
+//! the winner, so either list finds the same vectors, and only the
+//! row-local one keeps the slice schedule's operation counts independent
+//! of the thread count.
 //!
 //! # Hot-path optimizations
 //!
@@ -24,25 +45,26 @@
 //! prove it):
 //!
 //! * **predicted-MV fast search** — each P-macroblock seeds the search
-//!   with the median of its left/top/top-right neighbours, the zero
-//!   vector, and its previous-frame colocated vector, and every sweep
-//!   candidate's SAD accumulation terminates early once it exceeds the
-//!   running best (see [`me::search_fast`]);
+//!   with predicted vectors, and every sweep candidate's SAD accumulation
+//!   terminates early once it exceeds the running best (see
+//!   [`me::search_fast`]);
 //! * **fused transform** — DCT, quantization, and zigzag run as one
 //!   kernel with no intermediate 8×8 buffers ([`crate::fused`]);
 //! * **zero-allocation steady state** — the bit writer, reconstruction
 //!   target, and motion-vector history are persistent scratch reused
 //!   across frames, so [`Encoder::encode_frame_into`] performs no heap
-//!   allocation after warm-up (a counting-allocator test asserts this).
+//!   allocation after warm-up on the serial schedule (a counting-allocator
+//!   test asserts this, and bounds the slice schedule's per-row job
+//!   scheduling).
 
 use crate::bitstream::BitWriter;
 use crate::kernels::{KernelChoice, Kernels};
 use crate::mb::{FrameStats, MbMode, MotionVector, SubPelVector};
-use crate::mbcode::{code_inter_mb, code_intra_mb, BlockCodeCfg};
+use crate::mbcode::{code_intra_mb, BlockCodeCfg};
 use crate::mc::LUMA_BLOCK;
 use crate::me::{self, MeConfig, MvCandidates};
 use crate::ops::OpCounts;
-use crate::par::{self, ParScratch};
+use crate::par::{self, MbStage, ParScratch};
 use crate::policy::{
     FrameContext, FrameKind, FrozenMeBias, MbContext, MbOutcome, PostMeDecision, PreMeDecision,
     RefreshPolicy,
@@ -239,8 +261,6 @@ pub struct Encoder {
     prev_original: Frame,
     frame_index: u64,
     ops: OpCounts,
-    /// ME searches performed in the frame currently being encoded.
-    frame_me_invocations: u32,
     /// Pre-resolved telemetry handles; `None` until
     /// [`Encoder::set_telemetry`] attaches an enabled context. The
     /// flush is one batch of atomic adds per *frame*, so the per-MB hot
@@ -251,14 +271,12 @@ pub struct Encoder {
     /// decision (mode, motion vector, bitstream range) is recorded as
     /// provenance for the causal replay pass.
     trace: Option<Tracer>,
-    /// Integer-pel motion vector of the most recently coded inter MB,
-    /// stashed by `code_p_mb` for the provenance event.
-    last_mb_mv: MotionVector,
     /// Persistent bit writer, reused across frames (taken at frame start,
     /// restored after `finish_into`). Part of the zero-allocation loop.
     writer: BitWriter,
-    /// Scratch writer for RDE trial coding on the serial path (the
-    /// staged path carries one per row). Untouched when RDE is inactive.
+    /// Scratch writer for RDE trial coding on the serial schedule (the
+    /// slice schedule carries one per row). Untouched when RDE is
+    /// inactive.
     rde_scratch: BitWriter,
     /// Reusable reconstruction target: after each frame it holds the
     /// retired two-frames-ago reconstruction, whose every pixel is
@@ -271,10 +289,10 @@ pub struct Encoder {
     /// seeds the spatial (left/top/top-right) candidates.
     cur_mvs: Vec<MotionVector>,
     /// Slice-encoding worker pool, lazily created on the first frame that
-    /// engages the staged parallel path (`opt.slices > 1` and a policy
-    /// with a frame-frozen bias).
+    /// takes the slice schedule (`opt.slices > 1` and a policy with a
+    /// frame-frozen bias).
     pool: Option<WorkStealingPool>,
-    /// Persistent per-row/per-MB scratch of the staged parallel path.
+    /// Persistent per-row/per-MB scratch of the slice schedule.
     par: Option<ParScratch>,
 }
 
@@ -343,10 +361,8 @@ impl Encoder {
             prev_original: Frame::new(cfg.format),
             frame_index: 0,
             ops: OpCounts::new(),
-            frame_me_invocations: 0,
             tel: None,
             trace: None,
-            last_mb_mv: MotionVector::ZERO,
             writer: BitWriter::new(),
             rde_scratch: BitWriter::new(),
             scratch_recon: Some(Frame::new(cfg.format)),
@@ -419,7 +435,7 @@ impl Encoder {
 
     /// Encodes one frame into a caller-owned output slot, reusing its
     /// `data` and `mb_modes` buffers. In steady state (slot capacity
-    /// established, serial mode, no tracer) this performs **no heap
+    /// established, serial schedule, no tracer) this performs **no heap
     /// allocation** — the property `tests/alloc_count.rs` asserts with a
     /// counting allocator.
     ///
@@ -479,49 +495,85 @@ impl Encoder {
             .scratch_recon
             .take()
             .unwrap_or_else(|| Frame::new(self.cfg.format));
-        let mut stats = FrameStats::default();
+        out.stats = FrameStats::default();
         out.mb_modes.clear();
 
-        // Slice-parallel encoding engages only when configured AND the
-        // policy can freeze its ME bias for the frame; otherwise the
-        // serial path runs (identical bitstream either way).
-        let frozen = if self.cfg.opt.slices > 1 && self.grid.rows() > 1 {
+        let env = FrameEnv {
+            frame,
+            reference: &self.recon,
+            prev_original: &self.prev_original,
+            prev_mvs: &self.prev_mvs,
+            trace: self.trace.as_ref(),
+            grid: self.grid,
+            kind,
+            fctx,
+            me: self.cfg.me,
+            fast_me: self.cfg.opt.fast_me,
+            bcfg: BlockCodeCfg {
+                qp: self.cfg.qp,
+                half_pel: self.cfg.half_pel,
+                fused: self.cfg.opt.fused_transform,
+                kernels: self.kernels,
+            },
+            rde: self.cfg.rde.filter(|r| r.is_active()),
+        };
+        // The slice schedule engages only when configured AND the policy
+        // can freeze its ME bias for the frame; otherwise the serial
+        // schedule runs (identical bitstream either way).
+        let rows = self.grid.rows();
+        let frozen = if self.cfg.opt.slices > 1 && rows > 1 {
             policy.frame_frozen_bias(&fctx)
         } else {
             None
         };
         if let Some(frozen) = frozen {
-            self.encode_mbs_staged(
-                frame,
+            let workers = (self.cfg.opt.slices as usize).min(rows);
+            let format = self.cfg.format;
+            encode_slices(
+                env,
                 policy,
-                &fctx,
-                kind,
                 &frozen,
+                self.pool
+                    .get_or_insert_with(|| WorkStealingPool::new(workers, rows.max(16))),
+                self.par.get_or_insert_with(|| ParScratch::new(format)),
                 &mut w,
                 &mut new_recon,
-                &mut stats,
+                &mut self.ops,
+                &mut self.cur_mvs,
                 out,
             );
         } else {
-            self.encode_mbs_serial(
-                frame,
-                policy,
-                &fctx,
-                kind,
-                &mut w,
-                &mut new_recon,
-                &mut stats,
-                out,
-            );
+            // The serial schedule: steps 1–5 per macroblock in raster
+            // order, with the policy's live bias and the median prepass.
+            for mb in env.grid.iter() {
+                let mut st = env.colocate(policy, mb, &mut self.ops);
+                if !st.force_intra {
+                    let prepass = env.median_prepass(&self.cur_mvs, mb);
+                    let ctx = env.mb_context(mb, st.colocated_sad);
+                    let mut bias = |mv| policy.me_bias(&ctx, mv);
+                    env.search(mb, &mut st, &prepass, &mut bias, &mut self.ops);
+                }
+                env.decide(policy, mb, &mut st);
+                env.code(
+                    mb,
+                    &mut st,
+                    &mut w,
+                    &mut self.rde_scratch,
+                    &mut new_recon,
+                    &mut self.ops,
+                );
+                env.record(policy, mb, &st, 0, out, &mut self.cur_mvs);
+            }
         }
 
         if self.cfg.deblock {
             crate::deblock::deblock_frame(&mut new_recon, self.cfg.qp);
         }
 
+        let frame_ops = self.ops - ops_at_entry;
+        let stats = &mut out.stats;
         stats.bits = w.bit_len();
-        stats.me_invocations = self.frame_me_invocations;
-        self.frame_me_invocations = 0;
+        stats.me_invocations = frame_ops.me_invocations as u32;
 
         w.finish_into(&mut out.data);
         self.writer = w;
@@ -531,10 +583,9 @@ impl Encoder {
         self.ops.skip_mbs += stats.skip_mbs as u64;
         self.ops.bits_emitted += stats.bits;
 
-        policy.end_frame(&fctx, &stats);
+        policy.end_frame(&fctx, stats);
 
         if let Some(t) = &self.tel {
-            let frame_ops = self.ops - ops_at_entry;
             t.frames.inc(1);
             t.mbs_intra.inc(stats.intra_mbs as u64);
             t.mbs_inter.inc(stats.inter_mbs as u64);
@@ -563,538 +614,158 @@ impl Encoder {
 
         out.index = self.frame_index;
         out.kind = kind;
-        out.stats = stats;
         self.frame_index += 1;
     }
+}
 
-    /// The serial macroblock loop: one raster pass doing pre-ME, search,
-    /// post-ME, and block coding per macroblock.
-    #[allow(clippy::too_many_arguments)]
-    fn encode_mbs_serial(
-        &mut self,
-        frame: &Frame,
-        policy: &mut dyn RefreshPolicy,
-        fctx: &FrameContext,
-        kind: FrameKind,
-        w: &mut BitWriter,
-        new_recon: &mut Frame,
-        stats: &mut FrameStats,
-        out: &mut EncodedFrame,
-    ) {
-        let (rows, cols) = (self.grid.rows(), self.grid.cols());
-        for row in 0..rows {
-            for col in 0..cols {
+/// The slice schedule: each step over the whole frame. Steps 1 and 3 run
+/// in raster order, so sequential policy state (PBPAIR's refresh cap)
+/// replays exactly; steps 2 and 4 run as one job per macroblock row,
+/// searching with the frozen bias and a row-local prepass and coding
+/// into per-row writers and reconstruction bands; step 5 appends the row
+/// writers in order and does the bookkeeping in raster order.
+///
+/// Each policy hook sees the serial schedule's calls in the same order;
+/// only their *interleaving* differs (every pre-ME decision comes before
+/// any outcome), which is what [`RefreshPolicy::frame_frozen_bias`]
+/// certifies as safe.
+#[allow(clippy::too_many_arguments)]
+fn encode_slices(
+    env: FrameEnv<'_>,
+    policy: &mut dyn RefreshPolicy,
+    frozen: &FrozenMeBias,
+    pool: &WorkStealingPool,
+    par: &mut ParScratch,
+    w: &mut BitWriter,
+    new_recon: &mut Frame,
+    ops: &mut OpCounts,
+    cur_mvs: &mut [MotionVector],
+    out: &mut EncodedFrame,
+) {
+    let cols = env.grid.cols();
+    for (st, mb) in par.mbs.iter_mut().zip(env.grid.iter()) {
+        *st = env.colocate(policy, mb, ops);
+    }
+    for rs in &mut par.rows {
+        rs.ops = OpCounts::new();
+        rs.writer.reset();
+    }
+    if env.kind == FrameKind::Inter {
+        par::run_rows(pool, par, cols, |row, stages, rs| {
+            let mut left = None;
+            for (col, st) in stages.iter_mut().enumerate() {
+                if st.force_intra {
+                    left = None;
+                    continue;
+                }
                 let mb = MbIndex::new(row, col);
-                let flat = row * cols + col;
-                let mb_bits_before = w.bit_len();
-                let mode = match kind {
-                    FrameKind::Intra => {
-                        code_intra_mb(&self.block_cfg(), w, frame, new_recon, mb, &mut self.ops);
-                        self.cur_mvs[flat] = MotionVector::ZERO;
-                        // Policies observe I-frame macroblocks too (GOP
-                        // resets its cycle; PBPAIR refreshes its matrix).
-                        // The colocated SAD is computed as for P-frames;
-                        // for frame 0 the previous original is black, so
-                        // similarity-based policies correctly see
-                        // "nothing to conceal from".
-                        let (ox, oy) = mb.luma_origin();
-                        let colocated_sad = frame.y().sad_colocated(
-                            self.prev_original.y(),
-                            ox,
-                            oy,
-                            LUMA_BLOCK,
-                            LUMA_BLOCK,
-                        );
-                        self.ops.sad_ops += 256;
-                        policy.mb_coded(
-                            fctx,
-                            &MbOutcome {
-                                mb,
-                                mode: MbMode::Intra,
-                                mv: MotionVector::ZERO,
-                                sad_mv: None,
-                                me_performed: false,
-                                colocated_sad,
-                            },
-                        );
-                        MbMode::Intra
-                    }
-                    FrameKind::Inter => {
-                        let cands = self.predicted_candidates(row, col);
-                        let mode = self.code_p_mb(w, frame, new_recon, mb, policy, fctx, &cands);
-                        self.cur_mvs[flat] = self.last_mb_mv;
-                        mode
-                    }
-                };
-                let mb_bits = w.bit_len() - mb_bits_before;
-                if let Some(t) = &self.trace {
-                    let (mode_code, mv) = match mode {
-                        MbMode::Intra => (trace_event::MODE_INTRA, MotionVector::ZERO),
-                        MbMode::Inter => (trace_event::MODE_INTER, self.last_mb_mv),
-                        MbMode::Skip => (trace_event::MODE_SKIP, MotionVector::ZERO),
-                    };
-                    t.emit(TraceEvent::MbCoded {
-                        frame: self.frame_index as u32,
-                        mb: flat as u16,
-                        mode: mode_code,
-                        mv_x: mv.x,
-                        mv_y: mv.y,
-                        bit_start: mb_bits_before as u32,
-                        bit_len: mb_bits as u32,
-                    });
-                }
-                match mode {
-                    MbMode::Intra => {
-                        stats.intra_mbs += 1;
-                        stats.intra_bits += mb_bits;
-                    }
-                    MbMode::Inter => {
-                        stats.inter_mbs += 1;
-                        stats.inter_bits += mb_bits;
-                    }
-                    MbMode::Skip => {
-                        stats.skip_mbs += 1;
-                        stats.skip_bits += mb_bits;
-                    }
-                }
-                out.mb_modes.push(mode);
+                let prepass = env.row_prepass(mb, left);
+                env.search(mb, st, &prepass, &mut |mv| frozen(mb, mv), &mut rs.ops);
+                left = Some(st.me.mv);
             }
-        }
+        });
     }
-
-    /// The slice-parallel macroblock loop: a five-stage pipeline that
-    /// produces a bitstream **bit-identical** to the serial path.
-    ///
-    /// 1. *serial* — colocated SADs and the policy's pre-ME decisions in
-    ///    raster order (so sequential policy state like PBPAIR's refresh
-    ///    cap replays exactly);
-    /// 2. *parallel rows* — motion search with the frame-frozen bias. The
-    ///    fast search's prepass candidates (zero, colocated-previous, the
-    ///    row's previous winner) only ever tighten the pruning bound and
-    ///    never select the winner, so the result is the same vector the
-    ///    serial search finds even though its candidate list differs —
-    ///    and it is row-local, making the operation count independent of
-    ///    the thread count;
-    /// 3. *serial* — the natural intra test and the policy's post-ME
-    ///    overrides in raster order;
-    /// 4. *parallel rows* — half-pel refinement, block coding into
-    ///    per-row writers, and per-row reconstruction;
-    /// 5. *serial* — row writers appended in order, then per-macroblock
-    ///    bookkeeping (trace, stats, policy observation, MV history) in
-    ///    raster order.
-    ///
-    /// Policy hooks run in the same per-hook order as the serial path;
-    /// the hooks are *interleaved* differently (all pre-ME before any
-    /// `mb_coded`), which is exactly what
-    /// [`RefreshPolicy::frame_frozen_bias`] certifies as safe.
-    #[allow(clippy::too_many_arguments)]
-    fn encode_mbs_staged(
-        &mut self,
-        frame: &Frame,
-        policy: &mut dyn RefreshPolicy,
-        fctx: &FrameContext,
-        kind: FrameKind,
-        frozen: &FrozenMeBias,
-        w: &mut BitWriter,
-        new_recon: &mut Frame,
-        stats: &mut FrameStats,
-        out: &mut EncodedFrame,
-    ) {
-        let (rows, cols) = (self.grid.rows(), self.grid.cols());
-        if self.par.is_none() {
-            self.par = Some(ParScratch::new(self.cfg.format));
-        }
-        let workers = (self.cfg.opt.slices as usize).min(rows).max(1);
-        if self.pool.as_ref().map(|p| p.workers()) != Some(workers) {
-            self.pool = Some(WorkStealingPool::new(workers, rows.max(16)));
-        }
-        let mut par = self.par.take().expect("par scratch initialized above");
-
-        // Stage 1 (serial): content similarity + pre-ME decisions.
-        match kind {
-            FrameKind::Intra => {
-                for st in &mut par.mbs {
-                    *st = par::MbStage::default();
-                    st.force_intra = true;
-                }
-            }
-            FrameKind::Inter => {
-                for row in 0..rows {
-                    for col in 0..cols {
-                        let mb = MbIndex::new(row, col);
-                        let flat = row * cols + col;
-                        let (ox, oy) = mb.luma_origin();
-                        let colocated_sad = frame.y().sad_colocated(
-                            self.prev_original.y(),
-                            ox,
-                            oy,
-                            LUMA_BLOCK,
-                            LUMA_BLOCK,
-                        );
-                        self.ops.sad_ops += 256;
-                        let ctx = MbContext {
-                            frame_index: self.frame_index,
-                            mb,
-                            cur_luma: frame.y(),
-                            ref_luma: self.recon.y(),
-                            colocated_sad,
-                        };
-                        let st = &mut par.mbs[flat];
-                        st.colocated_sad = colocated_sad;
-                        st.force_intra = policy.pre_me_mode(&ctx) == PreMeDecision::ForceIntra;
-                        st.inter_mv = None;
-                    }
-                }
-            }
-        }
-
-        // Stage 2 (parallel rows): motion search with the frozen bias.
-        if kind == FrameKind::Inter {
-            let recon = &self.recon;
-            let prev_mvs = &self.prev_mvs;
-            let me_cfg = self.cfg.me;
-            let fast_me = self.cfg.opt.fast_me;
-            let kernels = self.kernels;
-            let ParScratch { mbs, rows: rowscr } = &mut par;
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = mbs
-                .chunks_mut(cols)
-                .zip(rowscr.iter_mut())
-                .enumerate()
-                .map(|(row, (stages, rs))| {
-                    Box::new(move || {
-                        rs.ops = OpCounts::new();
-                        rs.me_invocations = 0;
-                        // The row's previous ME winner seeds the next
-                        // MB's pruning bound (the serial path uses the
-                        // median of coded neighbours instead; either list
-                        // is sound because the prepass cannot change the
-                        // winner).
-                        let mut left: Option<MotionVector> = None;
-                        for (col, st) in stages.iter_mut().enumerate() {
-                            if st.force_intra {
-                                left = None;
-                                continue;
-                            }
-                            let mb = MbIndex::new(row, col);
-                            let flat = row * cols + col;
-                            let mut cands = MvCandidates::default();
-                            if fast_me {
-                                cands.push_clamped(MotionVector::ZERO, me_cfg.search_range);
-                                cands.push_clamped(prev_mvs[flat], me_cfg.search_range);
-                                if let Some(lv) = left {
-                                    cands.push_clamped(lv, me_cfg.search_range);
-                                }
-                            }
-                            let mut bias = |mv: MotionVector| frozen(mb, mv);
-                            let me_result = if fast_me {
-                                me::search_fast_with(
-                                    kernels,
-                                    frame.y(),
-                                    recon.y(),
-                                    mb,
-                                    me_cfg,
-                                    &mut bias,
-                                    &cands,
-                                )
-                            } else {
-                                me::search_with(
-                                    kernels,
-                                    frame.y(),
-                                    recon.y(),
-                                    mb,
-                                    me_cfg,
-                                    &mut bias,
-                                )
-                            };
-                            rs.ops.me_invocations += 1;
-                            rs.me_invocations += 1;
-                            rs.ops.sad_candidates += me_result.candidates as u64;
-                            rs.ops.sad_ops += me_result.sad_ops;
-                            st.me = me_result;
-                            st.sad_self = me::sad_self(frame.y(), mb);
-                            rs.ops.sad_ops += 512; // mean + deviation pass
-                            left = Some(me_result.mv);
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            self.pool
-                .as_ref()
-                .expect("pool initialized above")
-                .run_scoped(jobs);
-        }
-
-        // Stage 3 (serial): natural intra test + post-ME overrides.
-        if kind == FrameKind::Inter {
-            for row in 0..rows {
-                for col in 0..cols {
-                    let flat = row * cols + col;
-                    let st = &mut par.mbs[flat];
-                    if st.force_intra {
-                        continue;
-                    }
-                    let mb = MbIndex::new(row, col);
-                    let ctx = MbContext {
-                        frame_index: self.frame_index,
-                        mb,
-                        cur_luma: frame.y(),
-                        ref_luma: self.recon.y(),
-                        colocated_sad: st.colocated_sad,
-                    };
-                    let natural_intra = st.me.sad > st.sad_self + SAD_TH;
-                    let post = policy.post_me_mode(&ctx, &st.me);
-                    st.inter_mv = if natural_intra || post == PostMeDecision::ForceIntra {
-                        None
-                    } else {
-                        Some(st.me.mv)
-                    };
-                }
-            }
-        }
-
-        // Stage 4 (parallel rows): refinement + block coding into per-row
-        // writers and reconstruction bands.
-        {
-            let bcfg = self.block_cfg();
-            let recon = &self.recon;
-            let half_pel = self.cfg.half_pel;
-            let kernels = self.kernels;
-            let rde_cfg = self.active_rde();
-            let ParScratch { mbs, rows: rowscr } = &mut par;
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = mbs
-                .chunks_mut(cols)
-                .zip(rowscr.iter_mut())
-                .enumerate()
-                .map(|(row, (stages, rs))| {
-                    Box::new(move || {
-                        rs.writer.reset();
-                        if kind == FrameKind::Intra {
-                            rs.ops = OpCounts::new();
-                            rs.me_invocations = 0;
-                        }
-                        for (col, st) in stages.iter_mut().enumerate() {
-                            let mb = MbIndex::new(row, col);
-                            let bit_start = rs.writer.bit_len();
-                            if kind == FrameKind::Intra {
-                                code_intra_mb(
-                                    &bcfg,
-                                    &mut rs.writer,
-                                    frame,
-                                    &mut rs.recon,
-                                    mb,
-                                    &mut rs.ops,
-                                );
-                                st.final_mode = MbMode::Intra;
-                                st.final_mv = MotionVector::ZERO;
-                                st.sad_mv = None;
-                            } else {
-                                // Baseline decision (what the serial
-                                // policy path produces), with half-pel
-                                // refinement when inter survived.
-                                let baseline = if let Some(int_mv) = st.inter_mv {
-                                    let (mv, sad) = if half_pel {
-                                        let refined = me::refine_half_pel_with(
-                                            kernels,
-                                            frame.y(),
-                                            recon.y(),
-                                            mb,
-                                            int_mv,
-                                            st.me.sad,
-                                        );
-                                        rs.ops.sad_ops += refined.sad_ops;
-                                        (refined.mv, refined.sad)
-                                    } else {
-                                        (SubPelVector::integer(int_mv), st.me.sad)
-                                    };
-                                    st.sad_mv = Some(sad);
-                                    RdeCandidate::Inter(mv)
-                                } else {
-                                    st.sad_mv = if st.force_intra {
-                                        None
-                                    } else {
-                                        Some(st.me.sad)
-                                    };
-                                    RdeCandidate::Intra
-                                };
-                                let final_mode = if let Some(rde_cfg) = &rde_cfg {
-                                    rde::choose_and_code_mb(
-                                        rde_cfg,
-                                        &bcfg,
-                                        &mut rs.writer,
-                                        &mut rs.rde_writer,
-                                        frame,
-                                        recon,
-                                        &mut rs.recon,
-                                        mb,
-                                        baseline,
-                                        &mut rs.ops,
-                                    )
-                                } else {
-                                    match baseline {
-                                        RdeCandidate::Inter(mv) => code_inter_mb(
-                                            &bcfg,
-                                            &mut rs.writer,
-                                            frame,
-                                            recon,
-                                            &mut rs.recon,
-                                            mb,
-                                            mv,
-                                            &mut rs.ops,
-                                        ),
-                                        _ => {
-                                            rs.writer.put_bit(false); // COD = 0: coded
-                                            rs.writer.put_bit(true); // intra
-                                            code_intra_mb(
-                                                &bcfg,
-                                                &mut rs.writer,
-                                                frame,
-                                                &mut rs.recon,
-                                                mb,
-                                                &mut rs.ops,
-                                            );
-                                            MbMode::Intra
-                                        }
-                                    }
-                                };
-                                st.final_mode = final_mode;
-                                st.final_mv = match (final_mode, baseline) {
-                                    (MbMode::Inter, RdeCandidate::Inter(mv)) => mv.int,
-                                    _ => MotionVector::ZERO,
-                                };
-                            }
-                            st.bit_start = bit_start;
-                            st.bit_len = rs.writer.bit_len() - bit_start;
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            self.pool
-                .as_ref()
-                .expect("pool initialized above")
-                .run_scoped(jobs);
-        }
-
-        // Stage 5 (serial): deterministic assembly in row order, then
-        // per-MB bookkeeping in raster order (matching the serial path's
-        // `mb_coded` sequence).
-        {
-            let ParScratch { mbs, rows: rowscr } = &mut par;
-            for (row, rs) in rowscr.iter_mut().enumerate() {
-                let row_start = w.bit_len();
-                w.append(&rs.writer);
-                self.ops += rs.ops;
-                self.frame_me_invocations += rs.me_invocations;
-                for col in 0..cols {
-                    let flat = row * cols + col;
-                    let st = &mbs[flat];
-                    let mb = MbIndex::new(row, col);
-                    let colocated_sad = if kind == FrameKind::Intra {
-                        let (ox, oy) = mb.luma_origin();
-                        let sad = frame.y().sad_colocated(
-                            self.prev_original.y(),
-                            ox,
-                            oy,
-                            LUMA_BLOCK,
-                            LUMA_BLOCK,
-                        );
-                        self.ops.sad_ops += 256;
-                        sad
-                    } else {
-                        st.colocated_sad
-                    };
-                    if let Some(t) = &self.trace {
-                        let (mode_code, mv) = match st.final_mode {
-                            MbMode::Intra => (trace_event::MODE_INTRA, MotionVector::ZERO),
-                            MbMode::Inter => (trace_event::MODE_INTER, st.final_mv),
-                            MbMode::Skip => (trace_event::MODE_SKIP, MotionVector::ZERO),
-                        };
-                        t.emit(TraceEvent::MbCoded {
-                            frame: self.frame_index as u32,
-                            mb: flat as u16,
-                            mode: mode_code,
-                            mv_x: mv.x,
-                            mv_y: mv.y,
-                            bit_start: (row_start + st.bit_start) as u32,
-                            bit_len: st.bit_len as u32,
-                        });
-                    }
-                    match st.final_mode {
-                        MbMode::Intra => {
-                            stats.intra_mbs += 1;
-                            stats.intra_bits += st.bit_len;
-                        }
-                        MbMode::Inter => {
-                            stats.inter_mbs += 1;
-                            stats.inter_bits += st.bit_len;
-                        }
-                        MbMode::Skip => {
-                            stats.skip_mbs += 1;
-                            stats.skip_bits += st.bit_len;
-                        }
-                    }
-                    out.mb_modes.push(st.final_mode);
-                    policy.mb_coded(
-                        fctx,
-                        &MbOutcome {
-                            mb,
-                            mode: st.final_mode,
-                            mv: st.final_mv,
-                            sad_mv: st.sad_mv,
-                            me_performed: kind == FrameKind::Inter && !st.force_intra,
-                            colocated_sad,
-                        },
-                    );
-                    self.cur_mvs[flat] = st.final_mv;
-                    self.last_mb_mv = st.final_mv;
-                }
-                par::copy_row_band(new_recon, &rs.recon, row);
-            }
-        }
-        self.par = Some(par);
+    for (st, mb) in par.mbs.iter_mut().zip(env.grid.iter()) {
+        env.decide(policy, mb, st);
     }
+    par::run_rows(pool, par, cols, |row, stages, rs| {
+        for (col, st) in stages.iter_mut().enumerate() {
+            let mb = MbIndex::new(row, col);
+            env.code(
+                mb,
+                st,
+                &mut rs.writer,
+                &mut rs.rde_writer,
+                &mut rs.recon,
+                &mut rs.ops,
+            );
+        }
+    });
+    for (row, rs) in par.rows.iter().enumerate() {
+        let row_start = w.bit_len();
+        w.append(&rs.writer);
+        *ops += rs.ops;
+        for (col, st) in par.mbs[row * cols..(row + 1) * cols].iter().enumerate() {
+            env.record(policy, MbIndex::new(row, col), st, row_start, out, cur_mvs);
+        }
+        par::copy_row_band(new_recon, &rs.recon, row);
+    }
+}
 
+/// What every per-macroblock step reads about the frame being encoded.
+/// `Copy`, so each row job of the slice schedule shares it freely.
+#[derive(Clone, Copy)]
+struct FrameEnv<'a> {
+    frame: &'a Frame,
+    /// The reconstructed previous frame: the prediction reference.
+    reference: &'a Frame,
+    /// The original previous frame, for the colocated SAD.
+    prev_original: &'a Frame,
+    /// Integer MV of each macroblock of the previous frame.
+    prev_mvs: &'a [MotionVector],
+    trace: Option<&'a Tracer>,
+    grid: MbGrid,
+    kind: FrameKind,
+    fctx: FrameContext,
+    me: MeConfig,
+    fast_me: bool,
+    bcfg: BlockCodeCfg,
     /// The RDE configuration, only when it actually reprices decisions
     /// (the zero-λ gate: `None` and zero-λ configs are the same encoder).
-    fn active_rde(&self) -> Option<RdeConfig> {
-        self.cfg.rde.filter(|r| r.is_active())
-    }
+    rde: Option<RdeConfig>,
+}
 
-    /// The block-coding parameters for the current frame.
-    fn block_cfg(&self) -> BlockCodeCfg {
-        BlockCodeCfg {
-            qp: self.cfg.qp,
-            half_pel: self.cfg.half_pel,
-            fused: self.cfg.opt.fused_transform,
-            kernels: self.kernels,
+impl<'a> FrameEnv<'a> {
+    fn mb_context(&self, mb: MbIndex, colocated_sad: u64) -> MbContext<'a> {
+        MbContext {
+            frame_index: self.fctx.frame_index,
+            mb,
+            cur_luma: self.frame.y(),
+            ref_luma: self.reference.y(),
+            colocated_sad,
         }
     }
 
-    /// Builds the fast search's predicted-MV candidate list for the
-    /// macroblock at `(row, col)`: the component-wise median of the
+    /// Step 1: the content-similarity SAD against the colocated MB of the
+    /// previous original frame (one 256-op SAD, charged on every frame
+    /// kind), then, on P-frames, the policy's pre-ME decision. Policies
+    /// observe I-frame macroblocks too; for frame 0 the previous original
+    /// is black, so similarity-based policies correctly see "nothing to
+    /// conceal from".
+    fn colocate(&self, policy: &mut dyn RefreshPolicy, mb: MbIndex, ops: &mut OpCounts) -> MbStage {
+        let (ox, oy) = mb.luma_origin();
+        let colocated_sad =
+            self.frame
+                .y()
+                .sad_colocated(self.prev_original.y(), ox, oy, LUMA_BLOCK, LUMA_BLOCK);
+        ops.sad_ops += 256;
+        let force_intra = self.kind == FrameKind::Intra
+            || policy.pre_me_mode(&self.mb_context(mb, colocated_sad)) == PreMeDecision::ForceIntra;
+        MbStage {
+            colocated_sad,
+            force_intra,
+            ..MbStage::default()
+        }
+    }
+
+    /// The serial schedule's prepass: the component-wise median of the
     /// left/top/top-right neighbours coded this frame, the zero vector,
-    /// and the colocated vector of the previous frame. Empty when fast
-    /// ME is off (the naive search takes no prepass).
-    fn predicted_candidates(&self, row: usize, col: usize) -> MvCandidates {
+    /// and the colocated vector of the previous frame. Empty when fast ME
+    /// is off (the naive search takes no prepass).
+    fn median_prepass(&self, cur_mvs: &[MotionVector], mb: MbIndex) -> MvCandidates {
         let mut cands = MvCandidates::default();
-        if !self.cfg.opt.fast_me {
+        if !self.fast_me {
             return cands;
         }
         let cols = self.grid.cols();
+        let (row, col) = (mb.row, mb.col);
         let flat = row * cols + col;
-        let range = self.cfg.me.search_range;
+        let range = self.me.search_range;
         let zero = MotionVector::ZERO;
-        let left = if col > 0 {
-            self.cur_mvs[flat - 1]
-        } else {
-            zero
-        };
-        let top = if row > 0 {
-            self.cur_mvs[flat - cols]
-        } else {
-            zero
-        };
+        let left = if col > 0 { cur_mvs[flat - 1] } else { zero };
+        let top = if row > 0 { cur_mvs[flat - cols] } else { zero };
         let top_right = if row > 0 && col + 1 < cols {
-            self.cur_mvs[flat - cols + 1]
+            cur_mvs[flat - cols + 1]
         } else {
             zero
         };
@@ -1103,152 +774,192 @@ impl Encoder {
         cands.push_clamped(self.prev_mvs[flat], range);
         cands
     }
-}
 
-// The per-frame ME counter lives on the struct to avoid threading it
-// through every call; it is reset at each frame end.
-impl Encoder {
-    #[allow(clippy::too_many_arguments)]
-    fn code_p_mb(
-        &mut self,
-        w: &mut BitWriter,
-        frame: &Frame,
-        new_recon: &mut Frame,
+    /// The slice schedule's prepass: the zero vector, the colocated
+    /// vector of the previous frame, and `left`, the row's previous
+    /// search winner. Row-local, so a row's operation count does not
+    /// depend on which thread ran which row. Empty when fast ME is off.
+    fn row_prepass(&self, mb: MbIndex, left: Option<MotionVector>) -> MvCandidates {
+        let mut cands = MvCandidates::default();
+        if self.fast_me {
+            let range = self.me.search_range;
+            cands.push_clamped(MotionVector::ZERO, range);
+            cands.push_clamped(self.prev_mvs[mb.row * self.grid.cols() + mb.col], range);
+            if let Some(lv) = left {
+                cands.push_clamped(lv, range);
+            }
+        }
+        cands
+    }
+
+    /// Step 2, for a macroblock step 1 left to inter: the motion search
+    /// minimizing `SAD + bias`, then `SAD_self` for the natural intra
+    /// test.
+    fn search(
+        &self,
         mb: MbIndex,
-        policy: &mut dyn RefreshPolicy,
-        fctx: &FrameContext,
-        cands: &MvCandidates,
-    ) -> MbMode {
-        let (ox, oy) = mb.luma_origin();
-        // Content-similarity measurement (SAD against the colocated MB of
-        // the previous original frame); one 256-op SAD, charged uniformly.
-        let colocated_sad =
-            frame
-                .y()
-                .sad_colocated(self.prev_original.y(), ox, oy, LUMA_BLOCK, LUMA_BLOCK);
-        self.ops.sad_ops += 256;
-
-        let ctx = MbContext {
-            frame_index: self.frame_index,
-            mb,
-            cur_luma: frame.y(),
-            ref_luma: self.recon.y(),
-            colocated_sad,
-        };
-
-        let pre = policy.pre_me_mode(&ctx);
-        let (mode, mv, sad_mv, me_performed) = if pre == PreMeDecision::ForceIntra {
-            (MbMode::Intra, SubPelVector::ZERO, None, false)
+        st: &mut MbStage,
+        prepass: &MvCandidates,
+        bias: &mut dyn FnMut(MotionVector) -> i64,
+        ops: &mut OpCounts,
+    ) {
+        let (k, cur, reference) = (self.bcfg.kernels, self.frame.y(), self.reference.y());
+        st.me = if self.fast_me {
+            me::search_fast_with(k, cur, reference, mb, self.me, bias, prepass)
         } else {
-            let me_result = if self.cfg.opt.fast_me {
-                me::search_fast_with(
-                    self.kernels,
-                    frame.y(),
-                    self.recon.y(),
-                    mb,
-                    self.cfg.me,
-                    &mut |mv| policy.me_bias(&ctx, mv),
-                    cands,
-                )
-            } else {
-                me::search_with(
-                    self.kernels,
-                    frame.y(),
-                    self.recon.y(),
-                    mb,
-                    self.cfg.me,
-                    &mut |mv| policy.me_bias(&ctx, mv),
-                )
-            };
-            self.ops.me_invocations += 1;
-            self.frame_me_invocations += 1;
-            self.ops.sad_candidates += me_result.candidates as u64;
-            self.ops.sad_ops += me_result.sad_ops;
+            me::search_with(k, cur, reference, mb, self.me, bias)
+        };
+        ops.me_invocations += 1;
+        ops.sad_candidates += st.me.candidates as u64;
+        ops.sad_ops += st.me.sad_ops;
+        st.sad_self = me::sad_self(cur, mb);
+        ops.sad_ops += 512; // mean + deviation pass
+    }
 
-            let sad_self = me::sad_self(frame.y(), mb);
-            self.ops.sad_ops += 512; // mean + deviation pass
-            let natural_intra = me_result.sad > sad_self + SAD_TH;
-            let post = policy.post_me_mode(&ctx, &me_result);
-            if natural_intra || post == PostMeDecision::ForceIntra {
-                (MbMode::Intra, SubPelVector::ZERO, Some(me_result.sad), true)
-            } else if self.cfg.half_pel {
-                let refined = me::refine_half_pel_with(
-                    self.kernels,
-                    frame.y(),
-                    self.recon.y(),
-                    mb,
-                    me_result.mv,
-                    me_result.sad,
-                );
-                self.ops.sad_ops += refined.sad_ops;
-                (MbMode::Inter, refined.mv, Some(refined.sad), true)
-            } else {
-                (
-                    MbMode::Inter,
-                    SubPelVector::integer(me_result.mv),
-                    Some(me_result.sad),
-                    true,
-                )
+    /// Step 3, for a macroblock step 1 left to inter: the natural intra
+    /// test and the policy's post-ME override, which is consulted even
+    /// when the natural test already chose intra.
+    fn decide(&self, policy: &mut dyn RefreshPolicy, mb: MbIndex, st: &mut MbStage) {
+        if st.force_intra {
+            return;
+        }
+        let natural_intra = st.me.sad > st.sad_self + SAD_TH;
+        let post = policy.post_me_mode(&self.mb_context(mb, st.colocated_sad), &st.me);
+        st.inter_mv = (!natural_intra && post != PostMeDecision::ForceIntra).then_some(st.me.mv);
+    }
+
+    /// Step 4: half-pel refinement when inter survived, then block coding
+    /// into `w` and `recon` — through the joint RDE controller when it is
+    /// active. I-frame macroblocks carry no COD/mode prefix.
+    fn code(
+        &self,
+        mb: MbIndex,
+        st: &mut MbStage,
+        w: &mut BitWriter,
+        rde_scratch: &mut BitWriter,
+        recon: &mut Frame,
+        ops: &mut OpCounts,
+    ) {
+        let bit_start = w.bit_len();
+        let bcfg = &self.bcfg;
+        let baseline = match st.inter_mv {
+            Some(int_mv) => {
+                let (mv, sad) = if bcfg.half_pel {
+                    let (cur, reference) = (self.frame.y(), self.reference.y());
+                    let refined = me::refine_half_pel_with(
+                        bcfg.kernels,
+                        cur,
+                        reference,
+                        mb,
+                        int_mv,
+                        st.me.sad,
+                    );
+                    ops.sad_ops += refined.sad_ops;
+                    (refined.mv, refined.sad)
+                } else {
+                    (SubPelVector::integer(int_mv), st.me.sad)
+                };
+                st.sad_mv = Some(sad);
+                RdeCandidate::Inter(mv)
+            }
+            None => {
+                st.sad_mv = (!st.force_intra).then_some(st.me.sad);
+                RdeCandidate::Intra
             }
         };
-
-        let bcfg = self.block_cfg();
-        let final_mode = if let Some(rde_cfg) = self.active_rde() {
-            let baseline = match mode {
-                MbMode::Intra => RdeCandidate::Intra,
-                _ => RdeCandidate::Inter(mv),
-            };
+        st.final_mode = if self.kind == FrameKind::Intra {
+            code_intra_mb(bcfg, w, self.frame, recon, mb, ops);
+            MbMode::Intra
+        } else if let Some(rde) = &self.rde {
             rde::choose_and_code_mb(
-                &rde_cfg,
-                &bcfg,
+                rde,
+                bcfg,
                 w,
-                &mut self.rde_scratch,
-                frame,
-                &self.recon,
-                new_recon,
+                rde_scratch,
+                self.frame,
+                self.reference,
+                recon,
                 mb,
                 baseline,
-                &mut self.ops,
+                ops,
             )
         } else {
-            match mode {
-                MbMode::Intra => {
-                    w.put_bit(false); // COD = 0: coded
-                    w.put_bit(true); // intra
-                    code_intra_mb(&bcfg, w, frame, new_recon, mb, &mut self.ops);
-                    MbMode::Intra
-                }
-                _ => code_inter_mb(
-                    &bcfg,
-                    w,
-                    frame,
-                    &self.recon,
-                    new_recon,
-                    mb,
-                    mv,
-                    &mut self.ops,
-                ),
-            }
+            rde::code_candidate(
+                baseline,
+                bcfg,
+                w,
+                self.frame,
+                self.reference,
+                recon,
+                mb,
+                ops,
+            )
         };
+        st.final_mv = match (st.final_mode, baseline) {
+            (MbMode::Inter, RdeCandidate::Inter(mv)) => mv.int,
+            _ => MotionVector::ZERO,
+        };
+        st.bit_start = bit_start;
+        st.bit_len = w.bit_len() - bit_start;
+    }
 
-        let outcome_mv = if final_mode == MbMode::Inter {
-            mv.int
-        } else {
-            MotionVector::ZERO
+    /// Step 5: the provenance event (bit range offset by `bit_base`, the
+    /// frame-writer position of the writer the MB was coded into), the
+    /// frame statistics and mode list, the policy's outcome observation,
+    /// and the MV history.
+    fn record(
+        &self,
+        policy: &mut dyn RefreshPolicy,
+        mb: MbIndex,
+        st: &MbStage,
+        bit_base: u64,
+        out: &mut EncodedFrame,
+        cur_mvs: &mut [MotionVector],
+    ) {
+        let flat = mb.row * self.grid.cols() + mb.col;
+        let (mode_code, count, bits) = match st.final_mode {
+            MbMode::Intra => (
+                trace_event::MODE_INTRA,
+                &mut out.stats.intra_mbs,
+                &mut out.stats.intra_bits,
+            ),
+            MbMode::Inter => (
+                trace_event::MODE_INTER,
+                &mut out.stats.inter_mbs,
+                &mut out.stats.inter_bits,
+            ),
+            MbMode::Skip => (
+                trace_event::MODE_SKIP,
+                &mut out.stats.skip_mbs,
+                &mut out.stats.skip_bits,
+            ),
         };
-        self.last_mb_mv = outcome_mv;
+        *count += 1;
+        *bits += st.bit_len;
+        if let Some(t) = self.trace {
+            t.emit(TraceEvent::MbCoded {
+                frame: self.fctx.frame_index as u32,
+                mb: flat as u16,
+                mode: mode_code,
+                mv_x: st.final_mv.x,
+                mv_y: st.final_mv.y,
+                bit_start: (bit_base + st.bit_start) as u32,
+                bit_len: st.bit_len as u32,
+            });
+        }
+        out.mb_modes.push(st.final_mode);
         policy.mb_coded(
-            fctx,
+            &self.fctx,
             &MbOutcome {
                 mb,
-                mode: final_mode,
-                mv: outcome_mv,
-                sad_mv,
-                me_performed,
-                colocated_sad,
+                mode: st.final_mode,
+                mv: st.final_mv,
+                sad_mv: st.sad_mv,
+                me_performed: self.kind == FrameKind::Inter && !st.force_intra,
+                colocated_sad: st.colocated_sad,
             },
         );
-        final_mode
+        cur_mvs[flat] = st.final_mv;
     }
 }
 
@@ -1375,7 +1086,7 @@ mod tests {
 
     #[test]
     fn slice_parallel_encoding_is_bit_identical_and_deterministic() {
-        // The staged pipeline must reproduce the serial bitstream exactly
+        // The slice schedule must reproduce the serial bitstream exactly
         // at every thread count, and its operation counts must not depend
         // on the thread count (row-local candidate seeding).
         let encode = |slices: u8| {
@@ -1423,7 +1134,7 @@ mod tests {
     fn slice_parallel_without_frozen_bias_falls_back_to_serial() {
         // A policy that cannot freeze its bias (the default `None`) must
         // still encode correctly with slices configured: the encoder
-        // silently takes the serial path.
+        // silently takes the serial schedule.
         struct Unfreezable;
         impl RefreshPolicy for Unfreezable {
             fn label(&self) -> String {

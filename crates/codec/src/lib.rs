@@ -77,7 +77,4 @@ pub use policy::{
 };
 pub use quant::Qp;
 pub use rate::RateController;
-pub use rde::{
-    bisect_min_lambda, BisectOutcome, EnergyPrice, FrameLambdaAdapter, RdeConfig, LAMBDA_ONE,
-    PJ_PER_NJ, PJ_PER_UJ,
-};
+pub use rde::{EnergyPrice, RdeConfig, LAMBDA_ONE, PJ_PER_NJ, PJ_PER_UJ};

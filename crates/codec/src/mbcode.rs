@@ -1,16 +1,17 @@
-//! Macroblock coding primitives shared by the serial and slice-parallel
-//! encoder paths, and the macroblock reconstruction that the encoder,
-//! the RDE trial coder and the decoder all share: [`recon_intra_mb`]
-//! for intra blocks, [`MbPrediction`] for inter, skipped and concealed
-//! ones, and [`copy_mb`] for explicit skips. Reconstruction charges no
-//! operations; each caller counts its own.
+//! Macroblock coding primitives for the encoder's coding step (step 4,
+//! run by both of its schedules) and the RDE trial coder, and the
+//! macroblock reconstruction that the encoder, the RDE trial coder and
+//! the decoder all share: [`recon_intra_mb`] for intra blocks,
+//! [`MbPrediction`] for inter, skipped and concealed ones, and
+//! [`copy_mb`] for explicit skips. Reconstruction charges no operations;
+//! each caller counts its own.
 //!
 //! These are free functions over explicit references (current frame,
 //! prediction reference, output reconstruction, bit writer, op counter)
-//! rather than `Encoder` methods, for two reasons: the zero-allocation
-//! serial loop needs to borrow disjoint encoder fields simultaneously,
-//! and the slice-parallel path calls them from row jobs that only hold
-//! shared references to the encoder plus per-row mutable scratch.
+//! rather than `Encoder` methods, because the coding step writes into
+//! whichever writer and reconstruction its schedule hands it: the
+//! frame's own on the serial schedule, a row job's private scratch on
+//! the slice schedule, where the encoder itself is only shared.
 //!
 //! All coefficient staging lives in fixed stack arrays (`[[i32; 64]; 6]`)
 //! — the steady-state encode loop performs no heap allocation here.

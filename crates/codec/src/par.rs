@@ -1,43 +1,48 @@
-//! Per-row scratch for slice-parallel encoding.
+//! The per-macroblock record both encoder schedules share, and the
+//! per-row scratch of the slice schedule.
 //!
-//! The staged pipeline (see `Encoder::encode_mbs_staged`) farms rows of
-//! macroblocks to a [`pbpair_sched::WorkStealingPool`]; each row job owns
-//! one [`RowScratch`] (a private bit writer, reconstruction frame, and
-//! operation tally) plus its row's slice of [`MbStage`] entries. Both are
-//! persistent encoder state, so steady-state parallel encoding reuses
-//! them without reallocating.
+//! Every macroblock's passage through the encoder's five steps is
+//! recorded in one [`MbStage`]. The serial schedule keeps a single record
+//! on the stack for the macroblock in flight; the slice schedule keeps
+//! one per macroblock and farms rows of them to a
+//! [`pbpair_sched::WorkStealingPool`] ([`run_rows`]), where each row job
+//! also owns one [`RowScratch`] (a private bit writer, reconstruction
+//! frame, and operation tally). Both are persistent encoder state, so
+//! steady-state parallel encoding reuses them without reallocating.
 
 use crate::bitstream::BitWriter;
 use crate::mb::{MbMode, MotionVector};
 use crate::me::MeResult;
 use crate::ops::OpCounts;
 use pbpair_media::{Frame, Plane, VideoFormat};
+use pbpair_sched::WorkStealingPool;
 
-/// Everything the staged pipeline records about one macroblock as it
-/// moves through the stages.
+/// Everything the encoder records about one macroblock as it moves
+/// through the five steps.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MbStage {
-    /// Stage 1: similarity SAD against the previous original frame.
+    /// Step 1: similarity SAD against the previous original frame.
     pub colocated_sad: u64,
-    /// Stage 1: the policy's pre-ME decision.
+    /// Step 1: intra without a search (every I-frame macroblock, or the
+    /// policy's pre-ME decision).
     pub force_intra: bool,
-    /// Stage 2: motion-search result (meaningless when `force_intra`).
+    /// Step 2: motion-search result (meaningless when `force_intra`).
     pub me: MeResult,
-    /// Stage 2: self-SAD (deviation from the MB mean) for the natural
+    /// Step 2: self-SAD (deviation from the MB mean) for the natural
     /// intra test.
     pub sad_self: u64,
-    /// Stage 3: final pre-coding decision — `None` = intra, `Some(mv)` =
+    /// Step 3: final pre-coding decision — `None` = intra, `Some(mv)` =
     /// inter with this vector (half-pel refinement still pending).
     pub inter_mv: Option<MotionVector>,
-    /// Stage 4: the mode the block coder actually produced.
+    /// Step 4: the mode the block coder actually produced.
     pub final_mode: MbMode,
-    /// Stage 4: integer vector of the coded MB (zero for intra/skip).
+    /// Step 4: integer vector of the coded MB (zero for intra/skip).
     pub final_mv: MotionVector,
-    /// Stage 4: SAD of the chosen vector when ME ran (after refinement).
+    /// Step 4: SAD of the chosen vector when ME ran (after refinement).
     pub sad_mv: Option<u64>,
-    /// Stage 4: bit offset of this MB within its row writer.
+    /// Step 4: bit offset of this MB within the writer it was coded into.
     pub bit_start: u64,
-    /// Stage 4: bits this MB occupies.
+    /// Step 4: bits this MB occupies.
     pub bit_len: u64,
 }
 
@@ -74,14 +79,12 @@ pub(crate) struct RowScratch {
     pub recon: Frame,
     /// Row-local operation tally, merged in row order.
     pub ops: OpCounts,
-    /// Motion searches this row performed.
-    pub me_invocations: u32,
     /// Scratch writer for RDE trial coding; untouched when the joint
     /// controller is inactive.
     pub rde_writer: BitWriter,
 }
 
-/// Persistent scratch for the staged pipeline, lazily created on the
+/// Persistent scratch for the slice schedule, lazily created on the
 /// first slice-parallel frame.
 #[derive(Debug)]
 pub(crate) struct ParScratch {
@@ -102,12 +105,31 @@ impl ParScratch {
                     writer: BitWriter::new(),
                     recon: Frame::new(format),
                     ops: OpCounts::new(),
-                    me_invocations: 0,
                     rde_writer: BitWriter::new(),
                 })
                 .collect(),
         }
     }
+}
+
+/// Runs `job(row, stages, scratch)` once per macroblock row on `pool`,
+/// each call with that row's `cols` records and its scratch, and returns
+/// when every row is done.
+pub(crate) fn run_rows<F>(pool: &WorkStealingPool, par: &mut ParScratch, cols: usize, job: F)
+where
+    F: Fn(usize, &mut [MbStage], &mut RowScratch) + Sync,
+{
+    let job = &job;
+    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = par
+        .mbs
+        .chunks_mut(cols)
+        .zip(par.rows.iter_mut())
+        .enumerate()
+        .map(|(row, (stages, rs))| {
+            Box::new(move || job(row, stages, rs)) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    pool.run_scoped(jobs);
 }
 
 fn copy_band(dst: &mut Plane, src: &Plane, y0: usize, h: usize) {

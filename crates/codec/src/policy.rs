@@ -135,7 +135,7 @@ pub trait RefreshPolicy {
     /// A thread-safe snapshot of [`RefreshPolicy::me_bias`] for the frame
     /// about to be encoded, or `None` (the default) when the bias cannot
     /// be frozen. Slice-parallel encoding is only engaged when this
-    /// returns `Some`: the parallel path calls the snapshot instead of
+    /// returns `Some`: the slice schedule calls the snapshot instead of
     /// `me_bias`, so a policy must guarantee the snapshot returns exactly
     /// what `me_bias` would have returned at any point during the frame
     /// (i.e. its bias does not change mid-frame). Policies with a

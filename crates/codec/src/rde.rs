@@ -266,7 +266,7 @@ pub(crate) enum RdeCandidate {
 /// reconstructing into `new_recon` and tallying into `ops`. Returns the
 /// mode actually produced (inter may demote to skip).
 #[allow(clippy::too_many_arguments)]
-fn code_candidate(
+pub(crate) fn code_candidate(
     cand: RdeCandidate,
     bcfg: &BlockCodeCfg,
     w: &mut BitWriter,
@@ -357,190 +357,6 @@ pub(crate) fn choose_and_code_mb(
     code_candidate(best, bcfg, w, frame, reference, new_recon, mb, ops)
 }
 
-/// Outcome of [`bisect_min_lambda`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BisectOutcome {
-    /// The minimal λ in `[lo, hi]` whose evaluation meets the budget
-    /// (minimal up to the interval the iteration cap left open).
-    Converged {
-        /// The λ found.
-        lambda: u32,
-        /// `eval(lambda)`, ≤ the budget.
-        value: u64,
-        /// Evaluations performed.
-        iters: u32,
-    },
-    /// Even `hi` misses the budget: the boundary proof. `value` is
-    /// `eval(hi)`, the closest the plane gets.
-    Boundary {
-        /// The upper bound that still misses.
-        lambda: u32,
-        /// `eval(lambda)`, > the budget.
-        value: u64,
-        /// Evaluations performed.
-        iters: u32,
-    },
-}
-
-impl BisectOutcome {
-    /// The λ the solver settled on, feasible or boundary.
-    pub fn lambda(&self) -> u32 {
-        match *self {
-            BisectOutcome::Converged { lambda, .. } | BisectOutcome::Boundary { lambda, .. } => {
-                lambda
-            }
-        }
-    }
-
-    /// Evaluations the solver spent.
-    pub fn iters(&self) -> u32 {
-        match *self {
-            BisectOutcome::Converged { iters, .. } | BisectOutcome::Boundary { iters, .. } => iters,
-        }
-    }
-}
-
-/// Integer bisection for the λ-plane budget problem: given `eval`
-/// non-increasing in λ (a larger price never yields more of the priced
-/// quantity — the metamorphic property the test battery pins), finds the
-/// minimal `λ ∈ [lo, hi]` with `eval(λ) ≤ budget`.
-///
-/// The solver is pure and deterministic: same inputs, same λ sequence,
-/// regardless of worker count or evaluation backend. It performs at most
-/// `⌈log2(hi−lo)⌉ + 2` evaluations and never more than
-/// `max_iters.max(2)`; if the cap closes the search early the returned
-/// feasible λ is minimal only up to the unexplored interval (the
-/// proptest exercises both regimes).
-///
-/// # Panics
-///
-/// Panics if `lo > hi`.
-pub fn bisect_min_lambda(
-    lo: u32,
-    hi: u32,
-    budget: u64,
-    max_iters: u32,
-    mut eval: impl FnMut(u32) -> u64,
-) -> BisectOutcome {
-    assert!(lo <= hi, "bisection interval is inverted");
-    let mut iters = 0u32;
-    let mut eval_counted = |l: u32, iters: &mut u32| {
-        *iters += 1;
-        eval(l)
-    };
-    let at_lo = eval_counted(lo, &mut iters);
-    if at_lo <= budget {
-        return BisectOutcome::Converged {
-            lambda: lo,
-            value: at_lo,
-            iters,
-        };
-    }
-    if lo == hi {
-        return BisectOutcome::Boundary {
-            lambda: hi,
-            value: at_lo,
-            iters,
-        };
-    }
-    let at_hi = eval_counted(hi, &mut iters);
-    if at_hi > budget {
-        return BisectOutcome::Boundary {
-            lambda: hi,
-            value: at_hi,
-            iters,
-        };
-    }
-    // Invariant: eval(infeasible_lo) > budget ≥ eval(feasible_hi).
-    let (mut infeasible, mut feasible, mut feasible_value) = (lo, hi, at_hi);
-    let cap = max_iters.max(2);
-    while feasible - infeasible > 1 && iters < cap {
-        let mid = infeasible + (feasible - infeasible) / 2;
-        let v = eval_counted(mid, &mut iters);
-        if v <= budget {
-            feasible = mid;
-            feasible_value = v;
-        } else {
-            infeasible = mid;
-        }
-    }
-    BisectOutcome::Converged {
-        lambda: feasible,
-        value: feasible_value,
-        iters,
-    }
-}
-
-/// Cross-frame λ adaptation: a closed-loop bracket bisection that uses
-/// each frame's *measured* bits or picojoules to refine the λ bracket
-/// for the next frame, converging on a per-frame budget without ever
-/// re-encoding. Integer-only and sequential, so a fleet of sessions
-/// adapting independently stays deterministic at any worker count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameLambdaAdapter {
-    /// Largest λ observed infeasible (measurement above budget).
-    lo: u32,
-    /// Smallest λ observed feasible, or the configured upper bound.
-    hi: u32,
-    /// λ to apply to the next frame.
-    cur: u32,
-    /// Per-frame budget in the measured unit (bits or picojoules).
-    budget: u64,
-}
-
-impl FrameLambdaAdapter {
-    /// A new adapter bisecting `[lo, hi]` toward `budget`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn new(lo: u32, hi: u32, budget: u64) -> Self {
-        assert!(lo <= hi, "adapter interval is inverted");
-        FrameLambdaAdapter {
-            lo,
-            hi,
-            cur: lo + (hi - lo) / 2,
-            budget,
-        }
-    }
-
-    /// The λ to encode the next frame with.
-    pub fn lambda(&self) -> u32 {
-        self.cur
-    }
-
-    /// The budget being tracked.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
-    /// Whether the bracket has collapsed (further observations keep λ
-    /// pinned at the boundary-or-converged point).
-    pub fn settled(&self) -> bool {
-        self.hi - self.lo <= 1
-    }
-
-    /// Feeds back the measured quantity of the frame just encoded at
-    /// [`FrameLambdaAdapter::lambda`] and returns the λ for the next
-    /// frame. Over budget → λ must rise (the bracket's low end moves
-    /// up); within budget → λ may fall (the high end moves down).
-    pub fn observe(&mut self, measured: u64) -> u32 {
-        if !self.settled() {
-            if measured > self.budget {
-                self.lo = self.cur;
-            } else {
-                self.hi = self.cur;
-            }
-            self.cur = self.lo + (self.hi - self.lo) / 2;
-        } else if measured > self.budget {
-            // Settled but still over: pin to the top of the bracket —
-            // the boundary answer.
-            self.cur = self.hi;
-        }
-        self.cur
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,48 +419,5 @@ mod tests {
         assert!(!RdeConfig::default().is_active());
         assert!(RdeConfig::rate_weighted(1).is_active());
         assert!(RdeConfig::energy_weighted(1).is_active());
-    }
-
-    #[test]
-    fn bisection_finds_the_minimal_feasible_lambda() {
-        // eval(λ) = 1000 − λ (non-increasing); budget 400 → λ* = 600.
-        let out = bisect_min_lambda(0, 1_000, 400, 32, |l| 1_000 - l as u64);
-        match out {
-            BisectOutcome::Converged { lambda, value, .. } => {
-                assert_eq!(lambda, 600);
-                assert_eq!(value, 400);
-            }
-            other => panic!("expected convergence, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn bisection_proves_the_boundary() {
-        let out = bisect_min_lambda(0, 100, 10, 32, |_| 50);
-        match out {
-            BisectOutcome::Boundary { lambda, value, .. } => {
-                assert_eq!(lambda, 100);
-                assert_eq!(value, 50);
-            }
-            other => panic!("expected boundary, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn adapter_converges_to_the_budget_crossing() {
-        // Measured(λ) = 1000 − λ, budget 300 → crossing at λ = 700.
-        let mut a = FrameLambdaAdapter::new(0, 1_024, 300);
-        for _ in 0..16 {
-            let measured = 1_000u64.saturating_sub(a.lambda() as u64);
-            a.observe(measured);
-        }
-        assert!(a.settled());
-        let measured = 1_000u64.saturating_sub(a.lambda() as u64);
-        assert!(
-            measured <= 300,
-            "settled λ {} still over budget: {measured}",
-            a.lambda()
-        );
-        assert!(a.lambda() <= 704, "overshot the crossing: {}", a.lambda());
     }
 }

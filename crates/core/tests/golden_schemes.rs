@@ -1,27 +1,39 @@
-//! Golden bitstream digests for every scheme × motion-search strategy.
+//! Golden bitstream digests for every scheme × motion-search strategy,
+//! and the schedule contract behind them.
 //!
 //! Each vector encodes a seeded synthetic sequence under one refresh
 //! policy and one search strategy and asserts the FNV-1a digest of the
 //! length-prefixed bitstream against a committed constant. Before the
 //! digest is checked, the same vector is re-encoded under every
 //! optimization setting — the naive reference path, the default fast
-//! path, and slice-parallel encoding at 2 and 4 threads — and all four
-//! bitstreams must be identical. One constant therefore pins the format
-//! for the whole optimization matrix.
+//! path, and slice-parallel encoding at 2 and 4 threads — and every
+//! setting must match the naive serial run on more than the bitstream:
+//! the policy's `begin_frame` kinds, each pre-ME and post-ME call and
+//! its decision, every macroblock outcome and frame's stats, the
+//! tracer's `MbCoded` events, the `enc.*` telemetry (except SAD work)
+//! and the operation counts (except the SAD work the fast search
+//! prunes). Half-pel and active-RDE arms run the same comparison without
+//! digests of their own. One constant therefore pins the format for the
+//! whole optimization matrix.
 //!
 //! To re-bless after an *intentional* format change, run
 //! `PBPAIR_BLESS=1 cargo test -p pbpair --test golden_schemes -- --nocapture`
 //! and paste the printed digests into `VECTORS`.
 
+use std::collections::BTreeMap;
+
 use pbpair::schemes::LatePbpairPolicy;
 use pbpair::{AirPolicy, GopPolicy, NoPolicy, PbpairConfig, PbpairPolicy, PgopPolicy};
 use pbpair_codec::policy::RefreshPolicy;
 use pbpair_codec::{
-    Decoder, Encoder, EncoderConfig, KernelChoice, Kernels, MeConfig, OpCounts, OptConfig,
-    SearchStrategy,
+    Decoder, Encoder, EncoderConfig, FrameContext, FrameKind, FrameStats, FrozenMeBias,
+    KernelChoice, Kernels, MbContext, MbMode, MbOutcome, MeConfig, MeResult, MotionVector,
+    OpCounts, OptConfig, PostMeDecision, PreMeDecision, RdeConfig, SearchStrategy,
 };
 use pbpair_media::synth::SyntheticSequence;
-use pbpair_media::{Frame, VideoFormat};
+use pbpair_media::{Frame, MbIndex, VideoFormat};
+use pbpair_telemetry::{HistogramSnapshot, Telemetry};
+use pbpair_trace::{Event as TraceEvent, Tracer};
 
 const FRAMES: usize = 10;
 const SEED: u64 = 77;
@@ -62,32 +74,196 @@ fn make_policy(scheme: &str) -> Box<dyn RefreshPolicy> {
     }
 }
 
-/// Length-prefixed concatenation of `FRAMES` encoded frames.
-fn encode(scheme: &str, strategy: SearchStrategy, opt: OptConfig) -> Vec<u8> {
-    encode_with_ops(scheme, strategy, opt).0
+/// Everything one encode exposes about its decisions: the stream, each
+/// policy hook call in the order that hook saw them, the trace, the
+/// `enc.*` telemetry and the operation counts.
+#[derive(Debug, Default)]
+struct Observed {
+    /// Length-prefixed concatenation of `FRAMES` encoded frames.
+    stream: Vec<u8>,
+    kinds: Vec<FrameKind>,
+    pre_me: Vec<(MbIndex, u64, PreMeDecision)>,
+    post_me: Vec<(MbIndex, MotionVector, u64, i64, PostMeDecision)>,
+    outcomes: Vec<(MbIndex, MbMode, MotionVector, Option<u64>, bool, u64)>,
+    stats: Vec<FrameStats>,
+    trace: Vec<TraceEvent>,
+    counters: BTreeMap<String, u64>,
+    histograms: BTreeMap<String, HistogramSnapshot>,
+    ops: OpCounts,
 }
 
-/// [`encode`] plus the encoder's cumulative operation counts — the SIMD
-/// tier sweep asserts these (and therefore the energy model built on
-/// them) are tier-invariant, not just the bitstream.
-fn encode_with_ops(scheme: &str, strategy: SearchStrategy, opt: OptConfig) -> (Vec<u8>, OpCounts) {
+impl Observed {
+    /// The name of the first observation on which `self` and `other`
+    /// differ, ignoring SAD work: `enc.sad_ops`, `sad_ops` and
+    /// `sad_candidates` depend on the prepass, which the naive, serial
+    /// and slice searches build differently by design.
+    fn first_difference(&self, other: &Observed) -> Option<&'static str> {
+        let without_sad = |ops: OpCounts| OpCounts {
+            sad_ops: 0,
+            sad_candidates: 0,
+            ..ops
+        };
+        [
+            ("bitstream", self.stream == other.stream),
+            ("begin_frame kinds", self.kinds == other.kinds),
+            ("pre_me_mode calls", self.pre_me == other.pre_me),
+            ("post_me_mode calls", self.post_me == other.post_me),
+            ("mb_coded outcomes", self.outcomes == other.outcomes),
+            ("end_frame stats", self.stats == other.stats),
+            ("MbCoded trace events", self.trace == other.trace),
+            ("enc.* counters", self.counters == other.counters),
+            ("enc.* histograms", self.histograms == other.histograms),
+            ("op counts", without_sad(self.ops) == without_sad(other.ops)),
+        ]
+        .into_iter()
+        .find(|(_, same)| !same)
+        .map(|(name, _)| name)
+    }
+}
+
+/// A forwarding policy that records every decision hook into
+/// [`Observed`]. It forwards `frame_frozen_bias` too, so the encoder
+/// takes the same schedule with or without it.
+struct Recorder {
+    inner: Box<dyn RefreshPolicy>,
+    seen: Observed,
+}
+
+impl RefreshPolicy for Recorder {
+    fn begin_frame(&mut self, ctx: &FrameContext) -> FrameKind {
+        let kind = self.inner.begin_frame(ctx);
+        self.seen.kinds.push(kind);
+        kind
+    }
+
+    fn pre_me_mode(&mut self, ctx: &MbContext<'_>) -> PreMeDecision {
+        let decision = self.inner.pre_me_mode(ctx);
+        self.seen.pre_me.push((ctx.mb, ctx.colocated_sad, decision));
+        decision
+    }
+
+    fn me_bias(&mut self, ctx: &MbContext<'_>, mv: MotionVector) -> i64 {
+        self.inner.me_bias(ctx, mv)
+    }
+
+    fn post_me_mode(&mut self, ctx: &MbContext<'_>, me: &MeResult) -> PostMeDecision {
+        let decision = self.inner.post_me_mode(ctx, me);
+        self.seen
+            .post_me
+            .push((ctx.mb, me.mv, me.sad, me.cost, decision));
+        decision
+    }
+
+    fn frame_frozen_bias(&self, ctx: &FrameContext) -> Option<FrozenMeBias> {
+        self.inner.frame_frozen_bias(ctx)
+    }
+
+    fn mb_coded(&mut self, ctx: &FrameContext, o: &MbOutcome) {
+        self.inner.mb_coded(ctx, o);
+        self.seen.outcomes.push((
+            o.mb,
+            o.mode,
+            o.mv,
+            o.sad_mv,
+            o.me_performed,
+            o.colocated_sad,
+        ));
+    }
+
+    fn end_frame(&mut self, ctx: &FrameContext, stats: &FrameStats) {
+        self.inner.end_frame(ctx, stats);
+        self.seen.stats.push(*stats);
+    }
+
+    fn label(&self) -> String {
+        self.inner.label()
+    }
+}
+
+/// A coding-tool arm: the digests pin the integer-pel, plain arm; the
+/// half-pel and active-RDE arms are compared across settings only.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Arm {
+    half_pel: bool,
+    rde: Option<RdeConfig>,
+}
+
+const PLAIN: Arm = Arm {
+    half_pel: false,
+    rde: None,
+};
+
+fn arms() -> [Arm; 4] {
+    let rde = Some(RdeConfig::rate_weighted(1 << 16));
+    [
+        PLAIN,
+        Arm {
+            half_pel: true,
+            rde: None,
+        },
+        Arm {
+            half_pel: false,
+            rde,
+        },
+        Arm {
+            half_pel: true,
+            rde,
+        },
+    ]
+}
+
+/// Encodes `FRAMES` frames of the vector's sequence under `opt` with a
+/// recording policy, an attached tracer and telemetry, and returns what
+/// the run exposed. The SIMD tier sweep asserts the operation counts
+/// (and therefore the energy model built on them) are tier-invariant,
+/// not just the bitstream.
+fn observe(scheme: &str, strategy: SearchStrategy, arm: Arm, opt: OptConfig) -> Observed {
     let mut enc = Encoder::new(EncoderConfig {
         me: MeConfig {
             search_range: 15,
             strategy,
         },
+        half_pel: arm.half_pel,
+        rde: arm.rde,
         opt,
         ..EncoderConfig::default()
     });
-    let mut policy = make_policy(scheme);
+    let tel = Telemetry::with_shards(1);
+    let tracer = Tracer::new(16);
+    enc.set_telemetry(&tel);
+    enc.set_tracer(&tracer);
+    let mut policy = Recorder {
+        inner: make_policy(scheme),
+        seen: Observed::default(),
+    };
     let mut seq = SyntheticSequence::foreman_class(SEED);
-    let mut out = Vec::new();
     for _ in 0..FRAMES {
-        let e = enc.encode_frame(&seq.next_frame(), policy.as_mut());
-        out.extend_from_slice(&u32::try_from(e.data.len()).expect("fits").to_le_bytes());
-        out.extend_from_slice(&e.data);
+        let e = enc.encode_frame(&seq.next_frame(), &mut policy);
+        let stream = &mut policy.seen.stream;
+        stream.extend_from_slice(&u32::try_from(e.data.len()).expect("fits").to_le_bytes());
+        stream.extend_from_slice(&e.data);
     }
-    (out, *enc.ops())
+    let mut seen = policy.seen;
+    let report = tel.report();
+    let enc_metric = |name: &String| name.starts_with("enc.");
+    seen.counters = report
+        .counters
+        .into_iter()
+        .filter(|(name, _)| enc_metric(name) && name != "enc.sad_ops")
+        .collect();
+    seen.histograms = report
+        .histograms
+        .into_iter()
+        .filter(|(name, _)| enc_metric(name))
+        .collect();
+    seen.trace = tracer
+        .log_snapshot()
+        .events
+        .into_iter()
+        .filter(|e| matches!(e, TraceEvent::MbCoded { .. }))
+        .collect();
+    seen.ops = *enc.ops();
+    seen
 }
 
 /// Splits a length-prefixed stream back into frames and decodes each with
@@ -179,43 +355,56 @@ const VECTORS: &[Vector] = &[
 fn every_scheme_and_search_matches_its_golden_digest_under_all_optimizations() {
     let blessing = std::env::var_os("PBPAIR_BLESS").is_some();
     for v in VECTORS {
-        let reference = encode(v.scheme, v.strategy, OptConfig::naive());
-        for (label, opt) in [
-            ("fast", OptConfig::default()),
-            (
-                "slices=2",
-                OptConfig {
-                    slices: 2,
-                    ..OptConfig::default()
-                },
-            ),
-            (
-                "slices=4",
-                OptConfig {
-                    slices: 4,
-                    ..OptConfig::default()
-                },
-            ),
-        ] {
-            let got = encode(v.scheme, v.strategy, opt);
-            assert_eq!(
-                got, reference,
-                "{} {:?}: {} diverged from the naive reference",
-                v.scheme, v.strategy, label
+        for arm in arms() {
+            let reference = observe(v.scheme, v.strategy, arm, OptConfig::naive());
+            assert!(
+                !reference.trace.is_empty() && !reference.counters.is_empty(),
+                "sanity: the tracer and telemetry observed the encoder"
             );
-        }
-        let digest = fnv1a(&reference);
-        if blessing {
-            println!(
-                "Vector {{ scheme: \"{}\", strategy: SearchStrategy::{:?}, digest: 0x{:016x} }},",
-                v.scheme, v.strategy, digest
-            );
-        } else {
-            assert_eq!(
-                digest, v.digest,
-                "{} {:?}: bitstream drifted from the committed golden digest",
-                v.scheme, v.strategy
-            );
+            for (label, opt) in [
+                ("fast", OptConfig::default()),
+                (
+                    "slices=2",
+                    OptConfig {
+                        slices: 2,
+                        ..OptConfig::default()
+                    },
+                ),
+                (
+                    "slices=4",
+                    OptConfig {
+                        slices: 4,
+                        ..OptConfig::default()
+                    },
+                ),
+            ] {
+                let got = observe(v.scheme, v.strategy, arm, opt);
+                assert_eq!(
+                    got.first_difference(&reference),
+                    None,
+                    "{} {:?} {:?}: {} diverged from the naive serial reference",
+                    v.scheme,
+                    v.strategy,
+                    arm,
+                    label
+                );
+            }
+            if arm != PLAIN {
+                continue;
+            }
+            let digest = fnv1a(&reference.stream);
+            if blessing {
+                println!(
+                    "Vector {{ scheme: \"{}\", strategy: SearchStrategy::{:?}, digest: 0x{:016x} }},",
+                    v.scheme, v.strategy, digest
+                );
+            } else {
+                assert_eq!(
+                    digest, v.digest,
+                    "{} {:?}: bitstream drifted from the committed golden digest",
+                    v.scheme, v.strategy
+                );
+            }
         }
     }
 }
@@ -243,7 +432,7 @@ fn golden_digests_are_kernel_tier_invariant() {
                 kernels: KernelChoice::forced(tier),
                 ..OptConfig::default()
             };
-            let (stream, ops) = encode_with_ops(v.scheme, v.strategy, opt);
+            let Observed { stream, ops, .. } = observe(v.scheme, v.strategy, PLAIN, opt);
             assert_eq!(
                 fnv1a(&stream),
                 v.digest,

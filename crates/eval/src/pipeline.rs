@@ -7,11 +7,12 @@
 //! pure function of its config.
 
 use pbpair::{build_policy, SchemeSpec};
-use pbpair_codec::{Decoder, Encoder, EncoderConfig, FrameKind, OpCounts};
+use pbpair_codec::{Decoder, EncodedFrame, Encoder, EncoderConfig, FrameKind, OpCounts};
 use pbpair_energy::{EnergyModel, Joules};
 use pbpair_media::metrics::QualityStats;
 use pbpair_media::synth::{FrameSource, MotionClass, SyntheticSequence};
 use pbpair_media::y4m::Y4mReader;
+use pbpair_media::Frame;
 use pbpair_netsim::loss::{LossModel, NoLoss, ScriptedLoss, UniformLoss};
 use pbpair_netsim::{ChannelStats, LossyChannel, Packetizer, DEFAULT_MTU};
 
@@ -172,13 +173,51 @@ impl RunResult {
     }
 }
 
+/// Opens the cell's frame source, refusing one whose frames differ in
+/// format from what the configured encoder takes.
+fn open_source(cfg: &RunConfig) -> Result<Box<dyn FrameSource>, String> {
+    let source = cfg.sequence.build()?;
+    let (got, want) = (source.format(), cfg.encoder.format);
+    if got != want {
+        return Err(format!(
+            "sequence '{}' is {got}, but the encoder is configured for {want}",
+            cfg.sequence.label()
+        ));
+    }
+    Ok(source)
+}
+
+/// Carries one encoded frame to the receiver and scores what it
+/// displays: packetize, deliver the frame whole or lose it, then decode
+/// it or conceal the loss.
+fn transport(
+    packetizer: &mut Packetizer,
+    channel: &mut LossyChannel,
+    decoder: &mut Decoder,
+    quality: &mut QualityStats,
+    original: &Frame,
+    encoded: &EncodedFrame,
+) {
+    let packets = packetizer.packetize(encoded.index, &encoded.data);
+    let displayed = match channel.transmit_frame_atomic(&packets) {
+        Some(bytes) => match decoder.decode_frame(&bytes) {
+            Ok((frame, _info)) => frame,
+            Err(_) => decoder.conceal_lost_frame(),
+        },
+        None => decoder.conceal_lost_frame(),
+    };
+    quality.record(original, &displayed);
+}
+
 /// Executes one cell.
 ///
 /// # Errors
 ///
-/// Returns an error for invalid scheme configurations. Decode failures
-/// cannot occur (the channel delivers frames whole or not at all), but if
-/// one did it is treated as a lost frame.
+/// Returns an error for invalid scheme configurations, and for a source
+/// that cannot be opened, runs short, or differs in format from the
+/// encoder configuration. Decode failures cannot occur (the channel
+/// delivers frames whole or not at all), but if one did it is treated as
+/// a lost frame.
 pub fn run(cfg: &RunConfig) -> Result<RunResult, String> {
     let format = cfg.encoder.format;
     let mut policy = build_policy(cfg.scheme, format)?;
@@ -186,7 +225,7 @@ pub fn run(cfg: &RunConfig) -> Result<RunResult, String> {
     let mut decoder = Decoder::new(format);
     let mut packetizer = Packetizer::new(cfg.mtu);
     let mut channel = LossyChannel::new(cfg.loss.build());
-    let mut source = cfg.sequence.build()?;
+    let mut source = open_source(cfg)?;
 
     let mut quality = QualityStats::new();
     let mut frame_bits = Vec::with_capacity(cfg.frames);
@@ -205,16 +244,14 @@ pub fn run(cfg: &RunConfig) -> Result<RunResult, String> {
         frame_bits.push(encoded.stats.bits);
         frame_kinds.push(encoded.kind);
         intra_ratio_acc += encoded.stats.intra_ratio();
-
-        let packets = packetizer.packetize(encoded.index, &encoded.data);
-        let displayed = match channel.transmit_frame_atomic(&packets) {
-            Some(bytes) => match decoder.decode_frame(&bytes) {
-                Ok((frame, _info)) => frame,
-                Err(_) => decoder.conceal_lost_frame(),
-            },
-            None => decoder.conceal_lost_frame(),
-        };
-        quality.record(&original, &displayed);
+        transport(
+            &mut packetizer,
+            &mut channel,
+            &mut decoder,
+            &mut quality,
+            &original,
+            &encoded,
+        );
     }
 
     let total_bits: u64 = frame_bits.iter().sum();
@@ -257,7 +294,7 @@ pub struct ReplicatedResult {
 ///
 /// # Errors
 ///
-/// Propagates pipeline errors; `replicates` must be ≥ 1.
+/// Returns the errors [`run`] returns; `replicates` must be ≥ 1.
 pub fn run_replicated(cfg: &RunConfig, replicates: usize) -> Result<ReplicatedResult, String> {
     if replicates == 0 {
         return Err("replicates must be at least 1".to_string());
@@ -265,7 +302,7 @@ pub fn run_replicated(cfg: &RunConfig, replicates: usize) -> Result<ReplicatedRe
     let format = cfg.encoder.format;
     let mut policy = build_policy(cfg.scheme, format)?;
     let mut encoder = Encoder::new(cfg.encoder);
-    let mut source = cfg.sequence.build()?;
+    let mut source = open_source(cfg)?;
 
     // Encode once, retaining originals and bitstreams.
     let mut originals = Vec::with_capacity(cfg.frames);
@@ -300,15 +337,14 @@ pub fn run_replicated(cfg: &RunConfig, replicates: usize) -> Result<ReplicatedRe
         let mut channel = LossyChannel::new(cfg.loss.reseed(rep as u64).build());
         let mut quality = QualityStats::new();
         for (original, e) in originals.iter().zip(&encoded) {
-            let packets = packetizer.packetize(e.index, &e.data);
-            let displayed = match channel.transmit_frame_atomic(&packets) {
-                Some(bytes) => match decoder.decode_frame(&bytes) {
-                    Ok((frame, _)) => frame,
-                    Err(_) => decoder.conceal_lost_frame(),
-                },
-                None => decoder.conceal_lost_frame(),
-            };
-            quality.record(original, &displayed);
+            transport(
+                &mut packetizer,
+                &mut channel,
+                &mut decoder,
+                &mut quality,
+                original,
+                e,
+            );
         }
         psnrs.push(quality.average_psnr());
         bads.push(quality.total_bad_pixels() as f64);
@@ -661,6 +697,44 @@ mod tests {
             let p = result.as_ref().unwrap();
             assert_eq!(p.frame_bits, serial.frame_bits);
             assert_eq!(p.quality.psnr_series(), serial.quality.psnr_series());
+        }
+    }
+
+    #[test]
+    fn mis_sized_source_is_a_clean_error() {
+        use pbpair_media::y4m::Y4mWriter;
+        use std::io::Write as _;
+
+        // A 32×16 clip under the default (QCIF) encoder configuration.
+        let path =
+            std::env::temp_dir().join(format!("pbpair_mis_sized_{}.y4m", std::process::id()));
+        {
+            let small = pbpair_media::VideoFormat::custom(32, 16).unwrap();
+            let file = std::fs::File::create(&path).unwrap();
+            let mut w = Y4mWriter::new(std::io::BufWriter::new(file), small, 30).unwrap();
+            for _ in 0..3 {
+                w.write_frame(&Frame::flat(small, 90)).unwrap();
+            }
+            w.finish().unwrap().flush().unwrap();
+        }
+        let cfg = RunConfig {
+            scheme: SchemeSpec::No,
+            sequence: SequenceSpec::Y4mFile {
+                path: path.to_string_lossy().into_owned(),
+            },
+            frames: 3,
+            encoder: EncoderConfig::default(),
+            loss: LossSpec::None,
+            mtu: DEFAULT_MTU,
+        };
+        let single = run(&cfg).unwrap_err();
+        let replicated = run_replicated(&cfg, 2).unwrap_err();
+        let _ = std::fs::remove_file(&path);
+        for err in [single, replicated] {
+            assert!(
+                err.contains("32x16") && err.contains("QCIF"),
+                "error must name both formats: {err}"
+            );
         }
     }
 
