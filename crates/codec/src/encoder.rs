@@ -29,7 +29,7 @@
 //! seeded by the median of the coded neighbours. The **slice** schedule
 //! (`OptConfig::slices > 1` and a policy with a frame-frozen bias) runs
 //! each step over the whole frame: steps 1, 3 and 5 serially in raster
-//! order, steps 2 and 4 as one job per macroblock row on a worker pool,
+//! order, steps 2 and 4 over the macroblock rows on a fork–join pool,
 //! with the frozen bias and a row-local prepass. Each policy hook sees
 //! the same calls in the same order under both schedules, and the
 //! bitstream is identical. The prepass lists differ on purpose: a
@@ -51,11 +51,10 @@
 //! * **fused transform** — DCT, quantization, and zigzag run as one
 //!   kernel with no intermediate 8×8 buffers ([`crate::fused`]);
 //! * **zero-allocation steady state** — the bit writer, reconstruction
-//!   target, and motion-vector history are persistent scratch reused
-//!   across frames, so [`Encoder::encode_frame_into`] performs no heap
-//!   allocation after warm-up on the serial schedule (a counting-allocator
-//!   test asserts this, and bounds the slice schedule's per-row job
-//!   scheduling).
+//!   target, motion-vector history and the slice schedule's row scratch
+//!   are persistent state reused across frames, so
+//!   [`Encoder::encode_frame_into`] performs no heap allocation after
+//!   warm-up on either schedule (a counting-allocator test asserts this).
 
 use crate::bitstream::BitWriter;
 use crate::kernels::{KernelChoice, Kernels};
@@ -64,7 +63,7 @@ use crate::mbcode::{code_intra_mb, BlockCodeCfg};
 use crate::mc::LUMA_BLOCK;
 use crate::me::{self, MeConfig, MvCandidates};
 use crate::ops::OpCounts;
-use crate::par::{self, MbStage, ParScratch};
+use crate::par::{self, MbStage, RowScratch};
 use crate::policy::{
     FrameContext, FrameKind, FrozenMeBias, MbContext, MbOutcome, PostMeDecision, PreMeDecision,
     RefreshPolicy,
@@ -72,7 +71,7 @@ use crate::policy::{
 use crate::quant::Qp;
 use crate::rde::{self, RdeCandidate, RdeConfig};
 use pbpair_media::{Frame, MbGrid, MbIndex, VideoFormat};
-use pbpair_sched::WorkStealingPool;
+use pbpair_sched::Pool;
 use pbpair_telemetry::{Counter, Histogram, Stage, Telemetry};
 use pbpair_trace::{event as trace_event, Event as TraceEvent, Tracer};
 
@@ -94,7 +93,8 @@ pub struct OptConfig {
     /// ([`crate::fused::fdct_quant_scan`]). Off = the separate
     /// three-pass pipeline.
     pub fused_transform: bool,
-    /// Number of slice-encoding threads. `0` and `1` both mean serial.
+    /// Number of slice-encoding threads, counting the calling thread
+    /// (`n` slices spawn `n − 1` helpers). `0` and `1` both mean serial.
     /// Values above 1 enable slice-parallel encoding *when the active
     /// policy provides a frame-frozen ME bias*
     /// ([`crate::policy::RefreshPolicy::frame_frozen_bias`]); otherwise
@@ -291,9 +291,9 @@ pub struct Encoder {
     /// Slice-encoding worker pool, lazily created on the first frame that
     /// takes the slice schedule (`opt.slices > 1` and a policy with a
     /// frame-frozen bias).
-    pool: Option<WorkStealingPool>,
-    /// Persistent per-row/per-MB scratch of the slice schedule.
-    par: Option<ParScratch>,
+    pool: Option<Pool>,
+    /// Persistent per-row scratch of the slice schedule.
+    row_scratch: Option<Vec<RowScratch>>,
 }
 
 /// Telemetry handles the encoder flushes once per encoded frame. All
@@ -369,7 +369,7 @@ impl Encoder {
             prev_mvs: vec![MotionVector::ZERO; mbs],
             cur_mvs: vec![MotionVector::ZERO; mbs],
             pool: None,
-            par: None,
+            row_scratch: None,
         }
     }
 
@@ -533,9 +533,9 @@ impl Encoder {
                 env,
                 policy,
                 &frozen,
-                self.pool
-                    .get_or_insert_with(|| WorkStealingPool::new(workers, rows.max(16))),
-                self.par.get_or_insert_with(|| ParScratch::new(format)),
+                self.pool.get_or_insert_with(|| Pool::new(workers)),
+                self.row_scratch
+                    .get_or_insert_with(|| RowScratch::for_format(format)),
                 &mut w,
                 &mut new_recon,
                 &mut self.ops,
@@ -620,7 +620,7 @@ impl Encoder {
 
 /// The slice schedule: each step over the whole frame. Steps 1 and 3 run
 /// in raster order, so sequential policy state (PBPAIR's refresh cap)
-/// replays exactly; steps 2 and 4 run as one job per macroblock row,
+/// replays exactly; steps 2 and 4 run row by row on the pool,
 /// searching with the frozen bias and a row-local prepass and coding
 /// into per-row writers and reconstruction bands; step 5 appends the row
 /// writers in order and does the bookkeeping in raster order.
@@ -634,26 +634,25 @@ fn encode_slices(
     env: FrameEnv<'_>,
     policy: &mut dyn RefreshPolicy,
     frozen: &FrozenMeBias,
-    pool: &WorkStealingPool,
-    par: &mut ParScratch,
+    pool: &mut Pool,
+    rows: &mut [RowScratch],
     w: &mut BitWriter,
     new_recon: &mut Frame,
     ops: &mut OpCounts,
     cur_mvs: &mut [MotionVector],
     out: &mut EncodedFrame,
 ) {
-    let cols = env.grid.cols();
-    for (st, mb) in par.mbs.iter_mut().zip(env.grid.iter()) {
-        *st = env.colocate(policy, mb, ops);
-    }
-    for rs in &mut par.rows {
+    for (row, rs) in rows.iter_mut().enumerate() {
+        for (col, st) in rs.stages.iter_mut().enumerate() {
+            *st = env.colocate(policy, MbIndex::new(row, col), ops);
+        }
         rs.ops = OpCounts::new();
         rs.writer.reset();
     }
     if env.kind == FrameKind::Inter {
-        par::run_rows(pool, par, cols, |row, stages, rs| {
+        pool.for_each_mut(rows, |row, rs| {
             let mut left = None;
-            for (col, st) in stages.iter_mut().enumerate() {
+            for (col, st) in rs.stages.iter_mut().enumerate() {
                 if st.force_intra {
                     left = None;
                     continue;
@@ -665,11 +664,13 @@ fn encode_slices(
             }
         });
     }
-    for (st, mb) in par.mbs.iter_mut().zip(env.grid.iter()) {
-        env.decide(policy, mb, st);
+    for (row, rs) in rows.iter_mut().enumerate() {
+        for (col, st) in rs.stages.iter_mut().enumerate() {
+            env.decide(policy, MbIndex::new(row, col), st);
+        }
     }
-    par::run_rows(pool, par, cols, |row, stages, rs| {
-        for (col, st) in stages.iter_mut().enumerate() {
+    pool.for_each_mut(rows, |row, rs| {
+        for (col, st) in rs.stages.iter_mut().enumerate() {
             let mb = MbIndex::new(row, col);
             env.code(
                 mb,
@@ -681,11 +682,11 @@ fn encode_slices(
             );
         }
     });
-    for (row, rs) in par.rows.iter().enumerate() {
+    for (row, rs) in rows.iter().enumerate() {
         let row_start = w.bit_len();
         w.append(&rs.writer);
         *ops += rs.ops;
-        for (col, st) in par.mbs[row * cols..(row + 1) * cols].iter().enumerate() {
+        for (col, st) in rs.stages.iter().enumerate() {
             env.record(policy, MbIndex::new(row, col), st, row_start, out, cur_mvs);
         }
         par::copy_row_band(new_recon, &rs.recon, row);

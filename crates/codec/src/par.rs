@@ -4,18 +4,17 @@
 //! Every macroblock's passage through the encoder's five steps is
 //! recorded in one [`MbStage`]. The serial schedule keeps a single record
 //! on the stack for the macroblock in flight; the slice schedule keeps
-//! one per macroblock and farms rows of them to a
-//! [`pbpair_sched::WorkStealingPool`] ([`run_rows`]), where each row job
-//! also owns one [`RowScratch`] (a private bit writer, reconstruction
-//! frame, and operation tally). Both are persistent encoder state, so
-//! steady-state parallel encoding reuses them without reallocating.
+//! one [`RowScratch`] per macroblock row, holding that row's records and
+//! a private bit writer, reconstruction frame and operation tally, and
+//! hands the rows to a [`pbpair_sched::Pool`]. Both are persistent
+//! encoder state, so steady-state parallel encoding reuses them without
+//! reallocating.
 
 use crate::bitstream::BitWriter;
 use crate::mb::{MbMode, MotionVector};
 use crate::me::MeResult;
 use crate::ops::OpCounts;
 use pbpair_media::{Frame, Plane, VideoFormat};
-use pbpair_sched::WorkStealingPool;
 
 /// Everything the encoder records about one macroblock as it moves
 /// through the five steps.
@@ -69,9 +68,11 @@ impl Default for MbStage {
     }
 }
 
-/// Private working state of one row job.
+/// Private working state of one macroblock row on the slice schedule.
 #[derive(Debug)]
 pub(crate) struct RowScratch {
+    /// One record per macroblock of the row, left to right.
+    pub stages: Vec<MbStage>,
     /// Row-local bitstream; appended to the frame writer in row order.
     pub writer: BitWriter,
     /// Full-size reconstruction frame; only this row's 16-pixel luma band
@@ -84,52 +85,20 @@ pub(crate) struct RowScratch {
     pub rde_writer: BitWriter,
 }
 
-/// Persistent scratch for the slice schedule, lazily created on the
-/// first slice-parallel frame.
-#[derive(Debug)]
-pub(crate) struct ParScratch {
-    /// One entry per macroblock, raster order; rows are handed to jobs
-    /// via `chunks_mut(cols)`.
-    pub mbs: Vec<MbStage>,
-    /// One entry per macroblock row.
-    pub rows: Vec<RowScratch>,
-}
-
-impl ParScratch {
-    pub fn new(format: VideoFormat) -> Self {
+impl RowScratch {
+    /// The scratch of every macroblock row of `format`.
+    pub fn for_format(format: VideoFormat) -> Vec<RowScratch> {
         let grid = pbpair_media::MbGrid::new(format);
-        ParScratch {
-            mbs: vec![MbStage::default(); grid.len()],
-            rows: (0..grid.rows())
-                .map(|_| RowScratch {
-                    writer: BitWriter::new(),
-                    recon: Frame::new(format),
-                    ops: OpCounts::new(),
-                    rde_writer: BitWriter::new(),
-                })
-                .collect(),
-        }
+        (0..grid.rows())
+            .map(|_| RowScratch {
+                stages: vec![MbStage::default(); grid.cols()],
+                writer: BitWriter::new(),
+                recon: Frame::new(format),
+                ops: OpCounts::new(),
+                rde_writer: BitWriter::new(),
+            })
+            .collect()
     }
-}
-
-/// Runs `job(row, stages, scratch)` once per macroblock row on `pool`,
-/// each call with that row's `cols` records and its scratch, and returns
-/// when every row is done.
-pub(crate) fn run_rows<F>(pool: &WorkStealingPool, par: &mut ParScratch, cols: usize, job: F)
-where
-    F: Fn(usize, &mut [MbStage], &mut RowScratch) + Sync,
-{
-    let job = &job;
-    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = par
-        .mbs
-        .chunks_mut(cols)
-        .zip(par.rows.iter_mut())
-        .enumerate()
-        .map(|(row, (stages, rs))| {
-            Box::new(move || job(row, stages, rs)) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    pool.run_scoped(jobs);
 }
 
 fn copy_band(dst: &mut Plane, src: &Plane, y0: usize, h: usize) {

@@ -43,7 +43,9 @@
 //! Bad arguments exit with status 2 and a message; a failed run exits
 //! with status 1.
 
-use pbpair_eval::experiments::{dashboard, fec, frames_from_env, rde, scenarios, trace};
+use pbpair_eval::experiments::{
+    dashboard, fec, frames_from_env, parse_workers, rde, scenarios, trace,
+};
 use pbpair_telemetry::Telemetry;
 use std::fmt::Write as _;
 
@@ -121,12 +123,7 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         match flag.as_str() {
             "--smoke" => args.smoke = true,
             "--telemetry" => args.telemetry = true,
-            "--workers" => {
-                let v = value()?;
-                args.workers = v
-                    .parse()
-                    .map_err(|_| format!("--workers expects a number, got {v:?}"))?;
-            }
+            "--workers" => args.workers = parse_workers(&value()?)?,
             "--out" => args.out = Some(value()?),
             "--csv" => args.csv = Some(value()?),
             _ => return Err(format!("unknown flag {flag:?}")),

@@ -1,7 +1,7 @@
 //! Throughput evaluation of the `pbpair-serve` streaming service: a
 //! session-count scaling sweep (1 → 64 concurrent sessions) and a
-//! worker-count sweep showing that the work-stealing pool turns extra
-//! cores into aggregate frames/second on the same session load.
+//! worker-count sweep showing that the fork–join pool turns extra cores
+//! into aggregate frames/second on the same session load.
 //!
 //! Usage: `cargo run --release -p pbpair-eval --bin serve \
 //!   [-- --smoke] [--telemetry] [--workers N] [--trace] \
@@ -36,7 +36,7 @@
 //! (an unknown or misplaced flag, a missing or malformed value) exit
 //! with status 2 and a message; a failed run exits with status 1.
 
-use pbpair_eval::experiments::frames_from_env;
+use pbpair_eval::experiments::{frames_from_env, parse_workers};
 use pbpair_eval::report::{fmt_f, Table};
 use pbpair_serve::admission::DEGRADE_FLOOR_TH;
 use pbpair_serve::{run, run_with, standard_slos, ObservabilityConfig, ServeConfig};
@@ -89,13 +89,7 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--smoke" => args.smoke = true,
             "--telemetry" => args.telemetry = true,
             "--trace" => args.trace.enabled = true,
-            "--workers" => {
-                let v = value()?;
-                let n = v
-                    .parse()
-                    .map_err(|_| format!("--workers expects a number, got {v:?}"))?;
-                args.workers = Some(n);
-            }
+            "--workers" => args.workers = Some(parse_workers(&value()?)?),
             "--trace-out" => args.trace.out = Some(value()?),
             "--trace-chrome" => args.trace.chrome = Some(value()?),
             "--expose" => {

@@ -14,6 +14,7 @@ use pbpair::{PbpairConfig, SchemeSpec};
 use pbpair_codec::EncoderConfig;
 use pbpair_energy::{EnergyModel, IPAQ_H5555, ZAURUS_SL5600};
 use pbpair_netsim::DEFAULT_MTU;
+use pbpair_sched::Pool;
 
 /// Options for the Figure 5 experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,29 +113,26 @@ fn schemes(th: f64, plr: f64) -> Vec<SchemeSpec> {
     ]
 }
 
+/// Per-sequence worker output: the scheme cells plus the calibrated
+/// `(sequence, Intra_Th)` pair.
+type SequenceCells = (Vec<Fig5Cell>, (String, f64));
+
 /// Runs the Figure 5 experiment; sequences are processed in parallel.
 ///
 /// # Errors
 ///
 /// Propagates pipeline errors.
-/// Per-sequence worker output: the scheme cells plus the calibrated
-/// `(sequence, Intra_Th)` pair.
-type SequenceCells = (Vec<Fig5Cell>, (String, f64));
-
+///
+/// # Panics
+///
+/// Re-raises a panic from any sequence once every sequence is done.
 pub fn run_fig5(opts: Fig5Options) -> Result<Fig5Report, String> {
     let sequences = SequenceSpec::paper_sequences();
-    let results: Vec<Result<SequenceCells, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = sequences
-            .iter()
-            .map(|seq| scope.spawn(move || run_sequence(seq.clone(), opts)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .map_err(|_| "parallel sequence execution panicked".to_string())?
-            })
-            .collect()
+    // Placeholders only: the pool runs every sequence exactly once.
+    let mut results: Vec<Result<SequenceCells, String>> =
+        sequences.iter().map(|_| Err(String::new())).collect();
+    Pool::new(sequences.len()).for_each_mut(&mut results, |i, result| {
+        *result = run_sequence(sequences[i].clone(), opts);
     });
 
     let mut cells = Vec::new();

@@ -16,6 +16,8 @@ pub mod scenarios;
 pub mod sweeps;
 pub mod trace;
 
+use pbpair_serve::MAX_WORKERS;
+
 /// Reads the frame-count override from `PBPAIR_FRAMES` (smoke runs), or
 /// returns the paper's default.
 pub fn frames_from_env(default: usize) -> usize {
@@ -24,6 +26,18 @@ pub fn frames_from_env(default: usize) -> usize {
         .and_then(|v| v.parse().ok())
         .filter(|&n: &usize| n >= 10)
         .unwrap_or(default)
+}
+
+/// Parses a `--workers` value: a thread count in `1..=MAX_WORKERS`.
+///
+/// # Errors
+///
+/// Returns the message the command line prints for anything else.
+pub fn parse_workers(v: &str) -> Result<usize, String> {
+    v.parse()
+        .ok()
+        .filter(|n| (1..=MAX_WORKERS).contains(n))
+        .ok_or_else(|| format!("--workers expects a number in 1..={MAX_WORKERS}, got {v:?}"))
 }
 
 #[cfg(test)]

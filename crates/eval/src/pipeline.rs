@@ -15,6 +15,7 @@ use pbpair_media::y4m::Y4mReader;
 use pbpair_media::Frame;
 use pbpair_netsim::loss::{LossModel, NoLoss, ScriptedLoss, UniformLoss};
 use pbpair_netsim::{ChannelStats, LossyChannel, Packetizer, DEFAULT_MTU};
+use pbpair_sched::Pool;
 
 /// Which video sequence a run encodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -393,35 +394,15 @@ pub fn run_replicated(cfg: &RunConfig, replicates: usize) -> Result<ReplicatedRe
 /// Each cell reports its own `Result`; one failing cell does not abort
 /// the others.
 pub fn run_batch_parallel(configs: &[RunConfig]) -> Vec<Result<RunResult, String>> {
-    use std::sync::Mutex;
-    let threads = std::thread::available_parallelism()
+    let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .min(configs.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<Result<RunResult, String>>>> =
-        configs.iter().map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= configs.len() {
-                    break;
-                }
-                *results[i].lock().expect("result lock poisoned") = Some(run(&configs[i]));
-            });
-        }
-    });
-
+    // Placeholders only: the pool runs every cell exactly once.
+    let mut results: Vec<Result<RunResult, String>> =
+        configs.iter().map(|_| Err(String::new())).collect();
+    Pool::new(workers).for_each_mut(&mut results, |i, result| *result = run(&configs[i]));
     results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result lock poisoned")
-                .expect("every cell ran")
-        })
-        .collect()
 }
 
 /// Calibrates PBPAIR's `Intra_Th` so its encoded size matches a target —

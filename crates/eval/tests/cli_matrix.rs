@@ -1,6 +1,6 @@
 //! End-to-end tests of the command-line binaries: the matrix report is
 //! worker-count invariant, and bad arguments to `matrix`, `serve`,
-//! `perf` or `resilience` fail with a message instead of a panic.
+//! `perf` or `resilience` exit 2 with a message instead of a panic.
 
 use std::process::{Command, Output};
 
@@ -75,6 +75,16 @@ fn bad_arguments_fail_with_a_message_not_a_panic() {
         ),
         (
             "matrix",
+            &["trace", "--smoke", "--workers", "0"][..],
+            "--workers expects a number in 1..=1024",
+        ),
+        (
+            "matrix",
+            &["trace", "--smoke", "--workers", "1025"][..],
+            "--workers expects a number in 1..=1024",
+        ),
+        (
+            "matrix",
             &["trace", "--smoke", "--out"][..],
             "--out expects a value",
         ),
@@ -87,6 +97,16 @@ fn bad_arguments_fail_with_a_message_not_a_panic() {
             "serve",
             &["--smoke", "--workers", "abc"][..],
             "--workers expects a number",
+        ),
+        (
+            "serve",
+            &["--smoke", "--workers", "0"][..],
+            "--workers expects a number in 1..=1024",
+        ),
+        (
+            "serve",
+            &["--smoke", "--workers", "1025"][..],
+            "--workers expects a number in 1..=1024",
         ),
         (
             "serve",
@@ -169,6 +189,11 @@ fn bad_arguments_fail_with_a_message_not_a_panic() {
             output.status.code(),
             Some(101),
             "{bin} {args:?} panicked: {stderr}"
+        );
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{bin} {args:?} is a bad argument: {stderr}"
         );
         assert!(
             !stderr.contains("panicked"),

@@ -14,8 +14,9 @@ use std::collections::BTreeSet;
 /// deterministic given their construction parameters.
 ///
 /// `Send` is a supertrait so channels built on boxed models can migrate
-/// across threads — the serving layer (`pbpair-serve`) schedules whole
-/// sessions, channel included, onto a work-stealing pool.
+/// across threads — the serving layer (`pbpair-serve`) steps whole
+/// sessions, channel included, on whichever worker of its fork–join
+/// pool claims them.
 pub trait LossModel: Send {
     /// Returns true if the next packet (in transmission order) is lost.
     fn next_lost(&mut self) -> bool;

@@ -5,18 +5,20 @@
 //! crate scales that loop out to a serving fleet: N concurrent sessions,
 //! each a complete source → PBPAIR encoder → RTP/FEC → lossy channel →
 //! resilient decoder → PLR-feedback pipeline built from the existing
-//! workspace crates, executed on a work-stealing thread pool with bounded
-//! queues, and governed by an admission controller that uses the *same
-//! lever* — raising `Intra_Th`, then dropping frames, then shedding
-//! sessions — when aggregate encode cost exceeds the fleet's budget.
+//! workspace crates, stepped round by round on a fork–join thread pool,
+//! and governed by an admission controller that uses the *same lever* —
+//! raising `Intra_Th`, then dropping frames, then shedding sessions —
+//! when aggregate encode cost exceeds the fleet's budget. Admission
+//! control is the fleet's only backpressure.
 //!
 //! The design splits cleanly along a determinism boundary:
 //!
 //! * [`session`] — a self-contained, seeded per-client loop; no shared
 //!   mutable state, so a session computes the same trajectory wherever
 //!   the scheduler runs it.
-//! * [`pbpair_sched`] — the work-stealing pool: per-worker deques, a
-//!   global injector, backpressure via a bounded in-flight count.
+//! * [`pbpair_sched`] — the fork–join pool: each session has a home
+//!   worker, and a worker that runs out takes its siblings' remaining
+//!   sessions.
 //! * [`admission`] — the lag-integrating controller driven by *modeled*
 //!   encode Joules (deterministic), never wall clock.
 //! * [`manager`] — rounds + barrier: ties the three together and splits
@@ -52,7 +54,7 @@ pub mod trace;
 pub use admission::{AdmissionConfig, AdmissionController, RoundDecision, ServiceLevel};
 pub use chaos::{ChaosEvent, ChaosFault, ChaosPlan};
 pub use health::{HealthLedger, HealthState, HealthTransition, StalenessWatchdog};
-pub use manager::{run, run_with, DeviceMix, FleetRun, ServeConfig};
+pub use manager::{run, run_with, DeviceMix, FleetRun, ServeConfig, MAX_WORKERS};
 pub use observe::{standard_slos, Observability, ObservabilityConfig};
 pub use redundancy::{RedundancyConfig, RedundancyController, RedundancyDecision};
 pub use report::{FleetHealth, FleetTiming, ServeReport, SessionReport};

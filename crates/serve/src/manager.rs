@@ -1,12 +1,13 @@
 //! The session manager: N concurrent streaming sessions on a
-//! work-stealing pool, with admission control in the loop.
+//! fork–join pool, with admission control in the loop.
 //!
-//! Execution is round-based. A round submits one job per live session —
-//! "advance this session by one frame slot" — with the session id as the
-//! worker-affinity hint, waits for the fleet to drain (the scheduler
-//! balances uneven per-session cost by stealing), then feeds the round's
-//! deterministic energy ledger to the [`AdmissionController`] and
-//! applies its decision: raise/lift the fleet `Intra_Th` floor, drop
+//! Execution is round-based. A round hands every session slot to the
+//! pool — "advance this live session by one frame slot", session `id`
+//! starting on worker `id % workers` — and returns once the whole fleet
+//! has stepped (a worker that runs out takes its siblings' remaining
+//! sessions, which balances uneven per-session cost). It then feeds the
+//! round's deterministic energy ledger to the [`AdmissionController`]
+//! and applies its decision: raise/lift the fleet `Intra_Th` floor, drop
 //! frames, or shed a session.
 //!
 //! Because every session is internally seeded and sessions never share
@@ -28,9 +29,8 @@ use crate::trace::{FleetTrace, TraceState};
 use pbpair_codec::RdeConfig;
 use pbpair_media::synth::MotionClass;
 use pbpair_netsim::{ChannelSpec, FecSpec};
-use pbpair_sched::WorkStealingPool;
+use pbpair_sched::Pool;
 use pbpair_telemetry::Telemetry;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// How encode-energy device profiles are assigned across the fleet.
@@ -61,7 +61,7 @@ impl DeviceMix {
 
 /// Most worker threads a fleet may ask for: far above any core count,
 /// far below what a thread spawn can fail on.
-const MAX_WORKERS: usize = 1024;
+pub const MAX_WORKERS: usize = 1024;
 
 /// Fleet-level configuration of one serving run.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,8 +70,8 @@ pub struct ServeConfig {
     pub sessions: usize,
     /// Rounds to run (frame slots per session).
     pub frames: usize,
-    /// Worker threads; the scheduler bounds in-flight jobs at
-    /// `2 × workers`.
+    /// Worker threads, counting the thread that runs the fleet (`n`
+    /// workers spawn `n − 1` helpers); at most [`MAX_WORKERS`].
     pub workers: usize,
     /// Master seed; every session derives its own streams from it.
     pub seed: u64,
@@ -216,10 +216,13 @@ impl ServeConfig {
     }
 }
 
-/// One session plus its per-round scratch, shared with the pool.
+/// One session plus what its last round left for the ledger.
 struct Slot {
     session: Session,
     outcome: Option<FrameOutcome>,
+    /// Milliseconds from round start until this session's frame was done;
+    /// `None` when the session was shed.
+    latency_ms: Option<f64>,
 }
 
 /// What one fleet run hands back: the report, plus whatever optional
@@ -284,7 +287,7 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
     let mut tracing = trace.then(|| TraceState::new(cfg.sessions));
     let mut obs = ObserveState::build(&cfg.observability, tel)?;
     let mut controller = AdmissionController::new(cfg.admission)?;
-    let slots: Vec<Arc<Mutex<Slot>>> = (0..cfg.sessions)
+    let mut slots: Vec<Slot> = (0..cfg.sessions)
         .map(|id| {
             Session::new(cfg.session_config(id as u32)).map(|mut session| {
                 session.set_telemetry(&tel.shard(id));
@@ -292,22 +295,24 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
                 if let Some(ts) = &tracing {
                     session.set_tracer(ts.tracer(id));
                 }
-                Arc::new(Mutex::new(Slot {
+                Slot {
                     session,
                     outcome: None,
-                }))
+                    latency_ms: None,
+                }
             })
         })
         .collect::<Result<_, _>>()?;
 
-    let pool = WorkStealingPool::with_telemetry(cfg.workers, 2 * cfg.workers, tel);
+    let mut pool = Pool::new(cfg.workers);
     let rounds_counter = tel.counter("serve.rounds");
     let shed_counter = tel.counter("serve.shed_sessions");
+    let steals_counter = tel.timing_counter("serve.steals");
     let latency_hist = tel.timing_histogram(
         "serve.frame_latency_ms",
         &[1, 2, 5, 10, 20, 50, 100, 250, 1000],
     );
-    let latencies: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
+    let mut latencies = Vec::new();
 
     let started = Instant::now();
     let mut floor_th = 0.0f64;
@@ -316,39 +321,31 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
 
     for round in 0..cfg.frames {
         let rate_dropping = drop_frames && (round as u64 + 1).is_multiple_of(RATE_DROP_STRIDE);
-        for (id, slot) in slots.iter().enumerate() {
-            if slot.lock().expect("slot lock").session.is_shed() {
-                continue;
+        // Every live session's frame falls due at round start.
+        let round_start = Instant::now();
+        let migrations_before = pool.migrations();
+        pool.for_each_mut(&mut slots, |_, slot| {
+            if slot.session.is_shed() {
+                return;
             }
-            let slot = Arc::clone(slot);
-            let latencies = Arc::clone(&latencies);
-            let latency_hist = latency_hist.clone();
-            let submitted = Instant::now();
-            pool.submit_to(
-                id,
-                Box::new(move || {
-                    let mut slot = slot.lock().expect("slot lock");
-                    slot.session.set_load_floor(floor_th);
-                    let outcome = if rate_dropping {
-                        slot.session.drop_frame();
-                        None
-                    } else {
-                        Some(slot.session.step_frame())
-                    };
-                    slot.outcome = outcome;
-                    let elapsed_ms = submitted.elapsed().as_secs_f64() * 1e3;
-                    latency_hist.record(elapsed_ms as u64);
-                    latencies.lock().expect("latency lock").push(elapsed_ms);
-                }),
-            );
-        }
-        pool.wait_idle();
+            slot.session.set_load_floor(floor_th);
+            slot.outcome = if rate_dropping {
+                slot.session.drop_frame();
+                None
+            } else {
+                Some(slot.session.step_frame())
+            };
+            let elapsed_ms = round_start.elapsed().as_secs_f64() * 1e3;
+            latency_hist.record(elapsed_ms as u64);
+            slot.latency_ms = Some(elapsed_ms);
+        });
+        steals_counter.inc(pool.migrations() - migrations_before);
         rounds_counter.inc(1);
 
         // Deterministic post-round ledger, in session-id order.
         let mut round_cost = Vec::with_capacity(slots.len());
-        for (id, slot) in slots.iter().enumerate() {
-            let mut slot = slot.lock().expect("slot lock");
+        for (id, slot) in slots.iter_mut().enumerate() {
+            latencies.extend(slot.latency_ms.take());
             let outcome = slot.outcome.take();
             if let Some(outcome) = &outcome {
                 // FEC processing is session compute too; the admission
@@ -374,7 +371,7 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
         drop_frames = decision.drop_frames;
         final_lag = decision.lag;
         if let Some(id) = decision.shed {
-            slots[id as usize].lock().expect("slot lock").session.shed();
+            slots[id as usize].session.shed();
             shed_counter.inc(1);
         }
         if let Some(ts) = tracing.as_mut() {
@@ -392,21 +389,11 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
             let affected: Vec<bool> = slots
                 .iter()
                 .enumerate()
-                .map(|(id, slot)| {
-                    decision.shed == Some(id as u32)
-                        || !slot.lock().expect("slot lock").session.is_shed()
-                })
+                .map(|(id, slot)| decision.shed == Some(id as u32) || !slot.session.is_shed())
                 .collect();
             ts.note_degrade(round as u32, level, &affected);
             for (id, slot) in slots.iter().enumerate() {
-                let resyncs = slot
-                    .lock()
-                    .expect("slot lock")
-                    .session
-                    .stats()
-                    .decode
-                    .resyncs;
-                ts.note_resyncs(round as u32, id, resyncs);
+                ts.note_resyncs(round as u32, id, slot.session.stats().decode.resyncs);
             }
         }
         if let Some(obs) = obs.as_mut() {
@@ -419,8 +406,7 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
                 let firing = firing_events(&events);
                 if !firing.is_empty() {
                     let mut affected = vec![false; slots.len()];
-                    for (id, slot) in slots.iter().enumerate() {
-                        let mut slot = slot.lock().expect("slot lock");
+                    for (id, slot) in slots.iter_mut().enumerate() {
                         if slot.session.is_shed() {
                             continue;
                         }
@@ -460,7 +446,6 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
     let mut psnr_n = 0usize;
     let mut health = FleetHealth::default();
     for slot in &slots {
-        let slot = slot.lock().expect("slot lock");
         let s = &slot.session;
         let stats = s.stats();
         health.count(s.health());
@@ -500,7 +485,6 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
         }
         sessions.push(report);
     }
-    let lat = latencies.lock().expect("latency lock");
     let timing = FleetTiming {
         wall_s,
         throughput_fps: if wall_s > 0.0 {
@@ -508,8 +492,8 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
         } else {
             0.0
         },
-        p50_frame_ms: quantile_ms(&lat, 0.50),
-        p99_frame_ms: quantile_ms(&lat, 0.99),
+        p50_frame_ms: quantile_ms(&latencies, 0.50),
+        p99_frame_ms: quantile_ms(&latencies, 0.99),
         migrations,
     };
 
@@ -545,12 +529,11 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
 
 /// Renders the `/health` body for the scrape endpoint: per-session
 /// health snapshot plus the firing SLO set.
-fn health_body(rounds_done: u64, slots: &[Arc<Mutex<Slot>>], obs: &ObserveState) -> String {
+fn health_body(rounds_done: u64, slots: &[Slot], obs: &ObserveState) -> String {
     let entries: Vec<(u32, &'static str, usize, bool)> = slots
         .iter()
         .enumerate()
         .map(|(id, slot)| {
-            let slot = slot.lock().expect("slot lock");
             let s = &slot.session;
             (
                 id as u32,

@@ -108,11 +108,15 @@ pub struct FleetTiming {
     pub wall_s: f64,
     /// Frames fully processed per wall-clock second.
     pub throughput_fps: f64,
-    /// Median per-frame service latency (submit → done), milliseconds.
+    /// Median per-frame service latency, milliseconds, from the start of
+    /// the frame's round (when every live session's frame falls due) to
+    /// the frame being done.
     pub p50_frame_ms: f64,
-    /// 99th-percentile per-frame service latency, milliseconds.
+    /// 99th-percentile per-frame service latency from round start,
+    /// milliseconds.
     pub p99_frame_ms: f64,
-    /// Jobs that ran on a worker other than their affinity hint.
+    /// Session frames run by a worker other than the session's home
+    /// worker.
     pub migrations: u64,
 }
 

@@ -127,7 +127,8 @@ impl DeviceKind {
 /// fleet-level [`crate::ServeConfig`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {
-    /// Session id (stable across the run; also the affinity hint).
+    /// Session id (stable across the run; also picks the session's home
+    /// worker in the fleet's pool).
     pub id: u32,
     /// Seed for every seeded component, already mixed per session.
     pub seed: u64,
