@@ -78,7 +78,7 @@ fn encode_traced(rde: Option<RdeConfig>, frames: usize) -> (Vec<OpCounts>, Vec<E
         rde,
         ..EncoderConfig::default()
     });
-    let tracer = Tracer::new(64);
+    let tracer = Tracer::new();
     enc.set_tracer(&tracer);
     let mut policy = NaturalPolicy::new();
     let mut seq = SyntheticSequence::foreman_class(2005);

@@ -229,7 +229,7 @@ fn observe(scheme: &str, strategy: SearchStrategy, arm: Arm, opt: OptConfig) -> 
         ..EncoderConfig::default()
     });
     let tel = Telemetry::with_shards(1);
-    let tracer = Tracer::new(16);
+    let tracer = Tracer::new();
     enc.set_telemetry(&tel);
     enc.set_tracer(&tracer);
     let mut policy = Recorder {

@@ -11,10 +11,12 @@
 //! `BENCH_PR8.json` (same validator, keyed on `meta.bench`).
 //!
 //! A third mode (`--overhead`) is the disabled-mode observability guard:
-//! it prices an encode with disabled telemetry, a disabled tracer and a
-//! disabled time series against the same encode with nothing wired, and
-//! exits 1 if any of them costs more than the budget
-//! (`PBPAIR_TELEMETRY_GATE_PCT`, default 2%).
+//! it prices an encode with disabled telemetry and with a disabled
+//! tracer against the same encode with nothing wired, and exits 1 if
+//! either costs more than the budget (`PBPAIR_TELEMETRY_GATE_PCT`,
+//! default 2%). The time-series needs no arm: with the observability
+//! plane off the serve manager holds no series, and its per-round check
+//! is a `None` test on its own state.
 //!
 //! Usage:
 //!   cargo run --release -p pbpair-eval --bin perf              # full run, JSON to stdout
@@ -39,7 +41,6 @@ use pbpair_codec::{EncodedFrame, Encoder, EncoderConfig, Kernels, NaturalPolicy,
 use pbpair_media::synth::{MotionClass, SyntheticSequence};
 use pbpair_media::{Frame, VideoFormat};
 use pbpair_telemetry::json;
-use pbpair_telemetry::timeseries::TimeSeries;
 use pbpair_telemetry::Telemetry;
 use pbpair_trace::Tracer;
 
@@ -407,12 +408,10 @@ fn emit_kernels_json(results: &[KernelMeasurement], smoke: bool) -> String {
 // The telemetry contract promises that *disabled* instrumentation is
 // free: a `Telemetry::disabled()` handle reduces every flush to a branch
 // on a `None`, and a `Tracer::disabled()` handle does the same for
-// causal-trace emission; a `TimeSeries::disabled()` ring reduces its
-// per-round `tick_due` check to the same. The guard prices five encode
-// configurations — nothing wired, disabled telemetry, a disabled tracer,
-// a disabled time-series tick path, and an enabled registry — and fails
-// if any disabled mode costs more than the budgeted fraction of the
-// plain encode hot loop.
+// causal-trace emission. The guard prices four encode configurations —
+// nothing wired, disabled telemetry, a disabled tracer, and an enabled
+// registry — and fails if either disabled mode costs more than the
+// budgeted fraction of the plain encode hot loop.
 
 /// Frames per guard pass: 48 foreman-class frames (seed 2005).
 const OVERHEAD_FRAMES: usize = 48;
@@ -446,27 +445,6 @@ fn encode_pass(frames: &[Frame], tel: Option<&Telemetry>, trace: Option<&Tracer>
         .sum()
 }
 
-/// The encode pass plus the observability plane's per-round check
-/// against a disabled ring — the exact branch the serve manager takes
-/// every round when no time-series is configured.
-fn encode_pass_with_series(frames: &[Frame], series: &TimeSeries) -> usize {
-    let mut enc = Encoder::new(EncoderConfig::default());
-    let mut policy = default_pbpair();
-    frames
-        .iter()
-        .enumerate()
-        .map(|(round, f)| {
-            let len = enc.encode_frame(f, &mut policy).data.len();
-            if black_box(series.tick_due(round as u64)) {
-                // Unreachable for a disabled ring; keeps the branch live.
-                len + series.len()
-            } else {
-                len
-            }
-        })
-        .sum()
-}
-
 /// One timed pass, in seconds.
 fn time_pass<F: FnMut() -> usize>(f: &mut F) -> f64 {
     let t = Instant::now();
@@ -486,13 +464,12 @@ fn overhead_guard() -> Result<(), String> {
     let disabled = Telemetry::disabled();
     let enabled = Telemetry::with_shards(1);
     let tracer_off = Tracer::disabled();
-    let series_off = TimeSeries::disabled();
 
     // Warm-up: page in code, ramp the CPU governor.
     encode_pass(&fs, None, None);
     encode_pass(&fs, Some(&enabled), None);
 
-    // Time the five modes back-to-back each round and compare *within*
+    // Time the four modes back-to-back each round and compare *within*
     // the round: the per-round ratio cancels frequency drift between
     // rounds. Each pass is long enough (~tens of ms) that interference
     // averages out inside it; the median over rounds (with the order
@@ -501,19 +478,16 @@ fn overhead_guard() -> Result<(), String> {
     let mut plain_s = f64::INFINITY;
     let mut disabled_ratios = Vec::with_capacity(reps);
     let mut tracer_ratios = Vec::with_capacity(reps);
-    let mut series_ratios = Vec::with_capacity(reps);
     let mut enabled_ratios = Vec::with_capacity(reps);
     for rep in 0..reps {
-        let (p, d, t, s, e);
+        let (p, d, t, e);
         if rep % 2 == 0 {
             p = time_pass(&mut || encode_pass(&fs, None, None));
             d = time_pass(&mut || encode_pass(&fs, Some(&disabled), None));
             t = time_pass(&mut || encode_pass(&fs, None, Some(&tracer_off)));
-            s = time_pass(&mut || encode_pass_with_series(&fs, &series_off));
             e = time_pass(&mut || encode_pass(&fs, Some(&enabled), None));
         } else {
             e = time_pass(&mut || encode_pass(&fs, Some(&enabled), None));
-            s = time_pass(&mut || encode_pass_with_series(&fs, &series_off));
             t = time_pass(&mut || encode_pass(&fs, None, Some(&tracer_off)));
             d = time_pass(&mut || encode_pass(&fs, Some(&disabled), None));
             p = time_pass(&mut || encode_pass(&fs, None, None));
@@ -521,7 +495,6 @@ fn overhead_guard() -> Result<(), String> {
         plain_s = plain_s.min(p);
         disabled_ratios.push(d / p);
         tracer_ratios.push(t / p);
-        series_ratios.push(s / p);
         enabled_ratios.push(e / p);
     }
     let median = |v: &mut Vec<f64>| {
@@ -530,7 +503,6 @@ fn overhead_guard() -> Result<(), String> {
     };
     let disabled_s = plain_s * median(&mut disabled_ratios);
     let tracer_s = plain_s * median(&mut tracer_ratios);
-    let series_s = plain_s * median(&mut series_ratios);
     let enabled_s = plain_s * median(&mut enabled_ratios);
 
     let pct = |t: f64| (t - plain_s) / plain_s * 100.0;
@@ -550,21 +522,12 @@ fn overhead_guard() -> Result<(), String> {
         pct(tracer_s)
     );
     println!(
-        "  disabled series    {:>9.3} ms  ({:+.2}%)",
-        series_s * 1e3,
-        pct(series_s)
-    );
-    println!(
         "  enabled registry   {:>9.3} ms  ({:+.2}%)",
         enabled_s * 1e3,
         pct(enabled_s)
     );
 
-    for (what, t) in [
-        ("telemetry", disabled_s),
-        ("tracing", tracer_s),
-        ("time-series tick path", series_s),
-    ] {
+    for (what, t) in [("telemetry", disabled_s), ("tracing", tracer_s)] {
         if pct(t) > gate_pct {
             return Err(format!(
                 "disabled-mode {what} costs {:.2}% (> {gate_pct}% budget)",

@@ -39,7 +39,7 @@
 use pbpair_eval::experiments::{frames_from_env, parse_workers};
 use pbpair_eval::report::{fmt_f, Table};
 use pbpair_serve::admission::DEGRADE_FLOOR_TH;
-use pbpair_serve::{run, run_with, standard_slos, ObservabilityConfig, ServeConfig};
+use pbpair_serve::{run, run_with, ServeConfig};
 use pbpair_telemetry::Telemetry;
 
 const USAGE: &str = "usage: serve [--smoke] [--telemetry] [--workers N] [--trace] \
@@ -123,15 +123,11 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
 
 fn smoke(args: &Args) -> Result<(), String> {
     let trace_args = &args.trace;
-    let mut cfg = base_config(4, 16, args.workers.unwrap_or(2));
-    if let Some(port) = args.expose {
-        cfg.observability = ObservabilityConfig {
-            tick_every: 1,
-            ring_capacity: 256,
-            expose_port: Some(port),
-            slos: standard_slos(),
-        };
-    }
+    let cfg = ServeConfig {
+        // A scrape port switches the observability plane on.
+        expose_port: args.expose,
+        ..base_config(4, 16, args.workers.unwrap_or(2))
+    };
     let tel = if args.telemetry || args.expose.is_some() {
         // One shard per session keeps concurrent flushes contention-free
         // (and the scrape endpoint needs a live registry).

@@ -14,9 +14,7 @@ use super::scenarios::{committed_scenarios, Scenario};
 use crate::report::Table;
 use pbpair_media::synth::MotionClass;
 use pbpair_netsim::ChannelSpec;
-use pbpair_serve::{
-    run_with, standard_slos, ChaosEvent, ChaosFault, ChaosPlan, ObservabilityConfig, SessionScheme,
-};
+use pbpair_serve::{run_with, ChaosEvent, ChaosFault, ChaosPlan, SessionScheme};
 use pbpair_telemetry::json;
 use pbpair_telemetry::slo::AlertState;
 use pbpair_telemetry::Telemetry;
@@ -182,12 +180,7 @@ pub fn run_dashboard(
             sessions,
             workers,
         );
-        cfg.observability = ObservabilityConfig {
-            tick_every: 1,
-            ring_capacity: frames.max(16),
-            expose_port: None,
-            slos: standard_slos(),
-        };
+        cfg.observe = true;
         let run = run_with(&cfg, &Telemetry::with_shards(sessions), true)?;
         let report = run.report;
         let trace = run.trace.expect("dashboard cells are traced");

@@ -44,7 +44,7 @@ fn traced_pipeline(
         CorruptionProfile::with_intensity(corruption),
         seed ^ 0x5eed,
     );
-    let tracer = Tracer::new(64);
+    let tracer = Tracer::new();
     encoder.set_tracer(&tracer);
     decoder.set_tracer(&tracer);
     channel.set_tracer(&tracer);

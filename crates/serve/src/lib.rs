@@ -55,10 +55,10 @@ pub use admission::{AdmissionConfig, AdmissionController, RoundDecision, Service
 pub use chaos::{ChaosEvent, ChaosFault, ChaosPlan};
 pub use health::{HealthLedger, HealthState, HealthTransition, StalenessWatchdog};
 pub use manager::{run, run_with, DeviceMix, FleetRun, ServeConfig, MAX_WORKERS};
-pub use observe::{standard_slos, Observability, ObservabilityConfig};
+pub use observe::{Observability, STANDARD_SLOS};
 pub use redundancy::{RedundancyConfig, RedundancyController, RedundancyDecision};
 pub use report::{FleetHealth, FleetTiming, ServeReport, SessionReport};
 pub use session::{
     DeviceKind, FrameOutcome, IntraThSource, Session, SessionConfig, SessionScheme, SessionStats,
 };
-pub use trace::{FleetTrace, SessionTrace, TraceDump, TRACE_RING_CAPACITY};
+pub use trace::{FleetTrace, SessionTrace, TraceDump};

@@ -19,9 +19,7 @@
 
 use crate::admission::{AdmissionConfig, AdmissionController, RATE_DROP_STRIDE};
 use crate::chaos::ChaosPlan;
-use crate::observe::{
-    firing_events, fleet_health_json, Observability, ObservabilityConfig, ObserveState,
-};
+use crate::observe::{firing_events, fleet_health_json, Observability, ObserveState};
 use crate::redundancy::RedundancyConfig;
 use crate::report::{quantile_ms, FleetHealth, FleetTiming, ServeReport, SessionReport};
 use crate::session::{DeviceKind, FrameOutcome, Session, SessionConfig, SessionScheme};
@@ -112,9 +110,15 @@ pub struct ServeConfig {
     pub device_mix: DeviceMix,
     /// Fault-injection schedule.
     pub chaos: ChaosPlan,
-    /// Live observability plane (time-series, SLO alerting, scrape
-    /// endpoint). Off by default.
-    pub observability: ObservabilityConfig,
+    /// Run the live observability plane: a time-series frame and an
+    /// evaluation of [`STANDARD_SLOS`](crate::observe::STANDARD_SLOS)
+    /// after every round. Needs an enabled telemetry context. Off by
+    /// default.
+    pub observe: bool,
+    /// Serve `/metrics`, `/health` and `/timeseries` on
+    /// `127.0.0.1:<port>` for the run's duration (`0` picks an ephemeral
+    /// port). A port implies [`ServeConfig::observe`].
+    pub expose_port: Option<u16>,
 }
 
 impl Default for ServeConfig {
@@ -141,7 +145,8 @@ impl Default for ServeConfig {
             rde: None,
             device_mix: DeviceMix::Uniform(DeviceKind::Ipaq),
             chaos: ChaosPlan::none(),
-            observability: ObservabilityConfig::default(),
+            observe: false,
+            expose_port: None,
         }
     }
 }
@@ -187,7 +192,6 @@ impl ServeConfig {
             rc.validate()?;
         }
         self.scheme.validate()?;
-        self.observability.validate()?;
         self.admission.validate()
     }
 
@@ -234,7 +238,8 @@ pub struct FleetRun {
     /// The causal trace, present exactly when the run was traced.
     pub trace: Option<FleetTrace>,
     /// The observability plane's series, alerts and scrape endpoint,
-    /// present exactly when [`ServeConfig::observability`] is enabled.
+    /// present exactly when [`ServeConfig::observe`] is set or a scrape
+    /// port is configured.
     pub observability: Option<Observability>,
 }
 
@@ -264,18 +269,19 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeReport, String> {
 ///   encoder records per-MB coding provenance, the channel per-packet
 ///   loss/corruption, the decoder concealment/resync — and the run
 ///   replays the joined log into per-event blast radii plus a fleet
-///   `C^k` calibration score. Flight-recorder rings are dumped whenever
-///   the admission controller raises the service-degradation level, a
-///   decoder resync fires, or (with observability) an SLO alert fires
-///   (reason `"slo"`). [`FleetTrace`]'s deterministic report is
+///   `C^k` calibration score. Each session's flight tail is dumped
+///   whenever the admission controller raises the service-degradation
+///   level, a decoder resync fires, or (with observability) an SLO alert
+///   fires (reason `"slo"`). [`FleetTrace`]'s deterministic report is
 ///   byte-identical for any worker count.
-/// * **Observability** ([`ServeConfig::observability`]) — the manager
-///   maintains `slo.*` counters at every round barrier, ticks the
-///   time-series ring, evaluates the configured burn-rate SLOs, and —
-///   when [`ObservabilityConfig::expose_port`] is set — serves
-///   `/metrics`, `/health` and `/timeseries` for the duration of the
-///   run. The returned [`Observability`] keeps the endpoint alive until
-///   dropped, so callers can hold it open for scrapers after the run.
+/// * **Observability** ([`ServeConfig::observe`], or a scrape port) —
+///   after every round barrier the manager updates the `slo.*`
+///   counters, appends a time-series delta frame, evaluates
+///   [`STANDARD_SLOS`](crate::observe::STANDARD_SLOS), and — when
+///   [`ServeConfig::expose_port`] is set — publishes `/health` and
+///   `/timeseries` next to the live `/metrics`. The returned
+///   [`Observability`] keeps the endpoint alive until dropped, so
+///   callers can hold it open for scrapers after the run.
 ///
 /// # Errors
 ///
@@ -285,7 +291,7 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeReport, String> {
 pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<FleetRun, String> {
     cfg.validate()?;
     let mut tracing = trace.then(|| TraceState::new(cfg.sessions));
-    let mut obs = ObserveState::build(&cfg.observability, tel)?;
+    let mut obs = ObserveState::build(cfg, tel)?;
     let mut controller = AdmissionController::new(cfg.admission)?;
     let mut slots: Vec<Slot> = (0..cfg.sessions)
         .map(|id| {
@@ -397,27 +403,25 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
             }
         }
         if let Some(obs) = obs.as_mut() {
-            if obs.tick_due(round as u64) {
-                // Snapshot → delta frame → SLO evaluation, all on the
-                // deterministic side of the registry. A firing alert
-                // escalates every live session's watchdog one step
-                // (reason `slo:<name>`) and dumps its flight recorder.
-                let events = obs.tick(round as u64, tel);
-                let firing = firing_events(&events);
-                if !firing.is_empty() {
-                    let mut affected = vec![false; slots.len()];
-                    for (id, slot) in slots.iter_mut().enumerate() {
-                        if slot.session.is_shed() {
-                            continue;
-                        }
-                        affected[id] = true;
-                        for e in &firing {
-                            slot.session.on_slo_alert(round as u64, &e.slo);
-                        }
+            // Snapshot → delta frame → SLO evaluation, all on the
+            // deterministic side of the registry. A firing alert
+            // escalates every live session's watchdog one step (reason
+            // `slo:<name>`) and dumps its flight tail.
+            let events = obs.tick(round as u64, tel);
+            let firing = firing_events(&events);
+            if !firing.is_empty() {
+                let mut affected = vec![false; slots.len()];
+                for (id, slot) in slots.iter_mut().enumerate() {
+                    if slot.session.is_shed() {
+                        continue;
                     }
-                    if let Some(ts) = tracing.as_mut() {
-                        ts.note_slo(round as u32, &affected);
+                    affected[id] = true;
+                    for e in &firing {
+                        slot.session.on_slo_alert(round as u64, &e.slo);
                     }
+                }
+                if let Some(ts) = tracing.as_mut() {
+                    ts.note_slo(round as u32, &affected);
                 }
             }
             if obs.has_expose() {

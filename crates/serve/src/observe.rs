@@ -1,4 +1,4 @@
-//! The fleet's live observability plane: frame-indexed time-series,
+//! The fleet's live observability plane: round-indexed time-series,
 //! SLO burn-rate alerting, and the optional scrape endpoint, all wired
 //! into the session manager's round barrier.
 //!
@@ -8,84 +8,36 @@
 //! 1. **Ingest** — after every round barrier the manager folds each
 //!    live session's outcome into integer `slo.*` counters, in
 //!    session-id order. Pure virtual-unit arithmetic.
-//! 2. **Series** — every `tick_every` rounds the registry is
-//!    snapshotted into a [`TimeSeries`] delta frame keyed by round
-//!    index. The deterministic half is byte-identical across worker
-//!    counts; wall-clock material stays in the timing scope.
-//! 3. **Alerting** — the [`SloEngine`] evaluates declarative burn-rate
-//!    specs over the deterministic counters only, so the alert stream
+//! 2. **Series** — after every round the registry is snapshotted into a
+//!    [`TimeSeries`] delta frame keyed by round index. The deterministic
+//!    half is byte-identical across worker counts; wall-clock material
+//!    stays in the timing scope.
+//! 3. **Alerting** — the [`SloEngine`] evaluates [`STANDARD_SLOS`] over
+//!    the deterministic counters only, so the alert stream
 //!    `(round, slo, state)` is itself deterministic.
 //! 4. **Reaction** — a firing alert escalates every live session's
 //!    [`StalenessWatchdog`](crate::health::StalenessWatchdog) one step
-//!    (reason `slo:<name>`) and triggers a flight-recorder dump with
+//!    (reason `slo:<name>`) and triggers a flight-tail dump with
 //!    reason `"slo"`.
 //! 5. **Exposure** — when a scrape port is configured, `/metrics`,
 //!    `/health` and `/timeseries` serve the live registry. Exposure is
 //!    read-only: scraping cannot perturb the run.
 //!
-//! Everything here is off by default; a default [`ServeConfig`]
-//! produces bit-identical reports with or without this module compiled
-//! in the loop.
+//! The plane's only settings are [`ServeConfig::observe`] and
+//! [`ServeConfig::expose_port`] (a port implies the plane). Both are off
+//! by default, and a run with the plane off produces bit-identical
+//! reports.
 //!
-//! [`ServeConfig`]: crate::manager::ServeConfig
+//! [`ServeConfig::observe`]: crate::manager::ServeConfig::observe
+//! [`ServeConfig::expose_port`]: crate::manager::ServeConfig::expose_port
 
+use crate::manager::ServeConfig;
 use crate::session::FrameOutcome;
 use pbpair_telemetry::expose::ExposeServer;
 use pbpair_telemetry::json;
 use pbpair_telemetry::slo::{AlertEvent, AlertState, BurnWindow, SloEngine, SloSpec};
-use pbpair_telemetry::timeseries::{SeriesConfig, TimeSeries};
+use pbpair_telemetry::timeseries::TimeSeries;
 use pbpair_telemetry::{Counter, Telemetry};
-
-/// Observability knobs on [`ServeConfig`](crate::manager::ServeConfig).
-/// The default is fully off — no counters, no ticks, no socket — so
-/// existing runs and goldens are unaffected.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ObservabilityConfig {
-    /// Snapshot the registry into a time-series delta frame every this
-    /// many rounds. `0` disables the time-series and SLO engine.
-    pub tick_every: u64,
-    /// Bounded ring of retained delta frames; older frames are dropped
-    /// (and counted) once full.
-    pub ring_capacity: usize,
-    /// Serve Prometheus text exposition on `127.0.0.1:<port>` for the
-    /// run's duration (`0` picks an ephemeral port). Requires an
-    /// enabled telemetry context.
-    pub expose_port: Option<u16>,
-    /// Burn-rate SLOs evaluated on every tick. Requires `tick_every`.
-    pub slos: Vec<SloSpec>,
-}
-
-impl Default for ObservabilityConfig {
-    fn default() -> ObservabilityConfig {
-        ObservabilityConfig {
-            tick_every: 0,
-            ring_capacity: 256,
-            expose_port: None,
-            slos: Vec::new(),
-        }
-    }
-}
-
-impl ObservabilityConfig {
-    /// Whether any part of the plane is switched on.
-    pub fn enabled(&self) -> bool {
-        self.tick_every > 0 || self.expose_port.is_some()
-    }
-
-    /// Validates the knobs; `Err` carries a human-readable reason.
-    pub fn validate(&self) -> Result<(), String> {
-        if !self.slos.is_empty() && self.tick_every == 0 {
-            return Err("observability: slos require tick_every > 0".into());
-        }
-        if self.tick_every > 0 && self.ring_capacity == 0 {
-            return Err("observability: ring_capacity must be nonzero".into());
-        }
-        for slo in &self.slos {
-            slo.validate().map_err(|e| format!("observability: {e}"))?;
-        }
-        Ok(())
-    }
-}
 
 /// The standard fleet SLO set, expressed over the `slo.*` counters the
 /// manager maintains (all integer virtual units, so the alert stream is
@@ -102,72 +54,70 @@ impl ObservabilityConfig {
 /// * `feedback_staleness` — dark frames (no NACK feedback applied) per
 ///   slot. Objective 12 dark-frames/slot tolerates the feedback delay;
 ///   a blackout blows through it.
-pub fn standard_slos() -> Vec<SloSpec> {
-    vec![
-        SloSpec {
-            name: "residual_loss".into(),
-            numerator: "slo.frames_lost".into(),
-            denominator: "slo.frame_slots".into(),
-            objective_ppm: 120_000,
-            fast: BurnWindow {
-                ticks: 4,
-                factor_milli: 2000,
-            },
-            slow: BurnWindow {
-                ticks: 12,
-                factor_milli: 1000,
-            },
+pub const STANDARD_SLOS: &[SloSpec] = &[
+    SloSpec {
+        name: "residual_loss",
+        numerator: "slo.frames_lost",
+        denominator: "slo.frame_slots",
+        objective_ppm: 120_000,
+        fast: BurnWindow {
+            ticks: 4,
+            factor_milli: 2000,
         },
-        SloSpec {
-            name: "heal_backlog".into(),
-            numerator: "slo.heal_frames".into(),
-            denominator: "slo.frame_slots".into(),
-            objective_ppm: 500_000,
-            fast: BurnWindow {
-                ticks: 6,
-                factor_milli: 2000,
-            },
-            slow: BurnWindow {
-                ticks: 18,
-                factor_milli: 1000,
-            },
+        slow: BurnWindow {
+            ticks: 12,
+            factor_milli: 1000,
         },
-        SloSpec {
-            name: "energy_per_psnr".into(),
-            numerator: "slo.energy_uj".into(),
-            denominator: "slo.psnr_mdb".into(),
-            objective_ppm: 500_000,
-            fast: BurnWindow {
-                ticks: 6,
-                factor_milli: 2000,
-            },
-            slow: BurnWindow {
-                ticks: 18,
-                factor_milli: 1000,
-            },
+    },
+    SloSpec {
+        name: "heal_backlog",
+        numerator: "slo.heal_frames",
+        denominator: "slo.frame_slots",
+        objective_ppm: 500_000,
+        fast: BurnWindow {
+            ticks: 6,
+            factor_milli: 2000,
         },
-        SloSpec {
-            name: "feedback_staleness".into(),
-            numerator: "slo.dark_frames".into(),
-            denominator: "slo.frame_slots".into(),
-            objective_ppm: 12_000_000,
-            fast: BurnWindow {
-                ticks: 4,
-                factor_milli: 2000,
-            },
-            slow: BurnWindow {
-                ticks: 12,
-                factor_milli: 1000,
-            },
+        slow: BurnWindow {
+            ticks: 18,
+            factor_milli: 1000,
         },
-    ]
-}
+    },
+    SloSpec {
+        name: "energy_per_psnr",
+        numerator: "slo.energy_uj",
+        denominator: "slo.psnr_mdb",
+        objective_ppm: 500_000,
+        fast: BurnWindow {
+            ticks: 6,
+            factor_milli: 2000,
+        },
+        slow: BurnWindow {
+            ticks: 18,
+            factor_milli: 1000,
+        },
+    },
+    SloSpec {
+        name: "feedback_staleness",
+        numerator: "slo.dark_frames",
+        denominator: "slo.frame_slots",
+        objective_ppm: 12_000_000,
+        fast: BurnWindow {
+            ticks: 4,
+            factor_milli: 2000,
+        },
+        slow: BurnWindow {
+            ticks: 12,
+            factor_milli: 1000,
+        },
+    },
+];
 
-/// What an observed run hands back to the caller: the retained
-/// time-series ring and, if a scrape port was configured, the live
-/// server (kept alive as long as the caller holds it).
+/// What an observed run hands back to the caller: the time-series and,
+/// if a scrape port was configured, the live server (kept alive as long
+/// as the caller holds it).
 pub struct Observability {
-    /// The delta-frame ring accumulated over the run.
+    /// One delta frame per round of the run.
     pub series: TimeSeries,
     /// Every alert transition, in firing order.
     pub alerts: Vec<AlertEvent>,
@@ -207,37 +157,21 @@ impl SloCounters {
 pub(crate) struct ObserveState {
     series: TimeSeries,
     engine: SloEngine,
-    counters: Option<SloCounters>,
+    counters: SloCounters,
     expose: Option<ExposeServer>,
-    alerts: Vec<AlertEvent>,
 }
 
 impl ObserveState {
-    /// Builds the state, or `None` when the config is fully off.
-    /// Observability reads the registry, so it refuses a disabled
-    /// telemetry context rather than silently exporting zeros.
-    pub fn build(
-        cfg: &ObservabilityConfig,
-        tel: &Telemetry,
-    ) -> Result<Option<ObserveState>, String> {
-        cfg.validate()?;
-        if !cfg.enabled() {
+    /// Builds the state, or `None` when the plane is off. Observability
+    /// reads the registry, so it refuses a disabled telemetry context
+    /// rather than silently exporting zeros.
+    pub fn build(cfg: &ServeConfig, tel: &Telemetry) -> Result<Option<ObserveState>, String> {
+        if !cfg.observe && cfg.expose_port.is_none() {
             return Ok(None);
         }
         if !tel.is_enabled() {
             return Err("observability requires an enabled telemetry context".into());
         }
-        let series = if cfg.tick_every > 0 {
-            TimeSeries::new(SeriesConfig {
-                every: cfg.tick_every,
-                capacity: cfg.ring_capacity,
-            })
-            .map_err(|e| format!("observability: {e}"))?
-        } else {
-            TimeSeries::disabled()
-        };
-        let engine = SloEngine::new(cfg.slos.clone()).map_err(|e| format!("observability: {e}"))?;
-        let counters = (cfg.tick_every > 0).then(|| SloCounters::register(tel));
         let expose = match cfg.expose_port {
             Some(port) => Some(
                 ExposeServer::start(port, tel.clone())
@@ -246,11 +180,10 @@ impl ObserveState {
             None => None,
         };
         Ok(Some(ObserveState {
-            series,
-            engine,
-            counters,
+            series: TimeSeries::new(),
+            engine: SloEngine::new(STANDARD_SLOS),
+            counters: SloCounters::register(tel),
             expose,
-            alerts: Vec::new(),
         }))
     }
 
@@ -264,7 +197,7 @@ impl ObserveState {
         dark: u64,
         psnr_mdb: u64,
     ) {
-        let Some(c) = &self.counters else { return };
+        let c = &self.counters;
         c.frame_slots.inc(1);
         if let Some(o) = outcome {
             c.frames_lost.inc(o.lost as u64);
@@ -277,21 +210,11 @@ impl ObserveState {
         c.psnr_mdb.inc(psnr_mdb);
     }
 
-    /// Whether this round closes a sampling interval.
-    pub fn tick_due(&self, round: u64) -> bool {
-        self.series.tick_due(round)
-    }
-
-    /// Snapshots the registry into a delta frame and evaluates the
-    /// SLOs. Returns the alert transitions this tick produced.
+    /// Snapshots the registry into the round's delta frame and evaluates
+    /// the SLOs. Returns the alert transitions this round produced.
     pub fn tick(&mut self, round: u64, tel: &Telemetry) -> Vec<AlertEvent> {
-        let report = tel.report();
-        let Some(frame) = self.series.tick(round, &report) else {
-            return Vec::new();
-        };
-        let events = self.engine.observe(frame);
-        self.alerts.extend(events.iter().cloned());
-        events
+        let frame = self.series.tick(round, tel.report());
+        self.engine.observe(frame)
     }
 
     /// Whether a scrape endpoint is live (guards per-round publishing).
@@ -309,19 +232,19 @@ impl ObserveState {
 
     /// Alert transitions so far (manager copies these into the report).
     pub fn alerts(&self) -> &[AlertEvent] {
-        &self.alerts
+        self.engine.alerts()
     }
 
     /// Names of SLOs currently firing, for the health body.
-    pub fn firing(&self) -> Vec<&str> {
+    pub fn firing(&self) -> Vec<&'static str> {
         self.engine.firing()
     }
 
     /// Finishes the run, handing series/alerts/endpoint to the caller.
     pub fn finish(self) -> Observability {
         Observability {
+            alerts: self.engine.alerts().to_vec(),
             series: self.series,
-            alerts: self.alerts,
             expose: self.expose,
         }
     }
@@ -368,38 +291,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_is_fully_off_and_valid() {
-        let cfg = ObservabilityConfig::default();
-        assert!(!cfg.enabled());
-        assert!(cfg.validate().is_ok());
-        let tel = Telemetry::disabled();
-        assert!(ObserveState::build(&cfg, &tel).unwrap().is_none());
-    }
-
-    #[test]
-    fn slos_without_ticks_are_rejected() {
-        let cfg = ObservabilityConfig {
-            slos: standard_slos(),
-            ..ObservabilityConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
     fn enabled_observability_requires_enabled_telemetry() {
-        let cfg = ObservabilityConfig {
-            tick_every: 1,
-            ..ObservabilityConfig::default()
+        let cfg = ServeConfig {
+            observe: true,
+            ..ServeConfig::default()
         };
         let tel = Telemetry::disabled();
         assert!(ObserveState::build(&cfg, &tel).is_err());
     }
 
     #[test]
-    fn standard_slos_validate_and_are_unique() {
-        let slos = standard_slos();
-        assert_eq!(slos.len(), 4);
-        SloEngine::new(slos).expect("standard set must construct");
+    fn standard_slos_are_well_formed_and_unique() {
+        assert_eq!(STANDARD_SLOS.len(), 4);
+        for (i, slo) in STANDARD_SLOS.iter().enumerate() {
+            let name = slo.name;
+            assert!(!name.is_empty(), "SLO {i} has no name");
+            assert!(
+                STANDARD_SLOS[..i].iter().all(|s| s.name != name),
+                "{name}: duplicate name"
+            );
+            assert!(!slo.numerator.is_empty() && !slo.denominator.is_empty());
+            // A zero objective divides by zero in the burn rate.
+            assert!(slo.objective_ppm > 0, "{name}: zero objective");
+            for w in [slo.fast, slo.slow] {
+                assert!(w.ticks > 0 && w.factor_milli > 0, "{name}: empty window");
+            }
+            assert!(
+                slo.slow.ticks >= slo.fast.ticks,
+                "{name}: slow window shorter than fast"
+            );
+        }
     }
 
     #[test]

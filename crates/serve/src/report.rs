@@ -149,8 +149,8 @@ pub struct ServeReport {
     /// Final health tally across the fleet.
     pub health: FleetHealth,
     /// SLO burn-rate alert transitions, in firing order (empty unless
-    /// the observability plane ran with SLOs configured). Deterministic:
-    /// the engine only sees deterministic counters.
+    /// the observability plane ran). Deterministic: the engine only sees
+    /// deterministic counters.
     pub alerts: Vec<AlertEvent>,
     /// Wall-clock measurements.
     pub timing: FleetTiming,

@@ -1,12 +1,12 @@
-//! Fleet-level causal tracing: one [`Tracer`] per session, flight
-//! recorder dumps on control transitions, and the joined deterministic
-//! report (blast radii + `C^k` calibration).
+//! Fleet-level causal tracing: one [`Tracer`] per session, flight-tail
+//! dumps on control transitions, and the joined deterministic report
+//! (blast radii + `C^k` calibration).
 //!
 //! The split mirrors the telemetry crate's: everything in
 //! [`FleetTrace::deterministic_json`] is a pure function of the
 //! [`ServeConfig`] — byte-identical for any worker
-//! count — while wall-clock timestamps live only in the flight-recorder
-//! rings and surface through [`FleetTrace::chrome_trace_json`], which
+//! count — while wall-clock timestamps live only in the tracers' flight
+//! tails and surface through [`FleetTrace::chrome_trace_json`], which
 //! loads directly into `chrome://tracing` / Perfetto.
 
 use crate::manager::ServeConfig;
@@ -14,17 +14,12 @@ use pbpair_media::VideoFormat;
 use pbpair_telemetry::json;
 use pbpair_trace::{analyze, Analysis, AnalyzeParams, Calibration, RecordedEvent, Tracer};
 
-/// Flight-recorder slots per session. Big enough to hold several
-/// frames' worth of transport/decode events around a control incident;
-/// small enough that the recorder stays resident and overwrite-cheap.
-pub const TRACE_RING_CAPACITY: usize = 512;
-
-/// A snapshot of one session's flight-recorder ring, taken when the
+/// A snapshot of one session's flight tail, taken when the
 /// admission controller changed service level or a decoder resync
 /// fired — the "what just happened" record for that incident.
 #[derive(Clone, Debug)]
 pub struct TraceDump {
-    /// Session whose ring was dumped.
+    /// Session whose flight tail was dumped.
     pub session: u32,
     /// Round (frame slot) the incident landed in.
     pub round: u32,
@@ -32,7 +27,7 @@ pub struct TraceDump {
     /// scanned forward past damage this round), or `"slo"` (a burn-rate
     /// alert started firing this round).
     pub reason: &'static str,
-    /// Ring contents at dump time, oldest first.
+    /// Flight-tail contents at dump time, oldest first.
     pub events: Vec<RecordedEvent>,
 }
 
@@ -43,9 +38,9 @@ pub struct SessionTrace {
     pub id: u32,
     /// Causal replay: DAG, per-event blast radii, calibration.
     pub analysis: Analysis,
-    /// Final flight-recorder contents.
+    /// Final flight-tail contents.
     pub ring: Vec<RecordedEvent>,
-    /// Total events pushed through the ring over the session.
+    /// Flight events emitted over the session, evicted ones included.
     pub ring_pushed: u64,
 }
 
@@ -117,7 +112,7 @@ impl FleetTrace {
         })
     }
 
-    /// The timing-side export: every session's final ring as
+    /// The timing-side export: every session's final flight tail as
     /// `chrome://tracing` instant events (`ph: "i"`), one pid per
     /// session. Timestamps are microseconds since the tracer's epoch.
     pub fn chrome_trace_json(&self) -> String {
@@ -157,9 +152,7 @@ pub(crate) struct TraceState {
 impl TraceState {
     pub fn new(sessions: usize) -> TraceState {
         TraceState {
-            tracers: (0..sessions)
-                .map(|_| Tracer::new(TRACE_RING_CAPACITY))
-                .collect(),
+            tracers: (0..sessions).map(|_| Tracer::new()).collect(),
             dumps: Vec::new(),
             resync_seen: vec![0; sessions],
             degrade_level: 0,
@@ -172,7 +165,7 @@ impl TraceState {
 
     /// Records the fleet's service level after a round's admission
     /// decision. On a level *increase* every affected session gets a
-    /// `degraded` marker event and a ring dump — the flight recorder's
+    /// `degraded` marker event and a flight-tail dump — the tail's
     /// reason to exist.
     pub fn note_degrade(&mut self, round: u32, level: u8, affected: &[bool]) {
         if level > self.degrade_level {
@@ -193,7 +186,7 @@ impl TraceState {
     }
 
     /// Checks one session's post-round resync total; a delta dumps its
-    /// ring.
+    /// flight tail.
     pub fn note_resyncs(&mut self, round: u32, id: usize, resyncs_total: u64) {
         if resyncs_total > self.resync_seen[id] {
             self.resync_seen[id] = resyncs_total;
@@ -206,9 +199,9 @@ impl TraceState {
         }
     }
 
-    /// Dumps every affected session's ring when an SLO burn-rate alert
-    /// starts firing — the metric → alert → causal-trace hop of the
-    /// observability plane. One dump per session per alerting round.
+    /// Dumps every affected session's flight tail when an SLO burn-rate
+    /// alert starts firing — the metric → alert → causal-trace hop of
+    /// the observability plane. One dump per session per alerting round.
     pub fn note_slo(&mut self, round: u32, affected: &[bool]) {
         for (id, tracer) in self.tracers.iter().enumerate() {
             if !affected[id] {

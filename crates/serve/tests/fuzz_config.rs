@@ -16,10 +16,9 @@ use pbpair_codec::RdeConfig;
 use pbpair_media::synth::MotionClass;
 use pbpair_netsim::{ChannelSpec, FecSpec, Phase, PhaseKind};
 use pbpair_serve::{
-    run_with, standard_slos, AdmissionConfig, ChaosEvent, ChaosFault, ChaosPlan, DeviceKind,
-    DeviceMix, ObservabilityConfig, RedundancyConfig, ServeConfig, SessionScheme,
+    run_with, AdmissionConfig, ChaosEvent, ChaosFault, ChaosPlan, DeviceKind, DeviceMix,
+    RedundancyConfig, ServeConfig, SessionScheme,
 };
-use pbpair_telemetry::slo::{BurnWindow, SloSpec};
 use pbpair_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -192,42 +191,6 @@ impl Draw {
         ChaosPlan::new(events).unwrap_or_default()
     }
 
-    fn slo(&mut self) -> SloSpec {
-        let counters = ["slo.frames_lost", "slo.frame_slots", "", "no.such.counter"];
-        SloSpec {
-            name: self.pick(&["residual_loss", "", "odd\"name\n"]).into(),
-            numerator: self.pick(&counters).into(),
-            denominator: self.pick(&counters).into(),
-            objective_ppm: self.count(1, 1_000_000),
-            fast: BurnWindow {
-                ticks: self.size(1, 4),
-                factor_milli: self.count(1, 4000),
-            },
-            slow: BurnWindow {
-                ticks: self.size(1, 12),
-                factor_milli: self.count(1, 4000),
-            },
-        }
-    }
-
-    fn observability(&mut self) -> ObservabilityConfig {
-        if self.rng.gen_range(0..3u8) == 0 {
-            return ObservabilityConfig::default();
-        }
-        ObservabilityConfig {
-            tick_every: self.count(1, 4),
-            ring_capacity: self.size(1, 256),
-            expose_port: None,
-            slos: match self.rng.gen_range(0..3u8) {
-                0 => Vec::new(),
-                1 => standard_slos(),
-                _ => (0..self.rng.gen_range(1..=3usize))
-                    .map(|_| self.slo())
-                    .collect(),
-            },
-        }
-    }
-
     fn rde(&mut self) -> RdeConfig {
         RdeConfig {
             lambda1_q16: self.pick(&[0, 1, 1 << 16, 1 << 20, u32::MAX]),
@@ -286,7 +249,9 @@ fn config(seed: u64) -> ServeConfig {
             DeviceMix::Alternating,
         ]),
         chaos: d.chaos(sessions),
-        observability: d.observability(),
+        // Two configs in three observe; a scrape port would bind.
+        observe: d.rng.gen_range(0..3u8) != 0,
+        expose_port: None,
     }
 }
 
@@ -409,23 +374,6 @@ fn endless_chaos_faults_run() {
         };
         assert!(runs(fault.label(), &cfg, false, false));
     }
-}
-
-#[test]
-fn huge_time_series_ring_and_slo_window_run() {
-    // Both were allocated up front at their configured length.
-    let mut slo = standard_slos().remove(0);
-    slo.slow.ticks = 1 << 40;
-    let cfg = ServeConfig {
-        observability: ObservabilityConfig {
-            tick_every: 1,
-            ring_capacity: 1 << 40,
-            expose_port: None,
-            slos: vec![slo],
-        },
-        ..tiny()
-    };
-    assert!(runs("huge ring and window", &cfg, true, false));
 }
 
 #[test]

@@ -4,10 +4,7 @@
 //! metric → alert → health-ledger → flight-recorder chain, and a fleet
 //! that calms down after an alert walks the ledger back to recovered.
 
-use pbpair_serve::{
-    run_with, standard_slos, ChaosEvent, ChaosFault, ChaosPlan, HealthState, ObservabilityConfig,
-    ServeConfig,
-};
+use pbpair_serve::{run_with, ChaosEvent, ChaosFault, ChaosPlan, HealthState, ServeConfig};
 use pbpair_telemetry::slo::AlertState;
 use pbpair_telemetry::Telemetry;
 
@@ -34,12 +31,7 @@ fn burst_cfg(frames: usize) -> ServeConfig {
             .collect(),
     )
     .expect("valid plan");
-    cfg.observability = ObservabilityConfig {
-        tick_every: 1,
-        ring_capacity: 256,
-        expose_port: None,
-        slos: standard_slos(),
-    };
+    cfg.observe = true;
     cfg
 }
 

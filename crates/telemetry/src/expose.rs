@@ -6,14 +6,14 @@
 //!
 //! * `/metrics` — the current [`TelemetryReport`] rendered as Prometheus
 //!   text exposition format 0.0.4 ([`prometheus_text`]): counters with a
-//!   `_total` suffix, gauges, histograms with cumulative `le` buckets
+//!   `_total` suffix, histograms with cumulative `le` buckets
 //!   (the registry's inclusive-upper bucket edges *are* `le` semantics,
 //!   so rendering is a running sum — no re-bucketing), everything under
 //!   a `pbpair_` prefix.
 //! * `/health` — a JSON body the owner refreshes each round (the serve
 //!   manager publishes its HealthLedger tally here).
-//! * `/timeseries` — a JSON body the owner refreshes each tick (the
-//!   delta-frame ring dump).
+//! * `/timeseries` — a JSON body the owner refreshes each round (the
+//!   delta-frame series dump).
 //!
 //! The server is deliberately tiny: blocking I/O, one thread, no keep-
 //! alive, std only. A request head must end within 4 KiB and within 2 s
@@ -66,23 +66,15 @@ fn render_histogram(out: &mut String, name: &str, h: &HistogramSnapshot) {
 /// Renders a report as Prometheus text exposition format 0.0.4.
 ///
 /// Deterministic and timing counters both render as counter families
-/// (`_total` suffix); gauges render their last value plus a `_max`
-/// companion; stages render as two labelled counter families
-/// (`pbpair_stage_calls_total{stage="..."}` etc.) with wall time as a
-/// labelled gauge. Families appear in the report's sorted order.
+/// (`_total` suffix); stages render as three labelled counter families
+/// (`pbpair_stage_calls_total{stage="..."}`, units and wall
+/// nanoseconds). Families appear in the report's sorted order.
 pub fn prometheus_text(report: &TelemetryReport) -> String {
     let mut out = String::new();
     for (name, v) in report.counters.iter().chain(&report.timing_counters) {
         let name = sanitize_metric_name(name);
         out.push_str(&format!("# TYPE {name}_total counter\n"));
         out.push_str(&format!("{name}_total {v}\n"));
-    }
-    for (name, g) in &report.gauges {
-        let name = sanitize_metric_name(name);
-        out.push_str(&format!("# TYPE {name} gauge\n"));
-        out.push_str(&format!("{name} {}\n", g.last));
-        out.push_str(&format!("# TYPE {name}_max gauge\n"));
-        out.push_str(&format!("{name}_max {}\n", g.max));
     }
     for (name, h) in report.histograms.iter().chain(&report.timing_histograms) {
         render_histogram(&mut out, &sanitize_metric_name(name), h);
@@ -153,7 +145,7 @@ impl ExposeServer {
         let shared = Arc::new(Shared {
             tel,
             health_json: Mutex::new("{}".to_string()),
-            timeseries_json: Mutex::new(crate::timeseries::TimeSeries::disabled().to_json()),
+            timeseries_json: Mutex::new(crate::timeseries::TimeSeries::new().to_json()),
         });
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {
@@ -183,11 +175,6 @@ impl ExposeServer {
     /// The bound address (useful when started with port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The bound port.
-    pub fn port(&self) -> u16 {
-        self.addr.port()
     }
 
     /// Replaces the `/health` body.
@@ -348,7 +335,6 @@ mod tests {
         for v in [5, 50, 500] {
             h.record(v);
         }
-        tel.gauge("depth").set(3);
         tel.stage("encode").record(42);
         let text = prometheus_text(&tel.report());
         assert!(text.contains("# TYPE pbpair_enc_frames_total counter\n"));
@@ -358,7 +344,6 @@ mod tests {
         assert!(text.contains("pbpair_enc_frame_bits_bucket{le=\"+Inf\"} 3\n"));
         assert!(text.contains("pbpair_enc_frame_bits_sum 555\n"));
         assert!(text.contains("pbpair_enc_frame_bits_count 3\n"));
-        assert!(text.contains("pbpair_depth 3\n"));
         assert!(text.contains("pbpair_stage_units_total{stage=\"encode\"} 42\n"));
     }
 

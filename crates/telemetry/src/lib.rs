@@ -1,7 +1,7 @@
 //! Zero-dependency observability for the PBPAIR reproduction.
 //!
 //! Every crate in the workspace measures itself through this one layer:
-//! counters, gauges, fixed-bucket histograms, and per-stage spans. Two
+//! counters, fixed-bucket histograms, and per-stage spans. Two
 //! properties drive the design:
 //!
 //! * **Determinism.** The paper's argument is quantitative (ME searches
@@ -12,23 +12,24 @@
 //!   function of the workload configuration and serializes
 //!   byte-identically no matter how many threads executed the run
 //!   ([`TelemetryReport::deterministic_json`]); wall-clock measurements
-//!   (span timings, queue depths, latency histograms) live in a separate
-//!   timing section that is expected to vary.
+//!   (span timings, scheduling counters, latency histograms) live in a
+//!   separate timing section that is expected to vary.
 //! * **Near-zero cost, exactly zero when off.** Handles are cheap
 //!   clonable wrappers over shared atomic cells; updates are lock-free
 //!   relaxed atomics, sharded per worker thread so the serve pool's
 //!   counters never bounce a cache line. A handle minted from
 //!   [`Telemetry::disabled`] carries no cells at all — every operation
 //!   is an inlined `None` check, so instrumented hot loops stay within
-//!   noise of uninstrumented ones (the `telemetry` bench guards this).
+//!   noise of uninstrumented ones (`perf --overhead`, in `pbpair-eval`,
+//!   guards this).
 //!
 //! Locks are confined to metric *registration* (a `Mutex` around a
 //! `BTreeMap`); the hot path — `inc`, `record`, `observe` — touches only
 //! pre-resolved atomics.
 //!
 //! On top of the registry sits the live observability plane:
-//! [`timeseries`] turns periodic report snapshots into a ring of
-//! round-indexed delta frames (same deterministic/timing split),
+//! [`timeseries`] turns one report snapshot per round into round-indexed
+//! delta frames (same deterministic/timing split),
 //! [`slo`] evaluates burn-rate SLOs over those frames into
 //! deterministic alert events, and [`expose`] serves the whole thing
 //! over a std-only Prometheus scrape endpoint.
@@ -49,7 +50,7 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -59,9 +60,7 @@ mod report;
 pub mod slo;
 pub mod timeseries;
 
-pub use report::{
-    GaugeSnapshot, HistogramDelta, HistogramSnapshot, StageSnapshot, TelemetryReport,
-};
+pub use report::{HistogramDelta, HistogramSnapshot, StageSnapshot, TelemetryReport};
 
 /// A cache-line-padded atomic cell: one per shard per metric, so relaxed
 /// increments from different worker threads never contend on a line.
@@ -94,15 +93,6 @@ impl Cells {
             .map(|c| c.0.load(Ordering::Relaxed))
             .sum()
     }
-}
-
-/// Gauge storage: last set value plus the observed maximum. Gauges
-/// capture instantaneous states (queue depth, in-flight jobs) that are
-/// inherently schedule-dependent, so they always report in the timing
-/// section.
-struct GaugeCell {
-    last: AtomicI64,
-    max: AtomicI64,
 }
 
 /// Sharded histogram storage: `bounds` are inclusive upper bucket edges
@@ -174,7 +164,6 @@ struct StageCells {
 struct State {
     counters: BTreeMap<String, Arc<Cells>>,
     timing_counters: BTreeMap<String, Arc<Cells>>,
-    gauges: BTreeMap<String, Arc<GaugeCell>>,
     histograms: BTreeMap<String, Arc<HistogramCells>>,
     timing_histograms: BTreeMap<String, Arc<HistogramCells>>,
     stages: BTreeMap<String, Arc<StageCells>>,
@@ -301,23 +290,6 @@ impl Telemetry {
         }
     }
 
-    /// Registers a gauge (instantaneous value + running max). Gauges
-    /// always report in the timing section: an instantaneous state is a
-    /// scheduling artifact.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge {
-            cell: self.registry.as_ref().map(|r| {
-                let mut s = r.state.lock().expect("telemetry registry lock");
-                Arc::clone(s.gauges.entry(name.to_string()).or_insert_with(|| {
-                    Arc::new(GaugeCell {
-                        last: AtomicI64::new(0),
-                        max: AtomicI64::new(i64::MIN),
-                    })
-                }))
-            }),
-        }
-    }
-
     /// Registers a deterministic fixed-bucket histogram. `bounds` are
     /// inclusive upper edges in ascending order; values above the last
     /// edge land in an implicit overflow bucket. If the name is already
@@ -385,16 +357,6 @@ impl Telemetry {
         for (name, c) in &s.timing_counters {
             out.timing_counters.insert(name.clone(), c.total());
         }
-        for (name, g) in &s.gauges {
-            let max = g.max.load(Ordering::Relaxed);
-            out.gauges.insert(
-                name.clone(),
-                GaugeSnapshot {
-                    last: g.last.load(Ordering::Relaxed),
-                    max: if max == i64::MIN { 0 } else { max },
-                },
-            );
-        }
         for (name, h) in &s.histograms {
             out.histograms.insert(name.clone(), h.snapshot());
         }
@@ -428,7 +390,6 @@ macro_rules! handle_debug {
 }
 
 handle_debug!(Counter, cells);
-handle_debug!(Gauge, cell);
 handle_debug!(Histogram, cells);
 handle_debug!(Stage, cells);
 handle_debug!(Span, cells);
@@ -446,23 +407,6 @@ impl Counter {
     pub fn inc(&self, n: u64) {
         if let Some((cells, shard)) = &self.cells {
             cells.add(*shard, n);
-        }
-    }
-}
-
-/// An instantaneous value with a running maximum (timing section).
-#[derive(Clone)]
-pub struct Gauge {
-    cell: Option<Arc<GaugeCell>>,
-}
-
-impl Gauge {
-    /// Records the current value and folds it into the running max.
-    #[inline]
-    pub fn set(&self, value: i64) {
-        if let Some(cell) = &self.cell {
-            cell.last.store(value, Ordering::Relaxed);
-            cell.max.fetch_max(value, Ordering::Relaxed);
         }
     }
 }
@@ -576,7 +520,6 @@ mod tests {
         let tel = Telemetry::disabled();
         assert!(!tel.is_enabled());
         tel.counter("x").inc(5);
-        tel.gauge("g").set(7);
         tel.histogram("h", &[10]).record(3);
         tel.stage("s").record(9);
         let report = tel.report();
@@ -605,18 +548,6 @@ mod tests {
         tel.counter("dup").inc(1);
         tel.shard(1).counter("dup").inc(2);
         assert_eq!(tel.report().counter("dup"), 3);
-    }
-
-    #[test]
-    fn gauge_tracks_last_and_max() {
-        let tel = Telemetry::with_shards(1);
-        let g = tel.gauge("depth");
-        g.set(5);
-        g.set(9);
-        g.set(2);
-        let snap = &tel.report().gauges["depth"];
-        assert_eq!(snap.last, 2);
-        assert_eq!(snap.max, 9);
     }
 
     #[test]
@@ -656,14 +587,12 @@ mod tests {
         tel.counter("det.c").inc(1);
         tel.timing_counter("sched.steals").inc(4);
         tel.timing_histogram("lat_ms", &[1, 10]).record(3);
-        tel.gauge("depth").set(2);
         let det = tel.report().deterministic_json();
         assert!(det.contains("det.c"));
         assert!(!det.contains("steals"));
         assert!(!det.contains("lat_ms"));
-        assert!(!det.contains("depth"));
         let full = tel.report().to_json();
-        assert!(full.contains("steals") && full.contains("lat_ms") && full.contains("depth"));
+        assert!(full.contains("steals") && full.contains("lat_ms"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Report snapshots and their JSON/CSV export.
+//! Report snapshots and their JSON export.
 //!
 //! JSON goes through [`crate::json`], the workspace's one writer. The
 //! export guarantees the byte-level properties the determinism contract
@@ -7,7 +7,6 @@
 //! drift.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use crate::json;
 
@@ -24,7 +23,7 @@ use crate::json;
 /// which lets the scrape endpoint render cumulative `le` counts without
 /// reshuffling. The regression test
 /// `histogram_buckets_are_inclusive_upper_edges` in the crate root pins
-/// this; every consumer (quantiles, JSON/CSV export, the Prometheus
+/// this; every consumer (JSON export, time-series deltas, the Prometheus
 /// renderer) assumes it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -40,101 +39,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Element-wise merge of two snapshots over the same bounds.
-    /// Addition of per-bucket counts makes this associative and
-    /// commutative (property-tested in `tests/histogram_props.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two snapshots have different bounds.
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        assert_eq!(self.bounds, other.bounds, "merging mismatched histograms");
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts: self
-                .counts
-                .iter()
-                .zip(&other.counts)
-                .map(|(a, b)| a + b)
-                .collect(),
-            count: self.count + other.count,
-            sum: self.sum + other.sum,
-        }
-    }
-
-    /// Upper bound of the bucket containing quantile `q` in `[0, 1]`,
-    /// or the last finite bound for the overflow bucket. `None` when
-    /// empty.
-    pub fn quantile_bound(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(match self.bounds.get(i) {
-                    Some(&b) => b,
-                    None => self.bounds.last().copied().unwrap_or(u64::MAX),
-                });
-            }
-        }
-        self.bounds.last().copied()
-    }
-
-    /// Estimated value at quantile `q` in `[0, 1]` by linear
-    /// interpolation inside the containing bucket (the standard
-    /// `histogram_quantile` estimator). Bucket `i` is treated as the
-    /// interval `(lower, bounds[i]]` where `lower` is the previous bound
-    /// (or 0 for the first bucket); the rank's position within the
-    /// bucket's count picks the point on that interval. Observations in
-    /// the overflow bucket are reported as the last finite bound — the
-    /// estimator cannot see past it. `None` when empty.
-    ///
-    /// The error versus an exact sorted reference is at most one bucket
-    /// width (property-tested in `tests/proptest_telemetry.rs`).
-    pub fn quantile_estimate(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if seen + c >= rank {
-                return Some(match self.bounds.get(i) {
-                    Some(&hi) => {
-                        let lo = if i == 0 { 0 } else { self.bounds[i - 1] };
-                        let frac = (rank - seen) as f64 / c as f64;
-                        lo as f64 + frac * (hi - lo) as f64
-                    }
-                    // Overflow bucket: clamp to the last finite edge.
-                    None => self.bounds.last().copied().unwrap_or(u64::MAX) as f64,
-                });
-            }
-            seen += c;
-        }
-        self.bounds.last().map(|&b| b as f64)
-    }
-
-    /// Median estimate ([`Self::quantile_estimate`] at 0.5).
-    pub fn p50(&self) -> Option<f64> {
-        self.quantile_estimate(0.50)
-    }
-
-    /// 95th-percentile estimate.
-    pub fn p95(&self) -> Option<f64> {
-        self.quantile_estimate(0.95)
-    }
-
-    /// 99th-percentile estimate.
-    pub fn p99(&self) -> Option<f64> {
-        self.quantile_estimate(0.99)
-    }
-
     /// What this snapshot accumulated since `prev`, as a slim per-bucket
     /// delta. `prev` must be an earlier snapshot of the same histogram
     /// (same bounds, element-wise `counts >= prev.counts`); counts are
@@ -161,7 +65,7 @@ impl HistogramSnapshot {
 /// Per-bucket increments of one histogram between two snapshots. Bounds
 /// are omitted — a delta only makes sense alongside the histogram it
 /// came from, and repeating edges every time-series tick would bloat the
-/// ring.
+/// series.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramDelta {
     /// Per-bucket new observations, overflow bucket last.
@@ -170,13 +74,6 @@ pub struct HistogramDelta {
     pub count: u64,
     /// Sum of values observed in the interval.
     pub sum: u64,
-}
-
-/// Last-set value and running max of a gauge.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GaugeSnapshot {
-    pub last: i64,
-    pub max: i64,
 }
 
 /// Accumulated cost of one pipeline stage.
@@ -192,14 +89,13 @@ pub struct StageSnapshot {
 
 /// A point-in-time snapshot of every registered metric, split into a
 /// deterministic section (counters, histograms, stage calls/units) and a
-/// timing section (wall clock, gauges, scheduling counters).
+/// timing section (wall clock, scheduling counters, latency histograms).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TelemetryReport {
     pub counters: BTreeMap<String, u64>,
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     pub stages: BTreeMap<String, StageSnapshot>,
     pub timing_counters: BTreeMap<String, u64>,
-    pub gauges: BTreeMap<String, GaugeSnapshot>,
     pub timing_histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
@@ -215,7 +111,6 @@ impl TelemetryReport {
             && self.histograms.is_empty()
             && self.stages.is_empty()
             && self.timing_counters.is_empty()
-            && self.gauges.is_empty()
             && self.timing_histograms.is_empty()
     }
 
@@ -237,8 +132,8 @@ impl TelemetryReport {
     }
 
     /// Full report as JSON: the deterministic section plus a `timing`
-    /// object (scheduling counters, gauges, latency histograms, span
-    /// wall times).
+    /// object (scheduling counters, latency histograms, span wall
+    /// times).
     pub fn to_json(&self) -> String {
         json::object(|o| {
             o.raw("deterministic", &self.deterministic_json())
@@ -246,7 +141,6 @@ impl TelemetryReport {
                     t.object("counters", |m| {
                         m.fields(&self.timing_counters);
                     })
-                    .map("gauges", &self.gauges, gauge_json)
                     .map("histograms", &self.timing_histograms, histogram_json)
                     .object("stage_wall_ns", |m| {
                         m.fields(self.stages.iter().map(|(name, s)| (name, s.wall_ns)));
@@ -254,47 +148,6 @@ impl TelemetryReport {
                 });
         })
     }
-
-    /// Flat CSV export: `section,kind,name,field,value` rows, sorted the
-    /// same way as the JSON (header first).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("section,kind,name,field,value\n");
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "deterministic,counter,{},total,{}", csv_field(name), v);
-        }
-        for (name, h) in &self.histograms {
-            write_histogram_csv(&mut out, "deterministic", name, h);
-        }
-        for (name, s) in &self.stages {
-            let name = csv_field(name);
-            let _ = writeln!(out, "deterministic,stage,{},calls,{}", name, s.calls);
-            let _ = writeln!(out, "deterministic,stage,{},units,{}", name, s.units);
-        }
-        for (name, v) in &self.timing_counters {
-            let _ = writeln!(out, "timing,counter,{},total,{}", csv_field(name), v);
-        }
-        for (name, g) in &self.gauges {
-            let name = csv_field(name);
-            let _ = writeln!(out, "timing,gauge,{},last,{}", name, g.last);
-            let _ = writeln!(out, "timing,gauge,{},max,{}", name, g.max);
-        }
-        for (name, h) in &self.timing_histograms {
-            write_histogram_csv(&mut out, "timing", name, h);
-        }
-        for (name, s) in &self.stages {
-            let _ = writeln!(
-                out,
-                "timing,stage,{},wall_ns,{}",
-                csv_field(name),
-                s.wall_ns
-            );
-        }
-        out
-    }
-}
-
-pub(crate) fn gauge_json(o: &mut json::Object<'_>, g: &GaugeSnapshot) {
-    o.field("last", g.last).field("max", g.max);
 }
 
 fn histogram_json(o: &mut json::Object<'_>, h: &HistogramSnapshot) {
@@ -308,19 +161,6 @@ fn histogram_json(o: &mut json::Object<'_>, h: &HistogramSnapshot) {
 /// ever appear so a row can't split.
 pub(crate) fn csv_field(s: &str) -> String {
     s.replace([',', '"', '\n', '\r'], "_")
-}
-
-fn write_histogram_csv(out: &mut String, section: &str, name: &str, h: &HistogramSnapshot) {
-    let name = csv_field(name);
-    for (i, c) in h.counts.iter().enumerate() {
-        let edge = match h.bounds.get(i) {
-            Some(b) => format!("le_{b}"),
-            None => "overflow".to_string(),
-        };
-        let _ = writeln!(out, "{section},histogram,{name},{edge},{c}");
-    }
-    let _ = writeln!(out, "{section},histogram,{name},count,{}", h.count);
-    let _ = writeln!(out, "{section},histogram,{name},sum,{}", h.sum);
 }
 
 #[cfg(test)]
@@ -363,8 +203,6 @@ mod tests {
         let mut r = TelemetryReport::default();
         r.counters.insert("c".into(), 1);
         r.timing_counters.insert("steals".into(), 7);
-        r.gauges
-            .insert("depth".into(), GaugeSnapshot { last: 3, max: 9 });
         r.timing_histograms.insert("lat".into(), sample_hist());
         r.stages.insert(
             "s".into(),
@@ -377,86 +215,8 @@ mod tests {
         let json = r.to_json();
         assert!(json.starts_with("{\"deterministic\":{"));
         assert!(json.contains("\"timing\":{\"counters\":{\"steals\":7}"));
-        assert!(json.contains("\"gauges\":{\"depth\":{\"last\":3,\"max\":9}}"));
         assert!(json.contains("\"stage_wall_ns\":{\"s\":50}"));
         assert!(json.contains("\"count\":6,\"sum\":321"));
-    }
-
-    #[test]
-    fn csv_rows_cover_every_metric() {
-        let mut r = TelemetryReport::default();
-        r.counters.insert("c".into(), 5);
-        r.histograms.insert("h".into(), sample_hist());
-        r.gauges
-            .insert("g".into(), GaugeSnapshot { last: -1, max: 4 });
-        let csv = r.to_csv();
-        assert!(csv.starts_with("section,kind,name,field,value\n"));
-        assert!(csv.contains("deterministic,counter,c,total,5\n"));
-        assert!(csv.contains("deterministic,histogram,h,le_10,2\n"));
-        assert!(csv.contains("deterministic,histogram,h,overflow,1\n"));
-        assert!(csv.contains("timing,gauge,g,last,-1\n"));
-    }
-
-    #[test]
-    fn merge_adds_element_wise() {
-        let a = sample_hist();
-        let merged = a.merge(&a);
-        assert_eq!(merged.counts, vec![4, 6, 2]);
-        assert_eq!(merged.count, 12);
-        assert_eq!(merged.sum, 642);
-    }
-
-    #[test]
-    fn quantile_estimate_interpolates_within_buckets() {
-        // 10 observations, all in (0, 10]: ranks map linearly onto the
-        // bucket interval, so p50 = 5.0 exactly.
-        let h = HistogramSnapshot {
-            bounds: vec![10, 100],
-            counts: vec![10, 0, 0],
-            count: 10,
-            sum: 55,
-        };
-        assert_eq!(h.quantile_estimate(0.5), Some(5.0));
-        assert_eq!(h.p50(), Some(5.0));
-        assert_eq!(h.quantile_estimate(1.0), Some(10.0));
-
-        // Mixed buckets: ranks 1-2 in (0,10], ranks 3-5 in (10,100],
-        // rank 6 in overflow (clamped to the last finite bound).
-        let h = sample_hist();
-        assert_eq!(h.quantile_estimate(0.0), Some(5.0));
-        let p50 = h.p50().unwrap();
-        assert!(p50 > 10.0 && p50 <= 100.0, "p50 {p50} in second bucket");
-        assert_eq!(h.p99(), Some(100.0), "overflow clamps to last bound");
-        assert_eq!(HistogramSnapshot::default().p95(), None);
-    }
-
-    #[test]
-    fn quantile_estimate_brackets_the_exact_quantile_bucket() {
-        // Estimate and exact reference always land in the same bucket,
-        // so they differ by at most one bucket width (the proptest in
-        // tests/proptest_telemetry.rs sweeps this; here we pin one case).
-        let values = [1u64, 2, 9, 10, 11, 40, 99, 100];
-        let bounds = [10u64, 100];
-        let mut counts = vec![0u64; 3];
-        for &v in &values {
-            counts[bounds.partition_point(|&b| b < v)] += 1;
-        }
-        let h = HistogramSnapshot {
-            bounds: bounds.to_vec(),
-            counts,
-            count: values.len() as u64,
-            sum: values.iter().sum(),
-        };
-        for q in [0.25, 0.5, 0.75, 0.95] {
-            let rank = ((q * values.len() as f64).ceil() as usize).max(1);
-            let exact = values[rank - 1] as f64;
-            let est = h.quantile_estimate(q).unwrap();
-            let width = if exact <= 10.0 { 10.0 } else { 90.0 };
-            assert!(
-                (est - exact).abs() <= width,
-                "q={q}: est {est} vs exact {exact} exceeds bucket width"
-            );
-        }
     }
 
     #[test]
@@ -473,18 +233,5 @@ mod tests {
         let zero = prev.delta(&prev);
         assert_eq!(zero.count, 0);
         assert!(zero.counts.iter().all(|&c| c == 0));
-    }
-
-    #[test]
-    fn quantile_bound_picks_bucket_edges() {
-        let h = sample_hist();
-        assert_eq!(h.quantile_bound(0.0), Some(10));
-        assert_eq!(h.quantile_bound(0.5), Some(100));
-        assert_eq!(
-            h.quantile_bound(1.0),
-            Some(100),
-            "overflow reports last bound"
-        );
-        assert_eq!(HistogramSnapshot::default().quantile_bound(0.5), None);
     }
 }

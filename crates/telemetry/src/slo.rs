@@ -1,8 +1,9 @@
 //! Declarative SLOs with multiwindow burn-rate alerting.
 //!
-//! An [`SloSpec`] names two deterministic counters in the time-series —
-//! a numerator of "bad" units and a denominator of opportunities — and
-//! an error-budget objective in parts-per-million. The [`SloEngine`]
+//! An [`SloSpec`] is a compile-time constant that names two
+//! deterministic counters in the time-series — a numerator of "bad"
+//! units and a denominator of opportunities — and an error-budget
+//! objective in parts-per-million. The [`SloEngine`]
 //! evaluates each spec over two sliding windows of delta frames: a
 //! *fast* window that reacts within a few rounds and a *slow* window
 //! that filters one-round blips. An alert fires only when **both**
@@ -11,7 +12,7 @@
 //! down — so alerts latch across a burst instead of flapping per round.
 //!
 //! Everything is integer arithmetic over counter deltas: for a fixed
-//! workload and tick schedule, the emitted [`AlertEvent`] sequence is
+//! workload, the emitted [`AlertEvent`] sequence is
 //! identical across worker counts, which lets the serve layer treat
 //! alerts as deterministic events — they transition the health ledger
 //! and trigger flight-recorder dumps without breaking the digest
@@ -34,49 +35,30 @@ pub struct BurnWindow {
 }
 
 /// A service-level objective over two time-series counters.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Specs are constants, so their well-formedness is checked by a test
+/// over the set rather than at run time: a non-empty unique name, a
+/// positive objective (a zero would divide by zero in the burn rate),
+/// positive windows and factors, and a slow window at least as long as
+/// the fast one.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SloSpec {
     /// Alert name; appears in events, health-ledger transition reasons
     /// (`slo:<name>`), and trace dumps.
-    pub name: String,
+    pub name: &'static str,
     /// Counter whose deltas count "bad" units (e.g. `slo.frames_lost`).
-    pub numerator: String,
+    pub numerator: &'static str,
     /// Counter whose deltas count opportunities (e.g. `slo.frame_slots`).
-    pub denominator: String,
+    pub denominator: &'static str,
     /// Error budget: allowed numerator units per denominator unit, in
     /// parts per million. May exceed 1e6 for ratios that are naturally
     /// above one (e.g. mean staleness in frames per slot).
     pub objective_ppm: u64,
     /// Fast window: short, catches bursts.
     pub fast: BurnWindow,
-    /// Slow window: long, filters blips. Must be at least as long as
-    /// the fast window.
+    /// Slow window: long, filters blips. At least as long as the fast
+    /// window.
     pub slow: BurnWindow,
-}
-
-impl SloSpec {
-    /// Validates windows and budget.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.name.is_empty() {
-            return Err("slo: empty name".into());
-        }
-        if self.objective_ppm == 0 {
-            return Err(format!("slo {}: objective_ppm must be > 0", self.name));
-        }
-        if self.fast.ticks == 0 || self.slow.ticks == 0 {
-            return Err(format!("slo {}: window ticks must be > 0", self.name));
-        }
-        if self.slow.ticks < self.fast.ticks {
-            return Err(format!(
-                "slo {}: slow window ({}) shorter than fast ({})",
-                self.name, self.slow.ticks, self.fast.ticks
-            ));
-        }
-        if self.fast.factor_milli == 0 || self.slow.factor_milli == 0 {
-            return Err(format!("slo {}: burn factors must be > 0", self.name));
-        }
-        Ok(())
-    }
 }
 
 /// Alert lifecycle edge.
@@ -127,7 +109,7 @@ impl AlertEvent {
 }
 
 struct SloState {
-    spec: SloSpec,
+    spec: &'static SloSpec,
     /// Recent (numerator, denominator) deltas, newest at the back,
     /// bounded by the slow window length.
     window: VecDeque<(u64, u64)>,
@@ -161,35 +143,19 @@ pub struct SloEngine {
 }
 
 impl SloEngine {
-    /// Builds an engine; every spec must validate.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first spec validation failure, or a duplicate-name
-    /// error.
-    pub fn new(specs: Vec<SloSpec>) -> Result<Self, String> {
-        for (i, spec) in specs.iter().enumerate() {
-            spec.validate()?;
-            if specs[..i].iter().any(|s| s.name == spec.name) {
-                return Err(format!("slo {}: duplicate name", spec.name));
-            }
-        }
-        Ok(SloEngine {
+    /// Builds an engine over a constant spec set.
+    pub fn new(specs: &'static [SloSpec]) -> Self {
+        SloEngine {
             slos: specs
-                .into_iter()
+                .iter()
                 .map(|spec| SloState {
-                    window: VecDeque::new(),
                     spec,
+                    window: VecDeque::new(),
                     firing: false,
                 })
                 .collect(),
             log: Vec::new(),
-        })
-    }
-
-    /// The configured specs, in evaluation order.
-    pub fn specs(&self) -> impl Iterator<Item = &SloSpec> {
-        self.slos.iter().map(|s| &s.spec)
+        }
     }
 
     /// Feeds one tick's delta frame and returns the alert transitions
@@ -200,8 +166,8 @@ impl SloEngine {
         let mut events = Vec::new();
         for slo in &mut self.slos {
             let sample = (
-                frame.counter(&slo.spec.numerator),
-                frame.counter(&slo.spec.denominator),
+                frame.counter(slo.spec.numerator),
+                frame.counter(slo.spec.denominator),
             );
             if slo.window.len() == slo.spec.slow.ticks {
                 slo.window.pop_front();
@@ -219,7 +185,7 @@ impl SloEngine {
                 slo.firing = next;
                 events.push(AlertEvent {
                     round: frame.round,
-                    slo: slo.spec.name.clone(),
+                    slo: slo.spec.name.to_string(),
                     state: if next {
                         AlertState::Firing
                     } else {
@@ -241,11 +207,11 @@ impl SloEngine {
 
     /// Names of SLOs currently in the firing state, in declaration
     /// order.
-    pub fn firing(&self) -> Vec<&str> {
+    pub fn firing(&self) -> Vec<&'static str> {
         self.slos
             .iter()
             .filter(|s| s.firing)
-            .map(|s| s.spec.name.as_str())
+            .map(|s| s.spec.name)
             .collect()
     }
 }
@@ -264,27 +230,25 @@ mod tests {
         f
     }
 
-    fn spec() -> SloSpec {
-        SloSpec {
-            name: "loss".into(),
-            numerator: "bad".into(),
-            denominator: "slots".into(),
-            // 10% budget; fast fires at 2x burn, slow at 1x.
-            objective_ppm: 100_000,
-            fast: BurnWindow {
-                ticks: 2,
-                factor_milli: 2000,
-            },
-            slow: BurnWindow {
-                ticks: 4,
-                factor_milli: 1000,
-            },
-        }
-    }
+    const SPECS: &[SloSpec] = &[SloSpec {
+        name: "loss",
+        numerator: "bad",
+        denominator: "slots",
+        // 10% budget; fast fires at 2x burn, slow at 1x.
+        objective_ppm: 100_000,
+        fast: BurnWindow {
+            ticks: 2,
+            factor_milli: 2000,
+        },
+        slow: BurnWindow {
+            ticks: 4,
+            factor_milli: 1000,
+        },
+    }];
 
     #[test]
     fn fires_when_both_windows_burn_and_clears_on_calm() {
-        let mut eng = SloEngine::new(vec![spec()]).unwrap();
+        let mut eng = SloEngine::new(SPECS);
         // Calm rounds: 0/4 lost.
         assert!(eng.observe(&frame(0, 0, 4)).is_empty());
         assert!(eng.observe(&frame(1, 0, 4)).is_empty());
@@ -310,7 +274,7 @@ mod tests {
 
     #[test]
     fn slow_window_filters_single_tick_blips() {
-        let mut eng = SloEngine::new(vec![spec()]).unwrap();
+        let mut eng = SloEngine::new(SPECS);
         for r in 0..3 {
             assert!(eng.observe(&frame(r, 0, 4)).is_empty());
         }
@@ -323,7 +287,7 @@ mod tests {
 
     #[test]
     fn burn_math_is_exact_fixed_point() {
-        let mut eng = SloEngine::new(vec![spec()]).unwrap();
+        let mut eng = SloEngine::new(SPECS);
         eng.observe(&frame(0, 1, 10));
         // 1/10 = objective exactly -> burn 1000 milli on both windows.
         let s = &eng.slos[0];
@@ -333,20 +297,9 @@ mod tests {
 
     #[test]
     fn zero_denominator_burns_zero() {
-        let mut eng = SloEngine::new(vec![spec()]).unwrap();
+        let mut eng = SloEngine::new(SPECS);
         assert!(eng.observe(&frame(0, 0, 0)).is_empty());
         assert_eq!(eng.slos[0].burn_milli(4), 0);
-    }
-
-    #[test]
-    fn invalid_specs_rejected() {
-        let mut s = spec();
-        s.objective_ppm = 0;
-        assert!(SloEngine::new(vec![s]).is_err());
-        let mut s = spec();
-        s.slow.ticks = 1;
-        assert!(SloEngine::new(vec![s]).is_err());
-        assert!(SloEngine::new(vec![spec(), spec()]).is_err(), "dup names");
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! serve control plane.
 //!
 //! Events are small `Copy` records so the hot paths can emit them
-//! without allocation, and each packs losslessly into three `u64`
-//! words for the lock-free [`crate::FlightRecorder`] ring.
+//! without allocation.
 
 /// Macroblock coding mode codes used in [`Event::MbCoded`].
 pub const MODE_INTRA: u8 = 0;
@@ -68,15 +67,6 @@ pub enum Event {
     Degraded { round: u32, level: u8 },
 }
 
-const KIND_MB_CODED: u64 = 1;
-const KIND_PACKET_LOST: u64 = 2;
-const KIND_PACKET_CORRUPTED: u64 = 3;
-const KIND_FEC_RECOVERED: u64 = 4;
-const KIND_MB_CONCEALED: u64 = 5;
-const KIND_RESYNC: u64 = 6;
-const KIND_FRAME_CONCEALED: u64 = 7;
-const KIND_DEGRADED: u64 = 8;
-
 impl Event {
     /// Frame index the event refers to ([`Event::Degraded`] reports
     /// its round instead).
@@ -107,196 +97,11 @@ impl Event {
         }
     }
 
-    /// Whether the flight-recorder ring should capture the event.
-    /// Per-MB provenance is high-volume background material; the ring
+    /// Whether the tracer's flight tail should capture the event.
+    /// Per-MB provenance is high-volume background material; the tail
     /// keeps only transport, decode, and control-plane events so a
-    /// dump shows the interesting tail of a session.
+    /// dump shows the interesting end of a session.
     pub fn is_flight(&self) -> bool {
         !matches!(self, Event::MbCoded { .. })
-    }
-
-    /// Packs the event into three words for the ring.
-    pub fn pack(self) -> [u64; 3] {
-        match self {
-            Event::MbCoded {
-                frame,
-                mb,
-                mode,
-                mv_x,
-                mv_y,
-                bit_start,
-                bit_len,
-            } => [
-                KIND_MB_CODED | (u64::from(frame) << 8) | (u64::from(mb) << 40),
-                u64::from(mode) | (u64::from(mv_x as u16) << 8) | (u64::from(mv_y as u16) << 24),
-                u64::from(bit_start) | (u64::from(bit_len) << 32),
-            ],
-            Event::PacketLost {
-                frame,
-                seq,
-                frag,
-                frag_count,
-                len,
-                parity,
-            } => [
-                KIND_PACKET_LOST
-                    | (u64::from(frame) << 8)
-                    | (u64::from(frag) << 40)
-                    | (u64::from(parity) << 56),
-                u64::from(seq) | (u64::from(frag_count) << 32),
-                u64::from(len),
-            ],
-            Event::PacketCorrupted {
-                frame,
-                seq,
-                frag,
-                frag_count,
-                len,
-            } => [
-                KIND_PACKET_CORRUPTED | (u64::from(frame) << 8) | (u64::from(frag) << 40),
-                u64::from(seq) | (u64::from(frag_count) << 32),
-                u64::from(len),
-            ],
-            Event::FecRecovered { frame } => [KIND_FEC_RECOVERED | (u64::from(frame) << 8), 0, 0],
-            Event::MbConcealed {
-                frame,
-                mb_start,
-                count,
-            } => [
-                KIND_MB_CONCEALED | (u64::from(frame) << 8) | (u64::from(mb_start) << 40),
-                u64::from(count),
-                0,
-            ],
-            Event::Resync {
-                frame,
-                bytes_skipped,
-            } => [
-                KIND_RESYNC | (u64::from(frame) << 8),
-                u64::from(bytes_skipped),
-                0,
-            ],
-            Event::FrameConcealed { frame, mbs } => [
-                KIND_FRAME_CONCEALED | (u64::from(frame) << 8) | (u64::from(mbs) << 40),
-                0,
-                0,
-            ],
-            Event::Degraded { round, level } => [
-                KIND_DEGRADED | (u64::from(round) << 8) | (u64::from(level) << 40),
-                0,
-                0,
-            ],
-        }
-    }
-
-    /// Reverses [`Event::pack`]; `None` for an unknown kind byte
-    /// (e.g. an unwritten ring slot).
-    pub fn unpack(w: [u64; 3]) -> Option<Event> {
-        let frame = (w[0] >> 8) as u32;
-        let hi16 = (w[0] >> 40) as u16;
-        match w[0] & 0xFF {
-            KIND_MB_CODED => Some(Event::MbCoded {
-                frame,
-                mb: hi16,
-                mode: w[1] as u8,
-                mv_x: (w[1] >> 8) as u16 as i16,
-                mv_y: (w[1] >> 24) as u16 as i16,
-                bit_start: w[2] as u32,
-                bit_len: (w[2] >> 32) as u32,
-            }),
-            KIND_PACKET_LOST => Some(Event::PacketLost {
-                frame,
-                seq: w[1] as u32,
-                frag: hi16,
-                frag_count: (w[1] >> 32) as u16,
-                len: w[2] as u32,
-                parity: (w[0] >> 56) & 1 == 1,
-            }),
-            KIND_PACKET_CORRUPTED => Some(Event::PacketCorrupted {
-                frame,
-                seq: w[1] as u32,
-                frag: hi16,
-                frag_count: (w[1] >> 32) as u16,
-                len: w[2] as u32,
-            }),
-            KIND_FEC_RECOVERED => Some(Event::FecRecovered { frame }),
-            KIND_MB_CONCEALED => Some(Event::MbConcealed {
-                frame,
-                mb_start: hi16,
-                count: w[1] as u16,
-            }),
-            KIND_RESYNC => Some(Event::Resync {
-                frame,
-                bytes_skipped: w[1] as u32,
-            }),
-            KIND_FRAME_CONCEALED => Some(Event::FrameConcealed { frame, mbs: hi16 }),
-            KIND_DEGRADED => Some(Event::Degraded {
-                round: frame,
-                level: hi16 as u8,
-            }),
-            _ => None,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pack_roundtrips_every_variant() {
-        let events = [
-            Event::MbCoded {
-                frame: 1234,
-                mb: 98,
-                mode: MODE_INTER,
-                mv_x: -15,
-                mv_y: 7,
-                bit_start: 100_000,
-                bit_len: 517,
-            },
-            Event::PacketLost {
-                frame: u32::MAX,
-                seq: 0xDEAD_BEEF,
-                frag: 65_535,
-                frag_count: 41,
-                len: 1400,
-                parity: true,
-            },
-            Event::PacketCorrupted {
-                frame: 7,
-                seq: 3,
-                frag: 0,
-                frag_count: 9,
-                len: 512,
-            },
-            Event::FecRecovered { frame: 19 },
-            Event::MbConcealed {
-                frame: 2,
-                mb_start: 55,
-                count: 44,
-            },
-            Event::Resync {
-                frame: 3,
-                bytes_skipped: 912,
-            },
-            Event::FrameConcealed { frame: 4, mbs: 99 },
-            Event::Degraded {
-                round: 11,
-                level: 3,
-            },
-        ];
-        for e in events {
-            assert_eq!(
-                Event::unpack(e.pack()),
-                Some(e),
-                "roundtrip failed for {e:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn unpack_rejects_unknown_kind() {
-        assert_eq!(Event::unpack([0, 0, 0]), None);
-        assert_eq!(Event::unpack([0xFF, 1, 2]), None);
     }
 }

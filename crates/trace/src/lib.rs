@@ -23,8 +23,10 @@
 //! everything derived from the structured event log (DAG, blast radii,
 //! calibration) is a pure function of the seeds and is emitted as
 //! sorted-key integer-only JSON, byte-identical across worker counts.
-//! Wall-clock timestamps exist only in the [`FlightRecorder`] ring and
-//! are exported separately as chrome://tracing JSON.
+//! Wall-clock timestamps exist only in the flight tail — the newest
+//! [`FLIGHT_CAPACITY`] transport/decode/control events, which the
+//! [`Tracer`] keeps beside its log under the same lock — and are
+//! exported separately as chrome://tracing JSON.
 //!
 //! Disabled tracing (the default, [`Tracer::disabled`]) is a single
 //! branch on an `Option` per would-be event; the overhead guard
@@ -33,12 +35,10 @@
 
 pub mod calib;
 pub mod event;
-pub mod recorder;
 pub mod replay;
 mod tracer;
 
 pub use calib::{Calibration, CalibrationBin, BIN_COUNT, SIGMA_SCALE};
 pub use event::Event;
-pub use recorder::{FlightRecorder, RecordedEvent};
 pub use replay::{analyze, Analysis, AnalyzeParams, EventBlast, LossKind, ProvenanceDag, TraceLog};
-pub use tracer::Tracer;
+pub use tracer::{RecordedEvent, Tracer, FLIGHT_CAPACITY};
