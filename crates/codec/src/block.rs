@@ -45,16 +45,8 @@ pub fn residual_block(
 }
 
 /// Stores an 8×8 spatial block into the plane at `(x, y)`, clamping each
-/// sample to `0..=255` — the reconstruction path of intra blocks.
-///
-/// # Panics
-///
-/// Panics if the block is out of bounds.
-pub fn store_block_clamped(p: &mut Plane, x: usize, y: usize, data: &[i32; BLOCK_LEN]) {
-    store_block_clamped_with(Kernels::active(), p, x, y, data)
-}
-
-/// [`store_block_clamped`] through an explicit kernel table.
+/// sample to `0..=255` through the kernel table `k` — the
+/// reconstruction path of intra blocks.
 ///
 /// # Panics
 ///
@@ -73,23 +65,8 @@ pub fn store_block_clamped_with(
 }
 
 /// Stores prediction + residual into the plane at `(x, y)`, clamped — the
-/// reconstruction path of inter blocks. `pred`/`stride`/`(px, py)` are as
-/// in [`residual_block`].
-#[allow(clippy::too_many_arguments)]
-pub fn store_pred_plus_residual(
-    p: &mut Plane,
-    x: usize,
-    y: usize,
-    pred: &[u8],
-    stride: usize,
-    px: usize,
-    py: usize,
-    resid: &[i32; BLOCK_LEN],
-) {
-    store_pred_plus_residual_with(Kernels::active(), p, x, y, pred, stride, px, py, resid)
-}
-
-/// [`store_pred_plus_residual`] through an explicit kernel table.
+/// reconstruction path of inter blocks, through the kernel table `k`.
+/// `pred`/`stride`/`(px, py)` are as in [`residual_block`].
 #[allow(clippy::too_many_arguments)]
 pub fn store_pred_plus_residual_with(
     k: &Kernels,
@@ -137,10 +114,11 @@ mod tests {
 
     #[test]
     fn load_store_roundtrip() {
+        let k = Kernels::active();
         let mut p = Plane::from_fn(16, 16, |x, y| (x * 16 + y) as u8);
         let blk = load_block(&p, 8, 8);
         let mut q = Plane::new(16, 16);
-        store_block_clamped(&mut q, 8, 8, &blk);
+        store_block_clamped_with(k, &mut q, 8, 8, &blk);
         for y in 8..16 {
             for x in 8..16 {
                 assert_eq!(q.get(x, y), p.get(x, y));
@@ -148,20 +126,21 @@ mod tests {
         }
         // Clamping.
         let hot = [300i32; BLOCK_LEN];
-        store_block_clamped(&mut p, 0, 0, &hot);
+        store_block_clamped_with(k, &mut p, 0, 0, &hot);
         assert_eq!(p.get(0, 0), 255);
         let cold = [-5i32; BLOCK_LEN];
-        store_block_clamped(&mut p, 0, 0, &cold);
+        store_block_clamped_with(k, &mut p, 0, 0, &cold);
         assert_eq!(p.get(0, 0), 0);
     }
 
     #[test]
     fn residual_plus_prediction_reconstructs() {
+        let k = Kernels::active();
         let cur = Plane::from_fn(16, 16, |x, y| (40 + x * 3 + y) as u8);
         let pred: Vec<u8> = (0..256).map(|i| (i % 200) as u8).collect();
         let resid = residual_block(&cur, 0, 8, &pred, 16, 0, 8);
         let mut out = Plane::new(16, 16);
-        store_pred_plus_residual(&mut out, 0, 8, &pred, 16, 0, 8, &resid);
+        store_pred_plus_residual_with(k, &mut out, 0, 8, &pred, 16, 0, 8, &resid);
         for y in 8..16 {
             for x in 0..8 {
                 assert_eq!(out.get(x, y), cur.get(x, y));

@@ -47,7 +47,7 @@
 //! * **predicted-MV fast search** — each P-macroblock seeds the search
 //!   with predicted vectors, and every sweep candidate's SAD accumulation
 //!   terminates early once it exceeds the running best (see
-//!   [`me::search_fast`]);
+//!   [`me::search_fast_with`]);
 //! * **fused transform** — DCT, quantization, and zigzag run as one
 //!   kernel with no intermediate 8×8 buffers ([`crate::fused`]);
 //! * **zero-allocation steady state** — the bit writer, reconstruction
@@ -86,8 +86,8 @@ pub const PICTURE_START_CODE_LEN: u32 = 17;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptConfig {
     /// Predicted-MV candidate seeding plus SAD early termination in the
-    /// motion search ([`me::search_fast`]). Off = the naive exhaustive
-    /// accounting path ([`me::search`]).
+    /// motion search ([`me::search_fast_with`]). Off = the naive
+    /// exhaustive accounting path ([`me::search_with`]).
     pub fast_me: bool,
     /// The fused `dct→quant→zigzag` block kernel
     /// ([`crate::fused::fdct_quant_scan`]). Off = the separate

@@ -39,7 +39,7 @@
 //!   same row the scalar kernel abandons after.
 //!
 //! A coarser-grained bounded SAD is still *winner-identical* for the
-//! motion searches (see [`crate::me::sad_mb_bounded`]'s contract); such
+//! motion searches (see [`crate::me::sad_mb_bounded_with`]'s contract); such
 //! a tier would only change op accounting, not bitstreams. The
 //! [`Kernels::coarse2_for_tests`] tier exists to prove that property.
 
@@ -197,7 +197,7 @@ impl Kernels {
     /// where `ops` counts 16 logical absolute differences per row
     /// visited. `acc` is the exact full SAD **iff** `acc < limit`;
     /// otherwise it is only a lower bound on the true SAD (see
-    /// [`crate::me::sad_mb_bounded`] for the caller contract).
+    /// [`crate::me::sad_mb_bounded_with`] for the caller contract).
     ///
     /// Every production tier abandons after exactly the same row as the
     /// scalar tier, so `(acc, ops)` — not just the winner — is
@@ -239,7 +239,7 @@ impl Kernels {
     /// `side`×`side` block: `region` is the `(side+hx)`×`(side+hy)`
     /// integer-pel source with row stride `region_w`, `(hx, hy)` is the
     /// half-pel phase (not both zero), and `out` is the `side`×`side`
-    /// destination. Matches [`crate::mc::predict_luma_subpel`]'s
+    /// destination. Matches [`crate::mc::predict_luma_subpel_with`]'s
     /// averaging exactly.
     #[inline]
     pub fn halfpel(
@@ -341,7 +341,7 @@ impl Kernels {
 
     /// A deliberately coarser bounded-SAD tier for contract tests: the
     /// bound is only tested every **2** rows (ops are still charged per
-    /// row). Exercises the [`crate::me::sad_mb_bounded`] caller
+    /// row). Exercises the [`crate::me::sad_mb_bounded_with`] caller
     /// contract — the motion searches must pick the identical winner
     /// under any bound-check granularity, because an abandoned
     /// candidate (`acc ≥ limit`) can never be adopted and a completed

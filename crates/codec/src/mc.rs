@@ -3,7 +3,7 @@
 //! Integer-pixel prediction with H.263-style edge extension (reference
 //! reads outside the picture clamp to the border), plus optional
 //! half-pixel bilinear interpolation with H.263 rounding
-//! ([`predict_luma_subpel`]). Chroma uses the floor-halved luma vector.
+//! ([`predict_luma_subpel_with`]). Chroma uses the floor-halved luma vector.
 //! Both encoder and decoder use these exact functions, so prediction is
 //! bit-identical end to end.
 
@@ -38,18 +38,9 @@ pub fn predict_luma(reference: &Plane, mb: MbIndex, mv: MotionVector, out: &mut 
 /// luma prediction for macroblock `mb`. The sub-pel position is
 /// interpolated bilinearly with H.263 rounding:
 /// horizontal/vertical half positions average 2 samples with `+1`
-/// rounding, the diagonal position averages 4 with `+2`.
-///
-/// # Panics
-///
-/// Panics if `out.len() != 256`.
-pub fn predict_luma_subpel(reference: &Plane, mb: MbIndex, mv: SubPelVector, out: &mut [u8]) {
-    predict_luma_subpel_with(Kernels::active(), reference, mb, mv, out)
-}
-
-/// [`predict_luma_subpel`] through an explicit kernel table: the region
-/// fetch (edge clamping) stays scalar, the averaging runs on the tier's
-/// half-pel kernel.
+/// rounding, the diagonal position averages 4 with `+2`. The region
+/// fetch (edge clamping) stays scalar; the averaging runs on the half-pel
+/// kernel of `k`.
 ///
 /// # Panics
 ///
@@ -104,15 +95,7 @@ pub fn predict_chroma(reference: &Plane, mb: MbIndex, mv: MotionVector, out: &mu
 /// Fills `out` (8×8 row-major) with the half-pixel motion-compensated
 /// chroma prediction for macroblock `mb`. The chroma displacement is the
 /// floor-halved luma half-pel vector, itself in half-pel chroma units.
-///
-/// # Panics
-///
-/// Panics if `out.len() != 64`.
-pub fn predict_chroma_subpel(reference: &Plane, mb: MbIndex, mv: SubPelVector, out: &mut [u8]) {
-    predict_chroma_subpel_with(Kernels::active(), reference, mb, mv, out)
-}
-
-/// [`predict_chroma_subpel`] through an explicit kernel table.
+/// The averaging runs on the half-pel kernel of `k`.
 ///
 /// # Panics
 ///
@@ -205,6 +188,7 @@ mod tests {
 
     #[test]
     fn subpel_integer_position_matches_integer_predictor() {
+        let k = Kernels::active();
         let fmt = VideoFormat::QCIF;
         let refp = gradient_plane(fmt.width(), fmt.height());
         let mb = MbIndex::new(3, 3);
@@ -212,7 +196,7 @@ mod tests {
         let mut a = vec![0u8; 256];
         let mut b = vec![0u8; 256];
         predict_luma(&refp, mb, mv, &mut a);
-        predict_luma_subpel(&refp, mb, SubPelVector::integer(mv), &mut b);
+        predict_luma_subpel_with(k, &refp, mb, SubPelVector::integer(mv), &mut b);
         assert_eq!(a, b);
     }
 
@@ -220,17 +204,18 @@ mod tests {
     fn half_pel_interpolation_averages_with_h263_rounding() {
         // A plane where row y has value 10y and column structure 4x: make
         // averages easy to verify.
+        let k = Kernels::active();
         let refp = Plane::from_fn(64, 64, |x, y| (4 * x + 2 * y) as u8);
         let mb = MbIndex::new(1, 1);
         // Horizontal half position: avg of (x, x+1) = 4x+2y + 2.
         let mut out = vec![0u8; 256];
-        predict_luma_subpel(&refp, mb, SubPelVector::from_half_units(1, 0), &mut out);
+        predict_luma_subpel_with(k, &refp, mb, SubPelVector::from_half_units(1, 0), &mut out);
         let (ox, oy) = mb.luma_origin();
         let a = refp.get(ox, oy) as u16;
         let b = refp.get(ox + 1, oy) as u16;
         assert_eq!(out[0] as u16, (a + b).div_ceil(2));
         // Diagonal half position: average of 4 with +2 rounding.
-        predict_luma_subpel(&refp, mb, SubPelVector::from_half_units(1, 1), &mut out);
+        predict_luma_subpel_with(k, &refp, mb, SubPelVector::from_half_units(1, 1), &mut out);
         let c = refp.get(ox, oy + 1) as u16;
         let d = refp.get(ox + 1, oy + 1) as u16;
         assert_eq!(out[0] as u16, (a + b + c + d + 2) / 4);
@@ -241,6 +226,7 @@ mod tests {
         // Build a smooth reference; current = reference shifted by
         // exactly half a pixel (sampled via the same averaging). The
         // half-pel predictor must beat the best integer predictor.
+        let k = Kernels::active();
         let fmt = VideoFormat::QCIF;
         let refp = Plane::from_fn(fmt.width(), fmt.height(), |x, y| {
             (128.0 + 60.0 * (x as f64 * 0.10).sin() + 40.0 * (y as f64 * 0.08).cos()) as u8
@@ -248,7 +234,13 @@ mod tests {
         let mb = MbIndex::new(4, 4);
         // Target block: the reference at +0.5 px horizontally.
         let mut target = [0u8; 256];
-        predict_luma_subpel(&refp, mb, SubPelVector::from_half_units(1, 0), &mut target);
+        predict_luma_subpel_with(
+            k,
+            &refp,
+            mb,
+            SubPelVector::from_half_units(1, 0),
+            &mut target,
+        );
 
         let sad_vs = |pred: &[u8]| -> u64 {
             pred.iter()
@@ -264,12 +256,13 @@ mod tests {
         assert!(best_int > 0, "integer prediction cannot be exact here");
         // The half-pel position reproduces the target exactly.
         let mut half = vec![0u8; 256];
-        predict_luma_subpel(&refp, mb, SubPelVector::from_half_units(1, 0), &mut half);
+        predict_luma_subpel_with(k, &refp, mb, SubPelVector::from_half_units(1, 0), &mut half);
         assert_eq!(sad_vs(&half), 0);
     }
 
     #[test]
     fn chroma_subpel_integer_case_matches_plain_chroma() {
+        let k = Kernels::active();
         let fmt = VideoFormat::QCIF;
         let refc = gradient_plane(fmt.chroma_width(), fmt.chroma_height());
         let mb = MbIndex::new(2, 2);
@@ -277,7 +270,7 @@ mod tests {
         let mut a = vec![0u8; 64];
         let mut b = vec![0u8; 64];
         predict_chroma(&refc, mb, mv, &mut a);
-        predict_chroma_subpel(&refc, mb, SubPelVector::integer(mv), &mut b);
+        predict_chroma_subpel_with(k, &refc, mb, SubPelVector::integer(mv), &mut b);
         assert_eq!(a, b);
     }
 

@@ -68,17 +68,11 @@ pub struct MeResult {
 }
 
 /// SAD between the macroblock `mb` of `cur` and the same-size block of
-/// `reference` displaced by `mv` (edge-clamped). Uses the process-wide
-/// active kernel tier; see [`sad_mb_with`].
-pub fn sad_mb(cur: &Plane, reference: &Plane, mb: MbIndex, mv: MotionVector) -> u64 {
-    sad_mb_with(Kernels::active(), cur, reference, mb, mv)
-}
-
-/// [`sad_mb`] through an explicit kernel table. Interior candidates
-/// (both blocks fully inside their planes) run the tier's SAD kernel;
-/// edge-clamped candidates read the reference one edge-replicated row at
-/// a time and stay scalar on every tier. They are not rare: about 19% of
-/// a ±15 full search on QCIF.
+/// `reference` displaced by `mv` (edge-clamped), through the kernel
+/// table `k`. Interior candidates (both blocks fully inside their
+/// planes) run the tier's SAD kernel; edge-clamped candidates read the
+/// reference one edge-replicated row at a time and stay scalar on every
+/// tier. They are not rare: about 19% of a ±15 full search on QCIF.
 pub fn sad_mb_with(
     k: &Kernels,
     cur: &Plane,
@@ -143,8 +137,8 @@ fn clamped_ref_row<'a>(
 /// abandons the candidate as soon as the partial sum reaches `limit`
 /// (at which point it can no longer win). Returns the accumulated sum
 /// plus the number of absolute-difference operations actually executed
-/// (16 per row visited, against [`sad_mb`]'s unconditional 256). Uses
-/// the process-wide active kernel tier; see [`sad_mb_bounded_with`].
+/// (16 per row visited, against [`sad_mb_with`]'s unconditional 256),
+/// through the kernel table `k`.
 ///
 /// # Contract
 ///
@@ -165,17 +159,6 @@ fn clamped_ref_row<'a>(
 /// ([`Kernels::coarse2_for_tests`]). Every *production* tier does check
 /// per row, which is the stronger property that keeps `ops` (and the
 /// energy model) tier-invariant, not just the winner.
-pub fn sad_mb_bounded(
-    cur: &Plane,
-    reference: &Plane,
-    mb: MbIndex,
-    mv: MotionVector,
-    limit: u64,
-) -> (u64, u64) {
-    sad_mb_bounded_with(Kernels::active(), cur, reference, mb, mv, limit)
-}
-
-/// [`sad_mb_bounded`] through an explicit kernel table (same contract).
 pub fn sad_mb_bounded_with(
     k: &Kernels,
     cur: &Plane,
@@ -240,7 +223,7 @@ pub fn sad_self(cur: &Plane, mb: MbIndex) -> u64 {
 }
 
 /// A small deduplicated list of predicted motion vectors, fed to
-/// [`search_fast`] as a pruning prepass. The encoder fills it with the
+/// [`search_fast_with`] as a pruning prepass. The encoder fills it with the
 /// median of the causal neighbours (left/top/top-right), the zero
 /// vector, and the co-located previous-frame vector.
 #[derive(Debug, Clone, Copy, Default)]
@@ -279,22 +262,11 @@ pub fn median_mv(a: MotionVector, b: MotionVector, c: MotionVector) -> MotionVec
     MotionVector::new(med(a.x, b.x, c.x), med(a.y, b.y, c.y))
 }
 
-/// Runs the configured search for macroblock `mb`, minimizing
-/// `SAD(mv) + bias(mv)`.
+/// Runs the configured search for macroblock `mb` through the kernel
+/// table `k`, minimizing `SAD(mv) + bias(mv)`.
 ///
 /// `bias` may be stateful (PBPAIR consults its correctness matrix); it is
 /// invoked once per candidate.
-pub fn search(
-    cur: &Plane,
-    reference: &Plane,
-    mb: MbIndex,
-    cfg: MeConfig,
-    bias: &mut dyn FnMut(MotionVector) -> i64,
-) -> MeResult {
-    search_with(Kernels::active(), cur, reference, mb, cfg, bias)
-}
-
-/// [`search`] through an explicit kernel table.
 pub fn search_with(
     k: &Kernels,
     cur: &Plane,
@@ -309,7 +281,7 @@ pub fn search_with(
     }
 }
 
-/// The optimized counterpart of [`search`]: returns the **identical**
+/// The optimized counterpart of [`search_with`]: returns the **identical**
 /// `(mv, sad, cost)` for any inputs (the winner, its SAD, and its biased
 /// cost are provably the same as the naive search's, including
 /// tie-breaking), but executes far fewer absolute-difference operations.
@@ -328,18 +300,6 @@ pub fn search_with(
 ///
 /// `bias` is invoked once per visited candidate, including the prepass —
 /// i.e. potentially more times than the naive search invokes it.
-pub fn search_fast(
-    cur: &Plane,
-    reference: &Plane,
-    mb: MbIndex,
-    cfg: MeConfig,
-    bias: &mut dyn FnMut(MotionVector) -> i64,
-    prepass: &MvCandidates,
-) -> MeResult {
-    search_fast_with(Kernels::active(), cur, reference, mb, cfg, bias, prepass)
-}
-
-/// [`search_fast`] through an explicit kernel table.
 #[allow(clippy::too_many_arguments)]
 pub fn search_fast_with(
     k: &Kernels,
@@ -504,19 +464,7 @@ pub struct SubPelResult {
 
 /// Refines an integer-search winner by testing its 8 half-pel neighbours
 /// (H.263's half-pel step after integer search). Returns the best of the
-/// 9 positions.
-pub fn refine_half_pel(
-    cur: &Plane,
-    reference: &Plane,
-    mb: MbIndex,
-    int_mv: MotionVector,
-    int_sad: u64,
-) -> SubPelResult {
-    refine_half_pel_with(Kernels::active(), cur, reference, mb, int_mv, int_sad)
-}
-
-/// [`refine_half_pel`] through an explicit kernel table (interpolation
-/// and SAD both run on the tier's kernels).
+/// 9 positions. Interpolation and SAD both run on the kernel table `k`.
 pub fn refine_half_pel_with(
     k: &Kernels,
     cur: &Plane,
@@ -708,13 +656,14 @@ mod tests {
 
     #[test]
     fn full_search_finds_exact_translation() {
+        let k = Kernels::active();
         let (cur, reference) = shifted_pair(5, -3);
         let cfg = MeConfig {
             search_range: 7,
             strategy: SearchStrategy::Full,
         };
         let mb = MbIndex::new(4, 5);
-        let r = search(&cur, &reference, mb, cfg, &mut |_| 0);
+        let r = search_with(k, &cur, &reference, mb, cfg, &mut |_| 0);
         assert_eq!(r.mv, MotionVector::new(5, -3));
         assert_eq!(r.sad, 0);
         assert_eq!(r.candidates, 15 * 15);
@@ -723,13 +672,14 @@ mod tests {
 
     #[test]
     fn three_step_finds_the_same_translation() {
+        let k = Kernels::active();
         let (cur, reference) = shifted_pair(5, -3);
         let cfg = MeConfig {
             search_range: 15,
             strategy: SearchStrategy::ThreeStep,
         };
         let mb = MbIndex::new(4, 5);
-        let r = search(&cur, &reference, mb, cfg, &mut |_| 0);
+        let r = search_with(k, &cur, &reference, mb, cfg, &mut |_| 0);
         assert_eq!(r.mv, MotionVector::new(5, -3));
         assert_eq!(r.sad, 0);
         assert!(
@@ -741,13 +691,14 @@ mod tests {
 
     #[test]
     fn zero_motion_yields_zero_vector() {
+        let k = Kernels::active();
         let (cur, reference) = shifted_pair(0, 0);
         for strategy in [SearchStrategy::Full, SearchStrategy::ThreeStep] {
             let cfg = MeConfig {
                 search_range: 7,
                 strategy,
             };
-            let r = search(&cur, &reference, MbIndex::new(2, 2), cfg, &mut |_| 0);
+            let r = search_with(k, &cur, &reference, MbIndex::new(2, 2), cfg, &mut |_| 0);
             assert_eq!(r.mv, MotionVector::ZERO, "{strategy:?}");
             assert_eq!(r.sad, 0);
         }
@@ -757,6 +708,7 @@ mod tests {
     fn bias_can_veto_the_sad_winner() {
         // Reproduces the paper's Figure 3: the lowest-SAD candidate loses
         // when the bias (probability-of-correctness penalty) is high.
+        let k = Kernels::active();
         let (cur, reference) = shifted_pair(4, 0);
         let cfg = MeConfig {
             search_range: 7,
@@ -764,10 +716,10 @@ mod tests {
         };
         let mb = MbIndex::new(3, 3);
         // Unbiased winner is (4, 0).
-        let unbiased = search(&cur, &reference, mb, cfg, &mut |_| 0);
+        let unbiased = search_with(k, &cur, &reference, mb, cfg, &mut |_| 0);
         assert_eq!(unbiased.mv, MotionVector::new(4, 0));
         // Penalize exactly that vector enormously.
-        let biased = search(&cur, &reference, mb, cfg, &mut |mv| {
+        let biased = search_with(k, &cur, &reference, mb, cfg, &mut |mv| {
             if mv == MotionVector::new(4, 0) {
                 1_000_000
             } else {
@@ -780,12 +732,13 @@ mod tests {
 
     #[test]
     fn search_respects_the_window() {
+        let k = Kernels::active();
         let (cur, reference) = shifted_pair(12, 0); // true motion outside ±7
         let cfg = MeConfig {
             search_range: 7,
             strategy: SearchStrategy::Full,
         };
-        let r = search(&cur, &reference, MbIndex::new(4, 4), cfg, &mut |_| 0);
+        let r = search_with(k, &cur, &reference, MbIndex::new(4, 4), cfg, &mut |_| 0);
         assert!(r.mv.x.abs() <= 7 && r.mv.y.abs() <= 7);
     }
 
@@ -807,13 +760,14 @@ mod tests {
         strategy: SearchStrategy,
         penalty: i64,
     ) {
+        let k = Kernels::active();
         let (cur, reference) = shifted_pair(dx, dy);
         let cfg = MeConfig {
             search_range: range,
             strategy,
         };
         let penalized = MotionVector::new(dx as i16, dy as i16);
-        let naive = search(&cur, &reference, mb, cfg, &mut |mv| {
+        let naive = search_with(k, &cur, &reference, mb, cfg, &mut |mv| {
             if mv == penalized {
                 penalty
             } else {
@@ -824,7 +778,8 @@ mod tests {
         prepass.push_clamped(MotionVector::new(dx as i16, dy as i16), range);
         prepass.push_clamped(MotionVector::ZERO, range);
         prepass.push_clamped(MotionVector::new(-3, 2), range);
-        let fast = search_fast(
+        let fast = search_fast_with(
+            k,
             &cur,
             &reference,
             mb,
@@ -884,6 +839,7 @@ mod tests {
 
     #[test]
     fn sad_mb_bounded_agrees_with_full_sad_under_limit() {
+        let k = Kernels::active();
         let (cur, reference) = shifted_pair(2, -1);
         let mb = MbIndex::new(3, 4);
         for mv in [
@@ -891,13 +847,13 @@ mod tests {
             MotionVector::new(2, -1),
             MotionVector::new(-15, 15), // clamped path
         ] {
-            let full = sad_mb(&cur, &reference, mb, mv);
-            let (bounded, ops) = sad_mb_bounded(&cur, &reference, mb, mv, u64::MAX);
+            let full = sad_mb_with(k, &cur, &reference, mb, mv);
+            let (bounded, ops) = sad_mb_bounded_with(k, &cur, &reference, mb, mv, u64::MAX);
             assert_eq!(bounded, full);
             assert_eq!(ops, 256);
             // A tight limit must abandon early and report fewer ops.
             if full > 0 {
-                let (partial, partial_ops) = sad_mb_bounded(&cur, &reference, mb, mv, 1);
+                let (partial, partial_ops) = sad_mb_bounded_with(k, &cur, &reference, mb, mv, 1);
                 assert!(partial >= 1);
                 assert!(partial_ops <= 256);
             }
@@ -933,6 +889,7 @@ mod tests {
 
     #[test]
     fn border_bounded_sad_matches_a_per_pixel_clamped_reference() {
+        let k = Kernels::active();
         let noise = |w: usize, h: usize, salt: usize| {
             Plane::from_fn(w, h, |x, y| {
                 let z = (x * 7919 + y * 104_729 + salt * 31).wrapping_mul(0x9e37_79b9);
@@ -964,10 +921,14 @@ mod tests {
                             border += 1;
                         }
                         let full = get_clamped_bounded_sad(&cur, &reference, mb, mv, u64::MAX).0;
-                        assert_eq!(sad_mb(&cur, &reference, mb, mv), full, "{mb:?} {mv:?}");
+                        assert_eq!(
+                            sad_mb_with(k, &cur, &reference, mb, mv),
+                            full,
+                            "{mb:?} {mv:?}"
+                        );
                         for limit in limits {
                             assert_eq!(
-                                sad_mb_bounded(&cur, &reference, mb, mv, limit),
+                                sad_mb_bounded_with(k, &cur, &reference, mb, mv, limit),
                                 get_clamped_bounded_sad(&cur, &reference, mb, mv, limit),
                                 "{w}x{h} {mb:?} {mv:?} limit {limit}"
                             );
@@ -981,12 +942,13 @@ mod tests {
 
     #[test]
     fn sad_mb_fast_and_clamped_paths_agree() {
+        let k = Kernels::active();
         let (cur, reference) = shifted_pair(2, 2);
         // An interior vector takes the fast path; recompute manually via
         // the clamped accessor and compare.
         let mb = MbIndex::new(2, 2);
         let mv = MotionVector::new(1, -1);
-        let fast = sad_mb(&cur, &reference, mb, mv);
+        let fast = sad_mb_with(k, &cur, &reference, mb, mv);
         let (ox, oy) = mb.luma_origin();
         let mut slow = 0u64;
         for dy in 0..16isize {

@@ -1,14 +1,14 @@
 //! Differential tests proving the optimized kernels bit-equal to their
 //! retained naive references for *all* inputs:
 //!
-//! * bounded SAD ([`me::sad_mb_bounded`]) vs. the exhaustive
-//!   [`me::sad_mb`], including vectors that reach outside the frame and
+//! * bounded SAD ([`me::sad_mb_bounded_with`]) vs. the exhaustive
+//!   [`me::sad_mb_with`], including vectors that reach outside the frame and
 //!   exercise border clamping;
 //! * the fused `dct→quant→zigzag` kernel
 //!   ([`pbpair_codec::fused::fdct_quant_scan`]) vs. the separate
 //!   three-pass pipeline, over the full QP range 1..=31;
-//! * the predicted-candidate pruning search ([`me::search_fast`]) vs.
-//!   the naive [`me::search`], for both strategies and arbitrary
+//! * the predicted-candidate pruning search ([`me::search_fast_with`])
+//!   vs. the naive [`me::search_with`], for both strategies and arbitrary
 //!   prepass candidate lists — the optimized search must return the
 //!   *identical* winner (vector, SAD, and cost) while never executing
 //!   more SAD operations;
@@ -71,17 +71,18 @@ proptest! {
         mv_y in -24i16..=24,
         limit in 1u64..60_000,
     ) {
+        let k = Kernels::active();
         let cur = random_plane(128, 96, seed);
         let reference = random_plane(128, 96, seed.wrapping_add(1));
         let mb = MbIndex::new(mb_row, mb_col);
         let mv = MotionVector::new(mv_x, mv_y);
-        let naive = me::sad_mb(&cur, &reference, mb, mv);
+        let naive = me::sad_mb_with(k, &cur, &reference, mb, mv);
 
-        let (full, full_ops) = me::sad_mb_bounded(&cur, &reference, mb, mv, u64::MAX);
+        let (full, full_ops) = me::sad_mb_bounded_with(k, &cur, &reference, mb, mv, u64::MAX);
         prop_assert_eq!(full, naive);
         prop_assert_eq!(full_ops, 256);
 
-        let (bounded, ops) = me::sad_mb_bounded(&cur, &reference, mb, mv, limit);
+        let (bounded, ops) = me::sad_mb_bounded_with(k, &cur, &reference, mb, mv, limit);
         prop_assert!(ops <= 256);
         if bounded < limit {
             // Came in under the limit ⇒ must be the exact SAD.
@@ -136,6 +137,7 @@ proptest! {
         bias_scale in 0i64..=40,
         cand_seeds in prop::collection::vec((-20i16..=20, -20i16..=20), 0..4),
     ) {
+        let k = Kernels::active();
         let cur = textured_plane(128, 96, seed);
         let reference = textured_plane(128, 96, seed.wrapping_add(7));
         let mb = MbIndex::new(mb_row, mb_col);
@@ -151,8 +153,8 @@ proptest! {
             cands.push_clamped(MotionVector::new(x, y), range);
         }
 
-        let naive = me::search(&cur, &reference, mb, cfg, &mut bias);
-        let fast = me::search_fast(&cur, &reference, mb, cfg, &mut bias, &cands);
+        let naive = me::search_with(k, &cur, &reference, mb, cfg, &mut bias);
+        let fast = me::search_fast_with(k, &cur, &reference, mb, cfg, &mut bias, &cands);
 
         prop_assert_eq!(fast.mv, naive.mv, "winning vector diverged");
         prop_assert_eq!(fast.sad, naive.sad, "winning SAD diverged");
@@ -170,6 +172,7 @@ proptest! {
 /// the clamped-border code path of both SAD kernels and both searches.
 #[test]
 fn fast_search_equals_naive_at_frame_borders() {
+    let k = Kernels::active();
     let cur = textured_plane(128, 96, 1001);
     let reference = textured_plane(128, 96, 1002);
     // All four corner MBs and the centre of each edge of an 8×6 grid.
@@ -190,8 +193,9 @@ fn fast_search_equals_naive_at_frame_borders() {
         };
         for (row, col) in corners {
             let mb = MbIndex::new(row, col);
-            let naive = me::search(&cur, &reference, mb, cfg, &mut |_| 0);
-            let fast = me::search_fast(
+            let naive = me::search_with(k, &cur, &reference, mb, cfg, &mut |_| 0);
+            let fast = me::search_fast_with(
+                k,
                 &cur,
                 &reference,
                 mb,
@@ -374,8 +378,8 @@ proptest! {
     }
 }
 
-/// The `sad_mb_bounded` caller contract ([`me::sad_mb_bounded`] § Contract)
-/// promises that any check granularity yields winner-identical searches:
+/// The bounded-SAD caller contract ([`me::sad_mb_bounded_with`] §
+/// Contract) promises that any check granularity yields winner-identical searches:
 /// searches adopt a candidate only when `sad < limit`, and in that regime
 /// the accumulated value is the *exact* SAD regardless of how often the
 /// kernel compared against the limit. This test drives the deliberately

@@ -64,12 +64,15 @@ impl SchemeSpec {
 ///
 /// # Errors
 ///
-/// Returns an error for invalid PBPAIR configurations.
+/// Returns an error for invalid PBPAIR configurations and for a fixed
+/// scheme with a zero period (GOP-0, PGOP-0).
 pub fn build_policy(
     spec: SchemeSpec,
     format: VideoFormat,
 ) -> Result<Box<dyn RefreshPolicy>, String> {
     Ok(match spec {
+        SchemeSpec::Gop(0) => return Err("GOP-0 has no P-frame per GOP".into()),
+        SchemeSpec::Pgop(0) => return Err("PGOP-0 refreshes no column".into()),
         SchemeSpec::No => Box::new(NoPolicy::new()),
         SchemeSpec::Gop(n) => Box::new(GopPolicy::new(n)),
         SchemeSpec::Air(n) => Box::new(AirPolicy::new(format, n)),
@@ -112,5 +115,18 @@ mod tests {
             ..PbpairConfig::default()
         });
         assert!(build_policy(bad, VideoFormat::QCIF).is_err());
+    }
+
+    #[test]
+    fn build_policy_rejects_zero_period_schemes() {
+        for (spec, message) in [
+            (SchemeSpec::Gop(0), "GOP-0 has no P-frame per GOP"),
+            (SchemeSpec::Pgop(0), "PGOP-0 refreshes no column"),
+        ] {
+            assert_eq!(
+                build_policy(spec, VideoFormat::QCIF).err().as_deref(),
+                Some(message)
+            );
+        }
     }
 }

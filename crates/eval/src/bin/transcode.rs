@@ -63,11 +63,10 @@ fn parse_scheme(s: &str, intra_th: f64, plr: f64) -> Option<SchemeSpec> {
         }));
     }
     let (kind, n) = s.split_once('-')?;
-    let n: usize = n.parse().ok()?;
     match kind {
-        "gop" => Some(SchemeSpec::Gop(n as u32)),
-        "air" => Some(SchemeSpec::Air(n)),
-        "pgop" => Some(SchemeSpec::Pgop(n)),
+        "gop" => Some(SchemeSpec::Gop(n.parse().ok()?)),
+        "air" => Some(SchemeSpec::Air(n.parse().ok()?)),
+        "pgop" => Some(SchemeSpec::Pgop(n.parse().ok()?)),
         _ => None,
     }
 }

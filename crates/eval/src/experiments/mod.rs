@@ -1,6 +1,7 @@
-//! One module per paper experiment; each binary under `src/bin/` is a
-//! thin wrapper around these drivers so tests and benches can call them
-//! directly. See DESIGN.md's experiment index for the full mapping.
+//! One module per paper experiment. The `paper` binary prints the
+//! paper experiments' tables and `matrix` runs the serve-driven ones;
+//! tests and benches call these modules directly. See DESIGN.md's
+//! experiment index for the full mapping.
 
 pub mod adaptive;
 pub mod dashboard;

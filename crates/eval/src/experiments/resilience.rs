@@ -61,21 +61,13 @@ pub struct CorruptionSweep {
 /// intensities. Every frame is displayed — lost ones via whole-frame
 /// concealment, damaged ones via the resilient decode path — so the
 /// quality column measures graceful degradation, not survivorship.
+/// Every stage (encoder, resilient decoder, corrupting channel) reports
+/// into `tel`; pass [`Telemetry::disabled`] for none.
 ///
 /// # Errors
 ///
 /// Returns an error for invalid PBPAIR configurations.
-pub fn run_corruption_sweep(frames: usize, intensities: &[f64]) -> Result<CorruptionSweep, String> {
-    run_corruption_sweep_instrumented(frames, intensities, &Telemetry::disabled())
-}
-
-/// Like [`run_corruption_sweep`], but every stage (encoder, resilient
-/// decoder, corrupting channel) reports into `tel`.
-///
-/// # Errors
-///
-/// Returns an error for invalid PBPAIR configurations.
-pub fn run_corruption_sweep_instrumented(
+pub fn run_corruption_sweep(
     frames: usize,
     intensities: &[f64],
     tel: &Telemetry,
@@ -260,25 +252,13 @@ impl BlackoutReport {
 /// Drives the full loop — lossy corrupting video path forward, lossy
 /// delayed [`FeedbackLink`] back — with the return channel scripted to
 /// drop *every* report in the middle third of the run. The
-/// [`DegradationController`] steers `Intra_Th`.
+/// [`DegradationController`] steers `Intra_Th`. The codec and channel
+/// report into `tel`; pass [`Telemetry::disabled`] for none.
 ///
 /// # Errors
 ///
 /// Returns an error for invalid PBPAIR or controller configurations.
-pub fn run_feedback_blackout(frames: usize) -> Result<BlackoutReport, String> {
-    run_feedback_blackout_instrumented(frames, &Telemetry::disabled())
-}
-
-/// Like [`run_feedback_blackout`], but the codec and channel report
-/// into `tel`.
-///
-/// # Errors
-///
-/// Returns an error for invalid PBPAIR or controller configurations.
-pub fn run_feedback_blackout_instrumented(
-    frames: usize,
-    tel: &Telemetry,
-) -> Result<BlackoutReport, String> {
+pub fn run_feedback_blackout(frames: usize, tel: &Telemetry) -> Result<BlackoutReport, String> {
     let blackout = (frames as u64 / 3, 2 * frames as u64 / 3);
     let degradation = DegradationConfig {
         base_th: 0.9,
@@ -372,7 +352,7 @@ mod tests {
 
     #[test]
     fn corruption_sweep_is_total_and_degrades_gracefully() {
-        let sweep = run_corruption_sweep(30, &[0.0, 0.5, 1.0]).unwrap();
+        let sweep = run_corruption_sweep(30, &[0.0, 0.5, 1.0], &Telemetry::disabled()).unwrap();
         assert_eq!(sweep.points.len(), 3);
         for p in &sweep.points {
             // Totality: every frame was displayed, none panicked.
@@ -405,7 +385,7 @@ mod tests {
     #[test]
     fn blackout_backs_off_and_recovers() {
         let frames = 120;
-        let report = run_feedback_blackout(frames).unwrap();
+        let report = run_feedback_blackout(frames, &Telemetry::disabled()).unwrap();
         let (b0, b1) = (report.blackout.0 as usize, report.blackout.1 as usize);
         assert_eq!(report.th_trace.len(), frames);
         // The return channel really went dark: every blackout report lost.

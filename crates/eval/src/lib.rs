@@ -15,16 +15,19 @@
 //! * [`report`] — aligned text tables, printed in the same shape the
 //!   paper reports.
 //!
-//! Regenerate any figure with the matching binary, e.g.:
+//! Regenerate any figure with the `paper` binary and the experiment's
+//! name, e.g.:
 //!
 //! ```text
-//! cargo run --release -p pbpair-eval --bin fig5
-//! cargo run --release -p pbpair-eval --bin fig6
-//! cargo run --release -p pbpair-eval --bin headline
-//! cargo run --release -p pbpair-eval --bin sweep_intra_th
-//! cargo run --release -p pbpair-eval --bin sweep_plr
-//! cargo run --release -p pbpair-eval --bin adaptive
-//! cargo run --release -p pbpair-eval --bin resilience
+//! cargo run --release -p pbpair-eval --bin paper -- fig5
+//! cargo run --release -p pbpair-eval --bin paper -- fig6
+//! cargo run --release -p pbpair-eval --bin paper -- headline
+//! cargo run --release -p pbpair-eval --bin paper -- sweep_intra_th
+//! cargo run --release -p pbpair-eval --bin paper -- sweep_plr
+//! cargo run --release -p pbpair-eval --bin paper -- adaptive
+//! cargo run --release -p pbpair-eval --bin paper -- extensions
+//! cargo run --release -p pbpair-eval --bin paper -- resilience
+//! cargo run --release -p pbpair-eval --bin paper -- summary
 //! cargo run --release -p pbpair-eval --bin matrix -- scenarios  # or dashboard, fec, rde, trace
 //! ```
 //!

@@ -1,17 +1,17 @@
 //! End-to-end tests of the command-line binaries: the matrix report is
 //! worker-count invariant, and bad arguments to `matrix`, `serve`,
-//! `perf` or `resilience` exit 2 with a message instead of a panic.
+//! `perf` or `paper` exit 2 with a message instead of a panic.
 
 use std::process::{Command, Output};
 
-/// Runs binary `bin` (`"matrix"`, `"serve"`, `"perf"` or
-/// `"resilience"`) with `args`.
+/// Runs binary `bin` (`"matrix"`, `"serve"`, `"perf"` or `"paper"`) with
+/// `args`.
 fn run_bin(bin: &str, args: &[&str]) -> Output {
     let exe = match bin {
         "matrix" => env!("CARGO_BIN_EXE_matrix"),
         "serve" => env!("CARGO_BIN_EXE_serve"),
         "perf" => env!("CARGO_BIN_EXE_perf"),
-        "resilience" => env!("CARGO_BIN_EXE_resilience"),
+        "paper" => env!("CARGO_BIN_EXE_paper"),
         _ => unreachable!("no binary {bin}"),
     };
     Command::new(exe)
@@ -171,14 +171,36 @@ fn bad_arguments_fail_with_a_message_not_a_panic() {
             &["--smoke", "--kernels", "--overhead"][..],
             "--overhead does not apply to --kernels",
         ),
+        ("paper", &[][..], "missing experiment name"),
+        ("paper", &["nope"][..], "unknown experiment \"nope\""),
         (
-            "resilience",
-            &["--trace-out"][..],
+            "paper",
+            &["fig5", "--frames", "60"][..],
+            "unknown flag \"--frames\"",
+        ),
+        (
+            "paper",
+            &["fig5", "--telemetry"][..],
+            "--telemetry does not apply to fig5",
+        ),
+        (
+            "paper",
+            &["summary", "--trace-out", "never-written.json"][..],
+            "--trace-out does not apply to summary",
+        ),
+        (
+            "paper",
+            &["fig5", "fig6"][..],
+            "unexpected argument \"fig6\"",
+        ),
+        (
+            "paper",
+            &["resilience", "--trace-out"][..],
             "--trace-out expects a value",
         ),
         (
-            "resilience",
-            &["--telemetry", "--bogus"][..],
+            "paper",
+            &["resilience", "--telemetry", "--bogus"][..],
             "unknown flag \"--bogus\"",
         ),
     ] {

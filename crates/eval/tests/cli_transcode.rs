@@ -105,6 +105,25 @@ fn bad_arguments_exit_nonzero_with_usage() {
 }
 
 #[test]
+fn zero_period_schemes_fail_and_an_out_of_range_period_is_a_bad_argument() {
+    for (scheme, code, message) in [
+        ("gop-0", 1, "transcode failed: GOP-0 has no P-frame per GOP"),
+        ("pgop-0", 1, "transcode failed: PGOP-0 refreshes no column"),
+        // 2^32 does not fit GOP's u32 period.
+        ("gop-4294967296", 2, "usage:"),
+    ] {
+        let output = transcode()
+            .args(["--scheme", scheme, "--frames", "2"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(code), "{scheme}: {stderr}");
+        assert!(stderr.contains(message), "{scheme}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{scheme}: {stderr}");
+    }
+}
+
+#[test]
 fn missing_input_file_reports_cleanly() {
     let output = transcode()
         .args(["--input", "/definitely/not/here.y4m"])

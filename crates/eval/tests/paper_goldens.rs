@@ -1,26 +1,32 @@
 //! Golden digests for the paper experiments.
 //!
-//! Every PSNR and bad-pixel number of Figs. 5–6, and of the resilience
-//! and extension tables, is measured on the decoder's output, so these
-//! digests pin the strict decoder (`run_fig5`, `run_fig6`,
+//! Every PSNR and bad-pixel number of Figs. 5–6, the §4.3/§4.4 sweeps,
+//! the §3.2 adaptation, and the resilience and extension tables is
+//! measured on the decoder's output, so these digests pin the strict
+//! decoder (`run_fig5`, `run_fig6`, the sweeps, `run_adaptive`,
 //! `run_concealment`) and the resilient one (`run_corruption_sweep`,
 //! `run_feedback_blackout`, `run_fec`) together with the encoder that
-//! feeds them. Each digest is FNV-1a over `f64::to_bits` of the PSNR
-//! series (or the per-cell PSNR where a report keeps only that) plus the
-//! bad pixels, bytes and operation-count-derived Joules the report
-//! carries. Depths are small so the file runs in a few seconds in
-//! release.
+//! feeds them; the headline, congestion and DVS digests pin the Joules,
+//! link delays and DVS gains derived from the same runs. Each digest is
+//! FNV-1a over `f64::to_bits` of the PSNR series (or the per-cell PSNR
+//! where a report keeps only that) plus the bad pixels, bytes and
+//! operation-count-derived Joules the report carries. Depths are small
+//! so the file runs in a few seconds in release.
 //!
 //! To re-bless after an *intentional* behavior change, run
 //! `PBPAIR_BLESS=1 cargo test --release -p pbpair-eval --test paper_goldens -- --nocapture`
 //! and paste the printed digests into the constants.
 
 use pbpair_codec::DecodeReport;
-use pbpair_eval::experiments::extensions::{run_concealment, run_fec};
+use pbpair_eval::experiments::adaptive::{run_adaptive, LossSchedule};
+use pbpair_eval::experiments::extensions::{run_concealment, run_congestion, run_dvs, run_fec};
 use pbpair_eval::experiments::fig5::{run_fig5, Fig5Options};
 use pbpair_eval::experiments::fig6::{run_fig6, Fig6Options};
+use pbpair_eval::experiments::headline::derive_headline;
 use pbpair_eval::experiments::resilience::{run_corruption_sweep, run_feedback_blackout};
+use pbpair_eval::experiments::sweeps::{sweep_intra_th, sweep_plr_grid};
 use pbpair_media::metrics::QualityStats;
+use pbpair_telemetry::Telemetry;
 
 /// Streaming FNV-1a, the digest DESIGN.md uses for deterministic reports.
 struct Fnv(u64);
@@ -84,6 +90,12 @@ const CORRUPTION_SWEEP: u64 = 0xc98c_9052_0b23_f550;
 const FEEDBACK_BLACKOUT: u64 = 0x289f_32a6_7aa9_5c66;
 const FEC: u64 = 0xcf1d_95e5_1bf3_4e57;
 const CONCEALMENT: u64 = 0x622f_61ff_680c_1d88;
+const HEADLINE: u64 = 0x2970_64e2_2d01_1fdd;
+const SWEEP_INTRA_TH: u64 = 0x4b16_b2c8_7e8e_a5cf;
+const SWEEP_PLR: u64 = 0x7cdb_474f_356c_56db;
+const ADAPTIVE: u64 = 0xc99f_6dfa_ceab_c3c7;
+const CONGESTION: u64 = 0x2261_9753_46ee_f734;
+const DVS: u64 = 0xc39c_59b8_2edb_8809;
 
 #[test]
 fn fig5_three_step_cells_match_the_golden() {
@@ -114,6 +126,16 @@ fn fig5_three_step_cells_match_the_golden() {
         h.u64(c.me_invocations);
     }
     check("FIG5", h.0, FIG5);
+
+    let headline = derive_headline(report);
+    let mut h = Fnv::new();
+    for r in &headline.rows {
+        h.bytes(r.device.as_bytes());
+        for v in [r.pbpair_energy, r.vs_air, r.vs_gop, r.vs_pgop] {
+            h.f64(v);
+        }
+    }
+    check("HEADLINE", h.0, HEADLINE);
 }
 
 #[test]
@@ -140,7 +162,8 @@ fn fig6_series_match_the_golden() {
 
 #[test]
 fn corruption_sweep_matches_the_golden() {
-    let sweep = run_corruption_sweep(16, &[0.0, 0.5, 1.0]).expect("sweep runs");
+    let sweep =
+        run_corruption_sweep(16, &[0.0, 0.5, 1.0], &Telemetry::disabled()).expect("sweep runs");
     let mut h = Fnv::new();
     for p in &sweep.points {
         h.f64(p.intensity);
@@ -154,7 +177,7 @@ fn corruption_sweep_matches_the_golden() {
 
 #[test]
 fn feedback_blackout_matches_the_golden() {
-    let report = run_feedback_blackout(48).expect("blackout runs");
+    let report = run_feedback_blackout(48, &Telemetry::disabled()).expect("blackout runs");
     let mut h = Fnv::new();
     report.th_trace.iter().for_each(|&t| h.f64(t));
     report.degraded_trace.iter().for_each(|&d| h.u64(d as u64));
@@ -191,4 +214,89 @@ fn concealment_extension_matches_the_golden() {
         h.f64(r.intra_ratio);
     }
     check("CONCEALMENT", h.0, CONCEALMENT);
+}
+
+#[test]
+fn intra_th_sweep_matches_the_golden() {
+    let report = sweep_intra_th(12, 0.10).expect("sweep runs");
+    let mut h = Fnv::new();
+    h.u64(report.frames as u64);
+    h.f64(report.plr);
+    for p in &report.points {
+        for v in [
+            p.intra_th,
+            p.intra_ratio,
+            p.encoding_energy,
+            p.total_energy,
+            p.avg_psnr,
+        ] {
+            h.f64(v);
+        }
+        h.u64(p.bytes);
+        h.u64(p.bad_pixels);
+    }
+    check("SWEEP_INTRA_TH", h.0, SWEEP_INTRA_TH);
+}
+
+#[test]
+fn plr_grid_matches_the_golden() {
+    let report = sweep_plr_grid(12).expect("grid runs");
+    let mut h = Fnv::new();
+    h.u64(report.frames as u64);
+    for p in &report.points {
+        for v in [p.plr, p.intra_th, p.avg_psnr] {
+            h.f64(v);
+        }
+        h.u64(p.bad_pixels);
+        h.u64(p.bytes);
+    }
+    check("SWEEP_PLR", h.0, SWEEP_PLR);
+}
+
+#[test]
+fn adaptive_runs_match_the_golden() {
+    let report = run_adaptive(24, &LossSchedule::calm_burst_calm(24)).expect("adaptive runs");
+    let mut h = Fnv::new();
+    h.u64(report.frames as u64);
+    for run in [
+        &report.fixed,
+        &report.quality_priority,
+        &report.bitrate_priority,
+    ] {
+        h.bytes(run.mode.as_bytes());
+        h.quality(&run.quality);
+        h.f64(run.encoding_energy);
+        h.u64(run.total_bytes);
+        run.th_trace.iter().for_each(|&t| h.f64(t));
+        run.plr_trace.iter().for_each(|&p| h.f64(p));
+    }
+    check("ADAPTIVE", h.0, ADAPTIVE);
+}
+
+#[test]
+fn congestion_extension_matches_the_golden() {
+    let rows = run_congestion(20, 15.0).expect("congestion runs");
+    let mut h = Fnv::new();
+    for r in &rows {
+        h.bytes(r.scheme.as_bytes());
+        for v in [r.avg_kbps, r.mean_delay_ms, r.max_delay_ms] {
+            h.f64(v);
+        }
+        h.u64(r.late_frames);
+        h.u64(r.max_backlog);
+    }
+    check("CONGESTION", h.0, CONGESTION);
+}
+
+#[test]
+fn dvs_extension_matches_the_golden() {
+    let rows = run_dvs(6, 5.0).expect("dvs runs");
+    let mut h = Fnv::new();
+    for r in &rows {
+        h.bytes(r.scheme.as_bytes());
+        for v in [r.energy_max_level, r.energy_with_dvs, r.dvs_gain] {
+            h.f64(v);
+        }
+    }
+    check("DVS", h.0, DVS);
 }
