@@ -133,13 +133,6 @@ pub enum MbMode {
     Skip,
 }
 
-impl MbMode {
-    /// Whether this mode depends on the previous frame.
-    pub fn is_predicted(&self) -> bool {
-        !matches!(self, MbMode::Intra)
-    }
-}
-
 /// Per-frame summary the encoder returns alongside the bitstream: the
 /// series behind Figures 5(c)/6(b) (sizes) and the mode mix behind the
 /// energy analysis.
@@ -181,12 +174,6 @@ impl FrameStats {
         } else {
             self.intra_mbs as f64 / self.total_mbs() as f64
         }
-    }
-
-    /// Bits not attributable to any macroblock — the picture header.
-    pub fn header_bits(&self) -> u64 {
-        self.bits
-            .saturating_sub(self.intra_bits + self.inter_bits + self.skip_bits)
     }
 }
 
@@ -245,13 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn mode_prediction_dependence() {
-        assert!(!MbMode::Intra.is_predicted());
-        assert!(MbMode::Inter.is_predicted());
-        assert!(MbMode::Skip.is_predicted());
-    }
-
-    #[test]
     fn frame_stats_aggregates() {
         let s = FrameStats {
             intra_mbs: 25,
@@ -266,6 +246,9 @@ mod tests {
         assert_eq!(s.total_mbs(), 99);
         assert_eq!(s.bytes(), 126);
         assert!((s.intra_ratio() - 25.0 / 99.0).abs() < 1e-12);
-        assert_eq!(s.header_bits(), 1001 - 600 - 340 - 24);
+        assert_eq!(
+            s.bits - (s.intra_bits + s.inter_bits + s.skip_bits),
+            1001 - 600 - 340 - 24
+        );
     }
 }

@@ -58,14 +58,6 @@ pub fn write_tcoef(w: &mut BitWriter, ev: TcoefEvent) {
     }
 }
 
-/// Exact bit cost of [`write_tcoef`] without writing — used by rate
-/// estimation.
-pub fn tcoef_bits(ev: TcoefEvent) -> u32 {
-    let mut w = BitWriter::new();
-    write_tcoef(&mut w, ev);
-    w.bit_len() as u32
-}
-
 /// Reads one TCOEF event.
 ///
 /// # Errors
@@ -241,12 +233,14 @@ mod tests {
             run: 30,
             level: 100,
         };
-        assert!(tcoef_bits(common) < tcoef_bits(rare));
-        assert!(tcoef_bits(rare) <= tcoef_bits(escaped));
-        assert!(
-            tcoef_bits(common) <= 5,
-            "the most common event must be short"
-        );
+        let bits = |ev| {
+            let mut w = BitWriter::new();
+            write_tcoef(&mut w, ev);
+            w.bit_len()
+        };
+        assert!(bits(common) < bits(rare));
+        assert!(bits(rare) <= bits(escaped));
+        assert!(bits(common) <= 5, "the most common event must be short");
     }
 
     #[test]

@@ -74,11 +74,6 @@ impl Battery {
         }
         Some(Joules(self.remaining.get() / frames_left as f64))
     }
-
-    /// Recharges to full.
-    pub fn recharge(&mut self) {
-        self.remaining = self.capacity;
-    }
 }
 
 #[cfg(test)]
@@ -110,14 +105,6 @@ mod tests {
     fn negative_drain_is_ignored() {
         let mut b = Battery::new(Joules(5.0));
         assert_eq!(b.drain(Joules(-3.0)), Joules(0.0));
-        assert_eq!(b.remaining(), Joules(5.0));
-    }
-
-    #[test]
-    fn recharge_restores_capacity() {
-        let mut b = Battery::new(Joules(5.0));
-        b.drain(Joules(5.0));
-        b.recharge();
         assert_eq!(b.remaining(), Joules(5.0));
     }
 

@@ -78,24 +78,26 @@ impl Matrix {
     }
 
     /// Frames per session and sessions per cell: the CI depth under
-    /// `--smoke`, the full run otherwise. (Trace points fix their own
-    /// session count.)
-    fn depth(self, smoke: bool) -> (usize, usize) {
+    /// `--smoke`, the full run otherwise, with `PBPAIR_FRAMES` overriding
+    /// the frames. (Trace points fix their own session count.)
+    fn depth(self, smoke: bool) -> Result<(usize, usize), String> {
         let (smoke_frames, full_frames) = match self {
             Matrix::Scenarios | Matrix::Dashboard => (16, 48),
             Matrix::Fec | Matrix::Rde => (48, 96),
             Matrix::Trace => (12, 24),
         };
-        if smoke {
-            (frames_from_env(smoke_frames), 2)
+        Ok(if smoke {
+            (frames_from_env(smoke_frames)?, 2)
         } else {
-            (frames_from_env(full_frames), 4)
-        }
+            (frames_from_env(full_frames)?, 4)
+        })
     }
 }
 
 struct Args {
     matrix: Matrix,
+    /// Frames per session and sessions per cell ([`Matrix::depth`]).
+    depth: (usize, usize),
     smoke: bool,
     workers: usize,
     out: Option<String>,
@@ -112,6 +114,7 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         .ok_or_else(|| format!("unknown matrix {name:?}"))?;
     let mut args = Args {
         matrix,
+        depth: (0, 0),
         smoke: false,
         workers: 2,
         out: None,
@@ -135,16 +138,14 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     if args.csv.is_some() && matrix != Matrix::Dashboard {
         return Err("--csv applies only to dashboard".into());
     }
+    args.depth = matrix.depth(args.smoke)?;
     Ok(args)
 }
 
-/// Runs the chosen matrix at `frames` per session and `sessions` per
-/// cell, and returns its human table and deterministic JSON report.
-fn run_matrix(
-    args: &Args,
-    (frames, sessions): (usize, usize),
-    tel: &Telemetry,
-) -> Result<(String, String), String> {
+/// Runs the chosen matrix at its depth, and returns its human table and
+/// deterministic JSON report.
+fn run_matrix(args: &Args, tel: &Telemetry) -> Result<(String, String), String> {
+    let (frames, sessions) = args.depth;
     let workers = args.workers;
     eprintln!(
         "{}: {frames} frames/session, {workers} workers",
@@ -200,13 +201,12 @@ fn run_matrix(
 }
 
 fn run(args: &Args) -> Result<(), String> {
-    let depth = args.matrix.depth(args.smoke);
     let tel = if args.telemetry {
-        Telemetry::with_config(depth.1, true)
+        Telemetry::with_config(args.depth.1, true)
     } else {
         Telemetry::disabled()
     };
-    let (table, json) = run_matrix(args, depth, &tel)?;
+    let (table, json) = run_matrix(args, &tel)?;
     // Stdout carries the table only when no JSON stream claims it.
     if args.out.is_some() && !args.telemetry {
         println!("{table}");

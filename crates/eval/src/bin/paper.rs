@@ -27,7 +27,8 @@
 //! Usage: `cargo run --release -p pbpair-eval --bin paper -- \
 //!   <experiment> [--telemetry] [--trace-out PATH]`
 //!
-//! `PBPAIR_FRAMES=<n>` (n ≥ 10) overrides the depth for a quick pass.
+//! `PBPAIR_FRAMES=<n>` (n ≥ 10) overrides the depth for a quick pass;
+//! any other value is a bad argument, whichever experiment runs.
 //!
 //! `--telemetry` and `--trace-out` apply only to `resilience`. With
 //! `--telemetry` both of its experiments run instrumented and the merged
@@ -70,32 +71,35 @@ enum Experiment {
 }
 
 impl Experiment {
-    const ALL: [(&'static str, Experiment); 9] = [
-        ("fig5", Experiment::Fig5),
-        ("fig6", Experiment::Fig6),
-        ("headline", Experiment::Headline),
-        ("sweep_intra_th", Experiment::SweepIntraTh),
-        ("sweep_plr", Experiment::SweepPlr),
-        ("adaptive", Experiment::Adaptive),
-        ("extensions", Experiment::Extensions),
-        ("resilience", Experiment::Resilience),
-        ("summary", Experiment::Summary),
+    /// Name, experiment and the default depth `PBPAIR_FRAMES` overrides
+    /// (`fig6` always runs its fixed 50 frames).
+    const ALL: [(&'static str, Experiment, usize); 9] = [
+        ("fig5", Experiment::Fig5, 300),
+        ("fig6", Experiment::Fig6, 50),
+        ("headline", Experiment::Headline, 300),
+        ("sweep_intra_th", Experiment::SweepIntraTh, 150),
+        ("sweep_plr", Experiment::SweepPlr, 150),
+        ("adaptive", Experiment::Adaptive, 300),
+        ("extensions", Experiment::Extensions, 150),
+        ("resilience", Experiment::Resilience, 240),
+        ("summary", Experiment::Summary, 60),
     ];
 }
 
 struct Args {
     name: String,
     experiment: Experiment,
+    frames: usize,
     telemetry: bool,
     trace_out: Option<String>,
 }
 
 fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let name = argv.next().ok_or("missing experiment name")?;
-    let experiment = Experiment::ALL
+    let (experiment, default_frames) = Experiment::ALL
         .iter()
-        .find(|&&(n, _)| n == name)
-        .map(|&(_, e)| e)
+        .find(|&&(n, ..)| n == name)
+        .map(|&(_, e, frames)| (e, frames))
         .ok_or_else(|| format!("unknown experiment {name:?}"))?;
     let (mut telemetry, mut trace_out) = (false, None);
     while let Some(arg) = argv.next() {
@@ -117,6 +121,7 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(Args {
         name,
         experiment,
+        frames: frames_from_env(default_frames)?,
         telemetry,
         trace_out,
     })
@@ -130,21 +135,20 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let frames = args.frames;
     let result = match args.experiment {
-        Experiment::Fig5 => fig5(),
+        Experiment::Fig5 => fig5(frames),
         Experiment::Fig6 => fig6(),
-        Experiment::Headline => headline(),
+        Experiment::Headline => headline(frames),
         Experiment::SweepIntraTh => {
-            sweep_intra_th(frames_from_env(150), 0.10).map(|report| println!("{}", report.table()))
+            sweep_intra_th(frames, 0.10).map(|report| println!("{}", report.table()))
         }
-        Experiment::SweepPlr => {
-            sweep_plr_grid(frames_from_env(150)).map(|report| println!("{}", report.table()))
-        }
-        Experiment::Adaptive => adaptive(),
-        Experiment::Extensions => extensions(),
-        Experiment::Resilience => resilience(args.telemetry, args.trace_out.as_deref()),
+        Experiment::SweepPlr => sweep_plr_grid(frames).map(|report| println!("{}", report.table())),
+        Experiment::Adaptive => adaptive(frames),
+        Experiment::Extensions => extensions(frames),
+        Experiment::Resilience => resilience(frames, args.telemetry, args.trace_out.as_deref()),
         Experiment::Summary => {
-            summary();
+            summary(frames);
             Ok(())
         }
     };
@@ -164,8 +168,8 @@ fn fig5_options(frames: usize) -> Fig5Options {
     }
 }
 
-fn fig5() -> Result<(), String> {
-    let opts = fig5_options(frames_from_env(300));
+fn fig5(frames: usize) -> Result<(), String> {
+    let opts = fig5_options(frames);
     eprintln!(
         "fig5: {} frames/sequence, PLR {:.0}% (uniform frame discard)",
         opts.frames,
@@ -202,16 +206,14 @@ fn fig6() -> Result<(), String> {
     Ok(())
 }
 
-fn headline() -> Result<(), String> {
-    let frames = frames_from_env(300);
+fn headline(frames: usize) -> Result<(), String> {
     eprintln!("headline: deriving energy reductions from a {frames}-frame Figure-5 run");
     let report = run_headline(fig5_options(frames))?;
     println!("{}", report.table());
     Ok(())
 }
 
-fn adaptive() -> Result<(), String> {
-    let frames = frames_from_env(300);
+fn adaptive(frames: usize) -> Result<(), String> {
     let schedule = LossSchedule::calm_burst_calm(frames as u64);
     eprintln!("adaptive: {frames} frames, loss schedule 2% → 25% → 5%");
     let report = run_adaptive(frames, &schedule)?;
@@ -232,8 +234,7 @@ fn adaptive() -> Result<(), String> {
     Ok(())
 }
 
-fn extensions() -> Result<(), String> {
-    let frames = frames_from_env(150);
+fn extensions(frames: usize) -> Result<(), String> {
     let rows = run_fec(frames, 0.05, 120).map_err(|e| format!("fec: {e}"))?;
     println!("{}", fec_table(&rows, frames, 0.05));
     let rows = run_concealment(frames, 0.15).map_err(|e| format!("concealment: {e}"))?;
@@ -246,7 +247,7 @@ fn extensions() -> Result<(), String> {
     Ok(())
 }
 
-fn resilience(telemetry: bool, trace_out: Option<&str>) -> Result<(), String> {
+fn resilience(frames: usize, telemetry: bool, trace_out: Option<&str>) -> Result<(), String> {
     let telemetry = telemetry || trace_out.is_some();
     let tel = if telemetry {
         Telemetry::with_config(1, true)
@@ -264,8 +265,6 @@ fn resilience(telemetry: bool, trace_out: Option<&str>) -> Result<(), String> {
             println!("{text}");
         }
     };
-    let frames = frames_from_env(240);
-
     eprintln!("resilience: corruption sweep, {frames} frames per intensity");
     let sweep = run_corruption_sweep(frames, &[0.0, 0.25, 0.5, 0.75, 1.0], &tel)
         .map_err(|e| format!("corruption sweep: {e}"))?;
@@ -302,8 +301,7 @@ fn resilience(telemetry: bool, trace_out: Option<&str>) -> Result<(), String> {
 /// One-page digest: every experiment at reduced scale (60 frames per
 /// cell by default), its headline numbers beside the paper's claims. A
 /// failed experiment leaves its rows out and the digest still prints.
-fn summary() {
-    let frames = frames_from_env(60);
+fn summary(frames: usize) {
     eprintln!("summary: {frames} frames per cell (PBPAIR_FRAMES to change)\n");
     let mut digest = Table::new("PBPAIR reproduction digest (reduced scale)");
     digest.set_headers(["claim", "paper", "measured"]);

@@ -66,6 +66,9 @@ struct TraceArgs {
 /// The parsed command line; the smoke run's flags stay unset without one.
 #[derive(Default)]
 struct Args {
+    /// Frames per session of the sweeps (`PBPAIR_FRAMES`, default 24);
+    /// unset for the smoke run.
+    sweep_frames: usize,
     smoke: bool,
     telemetry: bool,
     workers: Option<usize>,
@@ -115,8 +118,11 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     if args.expose.is_none() && args.hold_secs.is_some() {
         return Err("--expose-hold needs --expose".into());
     }
-    if !args.smoke_run() && (args.telemetry || args.workers.is_some()) {
-        return Err("--telemetry and --workers apply only to the smoke run".into());
+    if !args.smoke_run() {
+        if args.telemetry || args.workers.is_some() {
+            return Err("--telemetry and --workers apply only to the smoke run".into());
+        }
+        args.sweep_frames = frames_from_env(24)?;
     }
     Ok(args)
 }
@@ -323,7 +329,7 @@ fn main() {
         }
         return;
     }
-    let frames = frames_from_env(24);
+    let frames = args.sweep_frames;
     // At least 4 workers even on small machines: pacing waits overlap
     // across workers regardless of core count.
     let workers = std::thread::available_parallelism()

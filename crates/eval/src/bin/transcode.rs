@@ -111,7 +111,13 @@ fn parse_args() -> Args {
             "--intra-th" => intra_th = value(&mut it).parse().unwrap_or_else(|_| usage()),
             "--plr" => plr = value(&mut it).parse().unwrap_or_else(|_| usage()),
             "--qp" => qp = value(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--frames" => frames = value(&mut it).parse().unwrap_or_else(|_| usage()),
+            "--frames" => {
+                frames = value(&mut it)
+                    .parse()
+                    .ok()
+                    .filter(|&n: &usize| n >= 1)
+                    .unwrap_or_else(|| usage())
+            }
             "--full-search" => full_search = true,
             "--half-pel" => half_pel = true,
             "--deblock" => deblock = true,

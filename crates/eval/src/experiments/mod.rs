@@ -20,13 +20,20 @@ pub mod trace;
 use pbpair_serve::MAX_WORKERS;
 
 /// Reads the frame-count override from `PBPAIR_FRAMES` (smoke runs), or
-/// returns the paper's default.
-pub fn frames_from_env(default: usize) -> usize {
-    std::env::var("PBPAIR_FRAMES")
-        .ok()
-        .and_then(|v| v.parse().ok())
+/// returns `default` when the variable is unset.
+///
+/// # Errors
+///
+/// Returns the message the command line prints for a value that is not
+/// a whole number of at least 10 frames.
+pub fn frames_from_env(default: usize) -> Result<usize, String> {
+    let Some(v) = std::env::var_os("PBPAIR_FRAMES") else {
+        return Ok(default);
+    };
+    v.to_str()
+        .and_then(|s| s.parse().ok())
         .filter(|&n: &usize| n >= 10)
-        .unwrap_or(default)
+        .ok_or_else(|| format!("PBPAIR_FRAMES expects a number of at least 10, got {v:?}"))
 }
 
 /// Parses a `--workers` value: a thread count in `1..=MAX_WORKERS`.
@@ -50,6 +57,6 @@ mod tests {
         // Avoid mutating the process environment (tests run in parallel);
         // exercise the default path only.
         std::env::remove_var("PBPAIR_FRAMES");
-        assert_eq!(frames_from_env(300), 300);
+        assert_eq!(frames_from_env(300), Ok(300));
     }
 }

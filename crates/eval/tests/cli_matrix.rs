@@ -5,8 +5,8 @@
 use std::process::{Command, Output};
 
 /// Runs binary `bin` (`"matrix"`, `"serve"`, `"perf"` or `"paper"`) with
-/// `args`.
-fn run_bin(bin: &str, args: &[&str]) -> Output {
+/// `args` and `PBPAIR_FRAMES` set to `frames`.
+fn run_bin_at(bin: &str, args: &[&str], frames: &str) -> Output {
     let exe = match bin {
         "matrix" => env!("CARGO_BIN_EXE_matrix"),
         "serve" => env!("CARGO_BIN_EXE_serve"),
@@ -16,10 +16,41 @@ fn run_bin(bin: &str, args: &[&str]) -> Output {
     };
     Command::new(exe)
         .args(args)
-        // Shallowest allowed depth; the override is what CI pins too.
-        .env("PBPAIR_FRAMES", "10")
+        .env("PBPAIR_FRAMES", frames)
         .output()
         .expect("binary runs")
+}
+
+/// Runs binary `bin` with `args` at the shallowest allowed depth, the
+/// override CI pins too.
+fn run_bin(bin: &str, args: &[&str]) -> Output {
+    run_bin_at(bin, args, "10")
+}
+
+/// Asserts that `output` is a bad-argument exit: status 2, `message` and
+/// the usage line on stderr, no panic.
+fn assert_bad_argument(output: &Output, bin: &str, args: &[&str], message: &str) {
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "{bin} {args:?} must fail");
+    assert_ne!(
+        output.status.code(),
+        Some(101),
+        "{bin} {args:?} panicked: {stderr}"
+    );
+    assert_eq!(
+        output.status.code(),
+        Some(2),
+        "{bin} {args:?} is a bad argument: {stderr}"
+    );
+    assert!(
+        !stderr.contains("panicked"),
+        "{bin} {args:?} panicked: {stderr}"
+    );
+    assert!(stderr.contains(message), "{bin} {args:?}: {stderr}");
+    assert!(
+        stderr.contains(&format!("usage: {bin}")),
+        "{bin} {args:?}: {stderr}"
+    );
 }
 
 fn matrix(args: &[&str]) -> Output {
@@ -204,27 +235,24 @@ fn bad_arguments_fail_with_a_message_not_a_panic() {
             "unknown flag \"--bogus\"",
         ),
     ] {
-        let output = run_bin(bin, args);
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(!output.status.success(), "{bin} {args:?} must fail");
-        assert_ne!(
-            output.status.code(),
-            Some(101),
-            "{bin} {args:?} panicked: {stderr}"
-        );
-        assert_eq!(
-            output.status.code(),
-            Some(2),
-            "{bin} {args:?} is a bad argument: {stderr}"
-        );
-        assert!(
-            !stderr.contains("panicked"),
-            "{bin} {args:?} panicked: {stderr}"
-        );
-        assert!(stderr.contains(message), "{bin} {args:?}: {stderr}");
-        assert!(
-            stderr.contains(&format!("usage: {bin}")),
-            "{bin} {args:?}: {stderr}"
-        );
+        assert_bad_argument(&run_bin(bin, args), bin, args, message);
+    }
+}
+
+#[test]
+fn a_bad_frame_override_fails_before_any_work() {
+    // A value that does not parse and one below the 10-frame floor are
+    // bad arguments, not a silent fall-back to the full default depth.
+    for (bin, args) in [
+        ("paper", &["summary"][..]),
+        ("matrix", &["trace", "--smoke"][..]),
+        ("serve", &[][..]),
+    ] {
+        for frames in ["abc", "5"] {
+            let message = format!("PBPAIR_FRAMES expects a number of at least 10, got {frames:?}");
+            let output = run_bin_at(bin, args, frames);
+            assert_bad_argument(&output, bin, args, &message);
+            assert!(output.stdout.is_empty(), "{bin} {args:?} did work");
+        }
     }
 }

@@ -105,6 +105,19 @@ fn bad_arguments_exit_nonzero_with_usage() {
 }
 
 #[test]
+fn zero_frames_is_a_bad_argument_not_a_nan_summary() {
+    let output = transcode()
+        .args(["--synth", "akiyo", "--scheme", "no", "--frames", "0"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("usage: transcode"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(output.stdout.is_empty(), "nothing is encoded");
+}
+
+#[test]
 fn zero_period_schemes_fail_and_an_out_of_range_period_is_a_bad_argument() {
     for (scheme, code, message) in [
         ("gop-0", 1, "transcode failed: GOP-0 has no P-frame per GOP"),

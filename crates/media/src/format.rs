@@ -113,12 +113,6 @@ impl VideoFormat {
     pub fn luma_samples(&self) -> usize {
         self.width * self.height
     }
-
-    /// Total number of samples per frame across Y, Cb and Cr.
-    #[inline]
-    pub fn total_samples(&self) -> usize {
-        self.luma_samples() + 2 * self.chroma_width() * self.chroma_height()
-    }
 }
 
 impl fmt::Display for VideoFormat {
@@ -145,7 +139,10 @@ mod tests {
         assert_eq!(f.mb_count(), 99);
         assert_eq!(f.chroma_width(), 88);
         assert_eq!(f.chroma_height(), 72);
-        assert_eq!(f.total_samples(), 176 * 144 * 3 / 2);
+        assert_eq!(
+            f.luma_samples() + 2 * f.chroma_width() * f.chroma_height(),
+            176 * 144 * 3 / 2
+        );
     }
 
     #[test]

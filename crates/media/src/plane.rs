@@ -168,12 +168,6 @@ impl Plane {
         &self.data
     }
 
-    /// All samples in row-major order, mutable.
-    #[inline]
-    pub fn samples_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-
     /// Copies a `bw × bh` block whose top-left corner is `(x, y)` into `out`
     /// (row-major, `out.len() == bw * bh`). Samples outside the plane are
     /// edge-clamped, so the block origin may be negative or extend past the

@@ -131,15 +131,6 @@ impl CorruptionProfile {
             reorder_prob: heavy.reorder_prob * x,
         }
     }
-
-    /// Whether this profile can never alter traffic.
-    pub fn is_clean(&self) -> bool {
-        self.flip_prob == 0.0
-            && self.truncate_prob == 0.0
-            && self.burst_prob == 0.0
-            && self.duplicate_prob == 0.0
-            && self.reorder_prob == 0.0
-    }
 }
 
 /// Running tally of injected damage.
@@ -751,7 +742,10 @@ mod tests {
 
     #[test]
     fn intensity_interpolates_between_clean_and_heavy() {
-        assert!(CorruptionProfile::with_intensity(0.0).is_clean());
+        assert_eq!(
+            CorruptionProfile::with_intensity(0.0),
+            CorruptionProfile::clean()
+        );
         assert_eq!(
             CorruptionProfile::with_intensity(1.0),
             CorruptionProfile::heavy()
@@ -759,7 +753,10 @@ mod tests {
         let mid = CorruptionProfile::with_intensity(0.5);
         assert!(mid.flip_prob > 0.0 && mid.flip_prob < CorruptionProfile::heavy().flip_prob);
         // Out-of-range intensities clamp.
-        assert!(CorruptionProfile::with_intensity(-3.0).is_clean());
+        assert_eq!(
+            CorruptionProfile::with_intensity(-3.0),
+            CorruptionProfile::clean()
+        );
         assert_eq!(
             CorruptionProfile::with_intensity(7.0),
             CorruptionProfile::heavy()

@@ -25,11 +25,6 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// Whether this is the only packet of its frame.
-    pub fn is_whole_frame(&self) -> bool {
-        self.fragment_count == 1
-    }
-
     /// Payload length in bytes.
     pub fn len(&self) -> usize {
         self.payload.len()
@@ -93,7 +88,7 @@ mod tests {
             payload: Bytes::from_static(b"abc"),
             parity: false,
         };
-        assert!(p.is_whole_frame());
+        assert_eq!(p.fragment_count, 1);
         assert_eq!(p.len(), 3);
         assert!(!p.is_empty());
     }

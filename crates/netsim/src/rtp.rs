@@ -113,7 +113,7 @@ mod tests {
         let mut p = Packetizer::new(100);
         let pkts = p.packetize(5, &[7u8; 80]);
         assert_eq!(pkts.len(), 1);
-        assert!(pkts[0].is_whole_frame());
+        assert_eq!(pkts[0].fragment_count, 1);
         assert_eq!(pkts[0].frame_index, 5);
         assert_eq!(reassemble_frame(&pkts).unwrap(), vec![7u8; 80]);
     }

@@ -514,17 +514,6 @@ impl ChannelSpec {
             _ => None,
         }
     }
-
-    /// Whether `frame` falls inside a scheduled hard-outage window.
-    pub fn in_outage_at(&self, frame: u64) -> bool {
-        match self {
-            ChannelSpec::Schedule { phases } => {
-                let i = ScheduleChannel::phase_index_at(phases, frame);
-                phases[i].kind == PhaseKind::Outage
-            }
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -597,8 +586,12 @@ mod tests {
         assert!(lost_by_frame[15..].iter().all(|&l| !l));
         assert_eq!(spec.rtt_at(12), Some(9));
         assert_eq!(spec.rtt_at(20), Some(2));
-        assert!(spec.in_outage_at(12));
-        assert!(!spec.in_outage_at(16));
+        let ChannelSpec::Schedule { phases } = &spec else {
+            unreachable!("the builder makes a schedule")
+        };
+        let kind_at = |f| phases[ScheduleChannel::phase_index_at(phases, f)].kind;
+        assert_eq!(kind_at(12), PhaseKind::Outage);
+        assert_ne!(kind_at(16), PhaseKind::Outage);
     }
 
     #[test]
@@ -691,6 +684,5 @@ mod tests {
     #[test]
     fn stationary_channels_do_not_constrain_rtt() {
         assert_eq!(ChannelSpec::Uniform { plr: 0.1 }.rtt_at(5), None);
-        assert!(!ChannelSpec::Uniform { plr: 0.1 }.in_outage_at(5));
     }
 }

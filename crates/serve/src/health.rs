@@ -109,11 +109,6 @@ impl HealthLedger {
         &self.transitions
     }
 
-    /// Whether the session ever left [`HealthState::Healthy`].
-    pub fn ever_impaired(&self) -> bool {
-        !self.transitions.is_empty()
-    }
-
     fn record(&mut self, frame: u64, from: HealthState, to: HealthState, reason: String) {
         self.transitions.push(HealthTransition {
             frame,
@@ -249,7 +244,7 @@ mod tests {
             assert_eq!(w.floor_th(), 0.0);
         }
         assert_eq!(w.state(), HealthState::Healthy);
-        assert!(!w.ledger().ever_impaired());
+        assert!(w.ledger().transitions().is_empty());
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!
 //! * [`session`] — a self-contained, seeded per-client loop; no shared
 //!   mutable state, so a session computes the same trajectory wherever
-//!   the scheduler runs it.
+//!   the scheduler runs it. [`Session::new`] builds session `id` from
+//!   the fleet's [`ServeConfig`], and [`Session::report`] returns the
+//!   [`SessionReport`] the fleet report lists for it.
 //! * [`pbpair_sched`] — the fork–join pool: each session has a home
 //!   worker, and a worker that runs out takes its siblings' remaining
 //!   sessions.
@@ -58,7 +60,5 @@ pub use manager::{run, run_with, DeviceMix, FleetRun, ServeConfig, MAX_WORKERS};
 pub use observe::{Observability, STANDARD_SLOS};
 pub use redundancy::{RedundancyConfig, RedundancyController, RedundancyDecision};
 pub use report::{FleetHealth, FleetTiming, ServeReport, SessionReport};
-pub use session::{
-    DeviceKind, FrameOutcome, IntraThSource, Session, SessionConfig, SessionScheme, SessionStats,
-};
+pub use session::{DeviceKind, FrameOutcome, IntraThSource, Session, SessionScheme};
 pub use trace::{FleetTrace, SessionTrace, TraceDump};

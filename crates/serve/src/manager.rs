@@ -22,7 +22,7 @@ use crate::chaos::ChaosPlan;
 use crate::observe::{firing_events, fleet_health_json, Observability, ObserveState};
 use crate::redundancy::RedundancyConfig;
 use crate::report::{quantile_ms, FleetHealth, FleetTiming, ServeReport, SessionReport};
-use crate::session::{DeviceKind, FrameOutcome, Session, SessionConfig, SessionScheme};
+use crate::session::{DeviceKind, FrameOutcome, Session, SessionScheme};
 use crate::trace::{FleetTrace, TraceState};
 use pbpair_codec::RdeConfig;
 use pbpair_media::synth::MotionClass;
@@ -87,15 +87,18 @@ pub struct ServeConfig {
     /// Anchor `Intra_Th` operating point every session starts from
     /// (the degradation controller moves around it).
     pub base_intra_th: f64,
-    /// Per-frame transmission/pacing wait in microseconds (wall-clock
-    /// only; see [`SessionConfig::pacing_us`]). Waits overlap across
-    /// workers, so this is what makes added workers pay off even when
-    /// the encode work itself saturates the cores.
+    /// Modeled transmission/pacing wait per frame, microseconds: the
+    /// blocking network phase of a real streaming server. The worker
+    /// sleeps inside [`Session::step_frame`], so waits from different
+    /// sessions overlap across workers; this is what makes added workers
+    /// pay off even when the encode work itself saturates the cores.
+    /// Wall-clock only — never the deterministic outcome.
     pub pacing_us: u64,
     /// Admission-control thresholds and capacity.
     pub admission: AdmissionConfig,
     /// Forward-channel scenario for every session; `None` keeps classic
-    /// uniform loss at [`ServeConfig::plr`].
+    /// uniform loss at [`ServeConfig::plr`]. Schedule channels also set
+    /// the feedback RTT per phase.
     pub channel: Option<ChannelSpec>,
     /// Content class for every session; `None` keeps the default
     /// per-session rotation through all classes (diverse load).
@@ -194,30 +197,6 @@ impl ServeConfig {
         self.scheme.validate()?;
         self.admission.validate()
     }
-
-    /// Builds the per-session configuration for session `id`.
-    fn session_config(&self, id: u32) -> SessionConfig {
-        let mut cfg = SessionConfig::standard(
-            id,
-            self.seed
-                .wrapping_add((id as u64 + 1).wrapping_mul(0x2545_f491_4f6c_dd1d)),
-        );
-        cfg.plr = self.plr;
-        cfg.corruption = self.corruption;
-        cfg.fec = self.fec;
-        cfg.redundancy = self.redundancy;
-        cfg.mtu = self.mtu;
-        cfg.base_intra_th = self.base_intra_th;
-        cfg.pacing_us = self.pacing_us;
-        cfg.channel = self.channel.clone();
-        if let Some(class) = self.clip {
-            cfg.class = class;
-        }
-        cfg.scheme = self.scheme;
-        cfg.rde = self.rde;
-        cfg.device = self.device_mix.device_for(id);
-        cfg
-    }
 }
 
 /// One session plus what its last round left for the ledger.
@@ -295,9 +274,8 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
     let mut controller = AdmissionController::new(cfg.admission)?;
     let mut slots: Vec<Slot> = (0..cfg.sessions)
         .map(|id| {
-            Session::new(cfg.session_config(id as u32)).map(|mut session| {
+            Session::new(cfg, id as u32).map(|mut session| {
                 session.set_telemetry(&tel.shard(id));
-                session.set_chaos(cfg.chaos.for_session(id as u32));
                 if let Some(ts) = &tracing {
                     session.set_tracer(ts.tracer(id));
                 }
@@ -399,7 +377,7 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
                 .collect();
             ts.note_degrade(round as u32, level, &affected);
             for (id, slot) in slots.iter().enumerate() {
-                ts.note_resyncs(round as u32, id, slot.session.stats().decode.resyncs);
+                ts.note_resyncs(round as u32, id, slot.session.resyncs());
             }
         }
         if let Some(obs) = obs.as_mut() {
@@ -441,53 +419,19 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
     }
 
     // Assemble the report.
-    let mut sessions = Vec::with_capacity(slots.len());
-    let mut total_frames = 0u64;
-    let mut total_sent = 0u64;
-    let mut total_joules = 0.0;
-    let mut total_fec_joules = 0.0;
-    let mut psnr_sum = 0.0;
-    let mut psnr_n = 0usize;
+    let sessions: Vec<SessionReport> = slots.iter().map(|slot| slot.session.report()).collect();
+    let total_frames = sessions.iter().map(|s| s.frames_encoded).sum();
+    let total_sent_bytes = sessions.iter().map(|s| s.sent_bytes).sum();
+    let total_encode_joules = sessions.iter().map(|s| s.encode_joules).sum();
+    let total_fec_joules = sessions.iter().map(|s| s.fec_joules).sum();
     let mut health = FleetHealth::default();
-    for slot in &slots {
-        let s = &slot.session;
-        let stats = s.stats();
-        health.count(s.health());
-        let report = SessionReport {
-            id: s.config().id,
-            class: s.config().class.label().to_string(),
-            scheme: s.config().scheme.label(),
-            device: s.config().device.label().to_string(),
-            frames_encoded: stats.frames_encoded,
-            frames_rate_dropped: stats.frames_rate_dropped,
-            frames_lost: stats.frames_lost,
-            frames_damaged: stats.frames_damaged,
-            frames_stalled: stats.frames_stalled,
-            chaos_injected: stats.chaos_injected,
-            fec_recoveries: stats.fec_recoveries,
-            fec: stats.fec,
-            fec_joules: stats.fec_joules,
-            fec_codec: s.fec_label().unwrap_or_default(),
-            avg_psnr_db: s.quality().average_psnr(),
-            encoded_bytes: stats.encoded_bytes,
-            sent_bytes: stats.sent_bytes,
-            encode_joules: stats.encode_joules,
-            plr_estimate: s.plr_estimate(),
-            final_intra_th: s.current_intra_th(),
-            shed: s.is_shed(),
-            health: s.health(),
-            health_log: s.health_ledger().transitions().to_vec(),
-            decode: stats.decode,
-        };
-        total_frames += report.frames_encoded;
-        total_sent += report.sent_bytes;
-        total_joules += report.encode_joules;
-        total_fec_joules += report.fec_joules;
-        if !report.shed {
-            psnr_sum += report.avg_psnr_db;
+    let (mut psnr_sum, mut psnr_n) = (0.0, 0usize);
+    for s in &sessions {
+        health.count(s.health);
+        if !s.shed {
+            psnr_sum += s.avg_psnr_db;
             psnr_n += 1;
         }
-        sessions.push(report);
     }
     let timing = FleetTiming {
         wall_s,
@@ -509,13 +453,13 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
         degraded_rounds: controller.degraded_rounds(),
         final_lag,
         total_frames,
-        total_sent_bytes: total_sent,
+        total_sent_bytes,
         mean_psnr_db: if psnr_n > 0 {
             psnr_sum / psnr_n as f64
         } else {
             0.0
         },
-        total_encode_joules: total_joules,
+        total_encode_joules,
         total_fec_joules,
         health,
         alerts: obs

@@ -18,8 +18,10 @@ use pbpair_netsim::FecOps;
 use pbpair_telemetry::slo::AlertEvent;
 use std::fmt::Write as _;
 
-/// Per-session outcome (deterministic).
-#[derive(Debug, Clone, PartialEq)]
+/// Per-session outcome (deterministic). A [`crate::Session`] keeps one
+/// as its ledger and hands out a completed copy from
+/// [`crate::Session::report`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionReport {
     /// Session id.
     pub id: u32,

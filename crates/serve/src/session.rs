@@ -14,34 +14,36 @@
 //! | [`IntraThSource::Quarantine`] | the staleness watchdog's [`QUARANTINE_FLOOR_TH`](crate::health::QUARANTINE_FLOOR_TH) | while [`HealthState::Quarantined`]; 0 otherwise |
 //!
 //! The rule is `th = max(network, load, quarantine)`; ties go to
-//! quarantine, then load, then network. The frame step, the reported
-//! [`Session::current_intra_th`] and the fleet report all read it, and
-//! every frame records its winner in [`FrameOutcome::intra_th_source`].
+//! quarantine, then load, then network. The frame step and the
+//! `final_intra_th` of [`Session::report`] read it, and every frame
+//! records its winner in [`FrameOutcome::intra_th_source`].
 //!
 //! Feedback darkness has one clock: the frame of the last applied
 //! report. The degradation backoff, the watchdog and
 //! [`Session::feedback_dark`] all read it.
 //!
-//! Everything inside a session is seeded from (master seed, session id),
-//! so a session's entire trajectory is deterministic no matter which
-//! worker threads execute its frames, or in what interleaving with other
-//! sessions.
+//! A session is built from the fleet's [`ServeConfig`] and its id, and
+//! everything inside it is seeded from (master seed, session id), so a
+//! session's entire trajectory is deterministic no matter which worker
+//! threads execute its frames, or in what interleaving with other
+//! sessions. Its counters live in the [`SessionReport`] it keeps, which
+//! [`Session::report`] completes and returns.
 
 use crate::chaos::{ChaosEvent, ChaosFault};
 use crate::health::{HealthLedger, HealthState, StalenessWatchdog};
-use crate::redundancy::{RedundancyConfig, RedundancyController, RedundancyDecision};
+use crate::manager::ServeConfig;
+use crate::redundancy::RedundancyController;
+use crate::report::SessionReport;
 use pbpair::adapt::{DegradationConfig, DegradationController};
 use pbpair::{AirPolicy, GopPolicy, PbpairConfig, PbpairPolicy, PgopPolicy};
-use pbpair_codec::{
-    DecodeReport, Decoder, Encoder, EncoderConfig, OpCounts, RdeConfig, RefreshPolicy,
-};
+use pbpair_codec::{Decoder, Encoder, EncoderConfig, OpCounts, RefreshPolicy};
 use pbpair_energy::{DeviceProfile, EnergyModel, IPAQ_H5555, ZAURUS_SL5600};
 use pbpair_media::metrics::QualityStats;
 use pbpair_media::synth::{MotionClass, SyntheticSequence};
 use pbpair_netsim::{
     reassemble_frame, reassemble_frame_damaged, BurstEstimator, ChannelSpec, CorruptingChannel,
-    CorruptionProfile, FecOps, FecProtector, FecSpec, FeedbackLink, LossModel, Packetizer,
-    UniformLoss, WindowPlrEstimator,
+    CorruptionProfile, FecOps, FecProtector, FeedbackLink, LossModel, Packetizer, UniformLoss,
+    WindowPlrEstimator,
 };
 use pbpair_telemetry::{Counter, Telemetry};
 use pbpair_trace::{Event as TraceEvent, Tracer};
@@ -53,6 +55,9 @@ const FEEDBACK_INTERVAL: u64 = 5;
 const FEEDBACK_DELAY: u64 = 2;
 /// Loss rate of the feedback return path.
 const FEEDBACK_PLR: f64 = 0.10;
+/// Session `id`'s seed is the fleet seed plus `(id + 1)` times this odd
+/// constant.
+const SESSION_SEED_STEP: u64 = 0x2545_f491_4f6c_dd1d;
 
 /// The refresh scheme a session encodes with. PBPAIR is the adaptive
 /// default; the fixed schemes are the paper's comparison points, run
@@ -123,75 +128,6 @@ impl DeviceKind {
     }
 }
 
-/// Per-session knobs, normally filled in by the manager from a
-/// fleet-level [`crate::ServeConfig`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionConfig {
-    /// Session id (stable across the run; also picks the session's home
-    /// worker in the fleet's pool).
-    pub id: u32,
-    /// Seed for every seeded component, already mixed per session.
-    pub seed: u64,
-    /// Source content class (sessions get diverse motion classes so
-    /// per-frame cost is uneven — the load the scheduler must balance).
-    pub class: MotionClass,
-    /// Per-packet loss rate of the forward channel.
-    pub plr: f64,
-    /// Payload corruption intensity in `[0, 1]`.
-    pub corruption: f64,
-    /// FEC codec applied to the packet path; `None` disables FEC.
-    pub fec: Option<FecSpec>,
-    /// Joint intra/FEC redundancy controller. Carries its own codec
-    /// family, so `fec` must be `None` when set.
-    pub redundancy: Option<RedundancyConfig>,
-    /// Payload MTU.
-    pub mtu: usize,
-    /// Anchor operating point for the degradation controller.
-    pub base_intra_th: f64,
-    /// Modeled transmission/pacing wait per frame, microseconds. This is
-    /// the blocking network phase of a real streaming server: the worker
-    /// sleeps, so waits from different sessions overlap when the pool has
-    /// spare workers. Affects wall-clock timing only — never the
-    /// deterministic outcome.
-    pub pacing_us: u64,
-    /// Forward-channel description from the scenario zoo; `None` keeps
-    /// the classic uniform loss at [`SessionConfig::plr`]. Schedule
-    /// channels also drive the feedback RTT per phase.
-    pub channel: Option<ChannelSpec>,
-    /// Refresh scheme the session encodes with.
-    pub scheme: SessionScheme,
-    /// Device whose energy model prices the encode work.
-    pub device: DeviceKind,
-    /// Joint rate–distortion–energy controller for this session's
-    /// encoder ([`pbpair_codec::rde`]). `None` — and `Some` with both λ
-    /// weights zero — keep the refresh scheme's decisions bit-identical
-    /// to a plain encoder, so every committed digest is unchanged.
-    pub rde: Option<RdeConfig>,
-}
-
-impl SessionConfig {
-    /// A session at the paper's standard operating point: 10% packet
-    /// loss, light corruption, no FEC, RTCP-ish feedback cadence.
-    pub fn standard(id: u32, seed: u64) -> Self {
-        SessionConfig {
-            id,
-            seed,
-            class: MotionClass::all()[id as usize % 3],
-            plr: 0.10,
-            corruption: 0.2,
-            fec: None,
-            redundancy: None,
-            mtu: pbpair_netsim::DEFAULT_MTU,
-            base_intra_th: 0.9,
-            pacing_us: 0,
-            channel: None,
-            scheme: SessionScheme::Pbpair,
-            device: DeviceKind::Ipaq,
-            rde: None,
-        }
-    }
-}
-
 /// What one frame step produced — the deterministic per-frame record the
 /// admission controller and the report aggregate from.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -200,20 +136,11 @@ pub struct FrameOutcome {
     pub encode_joules: f64,
     /// FEC encode/decode processing energy of this frame (0 without FEC).
     pub fec_joules: f64,
-    /// Encoded size in bytes (before FEC overhead).
-    pub encoded_bytes: u64,
-    /// Bytes actually offered to the channel (with FEC overhead).
-    pub sent_bytes: u64,
     /// Whether nothing usable arrived (whole-frame concealment).
     pub lost: bool,
     /// Whether the frame arrived damaged and went through resilient
     /// decode (false for clean or lost frames).
     pub damaged: bool,
-    /// Whether FEC reconstructed at least one erased fragment of this
-    /// frame (a block was actually *repaired*, not merely complete).
-    pub fec_recovered: bool,
-    /// Whether the decoder was stalled (chaos) and the display held.
-    pub stalled: bool,
     /// `Intra_Th` in force for this frame.
     pub intra_th: f64,
     /// Which arbiter input set `intra_th`.
@@ -243,37 +170,6 @@ pub fn arbitrate_intra_th(network: f64, load: f64, quarantine: f64) -> (f64, Int
     } else {
         (network, IntraThSource::Network)
     }
-}
-
-/// Lifetime counters of one session (deterministic).
-#[derive(Debug, Clone, Default)]
-pub struct SessionStats {
-    /// Frames encoded and transmitted.
-    pub frames_encoded: u64,
-    /// Frames skipped by fleet-imposed frame-rate degradation.
-    pub frames_rate_dropped: u64,
-    /// Frames lost outright on the channel.
-    pub frames_lost: u64,
-    /// Frames delivered damaged.
-    pub frames_damaged: u64,
-    /// Frames where FEC reconstructed at least one erased fragment.
-    pub fec_recoveries: u64,
-    /// Lifetime FEC arithmetic ledger (all zero without FEC).
-    pub fec: FecOps,
-    /// FEC encode/decode processing energy total (Joules).
-    pub fec_joules: f64,
-    /// Encoded payload bytes.
-    pub encoded_bytes: u64,
-    /// Bytes offered to the channel (incl. FEC parity).
-    pub sent_bytes: u64,
-    /// Encoding energy total (Joules).
-    pub encode_joules: f64,
-    /// Frame slots the decoder spent stalled (chaos injection).
-    pub frames_stalled: u64,
-    /// Chaos faults applied to this session.
-    pub chaos_injected: u64,
-    /// Aggregate resilient-decode accounting.
-    pub decode: DecodeReport,
 }
 
 /// The live policy behind a [`SessionScheme`]. PBPAIR keeps its concrete
@@ -335,7 +231,13 @@ impl NetworkProposer {
 
 /// One live streaming session. See the module docs for the loop.
 pub struct Session {
-    cfg: SessionConfig,
+    /// The session's seed, mixed from the fleet seed and the session id.
+    seed: u64,
+    /// Forward-channel description; schedule channels also set the
+    /// feedback RTT per phase. `None` is uniform loss.
+    channel_spec: Option<ChannelSpec>,
+    /// Modeled transmission wait per frame ([`ServeConfig::pacing_us`]).
+    pacing_us: u64,
     source: SyntheticSequence,
     driver: SchemeDriver,
     encoder: Encoder,
@@ -378,8 +280,9 @@ pub struct Session {
     /// Next frame index to encode.
     frame: u64,
     quality: QualityStats,
-    stats: SessionStats,
-    shed: bool,
+    /// The report's counters, labels and shed flag, kept as the frames
+    /// run; [`Session::report`] fills in the rest.
+    ledger: SessionReport,
     /// Session-level telemetry handles; `None` until
     /// [`Session::set_telemetry`]. The encoder, decoder, and channel
     /// carry their own handles wired by the same call.
@@ -437,16 +340,24 @@ impl SessionTelemetry {
 }
 
 impl Session {
-    /// Builds a session; all components are seeded from `cfg.seed` with
-    /// distinct stream constants so they do not correlate.
+    /// Builds session `id` of the fleet `cfg` describes. The session
+    /// seed, content class, device and chaos events derive from
+    /// `(cfg, id)`; every other setting is `cfg`'s own. All components
+    /// are seeded from the session seed with distinct stream constants so
+    /// they do not correlate.
     ///
     /// # Errors
     ///
-    /// Returns an error for an invalid scheme, PBPAIR or controller
-    /// configuration.
-    pub fn new(cfg: SessionConfig) -> Result<Self, String> {
-        cfg.scheme.validate()?;
-        let sub = |stream: u64| splitmix(cfg.seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    /// Returns an error for an invalid `cfg` or an invalid PBPAIR or
+    /// controller configuration.
+    pub fn new(cfg: &ServeConfig, id: u32) -> Result<Self, String> {
+        cfg.validate()?;
+        let seed = cfg
+            .seed
+            .wrapping_add((id as u64 + 1).wrapping_mul(SESSION_SEED_STEP));
+        let class = cfg.clip.unwrap_or(MotionClass::all()[id as usize % 3]);
+        let device = cfg.device_mix.device_for(id);
+        let sub = |stream: u64| splitmix(seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let format = pbpair_media::VideoFormat::QCIF;
         let driver = match cfg.scheme {
             SessionScheme::Pbpair => SchemeDriver::Pbpair(PbpairPolicy::new(
@@ -465,9 +376,6 @@ impl Session {
         // own family and is then also the network proposer.
         let (network, fec_spec) = match cfg.redundancy {
             Some(rc) => {
-                if cfg.fec.is_some() {
-                    return Err("redundancy carries its own fec family; leave fec unset".into());
-                }
                 let ctl = RedundancyController::new(rc, cfg.plr, cfg.base_intra_th)?;
                 let d = ctl.decision();
                 let spec = (d.parity > 0).then(|| ctl.family().with_parity(d.parity));
@@ -492,7 +400,10 @@ impl Session {
             FEEDBACK_DELAY,
         );
         Ok(Session {
-            source: SyntheticSequence::for_class(cfg.class, sub(1)),
+            seed,
+            channel_spec: cfg.channel.clone(),
+            pacing_us: cfg.pacing_us,
+            source: SyntheticSequence::for_class(class, sub(1)),
             driver,
             encoder: Encoder::new(EncoderConfig {
                 rde: cfg.rde,
@@ -512,30 +423,27 @@ impl Session {
             packet_plr_estimator: WindowPlrEstimator::new(240),
             burst_estimator: BurstEstimator::new(0.2),
             watchdog: StalenessWatchdog::new(),
-            energy: EnergyModel::new(cfg.device.profile()),
+            energy: EnergyModel::new(device.profile()),
             ops_snapshot: OpCounts::default(),
             load_floor: 0.0,
             last_report: None,
-            chaos: VecDeque::new(),
+            chaos: cfg.chaos.for_session(id).into(),
             blackout_until: 0,
             stall_until: 0,
             kill_until: 0,
             lost_streak: 0,
             frame: 0,
             quality: QualityStats::new(),
-            stats: SessionStats::default(),
-            shed: false,
+            ledger: SessionReport {
+                id,
+                class: class.label().to_string(),
+                scheme: cfg.scheme.label(),
+                device: device.label().to_string(),
+                ..SessionReport::default()
+            },
             tel: None,
             trace: Tracer::disabled(),
-            cfg,
         })
-    }
-
-    /// Schedules chaos faults against this session (sorted by frame;
-    /// events already past the session's frame clock never fire).
-    pub fn set_chaos(&mut self, mut events: Vec<ChaosEvent>) {
-        events.sort_by_key(|e| e.at_frame);
-        self.chaos = events.into();
     }
 
     /// Attaches a telemetry context to the session and every pipeline
@@ -565,61 +473,31 @@ impl Session {
         self.trace = trace.clone();
     }
 
-    /// The session's configuration.
-    pub fn config(&self) -> &SessionConfig {
-        &self.cfg
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> &SessionStats {
-        &self.stats
-    }
-
-    /// Decoder-side quality accounting.
-    pub fn quality(&self) -> &QualityStats {
-        &self.quality
-    }
-
-    /// The receiver's current PLR estimate.
-    pub fn plr_estimate(&self) -> f64 {
-        self.plr_estimator.estimate()
-    }
-
-    /// The receiver's current erasure-burst-length estimate (packets).
-    pub fn burst_estimate(&self) -> f64 {
-        self.burst_estimator.estimate()
+    /// The session's report: the counters it keeps, completed with the
+    /// FEC codec label, mean PSNR, PLR estimate and `Intra_Th` in force,
+    /// and the watchdog's health state and log, as they stand.
+    pub fn report(&self) -> SessionReport {
+        // The active codec or, for an adaptive session at zero parity,
+        // the family at that rate; empty when FEC is off.
+        let fec_codec = match (&self.fec, self.network.redundancy()) {
+            (Some(p), _) => p.spec().label(),
+            (None, Some(c)) => c.family().with_parity(c.decision().parity).label(),
+            (None, None) => String::new(),
+        };
+        SessionReport {
+            fec_codec,
+            avg_psnr_db: self.quality.average_psnr(),
+            plr_estimate: self.plr_estimator.estimate(),
+            final_intra_th: self.arbitrate().0,
+            health: self.watchdog.state(),
+            health_log: self.watchdog.ledger().transitions().to_vec(),
+            ..self.ledger.clone()
+        }
     }
 
     /// Whether any FEC (fixed or adaptive) protects this session.
-    pub fn fec_enabled(&self) -> bool {
+    fn fec_enabled(&self) -> bool {
         self.fec.is_some() || self.network.redundancy().is_some()
-    }
-
-    /// The codec currently on the packet path (`None` when FEC is off —
-    /// including adaptive GOPs where the controller chose zero parity).
-    pub fn fec_spec(&self) -> Option<FecSpec> {
-        self.fec.as_ref().map(|p| p.spec())
-    }
-
-    /// Stable codec label for reports: the active codec, or for an
-    /// adaptive session currently at zero parity, the family at rate 0.
-    pub fn fec_label(&self) -> Option<String> {
-        self.fec_spec().map(|s| s.label()).or_else(|| {
-            self.network
-                .redundancy()
-                .map(|c| c.family().with_parity(c.decision().parity).label())
-        })
-    }
-
-    /// The joint redundancy decision in force, if the controller runs.
-    pub fn redundancy_decision(&self) -> Option<RedundancyDecision> {
-        self.network.redundancy().map(|c| c.decision())
-    }
-
-    /// The arbitrated `Intra_Th` in force: what the last frame encoded
-    /// at, until the next frame step moves an input.
-    pub fn current_intra_th(&self) -> f64 {
-        self.arbitrate().0
     }
 
     /// [`arbitrate_intra_th`] over the session's three inputs as they
@@ -683,19 +561,19 @@ impl Session {
         self.load_floor = th.clamp(0.0, 1.0);
     }
 
+    /// Decoder resyncs so far.
+    pub(crate) fn resyncs(&self) -> u64 {
+        self.ledger.decode.resyncs
+    }
+
     /// Marks the session shed; it will not be stepped again.
     pub fn shed(&mut self) {
-        self.shed = true;
+        self.ledger.shed = true;
     }
 
     /// Whether the session has been shed.
     pub fn is_shed(&self) -> bool {
-        self.shed
-    }
-
-    /// Frames encoded so far.
-    pub fn frames_encoded(&self) -> u64 {
-        self.stats.frames_encoded
+        self.ledger.shed
     }
 
     /// Skips one source frame (fleet-imposed frame-rate degradation).
@@ -705,7 +583,7 @@ impl Session {
         let original = self.source.next_frame();
         let held = self.decoder.last_frame().clone();
         self.quality.record(&original, &held);
-        self.stats.frames_rate_dropped += 1;
+        self.ledger.frames_rate_dropped += 1;
         if let Some(t) = &self.tel {
             t.frames_rate_dropped.inc(1);
         }
@@ -720,7 +598,7 @@ impl Session {
         // Chaos activation: fire every fault scheduled at or before now.
         while self.chaos.front().is_some_and(|e| e.at_frame <= now) {
             let event = self.chaos.pop_front().expect("front checked");
-            self.stats.chaos_injected += 1;
+            self.ledger.chaos_injected += 1;
             match event.fault {
                 ChaosFault::FeedbackBlackout { frames } => {
                     self.blackout_until = now.saturating_add(frames);
@@ -730,8 +608,7 @@ impl Session {
                 }
                 ChaosFault::BurstKill { frames } => self.kill_until = now.saturating_add(frames),
                 ChaosFault::ChannelSwap { spec } => {
-                    let seed =
-                        splitmix(self.cfg.seed ^ 0xC4A0_5EED ^ now.wrapping_mul(0x9e37_79b9));
+                    let seed = splitmix(self.seed ^ 0xC4A0_5EED ^ now.wrapping_mul(0x9e37_79b9));
                     let model = spec
                         .build_loss(seed)
                         .expect("chaos specs are validated at plan construction");
@@ -744,7 +621,7 @@ impl Session {
         // schedules) and apply the phase's feedback RTT, if the channel
         // constrains it.
         self.channel.on_frame(now);
-        if let Some(rtt) = self.cfg.channel.as_ref().and_then(|c| c.rtt_at(now)) {
+        if let Some(rtt) = self.channel_spec.as_ref().and_then(|c| c.rtt_at(now)) {
             self.feedback.set_delay(rtt);
         }
 
@@ -809,10 +686,10 @@ impl Session {
             None => packets,
         };
         let sent_bytes: u64 = sent.iter().map(|p| p.len() as u64).sum();
-        if self.cfg.pacing_us > 0 {
+        if self.pacing_us > 0 {
             // The blocking transmission phase. Wall-clock only: the
             // channel outcome below is drawn from seeded state.
-            std::thread::sleep(std::time::Duration::from_micros(self.cfg.pacing_us));
+            std::thread::sleep(std::time::Duration::from_micros(self.pacing_us));
         }
         let mut survivors = self.channel.transmit_packets(&sent);
         if now < self.kill_until {
@@ -855,14 +732,14 @@ impl Session {
         let displayed = if stalled {
             // The decoder is wedged: arriving data is discarded and the
             // viewer keeps watching the last picture.
-            self.stats.frames_stalled += 1;
+            self.ledger.frames_stalled += 1;
             self.decoder.last_frame().clone()
         } else {
             match &bytes {
                 Some(data) => {
                     let (frame, report) = self.decoder.decode_frame_resilient(data);
                     damaged = report.any_damage();
-                    self.stats.decode.absorb(&report);
+                    self.ledger.decode.absorb(&report);
                     frame
                 }
                 None => self.decoder.conceal_lost_frame(),
@@ -906,15 +783,15 @@ impl Session {
         // Ledger.
         let fec_joules = self.energy.fec_energy(&frame_fec).get();
         self.lost_streak = if lost { self.lost_streak + 1 } else { 0 };
-        self.stats.frames_encoded += 1;
-        self.stats.frames_lost += lost as u64;
-        self.stats.frames_damaged += damaged as u64;
-        self.stats.fec_recoveries += fec_recovered as u64;
-        self.stats.fec += frame_fec;
-        self.stats.fec_joules += fec_joules;
-        self.stats.encoded_bytes += encoded.data.len() as u64;
-        self.stats.sent_bytes += sent_bytes;
-        self.stats.encode_joules += encode_joules;
+        self.ledger.frames_encoded += 1;
+        self.ledger.frames_lost += lost as u64;
+        self.ledger.frames_damaged += damaged as u64;
+        self.ledger.fec_recoveries += fec_recovered as u64;
+        self.ledger.fec += frame_fec;
+        self.ledger.fec_joules += fec_joules;
+        self.ledger.encoded_bytes += encoded.data.len() as u64;
+        self.ledger.sent_bytes += sent_bytes;
+        self.ledger.encode_joules += encode_joules;
 
         if let Some(t) = &self.tel {
             t.frames_encoded.inc(1);
@@ -934,12 +811,8 @@ impl Session {
         FrameOutcome {
             encode_joules,
             fec_joules,
-            encoded_bytes: encoded.data.len() as u64,
-            sent_bytes,
             lost,
             damaged,
-            fec_recovered,
-            stalled,
             intra_th: th,
             intra_th_source,
         }
@@ -959,20 +832,33 @@ fn splitmix(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RedundancyConfig;
+    use pbpair_netsim::FecSpec;
 
-    fn run(cfg: SessionConfig, frames: u64) -> (SessionStats, Vec<f64>) {
-        let mut s = Session::new(cfg).unwrap();
+    /// A fleet at the paper's standard operating point (10% packet loss,
+    /// light corruption, no FEC, no pacing sleep) whose session `id`
+    /// runs on session seed `seed`.
+    fn standard(id: u32, seed: u64) -> ServeConfig {
+        ServeConfig {
+            seed: seed.wrapping_sub((id as u64 + 1).wrapping_mul(SESSION_SEED_STEP)),
+            pacing_us: 0,
+            ..ServeConfig::default()
+        }
+    }
+
+    fn run(cfg: &ServeConfig, id: u32, frames: u64) -> (SessionReport, Vec<f64>) {
+        let mut s = Session::new(cfg, id).unwrap();
         for _ in 0..frames {
             s.step_frame();
         }
-        (s.stats().clone(), s.quality().psnr_series().to_vec())
+        (s.report(), s.quality.psnr_series().to_vec())
     }
 
     #[test]
     fn session_is_deterministic() {
-        let cfg = SessionConfig::standard(3, 99);
-        let (a_stats, a_psnr) = run(cfg.clone(), 24);
-        let (b_stats, b_psnr) = run(cfg, 24);
+        let cfg = standard(3, 99);
+        let (a_stats, a_psnr) = run(&cfg, 3, 24);
+        let (b_stats, b_psnr) = run(&cfg, 3, 24);
         assert_eq!(a_psnr, b_psnr);
         assert_eq!(a_stats.frames_lost, b_stats.frames_lost);
         assert_eq!(a_stats.encoded_bytes, b_stats.encoded_bytes);
@@ -981,18 +867,20 @@ mod tests {
 
     #[test]
     fn different_sessions_diverge() {
-        let (a, _) = run(SessionConfig::standard(0, 7), 12);
-        let (b, _) = run(SessionConfig::standard(1, 7), 12);
+        let (a, _) = run(&standard(0, 7), 0, 12);
+        let (b, _) = run(&standard(1, 7), 1, 12);
         // Different ids → different classes and seeds → different bytes.
         assert_ne!(a.encoded_bytes, b.encoded_bytes);
     }
 
     #[test]
     fn lossy_session_records_losses_and_survives() {
-        let mut cfg = SessionConfig::standard(0, 5);
-        cfg.plr = 0.35;
-        cfg.corruption = 0.5;
-        let (stats, psnr) = run(cfg, 40);
+        let cfg = ServeConfig {
+            plr: 0.35,
+            corruption: 0.5,
+            ..standard(0, 5)
+        };
+        let (stats, psnr) = run(&cfg, 0, 40);
         assert_eq!(stats.frames_encoded, 40);
         assert_eq!(psnr.len(), 40);
         assert!(stats.frames_lost + stats.frames_damaged > 0);
@@ -1001,36 +889,36 @@ mod tests {
 
     #[test]
     fn fec_session_recovers_fragments() {
-        let mut cfg = SessionConfig::standard(0, 11);
-        cfg.plr = 0.10;
-        cfg.corruption = 0.0;
-        cfg.mtu = 200; // force multi-fragment frames so FEC has groups
-        cfg.fec = Some(FecSpec::Xor { k: 3 });
-        let mut s = Session::new(cfg).unwrap();
-        for _ in 0..60 {
-            s.step_frame();
-        }
+        let cfg = ServeConfig {
+            plr: 0.10,
+            corruption: 0.0,
+            mtu: 200, // force multi-fragment frames so FEC has groups
+            fec: Some(FecSpec::Xor { k: 3 }),
+            ..standard(0, 11)
+        };
+        let (stats, _) = run(&cfg, 0, 60);
         assert!(
-            s.stats().fec_recoveries > 0,
+            stats.fec_recoveries > 0,
             "10% packet loss over 60 multi-fragment frames must exercise FEC"
         );
         // Parity overhead must show up on the wire.
-        assert!(s.stats().sent_bytes > s.stats().encoded_bytes);
+        assert!(stats.sent_bytes > stats.encoded_bytes);
     }
 
     #[test]
     fn fec_beats_no_fec_on_fragment_loss() {
-        let base = {
-            let mut c = SessionConfig::standard(0, 21);
-            c.plr = 0.08;
-            c.corruption = 0.0;
-            c.mtu = 250;
-            c
+        let base = ServeConfig {
+            plr: 0.08,
+            corruption: 0.0,
+            mtu: 250,
+            ..standard(0, 21)
         };
-        let mut with = base.clone();
-        with.fec = Some(FecSpec::Xor { k: 3 });
-        let (no_fec, _) = run(base, 80);
-        let (fec, _) = run(with, 80);
+        let with = ServeConfig {
+            fec: Some(FecSpec::Xor { k: 3 }),
+            ..base.clone()
+        };
+        let (no_fec, _) = run(&base, 0, 80);
+        let (fec, _) = run(&with, 0, 80);
         assert!(
             fec.frames_lost < no_fec.frames_lost,
             "fec {} vs plain {}",
@@ -1041,9 +929,9 @@ mod tests {
 
     #[test]
     fn load_floor_raises_intra_th_and_cuts_energy() {
-        let cfg = SessionConfig::standard(1, 13);
-        let mut free = Session::new(cfg.clone()).unwrap();
-        let mut capped = Session::new(cfg).unwrap();
+        let cfg = standard(1, 13);
+        let mut free = Session::new(&cfg, 1).unwrap();
+        let mut capped = Session::new(&cfg, 1).unwrap();
         capped.set_load_floor(0.999);
         let mut free_j = 0.0;
         let mut capped_j = 0.0;
@@ -1062,42 +950,47 @@ mod tests {
 
     #[test]
     fn drop_frame_charges_quality_but_no_energy() {
-        let mut s = Session::new(SessionConfig::standard(2, 17)).unwrap();
+        let mut s = Session::new(&standard(2, 17), 2).unwrap();
         s.step_frame();
-        let j = s.stats().encode_joules;
+        let j = s.report().encode_joules;
         s.drop_frame();
-        assert_eq!(s.stats().frames_rate_dropped, 1);
+        assert_eq!(s.report().frames_rate_dropped, 1);
         assert_eq!(
-            s.stats().encode_joules,
+            s.report().encode_joules,
             j,
             "a dropped frame encodes nothing"
         );
-        assert_eq!(s.quality().frames(), 2, "the viewer still saw a frame slot");
+        assert_eq!(s.quality.frames(), 2, "the viewer still saw a frame slot");
     }
 
     #[test]
     fn conflicting_fec_sources_rejected() {
-        let mut cfg = SessionConfig::standard(0, 1);
-        cfg.fec = Some(FecSpec::Rs { k: 4, r: 2 });
-        cfg.redundancy = Some(RedundancyConfig::new(FecSpec::Rs { k: 4, r: 1 }));
-        assert!(Session::new(cfg).is_err());
-        let mut cfg = SessionConfig::standard(0, 1);
-        cfg.fec = Some(FecSpec::Rs { k: 200, r: 60 });
-        assert!(Session::new(cfg).is_err(), "invalid spec must not build");
+        let cfg = ServeConfig {
+            fec: Some(FecSpec::Rs { k: 4, r: 2 }),
+            redundancy: Some(RedundancyConfig::new(FecSpec::Rs { k: 4, r: 1 })),
+            ..standard(0, 1)
+        };
+        assert!(Session::new(&cfg, 0).is_err());
+        let cfg = ServeConfig {
+            fec: Some(FecSpec::Rs { k: 200, r: 60 }),
+            ..standard(0, 1)
+        };
+        assert!(
+            Session::new(&cfg, 0).is_err(),
+            "invalid spec must not build"
+        );
     }
 
     #[test]
     fn rs_session_charges_fec_ops_and_energy() {
-        let mut cfg = SessionConfig::standard(0, 31);
-        cfg.plr = 0.10;
-        cfg.corruption = 0.0;
-        cfg.mtu = 200;
-        cfg.fec = Some(FecSpec::Rs { k: 4, r: 2 });
-        let mut s = Session::new(cfg).unwrap();
-        for _ in 0..60 {
-            s.step_frame();
-        }
-        let stats = s.stats();
+        let cfg = ServeConfig {
+            plr: 0.10,
+            corruption: 0.0,
+            mtu: 200,
+            fec: Some(FecSpec::Rs { k: 4, r: 2 }),
+            ..standard(0, 31)
+        };
+        let (stats, _) = run(&cfg, 0, 60);
         assert!(stats.fec.blocks_encoded > 0);
         assert!(stats.fec.parity_bytes > 0);
         assert!(stats.fec.gf_mul_bytes > 0, "RS parity is GF(256) work");
@@ -1115,20 +1008,19 @@ mod tests {
         // feedback diverges the trajectories, so the wire-byte delta of
         // that frame must be exactly the parity bytes the ops ledger
         // charged — parity is neither double-counted nor free.
-        let base = {
-            let mut c = SessionConfig::standard(0, 77);
-            c.corruption = 0.0;
-            c.mtu = 200;
-            c
+        let base = ServeConfig {
+            corruption: 0.0,
+            mtu: 200,
+            ..standard(0, 77)
         };
-        let mut with = base.clone();
-        with.fec = Some(FecSpec::Rs { k: 4, r: 2 });
-        let mut plain = Session::new(base).unwrap();
-        let mut protected = Session::new(with).unwrap();
-        let a = plain.step_frame();
-        let b = protected.step_frame();
+        let with = ServeConfig {
+            fec: Some(FecSpec::Rs { k: 4, r: 2 }),
+            ..base.clone()
+        };
+        let (a, _) = run(&base, 0, 1);
+        let (b, _) = run(&with, 0, 1);
         assert_eq!(a.encoded_bytes, b.encoded_bytes, "same seed, same encode");
-        let parity = protected.stats().fec.parity_bytes;
+        let parity = b.fec.parity_bytes;
         assert!(parity > 0);
         assert_eq!(
             b.sent_bytes,
@@ -1139,16 +1031,18 @@ mod tests {
 
     #[test]
     fn burst_estimate_reaches_the_controller() {
-        let mut cfg = SessionConfig::standard(0, 51);
-        cfg.plr = 0.20;
-        cfg.corruption = 0.0;
-        cfg.mtu = 200;
-        let mut s = Session::new(cfg).unwrap();
+        let cfg = ServeConfig {
+            plr: 0.20,
+            corruption: 0.0,
+            mtu: 200,
+            ..standard(0, 51)
+        };
+        let mut s = Session::new(&cfg, 0).unwrap();
         for _ in 0..40 {
             s.step_frame();
         }
         assert!(
-            s.burst_estimate() >= 1.0,
+            s.burst_estimator.estimate() >= 1.0,
             "estimator must have a run-length estimate"
         );
     }
@@ -1176,31 +1070,34 @@ mod tests {
         // The benchmark's burst-fleet session. The joint controller is
         // its only network proposer, so the reported threshold is the
         // one every frame was encoded at.
-        let mut cfg = SessionConfig::standard(0, 2005);
-        cfg.channel = Some(ChannelSpec::BurstErasure {
-            burst_len: 4.0,
-            guard_len: 28.0,
-        });
-        cfg.redundancy = Some(RedundancyConfig {
-            family: FecSpec::Rs { k: 8, r: 2 },
-            max_parity: 2,
-            budget_ratio: 1.25,
-            gop: 8,
-        });
-        cfg.mtu = 36;
-        cfg.corruption = 0.0;
+        let cfg = ServeConfig {
+            channel: Some(ChannelSpec::BurstErasure {
+                burst_len: 4.0,
+                guard_len: 28.0,
+            }),
+            redundancy: Some(RedundancyConfig {
+                family: FecSpec::Rs { k: 8, r: 2 },
+                max_parity: 2,
+                budget_ratio: 1.25,
+                gop: 8,
+            }),
+            mtu: 36,
+            corruption: 0.0,
+            ..standard(0, 2005)
+        };
+        let decision = |s: &Session| s.network.redundancy().expect("controller runs").decision();
         let run_once = || {
-            let mut s = Session::new(cfg.clone()).unwrap();
+            let mut s = Session::new(&cfg, 0).unwrap();
             for _ in 0..43 {
                 let out = s.step_frame();
-                let d = s.redundancy_decision().expect("controller runs");
-                assert_eq!(s.current_intra_th(), out.intra_th);
+                let d = decision(&s);
+                assert_eq!(s.report().final_intra_th, out.intra_th);
                 assert_eq!(out.intra_th, d.intra_th);
                 assert_eq!(out.intra_th_source, IntraThSource::Network);
             }
             assert!(s.fec_enabled());
-            let d = s.redundancy_decision().expect("controller runs");
-            (s.stats().clone(), s.quality().psnr_series().to_vec(), d)
+            let d = decision(&s);
+            (s.report(), s.quality.psnr_series().to_vec(), d)
         };
         let (a_stats, a_psnr, a_d) = run_once();
         let (b_stats, b_psnr, b_d) = run_once();

@@ -6,32 +6,38 @@
 use pbpair_netsim::ChannelSpec;
 use pbpair_serve::{
     run, ChaosEvent, ChaosFault, ChaosPlan, HealthState, IntraThSource, ServeConfig, Session,
-    SessionConfig,
 };
 
-/// A session with a quiet baseline (near-lossless, uncorrupted forward
-/// channel) so the only impairment is the injected fault.
-fn quiet_config(seed: u64) -> SessionConfig {
-    let mut cfg = SessionConfig::standard(0, seed);
-    cfg.plr = 0.01;
-    cfg.corruption = 0.0;
-    cfg
+/// A fleet whose session 0 has a quiet baseline (near-lossless,
+/// uncorrupted forward channel) so the only impairment is the injected
+/// fault. Session 0's seed is the fleet seed plus this constant, so
+/// `seed` names the session seed each trajectory was tuned on.
+fn quiet_config(seed: u64, faults: Vec<(u64, ChaosFault)>) -> ServeConfig {
+    const SESSION_0_SEED_STEP: u64 = 0x2545_f491_4f6c_dd1d;
+    ServeConfig {
+        seed: seed.wrapping_sub(SESSION_0_SEED_STEP),
+        plr: 0.01,
+        corruption: 0.0,
+        pacing_us: 0,
+        chaos: ChaosPlan::new(
+            faults
+                .into_iter()
+                .map(|(at_frame, fault)| ChaosEvent {
+                    session: 0,
+                    at_frame,
+                    fault,
+                })
+                .collect(),
+        )
+        .expect("valid faults"),
+        ..ServeConfig::default()
+    }
 }
 
-/// Runs one session with the fault schedule and returns it for
+/// Runs session 0 with the fault schedule and returns it for
 /// inspection.
-fn run_with_faults(cfg: SessionConfig, faults: Vec<(u64, ChaosFault)>, frames: u64) -> Session {
-    let mut s = Session::new(cfg).expect("valid config");
-    s.set_chaos(
-        faults
-            .into_iter()
-            .map(|(at_frame, fault)| ChaosEvent {
-                session: 0,
-                at_frame,
-                fault,
-            })
-            .collect(),
-    );
+fn run_with_faults(seed: u64, faults: Vec<(u64, ChaosFault)>, frames: u64) -> Session {
+    let mut s = Session::new(&quiet_config(seed, faults), 0).expect("valid config");
     for _ in 0..frames {
         s.step_frame();
     }
@@ -76,7 +82,7 @@ fn assert_full_path(s: &Session, fault: &str) {
 #[test]
 fn feedback_blackout_walks_the_full_recovery_path() {
     let s = run_with_faults(
-        quiet_config(11),
+        11,
         vec![(10, ChaosFault::FeedbackBlackout { frames: 60 })],
         120,
     );
@@ -86,36 +92,31 @@ fn feedback_blackout_walks_the_full_recovery_path() {
         log[0].reason.starts_with("dark="),
         "blackout impairs via feedback darkness: {log:?}"
     );
-    assert_eq!(s.stats().chaos_injected, 1);
+    assert_eq!(s.report().chaos_injected, 1);
 }
 
 #[test]
 fn decoder_stall_walks_the_full_recovery_path() {
-    let s = run_with_faults(
-        quiet_config(12),
-        vec![(10, ChaosFault::DecoderStall { frames: 12 })],
-        60,
-    );
+    let s = run_with_faults(12, vec![(10, ChaosFault::DecoderStall { frames: 12 })], 60);
     assert_full_path(&s, "decoder_stall");
     let log = s.health_ledger().transitions();
     assert_eq!(log[0].reason, "stall");
-    assert_eq!(s.stats().frames_stalled, 12);
+    assert_eq!(s.report().frames_stalled, 12);
 }
 
 #[test]
 fn burst_kill_walks_the_full_recovery_path() {
-    let s = run_with_faults(
-        quiet_config(13),
-        vec![(10, ChaosFault::BurstKill { frames: 12 })],
-        60,
-    );
+    let s = run_with_faults(13, vec![(10, ChaosFault::BurstKill { frames: 12 })], 60);
     assert_full_path(&s, "burst_kill");
     let log = s.health_ledger().transitions();
     assert!(
         log[0].reason.starts_with("starved="),
         "burst kill impairs via display starvation: {log:?}"
     );
-    assert!(s.stats().frames_lost >= 12, "the kill window erases frames");
+    assert!(
+        s.report().frames_lost >= 12,
+        "the kill window erases frames"
+    );
 }
 
 #[test]
@@ -124,7 +125,7 @@ fn mid_gop_channel_swap_walks_the_full_recovery_path() {
     // one: the PLR estimate in flight is invalidated, the display
     // starves, and the watchdog must see the session back to recovered.
     let s = run_with_faults(
-        quiet_config(14),
+        14,
         vec![
             (
                 10,
@@ -147,17 +148,13 @@ fn mid_gop_channel_swap_walks_the_full_recovery_path() {
         log[0].reason.starts_with("starved="),
         "saturated swap impairs via display starvation: {log:?}"
     );
-    assert_eq!(s.stats().chaos_injected, 2);
+    assert_eq!(s.report().chaos_injected, 2);
 }
 
 #[test]
 fn quarantine_imposes_the_intra_th_floor() {
-    let mut s = Session::new(quiet_config(15)).unwrap();
-    s.set_chaos(vec![ChaosEvent {
-        session: 0,
-        at_frame: 5,
-        fault: ChaosFault::BurstKill { frames: 15 },
-    }]);
+    let cfg = quiet_config(15, vec![(5, ChaosFault::BurstKill { frames: 15 })]);
+    let mut s = Session::new(&cfg, 0).unwrap();
     let mut floor_seen = false;
     for _ in 0..25 {
         let out = s.step_frame();

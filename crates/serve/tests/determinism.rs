@@ -2,10 +2,14 @@
 //! [`ServeReport`] is a pure function of the [`ServeConfig`]. Running
 //! the same fleet on 2 workers and on 8 workers must produce
 //! byte-identical deterministic digests, even while admission control is
-//! actively degrading, rate-dropping, and shedding sessions.
+//! actively degrading, rate-dropping, and shedding sessions. And a
+//! session is a pure function of `(ServeConfig, id)`: built and stepped
+//! on its own, it reports what the fleet reported for it.
 
-use pbpair_netsim::FecSpec;
-use pbpair_serve::{run, run_with, RedundancyConfig, ServeConfig};
+use pbpair_netsim::{ChannelSpec, FecSpec};
+use pbpair_serve::{
+    run, run_with, ChaosEvent, ChaosFault, ChaosPlan, RedundancyConfig, ServeConfig, Session,
+};
 use pbpair_telemetry::Telemetry;
 
 fn digest(cfg: &ServeConfig, workers: usize) -> String {
@@ -183,4 +187,50 @@ fn fec_counters_merge_commutatively_across_worker_counts() {
     assert_eq!(two, eight, "fec telemetry must not depend on worker count");
     assert!(one.contains("\"fec.parity_bytes\":"));
     assert!(one.contains("\"fec.blocks_repaired\":"));
+}
+
+#[test]
+fn a_session_built_alone_replays_its_fleet_session() {
+    // The manager adds nothing to a session beyond admission and the
+    // optional planes. With admission out of reach, each session built
+    // from the fleet config and stepped on its own must report exactly
+    // what the fleet reported for it: adaptive RS, burst channel, chaos
+    // and all.
+    let mut cfg = ServeConfig {
+        sessions: 4,
+        frames: 24,
+        workers: 2,
+        seed: 2005,
+        mtu: 36,
+        pacing_us: 0,
+        channel: Some(ChannelSpec::BurstErasure {
+            burst_len: 4.0,
+            guard_len: 28.0,
+        }),
+        redundancy: Some(RedundancyConfig {
+            family: FecSpec::Rs { k: 8, r: 2 },
+            max_parity: 2,
+            budget_ratio: 1.25,
+            gop: 8,
+        }),
+        chaos: ChaosPlan::new(vec![ChaosEvent {
+            session: 1,
+            at_frame: 8,
+            fault: ChaosFault::BurstKill { frames: 4 },
+        }])
+        .unwrap(),
+        ..ServeConfig::default()
+    };
+    cfg.admission.capacity_j_per_round = f64::MAX;
+    let fleet = run(&cfg).expect("valid config");
+    assert_eq!(fleet.degraded_rounds, 0, "admission must never step in");
+    assert_eq!(fleet.sessions[1].chaos_injected, 1, "the fault must fire");
+    for (id, want) in fleet.sessions.iter().enumerate() {
+        assert!(!want.fec_codec.is_empty(), "session {id} runs adaptive RS");
+        let mut s = Session::new(&cfg, id as u32).expect("valid config");
+        for _ in 0..cfg.frames {
+            s.step_frame();
+        }
+        assert_eq!(&s.report(), want, "session {id}");
+    }
 }
