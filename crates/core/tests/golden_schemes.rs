@@ -228,7 +228,7 @@ fn observe(scheme: &str, strategy: SearchStrategy, arm: Arm, opt: OptConfig) -> 
         opt,
         ..EncoderConfig::default()
     });
-    let tel = Telemetry::with_shards(1);
+    let tel = Telemetry::new();
     let tracer = Tracer::new();
     enc.set_telemetry(&tel);
     enc.set_tracer(&tracer);

@@ -202,7 +202,7 @@ fn run_matrix(args: &Args, tel: &Telemetry) -> Result<(String, String), String> 
 
 fn run(args: &Args) -> Result<(), String> {
     let tel = if args.telemetry {
-        Telemetry::with_config(args.depth.1, true)
+        Telemetry::new()
     } else {
         Telemetry::disabled()
     };

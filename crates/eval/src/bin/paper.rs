@@ -250,7 +250,7 @@ fn extensions(frames: usize) -> Result<(), String> {
 fn resilience(frames: usize, telemetry: bool, trace_out: Option<&str>) -> Result<(), String> {
     let telemetry = telemetry || trace_out.is_some();
     let tel = if telemetry {
-        Telemetry::with_config(1, true)
+        Telemetry::new()
     } else {
         Telemetry::disabled()
     };

@@ -462,7 +462,7 @@ fn overhead_guard() -> Result<(), String> {
     let mut seq = SyntheticSequence::for_class(MotionClass::MediumForeman, 2005);
     let fs: Vec<Frame> = (0..OVERHEAD_FRAMES).map(|_| seq.next_frame()).collect();
     let disabled = Telemetry::disabled();
-    let enabled = Telemetry::with_shards(1);
+    let enabled = Telemetry::new();
     let tracer_off = Tracer::disabled();
 
     // Warm-up: page in code, ramp the CPU governor.

@@ -135,9 +135,8 @@ fn smoke(args: &Args) -> Result<(), String> {
         ..base_config(4, 16, args.workers.unwrap_or(2))
     };
     let tel = if args.telemetry || args.expose.is_some() {
-        // One shard per session keeps concurrent flushes contention-free
-        // (and the scrape endpoint needs a live registry).
-        Telemetry::with_config(cfg.sessions, true)
+        // The scrape endpoint needs a live registry.
+        Telemetry::new()
     } else {
         Telemetry::disabled()
     };

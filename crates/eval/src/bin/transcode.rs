@@ -32,7 +32,7 @@ struct Args {
     sequence: SequenceSpec,
     scheme: SchemeSpec,
     plr: f64,
-    qp: u8,
+    qp: Qp,
     frames: usize,
     full_search: bool,
     half_pel: bool,
@@ -49,6 +49,11 @@ fn usage() -> ! {
          [--output OUT.y4m] [--device ipaq|zaurus]"
     );
     std::process::exit(2);
+}
+
+/// A probability: a number in [0, 1]. NaN is not one.
+fn parse_unit(s: &str) -> Option<f64> {
+    s.parse().ok().filter(|x| (0.0..=1.0).contains(x))
 }
 
 fn parse_scheme(s: &str, intra_th: f64, plr: f64) -> Option<SchemeSpec> {
@@ -79,7 +84,7 @@ fn parse_args() -> Args {
     let mut scheme_str = "pbpair".to_string();
     let mut intra_th = 0.93;
     let mut plr = 0.10;
-    let mut qp = 8u8;
+    let mut qp = Qp::default();
     let mut frames = 90usize;
     let mut full_search = false;
     let mut half_pel = false;
@@ -108,9 +113,15 @@ fn parse_args() -> Args {
                 sequence = SequenceSpec::Synthetic { class, seed: 2005 };
             }
             "--scheme" => scheme_str = value(&mut it),
-            "--intra-th" => intra_th = value(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--plr" => plr = value(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--qp" => qp = value(&mut it).parse().unwrap_or_else(|_| usage()),
+            "--intra-th" => intra_th = parse_unit(&value(&mut it)).unwrap_or_else(|| usage()),
+            "--plr" => plr = parse_unit(&value(&mut it)).unwrap_or_else(|| usage()),
+            "--qp" => {
+                qp = value(&mut it)
+                    .parse()
+                    .ok()
+                    .and_then(Qp::new)
+                    .unwrap_or_else(|| usage())
+            }
             "--frames" => {
                 frames = value(&mut it)
                     .parse()
@@ -162,7 +173,7 @@ fn transcode(args: &Args) -> Result<(), String> {
     }
     let enc_cfg = EncoderConfig {
         format,
-        qp: Qp::new(args.qp).ok_or_else(|| format!("qp {} out of range 1..=31", args.qp))?,
+        qp: args.qp,
         me: MeConfig {
             search_range: 15,
             strategy: if args.full_search {
@@ -185,6 +196,15 @@ fn transcode(args: &Args) -> Result<(), String> {
         Box::new(NoLoss)
     });
 
+    // An input with no frames fails before the output file is created.
+    let mut first = source.try_next_frame();
+    if first.is_none() {
+        let input = match &args.sequence {
+            SequenceSpec::Y4mFile { path } => path.clone(),
+            synthetic => synthetic.label(),
+        };
+        return Err(format!("{input} holds no frames"));
+    }
     let mut writer = match &args.output {
         Some(path) => {
             let file =
@@ -199,7 +219,7 @@ fn transcode(args: &Args) -> Result<(), String> {
 
     let mut quality = QualityStats::new();
     for i in 0..args.frames {
-        let Some(original) = source.try_next_frame() else {
+        let Some(original) = first.take().or_else(|| source.try_next_frame()) else {
             eprintln!("input ended after {i} frames");
             break;
         };

@@ -181,7 +181,7 @@ pub fn run_dashboard(
             workers,
         );
         cfg.observe = true;
-        let run = run_with(&cfg, &Telemetry::with_shards(sessions), true)?;
+        let run = run_with(&cfg, &Telemetry::new(), true)?;
         let report = run.report;
         let trace = run.trace.expect("dashboard cells are traced");
         let obs = run.observability.expect("dashboard cells are observed");

@@ -105,16 +105,82 @@ fn bad_arguments_exit_nonzero_with_usage() {
 }
 
 #[test]
-fn zero_frames_is_a_bad_argument_not_a_nan_summary() {
+fn out_of_range_numbers_are_bad_arguments_not_panics() {
+    // At least one frame; probabilities in [0, 1] (NaN is not one); the
+    // quantizer in 1..=31.
+    for flags in [
+        ["--frames", "0"],
+        ["--plr", "1.5"],
+        ["--plr", "nan"],
+        ["--plr", "-0.5"],
+        ["--intra-th", "7"],
+        ["--qp", "0"],
+        ["--qp", "32"],
+    ] {
+        let output = transcode()
+            .args(["--synth", "akiyo", "--scheme", "no", "--frames", "2"])
+            .args(flags)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains("usage: transcode"), "{flags:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{flags:?}: nothing is encoded");
+    }
+}
+
+#[test]
+fn an_input_with_no_frames_fails_but_a_short_one_is_summarized() {
+    use pbpair_media::synth::SyntheticSequence;
+    use pbpair_media::y4m::Y4mWriter;
+    use std::io::Write as _;
+    let dir = std::env::temp_dir();
+    let empty = dir.join(format!("pbpair_cli_empty_{}.y4m", std::process::id()));
+    let never = dir.join(format!("pbpair_cli_never_{}.y4m", std::process::id()));
+    std::fs::write(&empty, "YUV4MPEG2 W176 H144 F30:1 Ip A1:1 C420jpeg\n").unwrap();
     let output = transcode()
-        .args(["--synth", "akiyo", "--scheme", "no", "--frames", "0"])
+        .args(["--input", empty.to_str().unwrap(), "--scheme", "no"])
+        .args(["--output", never.to_str().unwrap()])
         .output()
         .expect("binary runs");
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(output.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("usage: transcode"), "{stderr}");
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("transcode failed:"), "{stderr}");
+    assert!(stderr.contains(empty.to_str().unwrap()), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
-    assert!(output.stdout.is_empty(), "nothing is encoded");
+    assert!(output.stdout.is_empty(), "no summary for no frames");
+    assert!(!never.exists(), "a failed run writes no output file");
+    let _ = std::fs::remove_file(&empty);
+
+    // Two frames asked to run for five: the note and the summary stay.
+    let short = dir.join(format!("pbpair_cli_short_{}.y4m", std::process::id()));
+    {
+        let file = std::fs::File::create(&short).unwrap();
+        let mut w = Y4mWriter::new(
+            std::io::BufWriter::new(file),
+            pbpair_media::VideoFormat::QCIF,
+            30,
+        )
+        .unwrap();
+        let mut seq = SyntheticSequence::garden_class(9);
+        for _ in 0..2 {
+            w.write_frame(&seq.next_frame()).unwrap();
+        }
+        w.finish().unwrap().flush().unwrap();
+    }
+    let output = transcode()
+        .args(["--input", short.to_str().unwrap(), "--scheme", "no"])
+        .args(["--frames", "5"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "{stderr}");
+    assert!(stderr.contains("input ended after 2 frames"), "{stderr}");
+    assert!(stdout.contains("frames            : 2"), "{stdout}");
+    assert!(!stdout.contains("NaN"), "{stdout}");
+    let _ = std::fs::remove_file(&short);
 }
 
 #[test]

@@ -37,7 +37,6 @@
 use crate::channel::LossyChannel;
 use crate::loss::LossModel;
 use crate::packet::{ChannelStats, Packet};
-use bytes::Bytes;
 use pbpair_telemetry::{Counter, Stage, Telemetry};
 use pbpair_trace::{Event as TraceEvent, Tracer};
 use rand::rngs::StdRng;
@@ -241,8 +240,8 @@ impl Corrupter {
     /// is never altered — headers are assumed protected by the link
     /// layer, matching how RTP survives payload damage).
     pub fn corrupt_packet(&mut self, packet: &Packet) -> Packet {
-        let mut payload = packet.payload.to_vec();
-        if self.corrupt_bytes(&mut payload) {
+        let mut out = packet.clone();
+        if self.corrupt_bytes(&mut out.payload) {
             self.stats.packets_damaged += 1;
             self.trace.emit(TraceEvent::PacketCorrupted {
                 frame: packet.frame_index as u32,
@@ -251,13 +250,8 @@ impl Corrupter {
                 frag_count: packet.fragment_count,
                 len: packet.payload.len() as u32,
             });
-            Packet {
-                payload: Bytes::from(payload),
-                ..packet.clone()
-            }
-        } else {
-            packet.clone()
         }
+        out
     }
 
     /// Applies per-packet payload damage plus stream-level duplication

@@ -24,7 +24,6 @@
 //! is treated as erased.
 
 use crate::packet::Packet;
-use bytes::Bytes;
 use pbpair_fec::{FecCodec, FecOps, FecSpec};
 
 /// Packet adapter for a [`FecCodec`]: protects a frame's fragments with
@@ -121,7 +120,7 @@ impl FecProtector {
                     frame_index,
                     fragment_index: fragment_count + pid as u16,
                     fragment_count,
-                    payload: Bytes::from(shard),
+                    payload: shard,
                     parity: true,
                 });
             }
@@ -244,12 +243,12 @@ fn lift_shard(payload: &[u8], shard_len: usize) -> Vec<u8> {
 
 /// Lowers a rebuilt shard back to the exact fragment payload; `None` if
 /// the recorded length exceeds the shard body (corrupt reconstruction).
-fn lower_shard(shard: &[u8]) -> Option<Bytes> {
+fn lower_shard(shard: &[u8]) -> Option<Vec<u8>> {
     let len = u16::from_be_bytes([*shard.first()?, *shard.get(1)?]) as usize;
     if len > shard.len() - 2 {
         return None;
     }
-    Some(Bytes::from(shard[2..2 + len].to_vec()))
+    Some(shard[2..2 + len].to_vec())
 }
 
 #[cfg(test)]

@@ -1,7 +1,5 @@
 //! Packet types.
 
-use bytes::Bytes;
-
 /// One network packet carrying (a fragment of) an encoded video frame —
 /// the RTP-payload abstraction of the paper's transport: "the
 //  variable-size encoded output of each frame is contained by a single
@@ -17,8 +15,8 @@ pub struct Packet {
     pub fragment_index: u16,
     /// Total fragments of this frame.
     pub fragment_count: u16,
-    /// Payload bytes (zero-copy slice of the encoded frame).
-    pub payload: Bytes,
+    /// Payload bytes: one fragment of the encoded frame, or FEC parity.
+    pub payload: Vec<u8>,
     /// True for forward-error-correction parity packets (see
     /// [`crate::fec`]); false for media data.
     pub parity: bool,
@@ -85,7 +83,7 @@ mod tests {
             frame_index: 7,
             fragment_index: 0,
             fragment_count: 1,
-            payload: Bytes::from_static(b"abc"),
+            payload: b"abc".to_vec(),
             parity: false,
         };
         assert_eq!(p.fragment_count, 1);

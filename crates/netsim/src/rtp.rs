@@ -7,7 +7,6 @@
 //! paper explains).
 
 use crate::packet::Packet;
-use bytes::Bytes;
 
 /// Default payload MTU in bytes (1500-byte Ethernet minus IP/UDP/RTP
 /// headers).
@@ -45,20 +44,17 @@ impl Packetizer {
     /// Panics if `data` is empty (an encoded frame always has a header).
     pub fn packetize(&mut self, frame_index: u64, data: &[u8]) -> Vec<Packet> {
         assert!(!data.is_empty(), "encoded frames are never empty");
-        let buf = Bytes::copy_from_slice(data);
         let count = data.len().div_ceil(self.mtu);
         let count_u16 =
             u16::try_from(count).expect("frame larger than 65535 fragments is impossible");
         let mut out = Vec::with_capacity(count);
-        for i in 0..count {
-            let lo = i * self.mtu;
-            let hi = ((i + 1) * self.mtu).min(data.len());
+        for (i, fragment) in data.chunks(self.mtu).enumerate() {
             out.push(Packet {
                 seq: self.next_seq,
                 frame_index,
                 fragment_index: i as u16,
                 fragment_count: count_u16,
-                payload: buf.slice(lo..hi),
+                payload: fragment.to_vec(),
                 parity: false,
             });
             self.next_seq = self.next_seq.wrapping_add(1);

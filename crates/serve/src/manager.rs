@@ -240,10 +240,10 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeReport, String> {
 /// * **Telemetry** — every pipeline stage reports into `tel`: the codec
 ///   (`enc.*`/`dec.*`), the channels (`net.*`), the sessions and
 ///   scheduler (`serve.*`), plus a `serve.frame_latency_ms` timing
-///   histogram. Each session writes through `tel.shard(id)` so
-///   concurrent flushes touch disjoint cache lines; the registry's
-///   deterministic section is identical for any worker count (the
-///   counter sums commute). A disabled `tel` costs nothing.
+///   histogram. Every session writes into `tel` itself, once per frame
+///   per layer; the registry's deterministic section is identical for
+///   any worker count (the counter sums commute). A disabled `tel`
+///   costs nothing.
 /// * **Tracing** (`trace`) — a causal tracer on every session: the
 ///   encoder records per-MB coding provenance, the channel per-packet
 ///   loss/corruption, the decoder concealment/resync — and the run
@@ -275,7 +275,7 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
     let mut slots: Vec<Slot> = (0..cfg.sessions)
         .map(|id| {
             Session::new(cfg, id as u32).map(|mut session| {
-                session.set_telemetry(&tel.shard(id));
+                session.set_telemetry(tel);
                 if let Some(ts) = &tracing {
                     session.set_tracer(ts.tracer(id));
                 }

@@ -233,8 +233,10 @@ impl NetworkProposer {
 pub struct Session {
     /// The session's seed, mixed from the fleet seed and the session id.
     seed: u64,
-    /// Forward-channel description; schedule channels also set the
-    /// feedback RTT per phase. `None` is uniform loss.
+    /// The forward-channel description in force: the fleet's, until a
+    /// chaos [`ChaosFault::ChannelSwap`] replaces it together with the
+    /// loss model built from it. Schedule channels set the feedback RTT
+    /// per phase. `None` is uniform loss at [`ServeConfig::plr`].
     channel_spec: Option<ChannelSpec>,
     /// Modeled transmission wait per frame ([`ServeConfig::pacing_us`]).
     pacing_us: u64,
@@ -447,10 +449,10 @@ impl Session {
     }
 
     /// Attaches a telemetry context to the session and every pipeline
-    /// stage it owns (encoder, decoder, forward channel). Pass a handle
-    /// pre-bound to a shard (see `Telemetry::shard`) so concurrent
-    /// sessions write to disjoint cache lines; totals are identical for
-    /// any sharding. A disabled context detaches everything.
+    /// stage it owns (encoder, decoder, forward channel). Concurrent
+    /// sessions may share one context: each metric's total is a sum of
+    /// relaxed atomic adds, identical in any order. A disabled context
+    /// detaches everything.
     pub fn set_telemetry(&mut self, tel: &Telemetry) {
         self.encoder.set_telemetry(tel);
         self.decoder.set_telemetry(tel);
@@ -613,17 +615,17 @@ impl Session {
                         .build_loss(seed)
                         .expect("chaos specs are validated at plan construction");
                     let _ = self.channel.swap_model(model);
+                    self.channel_spec = Some(spec);
                 }
             }
         }
 
         // Advance the channel's frame clock (phase switches for mobility
-        // schedules) and apply the phase's feedback RTT, if the channel
-        // constrains it.
+        // schedules) and apply the phase's feedback RTT, or the standard
+        // delay when the channel in force sets none.
         self.channel.on_frame(now);
-        if let Some(rtt) = self.channel_spec.as_ref().and_then(|c| c.rtt_at(now)) {
-            self.feedback.set_delay(rtt);
-        }
+        let rtt = self.channel_spec.as_ref().and_then(|c| c.rtt_at(now));
+        self.feedback.set_delay(rtt.unwrap_or(FEEDBACK_DELAY));
 
         // Encoder side: feedback in, threshold out.
         if let Some(report) = self.feedback.poll(now) {
@@ -832,8 +834,8 @@ fn splitmix(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RedundancyConfig;
-    use pbpair_netsim::FecSpec;
+    use crate::{ChaosPlan, RedundancyConfig};
+    use pbpair_netsim::{FecSpec, Phase, PhaseKind};
 
     /// A fleet at the paper's standard operating point (10% packet loss,
     /// light corruption, no FEC, no pacing sleep) whose session `id`
@@ -1109,5 +1111,58 @@ mod tests {
             "burst loss must keep the controller protecting"
         );
         assert!(a_stats.fec.blocks_encoded > 0);
+    }
+
+    /// A schedule whose first ten frames have a feedback RTT of 8 and
+    /// whose second phase, which holds, has an RTT of 3.
+    fn rtt_schedule() -> ChannelSpec {
+        let steady = |frames, rtt_frames| Phase {
+            frames,
+            rtt_frames,
+            kind: PhaseKind::Steady { plr: 0.1 },
+        };
+        ChannelSpec::Schedule {
+            phases: vec![steady(10, 8), steady(1, 3)],
+        }
+    }
+
+    /// Steps session 0 of `cfg` with `spec` swapped in at frame `at`,
+    /// returning the feedback delay in force after each frame.
+    fn delays_with_swap(cfg: ServeConfig, at: u64, spec: ChannelSpec) -> Vec<u64> {
+        let cfg = ServeConfig {
+            chaos: ChaosPlan::new(vec![ChaosEvent {
+                session: 0,
+                at_frame: at,
+                fault: ChaosFault::ChannelSwap { spec },
+            }])
+            .unwrap(),
+            ..cfg
+        };
+        let mut s = Session::new(&cfg, 0).unwrap();
+        (0..16)
+            .map(|_| {
+                s.step_frame();
+                s.feedback.delay_frames()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn swapping_a_schedule_out_restores_the_standard_feedback_delay() {
+        let cfg = ServeConfig {
+            channel: Some(rtt_schedule()),
+            ..standard(0, 41)
+        };
+        let delays = delays_with_swap(cfg, 6, ChannelSpec::Uniform { plr: 0.1 });
+        assert_eq!(delays[..6], [8; 6]);
+        assert_eq!(delays[6..], [FEEDBACK_DELAY; 10], "{delays:?}");
+    }
+
+    #[test]
+    fn a_swapped_in_schedule_sets_the_feedback_delay_per_phase() {
+        let delays = delays_with_swap(standard(0, 41), 4, rtt_schedule());
+        assert_eq!(delays[..4], [FEEDBACK_DELAY; 4]);
+        assert_eq!(delays[4..10], [8; 6], "{delays:?}");
+        assert_eq!(delays[10..], [3; 6], "{delays:?}");
     }
 }

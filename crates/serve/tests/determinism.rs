@@ -22,7 +22,7 @@ fn digest(cfg: &ServeConfig, workers: usize) -> String {
 fn telemetry_json(cfg: &ServeConfig, workers: usize) -> String {
     let mut cfg = cfg.clone();
     cfg.workers = workers;
-    let tel = Telemetry::with_shards(cfg.sessions);
+    let tel = Telemetry::new();
     run_with(&cfg, &tel, false).expect("valid config");
     tel.report().deterministic_json()
 }
@@ -73,7 +73,7 @@ fn instrumented_run_matches_uninstrumented_report() {
         seed: 31,
         ..ServeConfig::default()
     };
-    let tel = Telemetry::with_shards(cfg.sessions);
+    let tel = Telemetry::new();
     let instrumented = run_with(&cfg, &tel, false)
         .expect("valid config")
         .report
@@ -169,7 +169,7 @@ fn adaptive_fec_fleet_replays_across_worker_counts() {
 #[test]
 fn fec_counters_merge_commutatively_across_worker_counts() {
     // fec.* telemetry counters are sums of per-session FecOps deltas;
-    // the shard merge must commute, so the deterministic JSON export is
+    // the additions must commute, so the deterministic JSON export is
     // identical no matter how sessions were spread over workers.
     let cfg = ServeConfig {
         sessions: 6,

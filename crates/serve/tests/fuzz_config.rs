@@ -260,7 +260,7 @@ fn config(seed: u64) -> ServeConfig {
 /// whether the fleet ran.
 fn runs(name: &str, cfg: &ServeConfig, telemetry: bool, trace: bool) -> bool {
     let tel = if telemetry {
-        Telemetry::with_config(cfg.sessions.max(1), true)
+        Telemetry::new()
     } else {
         Telemetry::disabled()
     };

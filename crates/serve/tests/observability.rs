@@ -40,7 +40,7 @@ fn burst_cfg(frames: usize) -> ServeConfig {
 fn observed(cfg: &ServeConfig, workers: usize) -> (String, Vec<(u64, String, &'static str)>) {
     let mut cfg = cfg.clone();
     cfg.workers = workers;
-    let tel = Telemetry::with_shards(cfg.sessions);
+    let tel = Telemetry::new();
     let run = run_with(&cfg, &tel, false).expect("valid config");
     let obs = run.observability.expect("observed run");
     let alerts = run
@@ -70,7 +70,7 @@ fn time_series_and_alert_stream_identical_across_worker_counts() {
 #[test]
 fn burst_kill_fires_residual_loss_and_dumps_the_flight_recorder() {
     let cfg = burst_cfg(24);
-    let tel = Telemetry::with_shards(cfg.sessions);
+    let tel = Telemetry::new();
     let run = run_with(&cfg, &tel, true).expect("valid config");
     let (report, trace) = (run.report, run.trace.expect("traced run"));
     let obs = run.observability.expect("observed run");
@@ -112,7 +112,7 @@ fn alerts_clear_and_sessions_recover_after_the_burst() {
     // rounds — enough for every burn window to drain and the watchdog's
     // fresh streak to reach its recovery threshold.
     let cfg = burst_cfg(48);
-    let tel = Telemetry::with_shards(cfg.sessions);
+    let tel = Telemetry::new();
     let report = run_with(&cfg, &tel, false).expect("valid config").report;
 
     let residual: Vec<_> = report
@@ -156,7 +156,7 @@ fn observability_is_returned_exactly_when_enabled_and_needs_telemetry() {
         workers: 1,
         ..ServeConfig::default()
     };
-    let tel = Telemetry::with_shards(off.sessions);
+    let tel = Telemetry::new();
     assert!(
         run_with(&off, &tel, false)
             .expect("valid config")

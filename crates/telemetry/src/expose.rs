@@ -329,7 +329,7 @@ mod tests {
 
     #[test]
     fn exposition_renders_cumulative_le_buckets() {
-        let tel = Telemetry::with_shards(1);
+        let tel = Telemetry::new();
         tel.counter("enc.frames").inc(12);
         let h = tel.histogram("enc.frame_bits", &[10, 100]);
         for v in [5, 50, 500] {
@@ -349,7 +349,7 @@ mod tests {
 
     #[test]
     fn server_serves_metrics_health_and_timeseries() {
-        let tel = Telemetry::with_shards(1);
+        let tel = Telemetry::new();
         tel.counter("serve.rounds").inc(7);
         let server = ExposeServer::start(0, tel.clone()).unwrap();
         server.publish_health("{\"ok\":true}".into());
@@ -389,7 +389,7 @@ mod tests {
 
     #[test]
     fn hostile_clients_are_dropped_and_scrapes_still_answer_in_time() {
-        let tel = Telemetry::with_shards(1);
+        let tel = Telemetry::new();
         tel.counter("serve.rounds").inc(1);
         let server = ExposeServer::start(0, tel).unwrap();
         let addr = server.addr();

@@ -15,13 +15,13 @@
 //!   (span timings, scheduling counters, latency histograms) live in a
 //!   separate timing section that is expected to vary.
 //! * **Near-zero cost, exactly zero when off.** Handles are cheap
-//!   clonable wrappers over shared atomic cells; updates are lock-free
-//!   relaxed atomics, sharded per worker thread so the serve pool's
-//!   counters never bounce a cache line. A handle minted from
-//!   [`Telemetry::disabled`] carries no cells at all — every operation
-//!   is an inlined `None` check, so instrumented hot loops stay within
-//!   noise of uninstrumented ones (`perf --overhead`, in `pbpair-eval`,
-//!   guards this).
+//!   clonable wrappers over one shared, cache-line-aligned atomic cell
+//!   per metric; updates are lock-free relaxed atomics, and every layer
+//!   flushes once per frame or call, so threads sharing a cell rarely
+//!   meet on it. A handle minted from [`Telemetry::disabled`] carries
+//!   no cells at all — every operation is an inlined `None` check, so
+//!   instrumented hot loops stay within noise of uninstrumented ones
+//!   (`perf --overhead`, in `pbpair-eval`, guards this).
 //!
 //! Locks are confined to metric *registration* (a `Mutex` around a
 //! `BTreeMap`); the hot path — `inc`, `record`, `observe` — touches only
@@ -39,7 +39,7 @@
 //! ```rust
 //! use pbpair_telemetry::Telemetry;
 //!
-//! let tel = Telemetry::with_shards(4); // e.g. one shard per worker
+//! let tel = Telemetry::new();
 //! let mbs = tel.counter("enc.mbs_intra");
 //! let bits = tel.histogram("enc.frame_bits", &[1_000, 10_000, 100_000]);
 //! mbs.inc(99);
@@ -62,183 +62,114 @@ pub mod timeseries;
 
 pub use report::{HistogramDelta, HistogramSnapshot, StageSnapshot, TelemetryReport};
 
-/// A cache-line-padded atomic cell: one per shard per metric, so relaxed
-/// increments from different worker threads never contend on a line.
+/// A cache-line-aligned atomic cell. Each metric owns its own (a
+/// histogram one row of them), so relaxed increments to different
+/// metrics never contend on a line.
 #[repr(align(64))]
 #[derive(Default)]
 struct PaddedU64(AtomicU64);
 
-/// Per-metric sharded cells. The metric's value is the sum over shards —
-/// addition commutes, so totals are independent of which thread bumped
-/// which shard in which order.
-struct Cells {
-    shards: Box<[PaddedU64]>,
-}
-
-impl Cells {
-    fn new(shards: usize) -> Self {
-        Cells {
-            shards: (0..shards).map(|_| PaddedU64::default()).collect(),
-        }
-    }
-
+impl PaddedU64 {
     #[inline]
-    fn add(&self, shard: usize, n: u64) {
-        self.shards[shard].0.fetch_add(n, Ordering::Relaxed);
+    fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    fn total(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|c| c.0.load(Ordering::Relaxed))
-            .sum()
+    fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
     }
 }
 
-/// Sharded histogram storage: `bounds` are inclusive upper bucket edges
-/// in ascending order, with an implicit overflow bucket above the last.
+/// Histogram storage: `bounds` are inclusive upper bucket edges in
+/// ascending order, with an implicit overflow bucket above the last.
 struct HistogramCells {
     bounds: Box<[u64]>,
-    /// Per shard: `bounds.len() + 1` bucket counts, then count, then sum.
-    shards: Box<[Box<[PaddedU64]>]>,
+    /// `bounds.len() + 1` bucket counts, then count, then sum.
+    cells: Box<[PaddedU64]>,
 }
 
 impl HistogramCells {
-    fn new(bounds: &[u64], shards: usize) -> Self {
-        let width = bounds.len() + 3;
+    fn new(bounds: &[u64]) -> Self {
         HistogramCells {
             bounds: bounds.into(),
-            shards: (0..shards)
-                .map(|_| (0..width).map(|_| PaddedU64::default()).collect())
+            cells: (0..bounds.len() + 3)
+                .map(|_| PaddedU64::default())
                 .collect(),
         }
     }
 
     #[inline]
-    fn record(&self, shard: usize, value: u64) {
-        let idx = self.bounds.partition_point(|&b| b < value);
-        let cells = &self.shards[shard];
-        cells[idx].0.fetch_add(1, Ordering::Relaxed);
-        cells[self.bounds.len() + 1]
-            .0
-            .fetch_add(1, Ordering::Relaxed);
-        cells[self.bounds.len() + 2]
-            .0
-            .fetch_add(value, Ordering::Relaxed);
+    fn record(&self, value: u64) {
+        let n = self.bounds.len() + 1;
+        self.cells[self.bounds.partition_point(|&b| b < value)].add(1);
+        self.cells[n].add(1);
+        self.cells[n + 1].add(value);
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
         let n = self.bounds.len() + 1;
-        let mut counts = vec![0u64; n];
-        let mut count = 0u64;
-        let mut sum = 0u64;
-        for shard in self.shards.iter() {
-            for (i, c) in counts.iter_mut().enumerate() {
-                *c += shard[i].0.load(Ordering::Relaxed);
-            }
-            count += shard[n].0.load(Ordering::Relaxed);
-            sum += shard[n + 1].0.load(Ordering::Relaxed);
-        }
         HistogramSnapshot {
             bounds: self.bounds.to_vec(),
-            counts,
-            count,
-            sum,
+            counts: self.cells[..n].iter().map(PaddedU64::get).collect(),
+            count: self.cells[n].get(),
+            sum: self.cells[n + 1].get(),
         }
     }
 }
 
 /// Per-stage cost accounting: invocations and deterministic virtual
 /// units (ops / bits / macroblocks — the caller picks the unit and
-/// documents it), plus wall nanoseconds when the registry collects wall
-/// clock.
+/// documents it), plus the wall nanoseconds its spans took.
+#[derive(Default)]
 struct StageCells {
-    calls: Cells,
-    units: Cells,
-    wall_ns: Cells,
+    calls: PaddedU64,
+    units: PaddedU64,
+    wall_ns: PaddedU64,
 }
 
 /// Registration state: name → shared cells. Touched only when a handle
 /// is minted, never on the measurement path.
 #[derive(Default)]
 struct State {
-    counters: BTreeMap<String, Arc<Cells>>,
-    timing_counters: BTreeMap<String, Arc<Cells>>,
+    counters: BTreeMap<String, Arc<PaddedU64>>,
+    timing_counters: BTreeMap<String, Arc<PaddedU64>>,
     histograms: BTreeMap<String, Arc<HistogramCells>>,
     timing_histograms: BTreeMap<String, Arc<HistogramCells>>,
     stages: BTreeMap<String, Arc<StageCells>>,
 }
 
-struct Registry {
-    shards: usize,
-    wall_clock: bool,
-    state: Mutex<State>,
-}
-
 /// The telemetry context: a cheap, clonable handle to a shared metric
-/// registry, carrying the shard index its handles will write to.
+/// registry. Clones share the registry, so every thread may hold one.
 ///
 /// A disabled context ([`Telemetry::disabled`]) mints no-op handles;
 /// every measurement call on them is a branch on a `None`.
 #[derive(Clone)]
 pub struct Telemetry {
-    registry: Option<Arc<Registry>>,
-    shard: usize,
+    registry: Option<Arc<Mutex<State>>>,
 }
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
             .field("enabled", &self.registry.is_some())
-            .field("shard", &self.shard)
             .finish()
     }
 }
 
-impl Default for Telemetry {
-    /// Single-shard enabled context without wall-clock collection.
-    fn default() -> Self {
-        Telemetry::with_shards(1)
-    }
-}
-
 impl Telemetry {
-    /// An enabled context with `shards` independent write lanes per
-    /// metric (use one per worker thread) and no wall-clock collection —
-    /// the fully deterministic mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn with_shards(shards: usize) -> Self {
-        Telemetry::with_config(shards, false)
-    }
-
-    /// An enabled context; `wall_clock` additionally records span wall
-    /// times into the report's timing section. Deterministic output is
-    /// unaffected either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn with_config(shards: usize, wall_clock: bool) -> Self {
-        assert!(shards > 0, "telemetry needs at least one shard");
+    /// An enabled context with an empty registry. Not `Default`:
+    /// whether a context records is always spelled out, `new()` or
+    /// [`Telemetry::disabled`].
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Self {
         Telemetry {
-            registry: Some(Arc::new(Registry {
-                shards,
-                wall_clock,
-                state: Mutex::new(State::default()),
-            })),
-            shard: 0,
+            registry: Some(Arc::default()),
         }
     }
 
     /// The no-op context: handles minted from it measure nothing.
     pub fn disabled() -> Self {
-        Telemetry {
-            registry: None,
-            shard: 0,
-        }
+        Telemetry { registry: None }
     }
 
     /// Whether this context records anything.
@@ -246,16 +177,22 @@ impl Telemetry {
         self.registry.is_some()
     }
 
-    /// A context writing to shard `idx % shards` of the same registry.
-    /// Hand one to each worker thread.
-    pub fn shard(&self, idx: usize) -> Telemetry {
-        match &self.registry {
-            Some(r) => Telemetry {
-                shard: idx % r.shards,
-                registry: Some(Arc::clone(r)),
-            },
-            None => Telemetry::disabled(),
-        }
+    /// The cells registered under `name` in the map `pick` selects,
+    /// made by `make` on first use; `None` when disabled.
+    fn resolve<T>(
+        &self,
+        name: &str,
+        pick: fn(&mut State) -> &mut BTreeMap<String, Arc<T>>,
+        make: impl FnOnce() -> T,
+    ) -> Option<Arc<T>> {
+        self.registry.as_ref().map(|r| {
+            let mut s = r.lock().expect("telemetry registry lock");
+            Arc::clone(
+                pick(&mut s)
+                    .entry(name.to_string())
+                    .or_insert_with(|| Arc::new(make())),
+            )
+        })
     }
 
     /// Registers (or re-resolves) a deterministic counter. Counters may
@@ -263,14 +200,7 @@ impl Telemetry {
     /// macroblocks, packets — so their totals replay exactly.
     pub fn counter(&self, name: &str) -> Counter {
         Counter {
-            cells: self.registry.as_ref().map(|r| {
-                let mut s = r.state.lock().expect("telemetry registry lock");
-                let cells = s
-                    .counters
-                    .entry(name.to_string())
-                    .or_insert_with(|| Arc::new(Cells::new(r.shards)));
-                (Arc::clone(cells), self.shard)
-            }),
+            cell: self.resolve(name, |s| &mut s.counters, PaddedU64::default),
         }
     }
 
@@ -279,14 +209,7 @@ impl Telemetry {
     /// must not participate in the determinism contract.
     pub fn timing_counter(&self, name: &str) -> Counter {
         Counter {
-            cells: self.registry.as_ref().map(|r| {
-                let mut s = r.state.lock().expect("telemetry registry lock");
-                let cells = s
-                    .timing_counters
-                    .entry(name.to_string())
-                    .or_insert_with(|| Arc::new(Cells::new(r.shards)));
-                (Arc::clone(cells), self.shard)
-            }),
+            cell: self.resolve(name, |s| &mut s.timing_counters, PaddedU64::default),
         }
     }
 
@@ -297,14 +220,7 @@ impl Telemetry {
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds ascending");
         Histogram {
-            cells: self.registry.as_ref().map(|r| {
-                let mut s = r.state.lock().expect("telemetry registry lock");
-                let cells = s
-                    .histograms
-                    .entry(name.to_string())
-                    .or_insert_with(|| Arc::new(HistogramCells::new(bounds, r.shards)));
-                (Arc::clone(cells), self.shard)
-            }),
+            cells: self.resolve(name, |s| &mut s.histograms, || HistogramCells::new(bounds)),
         }
     }
 
@@ -313,33 +229,20 @@ impl Telemetry {
     pub fn timing_histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds ascending");
         Histogram {
-            cells: self.registry.as_ref().map(|r| {
-                let mut s = r.state.lock().expect("telemetry registry lock");
-                let cells = s
-                    .timing_histograms
-                    .entry(name.to_string())
-                    .or_insert_with(|| Arc::new(HistogramCells::new(bounds, r.shards)));
-                (Arc::clone(cells), self.shard)
-            }),
+            cells: self.resolve(
+                name,
+                |s| &mut s.timing_histograms,
+                || HistogramCells::new(bounds),
+            ),
         }
     }
 
     /// Registers a pipeline stage for span accounting. Invocations and
-    /// virtual units are deterministic; wall time is collected only when
-    /// the registry was built with `wall_clock = true`.
+    /// virtual units are deterministic; the wall time its spans take
+    /// goes to the timing section.
     pub fn stage(&self, name: &str) -> Stage {
         Stage {
-            cells: self.registry.as_ref().map(|r| {
-                let mut s = r.state.lock().expect("telemetry registry lock");
-                let cells = s.stages.entry(name.to_string()).or_insert_with(|| {
-                    Arc::new(StageCells {
-                        calls: Cells::new(r.shards),
-                        units: Cells::new(r.shards),
-                        wall_ns: Cells::new(r.shards),
-                    })
-                });
-                (Arc::clone(cells), self.shard, r.wall_clock)
-            }),
+            cells: self.resolve(name, |s| &mut s.stages, StageCells::default),
         }
     }
 
@@ -350,12 +253,12 @@ impl Telemetry {
         let Some(r) = &self.registry else {
             return out;
         };
-        let s = r.state.lock().expect("telemetry registry lock");
+        let s = r.lock().expect("telemetry registry lock");
         for (name, c) in &s.counters {
-            out.counters.insert(name.clone(), c.total());
+            out.counters.insert(name.clone(), c.get());
         }
         for (name, c) in &s.timing_counters {
-            out.timing_counters.insert(name.clone(), c.total());
+            out.timing_counters.insert(name.clone(), c.get());
         }
         for (name, h) in &s.histograms {
             out.histograms.insert(name.clone(), h.snapshot());
@@ -367,9 +270,9 @@ impl Telemetry {
             out.stages.insert(
                 name.clone(),
                 StageSnapshot {
-                    calls: st.calls.total(),
-                    units: st.units.total(),
-                    wall_ns: st.wall_ns.total(),
+                    calls: st.calls.get(),
+                    units: st.units.get(),
+                    wall_ns: st.wall_ns.get(),
                 },
             );
         }
@@ -389,7 +292,7 @@ macro_rules! handle_debug {
     };
 }
 
-handle_debug!(Counter, cells);
+handle_debug!(Counter, cell);
 handle_debug!(Histogram, cells);
 handle_debug!(Stage, cells);
 handle_debug!(Span, cells);
@@ -398,15 +301,15 @@ handle_debug!(Span, cells);
 /// registered via [`Telemetry::timing_counter`], scheduling events).
 #[derive(Clone)]
 pub struct Counter {
-    cells: Option<(Arc<Cells>, usize)>,
+    cell: Option<Arc<PaddedU64>>,
 }
 
 impl Counter {
     /// Adds `n` to the counter. No-op on disabled handles.
     #[inline]
     pub fn inc(&self, n: u64) {
-        if let Some((cells, shard)) = &self.cells {
-            cells.add(*shard, n);
+        if let Some(cell) = &self.cell {
+            cell.add(n);
         }
     }
 }
@@ -414,15 +317,15 @@ impl Counter {
 /// A fixed-bucket histogram handle.
 #[derive(Clone)]
 pub struct Histogram {
-    cells: Option<(Arc<HistogramCells>, usize)>,
+    cells: Option<Arc<HistogramCells>>,
 }
 
 impl Histogram {
     /// Records one observation. No-op on disabled handles.
     #[inline]
     pub fn record(&self, value: u64) {
-        if let Some((cells, shard)) = &self.cells {
-            cells.record(*shard, value);
+        if let Some(cells) = &self.cells {
+            cells.record(value);
         }
     }
 }
@@ -431,7 +334,7 @@ impl Histogram {
 /// directly.
 #[derive(Clone)]
 pub struct Stage {
-    cells: Option<(Arc<StageCells>, usize, bool)>,
+    cells: Option<Arc<StageCells>>,
 }
 
 impl Stage {
@@ -439,24 +342,18 @@ impl Stage {
     /// units, without wall-clock measurement.
     #[inline]
     pub fn record(&self, units: u64) {
-        if let Some((cells, shard, _)) = &self.cells {
-            cells.calls.add(*shard, 1);
-            cells.units.add(*shard, units);
+        if let Some(cells) = &self.cells {
+            cells.calls.add(1);
+            cells.units.add(units);
         }
     }
 
-    /// Opens a span over this stage. The span records one invocation on
-    /// drop, plus elapsed wall time when the registry collects it.
+    /// Opens a span over this stage. The span records one invocation
+    /// and its elapsed wall time on drop.
     #[inline]
     pub fn span(&self) -> Span {
         Span {
-            cells: self.cells.as_ref().map(|(c, shard, wall)| {
-                (
-                    Arc::clone(c),
-                    *shard,
-                    if *wall { Some(Instant::now()) } else { None },
-                )
-            }),
+            cells: self.cells.as_ref().map(|c| (Arc::clone(c), Instant::now())),
             units: 0,
         }
     }
@@ -464,9 +361,9 @@ impl Stage {
 
 /// An in-flight measurement of one stage invocation. Accumulate virtual
 /// units with [`Span::add_units`]; the drop commits calls, units, and
-/// (optionally) wall nanoseconds.
+/// wall nanoseconds.
 pub struct Span {
-    cells: Option<(Arc<StageCells>, usize, Option<Instant>)>,
+    cells: Option<(Arc<StageCells>, Instant)>,
     units: u64,
 }
 
@@ -480,12 +377,10 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some((cells, shard, start)) = &self.cells {
-            cells.calls.add(*shard, 1);
-            cells.units.add(*shard, self.units);
-            if let Some(start) = start {
-                cells.wall_ns.add(*shard, start.elapsed().as_nanos() as u64);
-            }
+        if let Some((cells, start)) = &self.cells {
+            cells.calls.add(1);
+            cells.units.add(self.units);
+            cells.wall_ns.add(start.elapsed().as_nanos() as u64);
         }
     }
 }
@@ -496,13 +391,13 @@ mod tests {
     use std::thread;
 
     #[test]
-    fn counters_sum_across_shards_and_threads() {
-        let tel = Telemetry::with_shards(4);
+    fn counters_sum_across_threads() {
+        let tel = Telemetry::new();
+        let ops = tel.counter("t.ops");
         let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let shard = tel.shard(i);
+            .map(|_| {
+                let c = ops.clone();
                 thread::spawn(move || {
-                    let c = shard.counter("t.ops");
                     for _ in 0..1000 {
                         c.inc(3);
                     }
@@ -525,13 +420,11 @@ mod tests {
         let report = tel.report();
         assert!(report.counters.is_empty());
         assert!(report.is_empty());
-        // Sharding a disabled context stays disabled.
-        assert!(!tel.shard(3).is_enabled());
     }
 
     #[test]
     fn histogram_buckets_are_inclusive_upper_edges() {
-        let tel = Telemetry::with_shards(1);
+        let tel = Telemetry::new();
         let h = tel.histogram("h", &[10, 100]);
         for v in [0, 10, 11, 100, 101, 5_000] {
             h.record(v);
@@ -544,15 +437,15 @@ mod tests {
 
     #[test]
     fn same_name_resolves_to_same_cells() {
-        let tel = Telemetry::with_shards(2);
+        let tel = Telemetry::new();
         tel.counter("dup").inc(1);
-        tel.shard(1).counter("dup").inc(2);
+        tel.clone().counter("dup").inc(2);
         assert_eq!(tel.report().counter("dup"), 3);
     }
 
     #[test]
-    fn spans_accumulate_units_without_wall_clock_by_default() {
-        let tel = Telemetry::with_shards(1);
+    fn spans_accumulate_units() {
+        let tel = Telemetry::new();
         let stage = tel.stage("encode");
         {
             let mut span = stage.span();
@@ -563,12 +456,11 @@ mod tests {
         let snap = &tel.report().stages["encode"];
         assert_eq!(snap.calls, 2);
         assert_eq!(snap.units, 130);
-        assert_eq!(snap.wall_ns, 0, "wall clock off by default");
     }
 
     #[test]
-    fn wall_clock_mode_records_span_time() {
-        let tel = Telemetry::with_config(1, true);
+    fn every_span_records_wall_time() {
+        let tel = Telemetry::new();
         let stage = tel.stage("s");
         {
             let mut span = stage.span();
@@ -576,14 +468,14 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         let snap = &tel.report().stages["s"];
-        assert!(snap.wall_ns > 0, "wall clock on must record time");
+        assert!(snap.wall_ns > 0, "a span must record its time");
         // But the deterministic export never mentions wall time.
         assert!(!tel.report().deterministic_json().contains("wall"));
     }
 
     #[test]
     fn timing_metrics_stay_out_of_the_deterministic_export() {
-        let tel = Telemetry::with_shards(1);
+        let tel = Telemetry::new();
         tel.counter("det.c").inc(1);
         tel.timing_counter("sched.steals").inc(4);
         tel.timing_histogram("lat_ms", &[1, 10]).record(3);
@@ -593,11 +485,5 @@ mod tests {
         assert!(!det.contains("lat_ms"));
         let full = tel.report().to_json();
         assert!(full.contains("steals") && full.contains("lat_ms"));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_rejected() {
-        let _ = Telemetry::with_shards(0);
     }
 }

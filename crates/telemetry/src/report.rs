@@ -83,7 +83,7 @@ pub struct StageSnapshot {
     pub calls: u64,
     /// Deterministic virtual units (ops / bits / MBs — per-stage choice).
     pub units: u64,
-    /// Wall nanoseconds; zero unless the registry collects wall clock.
+    /// Wall nanoseconds its spans took (direct records add none).
     pub wall_ns: u64,
 }
 

@@ -260,7 +260,7 @@ mod tests {
 
     #[test]
     fn ticks_capture_deltas_not_totals() {
-        let tel = Telemetry::with_shards(1);
+        let tel = Telemetry::new();
         let c = tel.counter("x.ops");
         let h = tel.histogram("x.size", &[10, 100]);
         let mut ts = TimeSeries::new();
@@ -289,7 +289,7 @@ mod tests {
 
     #[test]
     fn deterministic_json_excludes_timing_scope() {
-        let tel = Telemetry::with_shards(1);
+        let tel = Telemetry::new();
         tel.counter("det.c").inc(1);
         tel.timing_counter("sched.steals").inc(9);
         tel.timing_histogram("lat", &[10]).record(4);
