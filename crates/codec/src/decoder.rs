@@ -20,7 +20,7 @@ use crate::policy::FrameKind;
 use crate::quant::Qp;
 use crate::vlc;
 use pbpair_media::{Frame, MbGrid, MbIndex, VideoFormat};
-use pbpair_telemetry::{Counter, Stage, Telemetry};
+use pbpair_telemetry::{Counter, Span, Stage, Telemetry};
 use pbpair_trace::{Event as TraceEvent, Tracer};
 use std::error::Error;
 use std::fmt;
@@ -185,9 +185,9 @@ pub struct Decoder {
     /// (zero for intra/skip) — the input to motion-copy concealment.
     last_mvs: Vec<SubPelVector>,
     /// Pre-resolved telemetry handles; `None` until
-    /// [`Decoder::set_telemetry`] attaches an enabled context. Flushed
-    /// once per decode call from the already-deterministic
-    /// [`DecodeReport`] quantities.
+    /// [`Decoder::set_telemetry`] attaches an enabled context. Each
+    /// decode call runs in one `"decode"` span and flushes the
+    /// already-deterministic [`DecodeReport`] quantities.
     tel: Option<DecoderTelemetry>,
     /// Trace handle; `None` until [`Decoder::set_tracer`] attaches an
     /// enabled tracer. Concealment/resync events are stamped with the
@@ -199,7 +199,8 @@ pub struct Decoder {
 /// Telemetry handles the decoder flushes per decode/conceal call.
 #[derive(Debug)]
 struct DecoderTelemetry {
-    /// Stage `"decode"`; virtual units = input bytes consumed.
+    /// Stage `"decode"`; one span per decode call, virtual units =
+    /// input bytes.
     stage: Stage,
     frames: Counter,
     frames_recovered: Counter,
@@ -224,8 +225,14 @@ impl DecoderTelemetry {
         }
     }
 
-    fn note_report(&self, report: &DecodeReport, input_bytes: usize) {
-        self.stage.record(input_bytes as u64);
+    /// Opens the span of one decode call over `input_bytes` bytes.
+    fn span(&self, input_bytes: usize) -> Span {
+        let mut span = self.stage.span();
+        span.add_units(input_bytes as u64);
+        span
+    }
+
+    fn note_report(&self, report: &DecodeReport) {
         self.frames.inc(report.frames_decoded);
         self.frames_recovered.inc(report.frames_recovered);
         self.mbs_concealed.inc(report.mbs_concealed);
@@ -304,8 +311,11 @@ impl Decoder {
     ///
     /// Returns a [`DecodeError`] on truncation or corruption; the
     /// decoder's reference frame is left unchanged in that case, so the
-    /// caller can treat a corrupt frame exactly like a lost one.
+    /// caller can treat a corrupt frame exactly like a lost one. The
+    /// `"decode"` stage counts the call and its input bytes either way;
+    /// `dec.frames` counts only a decoded frame.
     pub fn decode_frame(&mut self, data: &[u8]) -> Result<(Frame, DecodedInfo), DecodeError> {
+        let _span = self.tel.as_ref().map(|t| t.span(data.len()));
         let mut r = BitReader::new(data);
         let header = self.parse_header(&mut r)?;
         let pic = self.decode_mbs(&mut r, &header);
@@ -314,7 +324,6 @@ impl Decoder {
         }
         let frame = self.commit(pic.recon, pic.mvs, header.deblock.then_some(header.qp));
         if let Some(t) = &self.tel {
-            t.stage.record(data.len() as u64);
             t.frames.inc(1);
         }
         Ok((
@@ -434,6 +443,7 @@ impl Decoder {
     /// assert_eq!(report.frames_recovered, 1);
     /// ```
     pub fn decode_frame_resilient(&mut self, data: &[u8]) -> (Frame, DecodeReport) {
+        let _span = self.tel.as_ref().map(|t| t.span(data.len()));
         let mut report = DecodeReport {
             frames_decoded: 1,
             ..DecodeReport::default()
@@ -484,7 +494,7 @@ impl Decoder {
             break self.commit(pic.recon, pic.mvs, None);
         };
         if let Some(t) = &self.tel {
-            t.note_report(&report, data.len());
+            t.note_report(&report);
         }
         (frame, report)
     }

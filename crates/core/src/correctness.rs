@@ -209,13 +209,6 @@ impl CorrectnessMatrix {
         self.committed.refresh(&self.prev);
     }
 
-    /// Resets to the error-free state (a new sequence).
-    pub fn reset(&mut self) {
-        self.prev.iter_mut().for_each(|s| *s = 1.0);
-        self.next.iter_mut().for_each(|s| *s = 1.0);
-        self.committed.refresh(&self.prev);
-    }
-
     /// All `σ^{k−1}` values in raster order — the grid behind
     /// [`pbpair_media::metrics::render_mb_heatmap`]-style diagnostics and
     /// the σ-vs-reality comparison in `examples/probability_map.rs`.
@@ -503,12 +496,6 @@ mod tests {
                     }
                 }
             }
-            c.reset();
-            assert_eq!(
-                c.sigma_of_region(-3, 5),
-                1.0,
-                "reset refreshes the snapshot"
-            );
         }
     }
 
@@ -555,17 +542,5 @@ mod tests {
     fn bad_plr_panics() {
         let mut c = matrix();
         c.update_intra(MbIndex::new(0, 0), 0, 1.5);
-    }
-
-    #[test]
-    fn reset_restores_error_free_state() {
-        let mut c = matrix();
-        for mb in c.grid().iter().collect::<Vec<_>>() {
-            c.update_inter(mb, MotionVector::ZERO, u64::MAX, 0.9);
-        }
-        c.commit_frame();
-        assert!(c.mean_sigma() < 1.0);
-        c.reset();
-        assert_eq!(c.mean_sigma(), 1.0);
     }
 }

@@ -26,14 +26,14 @@ use crate::plane::Plane;
 /// A source of video frames: either a synthetic generator or a file reader.
 ///
 /// The trait is object-safe so pipelines can hold `Box<dyn FrameSource>`.
+/// A source plays once; to replay it, build a fresh one from the same
+/// seed or file.
 pub trait FrameSource {
     /// The picture format every produced frame will have.
     fn format(&self) -> VideoFormat;
     /// Produces the next frame. Synthetic sources never run out; file
     /// sources return `None` at end of stream.
     fn try_next_frame(&mut self) -> Option<Frame>;
-    /// Restarts the source from its first frame.
-    fn reset(&mut self);
 }
 
 /// Motion/content class of a synthetic sequence, ordered by activity.
@@ -273,10 +273,6 @@ impl FrameSource for SyntheticSequence {
     fn try_next_frame(&mut self) -> Option<Frame> {
         Some(self.next_frame())
     }
-
-    fn reset(&mut self) {
-        self.frame_index = 0;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -424,15 +420,6 @@ mod tests {
         let mut a = SyntheticSequence::akiyo_class(1);
         let mut b = SyntheticSequence::akiyo_class(2);
         assert_ne!(a.next_frame(), b.next_frame());
-    }
-
-    #[test]
-    fn reset_replays_from_start() {
-        let mut s = SyntheticSequence::garden_class(5);
-        let first = s.next_frame();
-        let _ = s.next_frame();
-        s.reset();
-        assert_eq!(s.next_frame(), first);
     }
 
     #[test]

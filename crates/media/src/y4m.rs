@@ -3,7 +3,7 @@
 //! The evaluation runs on synthetic sequences ([`crate::synth`]) by default,
 //! but this module lets users drop in the real FOREMAN/AKIYO/GARDEN clips
 //! (or any other 4:2:0 Y4M file): `Y4mReader` implements
-//! [`crate::synth::FrameSource`] over any `Read + Seek`.
+//! [`crate::synth::FrameSource`] over any `Read`.
 //!
 //! Only the subset of the format needed for raw planar 4:2:0 is supported:
 //! the `C420`/`C420jpeg`/`C420mpeg2`/`C420paldv` color-space tags (all read
@@ -15,7 +15,7 @@ use crate::plane::Plane;
 use crate::synth::FrameSource;
 use std::error::Error;
 use std::fmt;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
 
 /// Errors produced while parsing a Y4M stream.
 #[derive(Debug)]
@@ -99,10 +99,9 @@ impl From<io::Error> for ParseY4mError {
 pub struct Y4mReader<R> {
     inner: R,
     format: VideoFormat,
-    first_frame_pos: u64,
 }
 
-impl<R: Read + Seek> Y4mReader<R> {
+impl<R: Read> Y4mReader<R> {
     /// Parses the stream header and positions the reader at the first frame.
     ///
     /// # Errors
@@ -139,12 +138,7 @@ impl<R: Read + Seek> Y4mReader<R> {
         let w = width.ok_or_else(|| ParseY4mError::BadHeader("missing width".into()))?;
         let h = height.ok_or_else(|| ParseY4mError::BadHeader("missing height".into()))?;
         let format = VideoFormat::custom(w, h).ok_or(ParseY4mError::BadDimensions(w, h))?;
-        let first_frame_pos = inner.stream_position()?;
-        Ok(Y4mReader {
-            inner,
-            format,
-            first_frame_pos,
-        })
+        Ok(Y4mReader { inner, format })
     }
 
     /// Reads the next frame, or `None` at end of stream.
@@ -194,17 +188,13 @@ impl<R: Read + Seek> Y4mReader<R> {
     }
 }
 
-impl<R: Read + Seek> FrameSource for Y4mReader<R> {
+impl<R: Read> FrameSource for Y4mReader<R> {
     fn format(&self) -> VideoFormat {
         self.format
     }
 
     fn try_next_frame(&mut self) -> Option<Frame> {
         self.read_frame().ok().flatten()
-    }
-
-    fn reset(&mut self) {
-        let _ = self.inner.seek(SeekFrom::Start(self.first_frame_pos));
     }
 }
 
@@ -307,7 +297,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_rewinds_to_first_frame() {
+    fn reads_any_reader_and_a_fresh_one_replays() {
         let mut seq = SyntheticSequence::akiyo_class(4);
         let first = seq.next_frame();
         let mut buf = Vec::new();
@@ -316,11 +306,13 @@ mod tests {
             w.write_frame(&first).unwrap();
             w.write_frame(&seq.next_frame()).unwrap();
         }
-        let mut r = Y4mReader::new(Cursor::new(buf)).unwrap();
+        // A plain byte slice: no seeking needed.
+        let mut r = Y4mReader::new(buf.as_slice()).unwrap();
         let _ = r.try_next_frame();
         let _ = r.try_next_frame();
-        r.reset();
-        assert_eq!(r.try_next_frame().unwrap(), first);
+        assert!(r.try_next_frame().is_none());
+        let mut again = Y4mReader::new(buf.as_slice()).unwrap();
+        assert_eq!(again.try_next_frame().unwrap(), first);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! tags, `FRAME` markers, truncation inside each plane, and random
 //! bytes. Beyond not panicking, every frame read must carry the
 //! header's format, a cut inside a plane must fail that frame and no
-//! earlier one, and `reset` must rewind to the first frame.
+//! earlier one, and a fresh reader over the same bytes must read the
+//! first frame again.
 
 use pbpair_media::synth::{FrameSource, SynthParams, SyntheticSequence};
 use pbpair_media::y4m::{Y4mReader, Y4mWriter};
@@ -96,7 +97,7 @@ enum Outcome {
 
 /// Reads `bytes` to the end and checks the reader's invariants.
 fn read_all(bytes: Vec<u8>) -> Outcome {
-    let Ok(mut reader) = Y4mReader::new(Cursor::new(bytes)) else {
+    let Ok(mut reader) = Y4mReader::new(Cursor::new(&bytes)) else {
         return Outcome::Rejected;
     };
     let format = reader.format();
@@ -111,11 +112,11 @@ fn read_all(bytes: Vec<u8>) -> Outcome {
             Err(_) => break true,
         }
     };
-    reader.reset();
+    let mut fresh = Y4mReader::new(Cursor::new(&bytes)).expect("the header parsed once");
     assert_eq!(
-        reader.try_next_frame().is_some(),
+        fresh.try_next_frame().is_some(),
         frames > 0,
-        "reset does not rewind to the first frame"
+        "a fresh reader does not read the first frame again"
     );
     Outcome::Read { frames, error }
 }

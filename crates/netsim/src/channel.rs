@@ -1,12 +1,14 @@
 //! The lossy channel: applies a loss model to packet streams and keeps
-//! statistics.
+//! statistics and the fate of each packet.
 
 use crate::loss::LossModel;
 use crate::packet::{ChannelStats, Packet};
 use crate::rtp::reassemble_frame;
+use pbpair_trace::{Event as TraceEvent, Tracer};
 
-/// A simplex lossy channel. Packets go in; the survivors come out; a
-/// frame-level convenience applies the all-or-nothing reassembly rule.
+/// A simplex lossy channel. Packets go in; the survivors come out, and
+/// the channel keeps which of them the loss model dropped
+/// ([`LossyChannel::lost`]).
 ///
 /// # Example
 ///
@@ -15,15 +17,19 @@ use crate::rtp::reassemble_frame;
 ///
 /// let mut chan = LossyChannel::new(Box::new(ScriptedLoss::new([1u64])));
 /// let mut pkt = Packetizer::new(100);
-/// let ok = chan.transmit_frame(&pkt.packetize(0, &[1u8; 50]));
-/// let dropped = chan.transmit_frame(&pkt.packetize(1, &[2u8; 50]));
-/// assert!(ok.is_some());
-/// assert!(dropped.is_none());
-/// assert_eq!(chan.stats().frames_lost, 1);
+/// let sent = pkt.packetize(0, &[1u8; 250]); // three fragments
+/// let survivors = chan.transmit(&sent);
+/// assert_eq!(survivors.len(), 2);
+/// assert_eq!(chan.lost(), &[false, true, false]);
+/// assert_eq!(chan.stats().packets_lost, 1);
 /// ```
 pub struct LossyChannel {
     model: Box<dyn LossModel>,
     stats: ChannelStats,
+    /// The fate record [`LossyChannel::lost`] returns; its buffer is
+    /// reused across calls.
+    lost: Vec<bool>,
+    trace: Tracer,
 }
 
 impl std::fmt::Debug for LossyChannel {
@@ -40,12 +46,31 @@ impl LossyChannel {
         LossyChannel {
             model,
             stats: ChannelStats::default(),
+            lost: Vec::new(),
+            trace: Tracer::disabled(),
         }
+    }
+
+    /// Attaches a causal tracer: every packet [`transmit`] drops then
+    /// emits a `packet_lost` event.
+    ///
+    /// [`transmit`]: LossyChannel::transmit
+    pub(crate) fn set_tracer(&mut self, trace: &Tracer) {
+        self.trace = trace.clone();
     }
 
     /// Statistics since construction.
     pub fn stats(&self) -> &ChannelStats {
         &self.stats
+    }
+
+    /// The fate record of the last [`transmit`] call: one flag per
+    /// offered packet, in offered order, `true` where the packet was
+    /// lost. Empty before the first call.
+    ///
+    /// [`transmit`]: LossyChannel::transmit
+    pub fn lost(&self) -> &[bool] {
+        &self.lost
     }
 
     /// Advances the loss model's frame clock (see
@@ -62,15 +87,27 @@ impl LossyChannel {
         std::mem::replace(&mut self.model, model)
     }
 
-    /// Transmits a batch of packets; returns those that survive.
+    /// Transmits a batch of packets; returns those that survive, in
+    /// order. Each packet's fate goes to [`LossyChannel::lost`].
     pub fn transmit(&mut self, packets: &[Packet]) -> Vec<Packet> {
+        self.lost.clear();
         let mut out = Vec::with_capacity(packets.len());
         for p in packets {
+            let lost = self.model.next_lost();
+            self.lost.push(lost);
             self.stats.packets_sent += 1;
             self.stats.bytes_sent += p.len() as u64;
-            if self.model.next_lost() {
+            if lost {
                 self.stats.packets_lost += 1;
                 self.stats.bytes_lost += p.len() as u64;
+                self.trace.emit(TraceEvent::PacketLost {
+                    frame: p.frame_index as u32,
+                    seq: p.seq,
+                    frag: p.fragment_index,
+                    frag_count: p.fragment_count,
+                    len: p.payload.len() as u32,
+                    parity: p.parity,
+                });
             } else {
                 out.push(p.clone());
             }
@@ -104,28 +141,6 @@ impl LossyChannel {
             }
         }
     }
-
-    /// Transmits all packets of one frame and applies the all-or-nothing
-    /// rule: returns the reassembled frame bytes if every fragment
-    /// arrived, `None` if the frame is lost.
-    pub fn transmit_frame(&mut self, packets: &[Packet]) -> Option<Vec<u8>> {
-        let delivered = self.transmit(packets);
-        let frame = if delivered.len() == packets.len() {
-            reassemble_frame(&delivered)
-        } else {
-            None
-        };
-        match frame {
-            Some(f) => {
-                self.stats.frames_delivered += 1;
-                Some(f)
-            }
-            None => {
-                self.stats.frames_lost += 1;
-                None
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -140,10 +155,11 @@ mod tests {
         let mut pkt = Packetizer::new(64);
         for i in 0..10u64 {
             let data = vec![i as u8; 150];
-            let got = chan.transmit_frame(&pkt.packetize(i, &data)).unwrap();
+            let got = reassemble_frame(&chan.transmit(&pkt.packetize(i, &data))).unwrap();
             assert_eq!(got, data);
+            assert_eq!(chan.lost(), &[false; 3]);
         }
-        assert_eq!(chan.stats().frames_delivered, 10);
+        assert_eq!(chan.stats().packets_sent, 30);
         assert_eq!(chan.stats().packets_lost, 0);
     }
 
@@ -153,12 +169,13 @@ mod tests {
         let mut chan = LossyChannel::new(Box::new(ScriptedLoss::new([1u64])));
         let mut pkt = Packetizer::new(64);
         let data = vec![9u8; 180];
-        assert!(chan.transmit_frame(&pkt.packetize(0, &data)).is_none());
+        let survivors = chan.transmit(&pkt.packetize(0, &data));
+        assert!(reassemble_frame(&survivors).is_none());
+        assert_eq!(chan.lost(), &[false, true, false]);
         let s = chan.stats();
         assert_eq!(s.packets_sent, 3);
         assert_eq!(s.packets_lost, 1);
-        assert_eq!(s.frames_lost, 1);
-        assert_eq!(s.frames_delivered, 0);
+        assert_eq!(s.bytes_lost, 64);
     }
 
     #[test]
@@ -184,12 +201,14 @@ mod tests {
     fn stats_track_observed_rate() {
         let mut chan = LossyChannel::new(Box::new(UniformLoss::new(0.2, 5)));
         let mut pkt = Packetizer::new(1000);
+        let mut flagged = 0u64;
         for i in 0..5000u64 {
-            let _ = chan.transmit_frame(&pkt.packetize(i, &[0u8; 100]));
+            let _ = chan.transmit(&pkt.packetize(i, &[0u8; 100]));
+            flagged += chan.lost().iter().filter(|&&l| l).count() as u64;
         }
         let plr = chan.stats().packet_loss_ratio();
         assert!((plr - 0.2).abs() < 0.02, "observed {plr}");
-        // Single-packet frames: frame loss == packet loss.
-        assert_eq!(chan.stats().packets_lost, chan.stats().frames_lost);
+        // The fate record and the statistics count the same losses.
+        assert_eq!(chan.stats().packets_lost, flagged);
     }
 }

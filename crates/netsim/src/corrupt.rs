@@ -12,8 +12,8 @@
 //!
 //! Everything composes with the existing [`LossModel`]s: a
 //! [`CorruptingChannel`] applies packet loss first (Uniform,
-//! Gilbert–Elliott, Scripted, …) and then payload corruption to the
-//! survivors.
+//! Gilbert–Elliott, Scripted, …) and then damages the survivors in
+//! place, so each delivered packet is copied once, by the loss stage.
 //!
 //! # Example
 //!
@@ -37,7 +37,7 @@
 use crate::channel::LossyChannel;
 use crate::loss::LossModel;
 use crate::packet::{ChannelStats, Packet};
-use pbpair_telemetry::{Counter, Stage, Telemetry};
+use pbpair_telemetry::{Counter, Span, Stage, Telemetry};
 use pbpair_trace::{Event as TraceEvent, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -154,7 +154,6 @@ pub struct CorruptionStats {
 pub struct Corrupter {
     profile: CorruptionProfile,
     rng: StdRng,
-    seed: u64,
     stats: CorruptionStats,
     trace: Tracer,
 }
@@ -165,7 +164,6 @@ impl Corrupter {
         Corrupter {
             profile,
             rng: StdRng::seed_from_u64(seed),
-            seed,
             stats: CorruptionStats::default(),
             trace: Tracer::disabled(),
         }
@@ -182,18 +180,10 @@ impl Corrupter {
         &self.profile
     }
 
-    /// Damage injected since construction or the last [`reset`].
-    ///
-    /// [`reset`]: Corrupter::reset
+    /// Damage injected since construction. Two corrupters built from
+    /// one profile and seed inject the same damage.
     pub fn stats(&self) -> &CorruptionStats {
         &self.stats
-    }
-
-    /// Rewinds to the initial seeded state and clears the stats, so the
-    /// same damage sequence replays exactly.
-    pub fn reset(&mut self) {
-        self.rng = StdRng::seed_from_u64(self.seed);
-        self.stats = CorruptionStats::default();
     }
 
     /// Applies flip/truncate/burst decisions to a raw byte buffer in
@@ -236,41 +226,43 @@ impl Corrupter {
         damaged
     }
 
-    /// Returns a copy of `packet` with payload damage applied (metadata
-    /// is never altered — headers are assumed protected by the link
-    /// layer, matching how RTP survives payload damage).
-    pub fn corrupt_packet(&mut self, packet: &Packet) -> Packet {
-        let mut out = packet.clone();
-        if self.corrupt_bytes(&mut out.payload) {
+    /// Applies payload damage to `packet` in place (metadata is never
+    /// altered — headers are assumed protected by the link layer,
+    /// matching how RTP survives payload damage). A damaged packet emits
+    /// a `packet_corrupted` event carrying its length before the damage.
+    pub fn corrupt_packet(&mut self, packet: &mut Packet) {
+        let len = packet.payload.len() as u32;
+        if self.corrupt_bytes(&mut packet.payload) {
             self.stats.packets_damaged += 1;
             self.trace.emit(TraceEvent::PacketCorrupted {
                 frame: packet.frame_index as u32,
                 seq: packet.seq,
                 frag: packet.fragment_index,
                 frag_count: packet.fragment_count,
-                len: packet.payload.len() as u32,
+                len,
             });
         }
-        out
     }
 
     /// Applies per-packet payload damage plus stream-level duplication
-    /// and adjacent reordering to a packet sequence.
-    pub fn corrupt_stream(&mut self, packets: &[Packet]) -> Vec<Packet> {
-        let mut out = Vec::with_capacity(packets.len());
-        for p in packets {
-            let damaged = self.corrupt_packet(p);
+    /// and adjacent reordering to a packet sequence, in place. A
+    /// duplicate is a copy of the damaged packet, placed right after it.
+    pub fn corrupt_stream(&mut self, packets: &mut Vec<Packet>) {
+        let mut i = 0;
+        while i < packets.len() {
+            self.corrupt_packet(&mut packets[i]);
             if self.profile.duplicate_prob > 0.0 && self.rng.gen_bool(self.profile.duplicate_prob) {
-                out.push(damaged.clone());
+                packets.insert(i + 1, packets[i].clone());
                 self.stats.packets_duplicated += 1;
+                i += 1;
             }
-            out.push(damaged);
+            i += 1;
         }
         if self.profile.reorder_prob > 0.0 {
             let mut i = 0;
-            while i + 1 < out.len() {
+            while i + 1 < packets.len() {
                 if self.rng.gen_bool(self.profile.reorder_prob) {
-                    out.swap(i, i + 1);
+                    packets.swap(i, i + 1);
                     self.stats.packets_reordered += 1;
                     i += 2; // a swapped pair is settled; don't re-swap
                 } else {
@@ -278,7 +270,6 @@ impl Corrupter {
                 }
             }
         }
-        out
     }
 }
 
@@ -339,7 +330,10 @@ impl Delivery {
 
 /// A lossy channel that also injects payload-level corruption: packet
 /// loss (any [`LossModel`]) is applied first, then the surviving
-/// packets run through a [`Corrupter`], then best-effort reassembly.
+/// packets run through a [`Corrupter`]; [`transmit_frame`] then
+/// reassembles them best-effort.
+///
+/// [`transmit_frame`]: CorruptingChannel::transmit_frame
 pub struct CorruptingChannel {
     inner: LossyChannel,
     corrupter: Corrupter,
@@ -348,41 +342,13 @@ pub struct CorruptingChannel {
     /// Flushed per transmit call as deltas of the already-deterministic
     /// loss/corruption tallies.
     tel: Option<ChannelTelemetry>,
-    /// Causal tracer; loss events are emitted here per dropped packet
-    /// (the corrupter holds its own clone for damage events).
-    trace: Tracer,
-}
-
-/// Emits one `packet_lost` event per offered packet missing from the
-/// survivor set. [`LossyChannel::transmit`] keeps survivors as an
-/// in-order subset of the offered sequence, so a two-pointer walk over
-/// the RTP sequence numbers recovers exactly the dropped packets.
-fn emit_losses(trace: &Tracer, offered: &[Packet], survivors: &[Packet]) {
-    if !trace.is_enabled() || offered.len() == survivors.len() {
-        return;
-    }
-    let mut rest = survivors.iter();
-    let mut next = rest.next();
-    for p in offered {
-        if next.map(|q| q.seq) == Some(p.seq) {
-            next = rest.next();
-        } else {
-            trace.emit(TraceEvent::PacketLost {
-                frame: p.frame_index as u32,
-                seq: p.seq,
-                frag: p.fragment_index,
-                frag_count: p.fragment_count,
-                len: p.payload.len() as u32,
-                parity: p.parity,
-            });
-        }
-    }
 }
 
 /// Telemetry handles the channel flushes per transmit call.
 #[derive(Debug)]
 struct ChannelTelemetry {
-    /// Stage `"channel"`; virtual units = payload bytes offered.
+    /// Stage `"channel"`; one span per transmit call, virtual units =
+    /// payload bytes offered.
     stage: Stage,
     packets_sent: Counter,
     packets_lost: Counter,
@@ -405,16 +371,17 @@ impl ChannelTelemetry {
         }
     }
 
-    /// Flushes the difference between two (loss, corruption) snapshots.
+    /// Flushes the difference between two (loss, corruption) snapshots
+    /// and closes the call's span.
     fn note_delta(
         &self,
+        mut span: Span,
         loss_before: &ChannelStats,
         loss_after: &ChannelStats,
         corr_before: &CorruptionStats,
         corr_after: &CorruptionStats,
     ) {
-        self.stage
-            .record(loss_after.bytes_sent - loss_before.bytes_sent);
+        span.add_units(loss_after.bytes_sent - loss_before.bytes_sent);
         self.packets_sent
             .inc(loss_after.packets_sent - loss_before.packets_sent);
         self.packets_lost
@@ -447,15 +414,14 @@ impl CorruptingChannel {
             inner: LossyChannel::new(model),
             corrupter: Corrupter::new(profile, seed),
             tel: None,
-            trace: Tracer::disabled(),
         }
     }
 
-    /// Attaches a causal tracer to the channel and its corrupter;
+    /// Attaches a causal tracer to the loss stage and the corrupter;
     /// subsequent transmissions emit per-packet loss and corruption
     /// events carrying the packet→fragment mapping the replay joins on.
     pub fn set_tracer(&mut self, trace: &Tracer) {
-        self.trace = trace.clone();
+        self.inner.set_tracer(trace);
         self.corrupter.set_tracer(trace);
     }
 
@@ -469,6 +435,13 @@ impl CorruptingChannel {
     /// Packet-loss statistics (from the wrapped [`LossyChannel`]).
     pub fn loss_stats(&self) -> &ChannelStats {
         self.inner.stats()
+    }
+
+    /// The fate record of the last transmit call: one flag per offered
+    /// packet, in offered order, `true` where the loss model dropped it
+    /// (see [`LossyChannel::lost`]).
+    pub fn lost(&self) -> &[bool] {
+        self.inner.lost()
     }
 
     /// Advances the loss model's frame clock (see
@@ -490,29 +463,13 @@ impl CorruptingChannel {
     }
 
     /// Transmits one frame's packets: loss first, then corruption, then
-    /// best-effort reassembly.
+    /// best-effort reassembly. The frame is [`Delivery::Intact`] when no
+    /// packet was lost and the corrupter touched nothing.
     pub fn transmit_frame(&mut self, packets: &[Packet]) -> Delivery {
-        let loss_before = *self.inner.stats();
-        let survivors = self.inner.transmit(packets);
-        emit_losses(&self.trace, packets, &survivors);
-        let lost_some = survivors.len() != packets.len();
-        let before = *self.corrupter.stats();
-        let delivered = self.corrupter.corrupt_stream(&survivors);
-        let altered = *self.corrupter.stats() != before;
-        if let Some(t) = &self.tel {
-            t.note_delta(
-                &loss_before,
-                self.inner.stats(),
-                &before,
-                self.corrupter.stats(),
-            );
-        }
-        if delivered.is_empty() {
-            return Delivery::Lost;
-        }
+        let (delivered, untouched) = self.transmit(packets);
         match reassemble_frame_damaged(&delivered) {
             None => Delivery::Lost,
-            Some(bytes) if !lost_some && !altered => Delivery::Intact(bytes),
+            Some(bytes) if untouched => Delivery::Intact(bytes),
             Some(bytes) => Delivery::Damaged(bytes),
         }
     }
@@ -524,20 +481,31 @@ impl CorruptingChannel {
     /// parity recovery must run on the surviving packet set before any
     /// reassembly collapses it to bytes.
     pub fn transmit_packets(&mut self, packets: &[Packet]) -> Vec<Packet> {
+        self.transmit(packets).0
+    }
+
+    /// The one transmit body: loss, then in-place corruption of the
+    /// survivors, then one telemetry flush, all inside one `"channel"`
+    /// span. Also returns whether the delivery is untouched: nothing
+    /// lost, damaged, duplicated or reordered.
+    fn transmit(&mut self, packets: &[Packet]) -> (Vec<Packet>, bool) {
+        let span = self.tel.as_ref().map(|t| t.stage.span());
         let loss_before = *self.inner.stats();
         let corr_before = *self.corrupter.stats();
-        let survivors = self.inner.transmit(packets);
-        emit_losses(&self.trace, packets, &survivors);
-        let out = self.corrupter.corrupt_stream(&survivors);
-        if let Some(t) = &self.tel {
+        let mut delivered = self.inner.transmit(packets);
+        self.corrupter.corrupt_stream(&mut delivered);
+        if let (Some(t), Some(span)) = (&self.tel, span) {
             t.note_delta(
+                span,
                 &loss_before,
                 self.inner.stats(),
                 &corr_before,
                 self.corrupter.stats(),
             );
         }
-        out
+        let untouched =
+            !self.inner.lost().contains(&true) && *self.corrupter.stats() == corr_before;
+        (delivered, untouched)
     }
 }
 
@@ -557,7 +525,8 @@ mod tests {
         let mut pkt = Packetizer::new(100);
         let data = payload(350);
         let pkts = pkt.packetize(0, &data);
-        let out = c.corrupt_stream(&pkts);
+        let mut out = pkts.clone();
+        c.corrupt_stream(&mut out);
         assert_eq!(out, pkts);
         assert_eq!(c.stats(), &CorruptionStats::default());
     }
@@ -569,23 +538,14 @@ mod tests {
         let mut b = Corrupter::new(profile, 77);
         let mut pkt = Packetizer::new(64);
         for f in 0..20u64 {
-            let pkts = pkt.packetize(f, &payload(500));
-            assert_eq!(a.corrupt_stream(&pkts), b.corrupt_stream(&pkts));
+            let mut x = pkt.packetize(f, &payload(500));
+            let mut y = x.clone();
+            a.corrupt_stream(&mut x);
+            b.corrupt_stream(&mut y);
+            assert_eq!(x, y);
         }
         assert_eq!(a.stats(), b.stats());
         assert!(a.stats().packets_damaged > 0, "heavy profile must damage");
-    }
-
-    #[test]
-    fn reset_replays_the_same_damage() {
-        let mut c = Corrupter::new(CorruptionProfile::heavy(), 5);
-        let mut pkt = Packetizer::new(80);
-        let pkts = pkt.packetize(0, &payload(400));
-        let first = c.corrupt_stream(&pkts);
-        let stats_first = *c.stats();
-        c.reset();
-        assert_eq!(c.corrupt_stream(&pkts), first);
-        assert_eq!(*c.stats(), stats_first);
     }
 
     #[test]
@@ -660,7 +620,8 @@ mod tests {
         let mut c = Corrupter::new(profile, 17);
         let mut pkt = Packetizer::new(50);
         let pkts = pkt.packetize(0, &payload(500)); // 10 fragments
-        let out = c.corrupt_stream(&pkts);
+        let mut out = pkts.clone();
+        c.corrupt_stream(&mut out);
         assert_eq!(
             out.len(),
             pkts.len() + c.stats().packets_duplicated as usize

@@ -2,21 +2,24 @@
 //!
 //! Models the transport of the paper's evaluation: RTP-style
 //! packetization with MTU fragmentation ([`rtp`]), seeded loss models
-//! including the paper's uniform frame discard ([`loss`]), a statistics-
-//! keeping channel ([`channel`]), and receiver-side PLR estimation for
-//! the encoder feedback loop ([`feedback`]).
+//! including the paper's uniform frame discard ([`loss`]), a channel that
+//! keeps statistics and each packet's fate ([`channel`]), payload
+//! corruption on top of it ([`corrupt`]), and receiver-side PLR
+//! estimation for the encoder feedback loop ([`feedback`]).
 //!
 //! # Example: a frame through a 10%-loss channel
 //!
 //! ```rust
-//! use pbpair_netsim::{channel::LossyChannel, loss::UniformLoss, rtp::Packetizer};
+//! use pbpair_netsim::{channel::LossyChannel, loss::UniformLoss};
+//! use pbpair_netsim::rtp::{reassemble_frame, Packetizer};
 //!
 //! let mut chan = LossyChannel::new(Box::new(UniformLoss::new(0.10, 42)));
 //! let mut pkt = Packetizer::default();
 //! let encoded_frame = vec![0u8; 900]; // pretend this came from the encoder
-//! match chan.transmit_frame(&pkt.packetize(0, &encoded_frame)) {
+//! let survivors = chan.transmit(&pkt.packetize(0, &encoded_frame));
+//! match reassemble_frame(&survivors) {
 //!     Some(bytes) => assert_eq!(bytes, encoded_frame), // decode it
-//!     None => {}                                       // conceal it
+//!     None => assert!(chan.lost().contains(&true)),    // conceal it
 //! }
 //! ```
 

@@ -11,7 +11,8 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 /// Decides, packet by packet, what the network drops. Implementations are
-/// deterministic given their construction parameters.
+/// deterministic given their construction parameters: to replay a loss
+/// pattern, build a second model from the same parameters and seed.
 ///
 /// `Send` is a supertrait so channels built on boxed models can migrate
 /// across threads — the serving layer (`pbpair-serve`) steps whole
@@ -20,9 +21,6 @@ use std::collections::BTreeSet;
 pub trait LossModel: Send {
     /// Returns true if the next packet (in transmission order) is lost.
     fn next_lost(&mut self) -> bool;
-
-    /// Resets the model to its initial state.
-    fn reset(&mut self);
 
     /// Advances frame time to `frame`. Stationary models ignore this;
     /// time-varying channels (the scenario zoo's mobility schedules) use
@@ -39,8 +37,6 @@ impl LossModel for NoLoss {
     fn next_lost(&mut self) -> bool {
         false
     }
-
-    fn reset(&mut self) {}
 }
 
 /// Independent (Bernoulli) loss at a fixed rate — the paper's uniform
@@ -48,7 +44,6 @@ impl LossModel for NoLoss {
 #[derive(Debug, Clone)]
 pub struct UniformLoss {
     rate: f64,
-    seed: u64,
     rng: StdRng,
 }
 
@@ -62,7 +57,6 @@ impl UniformLoss {
         assert!((0.0..=1.0).contains(&rate), "loss rate must be in [0,1]");
         UniformLoss {
             rate,
-            seed,
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -76,10 +70,6 @@ impl UniformLoss {
 impl LossModel for UniformLoss {
     fn next_lost(&mut self) -> bool {
         self.rng.gen::<f64>() < self.rate
-    }
-
-    fn reset(&mut self) {
-        self.rng = StdRng::seed_from_u64(self.seed);
     }
 }
 
@@ -96,7 +86,6 @@ pub struct GilbertElliott {
     loss_good: f64,
     /// Loss probability while Bad.
     loss_bad: f64,
-    seed: u64,
     rng: StdRng,
     in_bad: bool,
 }
@@ -121,7 +110,6 @@ impl GilbertElliott {
             p_bg,
             loss_good,
             loss_bad,
-            seed,
             rng: StdRng::seed_from_u64(seed),
             in_bad: false,
         }
@@ -163,11 +151,6 @@ impl LossModel for GilbertElliott {
         };
         self.rng.gen::<f64>() < p
     }
-
-    fn reset(&mut self) {
-        self.rng = StdRng::seed_from_u64(self.seed);
-        self.in_bad = false;
-    }
 }
 
 /// Hand-scripted losses by transmission index — how the Figure 6
@@ -195,10 +178,6 @@ impl LossModel for ScriptedLoss {
         self.cursor += 1;
         lost
     }
-
-    fn reset(&mut self) {
-        self.cursor = 0;
-    }
 }
 
 #[cfg(test)]
@@ -221,15 +200,18 @@ mod tests {
     }
 
     #[test]
-    fn uniform_loss_is_deterministic_and_resettable() {
-        let mut a = UniformLoss::new(0.3, 7);
-        let mut b = UniformLoss::new(0.3, 7);
-        let seq_a: Vec<bool> = (0..100).map(|_| a.next_lost()).collect();
-        let seq_b: Vec<bool> = (0..100).map(|_| b.next_lost()).collect();
-        assert_eq!(seq_a, seq_b);
-        a.reset();
-        let seq_a2: Vec<bool> = (0..100).map(|_| a.next_lost()).collect();
-        assert_eq!(seq_a, seq_a2);
+    fn loss_models_replay_per_seed() {
+        let pattern =
+            |mut m: Box<dyn LossModel>| (0..300).map(|_| m.next_lost()).collect::<Vec<_>>();
+        let uniform = || Box::new(UniformLoss::new(0.3, 7));
+        let ge = || Box::new(GilbertElliott::new(0.05, 0.3, 0.01, 0.5, 7));
+        assert_eq!(pattern(uniform()), pattern(uniform()));
+        assert_eq!(pattern(ge()), pattern(ge()));
+        assert_ne!(
+            pattern(uniform()),
+            pattern(Box::new(UniformLoss::new(0.3, 8))),
+            "another seed, another pattern"
+        );
     }
 
     #[test]
@@ -294,9 +276,9 @@ mod tests {
             pattern,
             vec![false, false, true, false, false, true, true, false]
         );
-        m.reset();
-        assert!(!m.next_lost());
-        assert!(!m.next_lost());
-        assert!(m.next_lost());
+        // A second model from the same script replays it from the start.
+        let mut again = ScriptedLoss::new([2u64, 5, 6]);
+        let replay: Vec<bool> = (0..8).map(|_| again.next_lost()).collect();
+        assert_eq!(replay, pattern);
     }
 }

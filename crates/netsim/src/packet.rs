@@ -45,9 +45,13 @@ pub struct ChannelStats {
     pub bytes_sent: u64,
     /// Payload bytes dropped.
     pub bytes_lost: u64,
-    /// Frames fully delivered (every fragment arrived).
+    /// Frames [`LossyChannel::transmit_frame_atomic`] delivered.
+    ///
+    /// [`LossyChannel::transmit_frame_atomic`]: crate::LossyChannel::transmit_frame_atomic
     pub frames_delivered: u64,
-    /// Frames lost (at least one fragment dropped).
+    /// Frames [`LossyChannel::transmit_frame_atomic`] lost.
+    ///
+    /// [`LossyChannel::transmit_frame_atomic`]: crate::LossyChannel::transmit_frame_atomic
     pub frames_lost: u64,
 }
 

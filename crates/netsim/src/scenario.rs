@@ -38,7 +38,6 @@ use rand::{Rng, SeedableRng};
 pub struct MarkovBurstErasure {
     burst_len: f64,
     guard_len: f64,
-    seed: u64,
     rng: StdRng,
     in_burst: bool,
 }
@@ -55,7 +54,6 @@ impl MarkovBurstErasure {
         MarkovBurstErasure {
             burst_len,
             guard_len,
-            seed,
             rng: StdRng::seed_from_u64(seed),
             in_burst: false,
         }
@@ -85,11 +83,6 @@ impl LossModel for MarkovBurstErasure {
             1.0 / self.guard_len,
             1.0 / self.burst_len,
         )
-    }
-
-    fn reset(&mut self) {
-        self.rng = StdRng::seed_from_u64(self.seed);
-        self.in_burst = false;
     }
 }
 
@@ -175,7 +168,6 @@ impl Phase {
 #[derive(Debug, Clone)]
 pub struct ScheduleChannel {
     phases: Vec<Phase>,
-    seed: u64,
     rng: StdRng,
     /// Index of the phase in force.
     cursor: usize,
@@ -202,7 +194,6 @@ impl ScheduleChannel {
         }
         Ok(ScheduleChannel {
             phases,
-            seed,
             rng: StdRng::seed_from_u64(seed),
             cursor: 0,
             phase_start: 0,
@@ -256,14 +247,6 @@ impl LossModel for ScheduleChannel {
             PhaseKind::Outage => true,
             _ => self.rng.gen::<f64>() < self.current_plr(),
         }
-    }
-
-    fn reset(&mut self) {
-        self.rng = StdRng::seed_from_u64(self.seed);
-        self.cursor = 0;
-        self.phase_start = 0;
-        self.frame = 0;
-        self.in_burst = false;
     }
 
     fn on_frame(&mut self, frame: u64) {
@@ -552,11 +535,11 @@ mod tests {
     }
 
     #[test]
-    fn burst_erasure_is_deterministic_and_resettable() {
+    fn burst_erasure_replays_per_seed() {
         let mut a = MarkovBurstErasure::new(4.0, 20.0, 7);
+        let mut b = MarkovBurstErasure::new(4.0, 20.0, 7);
         let seq: Vec<bool> = (0..200).map(|_| a.next_lost()).collect();
-        a.reset();
-        let replay: Vec<bool> = (0..200).map(|_| a.next_lost()).collect();
+        let replay: Vec<bool> = (0..200).map(|_| b.next_lost()).collect();
         assert_eq!(seq, replay);
     }
 

@@ -55,7 +55,8 @@ proptest! {
             },
             seed,
         );
-        let delivered = corrupter.corrupt_stream(&pkts);
+        let mut delivered = pkts.clone();
+        corrupter.corrupt_stream(&mut delivered);
         prop_assert!(delivered.len() >= pkts.len(), "nothing is dropped");
         prop_assert_eq!(
             reassemble_frame_damaged(&delivered).unwrap(),
@@ -118,15 +119,15 @@ proptest! {
     }
 
     #[test]
-    fn loss_models_are_deterministic_after_reset(
+    fn loss_models_are_deterministic_per_seed(
         rate in 0.0f64..=1.0,
         seed in any::<u64>(),
         n in 1usize..500
     ) {
-        let mut m = UniformLoss::new(rate, seed);
-        let first: Vec<bool> = (0..n).map(|_| m.next_lost()).collect();
-        m.reset();
-        let second: Vec<bool> = (0..n).map(|_| m.next_lost()).collect();
+        let mut a = UniformLoss::new(rate, seed);
+        let mut b = UniformLoss::new(rate, seed);
+        let first: Vec<bool> = (0..n).map(|_| a.next_lost()).collect();
+        let second: Vec<bool> = (0..n).map(|_| b.next_lost()).collect();
         prop_assert_eq!(first, second);
     }
 
@@ -209,17 +210,29 @@ proptest! {
     ) {
         let mut chan = LossyChannel::new(Box::new(UniformLoss::new(0.3, seed)));
         let mut p = Packetizer::new(500);
+        let (mut offered, mut delivered, mut delivered_bytes) = (0u64, 0u64, 0u64);
         for (i, size) in sizes.iter().enumerate() {
             let data = vec![i as u8; *size];
-            let _ = chan.transmit_frame(&p.packetize(i as u64, &data));
+            let sent = p.packetize(i as u64, &data);
+            let survivors = chan.transmit(&sent);
+            // One fate per offered packet; the survivors are exactly the
+            // packets the record keeps.
+            prop_assert_eq!(chan.lost().len(), sent.len());
+            let kept: Vec<&_> = sent
+                .iter()
+                .zip(chan.lost())
+                .filter_map(|(p, &lost)| (!lost).then_some(p))
+                .collect();
+            prop_assert_eq!(kept, survivors.iter().collect::<Vec<_>>());
+            offered += sent.len() as u64;
+            delivered += survivors.len() as u64;
+            delivered_bytes += survivors.iter().map(|p| p.len() as u64).sum::<u64>();
         }
         let s = chan.stats();
-        prop_assert_eq!(
-            s.frames_delivered + s.frames_lost,
-            sizes.len() as u64
-        );
-        prop_assert!(s.packets_lost <= s.packets_sent);
-        prop_assert!(s.bytes_lost <= s.bytes_sent);
+        prop_assert_eq!(s.packets_sent, offered);
+        prop_assert_eq!(s.packets_sent - s.packets_lost, delivered);
+        prop_assert_eq!(s.bytes_sent - s.bytes_lost, delivered_bytes);
+        prop_assert_eq!(s.bytes_sent, sizes.iter().map(|&n| n as u64).sum::<u64>());
     }
 
     #[test]

@@ -586,6 +586,22 @@ mod tests {
     }
 
     #[test]
+    fn every_pipeline_stage_reports_its_wall_time() {
+        let tel = Telemetry::new();
+        let cfg = ServeConfig {
+            pacing_us: 0,
+            ..small(2, 6, 2)
+        };
+        run_with(&cfg, &tel, false).unwrap();
+        let report = tel.report();
+        for name in ["encode", "decode", "channel"] {
+            let stage = &report.stages[name];
+            assert!(stage.calls > 0, "{name} never ran");
+            assert!(stage.wall_ns > 0, "{name} must report wall time: {stage:?}");
+        }
+    }
+
+    #[test]
     fn rejects_bad_configs() {
         assert!(run(&small(0, 4, 1)).is_err());
         assert!(run(&small(1, 0, 1)).is_err());

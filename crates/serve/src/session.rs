@@ -41,9 +41,8 @@ use pbpair_energy::{DeviceProfile, EnergyModel, IPAQ_H5555, ZAURUS_SL5600};
 use pbpair_media::metrics::QualityStats;
 use pbpair_media::synth::{MotionClass, SyntheticSequence};
 use pbpair_netsim::{
-    reassemble_frame, reassemble_frame_damaged, BurstEstimator, ChannelSpec, CorruptingChannel,
-    CorruptionProfile, FecOps, FecProtector, FeedbackLink, LossModel, Packetizer, UniformLoss,
-    WindowPlrEstimator,
+    reassemble_frame_damaged, BurstEstimator, ChannelSpec, CorruptingChannel, CorruptionProfile,
+    FecOps, FecProtector, FeedbackLink, LossModel, Packetizer, UniformLoss, WindowPlrEstimator,
 };
 use pbpair_telemetry::{Counter, Telemetry};
 use pbpair_trace::{Event as TraceEvent, Tracer};
@@ -477,7 +476,8 @@ impl Session {
 
     /// The session's report: the counters it keeps, completed with the
     /// FEC codec label, mean PSNR, PLR estimate and `Intra_Th` in force,
-    /// and the watchdog's health state and log, as they stand.
+    /// the bytes its forward channel was offered, and the watchdog's
+    /// health state and log, as they stand.
     pub fn report(&self) -> SessionReport {
         // The active codec or, for an adaptive session at zero parity,
         // the family at that rate; empty when FEC is off.
@@ -491,6 +491,7 @@ impl Session {
             avg_psnr_db: self.quality.average_psnr(),
             plr_estimate: self.plr_estimator.estimate(),
             final_intra_th: self.arbitrate().0,
+            sent_bytes: self.channel.loss_stats().bytes_sent,
             health: self.watchdog.state(),
             health_log: self.watchdog.ledger().transitions().to_vec(),
             ..self.ledger.clone()
@@ -687,48 +688,38 @@ impl Session {
             Some(fec) => fec.protect(&packets, &mut frame_fec),
             None => packets,
         };
-        let sent_bytes: u64 = sent.iter().map(|p| p.len() as u64).sum();
         if self.pacing_us > 0 {
             // The blocking transmission phase. Wall-clock only: the
             // channel outcome below is drawn from seeded state.
             std::thread::sleep(std::time::Duration::from_micros(self.pacing_us));
         }
         let mut survivors = self.channel.transmit_packets(&sent);
-        if now < self.kill_until {
-            // Burst-aligned kill: the whole frame dies at its picture
-            // header, first fragment included.
+        // Burst-aligned kill: the whole frame dies at its picture header,
+        // first fragment included.
+        let killed = now < self.kill_until;
+        if killed {
             survivors.clear();
         }
 
-        // Receiver-side burst bookkeeping: per-packet loss flags derived
-        // from what was offered vs what materialized (seq identifies
-        // each packet; parity packets count — they ride the same
-        // channel). PRNG-free, so it is always on.
-        let survivor_seqs: Vec<u32> = survivors.iter().map(|p| p.seq).collect();
-        for p in &sent {
-            let erased = !survivor_seqs.contains(&p.seq);
-            self.burst_estimator.record(erased);
-            self.packet_plr_estimator.record(erased);
+        // Receiver-side burst bookkeeping from the channel's fate record:
+        // one erasure flag per packet sent, parity included (it rides the
+        // same channel). PRNG-free, so it is always on.
+        for &lost in self.channel.lost() {
+            self.burst_estimator.record(lost || killed);
+            self.packet_plr_estimator.record(lost || killed);
         }
 
         // Receiver: FEC repair of every recoverable block, best-effort
         // reassembly of the rest, resilient decode of whatever
-        // materialized. A partial repair still shrinks the damage.
-        let mut fec_recovered = false;
-        let bytes = match &self.fec {
-            Some(fec) => match fec.recover(&survivors, &mut frame_fec) {
-                Some(rec) => {
-                    fec_recovered = frame_fec.blocks_repaired > 0;
-                    if rec.complete {
-                        reassemble_frame(&rec.data)
-                    } else {
-                        reassemble_frame_damaged(&rec.data)
-                    }
-                }
-                None => reassemble_frame_damaged(&survivors),
-            },
-            None => reassemble_frame_damaged(&survivors),
-        };
+        // materialized. A partial repair still shrinks the damage; a
+        // complete one comes back deduplicated and in fragment order, so
+        // best-effort reassembly returns the whole frame.
+        let recovered = self
+            .fec
+            .as_ref()
+            .and_then(|fec| fec.recover(&survivors, &mut frame_fec));
+        let fec_recovered = recovered.is_some() && frame_fec.blocks_repaired > 0;
+        let bytes = reassemble_frame_damaged(recovered.as_ref().map_or(&survivors, |r| &r.data));
         let lost = bytes.is_none();
         let mut damaged = false;
         let displayed = if stalled {
@@ -792,7 +783,6 @@ impl Session {
         self.ledger.fec += frame_fec;
         self.ledger.fec_joules += fec_joules;
         self.ledger.encoded_bytes += encoded.data.len() as u64;
-        self.ledger.sent_bytes += sent_bytes;
         self.ledger.encode_joules += encode_joules;
 
         if let Some(t) = &self.tel {

@@ -335,7 +335,7 @@ mod tests {
         for v in [5, 50, 500] {
             h.record(v);
         }
-        tel.stage("encode").record(42);
+        tel.stage("encode").span().add_units(42);
         let text = prometheus_text(&tel.report());
         assert!(text.contains("# TYPE pbpair_enc_frames_total counter\n"));
         assert!(text.contains("pbpair_enc_frames_total 12\n"));

@@ -330,24 +330,14 @@ impl Histogram {
     }
 }
 
-/// A pipeline stage handle; spawn [`Span`]s from it or record costs
-/// directly.
+/// A pipeline stage handle; every invocation is a [`Span`] spawned
+/// from it.
 #[derive(Clone)]
 pub struct Stage {
     cells: Option<Arc<StageCells>>,
 }
 
 impl Stage {
-    /// Records one invocation costing `units` deterministic virtual
-    /// units, without wall-clock measurement.
-    #[inline]
-    pub fn record(&self, units: u64) {
-        if let Some(cells) = &self.cells {
-            cells.calls.add(1);
-            cells.units.add(units);
-        }
-    }
-
     /// Opens a span over this stage. The span records one invocation
     /// and its elapsed wall time on drop.
     #[inline]
@@ -416,7 +406,7 @@ mod tests {
         assert!(!tel.is_enabled());
         tel.counter("x").inc(5);
         tel.histogram("h", &[10]).record(3);
-        tel.stage("s").record(9);
+        tel.stage("s").span().add_units(9);
         let report = tel.report();
         assert!(report.counters.is_empty());
         assert!(report.is_empty());
@@ -452,7 +442,7 @@ mod tests {
             span.add_units(100);
             span.add_units(23);
         }
-        stage.record(7);
+        stage.span().add_units(7);
         let snap = &tel.report().stages["encode"];
         assert_eq!(snap.calls, 2);
         assert_eq!(snap.units, 130);

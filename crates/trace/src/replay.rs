@@ -103,10 +103,9 @@ pub struct ProvenanceDag {
     params: AnalyzeParams,
     /// Encoder provenance per frame (absent for dropped frames).
     prov: BTreeMap<u32, Vec<MbProv>>,
-    /// MBs the decoder concealed, per frame.
+    /// MBs the decoder concealed, one mask per frame that had any; a
+    /// whole-frame concealment is all `true`.
     concealed: BTreeMap<u32, Vec<bool>>,
-    /// Frames the decoder concealed wholesale.
-    whole_concealed: BTreeSet<u32>,
 }
 
 impl ProvenanceDag {
@@ -115,7 +114,6 @@ impl ProvenanceDag {
         let mb_count = params.mb_count();
         let mut prov: BTreeMap<u32, Vec<MbProv>> = BTreeMap::new();
         let mut concealed: BTreeMap<u32, Vec<bool>> = BTreeMap::new();
-        let mut whole_concealed = BTreeSet::new();
         for event in &log.events {
             match *event {
                 Event::MbCoded {
@@ -168,7 +166,7 @@ impl ProvenanceDag {
                     }
                 }
                 Event::FrameConcealed { frame, .. } if frame < params.frames => {
-                    whole_concealed.insert(frame);
+                    concealed.insert(frame, vec![true; mb_count]);
                 }
                 _ => {}
             }
@@ -177,7 +175,6 @@ impl ProvenanceDag {
             params,
             prov,
             concealed,
-            whole_concealed,
         }
     }
 
@@ -200,9 +197,7 @@ impl ProvenanceDag {
         // Decoder concealment overrides the coded mode: the displayed
         // pixels are a colocated copy. A dropped frame (no provenance)
         // behaves the same way.
-        if self.whole_concealed.contains(&frame)
-            || self.concealed.get(&frame).is_some_and(|m| m[mb])
-        {
+        if self.is_concealed(frame, mb) {
             return vec![mb as u16];
         }
         let Some(prov) = self.prov.get(&frame) else {
@@ -312,7 +307,7 @@ impl ProvenanceDag {
     }
 
     fn is_concealed(&self, frame: u32, mb: usize) -> bool {
-        self.whole_concealed.contains(&frame) || self.concealed.get(&frame).is_some_and(|m| m[mb])
+        self.concealed.get(&frame).is_some_and(|m| m[mb])
     }
 
     /// Propagates the previous frame's dirty mask through this
@@ -491,30 +486,8 @@ pub fn analyze(log: &TraceLog, params: AnalyzeParams) -> Analysis {
         }
     }
 
-    // Decoder-reported bad MBs.
-    let mut decoder_bad: BTreeMap<u32, Vec<bool>> = BTreeMap::new();
-    for event in &log.events {
-        match *event {
-            Event::MbConcealed {
-                frame,
-                mb_start,
-                count,
-            } if frame < params.frames => {
-                let mask = decoder_bad
-                    .entry(frame)
-                    .or_insert_with(|| vec![false; mb_count]);
-                let start = usize::from(mb_start).min(mb_count);
-                let end = start.saturating_add(usize::from(count)).min(mb_count);
-                for slot in &mut mask[start..end] {
-                    *slot = true;
-                }
-            }
-            Event::FrameConcealed { frame, .. } if frame < params.frames => {
-                decoder_bad.insert(frame, vec![true; mb_count]);
-            }
-            _ => {}
-        }
-    }
+    // Decoder-reported bad MBs: the DAG's concealment masks.
+    let decoder_bad = dag.concealed.clone();
 
     // Ground-truth dirty masks: union direct damage (transport events
     // and decoder concealments) per frame, propagate forward.

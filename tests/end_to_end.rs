@@ -6,7 +6,7 @@ use pbpair_repro::eval::pipeline::{run, LossSpec, RunConfig, SequenceSpec};
 use pbpair_repro::media::metrics::psnr_y;
 use pbpair_repro::media::synth::{MotionClass, SyntheticSequence};
 use pbpair_repro::media::VideoFormat;
-use pbpair_repro::netsim::{LossyChannel, NoLoss, Packetizer};
+use pbpair_repro::netsim::{reassemble_frame, LossyChannel, NoLoss, Packetizer};
 use pbpair_repro::schemes::{PbpairConfig, SchemeSpec};
 
 fn all_schemes() -> Vec<SchemeSpec> {
@@ -102,7 +102,7 @@ fn decoder_tracks_encoder_reconstruction_through_real_packets() {
             packets.len() > 1,
             "garden frames must exceed a 100-byte MTU"
         );
-        let bytes = channel.transmit_frame(&packets).expect("lossless channel");
+        let bytes = reassemble_frame(&channel.transmit(&packets)).expect("lossless channel");
         let (decoded, info) = decoder.decode_frame(&bytes).unwrap();
         assert_eq!(&decoded, encoder.reconstructed());
         assert_eq!(info.mb_modes, encoded.mb_modes);
