@@ -2,13 +2,13 @@
 //!
 //! The decoder parses each macroblock's CBP, vectors and coefficient
 //! blocks and rebuilds it through the encoder's own reconstruction
-//! (`mbcode`), so the two stay bit-exact by construction. When
-//! the network drops a packet (= one frame in the paper's setup), the
-//! caller invokes [`Decoder::conceal_lost_frame`]; the default concealment
-//! is the paper's **simple copy scheme** — repeat the previous
-//! reconstructed frame — and the strategy is pluggable so richer
-//! concealments slot in (the paper notes they only change PBPAIR's
-//! similarity factor).
+//! (`mbcode`), so the two stay bit-exact by construction. The receiver
+//! hands whatever arrived for each frame to [`Decoder::receive`], which
+//! decodes the bytes, concealing any damage, or conceals the whole frame
+//! when the network dropped it. The default concealment is the paper's
+//! **simple copy scheme** — repeat the previous reconstructed frame —
+//! and the strategy is pluggable so richer concealments slot in (the
+//! paper notes they only change PBPAIR's similarity factor).
 
 use crate::bitstream::{BitReader, BitstreamError};
 use crate::blockcode::read_coeff_block;
@@ -101,7 +101,8 @@ struct PictureHeader {
 
 /// Aggregated outcome of resilient decoding — what the error-tolerant
 /// entry point ([`Decoder::decode_frame_resilient`]) returns instead of
-/// an error.
+/// an error, and what [`Decoder::receive`] returns for every frame (empty
+/// for a frame that never arrived).
 ///
 /// Reports from successive calls add together with
 /// [`absorb`](DecodeReport::absorb), so a session-level tally is one
@@ -113,7 +114,10 @@ pub struct DecodeReport {
     /// Pictures emitted through the damage-recovery path — part or all
     /// of the picture was concealed rather than decoded.
     pub frames_recovered: u64,
-    /// Macroblocks filled in by concealment instead of decoded data.
+    /// Macroblocks filled in by concealment inside a decoded picture.
+    /// A frame that never arrived is concealed whole without a report,
+    /// so it counts here nowhere, while the `dec.mbs_concealed` counter
+    /// counts its whole grid (see [`Decoder::receive`]).
     pub mbs_concealed: u64,
     /// Forward scans to a new picture start code after damage.
     pub resyncs: u64,
@@ -158,17 +162,18 @@ pub struct DecodedInfo {
 /// use pbpair_codec::{Decoder, Encoder, EncoderConfig, NaturalPolicy};
 /// use pbpair_media::{metrics, synth::SyntheticSequence, VideoFormat};
 ///
-/// # fn main() -> Result<(), pbpair_codec::DecodeError> {
 /// let mut enc = Encoder::new(EncoderConfig::default());
 /// let mut dec = Decoder::new(VideoFormat::QCIF);
 /// let mut policy = NaturalPolicy::new();
 /// let mut seq = SyntheticSequence::akiyo_class(1);
 /// let original = seq.next_frame();
 /// let encoded = enc.encode_frame(&original, &mut policy);
-/// let (decoded, _info) = dec.decode_frame(&encoded.data)?;
+/// let (decoded, report) = dec.receive(Some(&encoded.data));
 /// assert!(metrics::psnr_y(&original, &decoded) > 28.0);
-/// # Ok(())
-/// # }
+/// assert!(!report.any_damage());
+/// // The next frame never arrives: copy concealment shows this one again.
+/// let (concealed, _) = dec.receive(None);
+/// assert_eq!(concealed, decoded);
 /// ```
 #[derive(Debug)]
 pub struct Decoder {
@@ -381,6 +386,26 @@ impl Decoder {
             half_pel,
             deblock,
         })
+    }
+
+    /// The receiver's one call per frame: turns whatever arrived into the
+    /// displayed picture, which also becomes the new reference. Bytes go
+    /// through [`decode_frame_resilient`](Decoder::decode_frame_resilient),
+    /// so damage is concealed inside the picture; `None` (nothing arrived)
+    /// goes through [`conceal_lost_frame`](Decoder::conceal_lost_frame) and
+    /// returns an empty report. On a complete frame the picture is the one
+    /// the strict [`decode_frame`](Decoder::decode_frame) commits.
+    ///
+    /// The report counts only concealment inside a decoded picture. A
+    /// frame that never arrived adds one grid of macroblocks to the
+    /// `dec.mbs_concealed` counter (and one to `dec.lost_frames`) but
+    /// nothing to the report, so a sum of reports falls short of that
+    /// counter by one grid per frame concealed whole.
+    pub fn receive(&mut self, arrived: Option<&[u8]>) -> (Frame, DecodeReport) {
+        match arrived {
+            Some(data) => self.decode_frame_resilient(data),
+            None => (self.conceal_lost_frame(), DecodeReport::default()),
+        }
     }
 
     /// Produces the concealed output for a lost frame and keeps it as the

@@ -25,7 +25,6 @@
 //! use pbpair_codec::{Decoder, Encoder, EncoderConfig, NaturalPolicy};
 //! use pbpair_media::{metrics, synth::SyntheticSequence, VideoFormat};
 //!
-//! # fn main() -> Result<(), pbpair_codec::DecodeError> {
 //! let mut enc = Encoder::new(EncoderConfig::default());
 //! let mut dec = Decoder::new(VideoFormat::QCIF);
 //! let mut policy = NaturalPolicy::new(); // no error resilience ("NO")
@@ -34,12 +33,10 @@
 //! for _ in 0..3 {
 //!     let frame = seq.next_frame();
 //!     let encoded = enc.encode_frame(&frame, &mut policy);
-//!     let (decoded, _info) = dec.decode_frame(&encoded.data)?;
+//!     let (decoded, _report) = dec.receive(Some(&encoded.data));
 //!     assert!(metrics::psnr_y(&frame, &decoded) > 25.0);
 //! }
 //! println!("SAD ops executed: {}", enc.ops().sad_ops);
-//! # Ok(())
-//! # }
 //! ```
 
 pub mod bitstream;

@@ -11,7 +11,7 @@
 //! points share, and proptests below cover the classic `decode_frame`
 //! error path.
 
-use pbpair_codec::{DecodeReport, Decoder, Encoder, EncoderConfig, NaturalPolicy};
+use pbpair_codec::{Concealment, DecodeReport, Decoder, Encoder, EncoderConfig, NaturalPolicy};
 use pbpair_media::synth::SyntheticSequence;
 use pbpair_media::VideoFormat;
 use pbpair_netsim::{
@@ -22,14 +22,19 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A valid three-frame stream to mutate.
-fn valid_frames() -> Vec<Vec<u8>> {
+/// The first `frames` pictures of a valid stream.
+fn valid_stream(frames: usize) -> Vec<Vec<u8>> {
     let mut enc = Encoder::new(EncoderConfig::default());
     let mut policy = NaturalPolicy::new();
     let mut seq = SyntheticSequence::foreman_class(8);
-    (0..3)
+    (0..frames)
         .map(|_| enc.encode_frame(&seq.next_frame(), &mut policy).data)
         .collect()
+}
+
+/// A valid three-frame stream to mutate.
+fn valid_frames() -> Vec<Vec<u8>> {
+    valid_stream(3)
 }
 
 /// Display names of the structural mutation classes, indexed by the
@@ -155,7 +160,10 @@ fn ten_thousand_seeded_corruptions_never_panic() {
 /// them — `decode_frame` succeeds exactly when the resilient report
 /// shows a clean picture (no recovered frame, no resync, no skipped
 /// byte), the two then emit the same frame, and a strict failure
-/// commits nothing.
+/// commits nothing. `receive` of bytes is the resilient decode, frame
+/// and report alike; over an intact stream with frames dropped it shows
+/// what the strict decoder with explicit concealment shows, under
+/// either concealment.
 #[test]
 fn strict_and_resilient_decoding_agree() {
     let originals = valid_frames();
@@ -170,8 +178,12 @@ fn strict_and_resilient_decoding_agree() {
 
         let mut strict = Decoder::new(VideoFormat::QCIF);
         let mut resilient = Decoder::new(VideoFormat::QCIF);
+        let mut receiver = Decoder::new(VideoFormat::QCIF);
         let before = strict.last_frame().clone();
         let (frame, report) = resilient.decode_frame_resilient(&data);
+        let (shown, received) = receiver.receive(Some(&data));
+        assert_eq!(shown, frame, "case {case}: receive shows another frame");
+        assert_eq!(received, report, "case {case}: receive reports otherwise");
         let report_clean = !report.any_damage();
         match strict.decode_frame(&data) {
             Ok((decoded, _)) => {
@@ -194,6 +206,24 @@ fn strict_and_resilient_decoding_agree() {
         clean > 25 && damaged > 1500,
         "too one-sided to pin the loop: {clean} clean, {damaged} damaged"
     );
+
+    // Frames 2, 6, 7 and 10 never arrive; 6 and 7 are a run of two.
+    let stream = valid_stream(12);
+    for concealment in [Concealment::CopyPrevious, Concealment::MotionCopy] {
+        let mut receiver = Decoder::with_concealment(VideoFormat::QCIF, concealment);
+        let mut strict = Decoder::with_concealment(VideoFormat::QCIF, concealment);
+        for (i, data) in stream.iter().enumerate() {
+            let arrived = (i % 4 != 2 && i != 7).then_some(data.as_slice());
+            let (shown, report) = receiver.receive(arrived);
+            let expected = match arrived {
+                Some(bytes) => strict.decode_frame(bytes).expect("intact frame").0,
+                None => strict.conceal_lost_frame(),
+            };
+            assert_eq!(shown, expected, "{concealment:?}, frame {i}");
+            assert_eq!(report.frames_decoded, u64::from(arrived.is_some()));
+            assert!(!report.any_damage(), "{concealment:?}, frame {i}");
+        }
+    }
 }
 
 /// Every mutation class, pushed through a Markov burst-erasure channel

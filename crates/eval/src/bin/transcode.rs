@@ -20,7 +20,7 @@
 use pbpair::{PbpairConfig, SchemeSpec};
 use pbpair_codec::{Decoder, Encoder, EncoderConfig, MeConfig, Qp, SearchStrategy};
 use pbpair_energy::{DeviceProfile, EnergyModel, IPAQ_H5555};
-use pbpair_eval::pipeline::SequenceSpec;
+use pbpair_eval::pipeline::{transport, SequenceSpec};
 use pbpair_media::metrics::QualityStats;
 use pbpair_media::synth::MotionClass;
 use pbpair_media::y4m::Y4mWriter;
@@ -224,14 +224,7 @@ fn transcode(args: &Args) -> Result<(), String> {
             break;
         };
         let encoded = encoder.encode_frame(&original, policy.as_mut());
-        let packets = packetizer.packetize(encoded.index, &encoded.data);
-        let shown = match channel.transmit_frame_atomic(&packets) {
-            Some(bytes) => match decoder.decode_frame(&bytes) {
-                Ok((frame, _)) => frame,
-                Err(_) => decoder.conceal_lost_frame(),
-            },
-            None => decoder.conceal_lost_frame(),
-        };
+        let shown = transport(&mut packetizer, &mut channel, &mut decoder, &encoded);
         quality.record(&original, &shown);
         if let Some(w) = writer.as_mut() {
             w.write_frame(&shown)

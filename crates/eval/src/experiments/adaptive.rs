@@ -16,7 +16,7 @@ use pbpair_codec::{Decoder, Encoder, EncoderConfig};
 use pbpair_energy::{EnergyModel, IPAQ_H5555};
 use pbpair_media::metrics::QualityStats;
 use pbpair_media::synth::{MotionClass, SyntheticSequence};
-use pbpair_netsim::{Packetizer, UniformLoss, WindowPlrEstimator};
+use pbpair_netsim::{UniformLoss, WindowPlrEstimator};
 
 /// A piecewise-constant loss schedule: `(start_frame, rate)` segments.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,7 +149,6 @@ fn drive(frames: usize, schedule: &LossSchedule, mode: AdaptMode) -> Result<Adap
     let mut policy = PbpairPolicy::new(pbpair_media::VideoFormat::QCIF, base)?;
     let mut encoder = Encoder::new(EncoderConfig::default());
     let mut decoder = Decoder::new(pbpair_media::VideoFormat::QCIF);
-    let mut packetizer = Packetizer::default();
     let mut seq = SyntheticSequence::for_class(MotionClass::MediumForeman, 2005);
     let mut estimator = WindowPlrEstimator::new(30);
 
@@ -183,18 +182,8 @@ fn drive(frames: usize, schedule: &LossSchedule, mode: AdaptMode) -> Result<Adap
         let original = seq.next_frame();
         let encoded = encoder.encode_frame(&original, &mut policy);
         total_bits += encoded.stats.bits;
-        let packets = packetizer.packetize(encoded.index, &encoded.data);
-        let displayed = if lost {
-            decoder.conceal_lost_frame()
-        } else {
-            // The channel is frame-atomic; reassembly cannot fail here.
-            let bytes = pbpair_netsim::reassemble_frame(&packets)
-                .expect("all fragments present on a loss-free delivery");
-            match decoder.decode_frame(&bytes) {
-                Ok((frame, _)) => frame,
-                Err(_) => decoder.conceal_lost_frame(),
-            }
-        };
+        // The channel is frame-atomic: the frame arrives whole or not at all.
+        let (displayed, _) = decoder.receive((!lost).then_some(&encoded.data));
         quality.record(&original, &displayed);
         // Receiver feedback (delayed by transport in reality; immediate
         // here, which only makes the static/adaptive contrast cleaner).

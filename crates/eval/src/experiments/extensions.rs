@@ -13,6 +13,7 @@
 //!    and link congestion", demonstrated on a bandwidth-limited real-time
 //!    link with a playout deadline.
 
+use crate::pipeline::transport;
 use crate::report::{fmt_f, fmt_pct, Table};
 use pbpair::{PbpairConfig, PbpairPolicy, SimilarityInput};
 use pbpair_codec::{Concealment, Decoder, Encoder, EncoderConfig};
@@ -77,17 +78,9 @@ pub fn run_fec(frames: usize, packet_loss: f64, mtu: usize) -> Result<Vec<FecRow
                     .and_then(|rec| rec.complete.then_some(rec.data)),
                 None => (survivors.len() == data_packets.len()).then_some(survivors),
             };
-            let shown = match recovered.as_deref().and_then(reassemble_frame) {
-                Some(bytes) => match decoder.decode_frame(&bytes) {
-                    Ok((frame, _)) => {
-                        usable += 1;
-                        frame
-                    }
-                    Err(_) => decoder.conceal_lost_frame(),
-                },
-                None => decoder.conceal_lost_frame(),
-            };
-            quality.record(&original, &shown);
+            let arrived = recovered.as_deref().and_then(reassemble_frame);
+            usable += u64::from(arrived.is_some());
+            quality.record(&original, &decoder.receive(arrived.as_deref()).0);
         }
         rows.push(FecRow {
             label,
@@ -169,14 +162,7 @@ pub fn run_concealment(frames: usize, plr: f64) -> Result<Vec<ConcealmentRow>, S
             let original = seq.next_frame();
             let encoded = encoder.encode_frame(&original, &mut policy);
             intra_acc += encoded.stats.intra_ratio();
-            let packets = packetizer.packetize(encoded.index, &encoded.data);
-            let shown = match channel.transmit_frame_atomic(&packets) {
-                Some(bytes) => match decoder.decode_frame(&bytes) {
-                    Ok((frame, _)) => frame,
-                    Err(_) => decoder.conceal_lost_frame(),
-                },
-                None => decoder.conceal_lost_frame(),
-            };
+            let shown = transport(&mut packetizer, &mut channel, &mut decoder, &encoded);
             quality.record(&original, &shown);
         }
         rows.push(ConcealmentRow {

@@ -111,23 +111,14 @@ fn sweep_point(frames: usize, intensity: f64, tel: &Telemetry) -> Result<SweepPo
         let original = seq.next_frame();
         let encoded = encoder.encode_frame(&original, &mut policy);
         let packets = packetizer.packetize(encoded.index, &encoded.data);
-        let displayed = match channel.transmit_frame(&packets) {
-            Delivery::Intact(bytes) => {
-                let (frame, report) = decoder.decode_frame_resilient(&bytes);
-                decode.absorb(&report);
-                frame
-            }
-            Delivery::Damaged(bytes) => {
-                frames_damaged += 1;
-                let (frame, report) = decoder.decode_frame_resilient(&bytes);
-                decode.absorb(&report);
-                frame
-            }
-            Delivery::Lost => {
-                frames_lost += 1;
-                decoder.conceal_lost_frame()
-            }
-        };
+        let delivery = channel.transmit_frame(&packets);
+        match delivery {
+            Delivery::Intact(_) => {}
+            Delivery::Damaged(_) => frames_damaged += 1,
+            Delivery::Lost => frames_lost += 1,
+        }
+        let (displayed, report) = decoder.receive(delivery.bytes());
+        decode.absorb(&report);
         quality.record(&original, &displayed);
     }
 
@@ -318,14 +309,10 @@ pub fn run_feedback_blackout(frames: usize, tel: &Telemetry) -> Result<BlackoutR
         let original = seq.next_frame();
         let encoded = encoder.encode_frame(&original, &mut policy);
         let packets = packetizer.packetize(encoded.index, &encoded.data);
-        let (displayed, lost) = match channel.transmit_frame(&packets) {
-            Delivery::Intact(bytes) | Delivery::Damaged(bytes) => {
-                let (frame, report) = decoder.decode_frame_resilient(&bytes);
-                decode.absorb(&report);
-                (frame, false)
-            }
-            Delivery::Lost => (decoder.conceal_lost_frame(), true),
-        };
+        let delivery = channel.transmit_frame(&packets);
+        let lost = matches!(delivery, Delivery::Lost);
+        let (displayed, report) = decoder.receive(delivery.bytes());
+        decode.absorb(&report);
         quality.record(&original, &displayed);
 
         // Receiver side: update the estimate and offer a report to the

@@ -1,5 +1,6 @@
 //! The end-to-end experiment pipeline:
-//! encode → packetize → lossy channel → decode/conceal → measure.
+//! encode → packetize → lossy channel → receive (decode or conceal) →
+//! measure.
 //!
 //! One [`RunConfig`] describes a complete experimental cell (scheme ×
 //! sequence × channel); [`run`] executes it and returns every measurement
@@ -188,51 +189,36 @@ fn open_source(cfg: &RunConfig) -> Result<Box<dyn FrameSource>, String> {
     Ok(source)
 }
 
-/// Carries one encoded frame to the receiver and scores what it
-/// displays: packetize, deliver the frame whole or lose it, then decode
-/// it or conceal the loss.
-fn transport(
+/// The paper cell's frame step: carries one encoded frame to the
+/// receiver and returns what it displays. Packetize, deliver the frame
+/// whole or lose it ([`LossyChannel::transmit_frame_atomic`]), then
+/// [`Decoder::receive`] decodes it or conceals the loss.
+pub fn transport(
     packetizer: &mut Packetizer,
     channel: &mut LossyChannel,
     decoder: &mut Decoder,
-    quality: &mut QualityStats,
-    original: &Frame,
     encoded: &EncodedFrame,
-) {
+) -> Frame {
     let packets = packetizer.packetize(encoded.index, &encoded.data);
-    let displayed = match channel.transmit_frame_atomic(&packets) {
-        Some(bytes) => match decoder.decode_frame(&bytes) {
-            Ok((frame, _info)) => frame,
-            Err(_) => decoder.conceal_lost_frame(),
-        },
-        None => decoder.conceal_lost_frame(),
-    };
-    quality.record(original, &displayed);
+    let arrived = channel.transmit_frame_atomic(&packets);
+    decoder.receive(arrived.as_deref()).0
 }
 
-/// Executes one cell.
-///
-/// # Errors
-///
-/// Returns an error for invalid scheme configurations, and for a source
-/// that cannot be opened, runs short, or differs in format from the
-/// encoder configuration. Decode failures cannot occur (the channel
-/// delivers frames whole or not at all), but if one did it is treated as
-/// a lost frame.
-pub fn run(cfg: &RunConfig) -> Result<RunResult, String> {
-    let format = cfg.encoder.format;
-    let mut policy = build_policy(cfg.scheme, format)?;
+/// The encoder side of a cell, shared by [`run`] and [`run_replicated`]:
+/// pulls `cfg.frames` source frames, encodes each and hands it with its
+/// original to `deliver`. Returns the cell's result with every
+/// channel-independent field filled; `quality` and `channel` are left
+/// empty for the caller.
+fn encode_cell(
+    cfg: &RunConfig,
+    mut deliver: impl FnMut(Frame, EncodedFrame),
+) -> Result<RunResult, String> {
+    let mut policy = build_policy(cfg.scheme, cfg.encoder.format)?;
     let mut encoder = Encoder::new(cfg.encoder);
-    let mut decoder = Decoder::new(format);
-    let mut packetizer = Packetizer::new(cfg.mtu);
-    let mut channel = LossyChannel::new(cfg.loss.build());
     let mut source = open_source(cfg)?;
-
-    let mut quality = QualityStats::new();
     let mut frame_bits = Vec::with_capacity(cfg.frames);
     let mut frame_kinds = Vec::with_capacity(cfg.frames);
     let mut intra_ratio_acc = 0.0;
-
     for i in 0..cfg.frames {
         let Some(original) = source.try_next_frame() else {
             return Err(format!(
@@ -245,27 +231,42 @@ pub fn run(cfg: &RunConfig) -> Result<RunResult, String> {
         frame_bits.push(encoded.stats.bits);
         frame_kinds.push(encoded.kind);
         intra_ratio_acc += encoded.stats.intra_ratio();
-        transport(
-            &mut packetizer,
-            &mut channel,
-            &mut decoder,
-            &mut quality,
-            &original,
-            &encoded,
-        );
+        deliver(original, encoded);
     }
-
     let total_bits: u64 = frame_bits.iter().sum();
     Ok(RunResult {
         scheme_label: policy.label(),
         sequence_label: cfg.sequence.label(),
-        quality,
+        quality: QualityStats::new(),
         mean_intra_ratio: intra_ratio_acc / cfg.frames.max(1) as f64,
         total_bytes: total_bits.div_ceil(8),
         frame_bits,
         frame_kinds,
         ops: encoder.take_ops(),
+        channel: ChannelStats::default(),
+    })
+}
+
+/// Executes one cell.
+///
+/// # Errors
+///
+/// Returns an error for invalid scheme configurations, and for a source
+/// that cannot be opened, runs short, or differs in format from the
+/// encoder configuration.
+pub fn run(cfg: &RunConfig) -> Result<RunResult, String> {
+    let mut decoder = Decoder::new(cfg.encoder.format);
+    let mut packetizer = Packetizer::new(cfg.mtu);
+    let mut channel = LossyChannel::new(cfg.loss.build());
+    let mut quality = QualityStats::new();
+    let sent = encode_cell(cfg, |original, encoded| {
+        let displayed = transport(&mut packetizer, &mut channel, &mut decoder, &encoded);
+        quality.record(&original, &displayed);
+    })?;
+    Ok(RunResult {
+        quality,
         channel: *channel.stats(),
+        ..sent
     })
 }
 
@@ -300,58 +301,31 @@ pub fn run_replicated(cfg: &RunConfig, replicates: usize) -> Result<ReplicatedRe
     if replicates == 0 {
         return Err("replicates must be at least 1".to_string());
     }
-    let format = cfg.encoder.format;
-    let mut policy = build_policy(cfg.scheme, format)?;
-    let mut encoder = Encoder::new(cfg.encoder);
-    let mut source = open_source(cfg)?;
-
     // Encode once, retaining originals and bitstreams.
     let mut originals = Vec::with_capacity(cfg.frames);
     let mut encoded = Vec::with_capacity(cfg.frames);
-    let mut frame_bits = Vec::with_capacity(cfg.frames);
-    let mut frame_kinds = Vec::with_capacity(cfg.frames);
-    let mut intra_ratio_acc = 0.0;
-    for i in 0..cfg.frames {
-        let Some(original) = source.try_next_frame() else {
-            return Err(format!(
-                "sequence '{}' ended after {i} frames (requested {})",
-                cfg.sequence.label(),
-                cfg.frames
-            ));
-        };
-        let e = encoder.encode_frame(&original, policy.as_mut());
-        frame_bits.push(e.stats.bits);
-        frame_kinds.push(e.kind);
-        intra_ratio_acc += e.stats.intra_ratio();
+    let sent = encode_cell(cfg, |original, e| {
         originals.push(original);
         encoded.push(e);
-    }
+    })?;
 
     // Replay the transport per replicate.
     let mut psnrs = Vec::with_capacity(replicates);
     let mut bads = Vec::with_capacity(replicates);
-    let mut base_quality = None;
-    let mut base_channel = None;
+    let mut base = None;
     for rep in 0..replicates {
-        let mut decoder = Decoder::new(format);
+        let mut decoder = Decoder::new(cfg.encoder.format);
         let mut packetizer = Packetizer::new(cfg.mtu);
         let mut channel = LossyChannel::new(cfg.loss.reseed(rep as u64).build());
         let mut quality = QualityStats::new();
         for (original, e) in originals.iter().zip(&encoded) {
-            transport(
-                &mut packetizer,
-                &mut channel,
-                &mut decoder,
-                &mut quality,
-                original,
-                e,
-            );
+            let displayed = transport(&mut packetizer, &mut channel, &mut decoder, e);
+            quality.record(original, &displayed);
         }
         psnrs.push(quality.average_psnr());
         bads.push(quality.total_bad_pixels() as f64);
         if rep == 0 {
-            base_quality = Some(quality);
-            base_channel = Some(*channel.stats());
+            base = Some((quality, *channel.stats()));
         }
     }
 
@@ -364,24 +338,17 @@ pub fn run_replicated(cfg: &RunConfig, replicates: usize) -> Result<ReplicatedRe
         (v.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (v.len() - 1) as f64).sqrt()
     };
 
-    let total_bits: u64 = frame_bits.iter().sum();
-    let base = RunResult {
-        scheme_label: policy.label(),
-        sequence_label: cfg.sequence.label(),
-        quality: base_quality.expect("replicates >= 1"),
-        mean_intra_ratio: intra_ratio_acc / cfg.frames.max(1) as f64,
-        total_bytes: total_bits.div_ceil(8),
-        frame_bits,
-        frame_kinds,
-        ops: encoder.take_ops(),
-        channel: base_channel.expect("replicates >= 1"),
-    };
+    let (quality, channel) = base.expect("replicates >= 1");
     Ok(ReplicatedResult {
         psnr_mean: mean(&psnrs),
         psnr_std: std(&psnrs),
         bad_pixels_mean: mean(&bads),
         bad_pixels_std: std(&bads),
-        base,
+        base: RunResult {
+            quality,
+            channel,
+            ..sent
+        },
         replicates,
     })
 }

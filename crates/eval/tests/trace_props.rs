@@ -56,14 +56,7 @@ fn traced_pipeline(
         tracer.set_frame(encoded.index);
         let packets = packetizer.packetize(encoded.index, &encoded.data);
         let survivors = channel.transmit_packets(&packets);
-        match reassemble_frame_damaged(&survivors) {
-            Some(bytes) => {
-                decoder.decode_frame_resilient(&bytes);
-            }
-            None => {
-                decoder.conceal_lost_frame();
-            }
-        }
+        decoder.receive(reassemble_frame_damaged(&survivors).as_deref());
     }
 
     analyze(

@@ -36,7 +36,7 @@ use crate::redundancy::RedundancyController;
 use crate::report::SessionReport;
 use pbpair::adapt::{DegradationConfig, DegradationController};
 use pbpair::{AirPolicy, GopPolicy, PbpairConfig, PbpairPolicy, PgopPolicy};
-use pbpair_codec::{Decoder, Encoder, EncoderConfig, OpCounts, RefreshPolicy};
+use pbpair_codec::{DecodeReport, Decoder, Encoder, EncoderConfig, OpCounts, RefreshPolicy};
 use pbpair_energy::{DeviceProfile, EnergyModel, IPAQ_H5555, ZAURUS_SL5600};
 use pbpair_media::metrics::QualityStats;
 use pbpair_media::synth::{MotionClass, SyntheticSequence};
@@ -491,7 +491,7 @@ impl Session {
             avg_psnr_db: self.quality.average_psnr(),
             plr_estimate: self.plr_estimator.estimate(),
             final_intra_th: self.arbitrate().0,
-            sent_bytes: self.channel.loss_stats().bytes_sent,
+            sent_bytes: self.channel.sent_bytes(),
             health: self.watchdog.state(),
             health_log: self.watchdog.ledger().transitions().to_vec(),
             ..self.ledger.clone()
@@ -721,23 +721,16 @@ impl Session {
         let fec_recovered = recovered.is_some() && frame_fec.blocks_repaired > 0;
         let bytes = reassemble_frame_damaged(recovered.as_ref().map_or(&survivors, |r| &r.data));
         let lost = bytes.is_none();
-        let mut damaged = false;
-        let displayed = if stalled {
+        let (displayed, report) = if stalled {
             // The decoder is wedged: arriving data is discarded and the
             // viewer keeps watching the last picture.
             self.ledger.frames_stalled += 1;
-            self.decoder.last_frame().clone()
+            (self.decoder.last_frame().clone(), DecodeReport::default())
         } else {
-            match &bytes {
-                Some(data) => {
-                    let (frame, report) = self.decoder.decode_frame_resilient(data);
-                    damaged = report.any_damage();
-                    self.ledger.decode.absorb(&report);
-                    frame
-                }
-                None => self.decoder.conceal_lost_frame(),
-            }
+            self.decoder.receive(bytes.as_deref())
         };
+        let damaged = report.any_damage();
+        self.ledger.decode.absorb(&report);
         self.quality.record(&original, &displayed);
         if self.trace.is_enabled() {
             if fec_recovered {

@@ -58,16 +58,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let encoded = encoder.encode_frame(&original, &mut policy);
             intra_acc += encoded.stats.intra_ratio();
             let packets = packetizer.packetize(encoded.index, &encoded.data);
-            let shown = match channel.transmit_frame_atomic(&packets) {
-                Some(bytes) => {
-                    estimator.record(false);
-                    decoder.decode_frame(&bytes)?.0
-                }
-                None => {
-                    estimator.record(true);
-                    decoder.conceal_lost_frame()
-                }
-            };
+            let arrived = channel.transmit_frame_atomic(&packets);
+            estimator.record(arrived.is_none());
+            let (shown, _) = decoder.receive(arrived.as_deref());
             psnr_acc += psnr_y(&original, &shown).min(99.0);
             bad_acc += bad_pixels(&original, &shown);
         }

@@ -59,11 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for f in 0..FRAMES {
         let original = seq.next_frame();
         let encoded = encoder.encode_frame(&original, &mut policy);
-        let shown = if loss.next_lost() {
-            decoder.conceal_lost_frame()
-        } else {
-            decoder.decode_frame(&encoded.data)?.0
-        };
+        let (shown, _) = decoder.receive((!loss.next_lost()).then_some(&encoded.data));
 
         // Encoder belief (1 − σ) vs measured damage (threshold 20).
         let belief: Vec<f64> = policy

@@ -40,10 +40,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let original = clip.next_frame();
         let encoded = encoder.encode_frame(&original, &mut policy);
         let packets = packetizer.packetize(encoded.index, &encoded.data);
-        let shown = match channel.transmit_frame_atomic(&packets) {
-            Some(bytes) => decoder.decode_frame(&bytes)?.0,
-            None => decoder.conceal_lost_frame(), // copy-previous concealment
-        };
+        let arrived = channel.transmit_frame_atomic(&packets);
+        // Decode what arrived; a lost frame gets copy-previous concealment.
+        let (shown, _) = decoder.receive(arrived.as_deref());
         quality.record(&original, &shown);
     }
 
