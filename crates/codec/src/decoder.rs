@@ -13,7 +13,7 @@
 use crate::bitstream::{BitReader, BitstreamError};
 use crate::blockcode::read_coeff_block;
 use crate::encoder::{PICTURE_START_CODE, PICTURE_START_CODE_LEN};
-use crate::kernels::{KernelChoice, Kernels};
+use crate::kernels::{KernelTier, Kernels};
 use crate::mb::{MbMode, MotionVector, SubPelVector};
 use crate::mbcode::{copy_mb, recon_intra_mb, MbLevels, MbPrediction};
 use crate::policy::FrameKind;
@@ -169,11 +169,12 @@ pub struct DecodedInfo {
 /// let original = seq.next_frame();
 /// let encoded = enc.encode_frame(&original, &mut policy);
 /// let (decoded, report) = dec.receive(Some(&encoded.data));
-/// assert!(metrics::psnr_y(&original, &decoded) > 28.0);
+/// assert!(metrics::psnr_y(&original, decoded) > 28.0);
 /// assert!(!report.any_damage());
+/// let shown = decoded.clone();
 /// // The next frame never arrives: copy concealment shows this one again.
 /// let (concealed, _) = dec.receive(None);
-/// assert_eq!(concealed, decoded);
+/// assert_eq!(concealed, &shown);
 /// ```
 #[derive(Debug)]
 pub struct Decoder {
@@ -189,6 +190,10 @@ pub struct Decoder {
     /// Motion vector of each macroblock in the most recent decoded frame
     /// (zero for intra/skip) — the input to motion-copy concealment.
     last_mvs: Vec<SubPelVector>,
+    /// The motion field of the picture being decoded, swapped with
+    /// `last_mvs` when that picture commits. Kept, so decoding a frame
+    /// allocates no field.
+    next_mvs: Vec<SubPelVector>,
     /// Pre-resolved telemetry handles; `None` until
     /// [`Decoder::set_telemetry`] attaches an enabled context. Each
     /// decode call runs in one `"decode"` span and flushes the
@@ -261,6 +266,7 @@ impl Decoder {
             recon: Frame::new(format),
             concealment,
             last_mvs: vec![SubPelVector::ZERO; grid.len()],
+            next_mvs: vec![SubPelVector::ZERO; grid.len()],
             grid,
             tel: None,
             trace: None,
@@ -273,10 +279,10 @@ impl Decoder {
     ///
     /// # Panics
     ///
-    /// Panics if a forced tier is not available on this host (see
-    /// [`KernelChoice::resolve`]).
-    pub fn set_kernels(&mut self, choice: KernelChoice) {
-        self.kernels = choice.resolve();
+    /// Panics if `tier` is not available on this host (see
+    /// [`Kernels::forced`]).
+    pub fn set_kernels(&mut self, tier: KernelTier) {
+        self.kernels = Kernels::forced(tier);
     }
 
     /// Attaches a telemetry context; subsequent decode and concealment
@@ -315,29 +321,30 @@ impl Decoder {
     /// # Errors
     ///
     /// Returns a [`DecodeError`] on truncation or corruption; the
-    /// decoder's reference frame is left unchanged in that case, so the
-    /// caller can treat a corrupt frame exactly like a lost one. The
-    /// `"decode"` stage counts the call and its input bytes either way;
-    /// `dec.frames` counts only a decoded frame.
+    /// decoder's reference frame and motion field are left unchanged in
+    /// that case, so the caller can treat a corrupt frame exactly like a
+    /// lost one. The `"decode"` stage counts the call and its input bytes
+    /// either way; `dec.frames` counts only a decoded frame.
     pub fn decode_frame(&mut self, data: &[u8]) -> Result<(Frame, DecodedInfo), DecodeError> {
         let _span = self.tel.as_ref().map(|t| t.span(data.len()));
         let mut r = BitReader::new(data);
         let header = self.parse_header(&mut r)?;
-        let pic = self.decode_mbs(&mut r, &header);
-        if let Some((_, e)) = pic.damage {
+        let mut mb_modes = Vec::with_capacity(self.grid.len());
+        let (recon, damage) = self.decode_mbs(&mut r, &header, Some(&mut mb_modes));
+        if let Some((_, e)) = damage {
             return Err(e);
         }
-        let frame = self.commit(pic.recon, pic.mvs, header.deblock.then_some(header.qp));
+        self.commit(recon, header.deblock.then_some(header.qp));
         if let Some(t) = &self.tel {
             t.frames.inc(1);
         }
         Ok((
-            frame,
+            self.recon.clone(),
             DecodedInfo {
                 temporal_ref: header.temporal_ref,
                 kind: header.kind,
                 qp: header.qp,
-                mb_modes: pic.mb_modes,
+                mb_modes,
             },
         ))
     }
@@ -389,53 +396,65 @@ impl Decoder {
     }
 
     /// The receiver's one call per frame: turns whatever arrived into the
-    /// displayed picture, which also becomes the new reference. Bytes go
-    /// through [`decode_frame_resilient`](Decoder::decode_frame_resilient),
-    /// so damage is concealed inside the picture; `None` (nothing arrived)
-    /// goes through [`conceal_lost_frame`](Decoder::conceal_lost_frame) and
-    /// returns an empty report. On a complete frame the picture is the one
-    /// the strict [`decode_frame`](Decoder::decode_frame) commits.
+    /// displayed picture, which also becomes the new reference, and
+    /// returns that reference. Bytes decode as in
+    /// [`decode_frame_resilient`](Decoder::decode_frame_resilient), so
+    /// damage is concealed inside the picture; `None` (nothing arrived)
+    /// conceals as in [`conceal_lost_frame`](Decoder::conceal_lost_frame)
+    /// and returns an empty report. On a complete frame the picture is the
+    /// one the strict [`decode_frame`](Decoder::decode_frame) commits.
+    /// Neither path copies the picture out, and copy concealment does no
+    /// work at all.
     ///
     /// The report counts only concealment inside a decoded picture. A
     /// frame that never arrived adds one grid of macroblocks to the
     /// `dec.mbs_concealed` counter (and one to `dec.lost_frames`) but
     /// nothing to the report, so a sum of reports falls short of that
     /// counter by one grid per frame concealed whole.
-    pub fn receive(&mut self, arrived: Option<&[u8]>) -> (Frame, DecodeReport) {
-        match arrived {
-            Some(data) => self.decode_frame_resilient(data),
-            None => (self.conceal_lost_frame(), DecodeReport::default()),
-        }
+    pub fn receive(&mut self, arrived: Option<&[u8]>) -> (&Frame, DecodeReport) {
+        let report = match arrived {
+            Some(data) => self.decode_resilient(data),
+            None => {
+                self.conceal_lost();
+                DecodeReport::default()
+            }
+        };
+        (&self.recon, report)
     }
 
     /// Produces the concealed output for a lost frame and keeps it as the
     /// new reference (so subsequent inter frames predict from the
     /// concealment, propagating the error exactly as the paper models).
     pub fn conceal_lost_frame(&mut self) -> Frame {
+        self.conceal_lost();
+        self.recon.clone()
+    }
+
+    /// Counts and traces a frame that never arrived, then conceals it.
+    fn conceal_lost(&mut self) {
         if let Some(t) = &self.tel {
             t.lost_frames.inc(1);
             t.mbs_concealed.inc(self.grid.len() as u64);
         }
         let mbs = self.grid.len() as u16;
         self.trace_emit(|frame| TraceEvent::FrameConcealed { frame, mbs });
-        self.conceal_lost_frame_inner()
+        self.conceal_reference();
     }
 
-    /// Concealment without telemetry accounting — the resilient decode
-    /// path calls this so damage already tallied in a [`DecodeReport`]
-    /// is not double-counted.
-    fn conceal_lost_frame_inner(&mut self) -> Frame {
+    /// Replaces the reference with its whole-frame concealment, without
+    /// telemetry accounting — the resilient decode path calls this so
+    /// damage already tallied in a [`DecodeReport`] is not double-counted.
+    fn conceal_reference(&mut self) {
         match self.concealment {
             // Copy-previous: the reference *is* the concealment, no work.
-            Concealment::CopyPrevious => self.recon.clone(),
+            Concealment::CopyPrevious => {}
             Concealment::MotionCopy => {
                 let mut concealed = Frame::new(self.format);
                 self.conceal_mbs(&mut concealed, self.grid.iter());
                 // The concealed frame becomes the reference; the motion
                 // history is retained so consecutive losses keep
                 // extrapolating the same field.
-                self.recon = concealed.clone();
-                concealed
+                self.recon = concealed;
             }
         }
     }
@@ -468,13 +487,20 @@ impl Decoder {
     /// assert_eq!(report.frames_recovered, 1);
     /// ```
     pub fn decode_frame_resilient(&mut self, data: &[u8]) -> (Frame, DecodeReport) {
+        let report = self.decode_resilient(data);
+        (self.recon.clone(), report)
+    }
+
+    /// [`decode_frame_resilient`](Decoder::decode_frame_resilient) without
+    /// the output copy: commits the picture and returns the report.
+    fn decode_resilient(&mut self, data: &[u8]) -> DecodeReport {
         let _span = self.tel.as_ref().map(|t| t.span(data.len()));
         let mut report = DecodeReport {
             frames_decoded: 1,
             ..DecodeReport::default()
         };
         let mut offset = 0usize;
-        let frame = loop {
+        loop {
             let Some(delta) = find_start_code(&data[offset..]) else {
                 // Nothing decodable left: conceal the whole picture.
                 report.bytes_skipped += (data.len() - offset) as u64;
@@ -482,7 +508,8 @@ impl Decoder {
                 report.mbs_concealed += self.grid.len() as u64;
                 let mbs = self.grid.len() as u16;
                 self.trace_emit(|frame| TraceEvent::FrameConcealed { frame, mbs });
-                break self.conceal_lost_frame_inner();
+                self.conceal_reference();
+                break;
             };
             report.bytes_skipped += delta as u64;
             if offset + delta > 0 {
@@ -501,9 +528,10 @@ impl Decoder {
                 offset += 1;
                 continue;
             };
-            let mut pic = self.decode_mbs(&mut r, &header);
-            let Some((k, _)) = pic.damage else {
-                break self.commit(pic.recon, pic.mvs, header.deblock.then_some(header.qp));
+            let (mut recon, damage) = self.decode_mbs(&mut r, &header, None);
+            let Some((k, _)) = damage else {
+                self.commit(recon, header.deblock.then_some(header.qp));
+                break;
             };
             let count = self.grid.len() - k;
             report.frames_recovered += 1;
@@ -513,52 +541,58 @@ impl Decoder {
                 mb_start: k as u16,
                 count: count as u16,
             });
-            self.conceal_mbs(&mut pic.recon, self.grid.iter().skip(k));
+            self.conceal_mbs(&mut recon, self.grid.iter().skip(k));
             // No deblocking: filtering across the decoded/concealed seam
             // would smear the damage outward.
-            break self.commit(pic.recon, pic.mvs, None);
-        };
+            self.commit(recon, None);
+            break;
+        }
         if let Some(t) = &self.tel {
             t.note_report(&report);
         }
-        (frame, report)
+        report
     }
 
     /// The picture loop both entry points share: parses every macroblock
     /// after the header and reconstructs it into a new picture predicted
     /// from the current reference, stopping at the first macroblock whose
-    /// data is bad. Commits nothing.
-    fn decode_mbs(&self, r: &mut BitReader<'_>, header: &PictureHeader) -> Picture {
-        let mut pic = Picture {
-            recon: Frame::new(self.format),
-            mb_modes: Vec::with_capacity(self.grid.len()),
-            mvs: self.last_mvs.clone(),
-            damage: None,
-        };
+    /// data is bad. Returns the picture with that macroblock's index and
+    /// error (`None` when every macroblock decoded). Each decoded
+    /// macroblock's motion goes into `next_mvs`, which starts as the
+    /// committed field, so macroblocks concealed after damage keep their
+    /// previous motion for a later motion-copy concealment; its mode goes
+    /// into `modes` when given. Commits nothing.
+    fn decode_mbs(
+        &mut self,
+        r: &mut BitReader<'_>,
+        header: &PictureHeader,
+        mut modes: Option<&mut Vec<MbMode>>,
+    ) -> (Frame, Option<(usize, DecodeError)>) {
+        let mut recon = Frame::new(self.format);
+        self.next_mvs.copy_from_slice(&self.last_mvs);
         for (k, mb) in self.grid.iter().enumerate() {
-            match decode_mb(self.kernels, r, header, &self.recon, &mut pic.recon, mb) {
+            match decode_mb(self.kernels, r, header, &self.recon, &mut recon, mb) {
                 Ok((mode, mv)) => {
-                    pic.mb_modes.push(mode);
-                    pic.mvs[k] = mv;
+                    self.next_mvs[k] = mv;
+                    if let Some(modes) = modes.as_deref_mut() {
+                        modes.push(mode);
+                    }
                 }
-                Err(e) => {
-                    pic.damage = Some((k, e));
-                    break;
-                }
+                Err(e) => return (recon, Some((k, e))),
             }
         }
-        pic
+        (recon, None)
     }
 
     /// Makes `recon` the new reference, deblocking it first when `deblock`
-    /// carries the picture's quantizer, and returns a copy for output.
-    fn commit(&mut self, mut recon: Frame, mvs: Vec<SubPelVector>, deblock: Option<Qp>) -> Frame {
+    /// carries the picture's quantizer, and `next_mvs` the new motion
+    /// field.
+    fn commit(&mut self, mut recon: Frame, deblock: Option<Qp>) {
         if let Some(qp) = deblock {
             crate::deblock::deblock_frame(&mut recon, qp);
         }
         self.recon = recon;
-        self.last_mvs = mvs;
-        self.recon.clone()
+        std::mem::swap(&mut self.last_mvs, &mut self.next_mvs);
     }
 
     /// Fills the given macroblocks of `dst` from the current reference
@@ -572,20 +606,6 @@ impl Decoder {
             MbPrediction::new(self.kernels, &self.recon, mb, mv).store(dst, mb);
         }
     }
-}
-
-/// A picture under reconstruction (internal).
-struct Picture {
-    recon: Frame,
-    /// Mode of every macroblock decoded so far, in raster order.
-    mb_modes: Vec<MbMode>,
-    /// Motion field: starts as the previous picture's, so macroblocks
-    /// concealed after damage keep their previous motion and a later
-    /// motion-copy concealment still has a plausible field.
-    mvs: Vec<SubPelVector>,
-    /// The first macroblock whose data failed to parse, with the error;
-    /// `None` when every macroblock decoded.
-    damage: Option<(usize, DecodeError)>,
 }
 
 /// Parses macroblock `mb` of a picture with header `h` — only the COD and
@@ -803,6 +823,29 @@ mod tests {
         let err = dec.decode_frame(&e1.data[..e1.data.len() / 2]);
         assert!(err.is_err());
         assert_eq!(dec.last_frame(), &d0, "reference must survive a bad frame");
+    }
+
+    #[test]
+    fn a_failed_strict_decode_keeps_the_motion_field() {
+        // Motion-copy concealment reads the committed motion field, so a
+        // decoder that rejected a frame must conceal the next loss exactly
+        // like one that never saw that frame.
+        let mut enc = Encoder::new(EncoderConfig::default());
+        let mut policy = NaturalPolicy::new();
+        let mut seq = SyntheticSequence::foreman_class(9);
+        let streams: Vec<_> = (0..4)
+            .map(|_| enc.encode_frame(&seq.next_frame(), &mut policy).data)
+            .collect();
+        let mut tried = Decoder::with_concealment(VideoFormat::QCIF, Concealment::MotionCopy);
+        let mut clean = Decoder::with_concealment(VideoFormat::QCIF, Concealment::MotionCopy);
+        for data in &streams[..3] {
+            tried.decode_frame(data).unwrap();
+            clean.decode_frame(data).unwrap();
+        }
+        let cut = &streams[3][..streams[3].len() * 3 / 4];
+        assert!(tried.decode_frame(cut).is_err());
+        assert_eq!(tried.last_frame(), clean.last_frame());
+        assert_eq!(tried.conceal_lost_frame(), clean.conceal_lost_frame());
     }
 
     #[test]

@@ -57,7 +57,7 @@
 //!   warm-up on either schedule (a counting-allocator test asserts this).
 
 use crate::bitstream::BitWriter;
-use crate::kernels::{KernelChoice, Kernels};
+use crate::kernels::{KernelTier, Kernels};
 use crate::mb::{FrameStats, MbMode, MotionVector, SubPelVector};
 use crate::mbcode::{code_intra_mb, BlockCodeCfg};
 use crate::mc::LUMA_BLOCK;
@@ -102,11 +102,12 @@ pub struct OptConfig {
     /// bitstream is deterministic and independent of the thread count.
     pub slices: u8,
     /// Which SIMD pixel-kernel tier to dispatch through
-    /// ([`crate::kernels`]). [`KernelChoice::Auto`] (the default) uses
-    /// the process-wide active tier — the detected best, or the
-    /// `PBPAIR_KERNELS` override; forcing a tier pins this encoder only.
+    /// ([`crate::kernels`]). `None` (the default) uses the process-wide
+    /// active tier ([`Kernels::active`]) — the detected best, or the
+    /// `PBPAIR_KERNELS` override; `Some(tier)` pins this encoder only
+    /// and panics at [`Encoder::new`] if the host lacks the tier.
     /// Every tier produces the exact same bitstream.
-    pub kernels: KernelChoice,
+    pub kernels: Option<KernelTier>,
 }
 
 impl Default for OptConfig {
@@ -117,7 +118,7 @@ impl Default for OptConfig {
             fast_me: true,
             fused_transform: true,
             slices: 1,
-            kernels: KernelChoice::Auto,
+            kernels: None,
         }
     }
 }
@@ -131,7 +132,7 @@ impl OptConfig {
             fast_me: false,
             fused_transform: false,
             slices: 1,
-            kernels: KernelChoice::Scalar,
+            kernels: Some(KernelTier::Scalar),
         }
     }
 }
@@ -355,7 +356,10 @@ impl Encoder {
         let mbs = grid.len();
         Encoder {
             cfg,
-            kernels: cfg.opt.kernels.resolve(),
+            kernels: cfg
+                .opt
+                .kernels
+                .map_or_else(Kernels::active, Kernels::forced),
             grid,
             recon: Frame::new(cfg.format),
             prev_original: Frame::new(cfg.format),

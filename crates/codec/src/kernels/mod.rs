@@ -7,23 +7,25 @@
 //! a [`Kernels`] vtable: a struct of function pointers with one
 //! implementation *tier* per instruction set. The scalar tier is the
 //! reference implementation (it delegates to the exact scalar code the
-//! rest of the crate has always run); the SSE2/AVX2 tiers (and NEON on
-//! `aarch64`) are **bit-identical** replacements proven by the
+//! rest of the crate has always run); SSE2 on `x86_64` and NEON on
+//! `aarch64` are **bit-identical** replacements proven by the
 //! differential proptests in `tests/kernel_equiv.rs` and the forced-tier
-//! golden matrix in `crates/core/tests/golden_schemes.rs`.
+//! golden matrix in `crates/core/tests/golden_schemes.rs`. Both SIMD
+//! tiers are baseline on their architecture, so no function needs a
+//! `target_feature` attribute.
 //!
 //! # Dispatch
 //!
 //! The best tier is detected once per process
-//! ([`Kernels::detect_best`], via `is_x86_feature_detected!`) and cached
-//! by [`Kernels::active`]. Two overrides exist:
+//! ([`Kernels::detect_best`]) and cached by [`Kernels::active`]. Two
+//! overrides exist:
 //!
-//! * the `PBPAIR_KERNELS` environment variable
-//!   (`scalar|sse2|avx2|neon`) pins the process-wide active tier — CI
-//!   runs the whole suite under each forced tier;
-//! * [`KernelChoice`] on [`crate::OptConfig`] pins a tier per encoder
-//!   (and [`crate::Decoder::set_kernels`] per decoder) without touching
-//!   process state — the in-process test matrix uses this.
+//! * the `PBPAIR_KERNELS` environment variable (`scalar|sse2|neon`)
+//!   pins the process-wide active tier — CI runs the golden suites under
+//!   each forced tier;
+//! * `Some(tier)` in [`crate::OptConfig::kernels`] pins a tier per
+//!   encoder (and [`crate::Decoder::set_kernels`] per decoder) without
+//!   touching process state — the in-process test matrix uses this.
 //!
 //! # Invariants every tier must uphold
 //!
@@ -60,21 +62,18 @@ pub enum KernelTier {
     /// SSE2: `_mm_sad_epu8` SAD, `pmaddwd` DCT pair, `pavgb`/widening
     /// half-pel, saturating-pack reconstruction (x86-64 baseline).
     Sse2,
-    /// AVX2: two-row SAD, splat-multiply 8-lane i32 DCT pair.
-    Avx2,
     /// NEON SAD/half-pel/reconstruction (aarch64; DCTs fall back to
     /// scalar).
     Neon,
 }
 
 impl KernelTier {
-    /// Stable lower-case label (`scalar`, `sse2`, `avx2`, `neon`) —
+    /// Stable lower-case label (`scalar`, `sse2`, `neon`) —
     /// the vocabulary of `PBPAIR_KERNELS` and the bench JSON.
     pub fn label(&self) -> &'static str {
         match self {
             KernelTier::Scalar => "scalar",
             KernelTier::Sse2 => "sse2",
-            KernelTier::Avx2 => "avx2",
             KernelTier::Neon => "neon",
         }
     }
@@ -84,7 +83,6 @@ impl KernelTier {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelTier::Scalar),
             "sse2" => Some(KernelTier::Sse2),
-            "avx2" => Some(KernelTier::Avx2),
             "neon" => Some(KernelTier::Neon),
             _ => None,
         }
@@ -94,56 +92,6 @@ impl KernelTier {
 impl std::fmt::Display for KernelTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// Which kernel tier an encoder (or decoder) should use — carried on
-/// [`crate::OptConfig`] so the dispatch point is configuration, not
-/// global state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelChoice {
-    /// Use the process-wide active tier ([`Kernels::active`]): the
-    /// detected best, or the `PBPAIR_KERNELS` override.
-    #[default]
-    Auto,
-    /// Force the scalar reference tier.
-    Scalar,
-    /// Force SSE2.
-    Sse2,
-    /// Force AVX2.
-    Avx2,
-    /// Force NEON.
-    Neon,
-}
-
-impl KernelChoice {
-    /// Pins a specific tier.
-    pub fn forced(tier: KernelTier) -> KernelChoice {
-        match tier {
-            KernelTier::Scalar => KernelChoice::Scalar,
-            KernelTier::Sse2 => KernelChoice::Sse2,
-            KernelTier::Avx2 => KernelChoice::Avx2,
-            KernelTier::Neon => KernelChoice::Neon,
-        }
-    }
-
-    /// Resolves this choice to a kernel table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a forced tier is not compiled/available on this host
-    /// (misconfiguration should fail loudly, exactly like a bad
-    /// `PBPAIR_KERNELS` value).
-    pub fn resolve(&self) -> &'static Kernels {
-        let tier = match self {
-            KernelChoice::Auto => return Kernels::active(),
-            KernelChoice::Scalar => KernelTier::Scalar,
-            KernelChoice::Sse2 => KernelTier::Sse2,
-            KernelChoice::Avx2 => KernelTier::Avx2,
-            KernelChoice::Neon => KernelTier::Neon,
-        };
-        Kernels::get(tier)
-            .unwrap_or_else(|| panic!("kernel tier `{tier}` is not available on this host"))
     }
 }
 
@@ -284,9 +232,7 @@ impl Kernels {
         match tier {
             KernelTier::Scalar => Some(&SCALAR),
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Sse2 => is_x86_feature_detected!("sse2").then_some(x86::sse2_kernels()),
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx2 => is_x86_feature_detected!("avx2").then_some(x86::avx2_kernels()),
+            KernelTier::Sse2 => Some(x86::sse2_kernels()),
             #[cfg(target_arch = "aarch64")]
             KernelTier::Neon => {
                 std::arch::is_aarch64_feature_detected!("neon").then_some(neon::neon_kernels())
@@ -298,15 +244,23 @@ impl Kernels {
 
     /// Every tier available on this host, scalar first, fastest last.
     pub fn available() -> Vec<KernelTier> {
-        [
-            KernelTier::Scalar,
-            KernelTier::Sse2,
-            KernelTier::Avx2,
-            KernelTier::Neon,
-        ]
-        .into_iter()
-        .filter(|&t| Kernels::get(t).is_some())
-        .collect()
+        [KernelTier::Scalar, KernelTier::Sse2, KernelTier::Neon]
+            .into_iter()
+            .filter(|&t| Kernels::get(t).is_some())
+            .collect()
+    }
+
+    /// The table for a forced `tier` — what `Some(tier)` in
+    /// [`crate::OptConfig::kernels`] and [`crate::Decoder::set_kernels`]
+    /// dispatch through.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tier` is not available on this host (misconfiguration
+    /// should fail loudly, exactly like a bad `PBPAIR_KERNELS` value).
+    pub fn forced(tier: KernelTier) -> &'static Kernels {
+        Kernels::get(tier)
+            .unwrap_or_else(|| panic!("kernel tier `{tier}` is not available on this host"))
     }
 
     /// The fastest tier the running CPU supports.
@@ -316,9 +270,32 @@ impl Kernels {
             .expect("scalar always available")
     }
 
-    /// The process-wide active table: the `PBPAIR_KERNELS` override if
-    /// set, otherwise [`Kernels::detect_best`]. Resolved once and
-    /// cached.
+    /// The table `PBPAIR_KERNELS` names, or the [`Kernels::detect_best`]
+    /// one when the variable is unset. Command lines call this first to
+    /// reject a bad value before doing any work.
+    ///
+    /// # Errors
+    ///
+    /// Returns the message for a value that names no tier available on
+    /// this host.
+    pub fn from_env() -> Result<&'static Kernels, String> {
+        let Some(v) = std::env::var_os("PBPAIR_KERNELS") else {
+            return Ok(Kernels::forced(Kernels::detect_best()));
+        };
+        v.to_str()
+            .and_then(KernelTier::parse)
+            .and_then(Kernels::get)
+            .ok_or_else(|| {
+                let tiers: Vec<_> = Kernels::available().iter().map(|t| t.label()).collect();
+                format!(
+                    "PBPAIR_KERNELS expects one of {}, got {v:?}",
+                    tiers.join(", ")
+                )
+            })
+    }
+
+    /// The process-wide active table, [`Kernels::from_env`] resolved once
+    /// and cached.
     ///
     /// # Panics
     ///
@@ -327,16 +304,7 @@ impl Kernels {
     /// never silently fall back.
     pub fn active() -> &'static Kernels {
         static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
-        ACTIVE.get_or_init(|| {
-            let tier = match std::env::var("PBPAIR_KERNELS") {
-                Ok(s) => KernelTier::parse(&s)
-                    .unwrap_or_else(|| panic!("PBPAIR_KERNELS: unknown tier `{s}`")),
-                Err(_) => Kernels::detect_best(),
-            };
-            Kernels::get(tier).unwrap_or_else(|| {
-                panic!("PBPAIR_KERNELS: tier `{tier}` is not available on this host")
-            })
-        })
+        ACTIVE.get_or_init(|| Kernels::from_env().unwrap_or_else(|e| panic!("{e}")))
     }
 
     /// A deliberately coarser bounded-SAD tier for contract tests: the
@@ -481,13 +449,13 @@ pub(crate) fn store_clamped8_scalar(dst: &mut [u8], data: &[i32]) {
 }
 
 // ---------------------------------------------------------------------
-// Shared DCT range-gating. A SIMD transform is exact only while its
-// intermediates fit the lane widths it uses; the gates are derived from
+// DCT range-gating. A SIMD transform is exact only while its
+// intermediates fit the lane widths it uses; the gate is derived from
 // the actual basis table so the proof is arithmetic, not hopeful.
 // ---------------------------------------------------------------------
 
-/// Derived integer-range facts about the Q12 basis, shared by the SIMD
-/// DCT implementations to compute their exact-domain gates.
+/// Derived integer-range facts about the Q12 basis, from which the SIMD
+/// DCT computes its exact-domain gate.
 pub(crate) struct DctRange {
     /// `max_k Σ_n |b[k][n]|` — the worst-case 1-D gain at Q12 scale.
     /// Read by the gate-derivation tests.
@@ -497,9 +465,6 @@ pub(crate) struct DctRange {
     /// two-stage transform is exact: input and stage-1 output both fit
     /// `i16`, stage-2 accumulators fit `i32`.
     pub gate_i16: i32,
-    /// Largest `max|input|` for which a 32-bit-lane two-stage transform
-    /// is exact (both stages' accumulators fit `i32`).
-    pub gate_i32: i32,
 }
 
 pub(crate) fn dct_range() -> &'static DctRange {
@@ -518,15 +483,10 @@ pub(crate) fn dct_range() -> &'static DctRange {
         // pmaddwd accumulator tmp_max·s must fit i32 (it does whenever
         // tmp_max fits i16, since i16::MAX·s < 2³¹ for s < 2¹⁶).
         let gate_i16 = ((((i16::MAX as i64) << Q) - HALF) / s).min(i16::MAX as i64) as i32;
-        // i32 path: stage-1 accumulator g·s and stage-2 accumulator
-        // tmp_max·s must both fit i32.
-        let tmp_cap = (i32::MAX as i64) / s;
-        let gate_i32 = (((tmp_cap << Q) - HALF) / s).min(i32::MAX as i64) as i32;
         debug_assert!(gate_i16 >= 8192, "i16 DCT gate unexpectedly tight");
         DctRange {
             row_abs_sum,
             gate_i16,
-            gate_i32,
         }
     })
 }
@@ -544,15 +504,11 @@ mod tests {
 
     #[test]
     fn labels_roundtrip() {
-        for tier in [
-            KernelTier::Scalar,
-            KernelTier::Sse2,
-            KernelTier::Avx2,
-            KernelTier::Neon,
-        ] {
+        for tier in [KernelTier::Scalar, KernelTier::Sse2, KernelTier::Neon] {
             assert_eq!(KernelTier::parse(tier.label()), Some(tier));
         }
-        assert_eq!(KernelTier::parse("AVX2 "), Some(KernelTier::Avx2));
+        assert_eq!(KernelTier::parse("SSE2 "), Some(KernelTier::Sse2));
+        assert_eq!(KernelTier::parse("avx2"), None);
         assert_eq!(KernelTier::parse("mmx"), None);
     }
 
@@ -569,7 +525,7 @@ mod tests {
     #[test]
     fn forced_choice_resolves_to_its_tier() {
         for t in Kernels::available() {
-            assert_eq!(KernelChoice::forced(t).resolve().tier(), t);
+            assert_eq!(Kernels::forced(t).tier(), t);
         }
     }
 
@@ -580,8 +536,7 @@ mod tests {
         // 7905 and the intra DC at 255·8 = 2040; the i16 gate must
         // clear both so real streams never hit the scalar fallback.
         assert!(r.gate_i16 >= 7905, "gate_i16 = {}", r.gate_i16);
-        assert!(r.gate_i32 >= r.gate_i16);
-        // And the gates really are exact domains: a value just inside
+        // And the gate really is an exact domain: a value just inside
         // must satisfy the stage bounds used in their derivation.
         let tmp_max = ((r.gate_i16 as i64 * r.row_abs_sum) + HALF) >> Q;
         assert!(tmp_max <= i16::MAX as i64);

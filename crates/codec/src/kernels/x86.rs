@@ -1,12 +1,8 @@
-//! SSE2 and AVX2 kernel tiers (x86-64).
+//! The SSE2 kernel tier (x86-64).
 //!
 //! SSE2 is baseline on `x86_64`, so its kernels are plain safe functions
 //! (`unsafe` only for the unaligned loads/stores, whose bounds the
-//! [`Kernels`](super::Kernels) wrappers assert). AVX2 entry points are
-//! safe shims over `#[target_feature(enable = "avx2")]` inner functions
-//! — `target_feature` functions cannot coerce to the vtable's plain `fn`
-//! pointers — and the AVX2 table is only ever handed out after
-//! `is_x86_feature_detected!("avx2")`.
+//! [`Kernels`](super::Kernels) wrappers assert).
 //!
 //! # Exactness
 //!
@@ -15,11 +11,11 @@
 //!   the limit per row, so `(acc, ops)` match the scalar tier exactly.
 //! * DCT pair: both stages are the same Q12 multiply–accumulate with
 //!   `(acc + HALF) >> 12` rounding as the scalar transforms; inputs are
-//!   range-gated (gates derived from the basis in
+//!   range-gated (the gate is derived from the basis in
 //!   [`super::dct_range`]) so every intermediate provably fits the lane
-//!   width used — SSE2 packs stage-1 output to `i16` for `pmaddwd`,
-//!   AVX2 stays in `i32` lanes — and out-of-gate blocks (possible only
-//!   via corrupt bitstreams) fall back to the scalar transform.
+//!   width used — stage-1 output is packed to `i16` for `pmaddwd` — and
+//!   out-of-gate blocks (possible only via corrupt bitstreams) fall back
+//!   to the scalar transform.
 //! * Half-pel: `_mm_avg_epu8` computes `(a + b + 1) >> 1`, exactly the
 //!   scalar `div_ceil(2)`; the diagonal `(a+b+c+d+2)/4` is done in
 //!   widened `u16` lanes (max 1022, no overflow).
@@ -44,26 +40,8 @@ static SSE2: Kernels = Kernels {
     store_clamped8: store_clamped8_sse2,
 };
 
-// AVX2 reuses the 128-bit kernels where a 256-bit lane buys nothing:
-// the bounded SAD must stay row-granular anyway, and the half-pel /
-// reconstruction rows are 8–16 bytes wide.
-static AVX2: Kernels = Kernels {
-    tier: KernelTier::Avx2,
-    sad16: sad16_avx2,
-    sad16_bounded: sad16_bounded_sse2,
-    fdct8: fdct8_avx2,
-    idct8: idct8_avx2,
-    halfpel: halfpel_sse2,
-    add_residual8: add_residual8_sse2,
-    store_clamped8: store_clamped8_sse2,
-};
-
 pub(super) fn sse2_kernels() -> &'static Kernels {
     &SSE2
-}
-
-pub(super) fn avx2_kernels() -> &'static Kernels {
-    &AVX2
 }
 
 // ---------------------------------------------------------------------
@@ -111,32 +89,6 @@ fn sad16_bounded_sse2(
     (acc, ops)
 }
 
-fn sad16_avx2(a: &[u8], a_stride: usize, b: &[u8], b_stride: usize) -> u64 {
-    // Safety: the AVX2 table is only reachable after feature detection.
-    unsafe { sad16_avx2_inner(a, a_stride, b, b_stride) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn sad16_avx2_inner(a: &[u8], a_stride: usize, b: &[u8], b_stride: usize) -> u64 {
-    // The rows are strided, so a 256-bit load cannot span two of them;
-    // gathering row pairs through `vinserti128` costs more uops than it
-    // saves. Two independent 128-bit `vpsadbw` chains (VEX-encoded,
-    // three-operand) beat both that and the single-chain SSE2 loop.
-    let mut acc0 = _mm_setzero_si128();
-    let mut acc1 = _mm_setzero_si128();
-    for y in (0..16).step_by(2) {
-        let a0 = _mm_loadu_si128(a.as_ptr().add(y * a_stride) as *const __m128i);
-        let b0 = _mm_loadu_si128(b.as_ptr().add(y * b_stride) as *const __m128i);
-        let a1 = _mm_loadu_si128(a.as_ptr().add((y + 1) * a_stride) as *const __m128i);
-        let b1 = _mm_loadu_si128(b.as_ptr().add((y + 1) * b_stride) as *const __m128i);
-        acc0 = _mm_add_epi64(acc0, _mm_sad_epu8(a0, b0));
-        acc1 = _mm_add_epi64(acc1, _mm_sad_epu8(a1, b1));
-    }
-    let s = _mm_add_epi64(acc0, acc1);
-    let s = _mm_add_epi64(s, _mm_srli_si128::<8>(s));
-    _mm_cvtsi128_si64(s) as u64
-}
-
 // ---------------------------------------------------------------------
 // DCT pair
 //
@@ -161,13 +113,8 @@ struct DctTables {
     inv_row_pairs: [[[i16; 8]; 2]; 4],
     /// Stage-2 splat pairs, inverse: `[n][p]` packs `(b[2p][n], b[2p+1][n])`.
     inv_col_pairs: [[i32; 4]; 8],
-    /// The basis itself (AVX2 stage tables): `b[k]` rows…
-    b_rows: &'static [[i32; 8]; 8],
-    /// …and its transpose `bt[n][k] = b[k][n]`.
-    bt_rows: [[i32; 8]; 8],
-    /// Exact-domain gates (see [`super::DctRange`]).
+    /// Exact-domain gate (see [`super::DctRange`]).
     gate_i16: i32,
-    gate_i32: i32,
 }
 
 /// Packs two in-`i16`-range values into one `i32` madd operand
@@ -181,16 +128,12 @@ fn tables() -> &'static DctTables {
     static T: OnceLock<DctTables> = OnceLock::new();
     T.get_or_init(|| {
         let b = dct::basis();
-        let r = super::dct_range();
         let mut t = DctTables {
             fwd_row_pairs: [[[0; 8]; 2]; 4],
             fwd_col_pairs: [[0; 4]; 8],
             inv_row_pairs: [[[0; 8]; 2]; 4],
             inv_col_pairs: [[0; 4]; 8],
-            b_rows: b,
-            bt_rows: [[0; 8]; 8],
-            gate_i16: r.gate_i16,
-            gate_i32: r.gate_i32,
+            gate_i16: super::dct_range().gate_i16,
         };
         for p in 0..4 {
             let (m0, m1) = (2 * p, 2 * p + 1);
@@ -206,11 +149,6 @@ fn tables() -> &'static DctTables {
             for (lane, row) in b.iter().enumerate() {
                 t.fwd_col_pairs[lane][p] = pack_pair(row[m0], row[m1]);
                 t.inv_col_pairs[lane][p] = pack_pair(b[m0][lane], b[m1][lane]);
-            }
-        }
-        for (k, row) in b.iter().enumerate() {
-            for (n, &v) in row.iter().enumerate() {
-                t.bt_rows[n][k] = v;
             }
         }
         t
@@ -283,60 +221,6 @@ fn idct8_sse2(input: &[i32; BLOCK_LEN], output: &mut [i32; BLOCK_LEN]) {
         return dct::inverse(input, output);
     }
     unsafe { dct2d_madd_sse2(input, output, &t.inv_row_pairs, &t.inv_col_pairs) }
-}
-
-/// Shared two-stage splat-multiply transform in full i32 lanes (one
-/// vector per 8-wide output row). `vec_rows` is the stage-1 table whose
-/// *rows* are loaded (`bT` forward, `b` inverse); `splat_rows` is the
-/// stage-2 table whose entries are splatted (`b` forward, `bT` inverse).
-/// Caller must have gate-checked against `gate_i32`; within the gate
-/// every true accumulator fits `i32`, so wrapping lane adds are exact.
-#[target_feature(enable = "avx2")]
-unsafe fn dct2d_mullo_avx2(
-    input: &[i32; BLOCK_LEN],
-    output: &mut [i32; BLOCK_LEN],
-    vec_rows: &[[i32; 8]; 8],
-    splat_rows: &[[i32; 8]; 8],
-) {
-    let half = _mm256_set1_epi32(HALF as i32);
-    let mut tmp = [_mm256_setzero_si256(); 8];
-    for (y, dst) in tmp.iter_mut().enumerate() {
-        let mut acc = half;
-        for (m, row) in vec_rows.iter().enumerate() {
-            let v = _mm256_loadu_si256(row.as_ptr() as *const __m256i);
-            acc = _mm256_add_epi32(
-                acc,
-                _mm256_mullo_epi32(_mm256_set1_epi32(input[y * 8 + m]), v),
-            );
-        }
-        *dst = _mm256_srai_epi32::<SH>(acc);
-    }
-    for (i, coefs) in splat_rows.iter().enumerate() {
-        let mut acc = half;
-        for (m, &c) in coefs.iter().enumerate() {
-            acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(_mm256_set1_epi32(c), tmp[m]));
-        }
-        _mm256_storeu_si256(
-            output[i * 8..].as_mut_ptr() as *mut __m256i,
-            _mm256_srai_epi32::<SH>(acc),
-        );
-    }
-}
-
-fn fdct8_avx2(input: &[i32; BLOCK_LEN], output: &mut [i32; BLOCK_LEN]) {
-    let t = tables();
-    if !within_gate(input, t.gate_i32) {
-        return dct::forward(input, output);
-    }
-    unsafe { dct2d_mullo_avx2(input, output, &t.bt_rows, t.b_rows) }
-}
-
-fn idct8_avx2(input: &[i32; BLOCK_LEN], output: &mut [i32; BLOCK_LEN]) {
-    let t = tables();
-    if !within_gate(input, t.gate_i32) {
-        return dct::inverse(input, output);
-    }
-    unsafe { dct2d_mullo_avx2(input, output, t.b_rows, &t.bt_rows) }
 }
 
 // ---------------------------------------------------------------------

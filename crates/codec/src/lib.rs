@@ -34,7 +34,7 @@
 //!     let frame = seq.next_frame();
 //!     let encoded = enc.encode_frame(&frame, &mut policy);
 //!     let (decoded, _report) = dec.receive(Some(&encoded.data));
-//!     assert!(metrics::psnr_y(&frame, &decoded) > 25.0);
+//!     assert!(metrics::psnr_y(&frame, decoded) > 25.0);
 //! }
 //! println!("SAD ops executed: {}", enc.ops().sad_ops);
 //! ```
@@ -64,7 +64,7 @@ pub mod zigzag;
 pub use bitstream::BitstreamError;
 pub use decoder::{Concealment, DecodeError, DecodeReport, DecodedInfo, Decoder};
 pub use encoder::{EncodedFrame, Encoder, EncoderConfig, OptConfig};
-pub use kernels::{KernelChoice, KernelTier, Kernels};
+pub use kernels::{KernelTier, Kernels};
 pub use mb::{FrameStats, MbMode, MotionVector};
 pub use me::{MeConfig, MeResult, SearchStrategy};
 pub use ops::OpCounts;

@@ -1,7 +1,11 @@
 //! Proves the zero-allocation steady state of the encode hot path: after
 //! warm-up, [`pbpair_codec::Encoder::encode_frame_into`] must perform no
 //! heap allocation at all, on the serial schedule and on the slice
-//! schedule alike. A counting global allocator measures both directly.
+//! schedule alike. It also bounds the receiver: after warm-up,
+//! [`pbpair_codec::Decoder::receive`] allocates only the picture it
+//! reconstructs (one buffer per plane) for an intact or a truncated
+//! frame, and nothing when copy concealment repeats the reference. A
+//! counting global allocator measures all of them directly.
 //!
 //! This file intentionally contains a **single** test: the allocation
 //! counter is process-global, and a sibling test running concurrently
@@ -10,8 +14,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pbpair_codec::{EncodedFrame, Encoder, EncoderConfig, NaturalPolicy, OptConfig};
+use pbpair_codec::{Decoder, EncodedFrame, Encoder, EncoderConfig, NaturalPolicy, OptConfig};
 use pbpair_media::synth::SyntheticSequence;
+use pbpair_media::VideoFormat;
 
 /// Counts every allocation and reallocation (deallocations are free —
 /// the steady state is allowed to drop nothing either, but returning
@@ -70,6 +75,31 @@ fn max_allocs_per_frame(opt: OptConfig, frames: &[pbpair_media::Frame]) -> u64 {
     worst
 }
 
+/// The allocations of a reconstructed picture: one buffer per plane.
+const PICTURE_ALLOCS: u64 = 3;
+
+/// What reaches the receiver of one encoded frame.
+type Arrival = fn(&[u8]) -> Option<&[u8]>;
+
+/// Receives what `arrive` makes of each of `streams` after a four-frame
+/// warm-up of intact frames, and returns the most allocations any one
+/// steady-state `receive` call performed.
+fn max_allocs_per_receive(streams: &[Vec<u8>], arrive: Arrival) -> u64 {
+    let mut dec = Decoder::new(VideoFormat::QCIF);
+    for data in &streams[..4] {
+        dec.receive(Some(data));
+    }
+    let mut worst = 0;
+    for data in &streams[4..] {
+        let arrived = arrive(data);
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let (shown, _) = dec.receive(arrived);
+        worst = worst.max(ALLOCATIONS.load(Ordering::SeqCst) - before);
+        assert_eq!(shown.format(), VideoFormat::QCIF);
+    }
+    worst
+}
+
 #[test]
 fn steady_state_encoding_performs_no_heap_allocation() {
     let mut seq = SyntheticSequence::foreman_class(17);
@@ -91,5 +121,29 @@ fn steady_state_encoding_performs_no_heap_allocation() {
     assert_eq!(
         sliced, 0,
         "steady-state 2-slice encode_frame_into must not allocate ({sliced} allocations in one frame)"
+    );
+
+    // The receiver, over the same clip encoded once up front.
+    let mut enc = Encoder::new(EncoderConfig::default());
+    let mut policy = NaturalPolicy::new();
+    let streams: Vec<Vec<u8>> = frames
+        .iter()
+        .map(|f| enc.encode_frame(f, &mut policy).data)
+        .collect();
+    let arrivals: [(&str, Arrival); 2] = [
+        ("an intact frame", |d| Some(d)),
+        ("a truncated frame", |d| Some(&d[..d.len() / 2])),
+    ];
+    for (what, arrive) in arrivals {
+        let worst = max_allocs_per_receive(&streams, arrive);
+        assert!(
+            worst <= PICTURE_ALLOCS,
+            "receiving {what} must allocate only its picture ({worst} allocations in one frame)"
+        );
+    }
+    let lost = max_allocs_per_receive(&streams, |_| None);
+    assert_eq!(
+        lost, 0,
+        "copy concealment of a lost frame must not allocate ({lost} allocations in one frame)"
     );
 }

@@ -205,7 +205,7 @@ fn coeff_block_roundtrips_at_extreme_positions() {
 /// produce the identical bitstream and a drift-free decode on both.
 #[test]
 fn kernel_tiers_agree_on_vector_tail_formats() {
-    use pbpair_codec::{KernelChoice, Kernels};
+    use pbpair_codec::Kernels;
     let formats = [
         (
             "48x48",
@@ -220,13 +220,13 @@ fn kernel_tiers_agree_on_vector_tail_formats() {
             let mut enc = Encoder::new(EncoderConfig {
                 format,
                 opt: OptConfig {
-                    kernels: KernelChoice::forced(tier),
+                    kernels: Some(tier),
                     ..OptConfig::default()
                 },
                 ..EncoderConfig::default()
             });
             let mut dec = Decoder::new(format);
-            dec.set_kernels(KernelChoice::forced(tier));
+            dec.set_kernels(tier);
             let mut policy = NaturalPolicy::new();
             let mut streams = Vec::new();
             for (i, (dx, dy)) in motions.iter().enumerate() {

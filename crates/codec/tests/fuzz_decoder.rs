@@ -182,7 +182,7 @@ fn strict_and_resilient_decoding_agree() {
         let before = strict.last_frame().clone();
         let (frame, report) = resilient.decode_frame_resilient(&data);
         let (shown, received) = receiver.receive(Some(&data));
-        assert_eq!(shown, frame, "case {case}: receive shows another frame");
+        assert_eq!(shown, &frame, "case {case}: receive shows another frame");
         assert_eq!(received, report, "case {case}: receive reports otherwise");
         let report_clean = !report.any_damage();
         match strict.decode_frame(&data) {
@@ -219,7 +219,7 @@ fn strict_and_resilient_decoding_agree() {
                 Some(bytes) => strict.decode_frame(bytes).expect("intact frame").0,
                 None => strict.conceal_lost_frame(),
             };
-            assert_eq!(shown, expected, "{concealment:?}, frame {i}");
+            assert_eq!(shown, &expected, "{concealment:?}, frame {i}");
             assert_eq!(report.frames_decoded, u64::from(arrived.is_some()));
             assert!(!report.any_damage(), "{concealment:?}, frame {i}");
         }

@@ -226,8 +226,9 @@ fn candidate_clamping_respects_the_search_window() {
 // ---------------------------------------------------------------------
 // Per-tier differential matrix: every SIMD tier against the scalar
 // reference, kernel by kernel. Each property loops over
-// `Kernels::available()` so the same binary exercises scalar-only hosts
-// and AVX2 hosts alike; forcing a tier via PBPAIR_KERNELS is *not*
+// `Kernels::available()` so the same binary exercises every tier the
+// host has (scalar and SSE2 on x86-64, scalar and NEON on aarch64);
+// forcing a tier via PBPAIR_KERNELS is *not*
 // needed for coverage here (the CI dispatch matrix covers the
 // process-global selection path instead).
 // ---------------------------------------------------------------------

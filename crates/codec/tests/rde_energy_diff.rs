@@ -22,15 +22,15 @@
 //! controller both off and active.
 //!
 //! The second half pins tier invariance: the memory-traffic counts (and
-//! every other op count) are byte-for-byte identical across the scalar,
-//! SSE2, and AVX2 kernel tiers, because they are charged per decision,
-//! never per SIMD lane.
+//! every other op count) are byte-for-byte identical across every kernel
+//! tier the host has (scalar and SSE2 on x86-64, scalar and NEON on
+//! aarch64), because they are charged per decision, never per SIMD lane.
 
 use pbpair_codec::mb::SubPelVector;
 use pbpair_codec::policy::NaturalPolicy;
 use pbpair_codec::rde::mc_read_bytes;
 use pbpair_codec::{
-    Encoder, EncoderConfig, KernelChoice, Kernels, MotionVector, OpCounts, OptConfig, RdeConfig,
+    Encoder, EncoderConfig, KernelTier, Kernels, MotionVector, OpCounts, OptConfig, RdeConfig,
 };
 use pbpair_media::synth::SyntheticSequence;
 use pbpair_trace::event::{MODE_INTER, MODE_INTRA, MODE_SKIP};
@@ -167,7 +167,7 @@ fn memory_traffic_matches_brute_force_replay_with_active_rde() {
 /// so λ-driven choices cannot vary by tier.
 #[test]
 fn rde_op_counts_are_kernel_tier_invariant() {
-    let encode = |choice: KernelChoice| {
+    let encode = |tier: KernelTier| {
         let mut enc = Encoder::new(EncoderConfig {
             rde: Some(RdeConfig {
                 lambda1_q16: 1 << 24,
@@ -175,7 +175,7 @@ fn rde_op_counts_are_kernel_tier_invariant() {
                 ..RdeConfig::default()
             }),
             opt: OptConfig {
-                kernels: choice,
+                kernels: Some(tier),
                 ..OptConfig::default()
             },
             ..EncoderConfig::default()
@@ -191,10 +191,10 @@ fn rde_op_counts_are_kernel_tier_invariant() {
 
     let tiers = Kernels::available();
     assert!(!tiers.is_empty(), "scalar tier is always available");
-    let (base_stream, base_ops) = encode(KernelChoice::forced(tiers[0]));
+    let (base_stream, base_ops) = encode(tiers[0]);
     assert!(base_ops.ref_read_bytes > 0 && base_ops.recon_write_bytes > 0);
     for &tier in &tiers[1..] {
-        let (stream, ops) = encode(KernelChoice::forced(tier));
+        let (stream, ops) = encode(tier);
         assert_eq!(
             stream, base_stream,
             "{tier:?}: bitstream diverged from scalar"

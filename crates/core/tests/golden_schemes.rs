@@ -26,9 +26,9 @@ use pbpair::schemes::LatePbpairPolicy;
 use pbpair::{AirPolicy, GopPolicy, NoPolicy, PbpairConfig, PbpairPolicy, PgopPolicy};
 use pbpair_codec::policy::RefreshPolicy;
 use pbpair_codec::{
-    Decoder, Encoder, EncoderConfig, FrameContext, FrameKind, FrameStats, FrozenMeBias,
-    KernelChoice, Kernels, MbContext, MbMode, MbOutcome, MeConfig, MeResult, MotionVector,
-    OpCounts, OptConfig, PostMeDecision, PreMeDecision, RdeConfig, SearchStrategy,
+    Decoder, Encoder, EncoderConfig, FrameContext, FrameKind, FrameStats, FrozenMeBias, Kernels,
+    MbContext, MbMode, MbOutcome, MeConfig, MeResult, MotionVector, OpCounts, OptConfig,
+    PostMeDecision, PreMeDecision, RdeConfig, SearchStrategy,
 };
 use pbpair_media::synth::SyntheticSequence;
 use pbpair_media::{Frame, MbIndex, VideoFormat};
@@ -270,7 +270,7 @@ fn observe(scheme: &str, strategy: SearchStrategy, arm: Arm, opt: OptConfig) -> 
 /// the given kernel tier, returning the decoded frames.
 fn decode_all(stream: &[u8], tier: pbpair_codec::KernelTier) -> Vec<Frame> {
     let mut dec = Decoder::new(VideoFormat::QCIF);
-    dec.set_kernels(KernelChoice::forced(tier));
+    dec.set_kernels(tier);
     let mut frames = Vec::new();
     let mut rest = stream;
     while !rest.is_empty() {
@@ -410,7 +410,7 @@ fn every_scheme_and_search_matches_its_golden_digest_under_all_optimizations() {
 }
 
 /// The forced-dispatch kernel matrix: every golden vector re-encoded with
-/// every available SIMD tier pinned via [`KernelChoice::forced`] must
+/// every available SIMD tier pinned via `OptConfig::kernels` must
 /// reproduce the committed digest byte for byte, with identical
 /// operation counts (so the paper's energy model sees the same inputs
 /// regardless of the host's vector units). Decoder side, every tier must
@@ -429,7 +429,7 @@ fn golden_digests_are_kernel_tier_invariant() {
         let mut reference: Option<(Vec<u8>, OpCounts, Vec<Frame>)> = None;
         for &tier in &tiers {
             let opt = OptConfig {
-                kernels: KernelChoice::forced(tier),
+                kernels: Some(tier),
                 ..OptConfig::default()
             };
             let Observed { stream, ops, .. } = observe(v.scheme, v.strategy, PLAIN, opt);

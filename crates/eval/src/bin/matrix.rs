@@ -30,7 +30,8 @@
 //! any `--workers N` — `ci/validate_scenarios.py
 //! [--dashboard|--fec|--rde|--trace]` gates it against the committed
 //! bounds. `--smoke` runs the CI depth; `PBPAIR_FRAMES` overrides the
-//! frames-per-session depth.
+//! frames-per-session depth. A bad `PBPAIR_FRAMES` or `PBPAIR_KERNELS`
+//! value is a bad argument.
 //!
 //! `--telemetry` reports every fleet into one shared registry and
 //! prints the full [`pbpair_telemetry::TelemetryReport`] as JSON on
@@ -43,6 +44,7 @@
 //! Bad arguments exit with status 2 and a message; a failed run exits
 //! with status 1.
 
+use pbpair_codec::Kernels;
 use pbpair_eval::experiments::{
     dashboard, fec, frames_from_env, parse_workers, rde, scenarios, trace,
 };
@@ -139,6 +141,7 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         return Err("--csv applies only to dashboard".into());
     }
     args.depth = matrix.depth(args.smoke)?;
+    Kernels::from_env()?;
     Ok(args)
 }
 

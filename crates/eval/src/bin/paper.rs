@@ -28,7 +28,8 @@
 //!   <experiment> [--telemetry] [--trace-out PATH]`
 //!
 //! `PBPAIR_FRAMES=<n>` (n ≥ 10) overrides the depth for a quick pass;
-//! any other value is a bad argument, whichever experiment runs.
+//! any other value is a bad argument, whichever experiment runs, and so
+//! is a `PBPAIR_KERNELS` value that names no kernel tier of this host.
 //!
 //! `--telemetry` and `--trace-out` apply only to `resilience`. With
 //! `--telemetry` both of its experiments run instrumented and the merged
@@ -40,6 +41,7 @@
 //! Bad arguments exit with status 2 and a message; a failed run exits
 //! with status 1.
 
+use pbpair_codec::Kernels;
 use pbpair_eval::experiments::adaptive::{run_adaptive, LossSchedule};
 use pbpair_eval::experiments::extensions::{
     concealment_table, congestion_table, dvs_table, fec_table, run_concealment, run_congestion,
@@ -118,6 +120,7 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             return Err(format!("--trace-out does not apply to {name}"));
         }
     }
+    Kernels::from_env()?;
     Ok(Args {
         name,
         experiment,

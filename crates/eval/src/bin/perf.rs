@@ -27,8 +27,9 @@
 //!   cargo run --release -p pbpair-eval --bin perf -- --overhead      # disabled-mode guard
 //!
 //! `--kernels-info` and `--overhead` take no other flag. Bad arguments
-//! (an unknown or misplaced flag, a missing value) exit with status 2
-//! and a message; a failed run exits with status 1.
+//! (an unknown or misplaced flag, a missing value, a `PBPAIR_KERNELS`
+//! value that names no tier of this host) exit with status 2 and a
+//! message; a failed run exits with status 1.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -214,7 +215,7 @@ fn emit_json(results: &[Measurement], frames_per_clip: usize) -> String {
 /// if the running host detects a different best tier than its pin (a
 /// silent dispatch regression would otherwise bench scalar and call it
 /// a day).
-const TIER_PINS: &[(&str, &str)] = &[("x86_64", "avx2"), ("aarch64", "neon")];
+const TIER_PINS: &[(&str, &str)] = &[("x86_64", "sse2"), ("aarch64", "neon")];
 
 struct KernelMeasurement {
     kernel: &'static str,
@@ -606,6 +607,7 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             }
         }
     }
+    Kernels::from_env()?;
     Ok(args)
 }
 

@@ -33,9 +33,11 @@
 //! `--trace`, `--expose` and `--smoke` each select the smoke run; the
 //! other flags apply only to it, and `--trace-out`/`--trace-chrome` only
 //! with `--trace`, `--expose-hold` only with `--expose`. Bad arguments
-//! (an unknown or misplaced flag, a missing or malformed value) exit
-//! with status 2 and a message; a failed run exits with status 1.
+//! (an unknown or misplaced flag, a missing or malformed value, a bad
+//! `PBPAIR_FRAMES` or `PBPAIR_KERNELS` value) exit with status 2 and a
+//! message; a failed run exits with status 1.
 
+use pbpair_codec::Kernels;
 use pbpair_eval::experiments::{frames_from_env, parse_workers};
 use pbpair_eval::report::{fmt_f, Table};
 use pbpair_serve::admission::DEGRADE_FLOOR_TH;
@@ -124,6 +126,7 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         }
         args.sweep_frames = frames_from_env(24)?;
     }
+    Kernels::from_env()?;
     Ok(args)
 }
 

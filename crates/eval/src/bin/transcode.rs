@@ -16,9 +16,13 @@
 //! Example:
 //!   `cargo run --release -p pbpair-eval --bin transcode -- \
 //!      --synth foreman --scheme pbpair --plr 0.1 --frames 90 --output out.y4m`
+//!
+//! An unknown flag, a malformed value or a `PBPAIR_KERNELS` value that
+//! names no kernel tier of this host exits with status 2 and the usage
+//! line; a failed run exits with status 1.
 
 use pbpair::{PbpairConfig, SchemeSpec};
-use pbpair_codec::{Decoder, Encoder, EncoderConfig, MeConfig, Qp, SearchStrategy};
+use pbpair_codec::{Decoder, Encoder, EncoderConfig, Kernels, MeConfig, Qp, SearchStrategy};
 use pbpair_energy::{DeviceProfile, EnergyModel, IPAQ_H5555};
 use pbpair_eval::pipeline::{transport, SequenceSpec};
 use pbpair_media::metrics::QualityStats;
@@ -141,6 +145,10 @@ fn parse_args() -> Args {
         }
     }
     let scheme = parse_scheme(&scheme_str, intra_th, plr).unwrap_or_else(|| usage());
+    if let Err(e) = Kernels::from_env() {
+        eprintln!("transcode: {e}");
+        usage();
+    }
     Args {
         sequence,
         scheme,
@@ -225,9 +233,9 @@ fn transcode(args: &Args) -> Result<(), String> {
         };
         let encoded = encoder.encode_frame(&original, policy.as_mut());
         let shown = transport(&mut packetizer, &mut channel, &mut decoder, &encoded);
-        quality.record(&original, &shown);
+        quality.record(&original, shown);
         if let Some(w) = writer.as_mut() {
-            w.write_frame(&shown)
+            w.write_frame(shown)
                 .map_err(|e| format!("cannot write frame: {e}"))?;
         }
     }

@@ -184,7 +184,7 @@ fn drive(frames: usize, schedule: &LossSchedule, mode: AdaptMode) -> Result<Adap
         total_bits += encoded.stats.bits;
         // The channel is frame-atomic: the frame arrives whole or not at all.
         let (displayed, _) = decoder.receive((!lost).then_some(&encoded.data));
-        quality.record(&original, &displayed);
+        quality.record(&original, displayed);
         // Receiver feedback (delayed by transport in reality; immediate
         // here, which only makes the static/adaptive contrast cleaner).
         estimator.record(lost);

@@ -80,7 +80,7 @@ pub fn run_fec(frames: usize, packet_loss: f64, mtu: usize) -> Result<Vec<FecRow
             };
             let arrived = recovered.as_deref().and_then(reassemble_frame);
             usable += u64::from(arrived.is_some());
-            quality.record(&original, &decoder.receive(arrived.as_deref()).0);
+            quality.record(&original, decoder.receive(arrived.as_deref()).0);
         }
         rows.push(FecRow {
             label,
@@ -163,7 +163,7 @@ pub fn run_concealment(frames: usize, plr: f64) -> Result<Vec<ConcealmentRow>, S
             let encoded = encoder.encode_frame(&original, &mut policy);
             intra_acc += encoded.stats.intra_ratio();
             let shown = transport(&mut packetizer, &mut channel, &mut decoder, &encoded);
-            quality.record(&original, &shown);
+            quality.record(&original, shown);
         }
         rows.push(ConcealmentRow {
             label: label.to_string(),

@@ -119,7 +119,7 @@ fn sweep_point(frames: usize, intensity: f64, tel: &Telemetry) -> Result<SweepPo
         }
         let (displayed, report) = decoder.receive(delivery.bytes());
         decode.absorb(&report);
-        quality.record(&original, &displayed);
+        quality.record(&original, displayed);
     }
 
     Ok(SweepPoint {
@@ -313,7 +313,7 @@ pub fn run_feedback_blackout(frames: usize, tel: &Telemetry) -> Result<BlackoutR
         let lost = matches!(delivery, Delivery::Lost);
         let (displayed, report) = decoder.receive(delivery.bytes());
         decode.absorb(&report);
-        quality.record(&original, &displayed);
+        quality.record(&original, displayed);
 
         // Receiver side: update the estimate and offer a report to the
         // (possibly dark) return channel.

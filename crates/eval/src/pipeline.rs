@@ -175,6 +175,20 @@ impl RunResult {
     }
 }
 
+/// Refuses the channel settings the packetizer and the loss model cannot
+/// take: a zero MTU and a uniform loss rate outside [0, 1] or NaN.
+fn check_channel(cfg: &RunConfig) -> Result<(), String> {
+    if cfg.mtu == 0 {
+        return Err("mtu must be positive".into());
+    }
+    match cfg.loss {
+        LossSpec::Uniform { rate, .. } if !(0.0..=1.0).contains(&rate) => {
+            Err(format!("loss rate {rate} outside [0,1]"))
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Opens the cell's frame source, refusing one whose frames differ in
 /// format from what the configured encoder takes.
 fn open_source(cfg: &RunConfig) -> Result<Box<dyn FrameSource>, String> {
@@ -190,15 +204,16 @@ fn open_source(cfg: &RunConfig) -> Result<Box<dyn FrameSource>, String> {
 }
 
 /// The paper cell's frame step: carries one encoded frame to the
-/// receiver and returns what it displays. Packetize, deliver the frame
-/// whole or lose it ([`LossyChannel::transmit_frame_atomic`]), then
-/// [`Decoder::receive`] decodes it or conceals the loss.
-pub fn transport(
+/// receiver and returns what it displays, the decoder's new reference.
+/// Packetize, deliver the frame whole or lose it
+/// ([`LossyChannel::transmit_frame_atomic`]), then [`Decoder::receive`]
+/// decodes it or conceals the loss.
+pub fn transport<'d>(
     packetizer: &mut Packetizer,
     channel: &mut LossyChannel,
-    decoder: &mut Decoder,
+    decoder: &'d mut Decoder,
     encoded: &EncodedFrame,
-) -> Frame {
+) -> &'d Frame {
     let packets = packetizer.packetize(encoded.index, &encoded.data);
     let arrived = channel.transmit_frame_atomic(&packets);
     decoder.receive(arrived.as_deref()).0
@@ -251,17 +266,19 @@ fn encode_cell(
 ///
 /// # Errors
 ///
-/// Returns an error for invalid scheme configurations, and for a source
-/// that cannot be opened, runs short, or differs in format from the
-/// encoder configuration.
+/// Returns an error for a zero `mtu` or a uniform loss rate outside
+/// [0, 1] (before encoding anything), for invalid scheme configurations,
+/// and for a source that cannot be opened, runs short, or differs in
+/// format from the encoder configuration.
 pub fn run(cfg: &RunConfig) -> Result<RunResult, String> {
+    check_channel(cfg)?;
     let mut decoder = Decoder::new(cfg.encoder.format);
     let mut packetizer = Packetizer::new(cfg.mtu);
     let mut channel = LossyChannel::new(cfg.loss.build());
     let mut quality = QualityStats::new();
     let sent = encode_cell(cfg, |original, encoded| {
         let displayed = transport(&mut packetizer, &mut channel, &mut decoder, &encoded);
-        quality.record(&original, &displayed);
+        quality.record(&original, displayed);
     })?;
     Ok(RunResult {
         quality,
@@ -301,6 +318,7 @@ pub fn run_replicated(cfg: &RunConfig, replicates: usize) -> Result<ReplicatedRe
     if replicates == 0 {
         return Err("replicates must be at least 1".to_string());
     }
+    check_channel(cfg)?;
     // Encode once, retaining originals and bitstreams.
     let mut originals = Vec::with_capacity(cfg.frames);
     let mut encoded = Vec::with_capacity(cfg.frames);
@@ -320,7 +338,7 @@ pub fn run_replicated(cfg: &RunConfig, replicates: usize) -> Result<ReplicatedRe
         let mut quality = QualityStats::new();
         for (original, e) in originals.iter().zip(&encoded) {
             let displayed = transport(&mut packetizer, &mut channel, &mut decoder, e);
-            quality.record(original, &displayed);
+            quality.record(original, displayed);
         }
         psnrs.push(quality.average_psnr());
         bads.push(quality.total_bad_pixels() as f64);
@@ -699,5 +717,37 @@ mod tests {
             mtu: DEFAULT_MTU,
         });
         assert!(err.unwrap_err().contains("cannot open"));
+    }
+
+    #[test]
+    fn bad_channel_settings_are_errors_before_any_work() {
+        // The clip does not exist, so an error naming the channel shows
+        // the settings were refused before the source was opened.
+        let mut cfg = short(SchemeSpec::No, LossSpec::None);
+        cfg.sequence = SequenceSpec::Y4mFile {
+            path: "/nonexistent/clip.y4m".into(),
+        };
+        let mut cases = vec![(
+            RunConfig {
+                mtu: 0,
+                ..cfg.clone()
+            },
+            "mtu must be positive",
+        )];
+        for rate in [1.5, f64::NAN, -0.1] {
+            let loss = LossSpec::Uniform { rate, seed: 1 };
+            cases.push((
+                RunConfig {
+                    loss,
+                    ..cfg.clone()
+                },
+                "outside [0,1]",
+            ));
+        }
+        for (cfg, message) in cases {
+            for err in [run(&cfg).unwrap_err(), run_replicated(&cfg, 2).unwrap_err()] {
+                assert!(err.contains(message), "{:?}/{}: {err}", cfg.loss, cfg.mtu);
+            }
+        }
     }
 }

@@ -1,22 +1,25 @@
 //! End-to-end tests of the command-line binaries: the matrix report is
 //! worker-count invariant, and bad arguments to `matrix`, `serve`,
-//! `perf` or `paper` exit 2 with a message instead of a panic.
+//! `perf`, `paper` or `transcode` exit 2 with a message instead of a
+//! panic.
 
+use pbpair_codec::Kernels;
 use std::process::{Command, Output};
 
-/// Runs binary `bin` (`"matrix"`, `"serve"`, `"perf"` or `"paper"`) with
-/// `args` and `PBPAIR_FRAMES` set to `frames`.
-fn run_bin_at(bin: &str, args: &[&str], frames: &str) -> Output {
+/// Runs binary `bin` (`"matrix"`, `"serve"`, `"perf"`, `"paper"` or
+/// `"transcode"`) with `args` and the environment variables `env`.
+fn run_bin_with(bin: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
     let exe = match bin {
         "matrix" => env!("CARGO_BIN_EXE_matrix"),
         "serve" => env!("CARGO_BIN_EXE_serve"),
         "perf" => env!("CARGO_BIN_EXE_perf"),
         "paper" => env!("CARGO_BIN_EXE_paper"),
+        "transcode" => env!("CARGO_BIN_EXE_transcode"),
         _ => unreachable!("no binary {bin}"),
     };
     Command::new(exe)
         .args(args)
-        .env("PBPAIR_FRAMES", frames)
+        .envs(env.iter().copied())
         .output()
         .expect("binary runs")
 }
@@ -24,7 +27,7 @@ fn run_bin_at(bin: &str, args: &[&str], frames: &str) -> Output {
 /// Runs binary `bin` with `args` at the shallowest allowed depth, the
 /// override CI pins too.
 fn run_bin(bin: &str, args: &[&str]) -> Output {
-    run_bin_at(bin, args, "10")
+    run_bin_with(bin, args, &[("PBPAIR_FRAMES", "10")])
 }
 
 /// Asserts that `output` is a bad-argument exit: status 2, `message` and
@@ -250,7 +253,33 @@ fn a_bad_frame_override_fails_before_any_work() {
     ] {
         for frames in ["abc", "5"] {
             let message = format!("PBPAIR_FRAMES expects a number of at least 10, got {frames:?}");
-            let output = run_bin_at(bin, args, frames);
+            let output = run_bin_with(bin, args, &[("PBPAIR_FRAMES", frames)]);
+            assert_bad_argument(&output, bin, args, &message);
+            assert!(output.stdout.is_empty(), "{bin} {args:?} did work");
+        }
+    }
+}
+
+#[test]
+fn a_bad_kernel_tier_fails_before_any_work() {
+    // `avx2` named a tier once and `mmx` never did; neither names one now,
+    // so each is a bad argument rather than a panic at the first kernel
+    // call.
+    let tiers: Vec<_> = Kernels::available().iter().map(|t| t.label()).collect();
+    for (bin, args) in [
+        ("paper", &["sweep_intra_th"][..]),
+        ("matrix", &["trace", "--smoke"][..]),
+        ("serve", &["--smoke"][..]),
+        ("transcode", &["--frames", "10"][..]),
+        ("perf", &["--kernels-info"][..]),
+    ] {
+        for tier in ["avx2", "mmx"] {
+            let message = format!(
+                "PBPAIR_KERNELS expects one of {}, got {tier:?}",
+                tiers.join(", ")
+            );
+            let env = [("PBPAIR_FRAMES", "10"), ("PBPAIR_KERNELS", tier)];
+            let output = run_bin_with(bin, args, &env);
             assert_bad_argument(&output, bin, args, &message);
             assert!(output.stdout.is_empty(), "{bin} {args:?} did work");
         }

@@ -26,7 +26,7 @@
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// One call's work as a worker runs it: its home items, then whatever
@@ -82,7 +82,8 @@ impl std::fmt::Debug for Pool {
 
 impl Pool {
     /// A pool of `workers` workers, counting the calling thread: spawns
-    /// `workers − 1` helper threads.
+    /// `workers − 1` helper threads and returns once all of them are
+    /// running.
     ///
     /// # Panics
     ///
@@ -101,15 +102,24 @@ impl Pool {
             claimed: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
             migrations: AtomicU64::new(0),
         });
+        // Every helper has started before the pool is handed out, so a
+        // helper's start-up allocations never land inside a caller's
+        // allocation-free steady state.
+        let started = Arc::new(Barrier::new(workers));
         let helpers = (1..workers)
             .map(|id| {
                 let shared = Arc::clone(&shared);
+                let started = Arc::clone(&started);
                 std::thread::Builder::new()
                     .name(format!("pool-worker-{id}"))
-                    .spawn(move || helper_loop(id, &shared))
+                    .spawn(move || {
+                        started.wait();
+                        helper_loop(id, &shared)
+                    })
                     .expect("spawn pool helper")
             })
             .collect();
+        started.wait();
         Pool { shared, helpers }
     }
 

@@ -584,8 +584,7 @@ impl Session {
     /// scene moves on, so the quality ledger charges the drop honestly.
     pub fn drop_frame(&mut self) {
         let original = self.source.next_frame();
-        let held = self.decoder.last_frame().clone();
-        self.quality.record(&original, &held);
+        self.quality.record(&original, self.decoder.last_frame());
         self.ledger.frames_rate_dropped += 1;
         if let Some(t) = &self.tel {
             t.frames_rate_dropped.inc(1);
@@ -725,13 +724,13 @@ impl Session {
             // The decoder is wedged: arriving data is discarded and the
             // viewer keeps watching the last picture.
             self.ledger.frames_stalled += 1;
-            (self.decoder.last_frame().clone(), DecodeReport::default())
+            (self.decoder.last_frame(), DecodeReport::default())
         } else {
             self.decoder.receive(bytes.as_deref())
         };
         let damaged = report.any_damage();
         self.ledger.decode.absorb(&report);
-        self.quality.record(&original, &displayed);
+        self.quality.record(&original, displayed);
         if self.trace.is_enabled() {
             if fec_recovered {
                 self.trace.emit(TraceEvent::FecRecovered {

@@ -61,8 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let arrived = channel.transmit_frame_atomic(&packets);
             estimator.record(arrived.is_none());
             let (shown, _) = decoder.receive(arrived.as_deref());
-            psnr_acc += psnr_y(&original, &shown).min(99.0);
-            bad_acc += bad_pixels(&original, &shown);
+            psnr_acc += psnr_y(&original, shown).min(99.0);
+            bad_acc += bad_pixels(&original, shown);
         }
         println!(
             "{sec:>3} |  {:>7.3}  {:>8.3}  {:>5.1}%  {:>8.2}  {:>6}  {:>4}",

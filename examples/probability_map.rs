@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .map(|s| 1.0 - s)
             .collect();
-        let truth = bad_pixel_map(&original, &shown, 20);
+        let truth = bad_pixel_map(&original, shown, 20);
         if f >= 5 {
             all_belief.extend_from_slice(&belief);
             all_truth.extend_from_slice(&truth);

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let arrived = channel.transmit_frame_atomic(&packets);
         // Decode what arrived; a lost frame gets copy-previous concealment.
         let (shown, _) = decoder.receive(arrived.as_deref());
-        quality.record(&original, &shown);
+        quality.record(&original, shown);
     }
 
     // 4. Report.
