@@ -26,12 +26,14 @@ PR8 checks:
   * the best tier clears a 2.0x floor on the SAD and fused-transform
     microbenches (the PR8 acceptance claim);
   * `--detected <tier>`: the tier the running host detects as best
-    (from `perf --kernels-info`) matches the committed per-arch pin, so
-    a silently broken dispatch chain fails CI instead of benching
-    scalar everywhere.
+    (from `perf --kernels-info`) matches the committed pin for the
+    host's architecture (`platform.machine()`, not the bench file's
+    `meta.arch`), so a silently broken dispatch chain fails CI instead
+    of benching scalar everywhere.
 """
 
 import json
+import platform
 import sys
 
 SPEEDUP_FLOOR = 1.2
@@ -45,6 +47,8 @@ KERNEL_RESULT_FIELDS = {
     "speedup_vs_scalar": (int, float),
 }
 KERNELS = {"sad16", "sad16_bounded", "fused_transform", "idct8", "halfpel16"}
+# `platform.machine()` spellings that differ from the pins' Rust names.
+MACHINE_ARCH = {"AMD64": "x86_64", "arm64": "aarch64"}
 
 META_FIELDS = {"bench", "config", "warmup_frames", "measured_frames_per_clip"}
 RESULT_FIELDS = {
@@ -113,13 +117,14 @@ def validate_kernels(doc, detected):
                 fail(f"{kernel}: best speedup {best} below floor {floor}")
 
     if detected is not None:
-        pin = pins.get(meta["arch"])
+        arch = MACHINE_ARCH.get(platform.machine(), platform.machine())
+        pin = pins.get(arch)
         if pin is None:
-            fail(f"no pin committed for arch {meta['arch']}")
+            fail(f"no pin committed for host arch {arch}")
         if detected != pin:
             fail(
                 f"host detects best tier {detected!r} but the committed pin"
-                f" for {meta['arch']} is {pin!r} — dispatch regressed"
+                f" for {arch} is {pin!r} — dispatch regressed"
             )
 
     best = {

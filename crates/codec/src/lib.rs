@@ -16,8 +16,10 @@
 //!   an additive bias in the ME cost function (PBPAIR's
 //!   probability-of-correctness term), and a post-ME override (AIR/PGOP).
 //! * **Operation accounting** ([`ops::OpCounts`]) tallies every SAD op,
-//!   transform, and emitted bit so the `pbpair-energy` crate can model
-//!   encoding energy the way the paper measured it on PDAs.
+//!   transform, and emitted bit, and [`ops::DeviceProfile`] prices each
+//!   operation in integer picojoules per device, so the `pbpair-energy`
+//!   crate can model encoding energy the way the paper measured it on
+//!   PDAs.
 //!
 //! # Quick start
 //!
@@ -67,11 +69,11 @@ pub use encoder::{EncodedFrame, Encoder, EncoderConfig, OptConfig};
 pub use kernels::{KernelTier, Kernels};
 pub use mb::{FrameStats, MbMode, MotionVector};
 pub use me::{MeConfig, MeResult, SearchStrategy};
-pub use ops::OpCounts;
+pub use ops::{DeviceProfile, OpCounts, IPAQ_H5555, ZAURUS_SL5600};
 pub use policy::{
     FrameContext, FrameKind, FrozenMeBias, MbContext, MbOutcome, NaturalPolicy, PostMeDecision,
     PreMeDecision, RefreshPolicy,
 };
 pub use quant::Qp;
 pub use rate::RateController;
-pub use rde::{EnergyPrice, RdeConfig, LAMBDA_ONE, PJ_PER_NJ, PJ_PER_UJ};
+pub use rde::{RdeConfig, LAMBDA_ONE};

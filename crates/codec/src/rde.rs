@@ -26,11 +26,9 @@
 //!
 //! * λ1 and λ2 are unsigned **Q16.16** weights ([`LAMBDA_ONE`] = 1.0 —
 //!   one SSE unit per bit / per picojoule);
-//! * energy is in integer **picojoules** ([`EnergyPrice`]); the
-//!   documented canonical scale is µJ with a fixed `1e-6` resolution,
-//!   i.e. [`PJ_PER_UJ`] pJ per µJ. `pbpair-energy` converts its nJ
-//!   device profiles exactly (×1000) and a cross-crate test pins the
-//!   scales to each other;
+//! * energy is in integer **picojoules**, priced at [`IPAQ_H5555`] rates
+//!   for every encoder, from the one device table in [`crate::ops`] that
+//!   `pbpair-energy`'s float model reads too;
 //! * costs accumulate in `u128`: `J = (D << 16) + λ1·R + λ2·E` never
 //!   overflows (D ≤ 384·255², R and E fit comfortably in 64 bits).
 //!
@@ -67,16 +65,8 @@
 use crate::bitstream::BitWriter;
 use crate::mb::{MbMode, SubPelVector};
 use crate::mbcode::{code_inter_mb, code_intra_mb, code_skip_mb, BlockCodeCfg};
-use crate::ops::OpCounts;
+use crate::ops::{OpCounts, IPAQ_H5555};
 use pbpair_media::{Frame, MbIndex};
-
-/// Picojoules per microjoule — the canonical fixed-point energy scale.
-/// Every crate that prices operations in integers must agree with this
-/// constant; `pbpair-energy` asserts it against its own nJ→pJ factor.
-pub const PJ_PER_UJ: u64 = 1_000_000;
-
-/// Picojoules per nanojoule (the device profiles are authored in nJ).
-pub const PJ_PER_NJ: u64 = 1_000;
 
 /// The Q16.16 fixed-point one for the λ weights.
 pub const LAMBDA_ONE: u32 = 1 << 16;
@@ -101,95 +91,17 @@ pub fn mc_read_bytes(mv: SubPelVector) -> u64 {
     lw * lh + 2 * cw * ch
 }
 
-/// Integer per-operation energy prices in picojoules — the fixed-point
-/// mirror of `pbpair-energy`'s nJ device profiles, restricted to the
-/// operation classes a macroblock coding decision controls. The default
-/// is the iPAQ H5555 profile ×[`PJ_PER_NJ`]; `pbpair-energy` provides
-/// exact conversions for every profile and a test pinning this default
-/// to the float constants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EnergyPrice {
-    /// One forward 8×8 DCT.
-    pub dct_block_pj: u64,
-    /// One inverse 8×8 DCT.
-    pub idct_block_pj: u64,
-    /// Quantizing one 8×8 block.
-    pub quant_block_pj: u64,
-    /// Dequantizing one 8×8 block.
-    pub dequant_block_pj: u64,
-    /// Motion-compensating one 16×16 luma block.
-    pub mc_luma_pj: u64,
-    /// Motion-compensating one 8×8 chroma block.
-    pub mc_chroma_pj: u64,
-    /// Entropy-coding one output bit.
-    pub vlc_bit_pj: u64,
-    /// Fixed per-macroblock bookkeeping.
-    pub mb_overhead_pj: u64,
-    /// Reading one reference byte from memory.
-    pub mem_read_byte_pj: u64,
-    /// Writing one reconstruction byte to memory.
-    pub mem_write_byte_pj: u64,
-}
-
-impl Default for EnergyPrice {
-    /// iPAQ H5555 in picojoules (the profile's nJ constants ×1000).
-    fn default() -> Self {
-        EnergyPrice {
-            dct_block_pj: 1_500_000,
-            idct_block_pj: 1_500_000,
-            quant_block_pj: 320_000,
-            dequant_block_pj: 320_000,
-            mc_luma_pj: 640_000,
-            mc_chroma_pj: 160_000,
-            vlc_bit_pj: 10_000,
-            mb_overhead_pj: 625_000,
-            mem_read_byte_pj: 2_500,
-            mem_write_byte_pj: 3_750,
-        }
-    }
-}
-
-impl EnergyPrice {
-    /// Prices one candidate's coding work in integer picojoules: the
-    /// transform/MC/overhead op classes of `ops` (a delta for just this
-    /// macroblock), the memory-traffic term, and `bits` of entropy
-    /// coding. SAD work is deliberately not priced here — motion
-    /// estimation is sunk before the mode decision.
-    pub fn mb_energy_pj(&self, ops: &OpCounts, bits: u64) -> u64 {
-        self.dct_block_pj * ops.dct_blocks
-            + self.idct_block_pj * ops.idct_blocks
-            + self.quant_block_pj * ops.quant_blocks
-            + self.dequant_block_pj * ops.dequant_blocks
-            + self.mc_luma_pj * ops.mc_luma_blocks
-            + self.mc_chroma_pj * ops.mc_chroma_blocks
-            + self.mem_read_byte_pj * ops.ref_read_bytes
-            + self.mem_write_byte_pj * ops.recon_write_bytes
-            + self.vlc_bit_pj * bits
-            + self.mb_overhead_pj
-    }
-}
-
-/// Configuration of the RDE controller. All-integer (`Eq`, `Copy`) so an
-/// [`crate::EncoderConfig`] carrying it stays `Eq` and `Copy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Configuration of the RDE controller: its two λ weights. Energy is
+/// priced at [`IPAQ_H5555`] rates. All-integer (`Eq`, `Copy`) so an
+/// [`crate::EncoderConfig`] carrying it stays `Eq` and `Copy`. The
+/// default is zero λ — the inert configuration (bit-identical to no
+/// RDE).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RdeConfig {
     /// Q16.16 weight on coded bits ([`LAMBDA_ONE`] = one SSE unit/bit).
     pub lambda1_q16: u32,
     /// Q16.16 weight on picojoules of coding energy.
     pub lambda2_q16: u32,
-    /// Per-operation prices. Defaults to the iPAQ H5555 profile.
-    pub price: EnergyPrice,
-}
-
-impl Default for RdeConfig {
-    /// Zero λ — the inert configuration (bit-identical to no RDE).
-    fn default() -> Self {
-        RdeConfig {
-            lambda1_q16: 0,
-            lambda2_q16: 0,
-            price: EnergyPrice::default(),
-        }
-    }
 }
 
 impl RdeConfig {
@@ -346,7 +258,7 @@ pub(crate) fn choose_and_code_mb(
         );
         let bits = scratch.bit_len();
         let sse = mb_sse(frame, new_recon, mb);
-        let energy = rde.price.mb_energy_pj(&trial_ops, bits);
+        let energy = IPAQ_H5555.mb_energy_pj(&trial_ops, bits);
         let j = rde_cost(sse, bits, energy, rde.lambda1_q16, rde.lambda2_q16);
         if j < best_j {
             best_j = j;
@@ -404,14 +316,6 @@ mod tests {
         let half_both = SubPelVector::from_half_units(3, 5);
         // Luma 17×17; chroma half units (1, 2) → x fractional only: 9×8.
         assert_eq!(mc_read_bytes(half_both), 17 * 17 + 2 * 9 * 8);
-    }
-
-    #[test]
-    fn default_price_is_ipaq_times_1000() {
-        let p = EnergyPrice::default();
-        assert_eq!(p.dct_block_pj, 1_500 * PJ_PER_NJ);
-        assert_eq!(p.vlc_bit_pj, 10 * PJ_PER_NJ);
-        assert_eq!(PJ_PER_UJ, 1_000 * PJ_PER_NJ);
     }
 
     #[test]

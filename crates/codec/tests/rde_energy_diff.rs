@@ -155,7 +155,6 @@ fn memory_traffic_matches_brute_force_replay_with_active_rde() {
         Some(RdeConfig {
             lambda1_q16: 1 << 12,
             lambda2_q16: 1 << 8,
-            ..RdeConfig::default()
         }),
         "rde",
     );
@@ -172,7 +171,6 @@ fn rde_op_counts_are_kernel_tier_invariant() {
             rde: Some(RdeConfig {
                 lambda1_q16: 1 << 24,
                 lambda2_q16: 1 << 10,
-                ..RdeConfig::default()
             }),
             opt: OptConfig {
                 kernels: Some(tier),

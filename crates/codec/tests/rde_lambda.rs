@@ -15,7 +15,6 @@ fn encode_with_slices(slices: u8, frames: usize) -> (Vec<Vec<u8>>, OpCounts) {
         rde: Some(RdeConfig {
             lambda1_q16: 1 << 24,
             lambda2_q16: 1 << 10,
-            ..RdeConfig::default()
         }),
         opt: OptConfig {
             slices,

@@ -12,7 +12,7 @@
 //! `(λ_b − λ_a)·(E(C_b) − E(C_a)) ≤ 0`, i.e. the chosen energy (bits)
 //! is monotone non-increasing in λ2 (λ1), *without* any tolerance.
 //!
-//! The measured energy is [`EnergyPrice::mb_energy_pj`] over the frame's
+//! The measured energy is `IPAQ_H5555.mb_energy_pj` over the frame's
 //! op-count delta. That model deliberately excludes SAD work: motion
 //! estimation is sunk cost, and its op count is the one quantity that
 //! legitimately wiggles across λ (chosen modes feed the next
@@ -25,7 +25,7 @@
 //! claimed on the active side of the gate.
 
 use pbpair_codec::policy::NaturalPolicy;
-use pbpair_codec::{Encoder, EncoderConfig, MbMode, OpCounts, RdeConfig};
+use pbpair_codec::{Encoder, EncoderConfig, MbMode, OpCounts, RdeConfig, IPAQ_H5555};
 use pbpair_media::synth::SyntheticSequence;
 
 /// λ values swept along each axis (Q16.16), smallest active weight to
@@ -35,7 +35,7 @@ const LAMBDA_SWEEP: [u32; 7] = [1, 1 << 8, 1 << 12, 1 << 16, 1 << 20, 1 << 26, u
 struct FrameRecord {
     data: Vec<u8>,
     bits: u64,
-    /// Integer-pJ energy of this frame's op delta under the RDE price.
+    /// Integer-pJ energy of this frame's op delta at the RDE's iPAQ rates.
     energy_pj: u64,
     skip_mbs: u32,
     modes: Vec<MbMode>,
@@ -43,7 +43,6 @@ struct FrameRecord {
 
 /// Encodes `frames` foreman-class frames and returns per-frame records.
 fn encode_clip(rde: Option<RdeConfig>, frames: usize) -> Vec<FrameRecord> {
-    let price = rde.unwrap_or_default().price;
     let mut enc = Encoder::new(EncoderConfig {
         rde,
         ..EncoderConfig::default()
@@ -60,7 +59,7 @@ fn encode_clip(rde: Option<RdeConfig>, frames: usize) -> Vec<FrameRecord> {
         out.push(FrameRecord {
             data: encoded.data.clone(),
             bits: encoded.stats.bits,
-            energy_pj: price.mb_energy_pj(&delta, encoded.stats.bits),
+            energy_pj: IPAQ_H5555.mb_energy_pj(&delta, encoded.stats.bits),
             skip_mbs: encoded.stats.skip_mbs,
             modes: encoded.mb_modes.clone(),
         });

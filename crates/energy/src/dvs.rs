@@ -15,8 +15,8 @@
 //! (classic real-time DVS), and [`DvfsGovernor::frame_energy`] prices the
 //! frame at that point.
 
-use crate::model::Joules;
-use crate::profile::DeviceProfile;
+use crate::model::{nj, Joules};
+use pbpair_codec::DeviceProfile;
 
 /// One voltage/frequency operating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,33 +56,22 @@ pub const XSCALE_LEVELS: [DvfsLevel; 4] = [
 
 /// Deadline-driven DVS governor over a device profile.
 ///
-/// The device's energy profile is defined at its maximum operating point;
-/// at a lower point the same cycles cost
-/// `E · (V / V_max)²` and take `cycles / f` seconds.
+/// The device's energy profile is defined at its maximum operating point,
+/// where one cycle costs the profile's [`DeviceProfile::cycle_pj`]; at a
+/// lower point the same cycles cost `E · (V / V_max)²` and take
+/// `cycles / f` seconds.
 #[derive(Debug, Clone)]
 pub struct DvfsGovernor {
     profile: DeviceProfile,
     levels: Vec<DvfsLevel>,
-    /// nJ per cycle at the maximum operating point (0.5 W / 400 MHz
-    /// class ⇒ ≈1.25 nJ for the iPAQ profile).
-    cycle_nj_at_max: f64,
 }
 
 impl DvfsGovernor {
-    /// Creates a governor with the XScale levels and a per-cycle energy
-    /// matching the profile's calibration basis (see
-    /// `pbpair-energy::profile`: the constants are derived at ≈1.25
-    /// nJ/cycle for the iPAQ and ≈1.1 nJ/cycle for the Zaurus).
+    /// Creates a governor with the XScale levels over `profile`.
     pub fn xscale(profile: DeviceProfile) -> Self {
-        let cycle_nj_at_max = if profile.name.contains("Zaurus") {
-            1.1
-        } else {
-            1.25
-        };
         DvfsGovernor {
             profile,
             levels: XSCALE_LEVELS.to_vec(),
-            cycle_nj_at_max,
         }
     }
 
@@ -99,7 +88,7 @@ impl DvfsGovernor {
     /// Converts an encoding-energy figure (priced at the maximum point)
     /// into an estimated cycle count.
     pub fn cycles_of(&self, energy_at_max: Joules) -> f64 {
-        energy_at_max.get() / (self.cycle_nj_at_max * 1e-9)
+        energy_at_max.get() / (nj(self.profile.cycle_pj) * 1e-9)
     }
 
     /// The lowest operating point that can retire `cycles` within
@@ -121,7 +110,7 @@ impl DvfsGovernor {
             .expect("governor always has levels")
             .voltage;
         let scale = (level.voltage / v_max).powi(2);
-        Joules(cycles * self.cycle_nj_at_max * 1e-9 * scale)
+        Joules(cycles * nj(self.profile.cycle_pj) * 1e-9 * scale)
     }
 
     /// Convenience: govern a frame and price it; falls back to the
@@ -138,7 +127,7 @@ impl DvfsGovernor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{IPAQ_H5555, ZAURUS_SL5600};
+    use pbpair_codec::{IPAQ_H5555, ZAURUS_SL5600};
 
     #[test]
     fn levels_are_ascending_and_physical() {

@@ -2,11 +2,13 @@
 //!
 //! The paper measures encoding energy by sampling the voltage drop across
 //! a sense resistor on battery-less PDAs. This crate substitutes a model:
-//! the codec reports what it *did* ([`pbpair_codec::OpCounts`]) and
-//! per-device cost profiles ([`profile`]) convert that into Joules
-//! ([`model`]), preserving the between-scheme energy ratios the paper's
-//! headline result is about. A [`Battery`] tracker supports the §3.2
-//! residual-energy adaptation scenario.
+//! the codec reports what it *did* ([`pbpair_codec::OpCounts`]), and the
+//! codec's device table ([`DeviceProfile`], integer picojoules per
+//! operation) prices it; [`model`] converts the table to Joules,
+//! preserving the between-scheme energy ratios the paper's headline
+//! result is about. A [`DvfsGovernor`] reads the same table's per-cycle
+//! energy, and a [`Battery`] tracker supports the §3.2 residual-energy
+//! adaptation scenario.
 //!
 //! # Example
 //!
@@ -23,11 +25,8 @@
 pub mod battery;
 pub mod dvs;
 pub mod model;
-pub mod price;
-pub mod profile;
 
 pub use battery::Battery;
 pub use dvs::{DvfsGovernor, DvfsLevel, XSCALE_LEVELS};
 pub use model::{EnergyBreakdown, EnergyModel, Joules};
-pub use price::{nj_to_pj, rde_price};
-pub use profile::{DeviceProfile, IPAQ_H5555, ZAURUS_SL5600};
+pub use pbpair_codec::{DeviceProfile, IPAQ_H5555, ZAURUS_SL5600};

@@ -1,11 +1,18 @@
 //! The energy model: operation counts × device profile → Joules.
 
-use crate::profile::DeviceProfile;
-use pbpair_codec::OpCounts;
+use pbpair_codec::{DeviceProfile, OpCounts};
 use pbpair_fec::FecOps;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, Sub};
+
+/// A device-table price in nanojoules. Exact: `pj` and `1000.0` are
+/// exact `f64`s and IEEE division rounds correctly, so this is the `f64`
+/// the price's nanojoule decimal parses to (`* 1e-3` is not:
+/// `3300.0 * 1e-3` is `3.3000000000000003`).
+pub(crate) fn nj(pj: u64) -> f64 {
+    pj as f64 / 1000.0
+}
 
 /// An energy quantity in Joules.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
@@ -121,20 +128,18 @@ impl EnergyModel {
     /// Itemized encoding energy for a set of operation counts.
     pub fn breakdown(&self, ops: &OpCounts) -> EnergyBreakdown {
         let p = &self.profile;
-        let nj = |v: f64| Joules(v * 1e-9);
+        let j = |v: f64| Joules(v * 1e-9);
         EnergyBreakdown {
-            motion_estimation: nj(ops.sad_ops as f64 * p.sad_op_nj),
-            transform: nj(
-                ops.dct_blocks as f64 * p.dct_block_nj + ops.idct_blocks as f64 * p.idct_block_nj
-            ),
-            quantization: nj(ops.quant_blocks as f64 * p.quant_block_nj
-                + ops.dequant_blocks as f64 * p.dequant_block_nj),
-            motion_compensation: nj(ops.mc_luma_blocks as f64 * p.mc_luma_nj
-                + ops.mc_chroma_blocks as f64 * p.mc_chroma_nj),
-            entropy: nj(ops.bits_emitted as f64 * p.vlc_bit_nj),
-            overhead: nj(
-                ops.total_mbs() as f64 * p.mb_overhead_nj + ops.frames as f64 * p.frame_overhead_nj
-            ),
+            motion_estimation: j(ops.sad_ops as f64 * nj(p.sad_op_pj)),
+            transform: j(ops.dct_blocks as f64 * nj(p.dct_block_pj)
+                + ops.idct_blocks as f64 * nj(p.idct_block_pj)),
+            quantization: j(ops.quant_blocks as f64 * nj(p.quant_block_pj)
+                + ops.dequant_blocks as f64 * nj(p.dequant_block_pj)),
+            motion_compensation: j(ops.mc_luma_blocks as f64 * nj(p.mc_luma_pj)
+                + ops.mc_chroma_blocks as f64 * nj(p.mc_chroma_pj)),
+            entropy: j(ops.bits_emitted as f64 * nj(p.vlc_bit_pj)),
+            overhead: j(ops.total_mbs() as f64 * nj(p.mb_overhead_pj)
+                + ops.frames as f64 * nj(p.frame_overhead_pj)),
         }
     }
 
@@ -155,22 +160,15 @@ impl EnergyModel {
     pub fn memory_energy(&self, ops: &OpCounts) -> Joules {
         let p = &self.profile;
         Joules(
-            (ops.ref_read_bytes as f64 * p.mem_read_byte_nj
-                + ops.recon_write_bytes as f64 * p.mem_write_byte_nj)
+            (ops.ref_read_bytes as f64 * nj(p.mem_read_byte_pj)
+                + ops.recon_write_bytes as f64 * nj(p.mem_write_byte_pj))
                 * 1e-9,
         )
     }
 
-    /// Encoding energy extended with the memory-traffic term — the `E`
-    /// the joint RDE controller prices (per Guo et al.'s memory-aware
-    /// power analysis; see DESIGN.md "Joint RDE control").
-    pub fn encoding_energy_with_memory(&self, ops: &OpCounts) -> Joules {
-        self.encoding_energy(ops) + self.memory_energy(ops)
-    }
-
     /// Radio energy to transmit `bits` of payload.
     pub fn transmission_energy(&self, bits: u64) -> Joules {
-        Joules(bits as f64 * self.profile.tx_bit_nj * 1e-9)
+        Joules(bits as f64 * nj(self.profile.tx_bit_pj) * 1e-9)
     }
 
     /// Compute energy of FEC encode/decode work: byte-wide XOR
@@ -183,9 +181,9 @@ impl EnergyModel {
     pub fn fec_energy(&self, ops: &FecOps) -> Joules {
         let p = &self.profile;
         Joules(
-            (ops.xor_bytes as f64 * p.fec_xor_byte_nj
-                + ops.gf_mul_bytes as f64 * p.fec_gf_byte_nj
-                + ops.matrix_inversions as f64 * 512.0 * p.fec_gf_byte_nj)
+            (ops.xor_bytes as f64 * nj(p.fec_xor_byte_pj)
+                + ops.gf_mul_bytes as f64 * nj(p.fec_gf_byte_pj)
+                + ops.matrix_inversions as f64 * 512.0 * nj(p.fec_gf_byte_pj))
                 * 1e-9,
         )
     }
@@ -201,7 +199,7 @@ impl EnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{IPAQ_H5555, ZAURUS_SL5600};
+    use pbpair_codec::{IPAQ_H5555, ZAURUS_SL5600};
 
     /// Op counts of a representative plain P-frame (three-step search on
     /// all 99 MBs).
@@ -354,5 +352,36 @@ mod tests {
             ..FecOps::default()
         };
         assert!(model.fec_energy(&inv).get() > 0.0);
+    }
+
+    #[test]
+    fn integer_price_matches_the_float_model() {
+        // The RDE's integer pricing of a candidate (compute without ME
+        // and frame overhead, plus memory, entropy and one macroblock's
+        // overhead) and the float model over the same table agree to
+        // float precision.
+        let ops = OpCounts {
+            inter_mbs: 1,
+            dct_blocks: 6,
+            idct_blocks: 6,
+            quant_blocks: 6,
+            dequant_blocks: 6,
+            mc_luma_blocks: 1,
+            mc_chroma_blocks: 2,
+            bits_emitted: 173,
+            ref_read_bytes: 418,
+            recon_write_bytes: 384,
+            ..OpCounts::default()
+        };
+        for p in DeviceProfile::paper_devices() {
+            let model = EnergyModel::new(p);
+            let float_j = model.encoding_energy(&ops).get() + model.memory_energy(&ops).get();
+            let int_j = p.mb_energy_pj(&ops, ops.bits_emitted) as f64 * 1e-12;
+            assert!(
+                (float_j - int_j).abs() < 1e-12,
+                "{}: integer {int_j} J vs float {float_j} J",
+                p.name
+            );
+        }
     }
 }

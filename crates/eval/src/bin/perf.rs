@@ -296,85 +296,116 @@ fn bench_kernels(smoke: bool) -> Vec<KernelMeasurement> {
         })
         .collect();
 
+    let tiers: Vec<&Kernels> = Kernels::available()
+        .into_iter()
+        .map(|t| Kernels::get(t).expect("available tier resolves"))
+        .collect();
+    let measured = [
+        (
+            "sad16",
+            kernel_rounds(&tiers, 1_000_000 / scale, |k, i| {
+                k.sad16(
+                    &plane_a[offsets[i & 63]..],
+                    STRIDE,
+                    &plane_b[offsets[(i + 17) & 63]..],
+                    STRIDE,
+                )
+            }),
+        ),
+        (
+            "sad16_bounded",
+            kernel_rounds(&tiers, 1_000_000 / scale, |k, i| {
+                let (acc, ops) = k.sad16_bounded(
+                    &plane_a[offsets[i & 63]..],
+                    STRIDE,
+                    &plane_b[offsets[(i + 29) & 63]..],
+                    STRIDE,
+                    2_000,
+                );
+                acc.wrapping_mul(31).wrapping_add(ops)
+            }),
+        ),
+        (
+            "fused_transform",
+            kernel_rounds(&tiers, 200_000 / scale, |k, i| {
+                let mut zig = [0i32; 64];
+                let coded = fdct_quant_scan_with(k, &spatial[i & 31], qp, false, &mut zig);
+                sum_i32(&zig).wrapping_add(coded as u64)
+            }),
+        ),
+        (
+            "idct8",
+            kernel_rounds(&tiers, 200_000 / scale, |k, i| {
+                let mut out = [0i32; 64];
+                k.idct8(&coefs[i & 31], &mut out);
+                sum_i32(&out)
+            }),
+        ),
+        (
+            "halfpel16",
+            kernel_rounds(&tiers, 200_000 / scale, |k, i| {
+                let mut out = [0u8; 256];
+                k.halfpel(&plane_a[offsets[i & 63]..], STRIDE, 1, 1, &mut out, 16);
+                sum_u8(&out)
+            }),
+        ),
+    ];
+
+    // Tier-major with scalar first: the order of `BENCH_PR8.json`.
     let mut results = Vec::new();
-    let mut scalar_ns: Vec<(&'static str, f64)> = Vec::new();
-    let mut checksums: Vec<(&'static str, u64)> = Vec::new();
-    for tier in Kernels::available() {
-        let k = Kernels::get(tier).expect("available tier resolves");
-        let mut record = |name: &'static str, ns: f64, sum: u64| {
-            match checksums.iter().find(|(n, _)| *n == name) {
-                None => checksums.push((name, sum)),
-                Some((_, want)) => assert_eq!(
-                    sum, *want,
-                    "{name}: tier {tier} computed different results than scalar"
-                ),
-            }
-            let speedup = match scalar_ns.iter().find(|(n, _)| *n == name) {
-                None => {
-                    scalar_ns.push((name, ns));
-                    1.0
-                }
-                Some((_, base)) => base / ns,
-            };
+    for (t, k) in tiers.iter().enumerate() {
+        for (name, cells) in &measured {
+            let ((ns, sum), (base_ns, base_sum)) = (cells[t], cells[0]);
+            assert_eq!(
+                sum,
+                base_sum,
+                "{name}: tier {} computed different results than scalar",
+                k.tier()
+            );
+            let speedup = if t == 0 { 1.0 } else { base_ns / ns };
             eprintln!(
                 "{:>16}/{:<6} {:9.1} ns/call  {:5.2}x",
                 name,
-                tier.label(),
+                k.tier().label(),
                 ns,
                 speedup
             );
             results.push(KernelMeasurement {
                 kernel: name,
-                tier: tier.label(),
+                tier: k.tier().label(),
                 ns_per_call: ns,
                 speedup_vs_scalar: speedup,
             });
-        };
-
-        let (ns, sum) = timed(1_000_000 / scale, |i| {
-            k.sad16(
-                &plane_a[offsets[i & 63]..],
-                STRIDE,
-                &plane_b[offsets[(i + 17) & 63]..],
-                STRIDE,
-            )
-        });
-        record("sad16", ns, sum);
-
-        let (ns, sum) = timed(1_000_000 / scale, |i| {
-            let (acc, ops) = k.sad16_bounded(
-                &plane_a[offsets[i & 63]..],
-                STRIDE,
-                &plane_b[offsets[(i + 29) & 63]..],
-                STRIDE,
-                2_000,
-            );
-            acc.wrapping_mul(31).wrapping_add(ops)
-        });
-        record("sad16_bounded", ns, sum);
-
-        let (ns, sum) = timed(200_000 / scale, |i| {
-            let mut zig = [0i32; 64];
-            let coded = fdct_quant_scan_with(k, &spatial[i & 31], qp, false, &mut zig);
-            sum_i32(&zig).wrapping_add(coded as u64)
-        });
-        record("fused_transform", ns, sum);
-
-        let (ns, sum) = timed(200_000 / scale, |i| {
-            let mut out = [0i32; 64];
-            k.idct8(&coefs[i & 31], &mut out);
-            sum_i32(&out)
-        });
-        record("idct8", ns, sum);
-
-        let (ns, sum) = timed(200_000 / scale, |i| {
-            let mut out = [0u8; 256];
-            k.halfpel(&plane_a[offsets[i & 63]..], STRIDE, 1, 1, &mut out, 16);
-            sum_u8(&out)
-        });
-        record("halfpel16", ns, sum);
+        }
     }
     results
+}
+
+/// Timed rounds per kernel: each round times every tier back to back,
+/// in alternating order, and a tier keeps its fastest round, so one
+/// preempted time slice cannot decide a ratio.
+const KERNEL_ROUNDS: usize = 7;
+
+/// Times `f` on every tier in [`KERNEL_ROUNDS`] rounds; returns each
+/// tier's fastest ns/call and its checksum.
+fn kernel_rounds<F: Fn(&Kernels, usize) -> u64>(
+    tiers: &[&Kernels],
+    iters: usize,
+    f: F,
+) -> Vec<(f64, u64)> {
+    let mut best = vec![(f64::INFINITY, 0); tiers.len()];
+    for round in 0..KERNEL_ROUNDS {
+        for n in 0..tiers.len() {
+            let t = if round % 2 == 0 {
+                n
+            } else {
+                tiers.len() - 1 - n
+            };
+            let (ns, sum) = timed(iters, |i| f(tiers[t], i));
+            best[t] = (best[t].0.min(ns), sum);
+        }
+    }
+    best
 }
 
 fn emit_kernels_json(results: &[KernelMeasurement], smoke: bool) -> String {

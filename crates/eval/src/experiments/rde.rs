@@ -51,7 +51,6 @@ pub fn committed_arms() -> Vec<RdeArm> {
         Some(RdeConfig {
             lambda1_q16: l1,
             lambda2_q16: l2,
-            ..RdeConfig::default()
         })
     };
     vec![
@@ -214,8 +213,8 @@ impl RdeSweep {
 }
 
 /// Builds the fleet configuration for one arm: the committed burst
-/// channel, a uniform iPAQ fleet (the profile the default
-/// [`RdeConfig`] prices with), admission shedding disabled so every arm
+/// channel, a uniform iPAQ fleet (the profile the RDE prices every
+/// session with), admission shedding disabled so every arm
 /// encodes the same frame slots.
 fn arm_config(arm: &RdeArm, frames: usize, sessions: usize, workers: usize) -> ServeConfig {
     ServeConfig {

@@ -107,7 +107,9 @@ pub struct ServeConfig {
     pub scheme: SessionScheme,
     /// Joint rate–distortion–energy controller for every session's
     /// encoder (`None` or zero λ weights leave the fleet's bitstreams —
-    /// and every committed digest — unchanged).
+    /// and every committed digest — unchanged). It prices every session
+    /// at iPAQ rates ([`pbpair_codec::IPAQ_H5555`]), whatever its
+    /// [`ServeConfig::device_mix`] device.
     pub rde: Option<RdeConfig>,
     /// Device-profile assignment across sessions.
     pub device_mix: DeviceMix,

@@ -195,7 +195,6 @@ impl Draw {
         RdeConfig {
             lambda1_q16: self.pick(&[0, 1, 1 << 16, 1 << 20, u32::MAX]),
             lambda2_q16: self.pick(&[0, 1, 1 << 16, 1 << 20, u32::MAX]),
-            ..RdeConfig::default()
         }
     }
 }
