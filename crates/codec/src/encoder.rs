@@ -38,23 +38,20 @@
 //! row-local one keeps the slice schedule's operation counts independent
 //! of the thread count.
 //!
-//! # Hot-path optimizations
+//! # One coding path
 //!
-//! [`OptConfig`] gates three optimizations that keep the bitstream
-//! **bit-identical** to the retained naive path (the golden-vector tests
-//! prove it):
-//!
-//! * **predicted-MV fast search** — each P-macroblock seeds the search
-//!   with predicted vectors, and every sweep candidate's SAD accumulation
-//!   terminates early once it exceeds the running best (see
-//!   [`me::search_fast_with`]);
-//! * **fused transform** — DCT, quantization, and zigzag run as one
-//!   kernel with no intermediate 8×8 buffers ([`crate::fused`]);
-//! * **zero-allocation steady state** — the bit writer, reconstruction
-//!   target, motion-vector history and the slice schedule's row scratch
-//!   are persistent state reused across frames, so
-//!   [`Encoder::encode_frame_into`] performs no heap allocation after
-//!   warm-up on either schedule (a counting-allocator test asserts this).
+//! Both schedules search with the pruned [`me::search_fast_with`]: the
+//! prepass seeds the pruning bound, and every sweep candidate's SAD
+//! accumulation terminates early once it can no longer win. The
+//! exhaustive [`me::search_with`] is the reference that search is proven
+//! against (`tests/kernel_equiv.rs`, `me::tests`); no encoder path calls
+//! it. Every block is transformed by the fused DCT → quantize → zigzag
+//! kernel ([`crate::fused`]), which the same tests hold to the separate
+//! three-pass pipeline. The bit writer, reconstruction target,
+//! motion-vector history and the slice schedule's row scratch are
+//! persistent state reused across frames, so
+//! [`Encoder::encode_frame_into`] performs no heap allocation after
+//! warm-up on either schedule (a counting-allocator test asserts this).
 
 use crate::bitstream::BitWriter;
 use crate::kernels::{KernelTier, Kernels};
@@ -80,19 +77,15 @@ pub const PICTURE_START_CODE: u32 = 1;
 /// Bits in the picture start code.
 pub const PICTURE_START_CODE_LEN: u32 = 17;
 
-/// Hot-path optimization switches. Every combination produces the exact
-/// same bitstream; these only trade CPU time. The defaults enable the
-/// single-threaded optimizations and keep encoding serial.
+/// How the encoder runs: its schedule and its pixel-kernel tier. Every
+/// setting produces the exact same bitstream; these only trade CPU time.
+/// No setting changes how a macroblock is coded: every encoder searches
+/// with the pruned [`me::search_fast_with`] and transforms with the fused
+/// kernel. The exhaustive [`me::search_with`] is only the reference the
+/// fast search is proven against; no encoder path calls it. The defaults
+/// keep encoding serial on the process-wide kernel tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptConfig {
-    /// Predicted-MV candidate seeding plus SAD early termination in the
-    /// motion search ([`me::search_fast_with`]). Off = the naive
-    /// exhaustive accounting path ([`me::search_with`]).
-    pub fast_me: bool,
-    /// The fused `dct→quant→zigzag` block kernel
-    /// ([`crate::fused::fdct_quant_scan`]). Off = the separate
-    /// three-pass pipeline.
-    pub fused_transform: bool,
     /// Number of slice-encoding threads, counting the calling thread
     /// (`n` slices spawn `n − 1` helpers). `0` and `1` both mean serial.
     /// Values above 1 enable slice-parallel encoding *when the active
@@ -111,28 +104,11 @@ pub struct OptConfig {
 }
 
 impl Default for OptConfig {
-    /// Fast ME and the fused transform on; serial (1 slice); auto kernel
-    /// dispatch.
+    /// Serial (1 slice); auto kernel dispatch.
     fn default() -> Self {
         OptConfig {
-            fast_me: true,
-            fused_transform: true,
             slices: 1,
             kernels: None,
-        }
-    }
-}
-
-impl OptConfig {
-    /// The retained naive reference path: no fast ME, no fused kernel,
-    /// serial, scalar pixel kernels. Benchmarks use this as the speedup
-    /// baseline and the differential tests as the ground truth.
-    pub fn naive() -> Self {
-        OptConfig {
-            fast_me: false,
-            fused_transform: false,
-            slices: 1,
-            kernels: Some(KernelTier::Scalar),
         }
     }
 }
@@ -160,7 +136,7 @@ pub struct EncoderConfig {
     /// In-loop deblocking filter (see [`crate::deblock`]). Carried in the
     /// picture header; off in all paper experiments.
     pub deblock: bool,
-    /// Hot-path optimization switches (bitstream-neutral).
+    /// Schedule and kernel tier (bitstream-neutral).
     pub opt: OptConfig,
     /// Joint rate–distortion–energy controller ([`crate::rde`]). `None`
     /// — and `Some` with both λ weights zero — leave every decision to
@@ -512,11 +488,9 @@ impl Encoder {
             kind,
             fctx,
             me: self.cfg.me,
-            fast_me: self.cfg.opt.fast_me,
             bcfg: BlockCodeCfg {
                 qp: self.cfg.qp,
                 half_pel: self.cfg.half_pel,
-                fused: self.cfg.opt.fused_transform,
                 kernels: self.kernels,
             },
             rde: self.cfg.rde.filter(|r| r.is_active()),
@@ -713,7 +687,6 @@ struct FrameEnv<'a> {
     kind: FrameKind,
     fctx: FrameContext,
     me: MeConfig,
-    fast_me: bool,
     bcfg: BlockCodeCfg,
     /// The RDE configuration, only when it actually reprices decisions
     /// (the zero-λ gate: `None` and zero-λ configs are the same encoder).
@@ -755,13 +728,9 @@ impl<'a> FrameEnv<'a> {
 
     /// The serial schedule's prepass: the component-wise median of the
     /// left/top/top-right neighbours coded this frame, the zero vector,
-    /// and the colocated vector of the previous frame. Empty when fast ME
-    /// is off (the naive search takes no prepass).
+    /// and the colocated vector of the previous frame.
     fn median_prepass(&self, cur_mvs: &[MotionVector], mb: MbIndex) -> MvCandidates {
         let mut cands = MvCandidates::default();
-        if !self.fast_me {
-            return cands;
-        }
         let cols = self.grid.cols();
         let (row, col) = (mb.row, mb.col);
         let flat = row * cols + col;
@@ -783,16 +752,14 @@ impl<'a> FrameEnv<'a> {
     /// The slice schedule's prepass: the zero vector, the colocated
     /// vector of the previous frame, and `left`, the row's previous
     /// search winner. Row-local, so a row's operation count does not
-    /// depend on which thread ran which row. Empty when fast ME is off.
+    /// depend on which thread ran which row.
     fn row_prepass(&self, mb: MbIndex, left: Option<MotionVector>) -> MvCandidates {
         let mut cands = MvCandidates::default();
-        if self.fast_me {
-            let range = self.me.search_range;
-            cands.push_clamped(MotionVector::ZERO, range);
-            cands.push_clamped(self.prev_mvs[mb.row * self.grid.cols() + mb.col], range);
-            if let Some(lv) = left {
-                cands.push_clamped(lv, range);
-            }
+        let range = self.me.search_range;
+        cands.push_clamped(MotionVector::ZERO, range);
+        cands.push_clamped(self.prev_mvs[mb.row * self.grid.cols() + mb.col], range);
+        if let Some(lv) = left {
+            cands.push_clamped(lv, range);
         }
         cands
     }
@@ -809,11 +776,7 @@ impl<'a> FrameEnv<'a> {
         ops: &mut OpCounts,
     ) {
         let (k, cur, reference) = (self.bcfg.kernels, self.frame.y(), self.reference.y());
-        st.me = if self.fast_me {
-            me::search_fast_with(k, cur, reference, mb, self.me, bias, prepass)
-        } else {
-            me::search_with(k, cur, reference, mb, self.me, bias)
-        };
+        st.me = me::search_fast_with(k, cur, reference, mb, self.me, bias, prepass);
         ops.me_invocations += 1;
         ops.sad_candidates += st.me.candidates as u64;
         ops.sad_ops += st.me.sad_ops;
@@ -1058,35 +1021,6 @@ mod tests {
         let e = enc.encode_frame(&flat, &mut policy);
         assert_eq!(e.stats.skip_mbs, 99, "static frame should fully skip");
         assert!(e.stats.bits < 200, "a fully skipped frame is ~1 bit/MB");
-    }
-
-    #[test]
-    fn optimizations_do_not_change_the_bitstream() {
-        // Fast ME + fused transform vs. the retained naive path: the
-        // bitstreams and side info must be identical frame by frame, and
-        // the fast path must execute strictly fewer SAD operations.
-        let mut fast = Encoder::new(EncoderConfig::default());
-        let mut naive = Encoder::new(EncoderConfig {
-            opt: OptConfig::naive(),
-            ..EncoderConfig::default()
-        });
-        let mut pf = NaturalPolicy::new();
-        let mut pn = NaturalPolicy::new();
-        let mut seq_f = SyntheticSequence::foreman_class(11);
-        let mut seq_n = SyntheticSequence::foreman_class(11);
-        for i in 0..5 {
-            let ef = fast.encode_frame(&seq_f.next_frame(), &mut pf);
-            let en = naive.encode_frame(&seq_n.next_frame(), &mut pn);
-            assert_eq!(ef.data, en.data, "bitstream diverged at frame {i}");
-            assert_eq!(ef.stats, en.stats, "stats diverged at frame {i}");
-            assert_eq!(ef.mb_modes, en.mb_modes, "modes diverged at frame {i}");
-        }
-        assert!(
-            fast.ops().sad_ops < naive.ops().sad_ops,
-            "fast path must save SAD ops: {} vs {}",
-            fast.ops().sad_ops,
-            naive.ops().sad_ops
-        );
     }
 
     #[test]

@@ -20,13 +20,13 @@ use crate::bitstream::BitWriter;
 use crate::block::{
     load_block, residual_block, store_block_clamped_with, store_pred, store_pred_plus_residual_with,
 };
-use crate::blockcode::{block_is_coded, write_coeff_block};
+use crate::blockcode::write_coeff_block;
 use crate::fused;
 use crate::kernels::Kernels;
 use crate::mb::{MbMode, SubPelVector};
 use crate::mc::{predict_chroma_subpel_with, predict_luma_subpel_with, CHROMA_BLOCK, LUMA_BLOCK};
 use crate::ops::OpCounts;
-use crate::quant::{dequantize_block, quantize_block, Qp};
+use crate::quant::{dequantize_block, Qp};
 use crate::rde::{mc_read_bytes, MB_FOOTPRINT_BYTES};
 use crate::vlc;
 use crate::zigzag;
@@ -37,16 +37,14 @@ use pbpair_media::{Frame, MbIndex};
 pub(crate) struct BlockCodeCfg {
     pub qp: Qp,
     pub half_pel: bool,
-    /// Use the fused `dct→quant→zigzag` kernel ([`fused::fdct_quant_scan`]).
-    pub fused: bool,
     /// The pixel-kernel tier every block-level loop dispatches through.
     pub kernels: &'static Kernels,
 }
 
-/// Transforms one spatial block into zigzag-ordered levels, via either
-/// the fused kernel or the separate three-pass pipeline (bit-identical
-/// by construction; `tests/kernel_equiv.rs` proves it). Returns the
-/// coded-block flag.
+/// Transforms one spatial block into zigzag-ordered levels with the
+/// fused `dct→quant→zigzag` kernel ([`fused::fdct_quant_scan_with`];
+/// `tests/kernel_equiv.rs` proves it equal to the separate three-pass
+/// pipeline). Returns the coded-block flag.
 #[inline]
 fn transform_block(
     cfg: &BlockCodeCfg,
@@ -57,15 +55,7 @@ fn transform_block(
 ) -> bool {
     ops.dct_blocks += 1;
     ops.quant_blocks += 1;
-    if cfg.fused {
-        fused::fdct_quant_scan_with(cfg.kernels, spatial, cfg.qp, intra, zig)
-    } else {
-        let mut freq = [0i32; 64];
-        cfg.kernels.fdct8(spatial, &mut freq);
-        let quantized = quantize_block(&freq, cfg.qp, intra);
-        *zig = zigzag::scan(&quantized);
-        block_is_coded(zig, usize::from(intra))
-    }
+    fused::fdct_quant_scan_with(cfg.kernels, spatial, cfg.qp, intra, zig)
 }
 
 /// Codes one intra macroblock (shared by I-frames and forced-intra MBs

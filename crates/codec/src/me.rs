@@ -263,7 +263,12 @@ pub fn median_mv(a: MotionVector, b: MotionVector, c: MotionVector) -> MotionVec
 }
 
 /// Runs the configured search for macroblock `mb` through the kernel
-/// table `k`, minimizing `SAD(mv) + bias(mv)`.
+/// table `k`, minimizing `SAD(mv) + bias(mv)`, with every candidate's SAD
+/// accumulated in full.
+///
+/// This exhaustive search is the reference [`search_fast_with`] is proven
+/// against (`tests/kernel_equiv.rs` and this module's tests); no encoder
+/// path calls it.
 ///
 /// `bias` may be stateful (PBPAIR consults its correctness matrix); it is
 /// invoked once per candidate.

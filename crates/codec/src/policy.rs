@@ -121,6 +121,11 @@ pub trait RefreshPolicy {
 
     /// Additive bias on an ME candidate's cost (paper §3.1.2). Positive
     /// values penalize the candidate. The default is no bias (pure SAD).
+    ///
+    /// The search may call this more than once for the same vector of a
+    /// macroblock (each prepass candidate is priced before the sweep,
+    /// which may visit it again), so calling it must not change any later
+    /// decision: the bias a vector gets, or any other hook's result.
     fn me_bias(&mut self, ctx: &MbContext<'_>, mv: MotionVector) -> i64 {
         let _ = (ctx, mv);
         0

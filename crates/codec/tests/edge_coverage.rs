@@ -36,14 +36,21 @@ fn shifted_frame(dx: isize, dy: isize) -> Frame {
     shifted_frame_in(VideoFormat::QCIF, dx, dy)
 }
 
+/// The slice schedule at 2 slices. `NaturalPolicy` freezes a zero bias,
+/// so this really takes the slice schedule.
+const TWO_SLICES: OptConfig = OptConfig {
+    slices: 2,
+    kernels: None,
+};
+
 /// Large global motion right at the search-range limit, both strategies,
-/// optimizations on and off: the encoded stream must decode to exactly
-/// the encoder's reconstruction, and the two optimization settings must
-/// agree bit for bit even when every border MB clamps its window.
+/// on the serial and the slice schedule: the encoded stream must decode
+/// to exactly the encoder's reconstruction even when every border MB
+/// clamps its window.
 #[test]
 fn border_motion_survives_the_full_codec_loop() {
     for strategy in [SearchStrategy::Full, SearchStrategy::ThreeStep] {
-        for opt in [OptConfig::default(), OptConfig::naive()] {
+        for opt in [OptConfig::default(), TWO_SLICES] {
             let cfg = EncoderConfig {
                 me: MeConfig {
                     search_range: 15,
@@ -66,19 +73,20 @@ fn border_motion_survives_the_full_codec_loop() {
                 assert!(
                     drift.is_infinite(),
                     "decoder drifted from encoder reconstruction at frame {i} \
-                     ({strategy:?}, fast={}): {drift} dB",
-                    opt.fast_me,
+                     ({strategy:?}, slices={}): {drift} dB",
+                    opt.slices,
                 );
             }
         }
     }
 }
 
-/// The two optimization settings must also produce identical bitstreams
-/// under border-clamping motion (the golden vectors only cover moderate
-/// motion).
+/// The serial and the slice schedule must also produce identical
+/// bitstreams under border-clamping motion (the golden vectors only
+/// cover moderate motion), where the slice schedule's row-local prepass
+/// seeds window-clamped searches at the frame edges.
 #[test]
-fn optimized_and_naive_bitstreams_match_under_border_motion() {
+fn serial_and_slice_bitstreams_match_under_border_motion() {
     let run = |opt: OptConfig| -> Vec<Vec<u8>> {
         let mut enc = Encoder::new(EncoderConfig {
             opt,
@@ -90,7 +98,7 @@ fn optimized_and_naive_bitstreams_match_under_border_motion() {
             .map(|(dx, dy)| enc.encode_frame(&shifted_frame(*dx, *dy), &mut policy).data)
             .collect()
     };
-    assert_eq!(run(OptConfig::default()), run(OptConfig::naive()));
+    assert_eq!(run(OptConfig::default()), run(TWO_SLICES));
 }
 
 /// Every extreme corner of the TCOEF event space: maximal regular

@@ -4,17 +4,18 @@
 //! Each vector encodes a seeded synthetic sequence under one refresh
 //! policy and one search strategy and asserts the FNV-1a digest of the
 //! length-prefixed bitstream against a committed constant. Before the
-//! digest is checked, the same vector is re-encoded under every
-//! optimization setting — the naive reference path, the default fast
-//! path, and slice-parallel encoding at 2 and 4 threads — and every
-//! setting must match the naive serial run on more than the bitstream:
-//! the policy's `begin_frame` kinds, each pre-ME and post-ME call and
-//! its decision, every macroblock outcome and frame's stats, the
-//! tracer's `MbCoded` events, the `enc.*` telemetry (except SAD work)
-//! and the operation counts (except the SAD work the fast search
-//! prunes). Half-pel and active-RDE arms run the same comparison without
-//! digests of their own. One constant therefore pins the format for the
-//! whole optimization matrix.
+//! digest is checked, the same vector is re-encoded on both schedules
+//! and kernel tiers — the serial reference pinned to the scalar tier,
+//! the serial schedule on the process-wide tier, and slice-parallel
+//! encoding at 2 and 4 threads — and every run must match the serial
+//! reference on more than the bitstream: the policy's `begin_frame`
+//! kinds, each pre-ME and post-ME call and its decision, every
+//! macroblock outcome and frame's stats, the tracer's `MbCoded` events,
+//! the `enc.*` telemetry (except SAD work) and the operation counts
+//! (except the SAD work the prepass prunes). The 2- and 4-slice runs
+//! must also agree on the SAD work, exactly. Half-pel and active-RDE
+//! arms run the same comparison without digests of their own. One
+//! constant therefore pins the format for every schedule and tier.
 //!
 //! To re-bless after an *intentional* format change, run
 //! `PBPAIR_BLESS=1 cargo test -p pbpair --test golden_schemes -- --nocapture`
@@ -26,8 +27,8 @@ use pbpair::schemes::LatePbpairPolicy;
 use pbpair::{AirPolicy, GopPolicy, NoPolicy, PbpairConfig, PbpairPolicy, PgopPolicy};
 use pbpair_codec::policy::RefreshPolicy;
 use pbpair_codec::{
-    Decoder, Encoder, EncoderConfig, FrameContext, FrameKind, FrameStats, FrozenMeBias, Kernels,
-    MbContext, MbMode, MbOutcome, MeConfig, MeResult, MotionVector, OpCounts, OptConfig,
+    Decoder, Encoder, EncoderConfig, FrameContext, FrameKind, FrameStats, FrozenMeBias, KernelTier,
+    Kernels, MbContext, MbMode, MbOutcome, MeConfig, MeResult, MotionVector, OpCounts, OptConfig,
     PostMeDecision, PreMeDecision, RdeConfig, SearchStrategy,
 };
 use pbpair_media::synth::SyntheticSequence;
@@ -95,8 +96,8 @@ struct Observed {
 impl Observed {
     /// The name of the first observation on which `self` and `other`
     /// differ, ignoring SAD work: `enc.sad_ops`, `sad_ops` and
-    /// `sad_candidates` depend on the prepass, which the naive, serial
-    /// and slice searches build differently by design.
+    /// `sad_candidates` depend on the prepass, which the serial and slice
+    /// schedules build differently by design.
     fn first_difference(&self, other: &Observed) -> Option<&'static str> {
         let without_sad = |ops: OpCounts| OpCounts {
             sad_ops: 0,
@@ -268,7 +269,7 @@ fn observe(scheme: &str, strategy: SearchStrategy, arm: Arm, opt: OptConfig) -> 
 
 /// Splits a length-prefixed stream back into frames and decodes each with
 /// the given kernel tier, returning the decoded frames.
-fn decode_all(stream: &[u8], tier: pbpair_codec::KernelTier) -> Vec<Frame> {
+fn decode_all(stream: &[u8], tier: KernelTier) -> Vec<Frame> {
     let mut dec = Decoder::new(VideoFormat::QCIF);
     dec.set_kernels(tier);
     let mut frames = Vec::new();
@@ -354,41 +355,45 @@ const VECTORS: &[Vector] = &[
 #[test]
 fn every_scheme_and_search_matches_its_golden_digest_under_all_optimizations() {
     let blessing = std::env::var_os("PBPAIR_BLESS").is_some();
+    let serial_scalar = OptConfig {
+        kernels: Some(KernelTier::Scalar),
+        ..OptConfig::default()
+    };
+    let slices = |slices| OptConfig {
+        slices,
+        ..OptConfig::default()
+    };
     for v in VECTORS {
         for arm in arms() {
-            let reference = observe(v.scheme, v.strategy, arm, OptConfig::naive());
+            let reference = observe(v.scheme, v.strategy, arm, serial_scalar);
             assert!(
                 !reference.trace.is_empty() && !reference.counters.is_empty(),
                 "sanity: the tracer and telemetry observed the encoder"
             );
-            for (label, opt) in [
-                ("fast", OptConfig::default()),
-                (
-                    "slices=2",
-                    OptConfig {
-                        slices: 2,
-                        ..OptConfig::default()
-                    },
-                ),
-                (
-                    "slices=4",
-                    OptConfig {
-                        slices: 4,
-                        ..OptConfig::default()
-                    },
-                ),
-            ] {
+            let [_, two, four] = [
+                ("serial", OptConfig::default()),
+                ("slices=2", slices(2)),
+                ("slices=4", slices(4)),
+            ]
+            .map(|(label, opt)| {
                 let got = observe(v.scheme, v.strategy, arm, opt);
                 assert_eq!(
                     got.first_difference(&reference),
                     None,
-                    "{} {:?} {:?}: {} diverged from the naive serial reference",
+                    "{} {:?} {:?}: {} diverged from the serial reference",
                     v.scheme,
                     v.strategy,
                     arm,
                     label
                 );
-            }
+                got.ops
+            });
+            assert_eq!(
+                two, four,
+                "{} {:?} {:?}: the slice schedule's op counts, SAD work included, \
+                 depend on the thread count",
+                v.scheme, v.strategy, arm
+            );
             if arm != PLAIN {
                 continue;
             }
@@ -422,7 +427,7 @@ fn golden_digests_are_kernel_tier_invariant() {
     }
     let tiers = Kernels::available();
     assert!(
-        tiers.contains(&pbpair_codec::KernelTier::Scalar),
+        tiers.contains(&KernelTier::Scalar),
         "the scalar reference tier must always be available"
     );
     for v in VECTORS {

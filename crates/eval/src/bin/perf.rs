@@ -1,44 +1,38 @@
-//! Encode hot-path benchmark: frames/sec, SAD ops/frame, and
-//! allocations/frame for the retained naive path, the optimized serial
-//! path, and slice-parallel encoding at 2 and 4 threads, over seeded
-//! synthetic clips. Emits the JSON committed as `BENCH_PR5.json`
-//! (schema enforced by `ci/validate_bench.py`).
+//! In-tree benchmarks, in three modes:
 //!
-//! A second mode (`--kernels`) microbenchmarks the SIMD pixel-kernel
-//! tiers against the scalar reference — SAD, bounded SAD, the fused
-//! transform, the inverse DCT, and half-pel interpolation — asserting
-//! bit-identical results while timing, and emits the JSON committed as
-//! `BENCH_PR8.json` (same validator, keyed on `meta.bench`).
-//!
-//! A third mode (`--overhead`) is the disabled-mode observability guard:
-//! it prices an encode with disabled telemetry and with a disabled
-//! tracer against the same encode with nothing wired, and exits 1 if
-//! either costs more than the budget (`PBPAIR_TELEMETRY_GATE_PCT`,
-//! default 2%). The time-series needs no arm: with the observability
-//! plane off the serve manager holds no series, and its per-round check
-//! is a `None` test on its own state.
+//! * `--kernels` microbenchmarks the SIMD pixel-kernel tiers against the
+//!   scalar reference — SAD, bounded SAD, the fused transform, the
+//!   inverse DCT, and half-pel interpolation — asserting bit-identical
+//!   results while timing, and emits the JSON committed as
+//!   `BENCH_PR8.json` (schema enforced by `ci/validate_bench.py`);
+//! * `--kernels-info` prints the detected-best kernel tier, the value CI
+//!   compares against the pin `BENCH_PR8.json` commits;
+//! * `--overhead` is the disabled-mode observability guard: it prices an
+//!   encode with disabled telemetry and with a disabled tracer against
+//!   the same encode with nothing wired, and exits 1 if either costs
+//!   more than the budget (`PBPAIR_TELEMETRY_GATE_PCT`, default 2%). The
+//!   time-series needs no arm: with the observability plane off the
+//!   serve manager holds no series, and its per-round check is a `None`
+//!   test on its own state.
 //!
 //! Usage:
-//!   cargo run --release -p pbpair-eval --bin perf              # full run, JSON to stdout
-//!   cargo run --release -p pbpair-eval --bin perf -- --smoke   # CI-sized run
-//!   cargo run --release -p pbpair-eval --bin perf -- --out BENCH_PR5.json
 //!   cargo run --release -p pbpair-eval --bin perf -- --kernels --out BENCH_PR8.json
-//!   cargo run --release -p pbpair-eval --bin perf -- --kernels-info  # detected tier to stdout
-//!   cargo run --release -p pbpair-eval --bin perf -- --overhead      # disabled-mode guard
+//!   cargo run --release -p pbpair-eval --bin perf -- --kernels --smoke  # CI-sized, JSON to stdout
+//!   cargo run --release -p pbpair-eval --bin perf -- --kernels-info     # detected tier to stdout
+//!   cargo run --release -p pbpair-eval --bin perf -- --overhead         # disabled-mode guard
 //!
-//! `--kernels-info` and `--overhead` take no other flag. Bad arguments
-//! (an unknown or misplaced flag, a missing value, a `PBPAIR_KERNELS`
-//! value that names no tier of this host) exit with status 2 and a
-//! message; a failed run exits with status 1.
+//! `--smoke` and `--out` apply only to `--kernels`; `--kernels-info` and
+//! `--overhead` take no other flag. Bad arguments (no mode, an unknown or
+//! misplaced flag, a missing value, a `PBPAIR_KERNELS` value that names
+//! no tier of this host) exit with status 2 and a message; a failed run
+//! exits with status 1.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use pbpair::{PbpairConfig, PbpairPolicy};
 use pbpair_codec::fused::fdct_quant_scan_with;
-use pbpair_codec::{EncodedFrame, Encoder, EncoderConfig, Kernels, NaturalPolicy, OptConfig, Qp};
+use pbpair_codec::{Encoder, EncoderConfig, Kernels, Qp};
 use pbpair_media::synth::{MotionClass, SyntheticSequence};
 use pbpair_media::{Frame, VideoFormat};
 use pbpair_telemetry::json;
@@ -46,166 +40,7 @@ use pbpair_telemetry::Telemetry;
 use pbpair_trace::Tracer;
 
 const USAGE: &str =
-    "usage: perf [--kernels] [--smoke] [--out PATH] | perf --kernels-info | perf --overhead";
-
-/// Counts heap allocations so the benchmark can report allocations per
-/// steady-state frame (the zero-allocation claim, measured rather than
-/// asserted here).
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-const WARMUP: usize = 4;
-
-struct Variant {
-    name: &'static str,
-    threads: u8,
-    opt: OptConfig,
-}
-
-fn variants() -> Vec<Variant> {
-    vec![
-        Variant {
-            name: "naive",
-            threads: 1,
-            opt: OptConfig::naive(),
-        },
-        Variant {
-            name: "fast",
-            threads: 1,
-            opt: OptConfig::default(),
-        },
-        Variant {
-            name: "fast-2slices",
-            threads: 2,
-            opt: OptConfig {
-                slices: 2,
-                ..OptConfig::default()
-            },
-        },
-        Variant {
-            name: "fast-4slices",
-            threads: 4,
-            opt: OptConfig {
-                slices: 4,
-                ..OptConfig::default()
-            },
-        },
-    ]
-}
-
-struct Measurement {
-    name: String,
-    threads: u8,
-    clip: &'static str,
-    frames: usize,
-    fps: f64,
-    sad_ops_per_frame: f64,
-    allocs_per_frame: f64,
-    speedup_vs_naive: f64,
-}
-
-/// Encodes `frames` pre-generated frames and measures throughput, SAD
-/// work, and steady-state allocations. The bitstream digest is returned
-/// so the harness can assert all variants agree.
-fn run_variant(v: &Variant, clip: &'static str, frames: &[Frame]) -> (Measurement, u64) {
-    let mut enc = Encoder::new(EncoderConfig {
-        opt: v.opt,
-        ..EncoderConfig::paper()
-    });
-    let mut policy = NaturalPolicy::new();
-    let mut out = EncodedFrame::empty();
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for frame in &frames[..WARMUP] {
-        enc.encode_frame_into(frame, &mut policy, &mut out);
-        for &b in &out.data {
-            digest ^= b as u64;
-            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    let _ = enc.take_ops();
-    let measured = &frames[WARMUP..];
-    let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
-    let t0 = Instant::now();
-    for frame in measured {
-        enc.encode_frame_into(frame, &mut policy, &mut out);
-        for &b in &out.data {
-            digest ^= b as u64;
-            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
-    let ops = enc.take_ops();
-    let n = measured.len() as f64;
-    (
-        Measurement {
-            name: format!("{}/{}", v.name, clip),
-            threads: v.threads,
-            clip,
-            frames: measured.len(),
-            fps: n / elapsed.max(1e-9),
-            sad_ops_per_frame: ops.sad_ops as f64 / n,
-            allocs_per_frame: allocs as f64 / n,
-            speedup_vs_naive: 0.0, // filled in by the caller
-        },
-        digest,
-    )
-}
-
-/// A float member with a fixed number of decimals.
-fn fixed(o: &mut json::Object<'_>, key: &str, value: f64, decimals: usize) {
-    o.raw(key, &format!("{value:.decimals$}"));
-}
-
-fn emit_json(results: &[Measurement], frames_per_clip: usize) -> String {
-    json::object(|o| {
-        o.object("meta", |m| {
-            m.string("bench", "pr5-encode-hot-path")
-                .string("config", "paper (full search ±15, QCIF)")
-                .field("warmup_frames", WARMUP)
-                .field("measured_frames_per_clip", frames_per_clip);
-        })
-        .array("results", |a| {
-            for r in results {
-                a.object(|o| {
-                    o.string("name", &r.name)
-                        .field("threads", r.threads)
-                        .string("clip", r.clip)
-                        .field("frames", r.frames);
-                    fixed(o, "fps", r.fps, 2);
-                    fixed(o, "sad_ops_per_frame", r.sad_ops_per_frame, 1);
-                    fixed(o, "allocs_per_frame", r.allocs_per_frame, 3);
-                    fixed(o, "speedup_vs_naive", r.speedup_vs_naive, 3);
-                });
-            }
-        });
-    }) + "\n"
-}
+    "usage: perf --kernels [--smoke] [--out PATH] | perf --kernels-info | perf --overhead";
 
 // ---------------------------------------------------------------------
 // `--kernels`: per-tier pixel-kernel microbenchmarks (BENCH_PR8.json).
@@ -408,6 +243,11 @@ fn kernel_rounds<F: Fn(&Kernels, usize) -> u64>(
     best
 }
 
+/// A float member with a fixed number of decimals.
+fn fixed(o: &mut json::Object<'_>, key: &str, value: f64, decimals: usize) {
+    o.raw(key, &format!("{value:.decimals$}"));
+}
+
 fn emit_kernels_json(results: &[KernelMeasurement], smoke: bool) -> String {
     json::object(|o| {
         o.object("meta", |m| {
@@ -578,8 +418,6 @@ fn overhead_guard() -> Result<(), String> {
 /// Which run the flags select.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// The encode hot-path benchmark (`BENCH_PR5.json`).
-    Encode,
     /// The pixel-kernel microbenchmarks (`BENCH_PR8.json`).
     Kernels,
     /// The detected-best kernel tier, bare on stdout.
@@ -591,7 +429,6 @@ enum Mode {
 impl Mode {
     fn flag(self) -> &'static str {
         match self {
-            Mode::Encode => "",
             Mode::Kernels => "--kernels",
             Mode::KernelsInfo => "--kernels-info",
             Mode::Overhead => "--overhead",
@@ -606,19 +443,15 @@ struct Args {
 }
 
 fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut args = Args {
-        mode: Mode::Encode,
-        smoke: false,
-        out: None,
-    };
+    let (mut mode, mut smoke, mut out) = (None::<Mode>, false, None);
     while let Some(flag) = argv.next() {
-        let mode = match flag.as_str() {
+        let next = match flag.as_str() {
             "--smoke" => {
-                args.smoke = true;
+                smoke = true;
                 continue;
             }
             "--out" => {
-                args.out = Some(argv.next().ok_or("--out expects a value")?);
+                out = Some(argv.next().ok_or("--out expects a value")?);
                 continue;
             }
             "--kernels" => Mode::Kernels,
@@ -626,20 +459,24 @@ fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--overhead" => Mode::Overhead,
             _ => return Err(format!("unknown flag {flag:?}")),
         };
-        if args.mode != Mode::Encode && args.mode != mode {
-            return Err(format!("{flag} does not apply to {}", args.mode.flag()));
+        if let Some(m) = mode.filter(|&m| m != next) {
+            return Err(format!("{flag} does not apply to {}", m.flag()));
         }
-        args.mode = mode;
+        mode = Some(next);
     }
-    if matches!(args.mode, Mode::KernelsInfo | Mode::Overhead) {
-        for (set, flag) in [(args.smoke, "--smoke"), (args.out.is_some(), "--out")] {
+    if mode != Some(Mode::Kernels) {
+        for (set, flag) in [(smoke, "--smoke"), (out.is_some(), "--out")] {
             if set {
-                return Err(format!("{flag} does not apply to {}", args.mode.flag()));
+                return Err(match mode {
+                    Some(m) => format!("{flag} does not apply to {}", m.flag()),
+                    None => format!("{flag} needs --kernels"),
+                });
             }
         }
     }
+    let mode = mode.ok_or("no mode given: pass --kernels, --kernels-info or --overhead")?;
     Kernels::from_env()?;
-    Ok(args)
+    Ok(Args { mode, smoke, out })
 }
 
 /// Writes a bench report to `out`, or to stdout without one.
@@ -652,49 +489,6 @@ fn emit(json: &str, out: Option<&str>) -> Result<(), String> {
         None => print!("{json}"),
     }
     Ok(())
-}
-
-/// The encode hot-path benchmark over both clips.
-fn encode_bench(smoke: bool) -> String {
-    let frames_per_clip = if smoke { 12 } else { 64 } + WARMUP;
-
-    type MakeSeq = fn(u64) -> SyntheticSequence;
-    let clips: [(&'static str, MakeSeq, u64); 2] = [
-        ("foreman", SyntheticSequence::foreman_class, 42),
-        ("akiyo", SyntheticSequence::akiyo_class, 43),
-    ];
-
-    let mut results = Vec::new();
-    for (clip, make_seq, seed) in &clips {
-        let mut seq = make_seq(*seed);
-        let frames: Vec<Frame> = (0..frames_per_clip).map(|_| seq.next_frame()).collect();
-        let mut naive_fps = 0.0;
-        let mut digest0 = None;
-        for v in variants() {
-            let (mut m, digest) = run_variant(&v, clip, &frames);
-            // Every variant must produce the identical bitstream — a
-            // benchmark that silently measured a divergent encoder would
-            // be meaningless.
-            match digest0 {
-                None => digest0 = Some(digest),
-                Some(d) => assert_eq!(
-                    d, digest,
-                    "variant {} diverged from the naive bitstream on {clip}",
-                    m.name
-                ),
-            }
-            if v.name == "naive" {
-                naive_fps = m.fps;
-            }
-            m.speedup_vs_naive = m.fps / naive_fps;
-            eprintln!(
-                "{:>20}: {:8.2} fps  {:12.0} sad_ops/frame  {:6.3} allocs/frame  {:5.2}x",
-                m.name, m.fps, m.sad_ops_per_frame, m.allocs_per_frame, m.speedup_vs_naive
-            );
-            results.push(m);
-        }
-    }
-    emit_json(&results, frames_per_clip - WARMUP)
 }
 
 fn run(args: &Args) -> Result<(), String> {
@@ -722,7 +516,6 @@ fn run(args: &Args) -> Result<(), String> {
                 args.out.as_deref(),
             )
         }
-        Mode::Encode => emit(&encode_bench(args.smoke), args.out.as_deref()),
     }
 }
 

@@ -177,6 +177,17 @@ fn bad_arguments_fail_with_a_message_not_a_panic() {
         ("perf", &["--out"][..], "--out expects a value"),
         (
             "perf",
+            &[][..],
+            "no mode given: pass --kernels, --kernels-info or --overhead",
+        ),
+        ("perf", &["--smoke"][..], "--smoke needs --kernels"),
+        (
+            "perf",
+            &["--out", "never-written.json"][..],
+            "--out needs --kernels",
+        ),
+        (
+            "perf",
             &["--kernels-info", "--bogus"][..],
             "unknown flag \"--bogus\"",
         ),
@@ -238,7 +249,13 @@ fn bad_arguments_fail_with_a_message_not_a_panic() {
             "unknown flag \"--bogus\"",
         ),
     ] {
-        assert_bad_argument(&run_bin(bin, args), bin, args, message);
+        let output = run_bin(bin, args);
+        assert_bad_argument(&output, bin, args, message);
+        assert!(output.stdout.is_empty(), "{bin} {args:?} did work");
+        assert!(
+            !std::path::Path::new("never-written.json").exists(),
+            "{bin} {args:?} wrote its output file"
+        );
     }
 }
 
