@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Validates the schema and invariants of a pixel-kernel benchmark JSON
-file: `BENCH_PR8.json` or the output of `perf --kernels [--smoke]`
+file: `BENCH_PR8.json` or the output of `perf [--smoke]`
 (`meta.bench` is `pr8_kernels`). Any other `meta.bench` fails, the
 retired encode benchmark's `BENCH_PR5.json` included.
 
@@ -14,10 +14,10 @@ Checks:
   * the best tier clears a 2.0x floor on the SAD and fused-transform
     microbenches (the PR8 acceptance claim);
   * `--detected <tier>`: the tier the running host detects as best
-    (from `perf --kernels-info`) matches the committed pin for the
-    host's architecture (`platform.machine()`, not the bench file's
-    `meta.arch`), so a silently broken dispatch chain fails CI instead
-    of benching scalar everywhere.
+    (a fresh `perf --smoke` run's `meta.detected_best`) matches the
+    committed pin for the host's architecture (`platform.machine()`,
+    not the bench file's `meta.arch`), so a silently broken dispatch
+    chain fails CI instead of benching scalar everywhere.
 """
 
 import json

@@ -195,15 +195,16 @@ pub struct Decoder {
     /// allocates no field.
     next_mvs: Vec<SubPelVector>,
     /// Pre-resolved telemetry handles; `None` until
-    /// [`Decoder::set_telemetry`] attaches an enabled context. Each
-    /// decode call runs in one `"decode"` span and flushes the
+    /// [`Decoder::set_telemetry`] attaches an enabled context, and
+    /// `None` again after a disabled one, as in a never-wired decoder.
+    /// Each decode call runs in one `"decode"` span and flushes the
     /// already-deterministic [`DecodeReport`] quantities.
     tel: Option<DecoderTelemetry>,
-    /// Trace handle; `None` until [`Decoder::set_tracer`] attaches an
-    /// enabled tracer. Concealment/resync events are stamped with the
-    /// frame index the pipeline owner published via
-    /// [`Tracer::set_frame`].
-    trace: Option<Tracer>,
+    /// Trace handle; disabled until [`Decoder::set_tracer`] attaches an
+    /// enabled tracer, and disabled again after a disabled one.
+    /// Concealment/resync events are stamped with the frame index the
+    /// pipeline owner published via [`Tracer::set_frame`].
+    trace: Tracer,
 }
 
 /// Telemetry handles the decoder flushes per decode/conceal call.
@@ -269,7 +270,7 @@ impl Decoder {
             next_mvs: vec![SubPelVector::ZERO; grid.len()],
             grid,
             tel: None,
-            trace: None,
+            trace: Tracer::disabled(),
         }
     }
 
@@ -295,13 +296,13 @@ impl Decoder {
     /// Attaches a tracer; subsequent concealment and resync actions
     /// emit trace events. A disabled tracer detaches.
     pub fn set_tracer(&mut self, tracer: &Tracer) {
-        self.trace = tracer.is_enabled().then(|| tracer.clone());
+        self.trace = tracer.clone();
     }
 
     /// Emits a trace event stamped with the published frame index.
     fn trace_emit(&self, make: impl FnOnce(u32) -> TraceEvent) {
-        if let Some(t) = &self.trace {
-            t.emit(make(t.current_frame()));
+        if self.trace.is_enabled() {
+            self.trace.emit(make(self.trace.current_frame()));
         }
     }
 
@@ -1110,6 +1111,18 @@ mod tests {
         assert_eq!(find_start_code(&[0x00, 0x00, 0x7F]), None);
         assert_eq!(find_start_code(&[0x00, 0x00]), None);
         assert_eq!(find_start_code(&[]), None);
+    }
+
+    #[test]
+    fn a_disabled_context_and_tracer_leave_the_decoder_unwired() {
+        let mut dec = Decoder::new(VideoFormat::QCIF);
+        dec.set_telemetry(&Telemetry::new());
+        dec.set_tracer(&Tracer::new());
+        assert!(dec.tel.is_some() && dec.trace.is_enabled());
+        dec.set_telemetry(&Telemetry::disabled());
+        dec.set_tracer(&Tracer::disabled());
+        assert!(dec.tel.is_none(), "a disabled context stayed attached");
+        assert!(!dec.trace.is_enabled(), "a disabled tracer stayed attached");
     }
 
     #[test]

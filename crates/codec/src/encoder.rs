@@ -239,15 +239,17 @@ pub struct Encoder {
     frame_index: u64,
     ops: OpCounts,
     /// Pre-resolved telemetry handles; `None` until
-    /// [`Encoder::set_telemetry`] attaches an enabled context. The
-    /// flush is one batch of atomic adds per *frame*, so the per-MB hot
-    /// loop carries no instrumentation cost at all.
+    /// [`Encoder::set_telemetry`] attaches an enabled context, and
+    /// `None` again after a disabled one, as in a never-wired encoder.
+    /// The flush is one batch of atomic adds per *frame*, so the per-MB
+    /// hot loop carries no instrumentation cost at all.
     tel: Option<EncoderTelemetry>,
-    /// Trace handle; `None` until [`Encoder::set_tracer`] attaches an
-    /// enabled tracer. When attached, every macroblock's coding
-    /// decision (mode, motion vector, bitstream range) is recorded as
-    /// provenance for the causal replay pass.
-    trace: Option<Tracer>,
+    /// Trace handle; disabled until [`Encoder::set_tracer`] attaches an
+    /// enabled tracer, and disabled again after a disabled one. When
+    /// enabled, every macroblock's coding decision (mode, motion vector,
+    /// bitstream range) is recorded as provenance for the causal replay
+    /// pass.
+    trace: Tracer,
     /// Persistent bit writer, reused across frames (taken at frame start,
     /// restored after `finish_into`). Part of the zero-allocation loop.
     writer: BitWriter,
@@ -342,7 +344,7 @@ impl Encoder {
             frame_index: 0,
             ops: OpCounts::new(),
             tel: None,
-            trace: None,
+            trace: Tracer::disabled(),
             writer: BitWriter::new(),
             rde_scratch: BitWriter::new(),
             scratch_recon: Some(Frame::new(cfg.format)),
@@ -364,7 +366,7 @@ impl Encoder {
     /// events (mode, motion vector, bitstream bit range). A disabled
     /// tracer detaches.
     pub fn set_tracer(&mut self, tracer: &Tracer) {
-        self.trace = tracer.is_enabled().then(|| tracer.clone());
+        self.trace = tracer.clone();
     }
 
     /// The configuration in effect.
@@ -483,7 +485,7 @@ impl Encoder {
             reference: &self.recon,
             prev_original: &self.prev_original,
             prev_mvs: &self.prev_mvs,
-            trace: self.trace.as_ref(),
+            trace: &self.trace,
             grid: self.grid,
             kind,
             fctx,
@@ -682,7 +684,7 @@ struct FrameEnv<'a> {
     prev_original: &'a Frame,
     /// Integer MV of each macroblock of the previous frame.
     prev_mvs: &'a [MotionVector],
-    trace: Option<&'a Tracer>,
+    trace: &'a Tracer,
     grid: MbGrid,
     kind: FrameKind,
     fctx: FrameContext,
@@ -904,8 +906,8 @@ impl<'a> FrameEnv<'a> {
         };
         *count += 1;
         *bits += st.bit_len;
-        if let Some(t) = self.trace {
-            t.emit(TraceEvent::MbCoded {
+        if self.trace.is_enabled() {
+            self.trace.emit(TraceEvent::MbCoded {
                 frame: self.fctx.frame_index as u32,
                 mb: flat as u16,
                 mode: mode_code,
@@ -1111,6 +1113,21 @@ mod tests {
             let want = reference.encode_frame(&ref_seq.next_frame(), &mut ref_policy);
             assert_eq!(out, want, "frame {i} diverged between into/owned APIs");
         }
+    }
+
+    #[test]
+    fn a_disabled_context_and_tracer_leave_the_encoder_unwired() {
+        // Disabled observability costs nothing because nothing stays
+        // attached: the per-frame flush and the per-MB emission test
+        // the same state a never-wired encoder holds.
+        let mut enc = Encoder::new(EncoderConfig::default());
+        enc.set_telemetry(&Telemetry::new());
+        enc.set_tracer(&Tracer::new());
+        assert!(enc.tel.is_some() && enc.trace.is_enabled());
+        enc.set_telemetry(&Telemetry::disabled());
+        enc.set_tracer(&Tracer::disabled());
+        assert!(enc.tel.is_none(), "a disabled context stayed attached");
+        assert!(!enc.trace.is_enabled(), "a disabled tracer stayed attached");
     }
 
     #[test]

@@ -1,50 +1,27 @@
-//! In-tree benchmarks, in three modes:
-//!
-//! * `--kernels` microbenchmarks the SIMD pixel-kernel tiers against the
-//!   scalar reference — SAD, bounded SAD, the fused transform, the
-//!   inverse DCT, and half-pel interpolation — asserting bit-identical
-//!   results while timing, and emits the JSON committed as
-//!   `BENCH_PR8.json` (schema enforced by `ci/validate_bench.py`);
-//! * `--kernels-info` prints the detected-best kernel tier, the value CI
-//!   compares against the pin `BENCH_PR8.json` commits;
-//! * `--overhead` is the disabled-mode observability guard: it prices an
-//!   encode with disabled telemetry and with a disabled tracer against
-//!   the same encode with nothing wired, and exits 1 if either costs
-//!   more than the budget (`PBPAIR_TELEMETRY_GATE_PCT`, default 2%). The
-//!   time-series needs no arm: with the observability plane off the
-//!   serve manager holds no series, and its per-round check is a `None`
-//!   test on its own state.
+//! The pixel-kernel microbenchmark: times each SIMD kernel tier against
+//! the scalar reference — SAD, bounded SAD, the fused transform, the
+//! inverse DCT, and half-pel interpolation — asserting bit-identical
+//! results while timing, and emits the JSON committed as
+//! `BENCH_PR8.json` (schema enforced by `ci/validate_bench.py`). Its
+//! `meta.detected_best` is the tier this host dispatches to, which CI
+//! compares against the pin `BENCH_PR8.json` commits.
 //!
 //! Usage:
-//!   cargo run --release -p pbpair-eval --bin perf -- --kernels --out BENCH_PR8.json
-//!   cargo run --release -p pbpair-eval --bin perf -- --kernels --smoke  # CI-sized, JSON to stdout
-//!   cargo run --release -p pbpair-eval --bin perf -- --kernels-info     # detected tier to stdout
-//!   cargo run --release -p pbpair-eval --bin perf -- --overhead         # disabled-mode guard
+//!   cargo run --release -p pbpair-eval --bin perf -- --out BENCH_PR8.json
+//!   cargo run --release -p pbpair-eval --bin perf -- --smoke  # CI-sized, JSON to stdout
 //!
-//! `--smoke` and `--out` apply only to `--kernels`; `--kernels-info` and
-//! `--overhead` take no other flag. Bad arguments (no mode, an unknown or
-//! misplaced flag, a missing value, a `PBPAIR_KERNELS` value that names
-//! no tier of this host) exit with status 2 and a message; a failed run
-//! exits with status 1.
+//! Bad arguments (an unknown flag, a missing value, a `PBPAIR_KERNELS`
+//! value that names no tier of this host) exit with status 2 and a
+//! message; a failed write exits with status 1.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use pbpair::{PbpairConfig, PbpairPolicy};
 use pbpair_codec::fused::fdct_quant_scan_with;
-use pbpair_codec::{Encoder, EncoderConfig, Kernels, Qp};
-use pbpair_media::synth::{MotionClass, SyntheticSequence};
-use pbpair_media::{Frame, VideoFormat};
+use pbpair_codec::{Kernels, Qp};
 use pbpair_telemetry::json;
-use pbpair_telemetry::Telemetry;
-use pbpair_trace::Tracer;
 
-const USAGE: &str =
-    "usage: perf --kernels [--smoke] [--out PATH] | perf --kernels-info | perf --overhead";
-
-// ---------------------------------------------------------------------
-// `--kernels`: per-tier pixel-kernel microbenchmarks (BENCH_PR8.json).
-// ---------------------------------------------------------------------
+const USAGE: &str = "usage: perf [--smoke] [--out PATH]";
 
 /// The per-arch detected-best pins committed in BENCH_PR8.json. CI fails
 /// if the running host detects a different best tier than its pin (a
@@ -273,210 +250,25 @@ fn emit_kernels_json(results: &[KernelMeasurement], smoke: bool) -> String {
     }) + "\n"
 }
 
-// ---------------------------------------------------------------------
-// `--overhead`: the disabled-mode observability guard.
-// ---------------------------------------------------------------------
-//
-// The telemetry contract promises that *disabled* instrumentation is
-// free: a `Telemetry::disabled()` handle reduces every flush to a branch
-// on a `None`, and a `Tracer::disabled()` handle does the same for
-// causal-trace emission. The guard prices four encode configurations —
-// nothing wired, disabled telemetry, a disabled tracer, and an enabled
-// registry — and fails if either disabled mode costs more than the
-// budgeted fraction of the plain encode hot loop.
-
-/// Frames per guard pass: 48 foreman-class frames (seed 2005).
-const OVERHEAD_FRAMES: usize = 48;
-
-/// A PBPAIR policy at the evaluation's default operating point.
-fn default_pbpair() -> PbpairPolicy {
-    PbpairPolicy::new(
-        VideoFormat::QCIF,
-        PbpairConfig {
-            intra_th: 0.93,
-            plr: 0.10,
-            ..PbpairConfig::default()
-        },
-    )
-    .expect("valid default config")
-}
-
-/// One measured encode pass; telemetry and tracing wired per args.
-fn encode_pass(frames: &[Frame], tel: Option<&Telemetry>, trace: Option<&Tracer>) -> usize {
-    let mut enc = Encoder::new(EncoderConfig::default());
-    if let Some(tel) = tel {
-        enc.set_telemetry(tel);
-    }
-    if let Some(trace) = trace {
-        enc.set_tracer(trace);
-    }
-    let mut policy = default_pbpair();
-    frames
-        .iter()
-        .map(|f| enc.encode_frame(f, &mut policy).data.len())
-        .sum()
-}
-
-/// One timed pass, in seconds.
-fn time_pass<F: FnMut() -> usize>(f: &mut F) -> f64 {
-    let t = Instant::now();
-    black_box(f());
-    t.elapsed().as_secs_f64()
-}
-
-/// Runs the guard; `Err` names the first disabled mode over budget.
-fn overhead_guard() -> Result<(), String> {
-    let gate_pct: f64 = std::env::var("PBPAIR_TELEMETRY_GATE_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
-
-    let mut seq = SyntheticSequence::for_class(MotionClass::MediumForeman, 2005);
-    let fs: Vec<Frame> = (0..OVERHEAD_FRAMES).map(|_| seq.next_frame()).collect();
-    let disabled = Telemetry::disabled();
-    let enabled = Telemetry::new();
-    let tracer_off = Tracer::disabled();
-
-    // Warm-up: page in code, ramp the CPU governor.
-    encode_pass(&fs, None, None);
-    encode_pass(&fs, Some(&enabled), None);
-
-    // Time the four modes back-to-back each round and compare *within*
-    // the round: the per-round ratio cancels frequency drift between
-    // rounds. Each pass is long enough (~tens of ms) that interference
-    // averages out inside it; the median over rounds (with the order
-    // alternated to cancel position effects) discards the rest.
-    let reps = 9;
-    let mut plain_s = f64::INFINITY;
-    let mut disabled_ratios = Vec::with_capacity(reps);
-    let mut tracer_ratios = Vec::with_capacity(reps);
-    let mut enabled_ratios = Vec::with_capacity(reps);
-    for rep in 0..reps {
-        let (p, d, t, e);
-        if rep % 2 == 0 {
-            p = time_pass(&mut || encode_pass(&fs, None, None));
-            d = time_pass(&mut || encode_pass(&fs, Some(&disabled), None));
-            t = time_pass(&mut || encode_pass(&fs, None, Some(&tracer_off)));
-            e = time_pass(&mut || encode_pass(&fs, Some(&enabled), None));
-        } else {
-            e = time_pass(&mut || encode_pass(&fs, Some(&enabled), None));
-            t = time_pass(&mut || encode_pass(&fs, None, Some(&tracer_off)));
-            d = time_pass(&mut || encode_pass(&fs, Some(&disabled), None));
-            p = time_pass(&mut || encode_pass(&fs, None, None));
-        }
-        plain_s = plain_s.min(p);
-        disabled_ratios.push(d / p);
-        tracer_ratios.push(t / p);
-        enabled_ratios.push(e / p);
-    }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.total_cmp(b));
-        v[v.len() / 2]
-    };
-    let disabled_s = plain_s * median(&mut disabled_ratios);
-    let tracer_s = plain_s * median(&mut tracer_ratios);
-    let enabled_s = plain_s * median(&mut enabled_ratios);
-
-    let pct = |t: f64| (t - plain_s) / plain_s * 100.0;
-    println!(
-        "telemetry overhead guard ({} frames, best of {reps}):",
-        fs.len()
-    );
-    println!("  no telemetry       {:>9.3} ms", plain_s * 1e3);
-    println!(
-        "  disabled handle    {:>9.3} ms  ({:+.2}%)",
-        disabled_s * 1e3,
-        pct(disabled_s)
-    );
-    println!(
-        "  disabled tracer    {:>9.3} ms  ({:+.2}%)",
-        tracer_s * 1e3,
-        pct(tracer_s)
-    );
-    println!(
-        "  enabled registry   {:>9.3} ms  ({:+.2}%)",
-        enabled_s * 1e3,
-        pct(enabled_s)
-    );
-
-    for (what, t) in [("telemetry", disabled_s), ("tracing", tracer_s)] {
-        if pct(t) > gate_pct {
-            return Err(format!(
-                "disabled-mode {what} costs {:.2}% (> {gate_pct}% budget)",
-                pct(t)
-            ));
-        }
-    }
-    println!("disabled-mode overhead within {gate_pct}% budget");
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Command line.
-// ---------------------------------------------------------------------
-
-/// Which run the flags select.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// The pixel-kernel microbenchmarks (`BENCH_PR8.json`).
-    Kernels,
-    /// The detected-best kernel tier, bare on stdout.
-    KernelsInfo,
-    /// The disabled-mode observability overhead guard.
-    Overhead,
-}
-
-impl Mode {
-    fn flag(self) -> &'static str {
-        match self {
-            Mode::Kernels => "--kernels",
-            Mode::KernelsInfo => "--kernels-info",
-            Mode::Overhead => "--overhead",
-        }
-    }
-}
-
 struct Args {
-    mode: Mode,
     smoke: bool,
     out: Option<String>,
 }
 
 fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
-    let (mut mode, mut smoke, mut out) = (None::<Mode>, false, None);
+    let mut args = Args {
+        smoke: false,
+        out: None,
+    };
     while let Some(flag) = argv.next() {
-        let next = match flag.as_str() {
-            "--smoke" => {
-                smoke = true;
-                continue;
-            }
-            "--out" => {
-                out = Some(argv.next().ok_or("--out expects a value")?);
-                continue;
-            }
-            "--kernels" => Mode::Kernels,
-            "--kernels-info" => Mode::KernelsInfo,
-            "--overhead" => Mode::Overhead,
+        match flag.as_str() {
+            "--smoke" => args.smoke = true,
+            "--out" => args.out = Some(argv.next().ok_or("--out expects a value")?),
             _ => return Err(format!("unknown flag {flag:?}")),
-        };
-        if let Some(m) = mode.filter(|&m| m != next) {
-            return Err(format!("{flag} does not apply to {}", m.flag()));
-        }
-        mode = Some(next);
-    }
-    if mode != Some(Mode::Kernels) {
-        for (set, flag) in [(smoke, "--smoke"), (out.is_some(), "--out")] {
-            if set {
-                return Err(match mode {
-                    Some(m) => format!("{flag} does not apply to {}", m.flag()),
-                    None => format!("{flag} needs --kernels"),
-                });
-            }
         }
     }
-    let mode = mode.ok_or("no mode given: pass --kernels, --kernels-info or --overhead")?;
     Kernels::from_env()?;
-    Ok(Args { mode, smoke, out })
+    Ok(args)
 }
 
 /// Writes a bench report to `out`, or to stdout without one.
@@ -491,34 +283,6 @@ fn emit(json: &str, out: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
-fn run(args: &Args) -> Result<(), String> {
-    match args.mode {
-        Mode::KernelsInfo => {
-            // Bare detected-best tier on stdout (CI compares it against
-            // the committed pin); the full picture goes to stderr.
-            eprintln!(
-                "arch={} available={}",
-                std::env::consts::ARCH,
-                Kernels::available()
-                    .iter()
-                    .map(|t| t.label())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
-            println!("{}", Kernels::detect_best().label());
-            Ok(())
-        }
-        Mode::Overhead => overhead_guard(),
-        Mode::Kernels => {
-            let results = bench_kernels(args.smoke);
-            emit(
-                &emit_kernels_json(&results, args.smoke),
-                args.out.as_deref(),
-            )
-        }
-    }
-}
-
 fn main() {
     let args = match parse(std::env::args().skip(1)) {
         Ok(args) => args,
@@ -527,7 +291,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if let Err(e) = run(&args) {
+    let json = emit_kernels_json(&bench_kernels(args.smoke), args.smoke);
+    if let Err(e) = emit(&json, args.out.as_deref()) {
         eprintln!("FAIL: {e}");
         std::process::exit(1);
     }

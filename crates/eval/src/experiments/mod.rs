@@ -17,6 +17,8 @@ pub mod scenarios;
 pub mod sweeps;
 pub mod trace;
 
+use std::ffi::OsString;
+
 use pbpair_serve::MAX_WORKERS;
 
 /// Reads the frame-count override from `PBPAIR_FRAMES` (smoke runs), or
@@ -27,7 +29,12 @@ use pbpair_serve::MAX_WORKERS;
 /// Returns the message the command line prints for a value that is not
 /// a whole number of at least 10 frames.
 pub fn frames_from_env(default: usize) -> Result<usize, String> {
-    let Some(v) = std::env::var_os("PBPAIR_FRAMES") else {
+    parse_frames(std::env::var_os("PBPAIR_FRAMES"), default)
+}
+
+/// [`frames_from_env`] over the variable's value, `None` when unset.
+fn parse_frames(value: Option<OsString>, default: usize) -> Result<usize, String> {
+    let Some(v) = value else {
         return Ok(default);
     };
     v.to_str()
@@ -54,9 +61,15 @@ mod tests {
 
     #[test]
     fn frames_env_override_parses_and_floors() {
-        // Avoid mutating the process environment (tests run in parallel);
-        // exercise the default path only.
-        std::env::remove_var("PBPAIR_FRAMES");
-        assert_eq!(frames_from_env(300), Ok(300));
+        // Parses values directly: the process environment is shared by
+        // tests running in parallel, and may itself set PBPAIR_FRAMES.
+        assert_eq!(parse_frames(None, 300), Ok(300));
+        for (v, n) in [("10", 10), ("45", 45)] {
+            assert_eq!(parse_frames(Some(v.into()), 300), Ok(n));
+        }
+        for v in ["9", "abc", "", "-10"] {
+            let err = parse_frames(Some(v.into()), 300).unwrap_err();
+            assert!(err.contains("at least 10"), "{v:?}: {err}");
+        }
     }
 }

@@ -177,44 +177,20 @@ fn bad_arguments_fail_with_a_message_not_a_panic() {
         ("perf", &["--out"][..], "--out expects a value"),
         (
             "perf",
-            &[][..],
-            "no mode given: pass --kernels, --kernels-info or --overhead",
-        ),
-        ("perf", &["--smoke"][..], "--smoke needs --kernels"),
-        (
-            "perf",
-            &["--out", "never-written.json"][..],
-            "--out needs --kernels",
-        ),
-        (
-            "perf",
-            &["--kernels-info", "--bogus"][..],
+            &["--smoke", "--bogus"][..],
             "unknown flag \"--bogus\"",
         ),
+        // The retired modes: `perf` is the kernel microbench alone.
         (
             "perf",
-            &["--smoke", "--kernel"][..],
-            "unknown flag \"--kernel\"",
+            &["--kernels-info"][..],
+            "unknown flag \"--kernels-info\"",
         ),
+        ("perf", &["--overhead"][..], "unknown flag \"--overhead\""),
         (
             "perf",
-            &["--kernels-info", "--out", "never-written.json"][..],
-            "--out does not apply to --kernels-info",
-        ),
-        (
-            "perf",
-            &["--kernels-info", "--smoke"][..],
-            "--smoke does not apply to --kernels-info",
-        ),
-        (
-            "perf",
-            &["--overhead", "--smoke"][..],
-            "--smoke does not apply to --overhead",
-        ),
-        (
-            "perf",
-            &["--smoke", "--kernels", "--overhead"][..],
-            "--overhead does not apply to --kernels",
+            &["--out", "never-written.json", "--kernels"][..],
+            "unknown flag \"--kernels\"",
         ),
         ("paper", &[][..], "missing experiment name"),
         ("paper", &["nope"][..], "unknown experiment \"nope\""),
@@ -288,7 +264,7 @@ fn a_bad_kernel_tier_fails_before_any_work() {
         ("matrix", &["trace", "--smoke"][..]),
         ("serve", &["--smoke"][..]),
         ("transcode", &["--frames", "10"][..]),
-        ("perf", &["--kernels-info"][..]),
+        ("perf", &["--smoke"][..]),
     ] {
         for tier in ["avx2", "mmx"] {
             let message = format!(

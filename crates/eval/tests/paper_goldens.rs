@@ -162,32 +162,37 @@ fn fig6_series_match_the_golden() {
 
 #[test]
 fn corruption_sweep_matches_the_golden() {
-    let sweep =
-        run_corruption_sweep(16, &[0.0, 0.5, 1.0], &Telemetry::disabled()).expect("sweep runs");
-    let mut h = Fnv::new();
-    for p in &sweep.points {
-        h.f64(p.intensity);
-        h.quality(&p.quality);
-        h.u64(p.frames_lost);
-        h.u64(p.frames_damaged);
-        h.decode(&p.decode);
+    // Telemetry never changes a result: disabled and enabled runs both
+    // match the one committed digest.
+    for tel in [Telemetry::disabled(), Telemetry::new()] {
+        let sweep = run_corruption_sweep(16, &[0.0, 0.5, 1.0], &tel).expect("sweep runs");
+        let mut h = Fnv::new();
+        for p in &sweep.points {
+            h.f64(p.intensity);
+            h.quality(&p.quality);
+            h.u64(p.frames_lost);
+            h.u64(p.frames_damaged);
+            h.decode(&p.decode);
+        }
+        check("CORRUPTION_SWEEP", h.0, CORRUPTION_SWEEP);
     }
-    check("CORRUPTION_SWEEP", h.0, CORRUPTION_SWEEP);
 }
 
 #[test]
 fn feedback_blackout_matches_the_golden() {
-    let report = run_feedback_blackout(48, &Telemetry::disabled()).expect("blackout runs");
-    let mut h = Fnv::new();
-    report.th_trace.iter().for_each(|&t| h.f64(t));
-    report.degraded_trace.iter().for_each(|&d| h.u64(d as u64));
-    h.quality(&report.quality);
-    let f = &report.feedback;
-    for v in [f.sent, f.lost, f.delivered, f.out_of_order] {
-        h.u64(v);
+    for tel in [Telemetry::disabled(), Telemetry::new()] {
+        let report = run_feedback_blackout(48, &tel).expect("blackout runs");
+        let mut h = Fnv::new();
+        report.th_trace.iter().for_each(|&t| h.f64(t));
+        report.degraded_trace.iter().for_each(|&d| h.u64(d as u64));
+        h.quality(&report.quality);
+        let f = &report.feedback;
+        for v in [f.sent, f.lost, f.delivered, f.out_of_order] {
+            h.u64(v);
+        }
+        h.decode(&report.decode);
+        check("FEEDBACK_BLACKOUT", h.0, FEEDBACK_BLACKOUT);
     }
-    h.decode(&report.decode);
-    check("FEEDBACK_BLACKOUT", h.0, FEEDBACK_BLACKOUT);
 }
 
 #[test]

@@ -521,6 +521,21 @@ mod tests {
     }
 
     #[test]
+    fn a_disabled_context_and_tracer_leave_the_channel_unwired() {
+        let mut ch = CorruptingChannel::new(Box::new(NoLoss), CorruptionProfile::clean(), 1);
+        ch.set_telemetry(&Telemetry::new());
+        ch.set_tracer(&Tracer::new());
+        assert!(ch.tel.is_some() && ch.corrupter.trace.is_enabled());
+        ch.set_telemetry(&Telemetry::disabled());
+        ch.set_tracer(&Tracer::disabled());
+        assert!(ch.tel.is_none(), "a disabled context stayed attached");
+        assert!(
+            !ch.corrupter.trace.is_enabled(),
+            "a disabled tracer stayed attached"
+        );
+    }
+
+    #[test]
     fn clean_profile_is_identity() {
         let mut c = Corrupter::new(CorruptionProfile::clean(), 1);
         let mut pkt = Packetizer::new(100);

@@ -839,6 +839,18 @@ mod tests {
     }
 
     #[test]
+    fn a_disabled_context_and_tracer_leave_the_session_unwired() {
+        let mut s = Session::new(&standard(0, 1), 0).unwrap();
+        s.set_telemetry(&Telemetry::new());
+        s.set_tracer(&Tracer::new());
+        assert!(s.tel.is_some() && s.trace.is_enabled());
+        s.set_telemetry(&Telemetry::disabled());
+        s.set_tracer(&Tracer::disabled());
+        assert!(s.tel.is_none(), "a disabled context stayed attached");
+        assert!(!s.trace.is_enabled(), "a disabled tracer stayed attached");
+    }
+
+    #[test]
     fn session_is_deterministic() {
         let cfg = standard(3, 99);
         let (a_stats, a_psnr) = run(&cfg, 3, 24);

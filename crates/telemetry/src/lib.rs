@@ -19,9 +19,10 @@
 //!   per metric; updates are lock-free relaxed atomics, and every layer
 //!   flushes once per frame or call, so threads sharing a cell rarely
 //!   meet on it. A handle minted from [`Telemetry::disabled`] carries
-//!   no cells at all — every operation is an inlined `None` check, so
-//!   instrumented hot loops stay within noise of uninstrumented ones
-//!   (`perf --overhead`, in `pbpair-eval`, guards this).
+//!   no cells at all — every operation is an inlined `None` check —
+//!   and a component given a disabled context keeps no handles, so it
+//!   is left exactly as a never-wired one (each instrumented
+//!   component's unit tests assert this).
 //!
 //! Locks are confined to metric *registration* (a `Mutex` around a
 //! `BTreeMap`); the hot path — `inc`, `record`, `observe` — touches only

@@ -29,9 +29,9 @@
 //! exported separately as chrome://tracing JSON.
 //!
 //! Disabled tracing (the default, [`Tracer::disabled`]) is a single
-//! branch on an `Option` per would-be event; the overhead guard
-//! (`perf --overhead`, in `pbpair-eval`) holds it below the same <2%
-//! budget as disabled telemetry.
+//! branch on an `Option` per would-be event. Attaching a disabled
+//! tracer leaves a component exactly as unwired as one never given a
+//! tracer; each instrumented component has a unit test asserting so.
 
 pub mod calib;
 pub mod event;

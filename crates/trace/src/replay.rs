@@ -249,41 +249,14 @@ impl ProvenanceDag {
         out
     }
 
-    /// Generic cycle check over [`ProvenanceDag::edges`] (iterative
-    /// three-colour DFS; does not assume edges only cross frames).
+    /// Generic cycle check over [`ProvenanceDag::edges`]: it does not
+    /// assume edges only cross frames.
     pub fn is_acyclic(&self) -> bool {
         let mut adj: BTreeMap<(u32, u16), Vec<(u32, u16)>> = BTreeMap::new();
         for (from, to) in self.edges() {
             adj.entry(from).or_default().push(to);
         }
-        let mut state: BTreeMap<(u32, u16), u8> = BTreeMap::new();
-        for &start in adj.keys() {
-            if state.get(&start).copied().unwrap_or(0) != 0 {
-                continue;
-            }
-            // (node, next child index) stack.
-            let mut stack = vec![(start, 0usize)];
-            state.insert(start, 1);
-            while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
-                let children = adj.get(&node).map(Vec::as_slice).unwrap_or(&[]);
-                if *idx < children.len() {
-                    let child = children[*idx];
-                    *idx += 1;
-                    match state.get(&child).copied().unwrap_or(0) {
-                        0 => {
-                            state.insert(child, 1);
-                            stack.push((child, 0));
-                        }
-                        1 => return false,
-                        _ => {}
-                    }
-                } else {
-                    state.insert(node, 2);
-                    stack.pop();
-                }
-            }
-        }
-        true
+        !has_cycle(&adj)
     }
 
     /// Direct damage of a byte range starting at `byte_start` in
@@ -589,6 +562,39 @@ pub fn analyze(log: &TraceLog, params: AnalyzeParams) -> Analysis {
     }
 }
 
+/// Whether the directed graph `adj` (node → children) has a cycle: an
+/// iterative three-colour DFS (0 unvisited, 1 on the stack, 2 done).
+fn has_cycle<N: Ord + Copy>(adj: &BTreeMap<N, Vec<N>>) -> bool {
+    let mut state: BTreeMap<N, u8> = BTreeMap::new();
+    for &start in adj.keys() {
+        if state.get(&start).copied().unwrap_or(0) != 0 {
+            continue;
+        }
+        // (node, next child index) stack.
+        let mut stack = vec![(start, 0usize)];
+        state.insert(start, 1);
+        while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
+            let children = adj.get(&node).map(Vec::as_slice).unwrap_or(&[]);
+            if *idx < children.len() {
+                let child = children[*idx];
+                *idx += 1;
+                match state.get(&child).copied().unwrap_or(0) {
+                    0 => {
+                        state.insert(child, 1);
+                        stack.push((child, 0));
+                    }
+                    1 => return true,
+                    _ => {}
+                }
+            } else {
+                state.insert(node, 2);
+                stack.pop();
+            }
+        }
+    }
+    false
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,9 +641,6 @@ mod tests {
 
     #[test]
     fn cycle_checker_actually_detects_cycles() {
-        // Sanity-check the checker itself on a hand-made cyclic
-        // adjacency by abusing a tiny DAG wrapper: feed it edges with
-        // a back-reference by constructing the map directly.
         let p = AnalyzeParams {
             cols: 1,
             rows: 1,
@@ -645,44 +648,18 @@ mod tests {
             frames: 2,
         };
         let log = uniform_log(p, MODE_SKIP);
-        let dag = ProvenanceDag::build(&log, p);
-        assert!(dag.is_acyclic());
-        // The generic checker walks arbitrary adjacency; simulate a
-        // cyclic graph through the same algorithm.
-        let mut adj: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        adj.insert(0, vec![1]);
-        adj.insert(1, vec![0]);
-        let mut state: BTreeMap<u32, u8> = BTreeMap::new();
-        let mut cyclic = false;
-        'outer: for &start in adj.keys() {
-            if state.get(&start).copied().unwrap_or(0) != 0 {
-                continue;
+        assert!(ProvenanceDag::build(&log, p).is_acyclic());
+        // The checker `is_acyclic` runs, on hand-made graphs.
+        let graph = |edges: &[(u32, u32)]| {
+            let mut adj: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+            for &(from, to) in edges {
+                adj.entry(from).or_default().push(to);
             }
-            let mut stack = vec![(start, 0usize)];
-            state.insert(start, 1);
-            while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
-                let children = adj.get(&node).map(Vec::as_slice).unwrap_or(&[]);
-                if *idx < children.len() {
-                    let child = children[*idx];
-                    *idx += 1;
-                    match state.get(&child).copied().unwrap_or(0) {
-                        0 => {
-                            state.insert(child, 1);
-                            stack.push((child, 0));
-                        }
-                        1 => {
-                            cyclic = true;
-                            break 'outer;
-                        }
-                        _ => {}
-                    }
-                } else {
-                    state.insert(node, 2);
-                    stack.pop();
-                }
-            }
-        }
-        assert!(cyclic);
+            adj
+        };
+        assert!(has_cycle(&graph(&[(0, 1), (1, 0)])), "2-cycle");
+        assert!(has_cycle(&graph(&[(0, 0)])), "self-loop");
+        assert!(!has_cycle(&graph(&[(0, 1), (1, 2), (2, 3)])), "chain");
     }
 
     #[test]

@@ -50,8 +50,8 @@ struct Inner {
 
 /// Cheaply cloneable tracing handle. A disabled tracer (the default
 /// for every instrumented component) reduces every emission to one
-/// branch on an `Option`, which is what keeps the disabled-mode
-/// overhead inside the <2% bench gate.
+/// branch on an `Option`, and attaching one leaves a component in its
+/// never-wired state (each component's unit tests assert this).
 #[derive(Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<Inner>>,
