@@ -3,7 +3,7 @@
 
 Usage: python3 ci/validate_expose.py <serve-binary> [--port N]
 
-Spawns `<serve-binary> --smoke --expose <port> --expose-hold 60`, waits
+Spawns `<serve-binary> --expose <port> --expose-hold 60`, waits
 for the run to finish and the endpoint to come up, then validates:
 
   * `/metrics` parses as Prometheus text exposition 0.0.4: every sample
@@ -165,7 +165,7 @@ def main():
         port = int(args[args.index("--port") + 1])
 
     proc = subprocess.Popen(
-        [binary, "--smoke", "--expose", str(port), "--expose-hold", "60"],
+        [binary, "--expose", str(port), "--expose-hold", "60"],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE,
         text=True,

@@ -25,10 +25,10 @@ pub fn digest(report: &ServeReport) -> u64 {
 }
 
 /// The fleet the scenario, dashboard, FEC and RDE cells start from: the
-/// committed seed and base PLR, no pacing wait, and admission control
-/// that never sheds — those matrices compare channels, schemes, codecs
-/// and λ points, not admission decisions. (Trace points sweep the PLR
-/// and keep default admission, so they spell their fleet out.)
+/// committed seed and base PLR, and admission control that never sheds
+/// — those matrices compare channels, schemes, codecs and λ points, not
+/// admission decisions. (Trace points sweep the PLR and keep default
+/// admission, so they spell their fleet out.)
 pub fn base(frames: usize, sessions: usize, workers: usize) -> ServeConfig {
     let mut cfg = ServeConfig {
         sessions,
@@ -36,7 +36,6 @@ pub fn base(frames: usize, sessions: usize, workers: usize) -> ServeConfig {
         workers,
         seed: 2005,
         plr: 0.08,
-        pacing_us: 0,
         ..ServeConfig::default()
     };
     cfg.admission.capacity_j_per_round = f64::MAX;

@@ -177,7 +177,6 @@ pub fn run_trace_sweep(
                 corruption: 0.3,
                 mtu: 300, // multi-fragment frames → packet-level events
                 base_intra_th: intra_th,
-                pacing_us: 0,
                 ..ServeConfig::default()
             };
             grid.push(((plr, intra_th), cfg));

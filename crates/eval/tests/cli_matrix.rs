@@ -129,17 +129,17 @@ fn bad_arguments_fail_with_a_message_not_a_panic() {
         ),
         (
             "serve",
-            &["--smoke", "--workers", "abc"][..],
+            &["--workers", "abc"][..],
             "--workers expects a number",
         ),
         (
             "serve",
-            &["--smoke", "--workers", "0"][..],
+            &["--workers", "0"][..],
             "--workers expects a number in 1..=1024",
         ),
         (
             "serve",
-            &["--smoke", "--workers", "1025"][..],
+            &["--workers", "1025"][..],
             "--workers expects a number in 1..=1024",
         ),
         (
@@ -149,31 +149,32 @@ fn bad_arguments_fail_with_a_message_not_a_panic() {
         ),
         (
             "serve",
-            &["--smoke", "--expose-hold", "abc"][..],
+            &["--expose-hold", "abc"][..],
             "--expose-hold expects seconds",
         ),
         ("serve", &["--smok"][..], "unknown flag \"--smok\""),
+        // The retired switch: `serve` is one run.
+        ("serve", &["--smoke"][..], "unknown flag \"--smoke\""),
         (
             "serve",
-            &["--smoke", "--trace-out", "never-written.json"][..],
+            &["--trace-out", "never-written.json"][..],
             "need --trace",
         ),
         (
             "serve",
-            &["--smoke", "--trace-chrome", "never-written.json"][..],
+            &["--trace-chrome", "never-written.json"][..],
             "need --trace",
         ),
         (
             "serve",
-            &["--smoke", "--trace", "--trace-out"][..],
+            &["--trace", "--trace-out"][..],
             "--trace-out expects a value",
         ),
         (
             "serve",
-            &["--smoke", "--expose-hold", "5"][..],
+            &["--expose-hold", "5"][..],
             "--expose-hold needs --expose",
         ),
-        ("serve", &["--telemetry"][..], "apply only to the smoke run"),
         ("perf", &["--out"][..], "--out expects a value"),
         (
             "perf",
@@ -242,7 +243,6 @@ fn a_bad_frame_override_fails_before_any_work() {
     for (bin, args) in [
         ("paper", &["summary"][..]),
         ("matrix", &["trace", "--smoke"][..]),
-        ("serve", &[][..]),
     ] {
         for frames in ["abc", "5"] {
             let message = format!("PBPAIR_FRAMES expects a number of at least 10, got {frames:?}");
@@ -262,7 +262,7 @@ fn a_bad_kernel_tier_fails_before_any_work() {
     for (bin, args) in [
         ("paper", &["sweep_intra_th"][..]),
         ("matrix", &["trace", "--smoke"][..]),
-        ("serve", &["--smoke"][..]),
+        ("serve", &[][..]),
         ("transcode", &["--frames", "10"][..]),
         ("perf", &["--smoke"][..]),
     ] {

@@ -11,14 +11,14 @@
 //!
 //! Responses escalate, with hysteresis:
 //!
-//! 1. **Degrade** (`lag > degrade_lag`): every session gets a high
+//! 1. **Degrade** (`lag >` [`DEGRADE_LAG`]): every session gets a high
 //!    `Intra_Th` floor. Intra decisions skip motion estimation — the
 //!    dominant cost — so degraded frames are several times cheaper; the
 //!    stream also becomes more loss-resilient, which matters because a
 //!    congested serving fleet usually coincides with a congested
-//!    network. On deeper lag (`rate_drop_lag`), degraded sessions also
+//!    network. On deeper lag ([`RATE_DROP_LAG`]), degraded sessions also
 //!    drop every [`RATE_DROP_STRIDE`]-th frame.
-//! 2. **Shed** (`lag > shed_lag`): the most expensive session (by last
+//! 2. **Shed** (`lag >` [`SHED_LAG`]): the most expensive session (by last
 //!    round's energy; ties to the lowest id) is terminated outright.
 //!    At most one session is shed per round, so a transient spike
 //!    cannot wipe the fleet.
@@ -26,62 +26,61 @@
 //!    sessions resume full rate. Shed sessions stay shed — admission
 //!    is cheaper than re-buffering a client that was already dropped.
 //!
+//! The thresholds are constants; the capacity is the controller's one
+//! setting.
+//!
 //! Everything here is pure integer/float state machinery on
 //! deterministic inputs, so fleet behaviour replays bit-identically at
 //! any worker count — the property the replay test pins down.
 
 /// Lag below which degradation is lifted.
 pub const RECOVER_LAG: f64 = 0.5;
+/// Lag (in rounds of budget, i.e. `lag_j / capacity_j_per_round`)
+/// beyond which sessions are degraded.
+pub const DEGRADE_LAG: f64 = 2.0;
+/// Lag beyond which degraded sessions also drop frames.
+pub const RATE_DROP_LAG: f64 = 6.0;
+/// Lag beyond which one session per round is shed.
+pub const SHED_LAG: f64 = 12.0;
+
+// The escalation climbs in order, and recovery sits below all of it.
+const _: () = assert!(
+    RECOVER_LAG <= DEGRADE_LAG && DEGRADE_LAG <= RATE_DROP_LAG && RATE_DROP_LAG <= SHED_LAG
+);
+
 /// The `Intra_Th` floor imposed while degraded.
 pub const DEGRADE_FLOOR_TH: f64 = 0.995;
 /// While rate-dropping, every `RATE_DROP_STRIDE`-th frame of each
 /// degraded session is skipped.
 pub const RATE_DROP_STRIDE: u64 = 3;
 
-/// Capacity model and escalation thresholds.
+/// The capacity model, admission control's one setting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionConfig {
     /// Modeled Joules of encode work the fleet may spend per round while
     /// staying "real time". Round cost beyond this accrues as lag.
     pub capacity_j_per_round: f64,
-    /// Lag (in rounds of budget, i.e. `lag_j / capacity_j_per_round`)
-    /// beyond which sessions are degraded.
-    pub degrade_lag: f64,
-    /// Lag beyond which degraded sessions also drop frames.
-    pub rate_drop_lag: f64,
-    /// Lag beyond which one session per round is shed.
-    pub shed_lag: f64,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
             capacity_j_per_round: 1.0,
-            degrade_lag: 2.0,
-            rate_drop_lag: 6.0,
-            shed_lag: 12.0,
         }
     }
 }
 
 impl AdmissionConfig {
-    /// Validates threshold ordering and ranges.
+    /// Validates the capacity.
     ///
     /// # Errors
     ///
     /// Returns a message naming the violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.capacity_j_per_round <= 0.0 {
-            return Err("capacity_j_per_round must be positive".into());
-        }
-        if !(RECOVER_LAG <= self.degrade_lag
-            && self.degrade_lag <= self.rate_drop_lag
-            && self.rate_drop_lag <= self.shed_lag)
-        {
+        if self.capacity_j_per_round.is_nan() || self.capacity_j_per_round <= 0.0 {
             return Err(format!(
-                "lag thresholds must be ordered recover ≤ degrade ≤ rate_drop ≤ shed: \
-                 {RECOVER_LAG} / {} / {} / {}",
-                self.degrade_lag, self.rate_drop_lag, self.shed_lag
+                "capacity_j_per_round {} must be positive",
+                self.capacity_j_per_round
             ));
         }
         Ok(())
@@ -117,7 +116,7 @@ pub struct RoundDecision {
 /// The integrating admission controller. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionController {
-    cfg: AdmissionConfig,
+    capacity_j_per_round: f64,
     lag_j: f64,
     level: ServiceLevel,
     shed_count: u32,
@@ -133,17 +132,12 @@ impl AdmissionController {
     pub fn new(cfg: AdmissionConfig) -> Result<Self, String> {
         cfg.validate()?;
         Ok(AdmissionController {
-            cfg,
+            capacity_j_per_round: cfg.capacity_j_per_round,
             lag_j: 0.0,
             level: ServiceLevel::Normal,
             shed_count: 0,
             degraded_rounds: 0,
         })
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.cfg
     }
 
     /// Sessions shed so far.
@@ -158,19 +152,19 @@ impl AdmissionController {
 
     /// Current lag in round-budget units.
     pub fn lag(&self) -> f64 {
-        self.lag_j / self.cfg.capacity_j_per_round
+        self.lag_j / self.capacity_j_per_round
     }
 
     /// Feeds one finished round: `(session id, compute Joules)` for every
     /// session that stepped. Returns the decision for the next round.
     pub fn observe_round(&mut self, round_cost: &[(u32, f64)]) -> RoundDecision {
         let spent: f64 = round_cost.iter().map(|&(_, joules)| joules).sum();
-        self.lag_j = (self.lag_j + spent - self.cfg.capacity_j_per_round).max(0.0);
+        self.lag_j = (self.lag_j + spent - self.capacity_j_per_round).max(0.0);
         let lag = self.lag();
 
-        self.level = if lag > self.cfg.rate_drop_lag {
+        self.level = if lag > RATE_DROP_LAG {
             ServiceLevel::RateDropping
-        } else if lag > self.cfg.degrade_lag {
+        } else if lag > DEGRADE_LAG {
             ServiceLevel::Degraded
         } else if lag < RECOVER_LAG {
             ServiceLevel::Normal
@@ -183,7 +177,7 @@ impl AdmissionController {
             self.degraded_rounds += 1;
         }
 
-        let shed = if lag > self.cfg.shed_lag {
+        let shed = if lag > SHED_LAG {
             // Shed the costliest session; ties break to the lowest id so
             // the choice is independent of observation order.
             round_cost
@@ -222,9 +216,6 @@ mod tests {
     fn cfg() -> AdmissionConfig {
         AdmissionConfig {
             capacity_j_per_round: 10.0,
-            degrade_lag: 2.0,
-            rate_drop_lag: 4.0,
-            shed_lag: 8.0,
         }
     }
 
@@ -295,14 +286,11 @@ mod tests {
 
     #[test]
     fn bad_configs_rejected() {
-        let mut bad = cfg();
-        bad.capacity_j_per_round = 0.0;
-        assert!(AdmissionController::new(bad).is_err());
-        let mut bad = cfg();
-        bad.shed_lag = 1.0; // below rate_drop_lag
-        assert!(AdmissionController::new(bad).is_err());
-        let mut bad = cfg();
-        bad.degrade_lag = RECOVER_LAG / 2.0; // below the recover threshold
-        assert!(AdmissionController::new(bad).is_err());
+        for capacity_j_per_round in [0.0, -1.0, f64::NAN] {
+            let bad = AdmissionConfig {
+                capacity_j_per_round,
+            };
+            assert!(AdmissionController::new(bad).is_err(), "{bad:?}");
+        }
     }
 }

@@ -92,9 +92,9 @@ impl RedundancyConfig {
         if self.gop == 0 {
             return Err("redundancy: gop must be positive".into());
         }
-        if self.budget_ratio < 1.0 {
+        if self.budget_ratio.is_nan() || self.budget_ratio < 1.0 {
             return Err(format!(
-                "redundancy: budget_ratio {} cannot be below 1.0 (parity-free)",
+                "redundancy: budget_ratio {} must be at least 1.0 (parity-free)",
                 self.budget_ratio
             ));
         }

@@ -237,8 +237,6 @@ pub struct Session {
     /// loss model built from it. Schedule channels set the feedback RTT
     /// per phase. `None` is uniform loss at [`ServeConfig::plr`].
     channel_spec: Option<ChannelSpec>,
-    /// Modeled transmission wait per frame ([`ServeConfig::pacing_us`]).
-    pacing_us: u64,
     source: SyntheticSequence,
     driver: SchemeDriver,
     encoder: Encoder,
@@ -403,7 +401,6 @@ impl Session {
         Ok(Session {
             seed,
             channel_spec: cfg.channel.clone(),
-            pacing_us: cfg.pacing_us,
             source: SyntheticSequence::for_class(class, sub(1)),
             driver,
             encoder: Encoder::new(EncoderConfig {
@@ -687,11 +684,6 @@ impl Session {
             Some(fec) => fec.protect(&packets, &mut frame_fec),
             None => packets,
         };
-        if self.pacing_us > 0 {
-            // The blocking transmission phase. Wall-clock only: the
-            // channel outcome below is drawn from seeded state.
-            std::thread::sleep(std::time::Duration::from_micros(self.pacing_us));
-        }
         let mut survivors = self.channel.transmit_packets(&sent);
         // Burst-aligned kill: the whole frame dies at its picture header,
         // first fragment included.
@@ -820,12 +812,11 @@ mod tests {
     use pbpair_netsim::{FecSpec, Phase, PhaseKind};
 
     /// A fleet at the paper's standard operating point (10% packet loss,
-    /// light corruption, no FEC, no pacing sleep) whose session `id`
-    /// runs on session seed `seed`.
+    /// light corruption, no FEC) whose session `id` runs on session seed
+    /// `seed`.
     fn standard(id: u32, seed: u64) -> ServeConfig {
         ServeConfig {
             seed: seed.wrapping_sub((id as u64 + 1).wrapping_mul(SESSION_SEED_STEP)),
-            pacing_us: 0,
             ..ServeConfig::default()
         }
     }

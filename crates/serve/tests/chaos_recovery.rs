@@ -18,7 +18,6 @@ fn quiet_config(seed: u64, faults: Vec<(u64, ChaosFault)>) -> ServeConfig {
         seed: seed.wrapping_sub(SESSION_0_SEED_STEP),
         plr: 0.01,
         corruption: 0.0,
-        pacing_us: 0,
         chaos: ChaosPlan::new(
             faults
                 .into_iter()

@@ -39,9 +39,6 @@ fn telemetry_counters_identical_across_worker_counts() {
         ..ServeConfig::default()
     };
     cfg.admission.capacity_j_per_round = 1e-4;
-    cfg.admission.degrade_lag = 1.0;
-    cfg.admission.rate_drop_lag = 2.0;
-    cfg.admission.shed_lag = 4.0;
 
     let one = telemetry_json(&cfg, 1);
     let two = telemetry_json(&cfg, 2);
@@ -108,9 +105,6 @@ fn overloaded_fleet_replays_across_worker_counts() {
         ..ServeConfig::default()
     };
     cfg.admission.capacity_j_per_round = 1e-4;
-    cfg.admission.degrade_lag = 1.0;
-    cfg.admission.rate_drop_lag = 2.0;
-    cfg.admission.shed_lag = 4.0;
 
     let two = digest(&cfg, 2);
     let eight = digest(&cfg, 8);
@@ -202,7 +196,6 @@ fn a_session_built_alone_replays_its_fleet_session() {
         workers: 2,
         seed: 2005,
         mtu: 36,
-        pacing_us: 0,
         channel: Some(ChannelSpec::BurstErasure {
             burst_len: 4.0,
             guard_len: 28.0,

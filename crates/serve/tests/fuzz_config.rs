@@ -8,7 +8,7 @@
 //! drawn from in-range values, its boundaries, and hostile values (0,
 //! NaN, ±∞, huge), and each config runs with the telemetry registry and
 //! the tracer on or off (`run` is [`run_with`] with both off). Fleets
-//! stay tiny (at most 3 sessions × 4 frames, no pacing, no scrape port)
+//! stay tiny (at most 3 sessions × 4 frames, no scrape port)
 //! so the whole sweep runs in seconds. Configs that once panicked are
 //! kept below as named cases.
 
@@ -234,9 +234,6 @@ fn config(seed: u64) -> ServeConfig {
         pacing_us: 0,
         admission: AdmissionConfig {
             capacity_j_per_round: d.float(1e-4, 10.0),
-            degrade_lag: d.float(0.5, 2.0),
-            rate_drop_lag: d.float(2.0, 6.0),
-            shed_lag: d.float(6.0, 12.0),
         },
         channel: d.maybe(Draw::channel),
         clip: d.maybe(|d| d.pick(&MotionClass::all())),
@@ -304,7 +301,6 @@ fn tiny() -> ServeConfig {
         sessions: 2,
         frames: 3,
         workers: 2,
-        pacing_us: 0,
         ..ServeConfig::default()
     }
 }

@@ -18,9 +18,6 @@ fn overload_cfg() -> ServeConfig {
     // Starvation-level capacity so the full escalation path runs while
     // tracing: Intra_Th floor, stride frame drops, and shedding.
     cfg.admission.capacity_j_per_round = 1e-4;
-    cfg.admission.degrade_lag = 1.0;
-    cfg.admission.rate_drop_lag = 2.0;
-    cfg.admission.shed_lag = 4.0;
     cfg
 }
 
