@@ -87,15 +87,17 @@ impl AdmissionConfig {
     }
 }
 
-/// The fleet-level service state the controller is in.
+/// The fleet-level service state the controller is in. The
+/// discriminants rank the levels (`level as u8`), the scale the trace's
+/// degradation markers use, with 3 for a round that sheds a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceLevel {
     /// Full quality, full rate.
-    Normal,
+    Normal = 0,
     /// `Intra_Th` floor in force.
-    Degraded,
+    Degraded = 1,
     /// Floor in force and degraded sessions dropping frames.
-    RateDropping,
+    RateDropping = 2,
 }
 
 /// What the manager must do after a round.

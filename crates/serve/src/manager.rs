@@ -19,7 +19,7 @@
 
 use crate::admission::{AdmissionConfig, AdmissionController, RATE_DROP_STRIDE};
 use crate::chaos::ChaosPlan;
-use crate::observe::{firing_events, fleet_health_json, Observability, ObserveState};
+use crate::observe::{firing_events, fleet_health_json, Observability, ObserveState, SloCounters};
 use crate::redundancy::RedundancyConfig;
 use crate::report::{quantile_ms, FleetHealth, FleetTiming, ServeReport, SessionReport};
 use crate::session::{DeviceKind, FrameOutcome, Session, SessionScheme};
@@ -28,7 +28,7 @@ use pbpair_codec::RdeConfig;
 use pbpair_media::synth::MotionClass;
 use pbpair_netsim::{ChannelSpec, FecSpec};
 use pbpair_sched::Pool;
-use pbpair_telemetry::Telemetry;
+use pbpair_telemetry::{Counter, Telemetry};
 use std::time::Instant;
 
 /// How encode-energy device profiles are assigned across the fleet.
@@ -217,10 +217,79 @@ impl ServeConfig {
 /// One session plus what its last round left for the ledger.
 struct Slot {
     session: Session,
+    /// The record of this round's slot; `None` from the first round that
+    /// skips the session as shed.
     outcome: Option<FrameOutcome>,
     /// Milliseconds from round start until this session's frame was done;
     /// `None` when the session was shed.
     latency_ms: Option<f64>,
+}
+
+/// The counters the round barrier folds from each live slot's
+/// [`FrameOutcome`], registered once per fleet: `serve.*`, `fec.*` when
+/// the fleet runs FEC, and `slo.*` when it runs the observability plane.
+struct SlotCounters {
+    frames_encoded: Counter,
+    frames_rate_dropped: Counter,
+    frames_lost: Counter,
+    frames_damaged: Counter,
+    fec_recovered: Counter,
+    /// `serve.intra_th_source.*`, in [`IntraThSource`] declaration order.
+    ///
+    /// [`IntraThSource`]: crate::session::IntraThSource
+    intra_th_source: [Counter; 3],
+    /// `fec.blocks_repaired`, `fec.blocks_failed`, `fec.parity_bytes`,
+    /// `fec.xor_bytes` and `fec.gf_mul_bytes`.
+    fec: Option<[Counter; 5]>,
+    slo: Option<SloCounters>,
+}
+
+impl SlotCounters {
+    fn register(cfg: &ServeConfig, tel: &Telemetry, observe: bool) -> SlotCounters {
+        let fec = cfg.fec.is_some() || cfg.redundancy.is_some();
+        SlotCounters {
+            frames_encoded: tel.counter("serve.frames_encoded"),
+            frames_rate_dropped: tel.counter("serve.frames_rate_dropped"),
+            frames_lost: tel.counter("serve.frames_lost"),
+            frames_damaged: tel.counter("serve.frames_damaged"),
+            fec_recovered: tel.counter("serve.fec_recovered"),
+            intra_th_source: ["network", "load", "quarantine"]
+                .map(|s| tel.counter(&format!("serve.intra_th_source.{s}"))),
+            fec: fec.then(|| {
+                [
+                    "blocks_repaired",
+                    "blocks_failed",
+                    "parity_bytes",
+                    "xor_bytes",
+                    "gf_mul_bytes",
+                ]
+                .map(|s| tel.counter(&format!("fec.{s}")))
+            }),
+            slo: observe.then(|| SloCounters::register(tel)),
+        }
+    }
+
+    /// Folds one live slot's record into every family.
+    fn fold(&self, o: &FrameOutcome) {
+        self.frames_encoded.inc(o.encoded as u64);
+        self.frames_rate_dropped.inc(!o.encoded as u64);
+        self.frames_lost.inc(o.lost as u64);
+        self.frames_damaged.inc(o.damaged as u64);
+        self.fec_recovered.inc(o.fec_recovered as u64);
+        if o.encoded {
+            self.intra_th_source[o.intra_th_source as usize].inc(1);
+        }
+        if let Some([repaired, failed, parity, xor, gf_mul]) = &self.fec {
+            repaired.inc(o.fec.blocks_repaired);
+            failed.inc(o.fec.blocks_failed);
+            parity.inc(o.fec.parity_bytes);
+            xor.inc(o.fec.xor_bytes);
+            gf_mul.inc(o.fec.gf_mul_bytes);
+        }
+        if let Some(slo) = &self.slo {
+            slo.fold(o);
+        }
+    }
 }
 
 /// What one fleet run hands back: the report, plus whatever optional
@@ -254,11 +323,13 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeReport, String> {
 ///
 /// * **Telemetry** — every pipeline stage reports into `tel`: the codec
 ///   (`enc.*`/`dec.*`), the channels (`net.*`), the sessions and
-///   scheduler (`serve.*`), plus a `serve.frame_latency_ms` timing
-///   histogram. Every session writes into `tel` itself, once per frame
-///   per layer; the registry's deterministic section is identical for
-///   any worker count (the counter sums commute). A disabled `tel`
-///   costs nothing.
+///   scheduler (`serve.*`, and `fec.*` for a fleet with FEC), plus a
+///   `serve.frame_latency_ms` timing histogram. The codec and channel
+///   stages write into `tel` as each frame runs; the `serve.*` and
+///   `fec.*` counters are folded from each slot's [`FrameOutcome`] at
+///   the round barrier. The registry's deterministic section is
+///   identical for any worker count (the counter sums commute). A
+///   disabled `tel` costs nothing.
 /// * **Tracing** (`trace`) — a causal tracer on every session: the
 ///   encoder records per-MB coding provenance, the channel per-packet
 ///   loss/corruption, the decoder concealment/resync — and the run
@@ -286,6 +357,7 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
     cfg.validate()?;
     let mut tracing = trace.then(|| TraceState::new(cfg.sessions));
     let mut obs = ObserveState::build(cfg, tel)?;
+    let counters = SlotCounters::register(cfg, tel, obs.is_some());
     let mut controller = AdmissionController::new(cfg.admission)?;
     let mut slots: Vec<Slot> = (0..cfg.sessions)
         .map(|id| {
@@ -325,15 +397,15 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
         let migrations_before = pool.migrations();
         pool.for_each_mut(&mut slots, |_, slot| {
             if slot.session.is_shed() {
+                slot.outcome = None;
                 return;
             }
             slot.session.set_load_floor(floor_th);
-            slot.outcome = if rate_dropping {
-                slot.session.drop_frame();
-                None
+            slot.outcome = Some(if rate_dropping {
+                slot.session.drop_frame()
             } else {
-                Some(slot.session.step_frame())
-            };
+                slot.session.step_frame()
+            });
             let elapsed_ms = round_start.elapsed().as_secs_f64() * 1e3;
             latency_hist.record(elapsed_ms as u64);
             slot.latency_ms = Some(elapsed_ms);
@@ -341,28 +413,21 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
         steals_counter.inc(pool.migrations() - migrations_before);
         rounds_counter.inc(1);
 
-        // Deterministic post-round ledger, in session-id order.
+        // Deterministic post-round ledger, in session-id order. A shed
+        // slot has no record, so it dilutes no per-slot SLO ratio. A
+        // rate-dropped slot stays out of the round cost: the stride drops
+        // every session in the same round, and zero-cost entries would
+        // let such a round shed the lowest id. FEC processing is session
+        // compute too; the admission controller budgets the sum.
         let mut round_cost = Vec::with_capacity(slots.len());
         for (id, slot) in slots.iter_mut().enumerate() {
             latencies.extend(slot.latency_ms.take());
-            let outcome = slot.outcome.take();
-            if let Some(outcome) = &outcome {
-                // FEC processing is session compute too; the admission
-                // controller budgets the sum (identical when FEC is off).
+            let Some(outcome) = &slot.outcome else {
+                continue;
+            };
+            counters.fold(outcome);
+            if outcome.encoded {
                 round_cost.push((id as u32, outcome.encode_joules + outcome.fec_joules));
-            }
-            if let Some(obs) = &obs {
-                // Live sessions only: a shed slot carries no traffic and
-                // would dilute every per-slot SLO ratio.
-                if !slot.session.is_shed() {
-                    let s = &slot.session;
-                    obs.note_session(
-                        outcome.as_ref(),
-                        s.lost_streak(),
-                        s.feedback_dark().unwrap_or(0),
-                        s.last_psnr_mdb(),
-                    );
-                }
             }
         }
         let decision = controller.observe_round(&round_cost);
@@ -374,26 +439,20 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
             shed_counter.inc(1);
         }
         if let Some(ts) = tracing.as_mut() {
-            // Deterministic: derived from the admission decision and
-            // per-session decode counters, both seed-pure.
-            let level = if decision.shed.is_some() {
-                3
-            } else if drop_frames {
-                2
-            } else if floor_th > 0.0 {
-                1
-            } else {
-                0
-            };
+            // Deterministic: read off the admission decision and this
+            // round's records, both seed-pure.
+            let level = decision.shed.map_or(decision.level as u8, |_| 3);
             let affected: Vec<bool> = slots
                 .iter()
                 .enumerate()
                 .map(|(id, slot)| decision.shed == Some(id as u32) || !slot.session.is_shed())
                 .collect();
             ts.note_degrade(round as u32, level, &affected);
-            for (id, slot) in slots.iter().enumerate() {
-                ts.note_resyncs(round as u32, id, slot.session.resyncs());
-            }
+            let resynced: Vec<bool> = slots
+                .iter()
+                .map(|slot| slot.outcome.is_some_and(|o| o.decode.resyncs > 0))
+                .collect();
+            ts.dump(round as u32, "resync", &resynced);
         }
         if let Some(obs) = obs.as_mut() {
             // Snapshot → delta frame → SLO evaluation, all on the
@@ -410,11 +469,11 @@ pub fn run_with(cfg: &ServeConfig, tel: &Telemetry, trace: bool) -> Result<Fleet
                     }
                     affected[id] = true;
                     for e in &firing {
-                        slot.session.on_slo_alert(round as u64, &e.slo);
+                        slot.session.on_slo_alert(&e.slo);
                     }
                 }
                 if let Some(ts) = tracing.as_mut() {
-                    ts.note_slo(round as u32, &affected);
+                    ts.dump(round as u32, "slo", &affected);
                 }
             }
             if obs.has_expose() {

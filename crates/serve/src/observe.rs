@@ -5,9 +5,10 @@
 //! The plane is strictly layered so the determinism contract survives
 //! each hop:
 //!
-//! 1. **Ingest** — after every round barrier the manager folds each
-//!    live session's outcome into integer `slo.*` counters, in
-//!    session-id order. Pure virtual-unit arithmetic.
+//! 1. **Ingest** — at every round barrier the manager folds each live
+//!    slot's [`FrameOutcome`] into integer `slo.*` counters, in
+//!    session-id order, in the same pass that folds `serve.*` and
+//!    `fec.*`. Pure virtual-unit arithmetic.
 //! 2. **Series** — after every round the registry is snapshotted into a
 //!    [`TimeSeries`] delta frame keyed by round index. The deterministic
 //!    half is byte-identical across worker counts; wall-clock material
@@ -125,10 +126,11 @@ pub struct Observability {
     pub expose: Option<ExposeServer>,
 }
 
-/// Per-round SLO input counters. Incremented only at the round barrier
-/// in session-id order, so they are deterministic like every other
-/// `slo.*`-free counter in the registry.
-struct SloCounters {
+/// The SLO input counters. The manager registers them once per observed
+/// fleet and folds each live slot's [`FrameOutcome`] into them at the
+/// round barrier, in session-id order, so they are deterministic like
+/// every other counter in the registry.
+pub(crate) struct SloCounters {
     frame_slots: Counter,
     frames_lost: Counter,
     frames_damaged: Counter,
@@ -139,7 +141,7 @@ struct SloCounters {
 }
 
 impl SloCounters {
-    fn register(tel: &Telemetry) -> SloCounters {
+    pub(crate) fn register(tel: &Telemetry) -> SloCounters {
         SloCounters {
             frame_slots: tel.counter("slo.frame_slots"),
             frames_lost: tel.counter("slo.frames_lost"),
@@ -150,6 +152,19 @@ impl SloCounters {
             psnr_mdb: tel.counter("slo.psnr_mdb"),
         }
     }
+
+    /// Folds one live slot's record. A rate-dropped slot still counts as
+    /// a slot; it carried no transmission.
+    pub(crate) fn fold(&self, o: &FrameOutcome) {
+        self.frame_slots.inc(1);
+        self.frames_lost.inc(o.lost as u64);
+        self.frames_damaged.inc(o.damaged as u64);
+        self.energy_uj
+            .inc(((o.encode_joules + o.fec_joules) * 1e6).round() as u64);
+        self.heal_frames.inc(o.lost_streak);
+        self.dark_frames.inc(o.dark);
+        self.psnr_mdb.inc(o.psnr_mdb);
+    }
 }
 
 /// Run-time observability state the manager threads through its round
@@ -157,7 +172,6 @@ impl SloCounters {
 pub(crate) struct ObserveState {
     series: TimeSeries,
     engine: SloEngine,
-    counters: SloCounters,
     expose: Option<ExposeServer>,
 }
 
@@ -182,32 +196,8 @@ impl ObserveState {
         Ok(Some(ObserveState {
             series: TimeSeries::new(),
             engine: SloEngine::new(STANDARD_SLOS),
-            counters: SloCounters::register(tel),
             expose,
         }))
-    }
-
-    /// Folds one live session's round outcome into the SLO counters.
-    /// `outcome` is `None` when admission rate-dropped the slot (the
-    /// slot still counts; it just carried no transmission).
-    pub fn note_session(
-        &self,
-        outcome: Option<&FrameOutcome>,
-        lost_streak: u64,
-        dark: u64,
-        psnr_mdb: u64,
-    ) {
-        let c = &self.counters;
-        c.frame_slots.inc(1);
-        if let Some(o) = outcome {
-            c.frames_lost.inc(o.lost as u64);
-            c.frames_damaged.inc(o.damaged as u64);
-            c.energy_uj
-                .inc(((o.encode_joules + o.fec_joules) * 1e6).round() as u64);
-        }
-        c.heal_frames.inc(lost_streak);
-        c.dark_frames.inc(dark);
-        c.psnr_mdb.inc(psnr_mdb);
     }
 
     /// Snapshots the registry into the round's delta frame and evaluates

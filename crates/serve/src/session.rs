@@ -19,15 +19,17 @@
 //! records its winner in [`FrameOutcome::intra_th_source`].
 //!
 //! Feedback darkness has one clock: the frame of the last applied
-//! report. The degradation backoff, the watchdog and
-//! [`Session::feedback_dark`] all read it.
+//! report. The degradation backoff, the watchdog and each slot's
+//! [`FrameOutcome::dark`] all read it.
 //!
 //! A session is built from the fleet's [`ServeConfig`] and its id, and
 //! everything inside it is seeded from (master seed, session id), so a
 //! session's entire trajectory is deterministic no matter which worker
 //! threads execute its frames, or in what interleaving with other
-//! sessions. Its counters live in the [`SessionReport`] it keeps, which
-//! [`Session::report`] completes and returns.
+//! sessions. Every frame slot, stepped or rate-dropped, returns one
+//! [`FrameOutcome`]; the session folds its counters from that record
+//! into the [`SessionReport`] it keeps, which [`Session::report`]
+//! completes and returns.
 
 use crate::chaos::{ChaosEvent, ChaosFault};
 use crate::health::{HealthLedger, HealthState, StalenessWatchdog};
@@ -44,7 +46,7 @@ use pbpair_netsim::{
     reassemble_frame_damaged, BurstEstimator, ChannelSpec, CorruptingChannel, CorruptionProfile,
     FecOps, FecProtector, FeedbackLink, LossModel, Packetizer, UniformLoss, WindowPlrEstimator,
 };
-use pbpair_telemetry::{Counter, Telemetry};
+use pbpair_telemetry::Telemetry;
 use pbpair_trace::{Event as TraceEvent, Tracer};
 use std::collections::VecDeque;
 
@@ -127,30 +129,60 @@ impl DeviceKind {
     }
 }
 
-/// What one frame step produced — the deterministic per-frame record the
-/// admission controller and the report aggregate from.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The one deterministic record of a session's frame slot, stepped or
+/// rate-dropped. The session folds its [`SessionReport`] ledger from it;
+/// at the round barrier the fleet folds the `serve.*`, `fec.*` and
+/// `slo.*` counters, the admission controller's round cost and the
+/// trace's resync dumps from it.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FrameOutcome {
+    /// Whether the slot was encoded and sent; false when admission
+    /// rate-dropped it, and then every count and energy below is 0.
+    pub encoded: bool,
+    /// Encoded payload bytes.
+    pub encoded_bytes: u64,
     /// Encoding energy of this frame under the session's device model.
     pub encode_joules: f64,
     /// FEC encode/decode processing energy of this frame (0 without FEC).
     pub fec_joules: f64,
+    /// FEC arithmetic of this frame (all zero without FEC).
+    pub fec: FecOps,
+    /// Whether FEC reconstructed at least one erased fragment.
+    pub fec_recovered: bool,
+    /// Chaos faults that fired at this frame.
+    pub chaos_injected: u64,
+    /// Whether a stalled decoder discarded the frame and the display held
+    /// the last picture.
+    pub stalled: bool,
     /// Whether nothing usable arrived (whole-frame concealment).
     pub lost: bool,
     /// Whether the frame arrived damaged and went through resilient
     /// decode (false for clean or lost frames).
     pub damaged: bool,
+    /// The decoder's accounting of this frame (empty when nothing was
+    /// decoded).
+    pub decode: DecodeReport,
     /// `Intra_Th` in force for this frame.
     pub intra_th: f64,
     /// Which arbiter input set `intra_th`.
     pub intra_th_source: IntraThSource,
+    /// Consecutive whole-frame losses ending at this slot (the
+    /// watchdog's display-starvation signal).
+    pub lost_streak: u64,
+    /// Feedback staleness as of this slot: frames since the last
+    /// applied report, 0 before the first one.
+    pub dark: u64,
+    /// PSNR of the picture displayed in this slot, in milli-dB, clamped
+    /// to 120 dB because identical frames report infinite PSNR.
+    pub psnr_mdb: u64,
 }
 
 /// The lever that set a frame's `Intra_Th` (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum IntraThSource {
     /// The session's network proposer (degradation or redundancy
     /// controller).
+    #[default]
     Network,
     /// The fleet admission controller's load floor.
     Load,
@@ -282,60 +314,9 @@ pub struct Session {
     /// The report's counters, labels and shed flag, kept as the frames
     /// run; [`Session::report`] fills in the rest.
     ledger: SessionReport,
-    /// Session-level telemetry handles; `None` until
-    /// [`Session::set_telemetry`]. The encoder, decoder, and channel
-    /// carry their own handles wired by the same call.
-    tel: Option<SessionTelemetry>,
     /// Causal tracer; disabled until [`Session::set_tracer`]. The
     /// encoder, decoder, and forward channel share clones of it.
     trace: Tracer,
-}
-
-/// Telemetry the session flushes per frame slot — all deterministic
-/// quantities (frame outcomes are a pure function of the session seed).
-#[derive(Debug)]
-struct SessionTelemetry {
-    frames_encoded: Counter,
-    frames_rate_dropped: Counter,
-    frames_lost: Counter,
-    frames_damaged: Counter,
-    fec_recovered: Counter,
-    /// `serve.intra_th_source.*`, in [`IntraThSource`] declaration order.
-    intra_th_source: [Counter; 3],
-    /// `fec.*` counters; created only for FEC-enabled sessions so
-    /// FEC-off telemetry dumps (and their goldens) are unchanged.
-    fec: Option<FecTelemetry>,
-}
-
-/// Per-frame FEC ledger flushes (`fec.*` namespace).
-#[derive(Debug)]
-struct FecTelemetry {
-    blocks_repaired: Counter,
-    blocks_failed: Counter,
-    parity_bytes: Counter,
-    xor_bytes: Counter,
-    gf_mul_bytes: Counter,
-}
-
-impl SessionTelemetry {
-    fn new(tel: &Telemetry, fec_enabled: bool) -> Self {
-        SessionTelemetry {
-            frames_encoded: tel.counter("serve.frames_encoded"),
-            frames_rate_dropped: tel.counter("serve.frames_rate_dropped"),
-            frames_lost: tel.counter("serve.frames_lost"),
-            frames_damaged: tel.counter("serve.frames_damaged"),
-            fec_recovered: tel.counter("serve.fec_recovered"),
-            intra_th_source: ["network", "load", "quarantine"]
-                .map(|s| tel.counter(&format!("serve.intra_th_source.{s}"))),
-            fec: fec_enabled.then(|| FecTelemetry {
-                blocks_repaired: tel.counter("fec.blocks_repaired"),
-                blocks_failed: tel.counter("fec.blocks_failed"),
-                parity_bytes: tel.counter("fec.parity_bytes"),
-                xor_bytes: tel.counter("fec.xor_bytes"),
-                gf_mul_bytes: tel.counter("fec.gf_mul_bytes"),
-            }),
-        }
-    }
 }
 
 impl Session {
@@ -439,24 +420,20 @@ impl Session {
                 device: device.label().to_string(),
                 ..SessionReport::default()
             },
-            tel: None,
             trace: Tracer::disabled(),
         })
     }
 
-    /// Attaches a telemetry context to the session and every pipeline
-    /// stage it owns (encoder, decoder, forward channel). Concurrent
-    /// sessions may share one context: each metric's total is a sum of
-    /// relaxed atomic adds, identical in any order. A disabled context
-    /// detaches everything.
+    /// Attaches a telemetry context to every pipeline stage the session
+    /// owns (encoder, decoder, forward channel). Concurrent sessions may
+    /// share one context: each metric's total is a sum of relaxed atomic
+    /// adds, identical in any order. A disabled context detaches
+    /// everything. The session's own per-slot counts reach telemetry
+    /// through the [`FrameOutcome`]s the fleet folds.
     pub fn set_telemetry(&mut self, tel: &Telemetry) {
         self.encoder.set_telemetry(tel);
         self.decoder.set_telemetry(tel);
         self.channel.set_telemetry(tel);
-        let fec_enabled = self.fec_enabled();
-        self.tel = tel
-            .is_enabled()
-            .then(|| SessionTelemetry::new(tel, fec_enabled));
     }
 
     /// Attaches a causal tracer to the session and every stage it owns.
@@ -495,11 +472,6 @@ impl Session {
         }
     }
 
-    /// Whether any FEC (fixed or adaptive) protects this session.
-    fn fec_enabled(&self) -> bool {
-        self.fec.is_some() || self.network.redundancy().is_some()
-    }
-
     /// [`arbitrate_intra_th`] over the session's three inputs as they
     /// stand.
     fn arbitrate(&self) -> (f64, IntraThSource) {
@@ -520,27 +492,13 @@ impl Session {
         self.watchdog.ledger()
     }
 
-    /// Consecutive whole-frame losses ending at the last processed slot
-    /// (resets to zero the moment a frame lands).
-    pub fn lost_streak(&self) -> u64 {
-        self.lost_streak
-    }
-
-    /// Feedback staleness (frames since the last applied report) as of
-    /// the last processed frame slot; `None` before any report arrives.
-    pub fn feedback_dark(&self) -> Option<u64> {
-        self.dark_at(self.frame.saturating_sub(1))
-    }
-
     /// Frames since the last applied report at frame `now`.
     fn dark_at(&self, now: u64) -> Option<u64> {
         self.last_report.map(|f| now.saturating_sub(f))
     }
 
-    /// Most recent displayed-frame PSNR in milli-dB, clamped to 120 dB
-    /// because identical frames report infinite PSNR. Zero before the
-    /// first frame.
-    pub fn last_psnr_mdb(&self) -> u64 {
+    /// Most recent displayed-frame PSNR in milli-dB, clamped to 120 dB.
+    fn last_psnr_mdb(&self) -> u64 {
         self.quality
             .psnr_series()
             .last()
@@ -548,22 +506,19 @@ impl Session {
             .unwrap_or(0)
     }
 
-    /// Applies a fleet-level SLO alert to this session's watchdog. A
-    /// resulting quarantine reaches the arbiter through the watchdog
-    /// state, so an alerting session encodes conservatively until the
-    /// ledger clears it.
-    pub fn on_slo_alert(&mut self, frame: u64, slo: &str) {
-        self.watchdog.alert(frame, slo);
+    /// Applies a fleet-level SLO alert to this session's watchdog,
+    /// stamped with the last frame the session processed (a rate-dropped
+    /// slot does not advance the session's frame). A resulting
+    /// quarantine reaches the arbiter through the watchdog state, so an
+    /// alerting session encodes conservatively until the ledger clears
+    /// it.
+    pub fn on_slo_alert(&mut self, slo: &str) {
+        self.watchdog.alert(self.frame.saturating_sub(1), slo);
     }
 
     /// Sets the fleet-imposed threshold floor (admission control).
     pub fn set_load_floor(&mut self, th: f64) {
         self.load_floor = th.clamp(0.0, 1.0);
-    }
-
-    /// Decoder resyncs so far.
-    pub(crate) fn resyncs(&self) -> u64 {
-        self.ledger.decode.resyncs
     }
 
     /// Marks the session shed; it will not be stepped again.
@@ -576,28 +531,54 @@ impl Session {
         self.ledger.shed
     }
 
+    /// Folds a slot's record into the ledger and hands it back; the one
+    /// place the ledger's per-frame counters are written.
+    fn fold(&mut self, o: FrameOutcome) -> FrameOutcome {
+        let l = &mut self.ledger;
+        l.frames_encoded += o.encoded as u64;
+        l.frames_rate_dropped += !o.encoded as u64;
+        l.frames_lost += o.lost as u64;
+        l.frames_damaged += o.damaged as u64;
+        l.frames_stalled += o.stalled as u64;
+        l.chaos_injected += o.chaos_injected;
+        l.fec_recoveries += o.fec_recovered as u64;
+        l.fec += o.fec;
+        l.fec_joules += o.fec_joules;
+        l.encoded_bytes += o.encoded_bytes;
+        l.encode_joules += o.encode_joules;
+        l.decode.absorb(&o.decode);
+        o
+    }
+
     /// Skips one source frame (fleet-imposed frame-rate degradation).
     /// The viewer keeps watching the last displayed picture while the
     /// scene moves on, so the quality ledger charges the drop honestly.
-    pub fn drop_frame(&mut self) {
+    /// The session's frame clock does not advance. Returns the slot's
+    /// record, with `encoded` false.
+    pub fn drop_frame(&mut self) -> FrameOutcome {
         let original = self.source.next_frame();
         self.quality.record(&original, self.decoder.last_frame());
-        self.ledger.frames_rate_dropped += 1;
-        if let Some(t) = &self.tel {
-            t.frames_rate_dropped.inc(1);
-        }
+        let (intra_th, intra_th_source) = self.arbitrate();
+        self.fold(FrameOutcome {
+            intra_th,
+            intra_th_source,
+            lost_streak: self.lost_streak,
+            dark: self.dark_at(self.frame.saturating_sub(1)).unwrap_or(0),
+            psnr_mdb: self.last_psnr_mdb(),
+            ..FrameOutcome::default()
+        })
     }
 
-    /// Runs one frame through the whole loop. Returns the deterministic
-    /// outcome record.
+    /// Runs one frame through the whole loop. Returns the slot's record.
     pub fn step_frame(&mut self) -> FrameOutcome {
         let now = self.frame;
         self.frame += 1;
 
         // Chaos activation: fire every fault scheduled at or before now.
+        let mut chaos_injected = 0;
         while self.chaos.front().is_some_and(|e| e.at_frame <= now) {
             let event = self.chaos.pop_front().expect("front checked");
-            self.ledger.chaos_injected += 1;
+            chaos_injected += 1;
             match event.fault {
                 ChaosFault::FeedbackBlackout { frames } => {
                     self.blackout_until = now.saturating_add(frames);
@@ -715,13 +696,10 @@ impl Session {
         let (displayed, report) = if stalled {
             // The decoder is wedged: arriving data is discarded and the
             // viewer keeps watching the last picture.
-            self.ledger.frames_stalled += 1;
             (self.decoder.last_frame(), DecodeReport::default())
         } else {
             self.decoder.receive(bytes.as_deref())
         };
-        let damaged = report.any_damage();
-        self.ledger.decode.absorb(&report);
         self.quality.record(&original, displayed);
         if self.trace.is_enabled() {
             if fec_recovered {
@@ -757,41 +735,25 @@ impl Session {
             );
         }
 
-        // Ledger.
-        let fec_joules = self.energy.fec_energy(&frame_fec).get();
         self.lost_streak = if lost { self.lost_streak + 1 } else { 0 };
-        self.ledger.frames_encoded += 1;
-        self.ledger.frames_lost += lost as u64;
-        self.ledger.frames_damaged += damaged as u64;
-        self.ledger.fec_recoveries += fec_recovered as u64;
-        self.ledger.fec += frame_fec;
-        self.ledger.fec_joules += fec_joules;
-        self.ledger.encoded_bytes += encoded.data.len() as u64;
-        self.ledger.encode_joules += encode_joules;
-
-        if let Some(t) = &self.tel {
-            t.frames_encoded.inc(1);
-            t.frames_lost.inc(lost as u64);
-            t.frames_damaged.inc(damaged as u64);
-            t.fec_recovered.inc(fec_recovered as u64);
-            t.intra_th_source[intra_th_source as usize].inc(1);
-            if let Some(f) = &t.fec {
-                f.blocks_repaired.inc(frame_fec.blocks_repaired);
-                f.blocks_failed.inc(frame_fec.blocks_failed);
-                f.parity_bytes.inc(frame_fec.parity_bytes);
-                f.xor_bytes.inc(frame_fec.xor_bytes);
-                f.gf_mul_bytes.inc(frame_fec.gf_mul_bytes);
-            }
-        }
-
-        FrameOutcome {
+        self.fold(FrameOutcome {
+            encoded: true,
+            encoded_bytes: encoded.data.len() as u64,
             encode_joules,
-            fec_joules,
+            fec_joules: self.energy.fec_energy(&frame_fec).get(),
+            fec: frame_fec,
+            fec_recovered,
+            chaos_injected,
+            stalled,
             lost,
-            damaged,
+            damaged: report.any_damage(),
+            decode: report,
             intra_th: th,
             intra_th_source,
-        }
+            lost_streak: self.lost_streak,
+            dark: dark.unwrap_or(0),
+            psnr_mdb: self.last_psnr_mdb(),
+        })
     }
 }
 
@@ -831,13 +793,15 @@ mod tests {
 
     #[test]
     fn a_disabled_context_and_tracer_leave_the_session_unwired() {
+        // The session holds no telemetry handle of its own; the encoder,
+        // decoder and channel each check their unwiring in their own
+        // `*_unwired` tests.
         let mut s = Session::new(&standard(0, 1), 0).unwrap();
         s.set_telemetry(&Telemetry::new());
         s.set_tracer(&Tracer::new());
-        assert!(s.tel.is_some() && s.trace.is_enabled());
+        assert!(s.trace.is_enabled());
         s.set_telemetry(&Telemetry::disabled());
         s.set_tracer(&Tracer::disabled());
-        assert!(s.tel.is_none(), "a disabled context stayed attached");
         assert!(!s.trace.is_enabled(), "a disabled tracer stayed attached");
     }
 
@@ -948,6 +912,76 @@ mod tests {
             "a dropped frame encodes nothing"
         );
         assert_eq!(s.quality.frames(), 2, "the viewer still saw a frame slot");
+    }
+
+    #[test]
+    fn the_ledger_is_the_sum_of_the_slot_records() {
+        // Loss, corruption, FEC, a decoder stall, a burst kill and
+        // rate-dropped slots, so every ledger counter moves.
+        let at = |at_frame, fault| ChaosEvent {
+            session: 0,
+            at_frame,
+            fault,
+        };
+        let cfg = ServeConfig {
+            plr: 0.15,
+            corruption: 0.5,
+            mtu: 36,
+            fec: Some(FecSpec::Rs { k: 4, r: 2 }),
+            chaos: ChaosPlan::new(vec![
+                at(5, ChaosFault::DecoderStall { frames: 3 }),
+                at(12, ChaosFault::BurstKill { frames: 4 }),
+            ])
+            .unwrap(),
+            ..standard(0, 61)
+        };
+        let mut s = Session::new(&cfg, 0).unwrap();
+        let records: Vec<FrameOutcome> = (0..40)
+            .map(|slot| {
+                if slot % 4 == 3 {
+                    s.drop_frame()
+                } else {
+                    s.step_frame()
+                }
+            })
+            .collect();
+        let count = |f: fn(&FrameOutcome) -> bool| records.iter().filter(|o| f(o)).count() as u64;
+        let sum = |f: fn(&FrameOutcome) -> u64| records.iter().map(f).sum::<u64>();
+        let joules = |f: fn(&FrameOutcome) -> f64| records.iter().fold(0.0, |j, o| j + f(o));
+        let r = s.report();
+        assert_eq!(r.frames_encoded, count(|o| o.encoded));
+        assert_eq!(r.frames_rate_dropped, count(|o| !o.encoded));
+        assert_eq!(r.frames_lost, count(|o| o.lost));
+        assert_eq!(r.frames_damaged, count(|o| o.damaged));
+        assert_eq!(r.frames_stalled, count(|o| o.stalled));
+        assert_eq!(r.fec_recoveries, count(|o| o.fec_recovered));
+        assert_eq!(r.chaos_injected, sum(|o| o.chaos_injected));
+        assert_eq!(r.encoded_bytes, sum(|o| o.encoded_bytes));
+        assert_eq!(r.encode_joules, joules(|o| o.encode_joules));
+        assert_eq!(r.fec_joules, joules(|o| o.fec_joules));
+        assert_eq!(
+            r.fec,
+            records.iter().fold(FecOps::default(), |a, o| a + o.fec)
+        );
+        assert_eq!(r.decode.frames_decoded, sum(|o| o.decode.frames_decoded));
+        assert_eq!(
+            r.decode.frames_recovered,
+            sum(|o| o.decode.frames_recovered)
+        );
+        assert_eq!(r.decode.mbs_concealed, sum(|o| o.decode.mbs_concealed));
+        assert_eq!(r.decode.resyncs, sum(|o| o.decode.resyncs));
+        assert_eq!(r.decode.bytes_skipped, sum(|o| o.decode.bytes_skipped));
+        assert_eq!(r.frames_rate_dropped, 10);
+        assert_eq!(r.chaos_injected, 2);
+        for (name, n) in [
+            ("lost", r.frames_lost),
+            ("damaged", r.frames_damaged),
+            ("stalled", r.frames_stalled),
+            ("fec_recoveries", r.fec_recoveries),
+            ("resyncs", r.decode.resyncs),
+        ] {
+            assert!(n > 0, "{name} never moved: {r:?}");
+        }
     }
 
     #[test]
@@ -1082,7 +1116,7 @@ mod tests {
                 assert_eq!(out.intra_th, d.intra_th);
                 assert_eq!(out.intra_th_source, IntraThSource::Network);
             }
-            assert!(s.fec_enabled());
+            assert!(s.network.redundancy().is_some());
             let d = decision(&s);
             (s.report(), s.quality.psnr_series().to_vec(), d)
         };

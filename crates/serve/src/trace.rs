@@ -143,8 +143,6 @@ impl FleetTrace {
 pub(crate) struct TraceState {
     tracers: Vec<Tracer>,
     dumps: Vec<TraceDump>,
-    /// Last seen `decode.resyncs` per session, for per-round deltas.
-    resync_seen: Vec<u64>,
     /// Current fleet service-degradation level (0 none … 3 shed).
     degrade_level: u8,
 }
@@ -154,7 +152,6 @@ impl TraceState {
         TraceState {
             tracers: (0..sessions).map(|_| Tracer::new()).collect(),
             dumps: Vec::new(),
-            resync_seen: vec![0; sessions],
             degrade_level: 0,
         }
     }
@@ -170,49 +167,30 @@ impl TraceState {
     pub fn note_degrade(&mut self, round: u32, level: u8, affected: &[bool]) {
         if level > self.degrade_level {
             for (id, tracer) in self.tracers.iter().enumerate() {
-                if !affected[id] {
-                    continue;
+                if affected[id] {
+                    tracer.emit(pbpair_trace::Event::Degraded { round, level });
                 }
-                tracer.emit(pbpair_trace::Event::Degraded { round, level });
-                self.dumps.push(TraceDump {
-                    session: id as u32,
-                    round,
-                    reason: "degraded",
-                    events: tracer.ring_snapshot(),
-                });
             }
+            self.dump(round, "degraded", affected);
         }
         self.degrade_level = level;
     }
 
-    /// Checks one session's post-round resync total; a delta dumps its
-    /// flight tail.
-    pub fn note_resyncs(&mut self, round: u32, id: usize, resyncs_total: u64) {
-        if resyncs_total > self.resync_seen[id] {
-            self.resync_seen[id] = resyncs_total;
-            self.dumps.push(TraceDump {
-                session: id as u32,
-                round,
-                reason: "resync",
-                events: self.tracers[id].ring_snapshot(),
-            });
-        }
-    }
-
-    /// Dumps every affected session's flight tail when an SLO burn-rate
-    /// alert starts firing — the metric → alert → causal-trace hop of
-    /// the observability plane. One dump per session per alerting round.
-    pub fn note_slo(&mut self, round: u32, affected: &[bool]) {
+    /// Dumps the flight tail of every session `affected` marks, in id
+    /// order, with one of [`TraceDump::reason`]'s reasons: `"resync"`
+    /// for a session whose decoder resynced this round, `"slo"` for every
+    /// live session when a burn-rate alert starts firing (the
+    /// metric → alert → causal-trace hop of the observability plane).
+    pub fn dump(&mut self, round: u32, reason: &'static str, affected: &[bool]) {
         for (id, tracer) in self.tracers.iter().enumerate() {
-            if !affected[id] {
-                continue;
+            if affected[id] {
+                self.dumps.push(TraceDump {
+                    session: id as u32,
+                    round,
+                    reason,
+                    events: tracer.ring_snapshot(),
+                });
             }
-            self.dumps.push(TraceDump {
-                session: id as u32,
-                round,
-                reason: "slo",
-                events: tracer.ring_snapshot(),
-            });
         }
     }
 

@@ -1,10 +1,16 @@
 //! Observability-plane contract tests: the frame-indexed time-series
 //! and the SLO alert stream are deterministic (byte-identical across
 //! worker counts), a burst-kill incident drives the full
-//! metric → alert → health-ledger → flight-recorder chain, and a fleet
-//! that calms down after an alert walks the ledger back to recovered.
+//! metric → alert → health-ledger → flight-recorder chain, a fleet
+//! that calms down after an alert walks the ledger back to recovered,
+//! an alert lands in a rate-dropping session's log at the session's own
+//! frame, and the `serve.*`, `fec.*` and `slo.*` counters agree with the
+//! session reports they are folded beside.
 
-use pbpair_serve::{run_with, ChaosEvent, ChaosFault, ChaosPlan, HealthState, ServeConfig};
+use pbpair_netsim::FecSpec;
+use pbpair_serve::{
+    run_with, ChaosEvent, ChaosFault, ChaosPlan, HealthState, ServeConfig, SessionReport,
+};
 use pbpair_telemetry::slo::AlertState;
 use pbpair_telemetry::Telemetry;
 
@@ -169,5 +175,112 @@ fn observability_is_returned_exactly_when_enabled_and_needs_telemetry() {
     assert!(
         run_with(&on, &Telemetry::disabled(), false).is_err(),
         "observability over a disabled registry must be rejected"
+    );
+}
+
+/// An observed RS{8,2} fleet at MTU 36 whose capacity makes admission
+/// rate-drop and shed, and whose burst kill on session 0 raises an SLO
+/// alert while the other sessions are behind the fleet round: every
+/// sink sees shedding, rate drops, losses, damage, FEC repairs and
+/// decoder resyncs.
+fn drop_and_alert_cfg() -> ServeConfig {
+    let mut cfg = ServeConfig {
+        sessions: 6,
+        frames: 60,
+        workers: 2,
+        seed: 9,
+        plr: 0.15,
+        mtu: 36,
+        fec: Some(FecSpec::Rs { k: 8, r: 2 }),
+        corruption: 0.2,
+        observe: true,
+        ..ServeConfig::default()
+    };
+    cfg.admission.capacity_j_per_round = 0.010;
+    cfg.chaos = ChaosPlan::new(vec![ChaosEvent {
+        session: 0,
+        at_frame: 20,
+        fault: ChaosFault::BurstKill { frames: 10 },
+    }])
+    .expect("valid plan");
+    cfg
+}
+
+#[test]
+fn an_slo_alert_keeps_a_rate_dropping_session_log_in_frame_order() {
+    let cfg = drop_and_alert_cfg();
+    let report = run_with(&cfg, &Telemetry::new(), false)
+        .expect("valid config")
+        .report;
+    let dropped: u64 = report.sessions.iter().map(|s| s.frames_rate_dropped).sum();
+    assert!(dropped > 0, "the fleet must rate-drop");
+    assert!(
+        report
+            .sessions
+            .iter()
+            .flat_map(|s| &s.health_log)
+            .any(|t| t.reason.starts_with("slo:")),
+        "an SLO alert must reach a health log"
+    );
+    for s in &report.sessions {
+        assert!(
+            s.health_log.windows(2).all(|w| w[0].frame <= w[1].frame),
+            "session {}: log out of frame order: {:?}",
+            s.id,
+            s.health_log
+        );
+    }
+}
+
+#[test]
+fn serve_fec_and_slo_counters_match_the_session_reports() {
+    let cfg = drop_and_alert_cfg();
+    let tel = Telemetry::new();
+    let report = run_with(&cfg, &tel, false).expect("valid config").report;
+    let c = tel.report();
+    let sum = |f: fn(&SessionReport) -> u64| report.sessions.iter().map(f).sum::<u64>();
+    // Every identity below compares nonzero totals.
+    assert!(report.shed_count > 0);
+    for (what, n) in [
+        ("rate drops", sum(|s| s.frames_rate_dropped)),
+        ("losses", sum(|s| s.frames_lost)),
+        ("damaged frames", sum(|s| s.frames_damaged)),
+        ("FEC recoveries", sum(|s| s.fec_recoveries)),
+        ("resyncs", sum(|s| s.decode.resyncs)),
+        ("parity bytes", sum(|s| s.fec.parity_bytes)),
+    ] {
+        assert!(n > 0, "the fleet must produce {what}");
+    }
+
+    type Field = fn(&SessionReport) -> u64;
+    let folded: [(&str, Field); 10] = [
+        ("serve.frames_encoded", |s| s.frames_encoded),
+        ("serve.frames_rate_dropped", |s| s.frames_rate_dropped),
+        ("serve.frames_lost", |s| s.frames_lost),
+        ("serve.frames_damaged", |s| s.frames_damaged),
+        ("serve.fec_recovered", |s| s.fec_recoveries),
+        ("fec.blocks_repaired", |s| s.fec.blocks_repaired),
+        ("fec.blocks_failed", |s| s.fec.blocks_failed),
+        ("fec.parity_bytes", |s| s.fec.parity_bytes),
+        ("fec.xor_bytes", |s| s.fec.xor_bytes),
+        ("fec.gf_mul_bytes", |s| s.fec.gf_mul_bytes),
+    ];
+    for (name, field) in folded {
+        assert!(c.counters.contains_key(name), "{name} is not registered");
+        assert_eq!(c.counter(name), sum(field), "{name}");
+    }
+    let sources: u64 = ["network", "load", "quarantine"]
+        .iter()
+        .map(|s| c.counter(&format!("serve.intra_th_source.{s}")))
+        .sum();
+    assert_eq!(sources, c.counter("serve.frames_encoded"));
+    assert_eq!(
+        c.counter("slo.frame_slots"),
+        sum(|s| s.frames_encoded + s.frames_rate_dropped)
+    );
+    assert_eq!(c.counter("slo.frames_lost"), c.counter("serve.frames_lost"));
+    assert_eq!(
+        c.counter("slo.frames_damaged"),
+        c.counter("serve.frames_damaged")
     );
 }
