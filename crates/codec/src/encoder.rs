@@ -48,8 +48,8 @@
 //! it. Every block is transformed by the fused DCT → quantize → zigzag
 //! kernel ([`crate::fused`]), which the same tests hold to the separate
 //! three-pass pipeline. The bit writer, reconstruction target,
-//! motion-vector history and the slice schedule's row scratch are
-//! persistent state reused across frames, so
+//! motion-vector history, full-search window scratch and the slice
+//! schedule's row scratch are persistent state reused across frames, so
 //! [`Encoder::encode_frame_into`] performs no heap allocation after
 //! warm-up on either schedule (a counting-allocator test asserts this).
 
@@ -58,7 +58,7 @@ use crate::kernels::{KernelTier, Kernels};
 use crate::mb::{FrameStats, MbMode, MotionVector, SubPelVector};
 use crate::mbcode::{code_intra_mb, BlockCodeCfg};
 use crate::mc::LUMA_BLOCK;
-use crate::me::{self, MeConfig, MvCandidates};
+use crate::me::{self, MeConfig, MvCandidates, SearchWindow};
 use crate::ops::OpCounts;
 use crate::par::{self, MbStage, RowScratch};
 use crate::policy::{
@@ -67,7 +67,7 @@ use crate::policy::{
 };
 use crate::quant::Qp;
 use crate::rde::{self, RdeCandidate, RdeConfig};
-use pbpair_media::{Frame, MbGrid, MbIndex, VideoFormat};
+use pbpair_media::{Frame, MbGrid, MbIndex, Plane, VideoFormat};
 use pbpair_sched::Pool;
 use pbpair_telemetry::{Counter, Histogram, Stage, Telemetry};
 use pbpair_trace::{event as trace_event, Event as TraceEvent, Tracer};
@@ -234,8 +234,9 @@ pub struct Encoder {
     grid: MbGrid,
     /// Reconstructed previous frame (the prediction reference).
     recon: Frame,
-    /// Original previous frame (similarity measurements).
-    prev_original: Frame,
+    /// Luma of the original previous frame (the colocated similarity
+    /// SAD reads nothing else).
+    prev_original: Plane,
     frame_index: u64,
     ops: OpCounts,
     /// Pre-resolved telemetry handles; `None` until
@@ -273,6 +274,9 @@ pub struct Encoder {
     pool: Option<Pool>,
     /// Persistent per-row scratch of the slice schedule.
     row_scratch: Option<Vec<RowScratch>>,
+    /// The serial schedule's full-search window scratch (empty for the
+    /// three-step search).
+    me_window: SearchWindow,
 }
 
 /// Telemetry handles the encoder flushes once per encoded frame. All
@@ -340,7 +344,7 @@ impl Encoder {
                 .map_or_else(Kernels::active, Kernels::forced),
             grid,
             recon: Frame::new(cfg.format),
-            prev_original: Frame::new(cfg.format),
+            prev_original: Plane::new(cfg.format.width(), cfg.format.height()),
             frame_index: 0,
             ops: OpCounts::new(),
             tel: None,
@@ -352,6 +356,7 @@ impl Encoder {
             cur_mvs: vec![MotionVector::ZERO; mbs],
             pool: None,
             row_scratch: None,
+            me_window: SearchWindow::new(cfg.me),
         }
     }
 
@@ -508,14 +513,14 @@ impl Encoder {
         };
         if let Some(frozen) = frozen {
             let workers = (self.cfg.opt.slices as usize).min(rows);
-            let format = self.cfg.format;
+            let (format, me) = (self.cfg.format, self.cfg.me);
             encode_slices(
                 env,
                 policy,
                 &frozen,
                 self.pool.get_or_insert_with(|| Pool::new(workers)),
                 self.row_scratch
-                    .get_or_insert_with(|| RowScratch::for_format(format)),
+                    .get_or_insert_with(|| RowScratch::for_format(format, me)),
                 &mut w,
                 &mut new_recon,
                 &mut self.ops,
@@ -531,7 +536,14 @@ impl Encoder {
                     let prepass = env.median_prepass(&self.cur_mvs, mb);
                     let ctx = env.mb_context(mb, st.colocated_sad);
                     let mut bias = |mv| policy.me_bias(&ctx, mv);
-                    env.search(mb, &mut st, &prepass, &mut bias, &mut self.ops);
+                    env.search(
+                        mb,
+                        &mut st,
+                        &prepass,
+                        &mut bias,
+                        &mut self.me_window,
+                        &mut self.ops,
+                    );
                 }
                 env.decide(policy, mb, &mut st);
                 env.code(
@@ -589,7 +601,7 @@ impl Encoder {
 
         std::mem::swap(&mut self.recon, &mut new_recon);
         self.scratch_recon = Some(new_recon);
-        self.prev_original.copy_from(frame);
+        self.prev_original.copy_from(frame.y());
         std::mem::swap(&mut self.prev_mvs, &mut self.cur_mvs);
 
         out.index = self.frame_index;
@@ -639,7 +651,14 @@ fn encode_slices(
                 }
                 let mb = MbIndex::new(row, col);
                 let prepass = env.row_prepass(mb, left);
-                env.search(mb, st, &prepass, &mut |mv| frozen(mb, mv), &mut rs.ops);
+                env.search(
+                    mb,
+                    st,
+                    &prepass,
+                    &mut |mv| frozen(mb, mv),
+                    &mut rs.me_window,
+                    &mut rs.ops,
+                );
                 left = Some(st.me.mv);
             }
         });
@@ -680,8 +699,8 @@ struct FrameEnv<'a> {
     frame: &'a Frame,
     /// The reconstructed previous frame: the prediction reference.
     reference: &'a Frame,
-    /// The original previous frame, for the colocated SAD.
-    prev_original: &'a Frame,
+    /// Luma of the original previous frame, for the colocated SAD.
+    prev_original: &'a Plane,
     /// Integer MV of each macroblock of the previous frame.
     prev_mvs: &'a [MotionVector],
     trace: &'a Tracer,
@@ -717,7 +736,7 @@ impl<'a> FrameEnv<'a> {
         let colocated_sad =
             self.frame
                 .y()
-                .sad_colocated(self.prev_original.y(), ox, oy, LUMA_BLOCK, LUMA_BLOCK);
+                .sad_colocated(self.prev_original, ox, oy, LUMA_BLOCK, LUMA_BLOCK);
         ops.sad_ops += 256;
         let force_intra = self.kind == FrameKind::Intra
             || policy.pre_me_mode(&self.mb_context(mb, colocated_sad)) == PreMeDecision::ForceIntra;
@@ -775,10 +794,11 @@ impl<'a> FrameEnv<'a> {
         st: &mut MbStage,
         prepass: &MvCandidates,
         bias: &mut dyn FnMut(MotionVector) -> i64,
+        window: &mut SearchWindow,
         ops: &mut OpCounts,
     ) {
         let (k, cur, reference) = (self.bcfg.kernels, self.frame.y(), self.reference.y());
-        st.me = me::search_fast_with(k, cur, reference, mb, self.me, bias, prepass);
+        st.me = me::search_fast_with(k, cur, reference, mb, self.me, bias, prepass, window);
         ops.me_invocations += 1;
         ops.sad_candidates += st.me.candidates as u64;
         ops.sad_ops += st.me.sad_ops;

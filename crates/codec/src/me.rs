@@ -67,12 +67,80 @@ pub struct MeResult {
     pub sad_ops: u64,
 }
 
+/// Scratch for [`search_fast_with`]'s full search: room for one
+/// edge-extended copy of a ±r search window, `(16 + 2r)²` samples. A
+/// three-step configuration holds none, because that search reads the
+/// reference plane directly. The encoder keeps one, and so does each
+/// row of its slice schedule, so steady-state frames allocate nothing.
+#[derive(Debug, Clone)]
+pub struct SearchWindow {
+    samples: Vec<u8>,
+}
+
+impl SearchWindow {
+    /// The scratch `cfg`'s search needs: `(16 + 2r)²` samples for a ±r
+    /// full search, none for a three-step one.
+    pub fn new(cfg: MeConfig) -> Self {
+        let len = match cfg.strategy {
+            SearchStrategy::Full => (16 + 2 * cfg.search_range as usize).pow(2),
+            SearchStrategy::ThreeStep => 0,
+        };
+        SearchWindow {
+            samples: vec![0; len],
+        }
+    }
+}
+
+/// The reference samples a ±`r` search around the macroblock at
+/// `(ox, oy)` can read, as `(samples, stride)` starting at the window's
+/// top-left sample, so the block of vector `(dx, dy)` starts at
+/// `(dy + r) * stride + dx + r`. A window inside the plane is a view of
+/// the plane itself; one that crosses an edge is copied into `window`
+/// first, each sample as [`Plane::get_clamped`] reads it.
+fn search_area<'a>(
+    reference: &'a Plane,
+    ox: usize,
+    oy: usize,
+    r: usize,
+    window: &'a mut SearchWindow,
+) -> (&'a [u8], usize) {
+    let (w, h) = (reference.width(), reference.height());
+    if ox >= r && oy >= r && ox + 16 + r <= w && oy + 16 + r <= h {
+        return (&reference.samples()[(oy - r) * w + ox - r..], w);
+    }
+    let side = 16 + 2 * r;
+    if window.samples.len() < side * side {
+        // A window built for a smaller range; never in the encoder.
+        window.samples.resize(side * side, 0);
+    }
+    // Columns ox − r ..< ox + 16 + r: `left` copies of the first sample,
+    // the plane's columns lo..hi, then copies of the last sample.
+    let (lo, hi) = (ox.saturating_sub(r), (ox + 16 + r).min(w));
+    let left = r.saturating_sub(ox);
+    for (j, dst) in window.samples[..side * side]
+        .chunks_exact_mut(side)
+        .enumerate()
+    {
+        let row = reference.row((oy + j).saturating_sub(r).min(h - 1));
+        let (pad, rest) = dst.split_at_mut(left);
+        let (mid, tail) = rest.split_at_mut(hi - lo);
+        pad.fill(row[0]);
+        mid.copy_from_slice(&row[lo..hi]);
+        tail.fill(row[w - 1]);
+    }
+    (&window.samples[..side * side], side)
+}
+
 /// SAD between the macroblock `mb` of `cur` and the same-size block of
 /// `reference` displaced by `mv` (edge-clamped), through the kernel
 /// table `k`. Interior candidates (both blocks fully inside their
 /// planes) run the tier's SAD kernel; edge-clamped candidates read the
 /// reference one edge-replicated row at a time and stay scalar on every
-/// tier. They are not rare: about 19% of a ±15 full search on QCIF.
+/// tier. The three-step search and the exhaustive reference search
+/// score candidates here; [`search_fast_with`]'s full search does not:
+/// it copies a border macroblock's window once into a [`SearchWindow`]
+/// and runs all its candidates (about 19% of a ±15 full search on
+/// QCIF reach past an edge) through the tier's kernels.
 pub fn sad_mb_with(
     k: &Kernels,
     cur: &Plane,
@@ -298,10 +366,14 @@ pub fn search_with(
 ///   then abandons any candidate whose partial SAD proves it cannot beat
 ///   both the running best and that bound. The prepass only tightens the
 ///   pruning limit — it never replaces the running best directly, which
-///   is what preserves the naive search's first-wins tie-breaking.
+///   is what preserves the naive search's first-wins tie-breaking. Every
+///   candidate runs through the tier's SAD kernels: when the window
+///   crosses a frame edge it is first copied, edge-replicated, into
+///   `window`.
 /// * `ThreeStep`: the hill-climb visits exactly the naive trajectory
 ///   (prediction can not be folded in without changing the path), with
 ///   each candidate's SAD abandoned once it reaches the running best.
+///   `window` is not touched.
 ///
 /// `bias` is invoked once per visited candidate, including the prepass —
 /// i.e. potentially more times than the naive search invokes it.
@@ -314,15 +386,24 @@ pub fn search_fast_with(
     cfg: MeConfig,
     bias: &mut dyn FnMut(MotionVector) -> i64,
     prepass: &MvCandidates,
+    window: &mut SearchWindow,
 ) -> MeResult {
     match cfg.strategy {
-        SearchStrategy::Full => {
-            full_search_fast(k, cur, reference, mb, cfg.search_range, bias, prepass)
-        }
+        SearchStrategy::Full => full_search_fast(
+            k,
+            cur,
+            reference,
+            mb,
+            cfg.search_range,
+            bias,
+            prepass,
+            window,
+        ),
         SearchStrategy::ThreeStep => three_step_fast(k, cur, reference, mb, cfg.search_range, bias),
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn full_search_fast(
     k: &Kernels,
     cur: &Plane,
@@ -331,10 +412,16 @@ fn full_search_fast(
     range: u8,
     bias: &mut dyn FnMut(MotionVector) -> i64,
     prepass: &MvCandidates,
+    window: &mut SearchWindow,
 ) -> MeResult {
     let r = range as i16;
+    let (ox, oy) = mb.luma_origin();
+    let cur_stride = cur.width();
+    let block = &cur.samples()[oy * cur_stride + ox..];
+    let (area, stride) = search_area(reference, ox, oy, range as usize, window);
+    let at = |mv: MotionVector| &area[(r + mv.y) as usize * stride + (r + mv.x) as usize..];
     // Zero vector first, fully evaluated: the tie-breaking anchor.
-    let zero_sad = sad_mb_with(k, cur, reference, mb, MotionVector::ZERO);
+    let zero_sad = k.sad16(block, cur_stride, at(MotionVector::ZERO), stride);
     let mut best = MeResult {
         mv: MotionVector::ZERO,
         sad: zero_sad,
@@ -342,17 +429,19 @@ fn full_search_fast(
         candidates: 1,
         sad_ops: 256,
     };
-    // Prepass: each predicted MV is inside the window (push_clamped), so
-    // its cost is an upper bound on the sweep's true minimum. Only the
-    // bound is tightened; `best` is NOT updated here, because adopting a
-    // candidate out of sweep order would change which of several
-    // equal-cost vectors wins.
+    // Prepass: each predicted MV is inside the window (push_clamped with
+    // this search's range; the clamp here only guards a list built for a
+    // wider one), so its cost is an upper bound on the sweep's true
+    // minimum. Only the bound is tightened; `best` is NOT updated here,
+    // because adopting a candidate out of sweep order would change which
+    // of several equal-cost vectors wins.
     let mut bound = best.cost;
     for &mv in prepass.as_slice() {
+        let mv = MotionVector::new(mv.x.clamp(-r, r), mv.y.clamp(-r, r));
         if mv == MotionVector::ZERO {
             continue;
         }
-        let sad = sad_mb_with(k, cur, reference, mb, mv);
+        let sad = k.sad16(block, cur_stride, at(mv), stride);
         best.candidates += 1;
         best.sad_ops += 256;
         bound = bound.min(sad as i64 + bias(mv));
@@ -372,7 +461,7 @@ fn full_search_fast(
             if limit <= 0 {
                 continue;
             }
-            let (sad, ops) = sad_mb_bounded_with(k, cur, reference, mb, mv, limit as u64);
+            let (sad, ops) = k.sad16_bounded(block, cur_stride, at(mv), stride, limit as u64);
             best.sad_ops += ops;
             if sad < limit as u64 {
                 // Fully evaluated and strictly under the limit, hence
@@ -791,6 +880,7 @@ mod tests {
             cfg,
             &mut |mv| if mv == penalized { penalty } else { 0 },
             &prepass,
+            &mut SearchWindow::new(cfg),
         );
         assert_eq!(fast.mv, naive.mv, "{strategy:?} shift=({dx},{dy})");
         assert_eq!(fast.sad, naive.sad, "{strategy:?} shift=({dx},{dy})");

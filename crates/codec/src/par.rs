@@ -12,7 +12,7 @@
 
 use crate::bitstream::BitWriter;
 use crate::mb::{MbMode, MotionVector};
-use crate::me::MeResult;
+use crate::me::{MeConfig, MeResult, SearchWindow};
 use crate::ops::OpCounts;
 use pbpair_media::{Frame, Plane, VideoFormat};
 
@@ -83,11 +83,15 @@ pub(crate) struct RowScratch {
     /// Scratch writer for RDE trial coding; untouched when the joint
     /// controller is inactive.
     pub rde_writer: BitWriter,
+    /// The row's full-search window scratch (empty for the three-step
+    /// search).
+    pub me_window: SearchWindow,
 }
 
 impl RowScratch {
-    /// The scratch of every macroblock row of `format`.
-    pub fn for_format(format: VideoFormat) -> Vec<RowScratch> {
+    /// The scratch of every macroblock row of `format`, searching with
+    /// `me`.
+    pub fn for_format(format: VideoFormat, me: MeConfig) -> Vec<RowScratch> {
         let grid = pbpair_media::MbGrid::new(format);
         (0..grid.rows())
             .map(|_| RowScratch {
@@ -96,6 +100,7 @@ impl RowScratch {
                 recon: Frame::new(format),
                 ops: OpCounts::new(),
                 rde_writer: BitWriter::new(),
+                me_window: SearchWindow::new(me),
             })
             .collect()
     }

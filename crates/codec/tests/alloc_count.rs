@@ -1,7 +1,8 @@
 //! Proves the zero-allocation steady state of the encode hot path: after
 //! warm-up, [`pbpair_codec::Encoder::encode_frame_into`] must perform no
 //! heap allocation at all, on the serial schedule and on the slice
-//! schedule alike. It also bounds the receiver: after warm-up,
+//! schedule alike, with the three-step search and with the full search
+//! (whose border macroblocks copy their window into persistent scratch). It also bounds the receiver: after warm-up,
 //! [`pbpair_codec::Decoder::receive`] allocates only the picture it
 //! reconstructs (one buffer per plane) for an intact or a truncated
 //! frame, and nothing when copy concealment repeats the reference. A
@@ -14,7 +15,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pbpair_codec::{Decoder, EncodedFrame, Encoder, EncoderConfig, NaturalPolicy, OptConfig};
+use pbpair_codec::{
+    Decoder, EncodedFrame, Encoder, EncoderConfig, MeConfig, NaturalPolicy, OptConfig,
+    SearchStrategy,
+};
 use pbpair_media::synth::SyntheticSequence;
 use pbpair_media::VideoFormat;
 
@@ -51,16 +55,18 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Encodes `frames` after a four-frame warm-up and returns the most
 /// allocations any one steady-state frame performed.
-fn max_allocs_per_frame(opt: OptConfig, frames: &[pbpair_media::Frame]) -> u64 {
+fn max_allocs_per_frame(opt: OptConfig, me: MeConfig, frames: &[pbpair_media::Frame]) -> u64 {
     let mut enc = Encoder::new(EncoderConfig {
         opt,
+        me,
         ..EncoderConfig::default()
     });
     let mut policy = NaturalPolicy::new();
     let mut out = EncodedFrame::empty();
 
     // Warm-up: the first frames size the persistent scratch (bit writer,
-    // output slot, reconstruction frames, MV history, row scratch).
+    // output slot, reconstruction frames, MV history, row scratch). The
+    // full-search window scratch is sized when the encoder is built.
     for frame in &frames[..4] {
         enc.encode_frame_into(frame, &mut policy, &mut out);
     }
@@ -107,21 +113,25 @@ fn steady_state_encoding_performs_no_heap_allocation() {
     // that must not be charged to the encoder.
     let frames: Vec<_> = (0..10).map(|_| seq.next_frame()).collect();
 
-    let serial = max_allocs_per_frame(OptConfig::default(), &frames);
-    assert_eq!(
-        serial, 0,
-        "steady-state serial encode_frame_into must not allocate ({serial} allocations in one frame)"
-    );
-
-    let slices = OptConfig {
-        slices: 2,
-        ..OptConfig::default()
+    let full = MeConfig {
+        search_range: 15,
+        strategy: SearchStrategy::Full,
     };
-    let sliced = max_allocs_per_frame(slices, &frames);
-    assert_eq!(
-        sliced, 0,
-        "steady-state 2-slice encode_frame_into must not allocate ({sliced} allocations in one frame)"
-    );
+    for me in [MeConfig::default(), full] {
+        for (schedule, slices) in [("serial", 1), ("2-slice", 2)] {
+            let opt = OptConfig {
+                slices,
+                ..OptConfig::default()
+            };
+            let worst = max_allocs_per_frame(opt, me, &frames);
+            assert_eq!(
+                worst, 0,
+                "steady-state {schedule} encode_frame_into with the {:?} search must not allocate \
+                 ({worst} allocations in one frame)",
+                me.strategy
+            );
+        }
+    }
 
     // The receiver, over the same clip encoded once up front.
     let mut enc = Encoder::new(EncoderConfig::default());

@@ -11,7 +11,9 @@
 //!   vs. the naive [`me::search_with`], for both strategies and arbitrary
 //!   prepass candidate lists — the optimized search must return the
 //!   *identical* winner (vector, SAD, and cost) while never executing
-//!   more SAD operations;
+//!   more SAD operations, and the full search's edge-extended window
+//!   at every border shape and range, on every tier
+//!   ([`fast_full_search_window_is_exact_at_every_border_shape_and_range`]);
 //! * every SIMD kernel tier ([`Kernels::available`]) vs. the scalar
 //!   reference tier, per kernel — SAD, bounded SAD (value *and* op
 //!   count), forward/inverse DCT, the fused transform, half-pel motion
@@ -29,11 +31,11 @@ use pbpair_codec::mb::SubPelVector;
 use pbpair_codec::mc::{
     predict_chroma_subpel_with, predict_luma_subpel_with, CHROMA_BLOCK, LUMA_BLOCK,
 };
-use pbpair_codec::me::{self, MvCandidates};
+use pbpair_codec::me::{self, MvCandidates, SearchWindow};
 use pbpair_codec::quant::{dequantize_block, quantize_block};
 use pbpair_codec::{dct, zigzag};
 use pbpair_codec::{Kernels, MeConfig, MotionVector, Qp, SearchStrategy};
-use pbpair_media::{MbIndex, Plane};
+use pbpair_media::{MbGrid, MbIndex, Plane, VideoFormat};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -154,7 +156,8 @@ proptest! {
         }
 
         let naive = me::search_with(k, &cur, &reference, mb, cfg, &mut bias);
-        let fast = me::search_fast_with(k, &cur, &reference, mb, cfg, &mut bias, &cands);
+        let mut window = SearchWindow::new(cfg);
+        let fast = me::search_fast_with(k, &cur, &reference, mb, cfg, &mut bias, &cands, &mut window);
 
         prop_assert_eq!(fast.mv, naive.mv, "winning vector diverged");
         prop_assert_eq!(fast.sad, naive.sad, "winning SAD diverged");
@@ -202,10 +205,165 @@ fn fast_search_equals_naive_at_frame_borders() {
                 cfg,
                 &mut |_| 0,
                 &MvCandidates::default(),
+                &mut SearchWindow::new(cfg),
             );
             assert_eq!(fast.mv, naive.mv, "mb ({row},{col}) {strategy:?}");
             assert_eq!(fast.sad, naive.sad, "mb ({row},{col}) {strategy:?}");
             assert_eq!(fast.cost, naive.cost, "mb ({row},{col}) {strategy:?}");
+        }
+    }
+}
+
+/// The pruned full search as a per-pixel model: every prepass vector
+/// clamped into the ±`range` window, every reference sample read through
+/// [`Plane::get_clamped`], the limit checked after every row. Returns
+/// the work the search performs, `(candidates, sad_ops)`, however the
+/// search itself reads its window.
+fn modelled_full_search_work(
+    cur: &Plane,
+    reference: &Plane,
+    mb: MbIndex,
+    range: u8,
+    bias: &mut dyn FnMut(MotionVector) -> i64,
+    prepass: &MvCandidates,
+) -> (u32, u64) {
+    let (ox, oy) = mb.luma_origin();
+    let sad = |mv: MotionVector, limit: u64| {
+        let (mut acc, mut ops) = (0u64, 0u64);
+        for y in 0..16 {
+            for x in 0..16 {
+                let a = cur.get(ox + x, oy + y) as i32;
+                let b = reference.get_clamped(
+                    (ox + x) as isize + mv.x as isize,
+                    (oy + y) as isize + mv.y as isize,
+                ) as i32;
+                acc += (a - b).unsigned_abs() as u64;
+            }
+            ops += 16;
+            if acc >= limit {
+                break;
+            }
+        }
+        (acc, ops)
+    };
+    let zero = MotionVector::ZERO;
+    let mut cost = sad(zero, u64::MAX).0 as i64 + bias(zero);
+    let (mut candidates, mut ops) = (1u32, 256u64);
+    let mut bound = cost;
+    let r = range as i16;
+    for mv in prepass.as_slice() {
+        let mv = MotionVector::new(mv.x.clamp(-r, r), mv.y.clamp(-r, r));
+        if mv != zero {
+            candidates += 1;
+            ops += 256;
+            bound = bound.min(sad(mv, u64::MAX).0 as i64 + bias(mv));
+        }
+    }
+    for dy in -r..=r {
+        for dx in -r..=r {
+            let mv = MotionVector::new(dx, dy);
+            if mv == zero {
+                continue;
+            }
+            let b = bias(mv);
+            candidates += 1;
+            let limit = cost.min(bound + 1) - b;
+            if limit > 0 {
+                let (acc, spent) = sad(mv, limit as u64);
+                ops += spent;
+                if acc < limit as u64 {
+                    cost = acc as i64 + b;
+                }
+            }
+        }
+    }
+    (candidates, ops)
+}
+
+/// A σ-shaped bias: `(1 − σ) × 4000` with σ the pseudo-random
+/// correctness of the macroblock under the centre of the displaced
+/// block (clamped into the frame), so it steps at macroblock edges and
+/// ties many vectors, as PBPAIR's committed-σ penalty does.
+fn sigma_like_bias(format: VideoFormat, mb: MbIndex, mv: MotionVector) -> i64 {
+    let (ox, oy) = mb.luma_origin();
+    let cx = (ox as isize + 8 + mv.x as isize).clamp(0, format.width() as isize - 1) as u64;
+    let cy = (oy as isize + 8 + mv.y as isize).clamp(0, format.height() as isize - 1) as u64;
+    let z = ((cy / 16) * 131 + cx / 16 + 7).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let sigma = (z >> 40) as f64 / (1u64 << 24) as f64;
+    ((1.0 - sigma) * 4000.0) as i64
+}
+
+/// The fast full search copies a border macroblock's window, edge
+/// replicated, before scoring its candidates. Pinned at every border
+/// shape — formats whose every macroblock is a border one (a single
+/// column, a single row) and SQCIF — over ranges 1 to 31 (above the ±15
+/// any caller uses), with a zero and a σ-like bias, on every tier, with
+/// the window reused from macroblock to macroblock as the encoder reuses
+/// it: the winner must be the exhaustive search's, and the work that of
+/// the per-pixel model.
+#[test]
+fn fast_full_search_window_is_exact_at_every_border_shape_and_range() {
+    let formats = [
+        VideoFormat::custom(16, 80).expect("one column"),
+        VideoFormat::custom(96, 16).expect("one row"),
+        VideoFormat::SQCIF,
+    ];
+    for format in formats {
+        let (w, h) = (format.width(), format.height());
+        let cur = textured_plane(w, h, 4001);
+        let reference = textured_plane(w, h, 4002);
+        for range in [1u8, 4, 7, 15, 16, 31] {
+            let cfg = MeConfig {
+                search_range: range,
+                strategy: SearchStrategy::Full,
+            };
+            let mut window = SearchWindow::new(cfg);
+            for sigma in [false, true] {
+                let bias = |mb, mv| {
+                    if sigma {
+                        sigma_like_bias(format, mb, mv)
+                    } else {
+                        0
+                    }
+                };
+                for mb in MbGrid::new(format).iter() {
+                    // The last candidate comes from a list built for a
+                    // wider window; the search clamps it into its own.
+                    let mut cands = MvCandidates::default();
+                    cands.push_clamped(MotionVector::new(3, -2), range);
+                    cands.push_clamped(MotionVector::ZERO, range);
+                    cands.push_clamped(MotionVector::new(-40, 40), 31);
+                    let work = modelled_full_search_work(
+                        &cur,
+                        &reference,
+                        mb,
+                        range,
+                        &mut |mv| bias(mb, mv),
+                        &cands,
+                    );
+                    for tier in Kernels::available() {
+                        let k = Kernels::forced(tier);
+                        let at = format!("{w}x{h} ±{range} sigma={sigma} {mb:?} {tier}");
+                        let naive =
+                            me::search_with(k, &cur, &reference, mb, cfg, &mut |mv| bias(mb, mv));
+                        let fast = me::search_fast_with(
+                            k,
+                            &cur,
+                            &reference,
+                            mb,
+                            cfg,
+                            &mut |mv| bias(mb, mv),
+                            &cands,
+                            &mut window,
+                        );
+                        assert_eq!(fast.mv, naive.mv, "{at}: vector");
+                        assert_eq!(fast.sad, naive.sad, "{at}: SAD");
+                        assert_eq!(fast.cost, naive.cost, "{at}: cost");
+                        assert_eq!(fast.candidates, work.0, "{at}: candidates");
+                        assert_eq!(fast.sad_ops, work.1, "{at}: SAD ops");
+                    }
+                }
+            }
         }
     }
 }
@@ -434,10 +592,27 @@ fn coarse_bounded_sad_is_winner_identical() {
                     |mv: MotionVector| (mv.x.abs() as i64 + mv.y.abs() as i64) * bias_scale;
                 let mut bias_b =
                     |mv: MotionVector| (mv.x.abs() as i64 + mv.y.abs() as i64) * bias_scale;
-                let want =
-                    me::search_fast_with(scalar, &cur, &reference, mb, cfg, &mut bias_a, &cands);
-                let got =
-                    me::search_fast_with(coarse, &cur, &reference, mb, cfg, &mut bias_b, &cands);
+                let mut window = SearchWindow::new(cfg);
+                let want = me::search_fast_with(
+                    scalar,
+                    &cur,
+                    &reference,
+                    mb,
+                    cfg,
+                    &mut bias_a,
+                    &cands,
+                    &mut window,
+                );
+                let got = me::search_fast_with(
+                    coarse,
+                    &cur,
+                    &reference,
+                    mb,
+                    cfg,
+                    &mut bias_b,
+                    &cands,
+                    &mut window,
+                );
                 assert_eq!(got.mv, want.mv, "mb ({row},{col}) {strategy:?} vector");
                 assert_eq!(got.sad, want.sad, "mb ({row},{col}) {strategy:?} SAD");
                 assert_eq!(got.cost, want.cost, "mb ({row},{col}) {strategy:?} cost");

@@ -131,7 +131,7 @@ fn serve(args: &Args) -> Result<(), String> {
         }
     }
     let summary = format!(
-        "serve smoke: {} frames, {:.1} fps, mean PSNR {:.2} dB, \
+        "serve: {} frames, {:.1} fps, mean PSNR {:.2} dB, \
          p50 {:.2} ms, p99 {:.2} ms, {} shed",
         report.total_frames,
         report.timing.throughput_fps,
@@ -179,7 +179,7 @@ fn main() {
         }
     };
     if let Err(e) = serve(&args) {
-        eprintln!("serve smoke failed: {e}");
+        eprintln!("serve failed: {e}");
         std::process::exit(1);
     }
 }
